@@ -9,7 +9,6 @@ JSON file from which a later measurement run resumes bit-exactly.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -51,6 +50,10 @@ class ExperimentResult:
     files: list
 
 
+# rows formatted and written at a time: bounds the text held in memory
+CSV_BLOCK_ROWS = 8192
+
+
 def _fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
@@ -61,14 +64,45 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, cfg_hash: str, seed: int, header, rows) -> None:
-    buf = io.StringIO()
-    buf.write(f"# config_hash={cfg_hash}\n# master_seed={seed}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    path.write_text(buf.getvalue(), encoding="utf-8")
+def _is_numeric(column) -> bool:
+    return isinstance(column, np.ndarray) and column.dtype.kind in "biuf"
+
+
+def _cells(chunk) -> list[str]:
+    """One block of a column as CSV cells: a bool, int or float array in one
+    pass, anything else cell by cell through `_fmt`."""
+    if not _is_numeric(chunk):
+        return [_fmt(v) for v in chunk]
+    values = chunk.tolist()
+    if chunk.dtype.kind == "b":
+        return ["1" if v else "0" for v in values]
+    return list(map(repr if chunk.dtype.kind == "f" else str, values))
+
+
+def _write_csv(path: Path, cfg_hash: str, seed: int, columns: dict) -> None:
+    """Write a table given as {header: column}, streamed in blocks of rows.
+
+    Format: two `#` lines with the config hash and master seed, the header,
+    then one row per index; `\\n` line ends, ints in decimal, floats as their
+    shortest round-trip repr, bools as 1/0, strings with csv minimal quoting.
+    """
+    cols = list(columns.values())
+    n_rows = len(cols[0]) if cols else 0
+    if any(len(c) != n_rows for c in cols):
+        raise ValueError(f"CSV columns of unequal length for {path.name}")
+    # numeric cells never need quoting, so only a table with other columns
+    # goes through the csv module row by row
+    quoted = not all(_is_numeric(c) for c in cols)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# config_hash={cfg_hash}\n# master_seed={seed}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(list(columns))
+        for start in range(0, n_rows, CSV_BLOCK_ROWS):
+            rows = zip(*(_cells(c[start : start + CSV_BLOCK_ROWS]) for c in cols))
+            if quoted:
+                writer.writerows(rows)
+            else:
+                fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def _write_json(path: Path, cfg_hash: str, seed: int, payload: dict) -> None:
@@ -212,8 +246,7 @@ def run_slice_transfer(cfg: RunConfig, seed: int, out: Path | None) -> Experimen
         p = out / "slice_transfer.csv"
         _write_csv(
             p, h, seed,
-            ["delta_t_seconds", "raw_count", "signed_code"],
-            zip(delta_t, raw, code),
+            {"delta_t_seconds": delta_t, "raw_count": raw, "signed_code": code},
         )
         pj = out / "slice_transfer.json"
         _write_json(pj, h, seed, {"experiment": "slice-transfer", "metrics": _jsonable(metrics)})
@@ -252,8 +285,12 @@ def run_pi_sweep(cfg: RunConfig, seed: int, out: Path | None) -> ExperimentResul
         p = out / "pi_sweep.csv"
         _write_csv(
             p, h, seed,
-            ["code", "phase_seconds", "step_seconds", "inversion_flag"],
-            zip(range(256), phases, steps, flags),
+            {
+                "code": np.arange(256),
+                "phase_seconds": phases,
+                "step_seconds": steps,
+                "inversion_flag": flags,
+            },
         )
         pj = out / "pi_sweep.json"
         _write_json(pj, h, seed, {"experiment": "pi-sweep", "metrics": _jsonable(metrics)})
@@ -292,8 +329,12 @@ def run_pi_trim(cfg: RunConfig, seed: int, out: Path | None) -> ExperimentResult
         steps[-1] = post_sweep[0] + clock.period - post_sweep[255]
         _write_csv(
             pc, h, seed,
-            ["code", "phase_seconds", "step_seconds", "inversion_flag"],
-            zip(range(256), post_sweep, steps, np.zeros(256, dtype=bool)),
+            {
+                "code": np.arange(256),
+                "phase_seconds": post_sweep,
+                "step_seconds": steps,
+                "inversion_flag": np.zeros(256, dtype=bool),
+            },
         )
         files = [str(p), str(pc)]
     return ExperimentResult("pi-trim", seed, h, metrics, files)
@@ -389,29 +430,25 @@ def run_adc_sine(
         _write_json(pj, h, seed, payload)
         files.append(str(pj))
         pc = out / "capture.csv"
-        n_cycles = capture.raw.shape[1]
+        # sample 16*m + s is entry [s, m] of each per-slice array
         k = np.arange(n)
-        sl = k % il.N_SLICES
-        m = k // il.N_SLICES
         _write_csv(
             pc, h, seed,
-            ["sample_index", "slice", "instant_seconds", "raw_count", "signed_code", "corrected_code"],
-            zip(
-                k,
-                sl,
-                capture.instants[sl, m],
-                capture.raw[sl, m],
-                capture.codes[sl, m],
-                capture.corrected[sl, m],
-            ),
+            {
+                "sample_index": k,
+                "slice": k % il.N_SLICES,
+                "instant_seconds": capture.instants.T.reshape(-1),
+                "raw_count": capture.raw.T.reshape(-1),
+                "signed_code": capture.codes.T.reshape(-1),
+                "corrected_code": capture.corrected.T.reshape(-1),
+            },
         )
         files.append(str(pc))
         if lin is not None:
             pl = out / "linearity.csv"
             _write_csv(
                 pl, h, seed,
-                ["code", "dnl_lsb", "inl_lsb"],
-                lin.rows(),
+                {"code": lin.codes, "dnl_lsb": lin.dnl, "inl_lsb": lin.inl},
             )
             plj = out / "linearity.json"
             _write_json(
@@ -434,19 +471,22 @@ def run_fom(cfg: RunConfig, seed: int, out: Path | None) -> ExperimentResult:
     h = config_hash(cfg)
     if not cfg.fom.entries:
         raise ConfigError("fom experiment needs fom.entries in the config")
-    rows = []
-    metrics = {}
-    for entry in cfg.fom.entries:
-        value = met.walden_fom(entry.power, entry.enob, entry.rate)
-        rows.append((entry.label, entry.power, entry.enob, entry.rate, value, value * 1e12))
-        metrics[f"fom_pj_{entry.label}"] = value * 1e12
+    entries = cfg.fom.entries
+    values = [met.walden_fom(e.power, e.enob, e.rate) for e in entries]
+    metrics = {f"fom_pj_{e.label}": v * 1e12 for e, v in zip(entries, values)}
     files = []
     if out is not None:
         p = out / "fom.csv"
         _write_csv(
             p, h, seed,
-            ["label", "power_watts", "enob", "rate_sps", "fom_joules", "fom_pj_per_step"],
-            rows,
+            {
+                "label": [e.label for e in entries],
+                "power_watts": [e.power for e in entries],
+                "enob": [e.enob for e in entries],
+                "rate_sps": [e.rate for e in entries],
+                "fom_joules": values,
+                "fom_pj_per_step": [v * 1e12 for v in values],
+            },
         )
         pj = out / "fom.json"
         _write_json(pj, h, seed, {"experiment": "fom", "metrics": _jsonable(metrics)})
@@ -495,9 +535,9 @@ def run_montecarlo(cfg: RunConfig, seed: int, out: Path | None) -> ExperimentRes
     files = []
     if out is not None:
         p = out / "montecarlo.csv"
-        header = ["seed"] + numeric_keys
-        rows = [[s] + [m[k] for k in numeric_keys] for s, m in results]
-        _write_csv(p, h, seed, header, rows)
+        columns = {"seed": [s for s, _ in results]}
+        columns.update({k: [m[k] for _, m in results] for k in numeric_keys})
+        _write_csv(p, h, seed, columns)
         pj = out / "montecarlo.json"
         _write_json(
             pj, h, seed,

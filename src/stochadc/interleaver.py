@@ -594,18 +594,44 @@ class CalibrationState:
 
     @classmethod
     def from_json(cls, text: str) -> "CalibrationState":
-        payload = json.loads(text)
+        """Parse a calibration file; malformed content raises ConfigError."""
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"calibration file is not valid JSON: {exc}") from None
+        if not isinstance(payload, dict):
+            raise ConfigError("calibration file must hold a JSON object")
         if payload.get("version") != 1:
             raise ConfigError(f"unsupported calibration version {payload.get('version')!r}")
+        keys = ("config_hash", "master_seed", "offset_codes", "luts", "pi_corrections")
+        missing = [k for k in keys if k not in payload]
+        if missing:
+            raise ConfigError(f"calibration file is missing {', '.join(missing)}")
+        luts = payload["luts"]
+        if luts is not None:
+            try:
+                luts = [Lut(mapping=m) for m in _int_table(luts, (N_SLICES, LUT_SIZE), "luts")]
+            except ValueError as exc:
+                raise ConfigError(f"calibration luts: {exc}") from None
+        corrections = payload["pi_corrections"]
         return cls(
-            version=payload["version"],
+            version=1,
             config_hash=payload["config_hash"],
             master_seed=payload["master_seed"],
-            offset_codes=np.asarray(payload["offset_codes"], dtype=np.int64),
-            luts=None
-            if payload["luts"] is None
-            else [Lut(mapping=np.asarray(m, dtype=np.int64)) for m in payload["luts"]],
+            offset_codes=_int_table(payload["offset_codes"], (N_SLICES,), "offset_codes"),
+            luts=luts,
             pi_corrections=None
-            if payload["pi_corrections"] is None
-            else np.asarray(payload["pi_corrections"], dtype=np.int64),
+            if corrections is None
+            else _int_table(corrections, (N_GROUPS,), "pi_corrections"),
         )
+
+
+def _int_table(value, shape: tuple, name: str) -> np.ndarray:
+    """An integer array of exactly `shape` from a calibration field, else ConfigError."""
+    try:
+        table = np.asarray(value)
+    except ValueError:  # ragged nesting
+        table = None
+    if table is None or table.shape != shape or table.dtype.kind != "i":
+        raise ConfigError(f"calibration {name} must be integers of shape {shape}")
+    return table.astype(np.int64, copy=False)

@@ -37,10 +37,6 @@ class LinearityReport:
     stimulus: str
     reference: str = "endpoint"
 
-    def rows(self):
-        for c, d, i in zip(self.codes, self.dnl, self.inl):
-            yield int(c), float(d), float(i)
-
 
 @dataclass
 class SpectrumReport:

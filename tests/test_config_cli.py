@@ -180,6 +180,38 @@ class TestCli:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda text, payload: text[: len(text) // 2],
+            lambda text, payload: "[1, 2]",
+            lambda text, payload: json.dumps({"version": 1}),
+            lambda text, payload: json.dumps({**payload, "offset_codes": payload["offset_codes"][:15]}),
+            lambda text, payload: json.dumps({**payload, "offset_codes": [1.5] * 16}),
+            lambda text, payload: json.dumps({**payload, "luts": [list(range(256))] * 15}),
+            lambda text, payload: json.dumps({**payload, "luts": [list(range(255))] * 16}),
+            lambda text, payload: json.dumps({**payload, "luts": [list(range(256))[::-1]] * 16}),
+            lambda text, payload: json.dumps({**payload, "pi_corrections": [0, 0, 0]}),
+        ],
+        ids=[
+            "truncated", "not-an-object", "missing-keys", "15-offset-codes",
+            "float-offset-codes", "15-luts", "short-lut", "non-monotone-lut",
+            "3-pi-corrections",
+        ],
+    )
+    def test_malformed_calibration_exit_code(self, tmp_path, corrupt):
+        cfg = self.write(tmp_path, MINIMAL_SINE)
+        cal_dir = tmp_path / "cal"
+        assert main(["calibrate", "--config", str(cfg), "--out", str(cal_dir)]) == 0
+        cal = cal_dir / "calibration.json"
+        text = cal.read_text()
+        cal.write_text(corrupt(text, json.loads(text)))
+        code = main([
+            "adc-sine", "--config", str(cfg), "--out", str(tmp_path / "x"),
+            "--calibration", str(cal),
+        ])
+        assert code == 2
+
 
 class TestMonteCarlo:
     def test_montecarlo_aggregates_and_orders_by_seed(self, tmp_path):
