@@ -133,7 +133,10 @@ def test_fom_yaml_ints_print_as_ints(tmp_path):
 
 
 # sha256 of one artifact of every CSV kind, recorded with the row-by-row
-# writer; a formatting change that drifts the same way on every rerun shows here
+# writer; a formatting change that drifts the same way on every rerun shows here.
+# Recorded under Python 3.11.7, numpy 2.4.6, scipy 1.17.1: the simulated values
+# depend on bit-exact draws, scipy.special.ndtri and the FFT, so a mismatch under
+# other library versions may be numeric rather than a formatting regression.
 GOLDEN = [
     ("slice-transfer", "ideal.yaml", "slice_transfer.csv",
      "6d4ebd7450e0aac77d1e7d665c9ea69ced97af0ea772a29e57ffbccc6c8a9adf"),
