@@ -10,8 +10,10 @@ sizing.  Loading then re-serializing a config is idempotent.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -55,6 +57,14 @@ def _build(cls, data: dict, path: str):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class AdaptationConfig:
     window: int = 10_000
@@ -93,6 +103,10 @@ class PiConfig:
     trim_enabled: bool = False
     trim_max_iters: int = 64
     injected_skews: tuple = ()  # (path index 1-based, skew in unit delays) pairs
+
+    def __post_init__(self):
+        if not _is_int(self.trim_max_iters) or self.trim_max_iters < 1:
+            raise ConfigError("pi.trim_max_iters must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -170,6 +184,13 @@ class MonteCarloConfig:
             raise ConfigError("montecarlo trials must be >= 1")
         if self.workers < 1:
             raise ConfigError("montecarlo workers must be >= 1")
+        if not isinstance(self.percentiles, (tuple, list)) or not all(
+            _is_real(p) and 0 <= p <= 100 for p in self.percentiles
+        ):
+            raise ConfigError(
+                f"montecarlo percentiles must be a list of numbers in [0, 100], "
+                f"got {self.percentiles!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -208,6 +229,12 @@ class RunConfig:
     montecarlo: MonteCarloConfig = field(default_factory=MonteCarloConfig)
     fom: FomConfig = field(default_factory=FomConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
+
+    @functools.cached_property
+    def digest(self) -> str:
+        """`config_hash`, serialized once per instance (the config is frozen)."""
+        canonical = json.dumps(config_to_dict(self), sort_keys=True)
+        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
 _SECTION_TYPES = {
@@ -370,5 +397,5 @@ def dump_config(cfg: RunConfig) -> str:
 
 
 def config_hash(cfg: RunConfig) -> str:
-    canonical = json.dumps(config_to_dict(cfg), sort_keys=True)
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    """First 16 hex digits of the sha256 of the canonical JSON of the config."""
+    return cfg.digest

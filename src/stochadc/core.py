@@ -27,9 +27,15 @@ from scipy.special import ndtri
 Instant = float
 Duration = float
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+# SplitMix64 constants: Python ints for the scalar seed derivation, uint64
+# for the vectorized keyed draws
+_MASK64 = (1 << 64) - 1
+_GOLDEN_INT = 0x9E3779B97F4A7C15
+_MIX1_INT = 0xBF58476D1CE4E5B9
+_MIX2_INT = 0x94D049BB133111EB
+_GOLDEN = np.uint64(_GOLDEN_INT)
+_MIX1 = np.uint64(_MIX1_INT)
+_MIX2 = np.uint64(_MIX2_INT)
 
 # Clamp floor for mismatch draws that parameterize a physical delay.
 CLAMP_FLOOR = 0.05
@@ -44,18 +50,24 @@ def _finalize(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
+def _finalize_int(x: int) -> int:
+    """`_finalize` for one value in [0, 2^64), in Python int arithmetic."""
+    x = ((x ^ (x >> 30)) * _MIX1_INT) & _MASK64
+    x = ((x ^ (x >> 27)) * _MIX2_INT) & _MASK64
+    return x ^ (x >> 31)
+
+
 def derive_seed(master_seed: int, label: str, index: int = 0) -> int:
     """Derive a component sub-stream seed keyed by (label, index).
 
     Monte Carlo reproducibility must not depend on evaluation order, so every
     component derives its own seed from the master seed instead of consuming
-    a shared stream.
+    a shared stream.  Seed and index wrap modulo 2^64 (`& _MASK64` is that
+    modulus for negative ints too), exactly as uint64 arithmetic would.
     """
-    with np.errstate(over="ignore"):
-        h = _finalize(np.uint64(master_seed % (1 << 64)) + _GOLDEN)
-        h = _finalize(h ^ np.uint64(zlib.crc32(label.encode())))
-        h = _finalize(h + np.uint64(index % (1 << 64)) * _GOLDEN)
-    return int(h)
+    h = _finalize_int((int(master_seed) + _GOLDEN_INT) & _MASK64)
+    h = _finalize_int(h ^ zlib.crc32(label.encode()))
+    return _finalize_int((h + int(index) * _GOLDEN_INT) & _MASK64)
 
 
 def keyed_u64(seed: int, indices) -> np.ndarray:

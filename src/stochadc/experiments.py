@@ -266,12 +266,9 @@ def run_pi_sweep(cfg: RunConfig, seed: int, out: Path | None) -> ExperimentResul
     steps = np.empty(256)
     steps[:-1] = np.diff(phases)
     steps[-1] = phases[0] + clock.period - phases[255]
-    _, q = pimod.ring_positions(chain, clock, trim)
-    firing = set(pimod.inverted_segments(chain, clock, trim))
-    flags = np.zeros(256, dtype=bool)
-    for code in range(256):
-        sel = pimod.encode(code, q)
-        flags[code] = pimod.segment_endpoints(sel) in firing
+    q = pimod.arbitrate_period(chain, clock)
+    firing_starts = [start for start, _ in pimod.inverted_segments(chain, clock, trim)]
+    flags = np.isin(pimod.code_table(q.n_delays_per_cycle).start_tap, firing_starts)
     metrics = {
         "n_delays_per_cycle": q.n_delays_per_cycle,
         "mean_step_seconds": float(steps.mean()),

@@ -14,10 +14,17 @@ Routing skew between a chain node and the blender can exceed the unit delay
 after automated place-and-route, which breaks monotonicity; an arbiter at
 the blender input detects the resulting order contradiction and the
 offending paths are trimmed in fixed steps until no contradiction remains.
+
+`pi_sweep` and `inverted_segments` read every code at once from a cached,
+read-only code table (`code_table`): each code's start tap, end tap and
+blend step, from the encoder's integer arithmetic.  `encode`, `blend`,
+`pi_output` and `detect_blender_inversion` are the single-code path, and the
+tests hold the table-driven functions to it bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -259,20 +266,56 @@ def pi_output(
     return blend(positions[start_tap - 1], positions[end_tap - 1], sel.blend_k)
 
 
+@dataclass(frozen=True)
+class CodeTable:
+    """Encoder output for every code at one period quantization.
+
+    Index = code.  Taps are 1-based ring positions as in `segment_endpoints`;
+    `end_tap` is always `start_tap + 1`.  `segment_codes` lists the first
+    code of each distinct segment, in code order.  All arrays are read-only,
+    because one table is shared by every caller with the same N.
+    """
+
+    start_tap: np.ndarray
+    end_tap: np.ndarray
+    blend_k: np.ndarray
+    segment_codes: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def code_table(n_delays_per_cycle: int) -> CodeTable:
+    """The `encode` arithmetic over all codes, cached per N."""
+    scaled = np.arange(PI_CODES, dtype=np.int64) * n_delays_per_cycle
+    start_tap = scaled // PI_CODES + 1
+    _, segment_codes = np.unique(start_tap, return_index=True)
+    table = CodeTable(
+        start_tap=start_tap,
+        end_tap=start_tap + 1,
+        blend_k=(scaled % PI_CODES) // BLEND_STEPS,
+        segment_codes=segment_codes,
+    )
+    for array in (table.start_tap, table.end_tap, table.blend_k, table.segment_codes):
+        array.flags.writeable = False
+    return table
+
+
 def pi_sweep(
     chain: DelayChain,
     clock: ClockSpec,
     trim: TrimState | None = None,
     cycle: int = 0,
 ) -> np.ndarray:
-    """Output phase for every code, one cycle (index = code)."""
+    """Output phase for every code, one cycle (index = code).
+
+    Equal bit for bit to `pi_output` per code: the same `blend` arithmetic,
+    with k = 0 returning the start endpoint exactly.
+    """
     positions, q = ring_positions(chain, clock, trim, cycle)
-    phases = np.empty(PI_CODES, dtype=np.float64)
-    for code in range(PI_CODES):
-        sel = encode(code, q)
-        start_tap, end_tap = segment_endpoints(sel)
-        phases[code] = blend(positions[start_tap - 1], positions[end_tap - 1], sel.blend_k)
-    return phases
+    table = code_table(q.n_delays_per_cycle)
+    t_a = positions[table.start_tap - 1]
+    t_b = positions[table.end_tap - 1]
+    k = table.blend_k
+    return np.where(k == 0, t_a, t_a + (k / BLEND_STEPS) * (t_b - t_a))
 
 
 def detect_blender_inversion(t_a: Instant, t_b: Instant, expected: str) -> bool:
@@ -295,21 +338,18 @@ def inverted_segments(
     trim: TrimState | None = None,
     cycle: int = 0,
 ) -> list[tuple[int, int]]:
-    """Segments whose blender inputs contradict the encoder, over all codes."""
+    """Segments whose blender inputs contradict the encoder, over all codes.
+
+    Each distinct segment is checked once, in code order.  For either
+    direction `detect_blender_inversion` reduces to "the start endpoint is
+    not strictly earlier than the end endpoint", so a tie fires.
+    """
     positions, q = ring_positions(chain, clock, trim, cycle)
-    firing: list[tuple[int, int]] = []
-    seen = set()
-    for code in range(PI_CODES):
-        sel = encode(code, q)
-        start_tap, end_tap = segment_endpoints(sel)
-        if (start_tap, end_tap) in seen:
-            continue
-        seen.add((start_tap, end_tap))
-        t_odd = positions[sel.sel_odd - 1]
-        t_even = positions[sel.sel_even - 1]
-        if detect_blender_inversion(t_odd, t_even, sel.direction):
-            firing.append((start_tap, end_tap))
-    return firing
+    table = code_table(q.n_delays_per_cycle)
+    start = table.start_tap[table.segment_codes]
+    end = table.end_tap[table.segment_codes]
+    firing = ~(positions[start - 1] < positions[end - 1])
+    return list(zip(start[firing].tolist(), end[firing].tolist()))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from stochadc.cli import main
 from stochadc.config import (
+    MonteCarloConfig,
     RunConfig,
     config_hash,
     dump_config,
@@ -68,6 +70,13 @@ class TestConfigParsing:
         for path in sorted(CONFIG_DIR.glob("*.yaml")):
             load_config(path)
 
+    def test_hash_needs_no_hashable_config_and_survives_pickling(self):
+        # the hash is cached on the instance, never keyed by config equality
+        listed = RunConfig(montecarlo=MonteCarloConfig(percentiles=[5.0, 95.0]))
+        tupled = RunConfig(montecarlo=MonteCarloConfig(percentiles=(5.0, 95.0)))
+        assert config_hash(listed) == config_hash(tupled)
+        assert config_hash(pickle.loads(pickle.dumps(listed))) == config_hash(listed)
+
     def test_hash_tracks_content(self):
         a = parse_config(MINIMAL_SINE)
         b = parse_config(MINIMAL_SINE.replace("master_seed: 1", "master_seed: 2"))
@@ -119,6 +128,25 @@ class TestCli:
             "master_seed: 0\npi:\n  injected_skews: [[7, 1.5]]\n  trim_max_iters: 1\n",
         )
         assert main(["pi-trim", "--config", str(p), "--out", str(tmp_path)]) == 4
+
+    @pytest.mark.parametrize("value", ["0", "-1", "2.5", "true"])
+    def test_trim_max_iters_below_one_rejected_at_load(self, tmp_path, value):
+        # a zero limit used to report an unconvergent trim (exit 4) even on a
+        # chain with no inversions
+        p = self.write(tmp_path, f"master_seed: 0\npi:\n  trim_max_iters: {value}\n")
+        assert main(["pi-trim", "--config", str(p), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "value", ["[5, 150]", "[-1, 50]", "[5, abc]", "[.nan]", "[true]", "[[5]]", "50"]
+    )
+    def test_bad_percentiles_rejected_at_load(self, tmp_path, value):
+        # [5, 150] used to run every trial, then die in np.percentile (exit 1)
+        p = self.write(
+            tmp_path,
+            "montecarlo:\n  trials: 2\n  experiment: pi-trim\n"
+            f"  percentiles: {value}\n",
+        )
+        assert main(["montecarlo", "--config", str(p), "--out", str(tmp_path)]) == 2
 
     def test_pi_sweep_step_column_is_constant_at_zero_mismatch(self, tmp_path):
         p = self.write(tmp_path, "master_seed: 0\n")

@@ -1,5 +1,9 @@
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochadc.core import (
     ClockSpec,
@@ -118,6 +122,41 @@ def test_derive_seed_separates_labels_and_indices():
         derive_seed(2, "a"),
     }
     assert len(seeds) == 4
+
+
+def derive_seed_uint64(master_seed, label, index=0):
+    """The numpy-uint64 SplitMix64 `derive_seed` replaced: the oracle."""
+
+    def finalize(x):
+        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return x ^ (x >> np.uint64(31))
+
+    golden = np.uint64(0x9E3779B97F4A7C15)
+    with np.errstate(over="ignore"):
+        h = finalize(np.uint64(master_seed % (1 << 64)) + golden)
+        h = finalize(h ^ np.uint64(zlib.crc32(label.encode())))
+        h = finalize(h + np.uint64(index % (1 << 64)) * golden)
+    return int(h)
+
+
+@pytest.mark.parametrize("master_seed", [0, 1, -1, 2**63, -(2**63), 2**64 + 5])
+@pytest.mark.parametrize("index", [0, 1, -1, 2**64 - 1])
+@pytest.mark.parametrize("label", ["pi.instance", "stdc.tap.random", "", "sampling.jitter", "\u00b5"])
+def test_derive_seed_matches_uint64_oracle(master_seed, label, index):
+    assert derive_seed(master_seed, label, index) == derive_seed_uint64(master_seed, label, index)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(-(2**70), 2**70), st.text(max_size=8), st.integers(-(2**70), 2**70))
+def test_derive_seed_matches_uint64_oracle_on_random_keys(master_seed, label, index):
+    assert derive_seed(master_seed, label, index) == derive_seed_uint64(master_seed, label, index)
+
+
+def test_derive_seed_locked_values():
+    assert derive_seed(0, "pi.instance", 0) == 11778319387992475664
+    assert derive_seed(-1, "stdc.tap.random", 5) == 14313074778882951998
+    assert derive_seed(2**64 + 5, "sampling.jitter", 2**64 - 1) == 946710452531488409
 
 
 def test_keyed_normal_accepts_negative_indices():

@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stochadc.core import ClockSpec
+from stochadc.core import ClockSpec, keyed_uniform
 from stochadc.errors import ChainUnderspanError, TrimConvergenceError
 from stochadc.pi import (
     EVEN_TO_ODD,
     ODD_TO_EVEN,
+    PI_CODES,
     DelayChain,
+    PeriodQuantization,
     TrimState,
     apply_boundary_mixers,
     arbitrate_period,
     blend,
+    code_table,
     detect_blender_inversion,
     encode,
     inverted_segments,
@@ -285,3 +290,91 @@ def test_step_distribution_regression_locked():
         assert steps.max() == pytest.approx(max_ps, abs=1e-9)
         # mean step tracks the nominal resolution even when single steps vary
         assert abs(steps.mean() - 0.78125) / 0.78125 < 0.06
+
+
+def per_code_inverted_segments(chain, clock, trim=None, cycle=0):
+    """The per-code detector loop `inverted_segments` replaced: the oracle."""
+    positions, q = ring_positions(chain, clock, trim, cycle)
+    firing = []
+    seen = set()
+    for code in range(PI_CODES):
+        sel = encode(code, q)
+        start_tap, end_tap = segment_endpoints(sel)
+        if (start_tap, end_tap) in seen:
+            continue
+        seen.add((start_tap, end_tap))
+        t_odd = positions[sel.sel_odd - 1]
+        t_even = positions[sel.sel_even - 1]
+        if detect_blender_inversion(t_odd, t_even, sel.direction):
+            firing.append((start_tap, end_tap))
+    return firing
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 15, 16, 17, 31, 32])
+def test_code_table_matches_encoder(n):
+    q = PeriodQuantization(n_delays_per_cycle=n, boundary_tap=n)
+    table = code_table(n)
+    for code in range(PI_CODES):
+        sel = encode(code, q)
+        assert (table.start_tap[code], table.end_tap[code]) == segment_endpoints(sel)
+        assert table.blend_k[code] == sel.blend_k
+    assert table.start_tap[table.segment_codes].tolist() == list(range(1, n + 1))
+    with pytest.raises(ValueError):
+        table.start_tap[0] = 5  # shared between callers, so read-only
+
+
+@st.composite
+def pi_cases(draw):
+    """A mismatched chain, a trim, a clock and a cycle.
+
+    The period is a fraction of the chain span, so N runs from about 12 up
+    to every tap, where the ring wraps onto the next cycle's first tap.
+    """
+    seed = draw(st.integers(0, 2**32))
+    chain = make_pi_chain(
+        TD,
+        tap_sigma_rel=draw(st.floats(0.0, 0.15)),
+        skew_sigma=draw(st.floats(0.0, 0.8)) * TD,
+        seed=seed,
+    )
+    period = chain.accumulated[-1] * draw(st.floats(0.37, 1.0))
+    clock = ClockSpec(
+        period=period,
+        phase0=draw(st.floats(-1e-9, 1e-9)),
+        jitter_sigma=draw(st.sampled_from([0.0, 0.3 * PS, 2 * PS])),
+        seed=seed + 1,
+    )
+    trim = None
+    trim_rel = draw(st.floats(0.0, 0.99))
+    if trim_rel > 0.05:
+        adjust = (keyed_uniform(seed + 2, np.arange(chain.n_taps)) * 2.0 - 1.0) * trim_rel * TD
+        trim = TrimState(adjustments=adjust, unit_delay=TD)
+    return chain, clock, trim, draw(st.integers(-3, 3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(pi_cases())
+def test_table_driven_sweep_and_detector_match_single_code_path(case):
+    chain, clock, trim, cycle = case
+    expected = np.array(
+        [pi_output(code, chain, clock, trim, cycle) for code in range(PI_CODES)]
+    )
+    got = pi_sweep(chain, clock, trim, cycle)
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    assert inverted_segments(chain, clock, trim, cycle) == per_code_inverted_segments(
+        chain, clock, trim, cycle
+    )
+
+
+def test_exact_tie_fires():
+    # skew path 7 by exactly the tap-7-to-tap-8 delay: both blender inputs of
+    # the segment (7, 8) arrive at the same instant (Sterbenz: exact in floats)
+    chain = ideal_chain()
+    skews = chain.path_skews.copy()
+    skews[6] = chain.accumulated[7] - chain.accumulated[6]
+    chain = DelayChain(unit_delay=TD, tap_delays=chain.tap_delays, path_skews=skews)
+    positions, _ = ring_positions(chain, CLOCK)
+    assert positions[6] == positions[7]
+    assert inverted_segments(chain, CLOCK) == [(7, 8)]
+    assert per_code_inverted_segments(chain, CLOCK) == [(7, 8)]
