@@ -1,10 +1,11 @@
 """Run configuration: strict YAML schema, validation, hashing.
 
 One human-editable YAML file describes an experiment end to end.  Parsing is
-strict: unknown keys anywhere in the tree are rejected, cross-field
-arithmetic (rates, coherence) is validated at load, and physically
-meaningful values have no hidden defaults beyond the documented design
-sizing.  Loading then re-serializing a config is idempotent.
+strict: unknown keys anywhere in the tree and non-finite numbers are
+rejected, cross-field arithmetic (rates, coherence) is validated at load,
+and physically meaningful values have no hidden defaults beyond the
+documented design sizing.  Loading then re-serializing a config is
+idempotent.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -51,10 +53,19 @@ def _build(cls, data: dict, path: str):
                 raise ConfigError(f"{path}.{name}: expected a number, got {value!r}") from exc
         else:
             kwargs[name] = value
+        if _has_non_finite(kwargs[name]):
+            raise ConfigError(f"{path}.{name}: numbers must be finite, got {value!r}")
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _has_non_finite(value) -> bool:
+    """True for a nan/inf float, also nested in a list field."""
+    if isinstance(value, tuple):
+        return any(_has_non_finite(v) for v in value)
+    return isinstance(value, float) and not math.isfinite(value)
 
 
 def _is_real(value) -> bool:
@@ -131,6 +142,10 @@ class SystemConfig:
     early: float = 5e-12
     late: float = 5e-12
     calibration: CalibrationConfig = field(default_factory=CalibrationConfig)
+
+    def __post_init__(self):
+        if self.sampling_jitter < 0:
+            raise ConfigError("system.sampling_jitter must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -147,7 +147,19 @@ def _build_pi_chain(cfg: RunConfig, seed: int) -> pimod.DelayChain:
 
 
 def _system(cfg: RunConfig, seed: int) -> il.AdcSystem:
-    return il.AdcSystem(build_design(cfg), master_seed=seed, trim_pis=cfg.pi.trim_enabled)
+    if cfg.pi.injected_skews:
+        # a per-path skew is defined on the one chain pi-sweep/pi-trim model,
+        # not across the system's four group chains
+        raise ConfigError(
+            "pi.injected_skews applies only to pi-sweep and pi-trim; "
+            "remove it to build the full converter"
+        )
+    return il.AdcSystem(
+        build_design(cfg),
+        master_seed=seed,
+        trim_pis=cfg.pi.trim_enabled,
+        trim_max_iters=cfg.pi.trim_max_iters,
+    )
 
 
 def _warmup_tone(cfg: RunConfig) -> SineStimulus:

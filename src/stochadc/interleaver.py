@@ -126,7 +126,13 @@ class SystemDesign:
 class AdcSystem:
     """Mismatch-instantiated converter: chains, V2T parameters, group PIs."""
 
-    def __init__(self, design: SystemDesign, master_seed: int, trim_pis: bool = False):
+    def __init__(
+        self,
+        design: SystemDesign,
+        master_seed: int,
+        trim_pis: bool = False,
+        trim_max_iters: int = 64,
+    ):
         self.design = design
         self.master_seed = int(master_seed)
 
@@ -173,7 +179,9 @@ class AdcSystem:
             for g in range(N_GROUPS)
         ]
         if trim_pis:
-            self.pi_trims = [trim_paths(c, self.pi_clock).trim for c in self.pi_chains]
+            self.pi_trims = [
+                trim_paths(c, self.pi_clock, trim_max_iters).trim for c in self.pi_chains
+            ]
         else:
             self.pi_trims = [zero_trim(c) for c in self.pi_chains]
 
@@ -271,14 +279,15 @@ def convert_pair_arrays(
     """Vectorized conversion of sampled voltage pairs on one slice."""
     d = system.design
     vth_p, vth_n = system.vth_p[s], system.vth_n[s]
-    under = np.flatnonzero((v_p < vth_p - _V_EPS) | (v_n < vth_n - _V_EPS))
+    # written as "not in range" so that a NaN voltage fails the check
+    under = np.flatnonzero(~((v_p >= vth_p - _V_EPS) & (v_n >= vth_n - _V_EPS)))
     if under.size:
         m = int(under[0])
         raise UnderrangeError(
-            f"slice {s} {context}{m}: input below V2T threshold "
+            f"slice {s} {context}{m}: input below V2T threshold or not a number "
             f"(v_p={v_p[m]:.6f} V, v_n={v_n[m]:.6f} V)"
         )
-    over = np.flatnonzero((v_p > d.vdd + _V_EPS) | (v_n > d.vdd + _V_EPS))
+    over = np.flatnonzero(~((v_p <= d.vdd + _V_EPS) & (v_n <= d.vdd + _V_EPS)))
     if over.size:
         m = int(over[0])
         raise OverrangeError(

@@ -13,6 +13,24 @@ the closing boundary is not counted.  Comparisons carry a guard of
 1e-6 x mean tap spacing so that edges landing on a boundary through exact
 configuration arithmetic resolve deterministically despite float rounding;
 the guard is far below any modeled physical scale.
+
+Captures count with an exact bucketed index of the edge offsets instead of a
+binary search.  One monotone bucket function f(x) = floor(x * inv_h), with
+inv_h = 4 * n_taps / span (about four buckets per mean tap), places both the
+edges, when the chain is built, and the queries.  For a query v,
+
+    #edges < v  =  below[f(v)] + sum_j (edge_j[f(v)] < v)
+
+where below[b] counts the edges in buckets under b and edge_j[b] is the j-th
+edge of bucket b, padded with +inf (j ranges over the largest bucket
+occupancy, which stays 1 while no tap is shorter than about a quarter of
+the mean).  Because f is
+monotone, an edge o >= v has f(o) >= f(v): every edge in a lower bucket is
+below v, every edge in a higher bucket is not, and the comparisons settle
+the shared bucket.  So the count equals ``searchsorted(offsets, v, "left")``
+for every finite v, and a pulse count built from two such counts keeps the
+half-open window and the guard unchanged.  Queries below 0 or past the span
+clip to the first or last bucket, which count 0 or n_taps.
 """
 
 from __future__ import annotations
@@ -25,6 +43,47 @@ from .core import ClockSpec, Duration, Instant, MismatchModel
 from .v2t import PulseSample
 
 
+def _bucket(x: np.ndarray, inv_h: float, n_buckets: int) -> np.ndarray:
+    """f(x) = floor(x * inv_h), clipped into [0, n_buckets)."""
+    b = x * inv_h
+    np.clip(b, 0, n_buckets - 1, out=b)
+    return b.astype(np.intp)
+
+
+@dataclass(frozen=True)
+class EdgeBuckets:
+    """Exact bucketed index of increasing edge offsets (see module docstring)."""
+
+    inv_h: float
+    below: np.ndarray  # (n_buckets,) edges in lower buckets
+    edges: np.ndarray  # (occupancy, n_buckets) edges per bucket, +inf padded
+
+    @classmethod
+    def build(cls, offsets: np.ndarray) -> EdgeBuckets:
+        inv_h = 4 * offsets.size / float(offsets[-1])
+        if not 0 < inv_h < np.inf:
+            raise ValueError("chain span is too small to index")
+        n_buckets = int(offsets[-1] * inv_h) + 1  # f of the last, largest edge
+        bucket = _bucket(offsets, inv_h, n_buckets)
+        counts = np.bincount(bucket, minlength=n_buckets)
+        below = np.cumsum(counts) - counts
+        edges = np.full((int(counts.max()), n_buckets), np.inf)
+        edges[np.arange(offsets.size) - below[bucket], bucket] = offsets
+        return cls(inv_h, below, edges)
+
+    @property
+    def n_buckets(self) -> int:
+        return int(self.below.size)
+
+    def count_below(self, v: np.ndarray) -> np.ndarray:
+        """Number of edges < v, per query; v must be free of NaN."""
+        b = _bucket(v, self.inv_h, self.n_buckets)
+        count = self.below[b]
+        for row in self.edges:
+            count += row[b] < v
+        return count
+
+
 @dataclass(frozen=True)
 class InverterChain:
     """Per-instance inverter chain; tap i fires at launch + sum(delays[:i+1])."""
@@ -32,15 +91,17 @@ class InverterChain:
     tap_delays: np.ndarray
     divided_clock: ClockSpec | None = None
     edge_offsets: np.ndarray = field(init=False, repr=False)
+    edge_buckets: EdgeBuckets = field(init=False, repr=False)
 
     def __post_init__(self):
         delays = np.asarray(self.tap_delays, dtype=np.float64)
         if delays.ndim != 1 or delays.size < 1:
             raise ValueError("tap_delays must be a non-empty 1-D array")
-        if np.any(delays <= 0):
-            raise ValueError("all tap delays must be > 0")
+        if not np.all((delays > 0) & np.isfinite(delays)):
+            raise ValueError("all tap delays must be finite and > 0")
         object.__setattr__(self, "tap_delays", delays)
         object.__setattr__(self, "edge_offsets", np.cumsum(delays))
+        object.__setattr__(self, "edge_buckets", EdgeBuckets.build(self.edge_offsets))
         if self.divided_clock is not None:
             span = float(self.edge_offsets[-1])
             if self.divided_clock.period <= span:
@@ -237,7 +298,7 @@ def count_edges_batch(
     starts = np.asarray(starts, dtype=np.float64)
     widths = np.asarray(widths, dtype=np.float64)
     guard = chain.boundary_guard
-    offsets = chain.edge_offsets
-    lo = np.searchsorted(offsets, starts - guard, side="left")
-    hi = np.searchsorted(offsets, starts + widths - guard, side="left")
-    return (hi - lo).astype(np.int64)
+    # both window ends in one pass: [opening edges | closing edges]
+    ends = np.concatenate((starts - guard, starts + widths - guard))
+    below = chain.edge_buckets.count_below(ends)
+    return below[starts.size :] - below[: starts.size]

@@ -136,6 +136,68 @@ class TestCli:
         p = self.write(tmp_path, f"master_seed: 0\npi:\n  trim_max_iters: {value}\n")
         assert main(["pi-trim", "--config", str(p), "--out", str(tmp_path)]) == 2
 
+    def test_adc_sine_honours_trim_max_iters(self, tmp_path):
+        # the group chains need 3, 2, 8 and 1 trim iterations; adc-sine used
+        # to trim with the default 64 and exit 0
+        p = self.write(
+            tmp_path,
+            MINIMAL_SINE
+            + "pi:\n  tap_sigma_rel: 0.05\n  skew_sigma_rel: 0.6\n"
+            "  trim_enabled: true\n  trim_max_iters: 1\n",
+        )
+        assert main(["pi-trim", "--config", str(p), "--out", str(tmp_path)]) == 4
+        assert main(["adc-sine", "--config", str(p), "--out", str(tmp_path)]) == 4
+
+    @pytest.mark.parametrize("experiment", ["adc-sine", "calibrate", "slice-transfer", "montecarlo"])
+    def test_injected_skews_rejected_on_full_converter(self, tmp_path, experiment):
+        # a per-path skew has no meaning across the four group chains; it
+        # used to be dropped silently
+        p = self.write(
+            tmp_path,
+            MINIMAL_SINE
+            + "pi:\n  injected_skews: [[7, 1.5]]\n"
+            + "montecarlo:\n  trials: 2\n  experiment: adc-sine\n",
+        )
+        assert main([experiment, "--config", str(p), "--out", str(tmp_path)]) == 2
+
+    def test_injected_skews_still_apply_to_pi_trim(self, tmp_path):
+        p = self.write(tmp_path, MINIMAL_SINE + "pi:\n  injected_skews: [[7, 1.5]]\n")
+        assert main(["pi-trim", "--config", str(p), "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "pi_trim.json").read_text())
+        assert payload["metrics"]["initial_inversions"] >= 1
+
+    @pytest.mark.parametrize(
+        "section",
+        [
+            "system:\n  sampling_jitter: .nan\n",
+            "system:\n  sampling_jitter: -1.0e-12\n",
+            "system:\n  sampling_jitter: .inf\n",
+            "system:\n  skew_injection: [0.0, .nan, 0.0, 0.0]\n",
+            "adc:\n  unit_delay: .inf\n",
+            "adc:\n  d_offset: nan\n",
+            "pi:\n  tap_sigma_rel: -.inf\n",
+        ],
+        ids=[
+            "jitter-nan",
+            "jitter-negative",
+            "jitter-inf",
+            "skew-injection-nan",
+            "unit-delay-inf",
+            "d-offset-nan-string",
+            "pi-sigma-minus-inf",
+        ],
+    )
+    def test_non_finite_or_negative_jitter_rejected_at_load(self, tmp_path, section):
+        # a NaN jitter fails "> 0" and used to be skipped (ENOB 8.005, exit 0)
+        p = self.write(tmp_path, MINIMAL_SINE + section)
+        assert main(["adc-sine", "--config", str(p), "--out", str(tmp_path)]) == 2
+
+    def test_nan_phase_rejected_at_load(self, tmp_path):
+        # NaN voltages used to pass the range checks and end in a misleading
+        # "no noise power" (exit 3)
+        p = self.write(tmp_path, MINIMAL_SINE.replace("capture:", "  phase: .nan\ncapture:"))
+        assert main(["adc-sine", "--config", str(p), "--out", str(tmp_path)]) == 2
+
     @pytest.mark.parametrize(
         "value", ["[5, 150]", "[-1, 50]", "[5, abc]", "[.nan]", "[true]", "[[5]]", "50"]
     )

@@ -3,7 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from stochadc.errors import CoherenceError, ConfigError, CoverageError, UnderrangeError
+from stochadc.errors import (
+    CoherenceError,
+    ConfigError,
+    CoverageError,
+    PreconditionError,
+    UnderrangeError,
+)
 from stochadc.interleaver import (
     AdcSystem,
     CalibrationState,
@@ -16,6 +22,7 @@ from stochadc.interleaver import (
     build_lut,
     calibrate_skew,
     code_histogram,
+    convert_pair_arrays,
     identity_lut,
     retime_streams,
     run_capture,
@@ -100,6 +107,14 @@ class TestCapture:
         stim = DCStimulus(dv=0.5, common_mode=VCM)  # swings below threshold
         with pytest.raises(UnderrangeError, match=r"slice \d+ cycle \d+"):
             run_capture(system, stim, 16 * 4)
+
+    @pytest.mark.parametrize("pair", [(np.nan, VCM), (VCM, np.nan)])
+    def test_nan_voltage_fails_range_check(self, pair):
+        # NaN compares false both ways; it must not reach the edge count
+        v_p = np.array([VCM, pair[0]])
+        v_n = np.array([VCM, pair[1]])
+        with pytest.raises(PreconditionError, match="point 1"):
+            convert_pair_arrays(ideal_system(), 0, v_p, v_n, 25, context="point ")
 
     def test_n_samples_must_be_multiple_of_16(self):
         with pytest.raises(ConfigError):

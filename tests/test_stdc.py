@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from stochadc.core import ClockSpec
@@ -20,6 +22,15 @@ from stochadc.stdc import (
 from stochadc.v2t import PulseSample
 
 PS = 1e-12
+
+
+def searchsorted_count_edges_batch(chain, starts, widths):
+    """The binary-search count `count_edges_batch` replaced: the oracle."""
+    guard = chain.boundary_guard
+    offsets = chain.edge_offsets
+    lo = np.searchsorted(offsets, starts - guard, side="left")
+    hi = np.searchsorted(offsets, starts + widths - guard, side="left")
+    return (hi - lo).astype(np.int64)
 
 
 class TestTapEdges:
@@ -80,6 +91,80 @@ class TestCountEdges:
                 guard=chain.boundary_guard,
             )
             assert single == batch[i]
+
+
+@st.composite
+def bucket_cases(draw):
+    """A mismatched chain and windows aimed at its edges and its ends.
+
+    Delays are clamped at 5% of the unit, as AdcSystem draws them; one tap
+    at 1e-3 of the mean puts two edges in one bucket.
+    """
+    n_taps = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    sigma = draw(st.floats(0.0, 0.5))
+    delays = np.maximum(4 * PS * (1.0 + sigma * rng.standard_normal(n_taps)), 0.05 * 4 * PS)
+    if draw(st.booleans()):
+        delays[rng.integers(n_taps)] = 1e-3 * delays.mean()
+    chain = InverterChain(tap_delays=delays)
+    offsets, guard = chain.edge_offsets, chain.boundary_guard
+    span = offsets[-1]
+    n = 64
+    near = offsets[rng.integers(n_taps, size=n)] + rng.choice([-guard, 0.0, guard], size=n)
+    # opening on an edge (+/- guard), with random widths
+    starts = [near, rng.uniform(-0.2 * span, 1.2 * span, n)]
+    widths = [rng.uniform(0.0, 1.2 * span, n), rng.uniform(0.0, 1.2 * span, n)]
+    # closing on an edge (+/- guard)
+    close = offsets[rng.integers(n_taps, size=n)] + rng.choice([-guard, 0.0, guard], size=n)
+    open_ = close - rng.uniform(0.0, 1.0, n) * (close + 0.2 * span)
+    starts.append(open_)
+    widths.append(close - open_)
+    # zero width, and starts below 0 or past the span
+    starts.append(near)
+    widths.append(np.zeros(n))
+    outside = np.array([-span, -guard, -1e-30, 0.0, span, span + guard, 2 * span, 1e3 * span])
+    starts.append(outside)
+    widths.append(np.full(outside.size, 0.5 * span))
+    starts.append(outside)
+    widths.append(np.zeros(outside.size))
+    return chain, np.concatenate(starts), np.concatenate(widths)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(bucket_cases())
+def test_bucketed_count_matches_searchsorted_and_single_shot(case):
+    chain, starts, widths = case
+    got = count_edges_batch(chain, starts, widths)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, searchsorted_count_edges_batch(chain, starts, widths))
+    edges = tap_edge_times(chain, 0.0)
+    for start, width, count in zip(starts, widths, got):
+        single, _ = count_edges_in_pulse(
+            PulseSample(sign=False, width=width), start, edges, guard=chain.boundary_guard
+        )
+        assert single == count
+    assert chain.edge_buckets.n_buckets <= 4 * chain.n_taps + 2
+
+
+def test_bucket_occupancy_above_one():
+    delays = np.full(255, 4 * PS)
+    delays[100] = 4e-3 * PS
+    chain = InverterChain(tap_delays=delays)
+    assert chain.edge_buckets.edges.shape[0] == 2
+    offsets, guard = chain.edge_offsets, chain.boundary_guard
+    starts = np.concatenate([offsets - guard, offsets, offsets + guard])
+    widths = np.full(starts.size, 10 * PS)
+    assert np.array_equal(
+        count_edges_batch(chain, starts, widths),
+        searchsorted_count_edges_batch(chain, starts, widths),
+    )
+
+
+def test_bucket_table_size_bounded_by_taps():
+    # four buckets per mean tap, whatever the spread of the taps
+    for delays in ([1.0], [1e-3, 1.0, 1e3], np.geomspace(1e-15, 1e-9, 300)):
+        chain = InverterChain(tap_delays=np.asarray(delays))
+        assert chain.edge_buckets.n_buckets <= 4 * chain.n_taps + 2
 
 
 class TestAdderTree:
@@ -195,6 +280,9 @@ def test_quasi_uniform_edge_distribution():
 def test_chain_validation():
     with pytest.raises(ValueError):
         InverterChain(tap_delays=np.array([1e-12, -1e-12]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            InverterChain(tap_delays=np.array([1e-12, bad]))
     clock = ClockSpec(period=1e-9)
     with pytest.raises(ValueError):
         # divided period must exceed the chain spread
