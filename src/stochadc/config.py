@@ -104,6 +104,15 @@ class AdcConfig:
     threshold_sigma: float = 0.0
     adaptation: AdaptationConfig = field(default_factory=AdaptationConfig)
 
+    def __post_init__(self):
+        if not _is_int(self.n_taps) or self.n_taps < 1:
+            raise ConfigError(f"adc.n_taps must be an integer >= 1, got {self.n_taps!r}")
+        # a negative lead opens the pulse window before the STDC launch edge
+        if not _is_real(self.launch_lead_taps) or self.launch_lead_taps < 0:
+            raise ConfigError(
+                f"adc.launch_lead_taps must be a number >= 0, got {self.launch_lead_taps!r}"
+            )
+
 
 @dataclass(frozen=True)
 class PiConfig:
@@ -185,6 +194,10 @@ class SweepConfig:
     points: int = 511
     span_rel: float = 1.0  # fraction of full scale swept on each side
     seeds: int = 1
+
+    def __post_init__(self):
+        if not _is_int(self.points) or self.points < 1:
+            raise ConfigError(f"sweep.points must be an integer >= 1, got {self.points!r}")
 
 
 @dataclass(frozen=True)

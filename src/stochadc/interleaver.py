@@ -82,6 +82,8 @@ class SystemDesign:
             raise ConfigError("latencies must be >= 0")
         if not (0 < self.v_threshold < self.vdd / 2):
             raise ConfigError("v_threshold must lie in (0, vdd/2)")
+        if self.launch_lead_taps < 0:
+            raise ConfigError("launch_lead_taps must be >= 0")
         if self.divided_ratio < 1:
             raise ConfigError("divided_ratio must be >= 1")
 
@@ -227,18 +229,17 @@ def schedule_sampling(
         raise ConfigError(f"pi_codes must have shape ({N_GROUPS},)")
     if np.any((pi_codes < 0) | (pi_codes > 255)):
         raise ConfigError("pi codes must lie in [0, 256)")
-    instants = np.empty((N_SLICES, n_cycles), dtype=np.float64)
-    cycles = np.arange(n_cycles) * d.slice_period
-    for s in range(N_SLICES):
-        group = s % N_GROUPS
-        rotation = s // N_GROUPS
-        base = (
-            group * d.pi_clock_period / 4.0
-            + system.group_phase_offset(group, int(pi_codes[group]))
-            + rotation * d.pi_clock_period
-            + d.skew_injection[group]
-        )
-        instants[s] = base + cycles
+    # one PI lookup per group, shared by its four slices
+    offsets = np.array([system.group_phase_offset(g, int(c)) for g, c in enumerate(pi_codes)])
+    slices = np.arange(N_SLICES)
+    group, rotation = slices % N_GROUPS, slices // N_GROUPS
+    base = (
+        group * d.pi_clock_period / 4.0
+        + offsets[group]
+        + rotation * d.pi_clock_period
+        + np.asarray(d.skew_injection, dtype=np.float64)[group]
+    )
+    instants = base[:, None] + np.arange(n_cycles) * d.slice_period
     if d.sampling_jitter > 0:
         for s in range(N_SLICES):
             seed = derive_seed(system.master_seed, "sampling.jitter", s)
@@ -260,7 +261,7 @@ class CaptureResult:
     raw: np.ndarray  # (16, n) unsigned counts
     sign: np.ndarray  # (16, n) folder sign bits
     codes: np.ndarray  # (16, n) signed codes after unfold
-    corrected: np.ndarray  # (16, n) after LUT (== codes when no LUT)
+    corrected: np.ndarray  # (16, n) after LUT (the codes array itself when no LUT)
     offset_codes: np.ndarray  # (16,)
 
     @property
@@ -279,17 +280,22 @@ def convert_pair_arrays(
     """Vectorized conversion of sampled voltage pairs on one slice."""
     d = system.design
     vth_p, vth_n = system.vth_p[s], system.vth_n[s]
-    # written as "not in range" so that a NaN voltage fails the check
-    under = np.flatnonzero(~((v_p >= vth_p - _V_EPS) & (v_n >= vth_n - _V_EPS)))
-    if under.size:
-        m = int(under[0])
+    # min/max propagate NaN, and "not in range" fails on it; `initial` lets an
+    # empty input pass.  The failing index is searched for only on a failure.
+    above_floor = v_p.min(initial=np.inf) >= vth_p - _V_EPS and (
+        v_n.min(initial=np.inf) >= vth_n - _V_EPS
+    )
+    if not above_floor:
+        m = int(np.flatnonzero(~((v_p >= vth_p - _V_EPS) & (v_n >= vth_n - _V_EPS)))[0])
         raise UnderrangeError(
             f"slice {s} {context}{m}: input below V2T threshold or not a number "
             f"(v_p={v_p[m]:.6f} V, v_n={v_n[m]:.6f} V)"
         )
-    over = np.flatnonzero(~((v_p <= d.vdd + _V_EPS) & (v_n <= d.vdd + _V_EPS)))
-    if over.size:
-        m = int(over[0])
+    below_supply = v_p.max(initial=-np.inf) <= d.vdd + _V_EPS and (
+        v_n.max(initial=-np.inf) <= d.vdd + _V_EPS
+    )
+    if not below_supply:
+        m = int(np.flatnonzero(~((v_p <= d.vdd + _V_EPS) & (v_n <= d.vdd + _V_EPS)))[0])
         raise OverrangeError(
             f"slice {s} {context}{m}: input above supply "
             f"(v_p={v_p[m]:.6f} V, v_n={v_n[m]:.6f} V)"
@@ -357,8 +363,9 @@ def run_capture(
         raw[s], sign[s], codes[s] = convert_slice(
             system, s, instants[s], stimulus, int(offset_codes[s])
         )
-    corrected = codes.copy()
+    corrected = codes
     if luts is not None:
+        corrected = np.empty_like(codes)
         for s in range(N_SLICES):
             corrected[s] = apply_lut(luts[s], codes[s])
     return CaptureResult(
@@ -388,7 +395,7 @@ def adapt_offsets(
 
 @dataclass(frozen=True)
 class AlignedStream:
-    """Aggregate-rate stream, ordered by sampling instant."""
+    """Aggregate-rate stream in slice order: sample 16*m + s is from slice s."""
 
     codes: np.ndarray
     instants: np.ndarray
@@ -409,11 +416,12 @@ def retime_streams(streams: np.ndarray, latencies) -> list[np.ndarray]:
 
 
 def align_outputs(streams, latencies, instants=None) -> AlignedStream:
-    """Merge 16 retimed slice streams into one aggregate-rate stream.
+    """Interleave 16 retimed slice streams into one aggregate-rate stream.
 
     Latency differences are compensated exactly: entry m of slice s is read
-    at stream index m + latency_s, and sample 16*m + s of the output comes
-    from slice s, preserving sampling-instant order.
+    at stream index m + latency_s.  The output is in slice order, as the
+    hardware interleaves it: sample 16*m + s comes from slice s whatever the
+    sampling instants, which are carried along but never reorder samples.
     """
     if len(streams) != N_SLICES or len(latencies) != N_SLICES:
         raise ValueError(f"expected {N_SLICES} streams and latencies")
@@ -423,20 +431,18 @@ def align_outputs(streams, latencies, instants=None) -> AlignedStream:
     n_cycles = lengths.pop()
     if n_cycles < 0:
         raise ValueError("streams shorter than their latency")
-    compensated = np.stack(
-        [np.asarray(st)[int(lat) : int(lat) + n_cycles] for st, lat in zip(streams, latencies)]
-    )
-    codes = compensated.T.reshape(-1)
+    streams = [np.asarray(st) for st in streams]
+    codes = np.empty((n_cycles, N_SLICES), dtype=np.result_type(*streams))
+    for s, (st, lat) in enumerate(zip(streams, latencies)):
+        codes[:, s] = st[int(lat) : int(lat) + n_cycles]
     if instants is not None:
         out_instants = np.asarray(instants)[:, :n_cycles].T.reshape(-1)
     else:
         out_instants = np.arange(codes.size, dtype=np.float64)
-    slice_index = np.tile(np.arange(N_SLICES), n_cycles)
-    order = np.argsort(out_instants, kind="stable")
     return AlignedStream(
-        codes=codes[order],
-        instants=out_instants[order],
-        slice_index=slice_index[order],
+        codes=codes.reshape(-1),
+        instants=out_instants,
+        slice_index=np.tile(np.arange(N_SLICES), n_cycles),
         latencies=tuple(int(l) for l in latencies),
     )
 

@@ -92,6 +92,7 @@ class InverterChain:
     divided_clock: ClockSpec | None = None
     edge_offsets: np.ndarray = field(init=False, repr=False)
     edge_buckets: EdgeBuckets = field(init=False, repr=False)
+    boundary_guard: float = field(init=False, repr=False)  # 1e-6 x mean tap delay
 
     def __post_init__(self):
         delays = np.asarray(self.tap_delays, dtype=np.float64)
@@ -102,6 +103,7 @@ class InverterChain:
         object.__setattr__(self, "tap_delays", delays)
         object.__setattr__(self, "edge_offsets", np.cumsum(delays))
         object.__setattr__(self, "edge_buckets", EdgeBuckets.build(self.edge_offsets))
+        object.__setattr__(self, "boundary_guard", 1e-6 * float(np.mean(delays)))
         if self.divided_clock is not None:
             span = float(self.edge_offsets[-1])
             if self.divided_clock.period <= span:
@@ -117,10 +119,6 @@ class InverterChain:
     @property
     def total_delay(self) -> Duration:
         return float(self.edge_offsets[-1])
-
-    @property
-    def boundary_guard(self) -> float:
-        return 1e-6 * float(np.mean(self.tap_delays))
 
 
 def make_chain(
@@ -299,6 +297,10 @@ def count_edges_batch(
     widths = np.asarray(widths, dtype=np.float64)
     guard = chain.boundary_guard
     # both window ends in one pass: [opening edges | closing edges]
-    ends = np.concatenate((starts - guard, starts + widths - guard))
+    n = starts.size
+    ends = np.empty(2 * n)
+    np.subtract(starts, guard, out=ends[:n])
+    np.add(starts, widths, out=ends[n:])
+    ends[n:] -= guard
     below = chain.edge_buckets.count_below(ends)
-    return below[starts.size :] - below[: starts.size]
+    return below[n:] - below[:n]

@@ -198,6 +198,38 @@ class TestCli:
         p = self.write(tmp_path, MINIMAL_SINE.replace("capture:", "  phase: .nan\ncapture:"))
         assert main(["adc-sine", "--config", str(p), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("experiment", ["adc-sine", "slice-transfer"])
+    @pytest.mark.parametrize(
+        "section",
+        [
+            "adc:\n  n_taps: 2.5\n",
+            "adc:\n  n_taps: 0\n",
+            "adc:\n  n_taps: true\n",
+            "adc:\n  launch_lead_taps: -1\n",
+            "sweep:\n  points: 0\n",
+            "sweep:\n  points: 2.5\n",
+        ],
+        ids=[
+            "taps-fraction",
+            "taps-zero",
+            "taps-bool",
+            "lead-negative",
+            "points-zero",
+            "points-fraction",
+        ],
+    )
+    def test_bad_sizing_rejected_at_load(self, tmp_path, section, experiment):
+        # n_taps 2.5 used to run adc-sine to ENOB -0.80 and a lead of -1 to
+        # ENOB 6.71, both exit 0; n_taps 0 and points 0 ended in tracebacks
+        p = self.write(tmp_path, MINIMAL_SINE + section)
+        assert main([experiment, "--config", str(p), "--out", str(tmp_path)]) == 2
+
+    def test_smallest_sizing_loads(self):
+        cfg = parse_config(
+            MINIMAL_SINE + "adc:\n  n_taps: 1\n  launch_lead_taps: 0\nsweep:\n  points: 1\n"
+        )
+        assert (cfg.adc.n_taps, cfg.adc.launch_lead_taps, cfg.sweep.points) == (1, 0, 1)
+
     @pytest.mark.parametrize(
         "value", ["[5, 150]", "[-1, 50]", "[5, abc]", "[.nan]", "[true]", "[[5]]", "50"]
     )

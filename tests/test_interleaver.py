@@ -2,16 +2,22 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochadc.errors import (
     CoherenceError,
     ConfigError,
     CoverageError,
+    OverrangeError,
     PreconditionError,
     UnderrangeError,
 )
 from stochadc.interleaver import (
+    N_GROUPS,
+    N_SLICES,
     AdcSystem,
+    AlignedStream,
     CalibrationState,
     Lut,
     SystemDesign,
@@ -43,6 +49,64 @@ def ideal_system(seed=1, **overrides):
 
 def coherent_tone(j, n, amplitude=0.45, cm=VCM, phase=0.35):
     return SineStimulus(frequency=j * FS_RATE / n, amplitude=amplitude, common_mode=cm, phase=phase)
+
+
+def loop_schedule_sampling(system, pi_codes, n_cycles):
+    """Oracle: the per-slice schedule loop, one PI lookup per slice."""
+    d = system.design
+    instants = np.empty((N_SLICES, n_cycles), dtype=np.float64)
+    cycles = np.arange(n_cycles) * d.slice_period
+    for s in range(N_SLICES):
+        group = s % N_GROUPS
+        rotation = s // N_GROUPS
+        base = (
+            group * d.pi_clock_period / 4.0
+            + system.group_phase_offset(group, int(pi_codes[group]))
+            + rotation * d.pi_clock_period
+            + d.skew_injection[group]
+        )
+        instants[s] = base + cycles
+    return instants
+
+
+def argsort_align_outputs(streams, latencies, instants=None):
+    """Oracle: the aligner that orders samples by sampling instant."""
+    lengths = {len(st) - int(lat) for st, lat in zip(streams, latencies)}
+    n_cycles = lengths.pop()
+    compensated = np.stack(
+        [np.asarray(st)[int(lat) : int(lat) + n_cycles] for st, lat in zip(streams, latencies)]
+    )
+    codes = compensated.T.reshape(-1)
+    if instants is not None:
+        out_instants = np.asarray(instants)[:, :n_cycles].T.reshape(-1)
+    else:
+        out_instants = np.arange(codes.size, dtype=np.float64)
+    slice_index = np.tile(np.arange(N_SLICES), n_cycles)
+    order = np.argsort(out_instants, kind="stable")
+    return AlignedStream(
+        codes=codes[order],
+        instants=out_instants[order],
+        slice_index=slice_index[order],
+        latencies=tuple(int(l) for l in latencies),
+    )
+
+
+@st.composite
+def mismatched_systems(draw):
+    """Random converter: tap, V2T and PI mismatch, group skews up to +/-80 ps
+    (beyond the 50 ps pitch), optional jitter and per-slice latencies."""
+    design = SystemDesign(
+        tap_sigma_systematic=draw(st.floats(0.0, 0.15)),
+        tap_sigma_random=draw(st.floats(0.0, 0.1)),
+        slope_sigma=draw(st.floats(0.0, 0.02)),
+        threshold_sigma=draw(st.floats(0.0, 0.02)),
+        pi_tap_sigma=draw(st.floats(0.0, 0.05)),
+        pi_skew_sigma_rel=draw(st.floats(0.0, 0.3)),
+        skew_injection=tuple(draw(st.lists(st.floats(-80 * PS, 80 * PS), min_size=4, max_size=4))),
+        sampling_jitter=draw(st.sampled_from([0.0, 2 * PS, 60 * PS])),
+        latencies=tuple(draw(st.lists(st.integers(0, 5), min_size=16, max_size=16))),
+    )
+    return AdcSystem(design, master_seed=draw(st.integers(0, 2**32)))
 
 
 class TestSchedule:
@@ -80,6 +144,31 @@ class TestSchedule:
         assert np.allclose(delta[group_of_slice == 2], 0.78125 * PS, rtol=1e-9)
         assert np.allclose(delta[group_of_slice != 2], 0.0, atol=1e-22)
 
+    def test_one_pi_lookup_per_group(self, monkeypatch):
+        import stochadc.interleaver as il
+
+        calls = []
+        real = il.pi_output
+
+        def counted(code, *args, **kwargs):
+            calls.append(code)
+            return real(code, *args, **kwargs)
+
+        monkeypatch.setattr(il, "pi_output", counted)
+        system = ideal_system()
+        schedule_sampling(system, system.nominal_pi_codes(), 3)
+        assert calls == system.nominal_pi_codes().tolist()
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(mismatched_systems(), st.lists(st.integers(0, 255), min_size=4, max_size=4))
+    def test_matches_per_slice_loop_bit_for_bit(self, system, codes):
+        system = AdcSystem(
+            dataclasses.replace(system.design, sampling_jitter=0.0), system.master_seed
+        )
+        got = schedule_sampling(system, codes, 7)
+        want = loop_schedule_sampling(system, codes, 7)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_bad_pi_codes_rejected(self):
         system = ideal_system()
         with pytest.raises(ConfigError):
@@ -115,6 +204,25 @@ class TestCapture:
         v_n = np.array([VCM, pair[1]])
         with pytest.raises(PreconditionError, match="point 1"):
             convert_pair_arrays(ideal_system(), 0, v_p, v_n, 25, context="point ")
+
+    def test_first_failing_index_is_reported(self):
+        # a NaN fails the under-range check even after an over-range point
+        v_p = np.array([VCM, 0.95, VCM, np.nan, 0.1])
+        v_n = np.full(5, VCM)
+        with pytest.raises(UnderrangeError, match="point 3"):
+            convert_pair_arrays(ideal_system(), 0, v_p, v_n, 25, context="point ")
+        with pytest.raises(OverrangeError, match="point 1"):
+            convert_pair_arrays(ideal_system(), 0, v_p[:3], v_n[:3], 25, context="point ")
+
+    def test_zero_length_input_converts_to_empty_arrays(self):
+        empty = np.empty(0)
+        raw, sign, code = convert_pair_arrays(ideal_system(), 0, empty, empty, 25)
+        assert (raw.size, sign.size, code.size) == (0, 0, 0)
+        assert (raw.dtype, sign.dtype, code.dtype) == (np.int64, np.bool_, np.int64)
+
+    def test_without_luts_corrected_is_the_codes_array(self):
+        capture = run_capture(ideal_system(), coherent_tone(11, 256, amplitude=0.4), 256)
+        assert capture.corrected is capture.codes
 
     def test_n_samples_must_be_multiple_of_16(self):
         with pytest.raises(ConfigError):
@@ -159,6 +267,48 @@ class TestAlign:
         streams = [np.zeros(5)] * 15 + [np.zeros(7)]
         with pytest.raises(ValueError):
             align_outputs(streams, [0] * 16)
+
+    def test_skew_beyond_pitch_keeps_slice_order(self):
+        # +60 ps on group 1 puts its samples after group 2's: the hardware
+        # still interleaves in slice order, so the stream is not time-sorted
+        system = ideal_system(skew_injection=(0.0, 60 * PS, 0.0, 0.0))
+        capture = run_capture(system, coherent_tone(11, 1024, amplitude=0.4), 1024)
+        aligned = aligned_capture(system, capture)
+        assert np.array_equal(aligned.slice_index, np.tile(np.arange(16), 64))
+        assert np.array_equal(aligned.codes.reshape(64, 16), capture.corrected.T)
+        assert np.array_equal(aligned.instants.reshape(64, 16), capture.instants.T)
+        assert np.any(np.diff(aligned.instants) < 0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32), st.integers(0, 20), st.booleans())
+    def test_matches_time_sort_when_instants_are_in_slice_order(self, seed, n_cycles, timed):
+        rng = np.random.default_rng(seed)
+        data = rng.integers(-128, 128, size=(16, n_cycles))
+        lats = rng.integers(0, 5, size=16).tolist()
+        streams = retime_streams(data, lats)
+        # non-decreasing in slice order, ties included
+        steps = rng.choice([0.0, 1e-12, 50e-12], size=16 * n_cycles)
+        instants = np.cumsum(steps).reshape(n_cycles, 16).T if timed else None
+        got = align_outputs(streams, lats, instants)
+        want = argsort_align_outputs(streams, lats, instants)
+        assert np.array_equal(got.codes, want.codes)
+        assert np.array_equal(got.instants, want.instants)
+        assert np.array_equal(got.slice_index, want.slice_index)
+        assert got.latencies == want.latencies
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(mismatched_systems(), st.integers(0, 2**32), st.booleans())
+    def test_histogram_of_aligned_stream_equals_capture_histogram(self, system, seed, lut):
+        # the linearity histogram is taken straight from the capture
+        luts = None
+        if lut:
+            rng = np.random.default_rng(seed)
+            luts = [Lut(np.sort(rng.integers(-127, 128, 256))) for _ in range(16)]
+        capture = run_capture(
+            system, coherent_tone(11, 512, amplitude=0.4, cm=0.55), 512, luts=luts
+        )
+        aligned = aligned_capture(system, capture)
+        assert np.array_equal(code_histogram(capture.corrected), code_histogram(aligned.codes))
 
     def test_aggregate_order_is_by_sampling_instant(self):
         system = ideal_system()
@@ -257,6 +407,16 @@ class TestSkewCalibration:
         )
         assert np.max(np.abs(second)) <= 1
 
+    def test_skew_beyond_pitch_is_measured_on_its_own_group(self):
+        # +60 ps puts group 1 after group 2 in time; time-sorting the stream
+        # used to mislabel the groups (corrections [6, -58, -6, 6])
+        system = AdcSystem(
+            SystemDesign(skew_injection=(0.0, 60 * PS, 0.0, 0.0)), master_seed=2
+        )
+        tone = coherent_tone(1433, 4096, amplitude=0.44)
+        corr = calibrate_skew(system, tone, 4096)
+        assert np.array_equal(corr, np.array([0, -77, 0, 0]))
+
     def test_non_coherent_tone_rejected(self):
         system = ideal_system()
         tone = SineStimulus(frequency=7.001e9, amplitude=0.44, common_mode=VCM)
@@ -315,6 +475,13 @@ def test_design_validation():
         SystemDesign(latencies=(1, 2))
     with pytest.raises(ConfigError):
         SystemDesign(v_threshold=0.5)
+
+
+def test_negative_launch_lead_rejected_by_design():
+    # the pulse window would open before the STDC launch edge
+    with pytest.raises(ConfigError, match="launch_lead_taps"):
+        SystemDesign(launch_lead_taps=-0.5)
+    assert SystemDesign(launch_lead_taps=0.0).launch_lead == 0.0
 
 
 def test_front_end_bandwidth_attenuates_the_tone():
