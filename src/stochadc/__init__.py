@@ -51,7 +51,6 @@ from .interleaver import (
     AlignedStream,
     CalibrationState,
     Lut,
-    SystemDesign,
     align_outputs,
     build_lut,
     calibrate_skew,

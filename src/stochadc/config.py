@@ -1,11 +1,15 @@
 """Run configuration: strict YAML schema, validation, hashing.
 
-One human-editable YAML file describes an experiment end to end.  Parsing is
-strict: unknown keys anywhere in the tree and non-finite numbers are
-rejected, cross-field arithmetic (rates, coherence) is validated at load,
-and physically meaningful values have no hidden defaults beyond the
-documented design sizing.  Loading then re-serializing a config is
-idempotent.
+One human-editable YAML file describes an experiment end to end, and its
+`adc`, `pi` and `system` sections are the one description of the converter
+design: `AdcSystem` is drawn from them directly, and the derived quantities
+(slice period, discharge slope, PI step, ...) are properties of the section
+they read.  Parsing is strict: unknown keys anywhere in the tree and
+non-finite numbers are rejected.  Each section checks its own values when it
+is constructed, from YAML or in Python; `parse_config` adds the checks that
+span sections (tone coherence, stimulus swing).  Physically meaningful values
+have no hidden defaults beyond the documented design sizing.  Loading then
+re-serializing a config is idempotent.
 """
 
 from __future__ import annotations
@@ -21,10 +25,11 @@ from pathlib import Path
 
 import yaml
 
+from .core import derive_seed
 from .errors import ConfigError
-from .interleaver import N_GROUPS, N_SLICES, SystemDesign
-from .stimulus import DCStimulus, RampStimulus, SineStimulus
-from .v2t import PhaseTiming
+from .interleaver import CODE_MAX, N_GROUPS, N_SLICES
+from .pi import DelayChain, make_pi_chain
+from .stimulus import SineStimulus
 
 
 def _build(cls, data: dict, path: str):
@@ -76,6 +81,12 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _check_sigmas(section, path: str, *names: str) -> None:
+    for name in names:
+        if getattr(section, name) < 0:
+            raise ConfigError(f"{path}.{name} must be >= 0")
+
+
 @dataclass(frozen=True)
 class AdaptationConfig:
     window: int = 10_000
@@ -92,7 +103,7 @@ class AdaptationConfig:
 class AdcConfig:
     vdd: float = 0.9
     v_threshold: float = 0.3
-    full_scale: float = 0.45
+    full_scale: float = 0.45  # differential full scale: max |v_p - v_n|, volts
     d_offset: float = 100e-12
     unit_delay: float = 4e-12
     n_taps: int = 255
@@ -112,6 +123,33 @@ class AdcConfig:
             raise ConfigError(
                 f"adc.launch_lead_taps must be a number >= 0, got {self.launch_lead_taps!r}"
             )
+        if not (0 < self.v_threshold < self.vdd / 2):
+            raise ConfigError("adc.v_threshold must lie in (0, vdd/2)")
+        if self.full_scale <= 0 or self.unit_delay <= 0 or self.d_offset <= 0:
+            raise ConfigError("adc full_scale, unit_delay and d_offset must be > 0")
+        if not _is_int(self.divided_ratio) or self.divided_ratio < 1:
+            raise ConfigError(
+                f"adc.divided_ratio must be an integer >= 1, got {self.divided_ratio!r}"
+            )
+        _check_sigmas(self, "adc", "tap_sigma_systematic", "tap_sigma_random",
+                      "slope_sigma", "threshold_sigma")
+
+    @property
+    def discharge_slope(self) -> float:
+        # Full-scale |dv| maps to CODE_MAX counts above the offset code.
+        return self.full_scale / (CODE_MAX * self.unit_delay)
+
+    @property
+    def launch_lead(self) -> float:
+        return self.launch_lead_taps * self.unit_delay
+
+    @property
+    def nominal_offset_code(self) -> int:
+        return int(round(self.d_offset / self.unit_delay))
+
+    @property
+    def max_pulse_width(self) -> float:
+        return (self.vdd - self.v_threshold) / self.discharge_slope + self.d_offset
 
 
 @dataclass(frozen=True)
@@ -119,7 +157,7 @@ class PiConfig:
     unit_delay: float = 12.5e-12
     n_taps: int = 32
     tap_sigma_rel: float = 0.0
-    skew_sigma_rel: float = 0.0
+    skew_sigma_rel: float = 0.0  # in units of unit_delay
     trim_enabled: bool = False
     trim_max_iters: int = 64
     injected_skews: tuple = ()  # (path index 1-based, skew in unit delays) pairs
@@ -127,6 +165,45 @@ class PiConfig:
     def __post_init__(self):
         if not _is_int(self.trim_max_iters) or self.trim_max_iters < 1:
             raise ConfigError("pi.trim_max_iters must be an integer >= 1")
+        if self.unit_delay <= 0:
+            raise ConfigError("pi.unit_delay must be > 0")
+        if not _is_int(self.n_taps) or self.n_taps < 2:
+            raise ConfigError(f"pi.n_taps must be an integer >= 2, got {self.n_taps!r}")
+        _check_sigmas(self, "pi", "tap_sigma_rel", "skew_sigma_rel")
+        for entry in self.injected_skews:
+            if not (
+                isinstance(entry, (tuple, list))
+                and len(entry) == 2
+                and _is_int(entry[0])
+                and 1 <= entry[0] <= self.n_taps
+                and _is_real(entry[1])
+            ):
+                raise ConfigError(
+                    f"pi.injected_skews entries must be [path in 1..{self.n_taps}, "
+                    f"skew in unit delays], got {entry!r}"
+                )
+
+    def chain(self, master_seed: int, group: int) -> DelayChain:
+        """Group `group`'s interpolator chain for one seed, injected skews included.
+
+        The converter draws its four group chains here, and `pi-sweep` and
+        `pi-trim` model group 0's.
+        """
+        chain = make_pi_chain(
+            self.unit_delay,
+            n_taps=self.n_taps,
+            tap_sigma_rel=self.tap_sigma_rel,
+            skew_sigma=self.skew_sigma_rel * self.unit_delay,
+            seed=derive_seed(master_seed, "pi.instance", group),
+        )
+        if self.injected_skews:
+            skews = chain.path_skews.copy()
+            for path, amount in self.injected_skews:
+                skews[int(path) - 1] += float(amount) * self.unit_delay
+            chain = DelayChain(
+                unit_delay=chain.unit_delay, tap_delays=chain.tap_delays, path_skews=skews
+            )
+        return chain
 
 
 @dataclass(frozen=True)
@@ -153,13 +230,48 @@ class SystemConfig:
     calibration: CalibrationConfig = field(default_factory=CalibrationConfig)
 
     def __post_init__(self):
+        if not _is_real(self.aggregate_rate) or self.aggregate_rate <= 0:
+            raise ConfigError(f"system.aggregate_rate must be > 0, got {self.aggregate_rate!r}")
+        if len(self.skew_injection) != N_GROUPS or not all(map(_is_real, self.skew_injection)):
+            raise ConfigError(f"system.skew_injection needs {N_GROUPS} numbers")
+        if len(self.latencies) != N_SLICES:
+            raise ConfigError(f"system.latencies needs {N_SLICES} entries")
+        if not all(_is_int(lat) and lat >= 0 for lat in self.latencies):
+            raise ConfigError("system.latencies must be integers >= 0")
         if self.sampling_jitter < 0:
             raise ConfigError("system.sampling_jitter must be >= 0")
+        # a bandwidth <= 0 divides by zero or flips the sign of the phase lag,
+        # and a stage count below one (or fractional) amplifies the tone
+        bandwidth = self.front_end_bandwidth
+        if bandwidth is not None and (not _is_real(bandwidth) or bandwidth <= 0):
+            raise ConfigError(f"system.front_end_bandwidth must be > 0, got {bandwidth!r}")
+        if not _is_int(self.front_end_stages) or self.front_end_stages < 1:
+            raise ConfigError(
+                f"system.front_end_stages must be an integer >= 1, got {self.front_end_stages!r}"
+            )
+        if not (0 < self.early < self.track) or self.late <= 0:
+            raise ConfigError("system timing needs 0 < early < track and late > 0")
+
+    @property
+    def slice_rate(self) -> float:
+        return self.aggregate_rate / N_SLICES
+
+    @property
+    def slice_period(self) -> float:
+        return N_SLICES / self.aggregate_rate
+
+    @property
+    def pi_clock_period(self) -> float:
+        return N_GROUPS / self.aggregate_rate
+
+    @property
+    def pi_step(self) -> float:
+        return self.pi_clock_period / 256.0
 
 
 @dataclass(frozen=True)
 class StimulusConfig:
-    type: str = "sine"
+    type: str = "sine"  # the only stimulus any experiment applies
     frequency: float | None = None
     coherent_bin: int | None = None
     amplitude: float = 0.45
@@ -167,14 +279,10 @@ class StimulusConfig:
     phase: float = 0.0
 
     def __post_init__(self):
-        if self.type not in ("sine", "ramp", "dc"):
-            raise ConfigError(f"unknown stimulus type {self.type!r}")
+        if self.type != "sine":
+            raise ConfigError(f"stimulus.type must be 'sine', got {self.type!r}")
         if self.coherent_bin is not None and self.coherent_bin % 2 == 0:
             raise ConfigError("coherent_bin must be odd")
-
-    @property
-    def specified(self) -> bool:
-        return self.type != "sine" or self.frequency is not None or self.coherent_bin is not None
 
 
 @dataclass(frozen=True)
@@ -281,17 +389,9 @@ _SECTION_TYPES = {
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
-    d = cfg.adc
-    if not (0 < d.v_threshold < d.vdd / 2):
-        raise ConfigError("adc.v_threshold must lie in (0, vdd/2)")
-    if d.full_scale <= 0 or d.unit_delay <= 0 or d.d_offset <= 0:
-        raise ConfigError("adc full_scale, unit_delay and d_offset must be > 0")
-    if len(cfg.system.skew_injection) != N_GROUPS:
-        raise ConfigError(f"system.skew_injection needs {N_GROUPS} entries")
-    if len(cfg.system.latencies) != N_SLICES:
-        raise ConfigError(f"system.latencies needs {N_SLICES} entries")
+    """The checks that span sections; each section has checked itself."""
     st = cfg.stimulus
-    if st.type == "sine" and st.specified:
+    if st.frequency is not None or st.coherent_bin is not None:
         fs = cfg.system.aggregate_rate
         n = cfg.capture.n_samples
         fin = stimulus_frequency(cfg)
@@ -325,50 +425,22 @@ def stimulus_frequency(cfg: RunConfig) -> float:
     return float(st.frequency)
 
 
-def build_stimulus(cfg: RunConfig, n_samples: int | None = None):
-    st = cfg.stimulus
-    if st.type == "sine":
-        return SineStimulus(
-            frequency=stimulus_frequency(cfg),
-            amplitude=st.amplitude,
-            common_mode=st.common_mode,
-            phase=st.phase,
-            bandwidth=cfg.system.front_end_bandwidth,
-            filter_stages=cfg.system.front_end_stages,
-        )
-    if st.type == "dc":
-        return DCStimulus(dv=st.amplitude, common_mode=st.common_mode)
-    n = n_samples if n_samples is not None else cfg.capture.n_samples
-    duration = n / cfg.system.aggregate_rate
-    return RampStimulus(span=st.amplitude, common_mode=st.common_mode, t0=0.0, t1=duration)
-
-
-def build_design(cfg: RunConfig) -> SystemDesign:
-    return SystemDesign(
-        aggregate_rate=cfg.system.aggregate_rate,
-        vdd=cfg.adc.vdd,
-        v_threshold=cfg.adc.v_threshold,
-        full_scale=cfg.adc.full_scale,
-        d_offset=cfg.adc.d_offset,
-        stdc_unit_delay=cfg.adc.unit_delay,
-        stdc_taps=cfg.adc.n_taps,
-        launch_lead_taps=cfg.adc.launch_lead_taps,
-        divided_ratio=cfg.adc.divided_ratio,
-        tap_sigma_systematic=cfg.adc.tap_sigma_systematic,
-        tap_sigma_random=cfg.adc.tap_sigma_random,
-        slope_sigma=cfg.adc.slope_sigma,
-        threshold_sigma=cfg.adc.threshold_sigma,
-        pi_unit_delay=cfg.pi.unit_delay,
-        pi_taps=cfg.pi.n_taps,
-        pi_tap_sigma=cfg.pi.tap_sigma_rel,
-        pi_skew_sigma_rel=cfg.pi.skew_sigma_rel,
-        skew_injection=tuple(cfg.system.skew_injection),
-        sampling_jitter=cfg.system.sampling_jitter,
-        latencies=tuple(cfg.system.latencies),
-        timing=PhaseTiming(
-            track=cfg.system.track, early=cfg.system.early, late=cfg.system.late
-        ),
+def sine_tone(cfg: RunConfig, frequency: float, amplitude: float) -> SineStimulus:
+    """A test tone as the converter receives it: the stimulus section's common
+    mode and phase, through the system's front-end bandwidth and stages."""
+    return SineStimulus(
+        frequency=frequency,
+        amplitude=amplitude,
+        common_mode=cfg.stimulus.common_mode,
+        phase=cfg.stimulus.phase,
+        bandwidth=cfg.system.front_end_bandwidth,
+        filter_stages=cfg.system.front_end_stages,
     )
+
+
+def build_stimulus(cfg: RunConfig) -> SineStimulus:
+    """The configured measurement tone."""
+    return sine_tone(cfg, stimulus_frequency(cfg), cfg.stimulus.amplitude)
 
 
 def _fom_entries(raw) -> tuple:

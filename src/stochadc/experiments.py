@@ -19,14 +19,8 @@ import numpy as np
 from . import interleaver as il
 from . import metrics as met
 from . import pi as pimod
-from .config import (
-    RunConfig,
-    build_design,
-    build_stimulus,
-    config_hash,
-    stimulus_frequency,
-)
-from .core import ClockSpec, derive_seed
+from .config import RunConfig, build_stimulus, config_hash, sine_tone, stimulus_frequency
+from .core import ClockSpec
 from .errors import ConfigError
 from .stimulus import SineStimulus, adaptation_tone
 
@@ -128,57 +122,14 @@ def _jsonable(value):
     return value
 
 
-def _build_pi_chain(cfg: RunConfig, seed: int) -> pimod.DelayChain:
-    chain = pimod.make_pi_chain(
-        cfg.pi.unit_delay,
-        n_taps=cfg.pi.n_taps,
-        tap_sigma_rel=cfg.pi.tap_sigma_rel,
-        skew_sigma=cfg.pi.skew_sigma_rel * cfg.pi.unit_delay,
-        seed=derive_seed(seed, "pi.instance", 0),
-    )
-    if cfg.pi.injected_skews:
-        skews = chain.path_skews.copy()
-        for path, amount in cfg.pi.injected_skews:
-            skews[int(path) - 1] += float(amount) * cfg.pi.unit_delay
-        chain = pimod.DelayChain(
-            unit_delay=chain.unit_delay, tap_delays=chain.tap_delays, path_skews=skews
-        )
-    return chain
-
-
-def _system(cfg: RunConfig, seed: int) -> il.AdcSystem:
-    if cfg.pi.injected_skews:
-        # a per-path skew is defined on the one chain pi-sweep/pi-trim model,
-        # not across the system's four group chains
-        raise ConfigError(
-            "pi.injected_skews applies only to pi-sweep and pi-trim; "
-            "remove it to build the full converter"
-        )
-    return il.AdcSystem(
-        build_design(cfg),
-        master_seed=seed,
-        trim_pis=cfg.pi.trim_enabled,
-        trim_max_iters=cfg.pi.trim_max_iters,
-    )
-
-
 def _warmup_tone(cfg: RunConfig) -> SineStimulus:
-    template = build_stimulus(cfg)
-    if not isinstance(template, SineStimulus):
-        template = SineStimulus(
-            frequency=1.0,
-            amplitude=cfg.stimulus.amplitude,
-            common_mode=cfg.stimulus.common_mode,
-            phase=cfg.stimulus.phase,
-        )
-    return adaptation_tone(template, build_design(cfg).slice_rate)
+    return adaptation_tone(build_stimulus(cfg), cfg.system.slice_rate)
 
 
 def compute_calibration(cfg: RunConfig, seed: int, system: il.AdcSystem | None = None) -> il.CalibrationState:
     """Offset adaptation, LUT construction and skew correction per config."""
     if system is None:
-        system = _system(cfg, seed)
-    d = system.design
+        system = il.AdcSystem(cfg, seed)
     cal = cfg.system.calibration
     warm = _warmup_tone(cfg)
     if cal.adapt_offsets:
@@ -187,34 +138,24 @@ def compute_calibration(cfg: RunConfig, seed: int, system: il.AdcSystem | None =
             threshold=cfg.adc.adaptation.threshold,
         )
     else:
-        offsets = np.full(il.N_SLICES, d.nominal_offset_code, dtype=np.int64)
+        offsets = np.full(il.N_SLICES, cfg.adc.nominal_offset_code, dtype=np.int64)
     luts = None
     if cal.lut:
         amp = cfg.capture.linearity_amplitude or cfg.stimulus.amplitude
-        lut_tone = SineStimulus(
-            frequency=warm.frequency,
-            amplitude=amp,
-            common_mode=cfg.stimulus.common_mode,
-            phase=cfg.stimulus.phase,
-        )
+        lut_tone = sine_tone(cfg, warm.frequency, amp)
         capture = il.run_capture(
             system, lut_tone, cal.lut_capture_samples, offset_codes=offsets
         )
-        amplitude_code = amp / (d.full_scale / il.CODE_MAX)
-        luts = il.build_luts(capture, "sine", amplitude_code, cal.lut_min_hits)
+        amplitude_code = amp / (cfg.adc.full_scale / il.CODE_MAX)
+        luts = il.build_luts(capture, amplitude_code, cal.lut_min_hits)
     corrections = None
     if cal.skew:
         n_skew = cal.skew_capture_samples
-        fs = d.aggregate_rate
+        fs = cfg.system.aggregate_rate
         j = int(round(stimulus_frequency(cfg) * n_skew / fs))
         if j % 2 == 0:
             j += 1
-        skew_tone = SineStimulus(
-            frequency=j * fs / n_skew,
-            amplitude=cfg.stimulus.amplitude,
-            common_mode=cfg.stimulus.common_mode,
-            phase=cfg.stimulus.phase,
-        )
+        skew_tone = sine_tone(cfg, j * fs / n_skew, cfg.stimulus.amplitude)
         corrections = il.calibrate_skew(
             system, skew_tone, n_skew, offset_codes=offsets
         )
@@ -236,21 +177,21 @@ def _applied_pi_codes(system: il.AdcSystem, state: il.CalibrationState) -> np.nd
 
 
 def run_slice_transfer(cfg: RunConfig, seed: int, out: Path | None) -> ExperimentResult:
-    system = _system(cfg, seed)
-    d = system.design
+    system = il.AdcSystem(cfg, seed)
+    adc = cfg.adc
     h = config_hash(cfg)
     state = compute_calibration(cfg, seed, system)
     offset = int(state.offset_codes[0])
-    span = cfg.sweep.span_rel * d.full_scale
+    span = cfg.sweep.span_rel * adc.full_scale
     dv = np.linspace(-span, span, cfg.sweep.points)
     cm = cfg.stimulus.common_mode
     raw, sign, code = il.slice_transfer(system, 0, dv, cm, offset)
-    delta_t = dv / d.discharge_slope
+    delta_t = dv / adc.discharge_slope
     monotone = bool(np.all(np.diff(code) >= 0))
     metrics = {
         "offset_code": offset,
         "monotone": monotone,
-        "lsb_volts": d.full_scale / il.CODE_MAX,
+        "lsb_volts": adc.full_scale / il.CODE_MAX,
         "code_min": int(code.min()),
         "code_max": int(code.max()),
     }
@@ -269,8 +210,8 @@ def run_slice_transfer(cfg: RunConfig, seed: int, out: Path | None) -> Experimen
 
 def run_pi_sweep(cfg: RunConfig, seed: int, out: Path | None) -> ExperimentResult:
     h = config_hash(cfg)
-    chain = _build_pi_chain(cfg, seed)
-    clock = ClockSpec(period=build_design(cfg).pi_clock_period)
+    chain = cfg.pi.chain(seed, 0)
+    clock = ClockSpec(period=cfg.system.pi_clock_period)
     trim = None
     if cfg.pi.trim_enabled:
         trim = pimod.trim_paths(chain, clock, cfg.pi.trim_max_iters).trim
@@ -310,8 +251,8 @@ def run_pi_sweep(cfg: RunConfig, seed: int, out: Path | None) -> ExperimentResul
 
 def run_pi_trim(cfg: RunConfig, seed: int, out: Path | None) -> ExperimentResult:
     h = config_hash(cfg)
-    chain = _build_pi_chain(cfg, seed)
-    clock = ClockSpec(period=build_design(cfg).pi_clock_period)
+    chain = cfg.pi.chain(seed, 0)
+    clock = ClockSpec(period=cfg.system.pi_clock_period)
     pre_sweep = pimod.pi_sweep(chain, clock)
     result = pimod.trim_paths(chain, clock, cfg.pi.trim_max_iters)
     post_sweep = pimod.pi_sweep(chain, clock, result.trim)
@@ -374,8 +315,7 @@ def run_adc_sine(
     out: Path | None,
     calibration: il.CalibrationState | None = None,
 ) -> ExperimentResult:
-    system = _system(cfg, seed)
-    d = system.design
+    system = il.AdcSystem(cfg, seed)
     h = config_hash(cfg)
     if calibration is None:
         calibration = compute_calibration(cfg, seed, system)
@@ -386,9 +326,7 @@ def run_adc_sine(
             f"run: {h}/{seed})"
         )
     tone = build_stimulus(cfg)
-    if not isinstance(tone, SineStimulus):
-        raise ConfigError("adc-sine needs a sine stimulus")
-    fs = d.aggregate_rate
+    fs = cfg.system.aggregate_rate
     n = cfg.capture.n_samples
     pi_codes = _applied_pi_codes(system, calibration)
     capture = il.run_capture(
@@ -408,12 +346,7 @@ def run_adc_sine(
     lin = None
     if cfg.capture.linearity:
         amp = cfg.capture.linearity_amplitude or tone.amplitude
-        lin_tone = SineStimulus(
-            frequency=_warmup_tone(cfg).frequency,
-            amplitude=amp,
-            common_mode=tone.common_mode,
-            phase=tone.phase,
-        )
+        lin_tone = sine_tone(cfg, _warmup_tone(cfg).frequency, amp)
         lin_capture = il.run_capture(
             system, lin_tone, cfg.capture.linearity_samples,
             offset_codes=calibration.offset_codes,

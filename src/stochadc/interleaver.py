@@ -16,13 +16,14 @@ retime, which the aligner compensates exactly before interleaving.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import ClockSpec, Duration, derive_seed, keyed_normal
+from .core import ClockSpec, derive_seed, keyed_normal
 from .errors import ConfigError, CoverageError, OverrangeError, UnderrangeError
-from .pi import DelayChain, make_pi_chain, pi_output, trim_paths, zero_trim
+from .pi import DelayChain, pi_output, trim_paths, zero_trim
 from .stdc import (
     InverterChain,
     OffsetEstimate,
@@ -31,7 +32,9 @@ from .stdc import (
     validate_chain_window,
 )
 from .stimulus import SineStimulus
-from .v2t import PhaseTiming, gen_sampling_phases
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 N_SLICES = 16
 N_GROUPS = 4
@@ -43,146 +46,62 @@ NOMINAL_PI_CODE_BASE = 32
 _V_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class SystemDesign:
-    """Static description of the converter; instances are drawn per seed."""
-
-    aggregate_rate: float = 20e9
-    vdd: float = 0.9
-    v_threshold: float = 0.3
-    full_scale: float = 0.45  # differential full scale: max |v_p - v_n|, volts
-    d_offset: Duration = 100e-12
-    stdc_unit_delay: Duration = 4e-12
-    stdc_taps: int = 255
-    launch_lead_taps: float = 0.25
-    divided_ratio: int = 8
-    tap_sigma_systematic: float = 0.0
-    tap_sigma_random: float = 0.0
-    slope_sigma: float = 0.0
-    threshold_sigma: float = 0.0
-    pi_unit_delay: Duration = 12.5e-12
-    pi_taps: int = 32
-    pi_tap_sigma: float = 0.0
-    pi_skew_sigma_rel: float = 0.0  # in units of pi_unit_delay
-    skew_injection: tuple = (0.0, 0.0, 0.0, 0.0)
-    sampling_jitter: Duration = 0.0
-    latencies: tuple = (2,) * N_SLICES
-    timing: PhaseTiming = field(
-        default_factory=lambda: PhaseTiming(track=50e-12, early=5e-12, late=5e-12)
-    )
-
-    def __post_init__(self):
-        if self.aggregate_rate <= 0:
-            raise ConfigError("aggregate_rate must be > 0")
-        if len(self.skew_injection) != N_GROUPS:
-            raise ConfigError(f"skew_injection needs {N_GROUPS} entries")
-        if len(self.latencies) != N_SLICES:
-            raise ConfigError(f"latencies needs {N_SLICES} entries")
-        if any(l < 0 for l in self.latencies):
-            raise ConfigError("latencies must be >= 0")
-        if not (0 < self.v_threshold < self.vdd / 2):
-            raise ConfigError("v_threshold must lie in (0, vdd/2)")
-        if self.launch_lead_taps < 0:
-            raise ConfigError("launch_lead_taps must be >= 0")
-        if self.divided_ratio < 1:
-            raise ConfigError("divided_ratio must be >= 1")
-
-    @property
-    def slice_rate(self) -> float:
-        return self.aggregate_rate / N_SLICES
-
-    @property
-    def slice_period(self) -> Duration:
-        return N_SLICES / self.aggregate_rate
-
-    @property
-    def pitch(self) -> Duration:
-        return 1.0 / self.aggregate_rate
-
-    @property
-    def pi_clock_period(self) -> Duration:
-        return N_GROUPS / self.aggregate_rate
-
-    @property
-    def discharge_slope(self) -> float:
-        # Full-scale |dv| maps to CODE_MAX counts above the offset code.
-        return self.full_scale / (CODE_MAX * self.stdc_unit_delay)
-
-    @property
-    def launch_lead(self) -> Duration:
-        return self.launch_lead_taps * self.stdc_unit_delay
-
-    @property
-    def nominal_offset_code(self) -> int:
-        return int(round(self.d_offset / self.stdc_unit_delay))
-
-    @property
-    def pi_step(self) -> Duration:
-        return self.pi_clock_period / 256.0
-
-    @property
-    def max_pulse_width(self) -> Duration:
-        return (self.vdd - self.v_threshold) / self.discharge_slope + self.d_offset
-
-
 class AdcSystem:
-    """Mismatch-instantiated converter: chains, V2T parameters, group PIs."""
+    """Mismatch-instantiated converter: chains, V2T parameters, group PIs.
 
-    def __init__(
-        self,
-        design: SystemDesign,
-        master_seed: int,
-        trim_pis: bool = False,
-        trim_max_iters: int = 64,
-    ):
-        self.design = design
+    Drawn from the `adc`, `pi` and `system` sections of a run config, the one
+    description of the design, and read back from ``self.config``.
+    """
+
+    def __init__(self, cfg: RunConfig, master_seed: int):
+        if cfg.pi.injected_skews:
+            # a per-path skew is defined on the one chain pi-sweep/pi-trim model,
+            # not across the system's four group chains
+            raise ConfigError(
+                "pi.injected_skews applies only to pi-sweep and pi-trim; "
+                "remove it to build the full converter"
+            )
+        self.config = cfg
         self.master_seed = int(master_seed)
 
-        d = design
+        adc, sc = cfg.adc, cfg.system
         sys_dev = (
-            keyed_normal(derive_seed(master_seed, "stdc.tap.systematic"), np.arange(d.stdc_taps))
-            * d.tap_sigma_systematic
+            keyed_normal(derive_seed(master_seed, "stdc.tap.systematic"), np.arange(adc.n_taps))
+            * adc.tap_sigma_systematic
         )
-        divided = ClockSpec(period=d.divided_ratio * d.slice_period)
+        divided = ClockSpec(period=adc.divided_ratio * sc.slice_period)
         self.chains: list[InverterChain] = []
         for s in range(N_SLICES):
             rand_dev = (
-                keyed_normal(derive_seed(master_seed, "stdc.tap.random", s), np.arange(d.stdc_taps))
-                * d.tap_sigma_random
+                keyed_normal(derive_seed(master_seed, "stdc.tap.random", s), np.arange(adc.n_taps))
+                * adc.tap_sigma_random
             )
-            taps = d.stdc_unit_delay * (1.0 + sys_dev + rand_dev)
-            taps = np.maximum(taps, 0.05 * d.stdc_unit_delay)
+            taps = adc.unit_delay * (1.0 + sys_dev + rand_dev)
+            taps = np.maximum(taps, 0.05 * adc.unit_delay)
             self.chains.append(InverterChain(tap_delays=taps, divided_clock=divided))
-        validate_chain_window(self.chains[0], d.max_pulse_width)
+        validate_chain_window(self.chains[0], adc.max_pulse_width)
 
         idx = np.arange(2 * N_SLICES)
-        slopes = d.discharge_slope * (
-            1.0 + keyed_normal(derive_seed(master_seed, "v2t.slope"), idx) * d.slope_sigma
+        slopes = adc.discharge_slope * (
+            1.0 + keyed_normal(derive_seed(master_seed, "v2t.slope"), idx) * adc.slope_sigma
         )
-        slopes = np.maximum(slopes, 0.05 * d.discharge_slope)
-        thresholds = d.v_threshold * (
-            1.0 + keyed_normal(derive_seed(master_seed, "v2t.threshold"), idx) * d.threshold_sigma
+        slopes = np.maximum(slopes, 0.05 * adc.discharge_slope)
+        thresholds = adc.v_threshold * (
+            1.0 + keyed_normal(derive_seed(master_seed, "v2t.threshold"), idx) * adc.threshold_sigma
         )
-        thresholds = np.maximum(thresholds, 0.05 * d.v_threshold)
+        thresholds = np.maximum(thresholds, 0.05 * adc.v_threshold)
         self.slope_p = slopes[0::2]
         self.slope_n = slopes[1::2]
         self.vth_p = thresholds[0::2]
         self.vth_n = thresholds[1::2]
 
-        self.pi_clock = ClockSpec(period=d.pi_clock_period)
+        self.pi_clock = ClockSpec(period=sc.pi_clock_period)
         self.pi_chains: list[DelayChain] = [
-            make_pi_chain(
-                d.pi_unit_delay,
-                n_taps=d.pi_taps,
-                tap_sigma_rel=d.pi_tap_sigma,
-                skew_sigma=d.pi_skew_sigma_rel * d.pi_unit_delay,
-                seed=derive_seed(master_seed, "pi.instance", g),
-            )
-            for g in range(N_GROUPS)
+            cfg.pi.chain(master_seed, g) for g in range(N_GROUPS)
         ]
-        if trim_pis:
+        if cfg.pi.trim_enabled:
             self.pi_trims = [
-                trim_paths(c, self.pi_clock, trim_max_iters).trim for c in self.pi_chains
+                trim_paths(c, self.pi_clock, cfg.pi.trim_max_iters).trim for c in self.pi_chains
             ]
         else:
             self.pi_trims = [zero_trim(c) for c in self.pi_chains]
@@ -203,13 +122,13 @@ class AdcSystem:
         raw = pi_output(int(code), chain, self.pi_clock, self.pi_trims[group], cycle=0)
         base = (
             self.pi_clock.phase0
-            + self.design.pi_unit_delay
-            + NOMINAL_PI_CODE_BASE * self.design.pi_step
+            + self.config.pi.unit_delay
+            + NOMINAL_PI_CODE_BASE * self.config.system.pi_step
         )
         return raw - base - group * (self.pi_clock_quarter())
 
     def pi_clock_quarter(self) -> float:
-        return self.design.pi_clock_period / 4.0
+        return self.config.system.pi_clock_period / 4.0
 
 
 def schedule_sampling(
@@ -223,7 +142,7 @@ def schedule_sampling(
     correction), shifted by that group's injected skew; within a group the
     four slices rotate at the group rate.
     """
-    d = system.design
+    sc = system.config.system
     pi_codes = np.asarray(pi_codes, dtype=np.int64)
     if pi_codes.shape != (N_GROUPS,):
         raise ConfigError(f"pi_codes must have shape ({N_GROUPS},)")
@@ -234,23 +153,17 @@ def schedule_sampling(
     slices = np.arange(N_SLICES)
     group, rotation = slices % N_GROUPS, slices // N_GROUPS
     base = (
-        group * d.pi_clock_period / 4.0
+        group * sc.pi_clock_period / 4.0
         + offsets[group]
-        + rotation * d.pi_clock_period
-        + np.asarray(d.skew_injection, dtype=np.float64)[group]
+        + rotation * sc.pi_clock_period
+        + np.asarray(sc.skew_injection, dtype=np.float64)[group]
     )
-    instants = base[:, None] + np.arange(n_cycles) * d.slice_period
-    if d.sampling_jitter > 0:
+    instants = base[:, None] + np.arange(n_cycles) * sc.slice_period
+    if sc.sampling_jitter > 0:
         for s in range(N_SLICES):
             seed = derive_seed(system.master_seed, "sampling.jitter", s)
-            instants[s] += keyed_normal(seed, np.arange(n_cycles)) * d.sampling_jitter
+            instants[s] += keyed_normal(seed, np.arange(n_cycles)) * sc.sampling_jitter
     return instants
-
-
-def slice_phase_sets(system: AdcSystem, instants_row: np.ndarray):
-    """PhaseSets for one slice's sampling instants (phi1 = instant)."""
-    timing = system.design.timing
-    return [gen_sampling_phases(t - timing.track, timing) for t in instants_row]
 
 
 @dataclass
@@ -278,7 +191,7 @@ def convert_pair_arrays(
     context: str = "",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized conversion of sampled voltage pairs on one slice."""
-    d = system.design
+    adc = system.config.adc
     vth_p, vth_n = system.vth_p[s], system.vth_n[s]
     # min/max propagate NaN, and "not in range" fails on it; `initial` lets an
     # empty input pass.  The failing index is searched for only on a failure.
@@ -291,11 +204,11 @@ def convert_pair_arrays(
             f"slice {s} {context}{m}: input below V2T threshold or not a number "
             f"(v_p={v_p[m]:.6f} V, v_n={v_n[m]:.6f} V)"
         )
-    below_supply = v_p.max(initial=-np.inf) <= d.vdd + _V_EPS and (
-        v_n.max(initial=-np.inf) <= d.vdd + _V_EPS
+    below_supply = v_p.max(initial=-np.inf) <= adc.vdd + _V_EPS and (
+        v_n.max(initial=-np.inf) <= adc.vdd + _V_EPS
     )
     if not below_supply:
-        m = int(np.flatnonzero(~((v_p <= d.vdd + _V_EPS) & (v_n <= d.vdd + _V_EPS)))[0])
+        m = int(np.flatnonzero(~((v_p <= adc.vdd + _V_EPS) & (v_n <= adc.vdd + _V_EPS)))[0])
         raise OverrangeError(
             f"slice {s} {context}{m}: input above supply "
             f"(v_p={v_p[m]:.6f} V, v_n={v_n[m]:.6f} V)"
@@ -304,24 +217,12 @@ def convert_pair_arrays(
     t_inp = np.maximum(v_p - vth_p, 0.0) / system.slope_p[s]
     t_inn = np.maximum(v_n - vth_n, 0.0) / system.slope_n[s]
     sign = t_inp < t_inn
-    width = np.abs(t_inp - t_inn) + d.d_offset
-    start = np.minimum(t_inp, t_inn) + d.launch_lead
+    width = np.abs(t_inp - t_inn) + adc.d_offset
+    start = np.minimum(t_inp, t_inn) + adc.launch_lead
     raw = count_edges_batch(system.chains[s], start, width)
     magnitude = np.maximum(raw - int(offset_code), 0)
     code = np.where(sign, -magnitude, magnitude)
     return raw, sign, code
-
-
-def convert_slice(
-    system: AdcSystem,
-    s: int,
-    instants_row: np.ndarray,
-    stimulus,
-    offset_code: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized conversion of one slice's samples: (raw, sign, code)."""
-    v_p, v_n = stimulus(instants_row)
-    return convert_pair_arrays(system, s, v_p, v_n, offset_code, context="cycle ")
 
 
 def slice_transfer(
@@ -350,7 +251,7 @@ def run_capture(
     if n_samples % N_SLICES != 0 or n_samples <= 0:
         raise ConfigError(f"n_samples must be a positive multiple of {N_SLICES}")
     if offset_codes is None:
-        offset_codes = np.full(N_SLICES, system.design.nominal_offset_code)
+        offset_codes = np.full(N_SLICES, system.config.adc.nominal_offset_code)
     offset_codes = np.asarray(offset_codes, dtype=np.int64)
     if pi_codes is None:
         pi_codes = system.nominal_pi_codes()
@@ -360,8 +261,9 @@ def run_capture(
     sign = np.empty((N_SLICES, n_cycles), dtype=bool)
     codes = np.empty((N_SLICES, n_cycles), dtype=np.int64)
     for s in range(N_SLICES):
-        raw[s], sign[s], codes[s] = convert_slice(
-            system, s, instants[s], stimulus, int(offset_codes[s])
+        v_p, v_n = stimulus(instants[s])
+        raw[s], sign[s], codes[s] = convert_pair_arrays(
+            system, s, v_p, v_n, int(offset_codes[s]), context="cycle "
         )
     corrected = codes
     if luts is not None:
@@ -449,7 +351,7 @@ def align_outputs(streams, latencies, instants=None) -> AlignedStream:
 
 def aligned_capture(system: AdcSystem, capture: CaptureResult) -> AlignedStream:
     """Retime and align one capture's corrected codes."""
-    lat = system.design.latencies
+    lat = system.config.system.latencies
     return align_outputs(retime_streams(capture.corrected, lat), lat, capture.instants)
 
 
@@ -488,17 +390,15 @@ def code_histogram(codes: np.ndarray) -> np.ndarray:
 
 def build_lut(
     histogram: np.ndarray,
-    stimulus_kind: str,
     amplitude_code: float,
     min_hits: int = 100,
 ) -> Lut:
-    """Code-density linearization of one slice.
+    """Code-density linearization of one slice from a sine capture.
 
     The corrected value for raw code c is the ideal code whose cumulative
-    density matches c's observed cumulative density, with the stimulus
-    density model (arcsine for a sine, uniform for a ramp) supplying the
-    inverse CDF.  The capture must cover every reachable code with at least
-    ``min_hits`` samples.
+    density matches c's observed cumulative density, with the sine's
+    arcsine density supplying the inverse CDF.  The capture must cover every
+    reachable code with at least ``min_hits`` samples.
     """
     hist = np.asarray(histogram, dtype=np.float64)
     if hist.shape != (255,):
@@ -514,12 +414,7 @@ def build_lut(
     if short.size:
         raise CoverageError((short + CODE_MIN).tolist(), min_hits)
     cum_mid = (np.cumsum(hist) - hist / 2.0) / total
-    if stimulus_kind == "sine":
-        level = -amplitude_code * np.cos(np.pi * cum_mid)
-    elif stimulus_kind == "ramp":
-        level = amplitude_code * (2.0 * cum_mid - 1.0)
-    else:
-        raise ValueError(f"unknown calibration stimulus {stimulus_kind!r}")
+    level = -amplitude_code * np.cos(np.pi * cum_mid)
     corrected = np.clip(np.rint(level), CODE_MIN, CODE_MAX).astype(np.int64)
     corrected = np.maximum.accumulate(corrected)
     mapping = np.empty(LUT_SIZE, dtype=np.int64)
@@ -530,12 +425,11 @@ def build_lut(
 
 def build_luts(
     capture: CaptureResult,
-    stimulus_kind: str,
     amplitude_code: float,
     min_hits: int = 100,
 ) -> list[Lut]:
     return [
-        build_lut(code_histogram(capture.codes[s]), stimulus_kind, amplitude_code, min_hits)
+        build_lut(code_histogram(capture.codes[s]), amplitude_code, min_hits)
         for s in range(N_SLICES)
     ]
 
@@ -556,10 +450,10 @@ def calibrate_skew(
     """
     from .metrics import coherent_bin
 
-    d = system.design
-    fs = d.aggregate_rate
+    sc = system.config.system
+    fs = sc.aggregate_rate
     coherent_bin(tone.frequency, fs, n_samples)
-    if tone.amplitude < d.full_scale / 2.0:
+    if tone.amplitude < system.config.adc.full_scale / 2.0:
         raise ConfigError("skew calibration tone must be at least half scale")
     if pi_codes is None:
         pi_codes = system.nominal_pi_codes()
@@ -578,7 +472,7 @@ def calibrate_skew(
     ref = z[0] / abs(z[0])
     tau = np.angle(z * np.conj(ref)) / (2.0 * np.pi * tone.frequency)
     tau = tau - np.median(tau)
-    return -np.rint(tau / d.pi_step).astype(np.int64)
+    return -np.rint(tau / sc.pi_step).astype(np.int64)
 
 
 @dataclass

@@ -1,10 +1,9 @@
-"""Differential test stimuli evaluated at arbitrary sampling instants.
+"""Differential sine test tones evaluated at arbitrary sampling instants.
 
-Each stimulus maps an array of instants to (v_p, v_n).  The optional
-front-end bandwidth models the passive track-and-hold (and any input
-network) as one or two cascaded first-order low-pass sections; for a sine
-that is an exact amplitude/phase factor, so it is applied analytically.
-Ramp and DC stimuli are calibration signals and pass through unchanged.
+A stimulus maps an array of instants to (v_p, v_n).  The optional front-end
+bandwidth models the passive track-and-hold (and any input network) as one
+or two cascaded first-order low-pass sections; for a sine that is an exact
+amplitude/phase factor, so it is applied analytically.
 """
 
 from __future__ import annotations
@@ -33,34 +32,6 @@ class SineStimulus:
             ph = ph - self.filter_stages * np.arctan(ratio)
         dv = amp * np.sin(2.0 * np.pi * self.frequency * np.asarray(t) + ph)
         return self.common_mode + dv / 2.0, self.common_mode - dv / 2.0
-
-
-@dataclass(frozen=True)
-class RampStimulus:
-    """Differential ramp from -span/2 to +span/2 over [t0, t1] (calibration)."""
-
-    span: float
-    common_mode: float
-    t0: float
-    t1: float
-
-    def __call__(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        frac = np.clip((np.asarray(t) - self.t0) / (self.t1 - self.t0), 0.0, 1.0)
-        dv = self.span * (frac - 0.5)
-        return self.common_mode + dv / 2.0, self.common_mode - dv / 2.0
-
-
-@dataclass(frozen=True)
-class DCStimulus:
-    """Static differential level."""
-
-    dv: float
-    common_mode: float
-
-    def __call__(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        t = np.asarray(t)
-        half = np.full(t.shape, self.dv / 2.0)
-        return self.common_mode + half, self.common_mode - half
 
 
 GOLDEN_FRACTION = 0.6180339887498949

@@ -13,12 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stochadc.config import load_config
+from stochadc.config import AdcConfig, RunConfig, SystemConfig, load_config
 from stochadc.core import ClockSpec, substream
 from stochadc.experiments import run_adc_sine, run_experiment
 from stochadc.interleaver import (
     AdcSystem,
-    SystemDesign,
     adapt_offsets,
     aligned_capture,
     calibrate_skew,
@@ -158,7 +157,7 @@ def test_criterion_03_stdc_transfer_monotonicity():
     violations = 0
     dv = np.linspace(-0.45, 0.45, 1024)
     for seed in range(100):
-        system = AdcSystem(SystemDesign(tap_sigma_random=0.1), master_seed=seed)
+        system = AdcSystem(RunConfig(adc=AdcConfig(tap_sigma_random=0.1)), master_seed=seed)
         _, _, code = slice_transfer(system, 0, dv, 0.525, 25)
         violations += int(np.any(np.diff(code) < 0))
     report(
@@ -223,19 +222,20 @@ def test_criterion_05_pi_trim_recovery():
 def test_criterion_06_offset_adaptation_recovery():
     hits = 0
     for seed in range(100):
-        design = SystemDesign(tap_sigma_random=0.1)
-        system = AdcSystem(design, master_seed=seed)
+        cfg = RunConfig(adc=AdcConfig(tap_sigma_random=0.1))
+        adc = cfg.adc
+        system = AdcSystem(cfg, master_seed=seed)
         tone = adaptation_tone(
             SineStimulus(frequency=1.0, amplitude=0.45, common_mode=0.525,
                          phase=float(substream(seed, "adapt.phase").uniform(0, 2 * np.pi))),
-            design.slice_rate,
+            cfg.system.slice_rate,
         )
         offsets, _ = adapt_offsets(system, tone, window=10_000)
         # ground truth: window nesting makes the dv = 0 raw count the true
         # minimum; evaluate it directly on the instance's chain
-        truth_start = design.launch_lead + (0.525 - design.v_threshold) / design.discharge_slope
+        truth_start = adc.launch_lead + (0.525 - adc.v_threshold) / adc.discharge_slope
         truth = int(count_edges_batch(
-            system.chains[0], np.array([truth_start]), np.array([design.d_offset])
+            system.chains[0], np.array([truth_start]), np.array([adc.d_offset])
         )[0])
         hits += abs(int(offsets[0]) - truth) <= 1
     report(6, hits >= 99, f"offset recovered within +/-1 on {hits}/100 seeds at W=10^4")
@@ -252,8 +252,8 @@ def test_criterion_07_skew_calibration():
         rng = substream(seed, "skew.inject")
         signs = rng.choice([-1.0, 1.0], size=3)
         skews = (0.0, signs[0] * 5 * PS, signs[1] * 5 * PS, signs[2] * 5 * PS)
-        design = SystemDesign(skew_injection=skews)
-        system = AdcSystem(design, master_seed=seed)
+        design = SystemConfig(skew_injection=skews)
+        system = AdcSystem(RunConfig(system=design), master_seed=seed)
         phase = float(rng.uniform(0, 2 * np.pi))
         tone = SineStimulus(frequency=fin, amplitude=0.44, common_mode=0.525, phase=phase)
         offsets, _ = adapt_offsets(system, adaptation_tone(tone, design.slice_rate), window=10_000)

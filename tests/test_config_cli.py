@@ -15,7 +15,7 @@ from stochadc.config import (
     parse_config,
 )
 from stochadc.errors import ConfigError
-from stochadc.experiments import run_experiment
+from stochadc.experiments import run_adc_sine, run_experiment
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -208,6 +208,22 @@ class TestCli:
             "adc:\n  launch_lead_taps: -1\n",
             "sweep:\n  points: 0\n",
             "sweep:\n  points: 2.5\n",
+            "system:\n  aggregate_rate: 0\n",
+            "system:\n  front_end_bandwidth: 0\n",
+            "system:\n  front_end_bandwidth: -5.0e+9\n",
+            "system:\n  front_end_stages: 0\n",
+            "system:\n  front_end_stages: -2\n",
+            "system:\n  front_end_stages: 1.5\n",
+            "adc:\n  divided_ratio: 8.5\n",
+            "system:\n  track: 1.0e-12\n",
+            "system:\n  latencies: [2.5, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2]\n",
+            "system:\n  skew_injection: [0.0, abc, 0.0, 0.0]\n",
+            "adc:\n  slope_sigma: -0.01\n",
+            "pi:\n  n_taps: 2.5\n",
+            "pi:\n  n_taps: 1\n",
+            "pi:\n  unit_delay: 0\n",
+            "pi:\n  tap_sigma_rel: -0.1\n",
+            "pi:\n  skew_sigma_rel: -0.1\n",
         ],
         ids=[
             "taps-fraction",
@@ -216,12 +232,47 @@ class TestCli:
             "lead-negative",
             "points-zero",
             "points-fraction",
+            "aggregate-rate-zero",
+            "bandwidth-zero",
+            "bandwidth-negative",
+            "stages-zero",
+            "stages-negative",
+            "stages-fraction",
+            "divided-ratio-fraction",
+            "track-below-early",
+            "latency-fraction",
+            "skew-injection-text",
+            "slope-sigma-negative",
+            "pi-taps-fraction",
+            "pi-taps-one",
+            "pi-unit-delay-zero",
+            "pi-tap-sigma-negative",
+            "pi-skew-sigma-negative",
         ],
     )
     def test_bad_sizing_rejected_at_load(self, tmp_path, section, experiment):
         # n_taps 2.5 used to run adc-sine to ENOB -0.80 and a lead of -1 to
-        # ENOB 6.71, both exit 0; n_taps 0 and points 0 ended in tracebacks
+        # ENOB 6.71, both exit 0; n_taps 0 and points 0 ended in tracebacks.
+        # A zero rate or bandwidth divided by zero and a track below early
+        # raised a ValueError (exit 1); a negative bandwidth flipped the phase
+        # lag, stages of -2 amplified the tone and a fractional divided ratio
+        # ran, all exit 0.  A fractional latency was truncated (exit 0);
+        # pi.n_taps 2.5 and a negative PI sigma ended in tracebacks
         p = self.write(tmp_path, MINIMAL_SINE + section)
+        assert main([experiment, "--config", str(p), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("value", ["[[0, 1.5]]", "[[40, 1.5]]", "[[7]]"])
+    def test_bad_injected_skews_rejected_at_load(self, tmp_path, value):
+        # path 0 used to skew path 32 silently (exit 0); path 40 ended in an
+        # IndexError traceback
+        p = self.write(tmp_path, f"master_seed: 0\npi:\n  injected_skews: {value}\n")
+        assert main(["pi-trim", "--config", str(p), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("experiment", ["calibrate", "slice-transfer"])
+    @pytest.mark.parametrize("kind", ["ramp", "dc"])
+    def test_non_sine_stimulus_rejected_at_load(self, tmp_path, experiment, kind):
+        # no experiment applies a ramp or DC tone; both used to exit 0 here
+        p = self.write(tmp_path, MINIMAL_SINE.replace("type: sine", f"type: {kind}"))
         assert main([experiment, "--config", str(p), "--out", str(tmp_path)]) == 2
 
     def test_smallest_sizing_loads(self):
@@ -376,3 +427,30 @@ class TestMonteCarlo:
 def test_unknown_experiment_rejected():
     with pytest.raises(ConfigError):
         run_experiment("frobnicate", RunConfig())
+
+
+def test_every_capture_tone_models_the_front_end(monkeypatch):
+    # the LUT, skew and linearity tones used to skip the front end, so with
+    # a bandwidth set they measured a different converter from the main tone
+    import stochadc.interleaver as il
+
+    cfg = parse_config(
+        MINIMAL_SINE.replace("n_samples: 8192", "n_samples: 4096")
+        + "  linearity: true\n  linearity_samples: 32768\n"
+        "adc:\n  adaptation:\n    window: 2000\n"
+        "system:\n  front_end_bandwidth: 8.0e+9\n  front_end_stages: 2\n"
+        "  calibration:\n    lut: true\n    lut_capture_samples: 16384\n"
+        "    lut_min_hits: 1\n    skew: true\n"
+    )
+    tones = []
+    real = il.run_capture
+
+    def recording(system, stimulus, *args, **kwargs):
+        tones.append(stimulus)
+        return real(system, stimulus, *args, **kwargs)
+
+    monkeypatch.setattr(il, "run_capture", recording)
+    run_adc_sine(cfg, 1, None)
+    # offset warmup, LUT, skew estimate, measurement, linearity histogram
+    assert len(tones) == 5
+    assert all((t.bandwidth, t.filter_stages) == (8.0e9, 2) for t in tones)

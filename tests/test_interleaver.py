@@ -5,6 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stochadc.config import (
+    AdcConfig,
+    FomConfig,
+    PiConfig,
+    RunConfig,
+    SystemConfig,
+    _validate,
+    parse_config,
+)
 from stochadc.errors import (
     CoherenceError,
     ConfigError,
@@ -20,7 +29,6 @@ from stochadc.interleaver import (
     AlignedStream,
     CalibrationState,
     Lut,
-    SystemDesign,
     adapt_offsets,
     align_outputs,
     aligned_capture,
@@ -36,24 +44,38 @@ from stochadc.interleaver import (
     slice_transfer,
 )
 from stochadc.metrics import code_density_linearity
-from stochadc.stimulus import DCStimulus, SineStimulus, adaptation_tone
+from stochadc.stimulus import SineStimulus, adaptation_tone
 
 PS = 1e-12
 FS_RATE = 20e9
 VCM = 0.525
 
 
-def ideal_system(seed=1, **overrides):
-    return AdcSystem(SystemDesign(**overrides), master_seed=seed)
+def ideal_system(seed=1, **system):
+    return AdcSystem(RunConfig(system=SystemConfig(**system)), master_seed=seed)
+
+
+def mismatched_system(seed, **adc):
+    return AdcSystem(RunConfig(adc=AdcConfig(**adc)), master_seed=seed)
 
 
 def coherent_tone(j, n, amplitude=0.45, cm=VCM, phase=0.35):
     return SineStimulus(frequency=j * FS_RATE / n, amplitude=amplitude, common_mode=cm, phase=phase)
 
 
+def constant_input(dv, cm=VCM):
+    """A static differential level dv at every instant."""
+
+    def stimulus(t):
+        half = np.full(np.shape(t), dv / 2.0)
+        return cm + half, cm - half
+
+    return stimulus
+
+
 def loop_schedule_sampling(system, pi_codes, n_cycles):
     """Oracle: the per-slice schedule loop, one PI lookup per slice."""
-    d = system.design
+    d = system.config.system
     instants = np.empty((N_SLICES, n_cycles), dtype=np.float64)
     cycles = np.arange(n_cycles) * d.slice_period
     for s in range(N_SLICES):
@@ -95,18 +117,26 @@ def argsort_align_outputs(streams, latencies, instants=None):
 def mismatched_systems(draw):
     """Random converter: tap, V2T and PI mismatch, group skews up to +/-80 ps
     (beyond the 50 ps pitch), optional jitter and per-slice latencies."""
-    design = SystemDesign(
-        tap_sigma_systematic=draw(st.floats(0.0, 0.15)),
-        tap_sigma_random=draw(st.floats(0.0, 0.1)),
-        slope_sigma=draw(st.floats(0.0, 0.02)),
-        threshold_sigma=draw(st.floats(0.0, 0.02)),
-        pi_tap_sigma=draw(st.floats(0.0, 0.05)),
-        pi_skew_sigma_rel=draw(st.floats(0.0, 0.3)),
-        skew_injection=tuple(draw(st.lists(st.floats(-80 * PS, 80 * PS), min_size=4, max_size=4))),
-        sampling_jitter=draw(st.sampled_from([0.0, 2 * PS, 60 * PS])),
-        latencies=tuple(draw(st.lists(st.integers(0, 5), min_size=16, max_size=16))),
+    cfg = RunConfig(
+        adc=AdcConfig(
+            tap_sigma_systematic=draw(st.floats(0.0, 0.15)),
+            tap_sigma_random=draw(st.floats(0.0, 0.1)),
+            slope_sigma=draw(st.floats(0.0, 0.02)),
+            threshold_sigma=draw(st.floats(0.0, 0.02)),
+        ),
+        pi=PiConfig(
+            tap_sigma_rel=draw(st.floats(0.0, 0.05)),
+            skew_sigma_rel=draw(st.floats(0.0, 0.3)),
+        ),
+        system=SystemConfig(
+            skew_injection=tuple(
+                draw(st.lists(st.floats(-80 * PS, 80 * PS), min_size=4, max_size=4))
+            ),
+            sampling_jitter=draw(st.sampled_from([0.0, 2 * PS, 60 * PS])),
+            latencies=tuple(draw(st.lists(st.integers(0, 5), min_size=16, max_size=16))),
+        ),
     )
-    return AdcSystem(design, master_seed=draw(st.integers(0, 2**32)))
+    return AdcSystem(cfg, master_seed=draw(st.integers(0, 2**32)))
 
 
 class TestSchedule:
@@ -121,10 +151,7 @@ class TestSchedule:
 
     def test_group_skew_shifts_every_fourth_instant(self):
         base = ideal_system()
-        skewed = AdcSystem(
-            dataclasses.replace(base.design, skew_injection=(0.0, 5 * PS, 0.0, 0.0)),
-            master_seed=1,
-        )
+        skewed = ideal_system(skew_injection=(0.0, 5 * PS, 0.0, 0.0))
         a = schedule_sampling(base, base.nominal_pi_codes(), 4)
         b = schedule_sampling(skewed, skewed.nominal_pi_codes(), 4)
         delta = b - a
@@ -162,8 +189,12 @@ class TestSchedule:
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(mismatched_systems(), st.lists(st.integers(0, 255), min_size=4, max_size=4))
     def test_matches_per_slice_loop_bit_for_bit(self, system, codes):
+        cfg = system.config
         system = AdcSystem(
-            dataclasses.replace(system.design, sampling_jitter=0.0), system.master_seed
+            dataclasses.replace(
+                cfg, system=dataclasses.replace(cfg.system, sampling_jitter=0.0)
+            ),
+            system.master_seed,
         )
         got = schedule_sampling(system, codes, 7)
         want = loop_schedule_sampling(system, codes, 7)
@@ -180,20 +211,20 @@ class TestSchedule:
 class TestCapture:
     def test_zero_differential_input_gives_zero_codes(self):
         system = ideal_system()
-        stim = DCStimulus(dv=0.0, common_mode=VCM)
+        stim = constant_input(0.0)
         offsets, _ = adapt_offsets(system, stim, window=2048)
         capture = run_capture(system, stim, 16 * 32, offset_codes=offsets)
         assert np.all(capture.codes == 0)
 
     def test_full_scale_dc_hits_max_code_on_all_slices(self):
         system = ideal_system()
-        stim = DCStimulus(dv=0.45, common_mode=VCM)
+        stim = constant_input(0.45)
         capture = run_capture(system, stim, 16 * 8)
         assert np.all(capture.codes == 127)
 
     def test_underrange_reports_slice_and_cycle(self):
         system = ideal_system()
-        stim = DCStimulus(dv=0.5, common_mode=VCM)  # swings below threshold
+        stim = constant_input(0.5)  # swings below threshold
         with pytest.raises(UnderrangeError, match=r"slice \d+ cycle \d+"):
             run_capture(system, stim, 16 * 4)
 
@@ -226,13 +257,13 @@ class TestCapture:
 
     def test_n_samples_must_be_multiple_of_16(self):
         with pytest.raises(ConfigError):
-            run_capture(ideal_system(), DCStimulus(0.0, VCM), 100)
+            run_capture(ideal_system(), constant_input(0.0), 100)
 
     def test_capture_is_deterministic(self):
-        design = SystemDesign(tap_sigma_random=0.1, slope_sigma=0.01)
+        cfg = RunConfig(adc=AdcConfig(tap_sigma_random=0.1, slope_sigma=0.01))
         tone = coherent_tone(11, 1024, amplitude=0.4, cm=0.55)
-        a = run_capture(AdcSystem(design, 7), tone, 1024)
-        b = run_capture(AdcSystem(design, 7), tone, 1024)
+        a = run_capture(AdcSystem(cfg, 7), tone, 1024)
+        b = run_capture(AdcSystem(cfg, 7), tone, 1024)
         assert np.array_equal(a.codes, b.codes)
         assert np.array_equal(a.instants, b.instants)
 
@@ -322,12 +353,14 @@ class TestAlign:
 class TestLut:
     def test_identity_for_ideal_slice(self):
         system = ideal_system()
-        tone = adaptation_tone(coherent_tone(1, 16, amplitude=0.459, cm=0.55), system.design.slice_rate)
+        tone = adaptation_tone(
+            coherent_tone(1, 16, amplitude=0.459, cm=0.55), system.config.system.slice_rate
+        )
         offsets, _ = adapt_offsets(system, tone, window=4096)
         capture = run_capture(system, tone, 16 * 2**14, offset_codes=offsets)
         amplitude_code = 0.459 / (0.45 / 127)
         hist = code_histogram(capture.codes[0])
-        lut = build_lut(hist, "sine", amplitude_code, min_hits=20)
+        lut = build_lut(hist, amplitude_code, min_hits=20)
         reachable = np.arange(-127, 128)
         mapped = apply_lut(lut, reachable)
         assert np.max(np.abs(mapped - reachable)) <= 1
@@ -340,7 +373,7 @@ class TestLut:
         x = dv / 0.45
         bowed = 0.45 * (x + 0.1 * (x**3 - x))
         codes = np.clip(np.rint(bowed / (0.45 / 127)), -127, 127).astype(int)
-        lut = build_lut(code_histogram(codes), "sine", 0.459 / (0.45 / 127), min_hits=50)
+        lut = build_lut(code_histogram(codes), 0.459 / (0.45 / 127), min_hits=50)
         corrected = apply_lut(lut, codes)
         pre = code_density_linearity(code_histogram(codes), "sine")
         post = code_density_linearity(code_histogram(corrected), "sine")
@@ -356,13 +389,15 @@ class TestLut:
         hist[100:140] = 1000
         hist[120] = 3  # undersampled interior code
         with pytest.raises(CoverageError) as err:
-            build_lut(hist, "sine", 129.5, min_hits=100)
+            build_lut(hist, 129.5, min_hits=100)
         assert err.value.codes == [120 - 127]
 
     def test_calibration_stability_across_seeds(self):
-        system = AdcSystem(SystemDesign(tap_sigma_random=0.1), master_seed=3)
+        system = mismatched_system(3, tap_sigma_random=0.1)
         amplitude_code = 0.459 / (0.45 / 127)
-        warm = adaptation_tone(coherent_tone(1, 16, amplitude=0.459, cm=0.55), system.design.slice_rate)
+        warm = adaptation_tone(
+            coherent_tone(1, 16, amplitude=0.459, cm=0.55), system.config.system.slice_rate
+        )
         offsets, _ = adapt_offsets(system, warm, window=4096)
         maps = []
         for phase in (0.1, 2.3):  # same mismatch instance, different captures
@@ -372,7 +407,7 @@ class TestLut:
             # mismatch legitimately produces near-zero-width codes (two
             # transition ladders nearly coinciding), so the hit floor is
             # relaxed here; the coverage check is exercised elsewhere
-            lut = build_lut(code_histogram(capture.codes[4]), "sine", amplitude_code, min_hits=2)
+            lut = build_lut(code_histogram(capture.codes[4]), amplitude_code, min_hits=2)
             maps.append(lut.mapping)
         assert np.max(np.abs(maps[0] - maps[1])) <= 1
 
@@ -389,17 +424,13 @@ class TestSkewCalibration:
         assert np.array_equal(corr, np.zeros(4))
 
     def test_plus_five_ps_on_group_two(self):
-        system = AdcSystem(
-            SystemDesign(skew_injection=(0.0, 0.0, 5 * PS, 0.0)), master_seed=2
-        )
+        system = ideal_system(2, skew_injection=(0.0, 0.0, 5 * PS, 0.0))
         tone = coherent_tone(1433, 4096, amplitude=0.44)
         corr = calibrate_skew(system, tone, 4096)
         assert np.array_equal(corr, np.array([0, 0, -6, 0]))
 
     def test_idempotence(self):
-        system = AdcSystem(
-            SystemDesign(skew_injection=(0.0, 3 * PS, -4 * PS, 2 * PS)), master_seed=2
-        )
+        system = ideal_system(2, skew_injection=(0.0, 3 * PS, -4 * PS, 2 * PS))
         tone = coherent_tone(1433, 4096, amplitude=0.44)
         corr = calibrate_skew(system, tone, 4096)
         second = calibrate_skew(
@@ -410,9 +441,7 @@ class TestSkewCalibration:
     def test_skew_beyond_pitch_is_measured_on_its_own_group(self):
         # +60 ps puts group 1 after group 2 in time; time-sorting the stream
         # used to mislabel the groups (corrections [6, -58, -6, 6])
-        system = AdcSystem(
-            SystemDesign(skew_injection=(0.0, 60 * PS, 0.0, 0.0)), master_seed=2
-        )
+        system = ideal_system(2, skew_injection=(0.0, 60 * PS, 0.0, 0.0))
         tone = coherent_tone(1433, 4096, amplitude=0.44)
         corr = calibrate_skew(system, tone, 4096)
         assert np.array_equal(corr, np.array([0, -77, 0, 0]))
@@ -445,7 +474,7 @@ class TestSliceTransfer:
     def test_monotone_under_mismatch(self):
         dv = np.linspace(-0.45, 0.45, 2001)
         for seed in range(10):
-            system = AdcSystem(SystemDesign(tap_sigma_random=0.1), master_seed=seed)
+            system = mismatched_system(seed, tap_sigma_random=0.1)
             _, _, code = slice_transfer(system, 3, dv, VCM, 25)
             assert np.all(np.diff(code) >= 0)
 
@@ -469,27 +498,49 @@ def test_calibration_state_roundtrip():
 
 
 def test_design_validation():
-    with pytest.raises(ConfigError):
-        SystemDesign(skew_injection=(0.0,))
-    with pytest.raises(ConfigError):
-        SystemDesign(latencies=(1, 2))
-    with pytest.raises(ConfigError):
-        SystemDesign(v_threshold=0.5)
+    # each design section checks itself on construction, so a config built
+    # in Python is held to the rules a YAML file is
+    bad_sections = [
+        (SystemConfig, {"aggregate_rate": 0.0}),
+        (SystemConfig, {"skew_injection": (0.0,)}),
+        (SystemConfig, {"latencies": (1, 2)}),
+        (SystemConfig, {"latencies": (-1,) + (2,) * 15}),
+        (AdcConfig, {"v_threshold": 0.5}),
+        (AdcConfig, {"v_threshold": 0.0}),
+        (AdcConfig, {"full_scale": 0.0}),
+        (AdcConfig, {"unit_delay": -4e-12}),
+        (AdcConfig, {"d_offset": 0.0}),
+        (AdcConfig, {"divided_ratio": 0}),
+        (AdcConfig, {"n_taps": 2.5}),
+    ]
+    for section, kwargs in bad_sections:
+        with pytest.raises(ConfigError):
+            section(**kwargs)
+    # the checks that span sections run when a config is loaded
+    sine = "stimulus:\n  coherent_bin: {j}\n  common_mode: {cm}\ncapture:\n  n_samples: 4096\n"
+    for text in (
+        sine.format(j=100, cm=0.525),  # even bin: not coherent-odd
+        sine.format(j=101, cm=0.45),  # swings below the V2T threshold
+        sine.format(j=101, cm=0.7),  # swings above the supply
+    ):
+        with pytest.raises(ConfigError):
+            parse_config(text)
+    with pytest.raises(ConfigError, match="fom.entries"):
+        _validate(RunConfig(fom=FomConfig(entries=({"label": "x"},))))
 
 
 def test_negative_launch_lead_rejected_by_design():
     # the pulse window would open before the STDC launch edge
     with pytest.raises(ConfigError, match="launch_lead_taps"):
-        SystemDesign(launch_lead_taps=-0.5)
-    assert SystemDesign(launch_lead_taps=0.0).launch_lead == 0.0
+        AdcConfig(launch_lead_taps=-0.5)
+    assert AdcConfig(launch_lead_taps=0.0).launch_lead == 0.0
 
 
 def test_front_end_bandwidth_attenuates_the_tone():
     # one-pole track-and-hold model: at f = bandwidth the received
     # amplitude drops by 3 dB, which the spectrum sees directly
     fin = 1433 * FS_RATE / 4096
-    base = dataclasses.replace(SystemDesign())
-    system = AdcSystem(base, master_seed=1)
+    system = ideal_system()
     flat = SineStimulus(frequency=fin, amplitude=0.4, common_mode=VCM, phase=0.2)
     rolled = SineStimulus(frequency=fin, amplitude=0.4, common_mode=VCM, phase=0.2,
                           bandwidth=fin)
