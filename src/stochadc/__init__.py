@@ -18,7 +18,7 @@ from .errors import (
     TrimConvergenceError,
     UnderrangeError,
 )
-from .v2t import PhaseSet, PhaseTiming, PulseSample, V2TConfig, fold, gen_sampling_phases, v2t_edge_time, v2t_pair
+from .v2t import PulseSample, V2TConfig, fold, v2t_edge_time, v2t_pair
 from .stdc import (
     AdcCode,
     InverterChain,

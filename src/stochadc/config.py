@@ -7,9 +7,10 @@ design: `AdcSystem` is drawn from them directly, and the derived quantities
 they read.  Parsing is strict: unknown keys anywhere in the tree and
 non-finite numbers are rejected.  Each section checks its own values when it
 is constructed, from YAML or in Python; `parse_config` adds the checks that
-span sections (tone coherence, stimulus swing).  Physically meaningful values
-have no hidden defaults beyond the documented design sizing.  Loading then
-re-serializing a config is idempotent.
+span sections (tone coherence, stimulus swing, the skew range the
+calibration can measure).  Physically meaningful values have no hidden
+defaults beyond the documented design sizing.  Loading then re-serializing a
+config is idempotent.
 """
 
 from __future__ import annotations
@@ -410,6 +411,8 @@ def _validate(cfg: RunConfig) -> RunConfig:
             )
         if st.common_mode + st.amplitude / 2.0 > cfg.adc.vdd:
             raise ConfigError("stimulus swings above the supply")
+        if cfg.system.calibration.skew:
+            _check_skew_unwraps(cfg)
     for entry in cfg.fom.entries:
         if not isinstance(entry, FomEntry):
             raise ConfigError("fom.entries must be mappings")
@@ -423,6 +426,30 @@ def stimulus_frequency(cfg: RunConfig) -> float:
     if st.frequency is None:
         raise ConfigError("this experiment needs stimulus.frequency or stimulus.coherent_bin")
     return float(st.frequency)
+
+
+def skew_tone_frequency(cfg: RunConfig) -> float:
+    """The skew estimate's tone: the odd bin of the skew capture nearest the stimulus."""
+    n_skew = cfg.system.calibration.skew_capture_samples
+    fs = cfg.system.aggregate_rate
+    j = int(round(stimulus_frequency(cfg) * n_skew / fs))
+    if j % 2 == 0:
+        j += 1
+    return j * fs / n_skew
+
+
+def _check_skew_unwraps(cfg: RunConfig) -> None:
+    """The estimator reads each group's skew against group 0 as a tone phase,
+    so an injected skew of half a tone period or more wraps to the wrong sign."""
+    frequency = skew_tone_frequency(cfg)
+    skews = cfg.system.skew_injection
+    for g, skew in enumerate(skews):
+        if abs(skew - skews[0]) >= 0.5 / frequency:
+            raise ConfigError(
+                f"system.skew_injection[{g}] is {(skew - skews[0]) * 1e12:+.1f} ps from "
+                f"group 0, at or beyond half the skew-tone period "
+                f"({0.5e12 / frequency:.1f} ps at {frequency / 1e9:.3f} GHz)"
+            )
 
 
 def sine_tone(cfg: RunConfig, frequency: float, amplitude: float) -> SineStimulus:

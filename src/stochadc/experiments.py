@@ -19,7 +19,7 @@ import numpy as np
 from . import interleaver as il
 from . import metrics as met
 from . import pi as pimod
-from .config import RunConfig, build_stimulus, config_hash, sine_tone, stimulus_frequency
+from .config import RunConfig, build_stimulus, config_hash, sine_tone, skew_tone_frequency
 from .core import ClockSpec
 from .errors import ConfigError
 from .stimulus import SineStimulus, adaptation_tone
@@ -64,13 +64,27 @@ def _is_numeric(column) -> bool:
 
 def _cells(chunk) -> list[str]:
     """One block of a column as CSV cells: a bool, int or float array in one
-    pass, anything else cell by cell through `_fmt`."""
+    pass, anything else cell by cell through `_fmt`.
+
+    An int block spanning fewer than half as many values as it has cells
+    formats each value in its range once and gathers the cells from that
+    table; past about three quarters the table costs more than formatting
+    every cell, so wider blocks (a sample index) are formatted cell by cell.
+    """
     if not _is_numeric(chunk):
         return [_fmt(v) for v in chunk]
-    values = chunk.tolist()
-    if chunk.dtype.kind == "b":
-        return ["1" if v else "0" for v in values]
-    return list(map(repr if chunk.dtype.kind == "f" else str, values))
+    kind = chunk.dtype.kind
+    if kind == "b":
+        return ["1" if v else "0" for v in chunk.tolist()]
+    if kind in "iu" and chunk.size:
+        lo, hi = int(chunk.min()), int(chunk.max())
+        if hi - lo < chunk.size // 2:
+            # offsets from lo in 64 bits: in a narrow dtype, chunk - lo wraps
+            wide = np.uint64 if kind == "u" else np.int64
+            index = (chunk.astype(wide) - wide(lo)).astype(np.intp)
+            text = np.array(list(map(str, range(lo, hi + 1))), dtype=object)
+            return text[index].tolist()
+    return list(map(repr if kind == "f" else str, chunk.tolist()))
 
 
 def _write_csv(path: Path, cfg_hash: str, seed: int, columns: dict) -> None:
@@ -150,14 +164,9 @@ def compute_calibration(cfg: RunConfig, seed: int, system: il.AdcSystem | None =
         luts = il.build_luts(capture, amplitude_code, cal.lut_min_hits)
     corrections = None
     if cal.skew:
-        n_skew = cal.skew_capture_samples
-        fs = cfg.system.aggregate_rate
-        j = int(round(stimulus_frequency(cfg) * n_skew / fs))
-        if j % 2 == 0:
-            j += 1
-        skew_tone = sine_tone(cfg, j * fs / n_skew, cfg.stimulus.amplitude)
+        skew_tone = sine_tone(cfg, skew_tone_frequency(cfg), cfg.stimulus.amplitude)
         corrections = il.calibrate_skew(
-            system, skew_tone, n_skew, offset_codes=offsets
+            system, skew_tone, cal.skew_capture_samples, offset_codes=offsets
         )
     return il.CalibrationState(
         version=1,
@@ -172,7 +181,7 @@ def compute_calibration(cfg: RunConfig, seed: int, system: il.AdcSystem | None =
 def _applied_pi_codes(system: il.AdcSystem, state: il.CalibrationState) -> np.ndarray:
     codes = system.nominal_pi_codes()
     if state.pi_corrections is not None:
-        codes = np.clip(codes + state.pi_corrections, 0, 255)
+        codes = il.corrected_pi_codes(codes, state.pi_corrections)
     return codes
 
 

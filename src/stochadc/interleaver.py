@@ -22,8 +22,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .core import ClockSpec, derive_seed, keyed_normal
-from .errors import ConfigError, CoverageError, OverrangeError, UnderrangeError
-from .pi import DelayChain, pi_output, trim_paths, zero_trim
+from .errors import (
+    ConfigError,
+    CoverageError,
+    OverrangeError,
+    PreconditionError,
+    UnderrangeError,
+)
+from .pi import PI_CODES, DelayChain, pi_output, trim_paths, zero_trim
 from .stdc import (
     InverterChain,
     OffsetEstimate,
@@ -472,7 +478,28 @@ def calibrate_skew(
     ref = z[0] / abs(z[0])
     tau = np.angle(z * np.conj(ref)) / (2.0 * np.pi * tone.frequency)
     tau = tau - np.median(tau)
-    return -np.rint(tau / sc.pi_step).astype(np.int64)
+    corrections = -np.rint(tau / sc.pi_step).astype(np.int64)
+    corrected_pi_codes(pi_codes, corrections)  # fail before a caller persists them
+    return corrections
+
+
+def corrected_pi_codes(pi_codes, corrections) -> np.ndarray:
+    """PI codes with the skew corrections added, one per group.
+
+    A corrected code outside [0, 255] raises PreconditionError: clipped, it
+    would leave part of that group's skew in place while the run still
+    reports a plausible ENOB.
+    """
+    base = np.asarray(pi_codes, dtype=np.int64)
+    codes = base + np.asarray(corrections, dtype=np.int64)
+    for g, (code, nominal) in enumerate(zip(codes.tolist(), base.tolist())):
+        if not 0 <= code < PI_CODES:
+            raise PreconditionError(
+                f"skew correction asks group {g} for PI code {code}, beyond the bound "
+                f"{0 if code < 0 else PI_CODES - 1} (base code {nominal}, "
+                f"correction {code - nominal:+d})"
+            )
+    return codes
 
 
 @dataclass

@@ -108,6 +108,64 @@ def test_block_boundaries_with_quoted_column(tmp_path, n_rows):
     })
 
 
+INT_DTYPES = [np.int8, np.int16, np.uint8, np.int64, np.uint64]
+
+
+@pytest.mark.parametrize("dtype", INT_DTYPES, ids=lambda d: np.dtype(d).name)
+def test_narrow_int_blocks_at_the_dtype_extremes(tmp_path, dtype):
+    # blocks spanning a few hundred values at both ends of the dtype, where
+    # an offset taken in the column's own dtype wraps
+    lo, hi = int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)
+    offsets = np.random.default_rng(3).integers(0, 256, (3, CSV_BLOCK_ROWS)).tolist()
+    offsets[0][:2] = offsets[1][:2] = [0, 255]
+    low = [lo + v for v in offsets[0]]
+    high = [hi - v for v in offsets[1]]
+    mid = [(lo + hi) // 2 - 127 + v for v in offsets[2]]
+    assert_matches_oracle(tmp_path, {"value": np.array(low + high + mid, dtype=dtype)})
+
+
+def test_int8_across_zero(tmp_path):
+    # [-100, 100] in int8: 28 - (-100) wraps to -128 in int8
+    values = np.resize(np.arange(-100, 101, dtype=np.int8), 603)
+    assert_matches_oracle(tmp_path, {"value": values, "reversed": values[::-1].copy()})
+
+
+def test_wide_int64_block_straddles_zero_and_the_extremes(tmp_path):
+    # 2**63 - 1 and -2**63 in one block; 2**63 and 2**64 - 1 as uint64
+    ints = np.array([-(2**63), 2**63 - 1, 0, -1, 1] * 4, dtype=np.int64)
+    uints = np.array([2**63, 2**64 - 1, 2**63 - 1, 0, 1] * 4, dtype=np.uint64)
+    straddle = np.array([2**63 - 1, 2**63] * 10, dtype=np.uint64)
+    assert_matches_oracle(tmp_path, {"int64": ints, "uint64": uints, "straddle": straddle})
+
+
+@pytest.mark.parametrize(
+    "n_values",
+    [1, CSV_BLOCK_ROWS // 2 - 1, CSV_BLOCK_ROWS // 2, CSV_BLOCK_ROWS // 2 + 1,
+     CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS],
+)
+def test_int_block_ranges_around_the_table_cut(tmp_path, n_values):
+    # one block spans exactly n_values distinct values (1 is a constant
+    # column); the partial last block spans fewer
+    rng = np.random.default_rng(n_values)
+    block = rng.integers(0, n_values, CSV_BLOCK_ROWS) - 17
+    block[:2] = [-17, n_values - 18]
+    values = np.concatenate([block, block[: CSV_BLOCK_ROWS // 3]])
+    assert_matches_oracle(tmp_path, {"value": values, "int16": values.astype(np.int16)})
+
+
+def test_table_and_direct_blocks_alternate(tmp_path):
+    # a narrow block, a block spanning every row, a narrow one again
+    rng = np.random.default_rng(11)
+    narrow = rng.integers(-127, 128, CSV_BLOCK_ROWS)
+    wide = np.arange(CSV_BLOCK_ROWS) * 1000 - 5
+    values = np.concatenate([narrow, wide, narrow[::-1], wide[:100]])
+    assert_matches_oracle(tmp_path, {
+        "int64": values,
+        "int32": values.astype(np.int32),
+        "uint64": (values - values.min()).astype(np.uint64) + np.uint64(2**63),
+    })
+
+
 def test_unequal_columns_rejected(tmp_path):
     with pytest.raises(ValueError, match="unequal length"):
         _write_csv(tmp_path / "t.csv", "h", 0, {"a": np.arange(3), "b": np.arange(4)})

@@ -31,6 +31,14 @@ capture:
 """
 
 
+def skewcal_with(skews: str) -> str:
+    """configs/skewcal.yaml with its injected group skews replaced."""
+    text = (CONFIG_DIR / "skewcal.yaml").read_text(encoding="utf-8")
+    shipped = "skew_injection: [0.0, 5.0e-12, -5.0e-12, 5.0e-12]"
+    assert shipped in text
+    return text.replace(shipped, f"skew_injection: {skews}")
+
+
 class TestConfigParsing:
     def test_default_config_constructs(self):
         cfg = RunConfig()
@@ -76,6 +84,26 @@ class TestConfigParsing:
         tupled = RunConfig(montecarlo=MonteCarloConfig(percentiles=(5.0, 95.0)))
         assert config_hash(listed) == config_hash(tupled)
         assert config_hash(pickle.loads(pickle.dumps(listed))) == config_hash(listed)
+
+    @pytest.mark.parametrize(
+        "skews,ok",
+        [
+            ("[0.0, -71.4e-12, 0.0, 0.0]", True),
+            ("[0.0, -71.5e-12, 0.0, 0.0]", False),
+            ("[10.0e-12, 81.4e-12, 10.0e-12, 10.0e-12]", True),
+            ("[10.0e-12, 10.0e-12, 10.0e-12, 81.5e-12]", False),
+        ],
+    )
+    def test_skew_beyond_half_the_skew_tone_period_rejected(self, skews, ok):
+        # the skewcal skew tone is 1433/4096 of 20 GS/s: half a period is 71.46 ps
+        text = skewcal_with(skews)
+        if ok:
+            parse_config(text)
+        else:
+            with pytest.raises(ConfigError, match="half the skew-tone period"):
+                parse_config(text)
+        # without the skew calibration nothing measures the skew
+        parse_config(text.replace("skew: true", "skew: false"))
 
     def test_hash_tracks_content(self):
         a = parse_config(MINIMAL_SINE)
@@ -340,6 +368,34 @@ class TestCli:
         assert main(["adc-sine", "--config", str(cfg), "--out", str(fused)]) == 0
         for name in ("adc_sine.json", "capture.csv"):
             assert (resumed / name).read_bytes() == (fused / name).read_bytes()
+
+    def test_shipped_skewcal_corrections(self, tmp_path):
+        assert main([
+            "calibrate", "--config", str(CONFIG_DIR / "skewcal.yaml"), "--out", str(tmp_path)
+        ]) == 0
+        payload = json.loads((tmp_path / "calibration.json").read_text())
+        assert payload["pi_corrections"] == [3, -3, 10, -3]
+
+    @pytest.mark.parametrize("experiment", ["calibrate", "adc-sine"])
+    @pytest.mark.parametrize(
+        "skews,expected",
+        [
+            # group 0 needs -38 codes on base code 32; clipped to 0, this
+            # used to exit 0 with ENOB 3.10
+            ("[30.0e-12, 0.0, 0.0, 0.0]", 3),
+            # beyond half the 7 GHz skew-tone period the phase wraps: this
+            # used to exit 0 with a correction of +81 where about -102 is due
+            ("[0.0, 80.0e-12, 0.0, 0.0]", 2),
+            # group 3 has the headroom for the same skew
+            ("[0.0, 0.0, 0.0, 30.0e-12]", 0),
+        ],
+        ids=["group0-plus30ps-clips", "group1-plus80ps-wraps", "group3-plus30ps-applies"],
+    )
+    def test_skewcal_skew_out_of_reach(self, tmp_path, experiment, skews, expected):
+        p = self.write(tmp_path, skewcal_with(skews))
+        assert main([experiment, "--config", str(p), "--out", str(tmp_path)]) == expected
+        if experiment == "calibrate":
+            assert (tmp_path / "calibration.json").exists() == (expected == 0)
 
     def test_calibration_from_other_config_rejected(self, tmp_path):
         cfg = self.write(tmp_path, MINIMAL_SINE)

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stochadc.config import (
@@ -37,6 +37,7 @@ from stochadc.interleaver import (
     calibrate_skew,
     code_histogram,
     convert_pair_arrays,
+    corrected_pi_codes,
     identity_lut,
     retime_streams,
     run_capture,
@@ -259,6 +260,30 @@ class TestCapture:
         with pytest.raises(ConfigError):
             run_capture(ideal_system(), constant_input(0.0), 100)
 
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        mismatched_systems(),
+        st.integers(1, 40),
+        st.lists(st.integers(0, 50), min_size=16, max_size=16),
+        st.lists(st.integers(0, 255), min_size=4, max_size=4),
+        st.one_of(st.none(), st.integers(0, 2**32)),
+    )
+    def test_capture_is_prefix_of_longer_capture(self, system, n_cycles, offsets, pi_codes, lut_seed):
+        luts = None
+        if lut_seed is not None:
+            rng = np.random.default_rng(lut_seed)
+            luts = [Lut(np.sort(rng.integers(-127, 128, 256))) for _ in range(16)]
+        tone = coherent_tone(11, 512, amplitude=0.4, cm=0.55)
+        kwargs = dict(offset_codes=offsets, luts=luts, pi_codes=pi_codes)
+        short = run_capture(system, tone, 16 * n_cycles, **kwargs)
+        full = run_capture(system, tone, 32 * n_cycles, **kwargs)
+        for field in dataclasses.fields(short):
+            part, whole = getattr(short, field.name), getattr(full, field.name)
+            if field.name != "offset_codes":
+                whole = whole[:, :n_cycles]
+            assert part.dtype == whole.dtype, field.name
+            assert np.array_equal(part, whole), field.name
+
     def test_capture_is_deterministic(self):
         cfg = RunConfig(adc=AdcConfig(tap_sigma_random=0.1, slope_sigma=0.01))
         tone = coherent_tone(11, 1024, amplitude=0.4, cm=0.55)
@@ -380,6 +405,28 @@ class TestLut:
         assert pre.inl_max > 2.0
         assert post.inl_max <= pre.inl_max / 4.0
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(0, 254),
+        st.integers(0, 254),
+        st.integers(1, 200),
+        st.floats(1.0, 200.0),
+        st.integers(0, 2**32),
+    )
+    def test_monotone_for_any_valid_histogram(self, a, b, min_hits, amplitude_code, seed):
+        # reachable codes lo..hi, each empty (a code the slice cannot
+        # produce) or at or above the hit floor, the two ends hit
+        lo, hi = min(a, b), max(a, b)
+        rng = np.random.default_rng(seed)
+        hist = np.zeros(255, dtype=np.int64)
+        hist[lo : hi + 1] = rng.integers(min_hits, 10 * min_hits + 1000, hi - lo + 1)
+        hist[lo : hi + 1] *= rng.random(hi - lo + 1) < rng.uniform(0.3, 1.0)
+        hist[[lo, hi]] = min_hits
+        mapping = build_lut(hist, amplitude_code, min_hits).mapping
+        assert mapping.shape == (256,)
+        assert np.all(np.diff(mapping) >= 0)
+        assert mapping.min() >= -127 and mapping.max() <= 127
+
     def test_mapping_monotone_enforced(self):
         with pytest.raises(ValueError):
             Lut(mapping=np.concatenate([[0], np.arange(127, -128, -1)]))
@@ -446,6 +493,22 @@ class TestSkewCalibration:
         corr = calibrate_skew(system, tone, 4096)
         assert np.array_equal(corr, np.array([0, -77, 0, 0]))
 
+    def test_correction_beyond_pi_code_range_raises(self):
+        # +30 ps on group 0 asks for -38 codes on base code 32; the code used
+        # to be clipped to 0 later, leaving 6 codes (about 5 ps) of skew
+        system = ideal_system(2, skew_injection=(30 * PS, 0.0, 0.0, 0.0))
+        tone = coherent_tone(1433, 4096, amplitude=0.44)
+        with pytest.raises(PreconditionError, match=r"group 0 for PI code -6, beyond the bound 0"):
+            calibrate_skew(system, tone, 4096)
+
+    def test_corrected_pi_codes_bounds(self):
+        nominal = np.array([32, 96, 160, 224])
+        assert corrected_pi_codes(nominal, [-32, 0, 0, 31]).tolist() == [0, 96, 160, 255]
+        with pytest.raises(PreconditionError, match=r"group 3 for PI code 256, beyond the bound 255"):
+            corrected_pi_codes(nominal, [0, 0, 0, 32])
+        with pytest.raises(PreconditionError, match=r"group 1 for PI code -1, beyond the bound 0"):
+            corrected_pi_codes(nominal, [0, -97, 0, 0])
+
     def test_non_coherent_tone_rejected(self):
         system = ideal_system()
         tone = SineStimulus(frequency=7.001e9, amplitude=0.44, common_mode=VCM)
@@ -470,6 +533,31 @@ class TestSliceTransfer:
         dv = (k + 0.17) * lsb
         _, _, code = slice_transfer(system, 0, dv, VCM, 25)
         assert np.array_equal(code, k)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        mismatched_systems(),
+        st.integers(0, 15),
+        st.integers(0, 50),
+        st.lists(st.floats(-0.45, 0.45), min_size=1, max_size=64),
+    )
+    @example(ideal_system(), 0, AdcConfig().nominal_offset_code, [0.1, -0.2, 0.45, -0.45])
+    def test_ideal_v2t_transfer_is_odd_symmetric(self, system, s, offset, levels):
+        # with a matched V2T pair, -dv swaps the two edge times exactly, so
+        # the pulse is the same and only the sign flips, whatever the taps;
+        # where v_p == v_n both fold to the positive side
+        adc = dataclasses.replace(system.config.adc, slope_sigma=0.0, threshold_sigma=0.0)
+        system = AdcSystem(dataclasses.replace(system.config, adc=adc), system.master_seed)
+        dv = np.array([0.0, *levels])
+        raw, _, code = slice_transfer(system, s, dv, VCM, offset)
+        raw_neg, _, code_neg = slice_transfer(system, s, -dv, VCM, offset)
+        assert np.array_equal(raw_neg, raw)
+        tie = VCM + dv / 2.0 == VCM - dv / 2.0
+        assert np.array_equal(code_neg[~tie], -code[~tie])
+        assert np.array_equal(code_neg[tie], code[tie])
+        if system.config == RunConfig() and offset == adc.nominal_offset_code:
+            # the ideal slice at its nominal offset code maps the tie to code 0
+            assert code[0] == 0
 
     def test_monotone_under_mismatch(self):
         dv = np.linspace(-0.45, 0.45, 2001)
