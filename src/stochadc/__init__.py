@@ -5,7 +5,7 @@ Monte Carlo, and the measurement methodology (DNL/INL, SNDR/ENOB, PI
 transfer, energy figure of merit) used to characterize it.
 """
 
-from .core import ClockSpec, MismatchModel, clock_edges, derive_seed, sample_mismatch
+from .core import ClockSpec, MismatchModel, derive_seed
 from .errors import (
     ChainUnderspanError,
     CoherenceError,
@@ -18,32 +18,15 @@ from .errors import (
     TrimConvergenceError,
     UnderrangeError,
 )
-from .v2t import PulseSample, V2TConfig, fold, v2t_edge_time, v2t_pair
-from .stdc import (
-    AdcCode,
-    InverterChain,
-    OffsetEstimate,
-    adapt_offset,
-    adder_tree_sum,
-    count_edges_in_pulse,
-    make_chain,
-    stdc_convert,
-    tap_edge_times,
-    unfold,
-)
+from .stdc import InverterChain, OffsetEstimate, adapt_offset
 from .pi import (
     DelayChain,
     PeriodQuantization,
     TrimState,
-    apply_boundary_mixers,
     arbitrate_period,
-    blend,
-    detect_blender_inversion,
-    encode,
     make_pi_chain,
     pi_output,
     pi_sweep,
-    propagate_chain,
     trim_paths,
 )
 from .interleaver import (

@@ -88,14 +88,20 @@ def _check_sigmas(section, path: str, *names: str) -> None:
             raise ConfigError(f"{path}.{name} must be >= 0")
 
 
+def _check_counts(section, path: str, *names: str) -> None:
+    for name in names:
+        value = getattr(section, name)
+        if not _is_int(value) or value < 1:
+            raise ConfigError(f"{path}.{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AdaptationConfig:
     window: int = 10_000
     threshold: float = 0.001
 
     def __post_init__(self):
-        if self.window < 1:
-            raise ConfigError("adaptation window must be >= 1")
+        _check_counts(self, "adc.adaptation", "window")
         if not (0 < self.threshold <= 1):
             raise ConfigError("adaptation threshold must lie in (0, 1]")
 
@@ -117,8 +123,7 @@ class AdcConfig:
     adaptation: AdaptationConfig = field(default_factory=AdaptationConfig)
 
     def __post_init__(self):
-        if not _is_int(self.n_taps) or self.n_taps < 1:
-            raise ConfigError(f"adc.n_taps must be an integer >= 1, got {self.n_taps!r}")
+        _check_counts(self, "adc", "n_taps", "divided_ratio")
         # a negative lead opens the pulse window before the STDC launch edge
         if not _is_real(self.launch_lead_taps) or self.launch_lead_taps < 0:
             raise ConfigError(
@@ -128,10 +133,6 @@ class AdcConfig:
             raise ConfigError("adc.v_threshold must lie in (0, vdd/2)")
         if self.full_scale <= 0 or self.unit_delay <= 0 or self.d_offset <= 0:
             raise ConfigError("adc full_scale, unit_delay and d_offset must be > 0")
-        if not _is_int(self.divided_ratio) or self.divided_ratio < 1:
-            raise ConfigError(
-                f"adc.divided_ratio must be an integer >= 1, got {self.divided_ratio!r}"
-            )
         _check_sigmas(self, "adc", "tap_sigma_systematic", "tap_sigma_random",
                       "slope_sigma", "threshold_sigma")
 
@@ -164,8 +165,7 @@ class PiConfig:
     injected_skews: tuple = ()  # (path index 1-based, skew in unit delays) pairs
 
     def __post_init__(self):
-        if not _is_int(self.trim_max_iters) or self.trim_max_iters < 1:
-            raise ConfigError("pi.trim_max_iters must be an integer >= 1")
+        _check_counts(self, "pi", "trim_max_iters")
         if self.unit_delay <= 0:
             raise ConfigError("pi.unit_delay must be > 0")
         if not _is_int(self.n_taps) or self.n_taps < 2:
@@ -216,6 +216,10 @@ class CalibrationConfig:
     lut_min_hits: int = 100
     skew_capture_samples: int = 4_096
 
+    def __post_init__(self):
+        _check_counts(self, "system.calibration", "lut_capture_samples",
+                      "skew_capture_samples", "lut_min_hits")
+
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -246,10 +250,7 @@ class SystemConfig:
         bandwidth = self.front_end_bandwidth
         if bandwidth is not None and (not _is_real(bandwidth) or bandwidth <= 0):
             raise ConfigError(f"system.front_end_bandwidth must be > 0, got {bandwidth!r}")
-        if not _is_int(self.front_end_stages) or self.front_end_stages < 1:
-            raise ConfigError(
-                f"system.front_end_stages must be an integer >= 1, got {self.front_end_stages!r}"
-            )
+        _check_counts(self, "system", "front_end_stages")
         if not (0 < self.early < self.track) or self.late <= 0:
             raise ConfigError("system timing needs 0 < early < track and late > 0")
 
@@ -294,8 +295,7 @@ class CaptureConfig:
     linearity_amplitude: float | None = None
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ConfigError("n_samples must be >= 1")
+        _check_counts(self, "capture", "n_samples", "linearity_samples")
 
 
 @dataclass(frozen=True)
@@ -305,8 +305,7 @@ class SweepConfig:
     seeds: int = 1
 
     def __post_init__(self):
-        if not _is_int(self.points) or self.points < 1:
-            raise ConfigError(f"sweep.points must be an integer >= 1, got {self.points!r}")
+        _check_counts(self, "sweep", "points")
 
 
 @dataclass(frozen=True)
@@ -317,10 +316,7 @@ class MonteCarloConfig:
     percentiles: tuple = (5.0, 50.0, 95.0)
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigError("montecarlo trials must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("montecarlo workers must be >= 1")
+        _check_counts(self, "montecarlo", "trials", "workers")
         if not isinstance(self.percentiles, (tuple, list)) or not all(
             _is_real(p) and 0 <= p <= 100 for p in self.percentiles
         ):
@@ -337,10 +333,21 @@ class FomEntry:
     enob: float
     rate: float
 
+    def __post_init__(self):
+        # the figure of merit divides by both
+        for name in ("power", "rate"):
+            value = getattr(self, name)
+            if not _is_real(value) or value <= 0:
+                raise ConfigError(f"fom.entries[].{name} must be a number > 0, got {value!r}")
+
 
 @dataclass(frozen=True)
 class FomConfig:
     entries: tuple = ()
+
+    def __post_init__(self):
+        if not all(isinstance(entry, FomEntry) for entry in self.entries):
+            raise ConfigError("fom.entries must be mappings")
 
 
 @dataclass(frozen=True)
@@ -413,9 +420,6 @@ def _validate(cfg: RunConfig) -> RunConfig:
             raise ConfigError("stimulus swings above the supply")
         if cfg.system.calibration.skew:
             _check_skew_unwraps(cfg)
-    for entry in cfg.fom.entries:
-        if not isinstance(entry, FomEntry):
-            raise ConfigError("fom.entries must be mappings")
     return cfg
 
 
@@ -470,18 +474,6 @@ def build_stimulus(cfg: RunConfig) -> SineStimulus:
     return sine_tone(cfg, stimulus_frequency(cfg), cfg.stimulus.amplitude)
 
 
-def _fom_entries(raw) -> tuple:
-    entries = []
-    for item in raw:
-        if isinstance(item, FomEntry):
-            entries.append(item)
-        elif isinstance(item, dict):
-            entries.append(_build(FomEntry, item, "fom.entries[]"))
-        else:
-            raise ConfigError("fom.entries must be mappings")
-    return tuple(entries)
-
-
 def load_config(path) -> RunConfig:
     text = Path(path).read_text(encoding="utf-8")
     return parse_config(text)
@@ -498,13 +490,15 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("config root must be a mapping")
     if "fom" in data and isinstance(data["fom"], dict) and "entries" in data["fom"]:
         data = dict(data)
-        fom = dict(data["fom"])
-        fom["entries"] = _fom_entries(fom["entries"] or ())
-        data["fom"] = fom
+        fom = data["fom"]
         unknown = sorted(set(fom) - {"entries"})
         if unknown:
             raise ConfigError(f"fom: unknown keys {unknown}")
-        data["fom"] = FomConfig(entries=fom["entries"])
+        # FomConfig rejects an entry that is not a mapping
+        data["fom"] = FomConfig(entries=tuple(
+            _build(FomEntry, item, "fom.entries[]") if isinstance(item, dict) else item
+            for item in fom["entries"] or ()
+        ))
     cfg = _build(RunConfig, data, "config")
     return _validate(cfg)
 

@@ -5,15 +5,11 @@ floats in seconds (double precision comfortably resolves sub-ps steps against
 ns-scale windows).  Instants are absolute times, Durations are differences;
 both are ordinary floats so arithmetic is closed by construction.
 
-Randomness comes in two flavors:
-
-* keyed draws -- value i is a pure function of (seed, i), implemented with a
-  SplitMix64-style mixer plus the inverse normal CDF.  Used for everything
-  that must be reproducible per instance index (tap delays, path skews, V2T
-  parameters, clock jitter), independent of how many instances exist or in
-  which order they are evaluated.
-* stream draws -- numpy Generators over SeedSequence sub-streams, for bulk
-  order-dependent sampling (stimulus phases, Monte Carlo case generation).
+Randomness is keyed: value i is a pure function of (seed, i), implemented
+with a SplitMix64-style mixer plus the inverse normal CDF.  Everything that
+must be reproducible per instance index (tap delays, path skews, V2T
+parameters, clock jitter) draws this way, independent of how many instances
+exist or in which order they are evaluated.
 """
 
 from __future__ import annotations
@@ -92,12 +88,6 @@ def keyed_normal(seed: int, indices) -> np.ndarray:
     return ndtri(keyed_uniform(seed, indices))
 
 
-def substream(master_seed: int, label: str, index: int = 0) -> np.random.Generator:
-    """Order-dependent generator on an independent sub-stream."""
-    entropy = [int(master_seed) % (1 << 64), zlib.crc32(label.encode()), int(index)]
-    return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
 @dataclass(frozen=True)
 class MismatchModel:
     """Statistical description of per-instance deviations.
@@ -142,11 +132,6 @@ class MismatchModel:
         return values
 
 
-def sample_mismatch(model: MismatchModel, count: int) -> np.ndarray:
-    """Draw ``count`` per-instance samples from a mismatch model."""
-    return model.sample(count)
-
-
 @dataclass(frozen=True)
 class ClockSpec:
     """Periodic edge source; edge k is phase0 + k*period + jitter_k.
@@ -165,27 +150,6 @@ class ClockSpec:
             raise ValueError(f"clock period must be > 0, got {self.period}")
         if self.jitter_sigma < 0:
             raise ValueError("jitter_sigma must be >= 0")
-
-
-def clock_edges(spec: ClockSpec, t_start: Instant, t_end: Instant) -> np.ndarray:
-    """Nominal edges in [t_start, t_end), jitter added per edge.
-
-    Window membership is decided on nominal edge times with a guard of
-    1e-9 * period so that edges lying exactly on a window boundary resolve
-    deterministically despite float rounding.
-    """
-    if t_start > t_end:
-        raise ValueError("t_start must be <= t_end")
-    guard = 1e-9 * spec.period
-    k0 = int(np.ceil((t_start - spec.phase0 - guard) / spec.period))
-    k1 = int(np.floor((t_end - spec.phase0 - guard) / spec.period))
-    if k1 < k0:
-        return np.empty(0, dtype=np.float64)
-    k = np.arange(k0, k1 + 1)
-    times = spec.phase0 + k * spec.period
-    if spec.jitter_sigma > 0:
-        times = times + keyed_normal(spec.seed, k) * spec.jitter_sigma
-    return times
 
 
 def clock_edge_at(spec: ClockSpec, k: int) -> Instant:

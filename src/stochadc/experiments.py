@@ -529,12 +529,15 @@ def run_experiment(
         raise ConfigError(
             f"unknown experiment {name!r}; choose from {', '.join(EXPERIMENT_NAMES)}"
         )
+    if calibration_path is not None and name != "adc-sine":
+        # every other experiment calibrates itself or needs no calibration
+        raise ConfigError(f"--calibration applies only to adc-sine, not to {name}")
     run_seed = cfg.master_seed if seed is None else int(seed)
     out = None
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-    if name == "adc-sine" and calibration_path is not None:
+    if calibration_path is not None:
         state = il.CalibrationState.from_json(Path(calibration_path).read_text(encoding="utf-8"))
         return run_adc_sine(cfg, run_seed, out, calibration=state)
     return _DISPATCH[name](cfg, run_seed, out)

@@ -376,11 +376,6 @@ class Lut:
             raise ValueError("LUT mapping must be monotone non-decreasing")
 
 
-def identity_lut() -> Lut:
-    codes = np.arange(LUT_SIZE) - 128
-    return Lut(mapping=np.clip(codes, CODE_MIN, CODE_MAX))
-
-
 def apply_lut(lut: Lut, codes: np.ndarray) -> np.ndarray:
     # raw signed codes can exceed the 8-bit range when the offset estimate
     # is off; the SRAM address saturates to the end entries
@@ -452,7 +447,11 @@ def calibrate_skew(
     Each group's received tone phase is measured with a single-bin DFT at
     the (coherent) test frequency over that group's samples against nominal
     sample times; phase differences against the median group convert to time
-    skews, which round to PI code steps.
+    skews, which round to PI code steps.  A shift common to all four groups
+    moves no group against another, so when a corrected code would leave
+    [0, 255] the corrections take the smallest common shift that keeps every
+    code in range; when the codes span more than that range, no shift fits
+    and PreconditionError is raised before a caller can persist them.
     """
     from .metrics import coherent_bin
 
@@ -479,8 +478,15 @@ def calibrate_skew(
     tau = np.angle(z * np.conj(ref)) / (2.0 * np.pi * tone.frequency)
     tau = tau - np.median(tau)
     corrections = -np.rint(tau / sc.pi_step).astype(np.int64)
-    corrected_pi_codes(pi_codes, corrections)  # fail before a caller persists them
-    return corrections
+    codes = np.asarray(pi_codes, dtype=np.int64) + corrections
+    lowest, highest = -int(codes.min()), PI_CODES - 1 - int(codes.max())
+    if lowest > highest:
+        raise PreconditionError(
+            f"skew corrections ask for PI codes {codes.tolist()}, which span "
+            f"{int(codes.max() - codes.min())} codes: no common shift fits them "
+            f"into [0, {PI_CODES - 1}]"
+        )
+    return corrections + min(max(0, lowest), highest)
 
 
 def corrected_pi_codes(pi_codes, corrections) -> np.ndarray:

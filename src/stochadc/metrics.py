@@ -186,19 +186,6 @@ def dominant_family_spur_db(report: SpectrumReport) -> float:
     return report.spur_list[0][1]
 
 
-def ideal_quantizer_codes(
-    n_samples: int,
-    j_bin: int,
-    full_scale_codes: int = 127,
-    amplitude_rel: float = 1.0,
-    phase: float = 0.0,
-) -> np.ndarray:
-    """Mid-tread ideal quantizer oracle for spectral cross-checks."""
-    n = np.arange(n_samples)
-    wave = amplitude_rel * full_scale_codes * np.sin(2 * np.pi * j_bin * n / n_samples + phase)
-    return np.clip(np.rint(wave), -full_scale_codes, full_scale_codes).astype(np.int64)
-
-
 def check_uncorrelated(sampler_period: float, clock_period: float) -> None:
     """Reject sampler periods commensurate with the monitored clock."""
     ratio = Fraction(sampler_period / clock_period).limit_denominator(10**6)

@@ -15,11 +15,11 @@ after automated place-and-route, which breaks monotonicity; an arbiter at
 the blender input detects the resulting order contradiction and the
 offending paths are trimmed in fixed steps until no contradiction remains.
 
-`pi_sweep` and `inverted_segments` read every code at once from a cached,
-read-only code table (`code_table`): each code's start tap, end tap and
-blend step, from the encoder's integer arithmetic.  `encode`, `blend`,
-`pi_output` and `detect_blender_inversion` are the single-code path, and the
-tests hold the table-driven functions to it bit for bit.
+`pi_sweep`, `pi_output` and `inverted_segments` read the encoder from a
+cached, read-only code table (`code_table`): each code's start tap, end tap
+and blend step, from the encoder's integer arithmetic.  The single-code
+model (encoder selects, blender, inversion detector) lives with the tests
+in `tests/oracles.py`, which hold these functions to it bit for bit.
 """
 
 from __future__ import annotations
@@ -42,9 +42,6 @@ from .errors import ChainUnderspanError, TrimConvergenceError
 
 PI_CODES = 256
 BLEND_STEPS = 16
-
-ODD_TO_EVEN = "odd_to_even"
-EVEN_TO_ODD = "even_to_odd"
 
 # Relative guard for arbiter comparisons against the clock period, so a
 # mismatch-free chain whose accumulated delay lands exactly on the period
@@ -129,27 +126,6 @@ def zero_trim(chain: DelayChain) -> TrimState:
     return TrimState(adjustments=np.zeros(chain.n_taps), unit_delay=chain.unit_delay)
 
 
-@dataclass(frozen=True)
-class EncoderSelect:
-    """Mux selects and blender weight for one input code."""
-
-    sel_odd: int
-    sel_even: int
-    blend_k: int
-    direction: str
-
-
-def propagate_chain(
-    chain: DelayChain,
-    clock_edge: Instant,
-    trim: TrimState | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tap edge times (pre-skew) and blender-mux input times (post-skew)."""
-    taps = clock_edge + chain.accumulated
-    adjust = chain.path_skews if trim is None else chain.path_skews + trim.adjustments
-    return taps, taps + adjust
-
-
 def arbitrate_period(chain: DelayChain, clock: ClockSpec) -> PeriodQuantization:
     """Smallest tap whose accumulated (pre-skew) delay spans one period."""
     limit = clock.period * (1.0 - _ARB_TOL)
@@ -160,26 +136,6 @@ def arbitrate_period(chain: DelayChain, clock: ClockSpec) -> PeriodQuantization:
         )
     n = int(np.searchsorted(chain.accumulated, limit, side="left")) + 1
     return PeriodQuantization(n_delays_per_cycle=n, boundary_tap=n)
-
-
-def apply_boundary_mixers(
-    taps: np.ndarray,
-    clock_edge_next: Instant,
-    q: PeriodQuantization,
-    period: Duration,
-) -> np.ndarray:
-    """Usable phase per tap, folded into one period.
-
-    Taps before the boundary pass through, the boundary tap becomes the
-    midpoint of (its own edge, next clock edge), taps beyond the boundary
-    alias into the next cycle.  Indexed by tap; sort to view as a phase set.
-    """
-    taps = np.asarray(taps, dtype=np.float64)
-    n = q.boundary_tap
-    phases = taps.copy()
-    phases[n - 1] = 0.5 * (taps[n - 1] + clock_edge_next)
-    phases[n:] = taps[n:] - period
-    return phases
 
 
 def ring_positions(
@@ -212,65 +168,11 @@ def ring_positions(
     return positions, q
 
 
-def encode(code: int, q: PeriodQuantization) -> EncoderSelect:
-    """Mux selects and blender weight for one control code.
-
-    Codes scale onto the N physical ring segments by integer arithmetic:
-    position code*N/256 selects physical segment floor() and the blender
-    weight is the 16-step fraction within it.  At the nominal N = 16 this
-    reduces exactly to segment = code >> 4, blend_k = code & 15.  Segment p
-    interpolates from tap p+1 toward tap p+2, so adjacent segments share an
-    endpoint and only one mux select advances per segment step (leapfrog
-    between the odd and even selects); off-nominal N keeps monotonicity but
-    not step uniformity.
-    """
-    if not (0 <= code < PI_CODES):
-        raise ValueError(f"code must lie in [0, {PI_CODES}), got {code}")
-    scaled = code * q.n_delays_per_cycle
-    physical = scaled // PI_CODES
-    blend_k = (scaled % PI_CODES) // BLEND_STEPS
-    start_tap = physical + 1
-    end_tap = physical + 2
-    if start_tap % 2 == 1:
-        return EncoderSelect(start_tap, end_tap, blend_k, ODD_TO_EVEN)
-    return EncoderSelect(end_tap, start_tap, blend_k, EVEN_TO_ODD)
-
-
-def blend(t_a: Instant, t_b: Instant, k: int) -> Instant:
-    """16-step weighted average of two edges; k = 0 returns t_a exactly."""
-    if not (0 <= k < BLEND_STEPS):
-        raise ValueError(f"blend step must lie in [0, {BLEND_STEPS}), got {k}")
-    if k == 0:
-        return t_a
-    return t_a + (k / BLEND_STEPS) * (t_b - t_a)
-
-
-def segment_endpoints(sel: EncoderSelect) -> tuple[int, int]:
-    """(start tap, end tap) of the segment a select pair addresses."""
-    if sel.direction == ODD_TO_EVEN:
-        return sel.sel_odd, sel.sel_even
-    return sel.sel_even, sel.sel_odd
-
-
-def pi_output(
-    code: int,
-    chain: DelayChain,
-    clock: ClockSpec,
-    trim: TrimState | None = None,
-    cycle: int = 0,
-) -> Instant:
-    """Output edge time for one control code in one input-clock cycle."""
-    positions, q = ring_positions(chain, clock, trim, cycle)
-    sel = encode(code, q)
-    start_tap, end_tap = segment_endpoints(sel)
-    return blend(positions[start_tap - 1], positions[end_tap - 1], sel.blend_k)
-
-
 @dataclass(frozen=True)
 class CodeTable:
     """Encoder output for every code at one period quantization.
 
-    Index = code.  Taps are 1-based ring positions as in `segment_endpoints`;
+    Index = code.  Taps are 1-based ring positions (see `ring_positions`);
     `end_tap` is always `start_tap + 1`.  `segment_codes` lists the first
     code of each distinct segment, in code order.  All arrays are read-only,
     because one table is shared by every caller with the same N.
@@ -284,7 +186,16 @@ class CodeTable:
 
 @functools.lru_cache(maxsize=64)
 def code_table(n_delays_per_cycle: int) -> CodeTable:
-    """The `encode` arithmetic over all codes, cached per N."""
+    """The encoder's integer arithmetic over all codes, cached per N.
+
+    Codes scale onto the N physical ring segments: position code*N/256
+    selects physical segment floor() and the blender weight is the 16-step
+    fraction within it.  At the nominal N = 16 this reduces exactly to
+    segment = code >> 4, blend_k = code & 15.  Segment p interpolates from
+    tap p+1 toward tap p+2, so adjacent segments share an endpoint and only
+    one of the odd and even mux selects advances per segment step
+    (leapfrog); off-nominal N keeps monotonicity but not step uniformity.
+    """
     scaled = np.arange(PI_CODES, dtype=np.int64) * n_delays_per_cycle
     start_tap = scaled // PI_CODES + 1
     _, segment_codes = np.unique(start_tap, return_index=True)
@@ -299,37 +210,46 @@ def code_table(n_delays_per_cycle: int) -> CodeTable:
     return table
 
 
+def _blend(positions: np.ndarray, start_tap, end_tap, blend_k) -> np.ndarray:
+    """16-step weighted average of segment endpoints read from ring positions.
+
+    Element-wise over code-table entries; k = 0 returns the start endpoint
+    exactly.
+    """
+    t_a = positions[start_tap - 1]
+    t_b = positions[end_tap - 1]
+    return np.where(blend_k == 0, t_a, t_a + (blend_k / BLEND_STEPS) * (t_b - t_a))
+
+
+def pi_output(
+    code: int,
+    chain: DelayChain,
+    clock: ClockSpec,
+    trim: TrimState | None = None,
+    cycle: int = 0,
+) -> Instant:
+    """Output edge time for one control code in one input-clock cycle.
+
+    Entry `code` of `pi_sweep`, bit for bit, without computing the others.
+    """
+    # checked here: a negative code would index the table from its end
+    if not 0 <= code < PI_CODES:
+        raise ValueError(f"code must lie in [0, {PI_CODES}), got {code}")
+    positions, q = ring_positions(chain, clock, trim, cycle)
+    table = code_table(q.n_delays_per_cycle)
+    return float(_blend(positions, table.start_tap[code], table.end_tap[code], table.blend_k[code]))
+
+
 def pi_sweep(
     chain: DelayChain,
     clock: ClockSpec,
     trim: TrimState | None = None,
     cycle: int = 0,
 ) -> np.ndarray:
-    """Output phase for every code, one cycle (index = code).
-
-    Equal bit for bit to `pi_output` per code: the same `blend` arithmetic,
-    with k = 0 returning the start endpoint exactly.
-    """
+    """Output phase for every code, one cycle (index = code)."""
     positions, q = ring_positions(chain, clock, trim, cycle)
     table = code_table(q.n_delays_per_cycle)
-    t_a = positions[table.start_tap - 1]
-    t_b = positions[table.end_tap - 1]
-    k = table.blend_k
-    return np.where(k == 0, t_a, t_a + (k / BLEND_STEPS) * (t_b - t_a))
-
-
-def detect_blender_inversion(t_a: Instant, t_b: Instant, expected: str) -> bool:
-    """True when the blender inputs arrive in the wrong order.
-
-    t_a is the odd-mux output, t_b the even-mux output.  A tie counts as an
-    inversion: a real arbiter cannot certify margin, and treating ties as
-    clean would let trimming stall on an exactly zero-width segment.
-    """
-    if expected == ODD_TO_EVEN:
-        return not (t_a < t_b)
-    if expected == EVEN_TO_ODD:
-        return not (t_b < t_a)
-    raise ValueError(f"unknown direction {expected!r}")
+    return _blend(positions, table.start_tap, table.end_tap, table.blend_k)
 
 
 def inverted_segments(
@@ -340,9 +260,11 @@ def inverted_segments(
 ) -> list[tuple[int, int]]:
     """Segments whose blender inputs contradict the encoder, over all codes.
 
-    Each distinct segment is checked once, in code order.  For either
-    direction `detect_blender_inversion` reduces to "the start endpoint is
-    not strictly earlier than the end endpoint", so a tie fires.
+    Each distinct segment is checked once, in code order.  Whichever of the
+    odd and even selects leads, the arbiter's check reduces to "the start
+    endpoint is not strictly earlier than the end endpoint", so a tie fires:
+    a real arbiter cannot certify margin, and treating ties as clean would
+    let trimming stall on an exactly zero-width segment.
     """
     positions, q = ring_positions(chain, clock, trim, cycle)
     table = code_table(q.n_delays_per_cycle)

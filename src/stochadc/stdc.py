@@ -7,6 +7,10 @@ bits), then the unfold stage subtracts the offset code and reapplies the
 folder's sign bit.  Linearity emerges statistically from the tap-delay
 population rather than from matched delays, which is also why the offset
 code must be estimated in the background from a histogram of raw counts.
+This module holds the chain, the vectorized window count and the offset
+adaptation; a capture applies unfold in `interleaver.convert_pair_arrays`.
+The single-shot model of one pulse (tap edges, sampler bits, adder tree,
+unfold) lives with the tests in `tests/oracles.py`.
 
 Window convention is half-open [start, start + width): an edge exactly on
 the closing boundary is not counted.  Comparisons carry a guard of
@@ -39,8 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ClockSpec, Duration, Instant, MismatchModel
-from .v2t import PulseSample
+from .core import ClockSpec, Duration
 
 
 def _bucket(x: np.ndarray, inv_h: float, n_buckets: int) -> np.ndarray:
@@ -121,18 +124,6 @@ class InverterChain:
         return float(self.edge_offsets[-1])
 
 
-def make_chain(
-    unit_delay: Duration,
-    n_taps: int = 255,
-    sigma_rel: float = 0.0,
-    seed: int = 0,
-    divided_clock: ClockSpec | None = None,
-) -> InverterChain:
-    """Chain with per-tap gaussian mismatch around a nominal unit delay."""
-    model = MismatchModel(nominal=unit_delay, sigma_rel=sigma_rel, seed=seed)
-    return InverterChain(tap_delays=model.sample(n_taps), divided_clock=divided_clock)
-
-
 def validate_chain_window(chain: InverterChain, max_pulse_width: Duration) -> None:
     """Check the one-counted-edge-per-tap condition for a given pulse bound."""
     if chain.divided_clock is None:
@@ -143,60 +134,6 @@ def validate_chain_window(chain: InverterChain, max_pulse_width: Duration) -> No
             "divided clock period must exceed max pulse width + chain spread "
             f"({chain.divided_clock.period} <= {needed})"
         )
-
-
-def tap_edge_times(chain: InverterChain, launch_edge: Instant) -> np.ndarray:
-    """Edge time per tap (ordered by tap index, strictly increasing)."""
-    return launch_edge + chain.edge_offsets
-
-
-def count_edges_in_pulse(
-    pulse: PulseSample,
-    pulse_start: Instant,
-    edges: np.ndarray,
-    guard: float | None = None,
-) -> tuple[int, np.ndarray]:
-    """Raw count and the per-tap sampler bits for one pulse window."""
-    edges = np.asarray(edges, dtype=np.float64)
-    if guard is None:
-        if edges.size > 1:
-            guard = 1e-6 * float(edges[-1] - edges[0]) / (edges.size - 1)
-        else:
-            guard = 0.0
-    lo = pulse_start - guard
-    hi = pulse_start + pulse.width - guard
-    bits = (edges >= lo) & (edges < hi)
-    return int(np.count_nonzero(bits)), bits
-
-
-def adder_tree_depth(n_inputs: int) -> int:
-    """Latency, in adder stages, of the balanced reduction tree."""
-    depth = 0
-    while n_inputs > 1:
-        n_inputs = (n_inputs + 1) // 2
-        depth += 1
-    return depth
-
-
-def adder_tree_sum(bits, expected_length: int = 255) -> int:
-    """Population count via a balanced binary reduction tree.
-
-    Modeled structurally (pairwise partial sums per stage) so the depth the
-    hardware would need is the one actually exercised; equals the naive sum.
-    """
-    arr = np.asarray(bits)
-    if arr.ndim != 1 or arr.size != expected_length:
-        raise ValueError(
-            f"adder tree expects {expected_length} inputs, got {arr.shape}"
-        )
-    level = arr.astype(np.int64)
-    while level.size > 1:
-        half = level.size // 2
-        merged = level[: 2 * half : 2] + level[1 : 2 * half : 2]
-        if level.size % 2:
-            merged = np.concatenate([merged, level[-1:]])
-        level = merged
-    return int(level[0])
 
 
 @dataclass(frozen=True)
@@ -214,14 +151,6 @@ class OffsetEstimate:
             raise ValueError("offset_code must be >= 0")
         if int(hist.sum()) != self.window:
             raise ValueError("histogram total must equal the window size")
-
-
-@dataclass(frozen=True)
-class AdcCode:
-    """Signed output code of one conversion plus the raw unsigned count."""
-
-    code: int
-    raw: int
 
 
 def adapt_offset(
@@ -253,35 +182,6 @@ def adapt_offset(
     return OffsetEstimate(offset_code=offset_code, histogram=hist, window=used)
 
 
-def unfold(raw: int, offset, sign: bool) -> AdcCode:
-    """Remove the offset code and reapply the sign.
-
-    Raw counts below the offset estimate are offset-estimation error; they
-    clamp to zero so the error is bounded at one LSB.
-    """
-    offset_code = offset.offset_code if isinstance(offset, OffsetEstimate) else int(offset)
-    magnitude = max(int(raw) - offset_code, 0)
-    return AdcCode(code=-magnitude if sign else magnitude, raw=int(raw))
-
-
-def stdc_convert(
-    pulse: PulseSample,
-    pulse_start: Instant,
-    chain: InverterChain,
-    offset,
-    launch_edge: Instant = 0.0,
-) -> AdcCode:
-    """Full conversion of one pulse: edges -> window count -> unfold.
-
-    ``launch_edge`` is the divided-clock edge associated with this conversion
-    cycle; pulse_start is expressed in the same time frame.
-    """
-    edges = tap_edge_times(chain, launch_edge)
-    _, bits = count_edges_in_pulse(pulse, pulse_start, edges, guard=chain.boundary_guard)
-    raw = adder_tree_sum(bits, chain.n_taps)
-    return unfold(raw, offset, pulse.sign)
-
-
 def count_edges_batch(
     chain: InverterChain,
     starts: np.ndarray,
@@ -289,9 +189,9 @@ def count_edges_batch(
 ) -> np.ndarray:
     """Vectorized raw counts for many launch-relative windows.
 
-    Equivalent to count_edges_in_pulse per sample (same boundary guard);
-    captures use this path, the single-shot composition is the oracle it is
-    tested against.
+    Equal per sample to the single-shot count of one pulse's sampler bits,
+    with the same boundary guard (`count_edges_in_pulse` in
+    `tests/oracles.py`, the oracle this path is tested against).
     """
     starts = np.asarray(starts, dtype=np.float64)
     widths = np.asarray(widths, dtype=np.float64)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from stochadc.config import AdcConfig, RunConfig, SystemConfig, load_config
-from stochadc.core import ClockSpec, substream
+from stochadc.core import ClockSpec
 from stochadc.experiments import run_adc_sine, run_experiment
 from stochadc.interleaver import (
     AdcSystem,
@@ -38,13 +38,10 @@ from stochadc.pi import (
     pi_sweep,
     trim_paths,
 )
-from stochadc.stdc import (
-    adder_tree_sum,
-    count_edges_batch,
-    make_chain,
-    tap_edge_times,
-)
+from stochadc.stdc import count_edges_batch
 from stochadc.stimulus import SineStimulus, adaptation_tone
+
+from oracles import adder_tree_sum, make_chain, substream, tap_edge_times
 
 PS = 1e-12
 FS = 20e9

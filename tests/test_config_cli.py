@@ -303,6 +303,43 @@ class TestCli:
         p = self.write(tmp_path, MINIMAL_SINE.replace("type: sine", f"type: {kind}"))
         assert main([experiment, "--config", str(p), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "experiment,text",
+        [
+            ("montecarlo", MINIMAL_SINE + "montecarlo:\n  trials: 2.5\n  experiment: pi-trim\n"),
+            ("montecarlo", MINIMAL_SINE + "montecarlo:\n  workers: 2.5\n  experiment: pi-trim\n"),
+            ("adc-sine", MINIMAL_SINE.replace("n_samples: 8192", "n_samples: 8192.0")),
+            ("adc-sine", MINIMAL_SINE + "  linearity: true\n  linearity_samples: 65536.0\n"),
+            ("adc-sine", MINIMAL_SINE + "adc:\n  adaptation:\n    window: 1000.0\n"),
+            ("calibrate", MINIMAL_SINE + "system:\n  calibration:\n    lut: true\n"
+             "    lut_capture_samples: 16384.0\n"),
+            ("calibrate", MINIMAL_SINE + "system:\n  calibration:\n    lut: true\n"
+             "    lut_min_hits: 0\n"),
+            ("calibrate", MINIMAL_SINE + "system:\n  calibration:\n    skew: true\n"
+             "    skew_capture_samples: 4096.0\n"),
+            ("fom", "fom:\n  entries:\n    - {label: a, power: 0, enob: 5.6, rate: 2.0e+10}\n"),
+            ("fom", "fom:\n  entries:\n    - {label: a, power: 0.1, enob: 5.6, rate: -1.0}\n"),
+        ],
+        ids=[
+            "trials-fraction",
+            "workers-fraction",
+            "n-samples-float",
+            "linearity-samples-float",
+            "adaptation-window-float",
+            "lut-capture-samples-float",
+            "lut-min-hits-zero",
+            "skew-capture-samples-float",
+            "fom-power-zero",
+            "fom-rate-negative",
+        ],
+    )
+    def test_bad_counts_rejected_at_load(self, tmp_path, experiment, text):
+        # a count given as a float reached range() or an array shape, and a
+        # zero power or a negative rate reached walden_fom, all as tracebacks
+        # (exit 1); a zero LUT hit floor turned the coverage check off (exit 0)
+        p = self.write(tmp_path, text)
+        assert main([experiment, "--config", str(p), "--out", str(tmp_path)]) == 2
+
     def test_smallest_sizing_loads(self):
         cfg = parse_config(
             MINIMAL_SINE + "adc:\n  n_taps: 1\n  launch_lead_taps: 0\nsweep:\n  points: 1\n"
@@ -378,24 +415,49 @@ class TestCli:
 
     @pytest.mark.parametrize("experiment", ["calibrate", "adc-sine"])
     @pytest.mark.parametrize(
-        "skews,expected",
+        "skews,expected,corrections",
         [
-            # group 0 needs -38 codes on base code 32; clipped to 0, this
-            # used to exit 0 with ENOB 3.10
-            ("[30.0e-12, 0.0, 0.0, 0.0]", 3),
+            # against the median group, group 0 needs -38 codes on base code
+            # 32, which would clip at 0 (this used to exit 0 with ENOB 3.10);
+            # a common shift of +6 keeps every group in range
+            ("[30.0e-12, 0.0, 0.0, 0.0]", 0, [-32, 6, 6, 6]),
             # beyond half the 7 GHz skew-tone period the phase wraps: this
             # used to exit 0 with a correction of +81 where about -102 is due
-            ("[0.0, 80.0e-12, 0.0, 0.0]", 2),
+            ("[0.0, 80.0e-12, 0.0, 0.0]", 2, None),
             # group 3 has the headroom for the same skew
-            ("[0.0, 0.0, 0.0, 30.0e-12]", 0),
+            ("[0.0, 0.0, 0.0, 30.0e-12]", 0, [0, 0, 0, -38]),
+            # the codes would span 282, more than any shift fits into [0, 255]
+            ("[70.0e-12, 0.0, 0.0, 0.0]", 3, None),
         ],
-        ids=["group0-plus30ps-clips", "group1-plus80ps-wraps", "group3-plus30ps-applies"],
+        ids=[
+            "group0-plus30ps-clips",
+            "group1-plus80ps-wraps",
+            "group3-plus30ps-applies",
+            "group0-plus70ps-spans",
+        ],
     )
-    def test_skewcal_skew_out_of_reach(self, tmp_path, experiment, skews, expected):
+    def test_skewcal_skew_out_of_reach(self, tmp_path, experiment, skews, expected, corrections):
         p = self.write(tmp_path, skewcal_with(skews))
         assert main([experiment, "--config", str(p), "--out", str(tmp_path)]) == expected
         if experiment == "calibrate":
-            assert (tmp_path / "calibration.json").exists() == (expected == 0)
+            path = tmp_path / "calibration.json"
+            assert path.exists() == (expected == 0)
+            if corrections is not None:
+                assert json.loads(path.read_text())["pi_corrections"] == corrections
+
+    @pytest.mark.parametrize(
+        "experiment", ["slice-transfer", "pi-sweep", "pi-trim", "calibrate", "fom", "montecarlo"]
+    )
+    def test_calibration_file_rejected_outside_adc_sine(self, tmp_path, experiment):
+        # only adc-sine resumes from a calibration file; the others used to
+        # ignore the option, even for a file that does not exist, and exit 0
+        p = self.write(tmp_path, MINIMAL_SINE)
+        out = tmp_path / "out"
+        assert main([
+            experiment, "--config", str(p), "--out", str(out),
+            "--calibration", str(tmp_path / "missing.json"),
+        ]) == 2
+        assert not out.exists()
 
     def test_calibration_from_other_config_rejected(self, tmp_path):
         cfg = self.write(tmp_path, MINIMAL_SINE)

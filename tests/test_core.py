@@ -5,42 +5,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochadc.core import (
-    ClockSpec,
-    MismatchModel,
-    clock_edges,
-    derive_seed,
-    keyed_normal,
-    sample_mismatch,
-    substream,
-)
+from stochadc.core import ClockSpec, MismatchModel, derive_seed, keyed_normal
+
+from oracles import clock_edges, substream
 
 
 def test_zero_variance_returns_copies_of_nominal():
     model = MismatchModel(nominal=10e-12, sigma_rel=0.0, seed=3)
-    samples = sample_mismatch(model, 255)
+    samples = model.sample(255)
     assert samples.shape == (255,)
     assert np.all(samples == 10e-12)
 
 
 def test_gaussian_moments_match_request():
     model = MismatchModel(nominal=10e-12, sigma_rel=0.1, distribution="gaussian", seed=7)
-    samples = sample_mismatch(model, 10**5)
+    samples = model.sample(10**5)
     assert abs(samples.mean() - 10e-12) < 0.02e-12
     assert abs(samples.std() - 1e-12) < 0.02e-12
 
 
 def test_uniform_moments_match_request():
     model = MismatchModel(nominal=10e-12, sigma_rel=0.1, distribution="uniform", seed=7)
-    samples = sample_mismatch(model, 10**5)
+    samples = model.sample(10**5)
     assert abs(samples.mean() - 10e-12) < 0.02e-12
     assert abs(samples.std() - 1e-12) < 0.02e-12
 
 
 def test_sampling_is_deterministic():
     model = MismatchModel(nominal=10e-12, sigma_rel=0.1, seed=7)
-    a = sample_mismatch(model, 255)
-    b = sample_mismatch(model, 255)
+    a = model.sample(255)
+    b = model.sample(255)
     assert np.array_equal(a, b)
 
 
@@ -48,12 +42,12 @@ def test_instance_samples_independent_of_count():
     # sample i is a pure function of (model, i): the first ten draws cannot
     # depend on how many other instances exist
     model = MismatchModel(nominal=10e-12, sigma_rel=0.1, seed=11)
-    assert np.array_equal(sample_mismatch(model, 10), sample_mismatch(model, 255)[:10])
+    assert np.array_equal(model.sample(10), model.sample(255)[:10])
 
 
 def test_clamp_floor_prevents_nonpositive_delays():
     model = MismatchModel(nominal=10e-12, sigma_rel=5.0, seed=1)
-    samples = sample_mismatch(model, 10**4)
+    samples = model.sample(10**4)
     assert samples.min() >= 0.05 * 10e-12
 
 
@@ -70,7 +64,7 @@ def test_unknown_distribution_rejected():
 def test_count_below_one_rejected():
     model = MismatchModel(nominal=1.0, sigma_rel=0.1)
     with pytest.raises(ValueError):
-        sample_mismatch(model, 0)
+        model.sample(0)
 
 
 def test_clock_edges_arithmetic_sequence():

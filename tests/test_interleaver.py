@@ -38,7 +38,6 @@ from stochadc.interleaver import (
     code_histogram,
     convert_pair_arrays,
     corrected_pi_codes,
-    identity_lut,
     retime_streams,
     run_capture,
     schedule_sampling,
@@ -46,6 +45,8 @@ from stochadc.interleaver import (
 )
 from stochadc.metrics import code_density_linearity
 from stochadc.stimulus import SineStimulus, adaptation_tone
+
+from oracles import identity_lut
 
 PS = 1e-12
 FS_RATE = 20e9
@@ -493,12 +494,21 @@ class TestSkewCalibration:
         corr = calibrate_skew(system, tone, 4096)
         assert np.array_equal(corr, np.array([0, -77, 0, 0]))
 
-    def test_correction_beyond_pi_code_range_raises(self):
-        # +30 ps on group 0 asks for -38 codes on base code 32; the code used
-        # to be clipped to 0 later, leaving 6 codes (about 5 ps) of skew
+    def test_common_shift_keeps_corrections_in_range(self):
+        # +30 ps on group 0 asks for -38 codes on base code 32 against the
+        # median group; the code used to be clipped to 0 later, leaving 6
+        # codes (about 5 ps) of skew.  Shifting all four groups by +6 fits.
         system = ideal_system(2, skew_injection=(30 * PS, 0.0, 0.0, 0.0))
         tone = coherent_tone(1433, 4096, amplitude=0.44)
-        with pytest.raises(PreconditionError, match=r"group 0 for PI code -6, beyond the bound 0"):
+        corr = calibrate_skew(system, tone, 4096)
+        assert np.array_equal(corr, np.array([-32, 6, 6, 6]))
+
+    def test_correction_beyond_pi_code_range_raises(self):
+        # +70 ps on group 0 asks for codes [-58, 96, 160, 224]: they span 282
+        # codes, so no common shift fits them into [0, 255]
+        system = ideal_system(2, skew_injection=(70 * PS, 0.0, 0.0, 0.0))
+        tone = coherent_tone(1433, 4096, amplitude=0.44)
+        with pytest.raises(PreconditionError, match=r"\[-58, 96, 160, 224\], which span 282"):
             calibrate_skew(system, tone, 4096)
 
     def test_corrected_pi_codes_bounds(self):

@@ -8,7 +8,6 @@ from stochadc.metrics import (
     code_density_linearity,
     coherent_bin,
     dominant_family_spur_db,
-    ideal_quantizer_codes,
     measure_edge_distance,
     measure_pi_transfer_uncorrelated,
     sndr_enob,
@@ -16,6 +15,8 @@ from stochadc.metrics import (
     walden_fom,
 )
 from stochadc.pi import make_pi_chain, pi_sweep
+
+from oracles import ideal_quantizer_codes
 
 PS = 1e-12
 FS = 20e9

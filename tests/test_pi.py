@@ -6,27 +6,31 @@ from hypothesis import strategies as st
 from stochadc.core import ClockSpec, keyed_uniform
 from stochadc.errors import ChainUnderspanError, TrimConvergenceError
 from stochadc.pi import (
-    EVEN_TO_ODD,
-    ODD_TO_EVEN,
     PI_CODES,
     DelayChain,
     PeriodQuantization,
     TrimState,
-    apply_boundary_mixers,
     arbitrate_period,
-    blend,
     code_table,
-    detect_blender_inversion,
-    encode,
     inverted_segments,
     make_pi_chain,
     pi_output,
     pi_sweep,
-    propagate_chain,
     ring_positions,
-    segment_endpoints,
     trim_paths,
     zero_trim,
+)
+
+from oracles import (
+    EVEN_TO_ODD,
+    ODD_TO_EVEN,
+    apply_boundary_mixers,
+    blend,
+    detect_blender_inversion,
+    encode,
+    propagate_chain,
+    segment_endpoints,
+    single_code_output,
 )
 
 PS = 1e-12
@@ -181,6 +185,12 @@ class TestOutput:
         phases = pi_sweep(ideal_chain(), CLOCK)
         steps = np.diff(phases)
         assert np.all(np.abs(steps - 0.78125 * PS) < 1e-18)
+
+    def test_code_out_of_range(self):
+        # a negative code must not read the code table from its end
+        for code in (-1, -256, PI_CODES):
+            with pytest.raises(ValueError):
+                pi_output(code, ideal_chain(), CLOCK)
 
     def test_periodicity(self):
         chain = ideal_chain()
@@ -357,11 +367,13 @@ def pi_cases(draw):
 def test_table_driven_sweep_and_detector_match_single_code_path(case):
     chain, clock, trim, cycle = case
     expected = np.array(
-        [pi_output(code, chain, clock, trim, cycle) for code in range(PI_CODES)]
+        [single_code_output(code, chain, clock, trim, cycle) for code in range(PI_CODES)]
     )
     got = pi_sweep(chain, clock, trim, cycle)
     assert got.dtype == np.float64
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    one = np.array([pi_output(code, chain, clock, trim, cycle) for code in range(PI_CODES)])
+    assert np.array_equal(one.view(np.uint64), expected.view(np.uint64))
     assert inverted_segments(chain, clock, trim, cycle) == per_code_inverted_segments(
         chain, clock, trim, cycle
     )

@@ -9,17 +9,20 @@ from stochadc.stdc import (
     InverterChain,
     OffsetEstimate,
     adapt_offset,
+    count_edges_batch,
+    validate_chain_window,
+)
+
+from oracles import (
+    PulseSample,
     adder_tree_depth,
     adder_tree_sum,
-    count_edges_batch,
     count_edges_in_pulse,
     make_chain,
     stdc_convert,
     tap_edge_times,
     unfold,
-    validate_chain_window,
 )
-from stochadc.v2t import PulseSample
 
 PS = 1e-12
 

@@ -3,15 +3,16 @@ import pytest
 
 from stochadc.core import MismatchModel
 from stochadc.errors import OverrangeError, UnderrangeError
-from stochadc.v2t import (
+
+from oracles import (
+    PhaseTiming,
     V2TConfig,
     fold,
+    gen_sampling_phases,
     ideal_mismatch,
     v2t_edge_time,
     v2t_pair,
 )
-
-from oracles import PhaseTiming, gen_sampling_phases
 
 PS = 1e-12
 
