@@ -21,6 +21,7 @@ import hashlib
 import json
 import math
 import numbers
+import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -33,45 +34,45 @@ from .pi import DelayChain, make_pi_chain
 from .stimulus import SineStimulus
 
 
-def _build(cls, data: dict, path: str):
-    """Construct a section dataclass, rejecting unknown keys."""
+def _build(cls, data, path: str):
+    """Construct a section dataclass from a mapping, rejecting unknown keys.
+
+    Each value is read through its field's annotation (see `_value`).
+    """
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a mapping, got {type(data).__name__}")
-    known = {f.name: f for f in fields(cls)}
-    unknown = sorted(set(data) - set(known))
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"{path}: unknown keys {unknown}")
-    kwargs = {}
-    for name, value in data.items():
-        f = known[name]
-        type_name = f.type if isinstance(f.type, str) else getattr(f.type, "__name__", "")
-        sub = _SECTION_TYPES.get(type_name)
-        if sub is not None and isinstance(value, dict):
-            kwargs[name] = _build(sub, value, f"{path}.{name}")
-        elif isinstance(value, list):
-            kwargs[name] = tuple(tuple(v) if isinstance(v, list) else v for v in value)
-        elif isinstance(value, str) and type_name.startswith("float"):
-            # YAML 1.1 parses exponent literals without a decimal point as
-            # strings; accept them rather than failing on "100e-12"
-            try:
-                kwargs[name] = float(value)
-            except ValueError as exc:
-                raise ConfigError(f"{path}.{name}: expected a number, got {value!r}") from exc
-        else:
-            kwargs[name] = value
-        if _has_non_finite(kwargs[name]):
-            raise ConfigError(f"{path}.{name}: numbers must be finite, got {value!r}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {name: _value(hints[name], value, f"{path}.{name}") for name, value in data.items()}
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _has_non_finite(value) -> bool:
-    """True for a nan/inf float, also nested in a list field."""
-    if isinstance(value, tuple):
-        return any(_has_non_finite(v) for v in value)
-    return isinstance(value, float) and not math.isfinite(value)
+def _value(hint, value, path: str):
+    """One YAML value as the annotation `hint` reads it.
+
+    A section type builds that section, a list becomes a tuple of the
+    annotation's item type, and nan or inf is rejected at any depth.
+    """
+    if dataclasses.is_dataclass(hint):
+        return _build(hint, value, path)
+    if isinstance(value, list):
+        item = (typing.get_args(hint) or (None,))[0]
+        return tuple(_value(item, v, f"{path}[]") for v in value)
+    if isinstance(value, str) and float in (hint, *typing.get_args(hint)):
+        # YAML 1.1 parses exponent literals without a decimal point as
+        # strings; accept them rather than failing on "100e-12"
+        try:
+            value = float(value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: expected a number, got {value!r}") from exc
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path}: numbers must be finite, got {value!r}")
+    return value
 
 
 def _is_real(value) -> bool:
@@ -93,6 +94,13 @@ def _check_counts(section, path: str, *names: str) -> None:
         value = getattr(section, name)
         if not _is_int(value) or value < 1:
             raise ConfigError(f"{path}.{name} must be an integer >= 1, got {value!r}")
+
+
+def _check_positive(section, path: str, *names: str) -> None:
+    for name in names:
+        value = getattr(section, name)
+        if not _is_real(value) or value <= 0:
+            raise ConfigError(f"{path}.{name} must be a number > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -235,8 +243,7 @@ class SystemConfig:
     calibration: CalibrationConfig = field(default_factory=CalibrationConfig)
 
     def __post_init__(self):
-        if not _is_real(self.aggregate_rate) or self.aggregate_rate <= 0:
-            raise ConfigError(f"system.aggregate_rate must be > 0, got {self.aggregate_rate!r}")
+        _check_positive(self, "system", "aggregate_rate")
         if len(self.skew_injection) != N_GROUPS or not all(map(_is_real, self.skew_injection)):
             raise ConfigError(f"system.skew_injection needs {N_GROUPS} numbers")
         if len(self.latencies) != N_SLICES:
@@ -247,9 +254,8 @@ class SystemConfig:
             raise ConfigError("system.sampling_jitter must be >= 0")
         # a bandwidth <= 0 divides by zero or flips the sign of the phase lag,
         # and a stage count below one (or fractional) amplifies the tone
-        bandwidth = self.front_end_bandwidth
-        if bandwidth is not None and (not _is_real(bandwidth) or bandwidth <= 0):
-            raise ConfigError(f"system.front_end_bandwidth must be > 0, got {bandwidth!r}")
+        if self.front_end_bandwidth is not None:
+            _check_positive(self, "system", "front_end_bandwidth")
         _check_counts(self, "system", "front_end_stages")
         if not (0 < self.early < self.track) or self.late <= 0:
             raise ConfigError("system timing needs 0 < early < track and late > 0")
@@ -283,6 +289,8 @@ class StimulusConfig:
     def __post_init__(self):
         if self.type != "sine":
             raise ConfigError(f"stimulus.type must be 'sine', got {self.type!r}")
+        # a negative amplitude would pass the swing check at load
+        _check_positive(self, "stimulus", "amplitude")
         if self.coherent_bin is not None and self.coherent_bin % 2 == 0:
             raise ConfigError("coherent_bin must be odd")
 
@@ -296,6 +304,9 @@ class CaptureConfig:
 
     def __post_init__(self):
         _check_counts(self, "capture", "n_samples", "linearity_samples")
+        # unset means the stimulus amplitude; 0 must not read as unset
+        if self.linearity_amplitude is not None:
+            _check_positive(self, "capture", "linearity_amplitude")
 
 
 @dataclass(frozen=True)
@@ -335,19 +346,18 @@ class FomEntry:
 
     def __post_init__(self):
         # the figure of merit divides by both
-        for name in ("power", "rate"):
-            value = getattr(self, name)
-            if not _is_real(value) or value <= 0:
-                raise ConfigError(f"fom.entries[].{name} must be a number > 0, got {value!r}")
+        _check_positive(self, "fom.entries[]", "power", "rate")
 
 
 @dataclass(frozen=True)
 class FomConfig:
-    entries: tuple = ()
+    entries: tuple[FomEntry, ...] = ()
 
     def __post_init__(self):
-        if not all(isinstance(entry, FomEntry) for entry in self.entries):
-            raise ConfigError("fom.entries must be mappings")
+        if not isinstance(self.entries, tuple) or not all(
+            isinstance(entry, FomEntry) for entry in self.entries
+        ):
+            raise ConfigError(f"fom.entries must be a list of mappings, got {self.entries!r}")
 
 
 @dataclass(frozen=True)
@@ -374,26 +384,16 @@ class RunConfig:
     fom: FomConfig = field(default_factory=FomConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
 
+    def __post_init__(self):
+        # derive_seed would truncate a fractional seed to another run's draws
+        if not _is_int(self.master_seed):
+            raise ConfigError(f"master_seed must be an integer, got {self.master_seed!r}")
+
     @functools.cached_property
     def digest(self) -> str:
         """`config_hash`, serialized once per instance (the config is frozen)."""
         canonical = json.dumps(config_to_dict(self), sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
-
-_SECTION_TYPES = {
-    "AdaptationConfig": AdaptationConfig,
-    "AdcConfig": AdcConfig,
-    "PiConfig": PiConfig,
-    "CalibrationConfig": CalibrationConfig,
-    "SystemConfig": SystemConfig,
-    "StimulusConfig": StimulusConfig,
-    "CaptureConfig": CaptureConfig,
-    "SweepConfig": SweepConfig,
-    "MonteCarloConfig": MonteCarloConfig,
-    "FomConfig": FomConfig,
-    "OutputConfig": OutputConfig,
-}
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
@@ -411,13 +411,17 @@ def _validate(cfg: RunConfig) -> RunConfig:
                 f"stimulus frequency {fin} is not coherent-odd with "
                 f"capture n_samples={n} at fs={fs} (J={j:.6f})"
             )
-        headroom = st.common_mode - st.amplitude / 2.0
-        if headroom < cfg.adc.v_threshold:
-            raise ConfigError(
-                "stimulus swings below the V2T threshold; raise common_mode"
-            )
-        if st.common_mode + st.amplitude / 2.0 > cfg.adc.vdd:
-            raise ConfigError("stimulus swings above the supply")
+        amplitudes = {"stimulus.amplitude": st.amplitude}
+        if cfg.capture.linearity_amplitude is not None:
+            amplitudes["capture.linearity_amplitude"] = cfg.capture.linearity_amplitude
+        for name, amplitude in amplitudes.items():
+            if st.common_mode - amplitude / 2.0 < cfg.adc.v_threshold:
+                raise ConfigError(
+                    f"stimulus swings below the V2T threshold at {name} {amplitude}; "
+                    "raise common_mode"
+                )
+            if st.common_mode + amplitude / 2.0 > cfg.adc.vdd:
+                raise ConfigError(f"stimulus swings above the supply at {name} {amplitude}")
         if cfg.system.calibration.skew:
             _check_skew_unwraps(cfg)
     return cfg
@@ -488,19 +492,7 @@ def parse_config(text: str) -> RunConfig:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
-    if "fom" in data and isinstance(data["fom"], dict) and "entries" in data["fom"]:
-        data = dict(data)
-        fom = data["fom"]
-        unknown = sorted(set(fom) - {"entries"})
-        if unknown:
-            raise ConfigError(f"fom: unknown keys {unknown}")
-        # FomConfig rejects an entry that is not a mapping
-        data["fom"] = FomConfig(entries=tuple(
-            _build(FomEntry, item, "fom.entries[]") if isinstance(item, dict) else item
-            for item in fom["entries"] or ()
-        ))
-    cfg = _build(RunConfig, data, "config")
-    return _validate(cfg)
+    return _validate(_build(RunConfig, data, "config"))
 
 
 def config_to_dict(cfg) -> dict:

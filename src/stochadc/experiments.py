@@ -24,16 +24,6 @@ from .core import ClockSpec
 from .errors import ConfigError
 from .stimulus import SineStimulus, adaptation_tone
 
-EXPERIMENT_NAMES = (
-    "slice-transfer",
-    "adc-sine",
-    "pi-sweep",
-    "pi-trim",
-    "montecarlo",
-    "calibrate",
-    "fom",
-)
-
 
 @dataclass
 class ExperimentResult:
@@ -506,15 +496,17 @@ def run_montecarlo(cfg: RunConfig, seed: int, out: Path | None) -> ExperimentRes
     return ExperimentResult("montecarlo", seed, h, metrics, files)
 
 
+# in the order the command line lists them
 _DISPATCH = {
     "slice-transfer": run_slice_transfer,
     "adc-sine": run_adc_sine,
     "pi-sweep": run_pi_sweep,
     "pi-trim": run_pi_trim,
+    "montecarlo": run_montecarlo,
     "calibrate": run_calibrate,
     "fom": run_fom,
-    "montecarlo": run_montecarlo,
 }
+EXPERIMENT_NAMES = tuple(_DISPATCH)
 
 
 def run_experiment(

@@ -125,16 +125,13 @@ class AdcSystem:
         code trim.
         """
         chain = self.pi_chains[group]
-        raw = pi_output(int(code), chain, self.pi_clock, self.pi_trims[group], cycle=0)
+        raw = pi_output(int(code), chain, self.pi_clock, self.pi_trims[group])
         base = (
             self.pi_clock.phase0
             + self.config.pi.unit_delay
             + NOMINAL_PI_CODE_BASE * self.config.system.pi_step
         )
-        return raw - base - group * (self.pi_clock_quarter())
-
-    def pi_clock_quarter(self) -> float:
-        return self.config.system.pi_clock_period / 4.0
+        return raw - base - group * (self.config.system.pi_clock_period / 4.0)
 
 
 def schedule_sampling(
@@ -178,14 +175,8 @@ class CaptureResult:
 
     instants: np.ndarray  # (16, n) sampling instants
     raw: np.ndarray  # (16, n) unsigned counts
-    sign: np.ndarray  # (16, n) folder sign bits
     codes: np.ndarray  # (16, n) signed codes after unfold
     corrected: np.ndarray  # (16, n) after LUT (the codes array itself when no LUT)
-    offset_codes: np.ndarray  # (16,)
-
-    @property
-    def n_samples(self) -> int:
-        return int(self.instants.size)
 
 
 def convert_pair_arrays(
@@ -264,11 +255,10 @@ def run_capture(
     n_cycles = n_samples // N_SLICES
     instants = schedule_sampling(system, pi_codes, n_cycles)
     raw = np.empty((N_SLICES, n_cycles), dtype=np.int64)
-    sign = np.empty((N_SLICES, n_cycles), dtype=bool)
     codes = np.empty((N_SLICES, n_cycles), dtype=np.int64)
     for s in range(N_SLICES):
         v_p, v_n = stimulus(instants[s])
-        raw[s], sign[s], codes[s] = convert_pair_arrays(
+        raw[s], _, codes[s] = convert_pair_arrays(
             system, s, v_p, v_n, int(offset_codes[s]), context="cycle "
         )
     corrected = codes
@@ -276,14 +266,7 @@ def run_capture(
         corrected = np.empty_like(codes)
         for s in range(N_SLICES):
             corrected[s] = apply_lut(luts[s], codes[s])
-    return CaptureResult(
-        instants=instants,
-        raw=raw,
-        sign=sign,
-        codes=codes,
-        corrected=corrected,
-        offset_codes=offset_codes,
-    )
+    return CaptureResult(instants=instants, raw=raw, codes=codes, corrected=corrected)
 
 
 def adapt_offsets(
@@ -291,12 +274,9 @@ def adapt_offsets(
     stimulus,
     window: int = 10_000,
     threshold: float = 0.001,
-    pi_codes=None,
 ) -> tuple[np.ndarray, list[OffsetEstimate]]:
     """Background-adaptation warmup: per-slice offset codes from raw counts."""
-    capture = run_capture(
-        system, stimulus, window * N_SLICES, offset_codes=np.zeros(N_SLICES), pi_codes=pi_codes
-    )
+    capture = run_capture(system, stimulus, window * N_SLICES, offset_codes=np.zeros(N_SLICES))
     estimates = [adapt_offset(capture.raw[s], window, threshold) for s in range(N_SLICES)]
     return np.array([e.offset_code for e in estimates], dtype=np.int64), estimates
 
@@ -306,13 +286,6 @@ class AlignedStream:
     """Aggregate-rate stream in slice order: sample 16*m + s is from slice s."""
 
     codes: np.ndarray
-    instants: np.ndarray
-    slice_index: np.ndarray
-    latencies: tuple
-
-    def __post_init__(self):
-        if not (self.codes.size == self.instants.size == self.slice_index.size):
-            raise ValueError("aligned stream arrays must agree in length")
 
 
 def retime_streams(streams: np.ndarray, latencies) -> list[np.ndarray]:
@@ -323,13 +296,13 @@ def retime_streams(streams: np.ndarray, latencies) -> list[np.ndarray]:
     ]
 
 
-def align_outputs(streams, latencies, instants=None) -> AlignedStream:
+def align_outputs(streams, latencies) -> AlignedStream:
     """Interleave 16 retimed slice streams into one aggregate-rate stream.
 
     Latency differences are compensated exactly: entry m of slice s is read
     at stream index m + latency_s.  The output is in slice order, as the
     hardware interleaves it: sample 16*m + s comes from slice s whatever the
-    sampling instants, which are carried along but never reorder samples.
+    sampling instants.
     """
     if len(streams) != N_SLICES or len(latencies) != N_SLICES:
         raise ValueError(f"expected {N_SLICES} streams and latencies")
@@ -343,22 +316,13 @@ def align_outputs(streams, latencies, instants=None) -> AlignedStream:
     codes = np.empty((n_cycles, N_SLICES), dtype=np.result_type(*streams))
     for s, (st, lat) in enumerate(zip(streams, latencies)):
         codes[:, s] = st[int(lat) : int(lat) + n_cycles]
-    if instants is not None:
-        out_instants = np.asarray(instants)[:, :n_cycles].T.reshape(-1)
-    else:
-        out_instants = np.arange(codes.size, dtype=np.float64)
-    return AlignedStream(
-        codes=codes.reshape(-1),
-        instants=out_instants,
-        slice_index=np.tile(np.arange(N_SLICES), n_cycles),
-        latencies=tuple(int(l) for l in latencies),
-    )
+    return AlignedStream(codes=codes.reshape(-1))
 
 
 def aligned_capture(system: AdcSystem, capture: CaptureResult) -> AlignedStream:
     """Retime and align one capture's corrected codes."""
     lat = system.config.system.latencies
-    return align_outputs(retime_streams(capture.corrected, lat), lat, capture.instants)
+    return align_outputs(retime_streams(capture.corrected, lat), lat)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,8 @@ from .errors import CoherenceError, CorrelatedSamplerError, PreconditionError
 
 ENOB_OFFSET_DB = 1.76
 ENOB_SLOPE_DB = 6.02
+# interleaving factor: the spur families sit at multiples of fs/16
+SPUR_FAMILY = 16
 
 
 @dataclass
@@ -34,7 +36,6 @@ class LinearityReport:
     dnl_max: float
     inl_max: float
     missing_codes: list
-    stimulus: str
     reference: str = "endpoint"
 
 
@@ -46,9 +47,6 @@ class SpectrumReport:
     enob: float
     fundamental_bin: int
     spur_list: list  # (bin, dBc) pairs, descending power
-    n_samples: int
-    fs: float
-    fin: float
 
 
 def _check_counts(histogram: np.ndarray, minimum: int) -> None:
@@ -105,7 +103,6 @@ def code_density_linearity(histogram: np.ndarray, stimulus: str) -> LinearityRep
         dnl_max=float(np.max(np.abs(dnl))),
         inl_max=float(np.max(np.abs(inl))),
         missing_codes=missing,
-        stimulus=stimulus,
     )
 
 
@@ -130,17 +127,12 @@ def coherent_bin(fin: float, fs: float, n_samples: int) -> int:
     return j
 
 
-def sndr_enob(
-    codes: np.ndarray,
-    fs: float,
-    fin: float,
-    spur_family: int = 16,
-) -> SpectrumReport:
+def sndr_enob(codes: np.ndarray, fs: float, fin: float) -> SpectrumReport:
     """SNDR/ENOB of a coherent sine capture (rectangular window).
 
     SNDR is fundamental power over everything else except DC; ENOB follows
     the (SNDR - 1.76)/6.02 relation by construction.  The spur list reports
-    the interleaving families: tones at multiples of fs/spur_family and
+    the interleaving families: tones at multiples of fs/SPUR_FAMILY and
     their images around the fundamental.
     """
     x = np.asarray(codes, dtype=np.float64)
@@ -156,8 +148,8 @@ def sndr_enob(
         raise PreconditionError("capture has no noise power; degenerate input")
     sndr = 10.0 * np.log10(signal / noise)
     spur_bins = set()
-    step = n // spur_family
-    for k in range(1, spur_family):
+    step = n // SPUR_FAMILY
+    for k in range(1, SPUR_FAMILY):
         for b in ((k * step) % n, (j + k * step) % n, (-j + k * step) % n):
             b = min(b, n - b)  # fold to the one-sided range
             if 0 < b <= n // 2 and b != j:
@@ -173,9 +165,6 @@ def sndr_enob(
         enob=float((sndr - ENOB_OFFSET_DB) / ENOB_SLOPE_DB),
         fundamental_bin=j,
         spur_list=[(int(b), float(db)) for b, db in spurs],
-        n_samples=n,
-        fs=fs,
-        fin=fin,
     )
 
 

@@ -16,8 +16,8 @@ the blender input detects the resulting order contradiction and the
 offending paths are trimmed in fixed steps until no contradiction remains.
 
 `pi_sweep`, `pi_output` and `inverted_segments` read the encoder from a
-cached, read-only code table (`code_table`): each code's start tap, end tap
-and blend step, from the encoder's integer arithmetic.  The single-code
+cached, read-only code table (`code_table`): each code's start tap and blend
+step, from the encoder's integer arithmetic.  The single-code
 model (encoder selects, blender, inversion detector) lives with the tests
 in `tests/oracles.py`, which hold these functions to it bit for bit.
 """
@@ -101,7 +101,6 @@ class PeriodQuantization:
     """Number of unit delays the arbiters find in one clock period."""
 
     n_delays_per_cycle: int
-    boundary_tap: int
 
     def __post_init__(self):
         if self.n_delays_per_cycle < 1:
@@ -135,16 +134,17 @@ def arbitrate_period(chain: DelayChain, clock: ClockSpec) -> PeriodQuantization:
             f"shorter than the clock period {clock.period:.4e} s"
         )
     n = int(np.searchsorted(chain.accumulated, limit, side="left")) + 1
-    return PeriodQuantization(n_delays_per_cycle=n, boundary_tap=n)
+    return PeriodQuantization(n_delays_per_cycle=n)
 
 
 def ring_positions(
     chain: DelayChain,
     clock: ClockSpec,
     trim: TrimState | None = None,
-    cycle: int = 0,
 ) -> tuple[np.ndarray, PeriodQuantization]:
     """The N+1 blender endpoint times covering one period, in ring order.
+
+    The period is the one starting at the clock's edge 0.
 
     Position j (1-based tap j) for j < N is that tap's mux-input time,
     position N is the boundary-mixer midpoint plus the path adjustment, and
@@ -153,11 +153,11 @@ def ring_positions(
     boundary sits on the last tap).
     """
     q = arbitrate_period(chain, clock)
-    edge = clock_edge_at(clock, cycle)
-    edge_next = clock_edge_at(clock, cycle + 1)
+    edge = clock_edge_at(clock, 0)
+    edge_next = clock_edge_at(clock, 1)
     taps = edge + chain.accumulated
     adjust = chain.path_skews if trim is None else chain.path_skews + trim.adjustments
-    n = q.boundary_tap
+    n = q.n_delays_per_cycle
     positions = np.empty(n + 1, dtype=np.float64)
     positions[: n - 1] = taps[: n - 1] + adjust[: n - 1]
     positions[n - 1] = 0.5 * (taps[n - 1] + edge_next) + adjust[n - 1]
@@ -173,13 +173,12 @@ class CodeTable:
     """Encoder output for every code at one period quantization.
 
     Index = code.  Taps are 1-based ring positions (see `ring_positions`);
-    `end_tap` is always `start_tap + 1`.  `segment_codes` lists the first
+    each segment ends on tap `start_tap + 1`.  `segment_codes` lists the first
     code of each distinct segment, in code order.  All arrays are read-only,
     because one table is shared by every caller with the same N.
     """
 
     start_tap: np.ndarray
-    end_tap: np.ndarray
     blend_k: np.ndarray
     segment_codes: np.ndarray
 
@@ -201,23 +200,22 @@ def code_table(n_delays_per_cycle: int) -> CodeTable:
     _, segment_codes = np.unique(start_tap, return_index=True)
     table = CodeTable(
         start_tap=start_tap,
-        end_tap=start_tap + 1,
         blend_k=(scaled % PI_CODES) // BLEND_STEPS,
         segment_codes=segment_codes,
     )
-    for array in (table.start_tap, table.end_tap, table.blend_k, table.segment_codes):
+    for array in (table.start_tap, table.blend_k, table.segment_codes):
         array.flags.writeable = False
     return table
 
 
-def _blend(positions: np.ndarray, start_tap, end_tap, blend_k) -> np.ndarray:
+def _blend(positions: np.ndarray, start_tap, blend_k) -> np.ndarray:
     """16-step weighted average of segment endpoints read from ring positions.
 
     Element-wise over code-table entries; k = 0 returns the start endpoint
     exactly.
     """
     t_a = positions[start_tap - 1]
-    t_b = positions[end_tap - 1]
+    t_b = positions[start_tap]
     return np.where(blend_k == 0, t_a, t_a + (blend_k / BLEND_STEPS) * (t_b - t_a))
 
 
@@ -226,37 +224,34 @@ def pi_output(
     chain: DelayChain,
     clock: ClockSpec,
     trim: TrimState | None = None,
-    cycle: int = 0,
 ) -> Instant:
-    """Output edge time for one control code in one input-clock cycle.
+    """Output edge time for one control code, in the period after edge 0.
 
     Entry `code` of `pi_sweep`, bit for bit, without computing the others.
     """
     # checked here: a negative code would index the table from its end
     if not 0 <= code < PI_CODES:
         raise ValueError(f"code must lie in [0, {PI_CODES}), got {code}")
-    positions, q = ring_positions(chain, clock, trim, cycle)
+    positions, q = ring_positions(chain, clock, trim)
     table = code_table(q.n_delays_per_cycle)
-    return float(_blend(positions, table.start_tap[code], table.end_tap[code], table.blend_k[code]))
+    return float(_blend(positions, table.start_tap[code], table.blend_k[code]))
 
 
 def pi_sweep(
     chain: DelayChain,
     clock: ClockSpec,
     trim: TrimState | None = None,
-    cycle: int = 0,
 ) -> np.ndarray:
     """Output phase for every code, one cycle (index = code)."""
-    positions, q = ring_positions(chain, clock, trim, cycle)
+    positions, q = ring_positions(chain, clock, trim)
     table = code_table(q.n_delays_per_cycle)
-    return _blend(positions, table.start_tap, table.end_tap, table.blend_k)
+    return _blend(positions, table.start_tap, table.blend_k)
 
 
 def inverted_segments(
     chain: DelayChain,
     clock: ClockSpec,
     trim: TrimState | None = None,
-    cycle: int = 0,
 ) -> list[tuple[int, int]]:
     """Segments whose blender inputs contradict the encoder, over all codes.
 
@@ -266,12 +261,11 @@ def inverted_segments(
     a real arbiter cannot certify margin, and treating ties as clean would
     let trimming stall on an exactly zero-width segment.
     """
-    positions, q = ring_positions(chain, clock, trim, cycle)
+    positions, q = ring_positions(chain, clock, trim)
     table = code_table(q.n_delays_per_cycle)
     start = table.start_tap[table.segment_codes]
-    end = table.end_tap[table.segment_codes]
-    firing = ~(positions[start - 1] < positions[end - 1])
-    return list(zip(start[firing].tolist(), end[firing].tolist()))
+    firing = ~(positions[start - 1] < positions[start])
+    return [(tap, tap + 1) for tap in start[firing].tolist()]
 
 
 @dataclass(frozen=True)
@@ -287,7 +281,6 @@ def trim_paths(
     chain: DelayChain,
     clock: ClockSpec,
     max_iters: int = 64,
-    cycle: int = 0,
 ) -> TrimResult:
     """Iteratively trim offending paths until no inversion fires.
 
@@ -302,7 +295,7 @@ def trim_paths(
     initial = None
     for iteration in range(1, max_iters + 1):
         state = TrimState(adjustments=adjustments.copy(), unit_delay=chain.unit_delay)
-        firing = inverted_segments(chain, clock, state, cycle)
+        firing = inverted_segments(chain, clock, state)
         if initial is None:
             initial = len(firing)
         if not firing:

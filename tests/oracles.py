@@ -381,7 +381,7 @@ def apply_boundary_mixers(
     alias into the next cycle.  Indexed by tap; sort to view as a phase set.
     """
     taps = np.asarray(taps, dtype=np.float64)
-    n = q.boundary_tap
+    n = q.n_delays_per_cycle
     phases = taps.copy()
     phases[n - 1] = 0.5 * (taps[n - 1] + clock_edge_next)
     phases[n:] = taps[n:] - period
@@ -433,10 +433,9 @@ def single_code_output(
     chain: DelayChain,
     clock: ClockSpec,
     trim: TrimState | None = None,
-    cycle: int = 0,
 ) -> Instant:
     """Output edge time for one control code: encoder, selects, blender."""
-    positions, q = ring_positions(chain, clock, trim, cycle)
+    positions, q = ring_positions(chain, clock, trim)
     sel = encode(code, q)
     start_tap, end_tap = segment_endpoints(sel)
     return blend(positions[start_tap - 1], positions[end_tap - 1], sel.blend_k)

@@ -150,6 +150,46 @@ class TestCli:
         )
         assert main(["adc-sine", "--config", str(q), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            MINIMAL_SINE.replace("amplitude: 0.45", "amplitude: -0.9"),
+            MINIMAL_SINE.replace("amplitude: 0.45", "amplitude: 0.0"),
+            MINIMAL_SINE + "  linearity: true\n  linearity_amplitude: 0.0\n",
+            MINIMAL_SINE + "  linearity: true\n  linearity_amplitude: -0.2\n",
+            MINIMAL_SINE + "  linearity: true\n  linearity_amplitude: 0.6\n",
+        ],
+        ids=[
+            "amplitude-negative",
+            "amplitude-zero",
+            "linearity-amplitude-zero",
+            "linearity-amplitude-negative",
+            "linearity-amplitude-below-threshold",
+        ],
+    )
+    def test_bad_amplitudes_rejected_at_load(self, tmp_path, capsys, text):
+        # -0.9 passed the signed swing check and stopped mid-run (exit 3); a
+        # linearity amplitude of 0 read as unset, and 0.6 swung below the V2T
+        # threshold in the linearity capture only
+        p = self.write(tmp_path, text)
+        assert main(["adc-sine", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert "amplitude" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1.5", "true", "abc"])
+    def test_master_seed_must_be_an_integer(self, tmp_path, capsys, value):
+        # 1.5 used to run seed 1's draws under another config hash (exit 0)
+        p = self.write(tmp_path, MINIMAL_SINE.replace("master_seed: 1", f"master_seed: {value}"))
+        assert main(["pi-sweep", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert "master_seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["5", "null", "[5]", "{label: a}"])
+    def test_fom_entries_must_be_a_list_of_mappings(self, tmp_path, capsys, value):
+        # checked at load, whatever the experiment: `entries: 5` used to end
+        # in a TypeError traceback (exit 1) and `entries: null` loaded as empty
+        p = self.write(tmp_path, f"fom:\n  entries: {value}\n")
+        assert main(["pi-sweep", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert "fom.entries" in capsys.readouterr().err
+
     def test_unconvergent_trim_exit_code(self, tmp_path):
         p = self.write(
             tmp_path,

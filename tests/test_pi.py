@@ -73,7 +73,6 @@ class TestArbitrate:
     def test_nominal_sizing(self):
         q = arbitrate_period(ideal_chain(), CLOCK)
         assert q.n_delays_per_cycle == 16
-        assert q.boundary_tap == 16
 
     def test_short_period_rounds_up(self):
         q = arbitrate_period(ideal_chain(), ClockSpec(period=195 * PS))
@@ -87,7 +86,7 @@ class TestArbitrate:
         for seed in range(50):
             chain = make_pi_chain(TD, tap_sigma_rel=0.05, seed=seed)
             q = arbitrate_period(chain, CLOCK)
-            n = q.boundary_tap
+            n = q.n_delays_per_cycle
             guard = 1e-9 * CLOCK.period
             assert chain.accumulated[n - 1] >= CLOCK.period - guard
             if n > 1:
@@ -194,7 +193,8 @@ class TestOutput:
 
     def test_periodicity(self):
         chain = ideal_chain()
-        delta = pi_output(0, chain, CLOCK, cycle=1) - pi_output(0, chain, CLOCK, cycle=0)
+        next_period = ClockSpec(period=CLOCK.period, phase0=CLOCK.period)
+        delta = pi_output(0, chain, next_period) - pi_output(0, chain, CLOCK)
         assert delta == pytest.approx(200 * PS, abs=1e-24)
 
     def test_full_sweep_strictly_monotone(self):
@@ -302,9 +302,9 @@ def test_step_distribution_regression_locked():
         assert abs(steps.mean() - 0.78125) / 0.78125 < 0.06
 
 
-def per_code_inverted_segments(chain, clock, trim=None, cycle=0):
+def per_code_inverted_segments(chain, clock, trim=None):
     """The per-code detector loop `inverted_segments` replaced: the oracle."""
-    positions, q = ring_positions(chain, clock, trim, cycle)
+    positions, q = ring_positions(chain, clock, trim)
     firing = []
     seen = set()
     for code in range(PI_CODES):
@@ -322,11 +322,11 @@ def per_code_inverted_segments(chain, clock, trim=None, cycle=0):
 
 @pytest.mark.parametrize("n", [1, 2, 7, 15, 16, 17, 31, 32])
 def test_code_table_matches_encoder(n):
-    q = PeriodQuantization(n_delays_per_cycle=n, boundary_tap=n)
+    q = PeriodQuantization(n_delays_per_cycle=n)
     table = code_table(n)
     for code in range(PI_CODES):
         sel = encode(code, q)
-        assert (table.start_tap[code], table.end_tap[code]) == segment_endpoints(sel)
+        assert (table.start_tap[code], table.start_tap[code] + 1) == segment_endpoints(sel)
         assert table.blend_k[code] == sel.blend_k
     assert table.start_tap[table.segment_codes].tolist() == list(range(1, n + 1))
     with pytest.raises(ValueError):
@@ -335,7 +335,7 @@ def test_code_table_matches_encoder(n):
 
 @st.composite
 def pi_cases(draw):
-    """A mismatched chain, a trim, a clock and a cycle.
+    """A mismatched chain, a trim and a clock.
 
     The period is a fraction of the chain span, so N runs from about 12 up
     to every tap, where the ring wraps onto the next cycle's first tap.
@@ -359,24 +359,22 @@ def pi_cases(draw):
     if trim_rel > 0.05:
         adjust = (keyed_uniform(seed + 2, np.arange(chain.n_taps)) * 2.0 - 1.0) * trim_rel * TD
         trim = TrimState(adjustments=adjust, unit_delay=TD)
-    return chain, clock, trim, draw(st.integers(-3, 3))
+    return chain, clock, trim
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(pi_cases())
 def test_table_driven_sweep_and_detector_match_single_code_path(case):
-    chain, clock, trim, cycle = case
+    chain, clock, trim = case
     expected = np.array(
-        [single_code_output(code, chain, clock, trim, cycle) for code in range(PI_CODES)]
+        [single_code_output(code, chain, clock, trim) for code in range(PI_CODES)]
     )
-    got = pi_sweep(chain, clock, trim, cycle)
+    got = pi_sweep(chain, clock, trim)
     assert got.dtype == np.float64
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
-    one = np.array([pi_output(code, chain, clock, trim, cycle) for code in range(PI_CODES)])
+    one = np.array([pi_output(code, chain, clock, trim) for code in range(PI_CODES)])
     assert np.array_equal(one.view(np.uint64), expected.view(np.uint64))
-    assert inverted_segments(chain, clock, trim, cycle) == per_code_inverted_segments(
-        chain, clock, trim, cycle
-    )
+    assert inverted_segments(chain, clock, trim) == per_code_inverted_segments(chain, clock, trim)
 
 
 def test_exact_tie_fires():
