@@ -450,11 +450,14 @@ def run_montecarlo(cfg: RunConfig, seed: int, out: Path | None) -> ExperimentRes
         raise ConfigError(f"montecarlo cannot wrap experiment {name!r}")
     seeds = [seed + i for i in range(cfg.montecarlo.trials)]
     jobs = [(cfg, name, s) for s in seeds]
-    if cfg.montecarlo.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.montecarlo.workers) as pool:
-            results = list(pool.map(_mc_trial, jobs))
-    else:
-        results = [_mc_trial(job) for job in jobs]
+    # trials on one sampling grid sample each tone once; a forked worker
+    # inherits the open, empty memo, a spawned one runs without it
+    with il.shared_tone_swings():
+        if cfg.montecarlo.workers > 1:
+            with ProcessPoolExecutor(max_workers=cfg.montecarlo.workers) as pool:
+                results = list(pool.map(_mc_trial, jobs))
+        else:
+            results = [_mc_trial(job) for job in jobs]
     results.sort(key=lambda item: item[0])
     numeric_keys = [
         k

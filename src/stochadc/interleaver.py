@@ -16,7 +16,8 @@ retime, which the aligner compensates exactly before interleaving.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -175,8 +176,8 @@ class CaptureResult:
 
     instants: np.ndarray  # (16, n) sampling instants
     raw: np.ndarray  # (16, n) unsigned counts
-    codes: np.ndarray  # (16, n) signed codes after unfold
-    corrected: np.ndarray  # (16, n) after LUT (the codes array itself when no LUT)
+    codes: np.ndarray | None  # (16, n) signed codes after unfold; None in the warmup
+    corrected: np.ndarray | None  # (16, n) after LUT (the codes array itself when no LUT)
 
 
 def convert_pair_arrays(
@@ -188,6 +189,16 @@ def convert_pair_arrays(
     context: str = "",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized conversion of sampled voltage pairs on one slice."""
+    raw, sign = _raw_counts(system, s, v_p, v_n, context)
+    magnitude = np.maximum(raw - int(offset_code), 0)
+    code = np.where(sign, -magnitude, magnitude)
+    return raw, sign, code
+
+
+def _raw_counts(
+    system: AdcSystem, s: int, v_p: np.ndarray, v_n: np.ndarray, context: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unsigned STDC counts and V2T signs of sampled voltage pairs on one slice."""
     adc = system.config.adc
     vth_p, vth_n = system.vth_p[s], system.vth_n[s]
     # min/max propagate NaN, and "not in range" fails on it; `initial` lets an
@@ -216,10 +227,7 @@ def convert_pair_arrays(
     sign = t_inp < t_inn
     width = np.abs(t_inp - t_inn) + adc.d_offset
     start = np.minimum(t_inp, t_inn) + adc.launch_lead
-    raw = count_edges_batch(system.chains[s], start, width)
-    magnitude = np.maximum(raw - int(offset_code), 0)
-    code = np.where(sign, -magnitude, magnitude)
-    return raw, sign, code
+    return count_edges_batch(system.chains[s], start, width), sign
 
 
 def slice_transfer(
@@ -236,6 +244,64 @@ def slice_transfer(
     return convert_pair_arrays(system, s, v_p, v_n, offset_code, context="point ")
 
 
+class _ToneSwings:
+    """Half swings of the tones sampled on one grid, shared across captures.
+
+    The grid is the per-slice base phase (column 0 of the instants) and the
+    slice period; with the capture length they fix every instant bit for
+    bit, since the instants are base + m * period.  A tone is keyed by the
+    exact bits of every field and the length.  A capture on another grid
+    drops every entry, so only one grid's tones are held.  The arrays are
+    read-only because captures share them.
+    """
+
+    def __init__(self):
+        self.grid = None
+        self.swings: dict = {}
+
+    def get(self, tone: SineStimulus, instants: np.ndarray, slice_period: float) -> np.ndarray:
+        grid = (instants[:, 0].tobytes(), _bits(slice_period))
+        if grid != self.grid:
+            self.grid, self.swings = grid, {}
+        key = (*(_bits(getattr(tone, f.name)) for f in fields(tone)), instants.shape[1])
+        swing = self.swings.get(key)
+        if swing is None:
+            # row by row like an unshared capture: one (16, n) evaluation
+            # may round its SIMD tails differently on another CPU
+            swing = np.empty(instants.shape)
+            for s in range(N_SLICES):
+                swing[s] = tone.half_swing(instants[s])
+            swing.flags.writeable = False
+            self.swings[key] = swing
+        return swing
+
+
+def _bits(value):
+    return value.hex() if isinstance(value, float) else value
+
+
+_tone_swings: _ToneSwings | None = None
+
+
+@contextmanager
+def shared_tone_swings():
+    """Captures inside the block sample each tone once per grid and length.
+
+    The Monte Carlo opens it: trials draw new STDC and V2T mismatch, but
+    without PI mismatch or sampling jitter they sample the same tones at the
+    same instants.  Jittered grids and stimuli other than `SineStimulus` are
+    evaluated per capture as outside the block.  Every entry is dropped when
+    the block exits.
+    """
+    global _tone_swings
+    memo = _tone_swings = _ToneSwings()
+    try:
+        yield memo
+    finally:
+        _tone_swings = None
+        memo.grid, memo.swings = None, {}
+
+
 def run_capture(
     system: AdcSystem,
     stimulus,
@@ -243,8 +309,14 @@ def run_capture(
     offset_codes=None,
     luts=None,
     pi_codes=None,
+    *,
+    _raw_only: bool = False,
 ) -> CaptureResult:
-    """Full-system capture of n_samples aggregate samples (multiple of 16)."""
+    """Full-system capture of n_samples aggregate samples (multiple of 16).
+
+    `_raw_only` (the offset warmup) fills `raw` alone and leaves `codes` and
+    `corrected` None.
+    """
     if n_samples % N_SLICES != 0 or n_samples <= 0:
         raise ConfigError(f"n_samples must be a positive multiple of {N_SLICES}")
     if offset_codes is None:
@@ -254,13 +326,23 @@ def run_capture(
         pi_codes = system.nominal_pi_codes()
     n_cycles = n_samples // N_SLICES
     instants = schedule_sampling(system, pi_codes, n_cycles)
+    sc = system.config.system
+    swings = None
+    if _tone_swings is not None and isinstance(stimulus, SineStimulus) and sc.sampling_jitter == 0:
+        swings = _tone_swings.get(stimulus, instants, sc.slice_period)
     raw = np.empty((N_SLICES, n_cycles), dtype=np.int64)
-    codes = np.empty((N_SLICES, n_cycles), dtype=np.int64)
+    codes = None if _raw_only else np.empty((N_SLICES, n_cycles), dtype=np.int64)
     for s in range(N_SLICES):
-        v_p, v_n = stimulus(instants[s])
-        raw[s], _, codes[s] = convert_pair_arrays(
-            system, s, v_p, v_n, int(offset_codes[s]), context="cycle "
-        )
+        if swings is None:
+            v_p, v_n = stimulus(instants[s])
+        else:
+            v_p, v_n = stimulus(instants[s], half_swing=swings[s])
+        if _raw_only:
+            raw[s], _ = _raw_counts(system, s, v_p, v_n, "cycle ")
+        else:
+            raw[s], _, codes[s] = convert_pair_arrays(
+                system, s, v_p, v_n, int(offset_codes[s]), context="cycle "
+            )
     corrected = codes
     if luts is not None:
         corrected = np.empty_like(codes)
@@ -276,7 +358,7 @@ def adapt_offsets(
     threshold: float = 0.001,
 ) -> tuple[np.ndarray, list[OffsetEstimate]]:
     """Background-adaptation warmup: per-slice offset codes from raw counts."""
-    capture = run_capture(system, stimulus, window * N_SLICES, offset_codes=np.zeros(N_SLICES))
+    capture = run_capture(system, stimulus, window * N_SLICES, _raw_only=True)
     estimates = [adapt_offset(capture.raw[s], window, threshold) for s in range(N_SLICES)]
     return np.array([e.offset_code for e in estimates], dtype=np.int64), estimates
 

@@ -24,14 +24,22 @@ class SineStimulus:
     bandwidth: float | None = None
     filter_stages: int = 1
 
-    def __call__(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(
+        self, t: np.ndarray, half_swing: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(v_p, v_n) at the instants t; `half_swing` is `self.half_swing(t)`
+        when the caller already holds it."""
+        h = self.half_swing(t) if half_swing is None else half_swing
+        return self.common_mode + h, self.common_mode - h
+
+    def half_swing(self, t: np.ndarray) -> np.ndarray:
+        """(v_p - v_n) / 2 at the instants t, after the front end."""
         amp, ph = self.amplitude, self.phase
         if self.bandwidth is not None:
             ratio = self.frequency / self.bandwidth
             amp = amp / (1.0 + ratio**2) ** (self.filter_stages / 2.0)
             ph = ph - self.filter_stages * np.arctan(ratio)
-        dv = amp * np.sin(2.0 * np.pi * self.frequency * np.asarray(t) + ph)
-        return self.common_mode + dv / 2.0, self.common_mode - dv / 2.0
+        return amp * np.sin(2.0 * np.pi * self.frequency * np.asarray(t) + ph) / 2.0
 
 
 GOLDEN_FRACTION = 0.6180339887498949

@@ -52,6 +52,7 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 REFERENCE_MEASURED_STEP = 0.7 * PS
 # Characterized silicon linearity/ENOB reference points for criterion 9.
 REFERENCE_DNL_LSB = 0.95
+REFERENCE_INL_LSB = 2.39
 REFERENCE_ENOB = 5.6
 
 # Criterion 7 lock: (seed, pre-cal spur dBc, post-cal spur dBc).
@@ -297,11 +298,13 @@ def test_criterion_08_fom_reproduction():
 def test_criterion_09_mismatch_regime_consistency():
     cfg = load_config(CONFIG_DIR / "regime.yaml")
     dnl = []
+    inl = []
     enob = []
     lock_ok = True
     for seed, dnl_lock, enob_lock in REGIME_LOCK:
         result = run_adc_sine(cfg, seed, None)
         dnl.append(result.metrics["dnl_max"])
+        inl.append(result.metrics["inl_max"])
         enob.append(result.metrics["enob"])
         lock_ok &= (
             abs(result.metrics["dnl_max"] - dnl_lock) < 1e-9
@@ -314,7 +317,8 @@ def test_criterion_09_mismatch_regime_consistency():
         9,
         ok,
         f"frozen regime config: median dnl_max {med_dnl:.3f} LSB in [0.5, 1.5] "
-        f"(ref {REFERENCE_DNL_LSB}), median ENOB {med_enob:.3f} in [5.0, 6.5] "
+        f"(ref {REFERENCE_DNL_LSB}), median inl_max {float(np.median(inl)):.3f} LSB "
+        f"(ref {REFERENCE_INL_LSB}, no band), median ENOB {med_enob:.3f} in [5.0, 6.5] "
         f"(ref {REFERENCE_ENOB}), per-seed values match lock: {lock_ok}",
     )
 

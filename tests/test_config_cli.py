@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from stochadc.cli import main
 from stochadc.config import (
@@ -15,7 +16,8 @@ from stochadc.config import (
     parse_config,
 )
 from stochadc.errors import ConfigError
-from stochadc.experiments import run_adc_sine, run_experiment
+from stochadc.experiments import run_adc_sine, run_experiment, run_montecarlo
+from stochadc.stimulus import SineStimulus
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -580,6 +582,129 @@ class TestMonteCarlo:
         cfg = parse_config("montecarlo:\n  trials: 2\n  experiment: montecarlo\n")
         with pytest.raises(ConfigError):
             run_experiment("montecarlo", cfg)
+
+
+def small_regime(trials=3, **sections) -> RunConfig:
+    """configs/regime.yaml with short windows; `sections` update its sections."""
+    data = yaml.safe_load((CONFIG_DIR / "regime.yaml").read_text(encoding="utf-8"))
+    data["adc"]["adaptation"]["window"] = 2000
+    data["capture"].update(n_samples=4096, linearity_samples=32768)
+    data["montecarlo"]["trials"] = trials
+    for section, values in sections.items():
+        data.setdefault(section, {}).update(values)
+    return parse_config(yaml.safe_dump(data))
+
+
+def trial_metrics(cfg: RunConfig, out: Path) -> dict:
+    """seed -> numeric adc-sine metrics of one Monte Carlo, read from its CSV."""
+    out.mkdir(parents=True, exist_ok=True)
+    run_montecarlo(cfg, 0, out)
+    lines = (out / "montecarlo.csv").read_text(encoding="utf-8").splitlines()[2:]
+    header, *rows = (line.split(",") for line in lines)
+    return {int(r[0]): dict(zip(header[1:], map(float, r[1:]))) for r in rows}
+
+
+def stand_alone_metrics(cfg: RunConfig, seed: int, keys) -> dict:
+    metrics = run_adc_sine(cfg, seed, None).metrics
+    return {k: float(metrics[k]) for k in keys}
+
+
+class TestSharedToneSwings:
+    """Monte Carlo trials that sample a tone on one grid share its half swing."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        """Per capture: the open memo, its grid, its entry count and whether
+        every held array is read-only; plus the count of row evaluations."""
+        import stochadc.interleaver as il
+
+        seen = {"captures": [], "rows": 0}
+        real_capture, real_half_swing = il.run_capture, SineStimulus.half_swing
+
+        def capture(*args, **kwargs):
+            result = real_capture(*args, **kwargs)
+            memo = il._tone_swings
+            seen["captures"].append(
+                (memo, None, 0, True) if memo is None else
+                (memo, memo.grid, len(memo.swings),
+                 all(not h.flags.writeable for h in memo.swings.values()))
+            )
+            return result
+
+        def half_swing(tone, t):
+            seen["rows"] += 1
+            return real_half_swing(tone, t)
+
+        monkeypatch.setattr(il, "run_capture", capture)
+        monkeypatch.setattr(SineStimulus, "half_swing", half_swing)
+        return seen
+
+    def test_shared_grid_matches_stand_alone_runs(self, tmp_path, spy):
+        cfg = small_regime()
+        trials = trial_metrics(cfg, tmp_path)
+        captures = list(spy["captures"])
+        # warmup, capture and linearity tones, each sampled once for 3 trials
+        assert spy["rows"] == 3 * 16
+        assert [n for _, _, n, _ in captures] == [1, 2, 3] + [3] * 6
+        assert len({grid for _, grid, _, _ in captures}) == 1
+        assert all(read_only for *_, read_only in captures)
+        for seed, metrics in trials.items():
+            assert stand_alone_metrics(cfg, seed, metrics) == metrics
+
+    def test_pi_mismatch_misses_and_holds_one_grid(self, tmp_path, spy):
+        cfg = small_regime(pi={"tap_sigma_rel": 0.05})
+        trials = trial_metrics(cfg, tmp_path)
+        captures = list(spy["captures"])
+        # each trial's PI moves the grid: every tone is sampled anew and the
+        # previous trial's entries are dropped
+        assert spy["rows"] == 3 * 3 * 16
+        assert [n for _, _, n, _ in captures] == [1, 2, 3] * 3
+        grids = [grid for _, grid, _, _ in captures]
+        assert len(set(grids)) == 3
+        assert all(grids[i] == grids[i - i % 3] for i in range(len(grids)))
+        for seed, metrics in trials.items():
+            assert stand_alone_metrics(cfg, seed, metrics) == metrics
+
+    def test_sampling_jitter_bypasses_the_memo(self, tmp_path, spy):
+        cfg = small_regime(system={"sampling_jitter": 2.0e-13})
+        trials = trial_metrics(cfg, tmp_path)
+        assert spy["rows"] == 3 * 3 * 16
+        assert all(memo is not None and n == 0 for memo, _, n, _ in spy["captures"])
+        for seed, metrics in trials.items():
+            assert stand_alone_metrics(cfg, seed, metrics) == metrics
+
+    def test_workers_match_serial(self, tmp_path):
+        serial = trial_metrics(small_regime(), tmp_path / "s")
+        parallel = trial_metrics(
+            small_regime(montecarlo={"workers": 2}), tmp_path / "p"
+        )
+        assert parallel == serial
+
+    def test_memo_is_scoped_to_the_montecarlo(self, spy):
+        import stochadc.interleaver as il
+
+        cfg = small_regime(trials=2)
+        run_montecarlo(cfg, 0, None)
+        memo = spy["captures"][0][0]
+        assert il._tone_swings is None
+        assert memo.grid is None and memo.swings == {}
+        # a single run samples every tone itself
+        spy["captures"].clear()
+        run_adc_sine(cfg, 0, None)
+        assert all(memo is None for memo, *_ in spy["captures"])
+
+    def test_other_stimuli_bypass_the_memo(self):
+        import stochadc.interleaver as il
+
+        def level(t):
+            half = np.full(np.shape(t), 0.1)
+            return 0.55 + half, 0.55 - half
+
+        system = il.AdcSystem(small_regime(), 0)
+        with il.shared_tone_swings() as memo:
+            capture = il.run_capture(system, level, 256)
+            assert memo.swings == {}
+        assert np.array_equal(capture.raw, il.run_capture(system, level, 256).raw)
 
 
 def test_unknown_experiment_rejected():
