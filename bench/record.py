@@ -13,7 +13,9 @@ already there.  Per workload it holds the two lines run.py ends with:
 speed reference times `ref_s` and the machine fingerprint) and `result`
 (correct, attempted, failed and the rescaled metrics).  The record also names the checkout's git revision,
 whether its tree differs from that revision, and the sha256 of its
-`src/` files, which tells two uncommitted trees apart.
+`src/` files, which tells two uncommitted trees apart.  A workload whose
+artifacts miss the reference digests, or with any failed run, stops the
+record before anything is written.
 """
 
 from __future__ import annotations
@@ -52,7 +54,12 @@ def run_workload(checkout: Path, workload: str, seconds: float) -> dict:
     if proc.returncode != 0 or len(lines) < 2:
         sys.exit(f"perfbench/run.py --workload {workload} failed ({proc.returncode}): "
                  f"{proc.stderr[-2000:]}")
-    return {"detail": json.loads(lines[-2]), "result": json.loads(lines[-1])}
+    result = json.loads(lines[-1])
+    # run.py exits 0 even when its artifacts miss the reference digests
+    if result["correct"] is not True or result["failed"] > 0:
+        sys.exit(f"perfbench/run.py --workload {workload} reported correct={result['correct']} "
+                 f"with {result['failed']} failed runs; nothing recorded")
+    return {"detail": json.loads(lines[-2]), "result": result}
 
 
 def main() -> int:

@@ -21,7 +21,6 @@ from .errors import (
 from .stdc import InverterChain, OffsetEstimate, adapt_offset
 from .pi import (
     DelayChain,
-    PeriodQuantization,
     TrimState,
     arbitrate_period,
     make_pi_chain,

@@ -56,20 +56,27 @@ def _value(hint, value, path: str):
     """One YAML value as the annotation `hint` reads it.
 
     A section type builds that section, a list becomes a tuple of the
-    annotation's item type, and nan or inf is rejected at any depth.
+    annotation's item type, a scalar must match its annotation (see
+    `_SCALARS`; `X | None` also takes null), and nan or inf is rejected at
+    any depth.
     """
     if dataclasses.is_dataclass(hint):
         return _build(hint, value, path)
-    if isinstance(value, list):
-        item = (typing.get_args(hint) or (None,))[0]
-        return tuple(_value(item, v, f"{path}[]") for v in value)
-    if isinstance(value, str) and float in (hint, *typing.get_args(hint)):
+    args = typing.get_args(hint)
+    if isinstance(value, str) and float in (hint, *args):
         # YAML 1.1 parses exponent literals without a decimal point as
         # strings; accept them rather than failing on "100e-12"
         try:
             value = float(value)
         except ValueError as exc:
             raise ConfigError(f"{path}: expected a number, got {value!r}") from exc
+    kinds = [t for t in (hint, *args) if t in _SCALARS]
+    unset = value is None and type(None) in args
+    if kinds and not unset and not any(_SCALARS[t][0](value) for t in kinds):
+        raise ConfigError(f"{path}: expected {_SCALARS[kinds[0]][1]}, got {value!r}")
+    if isinstance(value, list):
+        item = (args or (None,))[0]
+        return tuple(_value(item, v, f"{path}[]") for v in value)
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{path}: numbers must be finite, got {value!r}")
     return value
@@ -81,6 +88,16 @@ def _is_real(value) -> bool:
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# annotation -> (accepts the YAML value, what the error says it expected);
+# a bool is not a number here, and an int is a valid float
+_SCALARS = {
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    int: (_is_int, "an integer"),
+    float: (_is_real, "a number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+}
 
 
 def _check_sigmas(section, path: str, *names: str) -> None:

@@ -8,7 +8,7 @@ both are ordinary floats so arithmetic is closed by construction.
 Randomness is keyed: value i is a pure function of (seed, i), implemented
 with a SplitMix64-style mixer plus the inverse normal CDF.  Everything that
 must be reproducible per instance index (tap delays, path skews, V2T
-parameters, clock jitter) draws this way, independent of how many instances
+parameters, sampling jitter) draws this way, independent of how many instances
 exist or in which order they are evaluated.
 """
 
@@ -90,7 +90,7 @@ def keyed_normal(seed: int, indices) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MismatchModel:
-    """Statistical description of per-instance deviations.
+    """Gaussian per-instance deviations around a nominal value.
 
     ``sample(count)`` yields one draw per instance index; identical
     (model, index) always yields the identical value and the draws for the
@@ -103,14 +103,11 @@ class MismatchModel:
 
     nominal: float
     sigma_rel: float
-    distribution: str = "gaussian"
     seed: int = 0
 
     def __post_init__(self):
         if self.sigma_rel < 0:
             raise ValueError(f"sigma_rel must be >= 0, got {self.sigma_rel}")
-        if self.distribution not in ("gaussian", "uniform"):
-            raise ValueError(f"unknown distribution {self.distribution!r}")
 
     def sample(self, count: int) -> np.ndarray:
         if count < 1:
@@ -119,14 +116,7 @@ class MismatchModel:
 
     def sample_at(self, indices) -> np.ndarray:
         indices = np.asarray(indices)
-        sigma = self.sigma_rel * self.nominal
-        if self.distribution == "gaussian":
-            dev = keyed_normal(self.seed, indices) * sigma
-        else:
-            # Uniform with the requested standard deviation.
-            half_width = np.sqrt(3.0) * sigma
-            dev = (keyed_uniform(self.seed, indices) * 2.0 - 1.0) * half_width
-        values = self.nominal + dev
+        values = self.nominal + keyed_normal(self.seed, indices) * (self.sigma_rel * self.nominal)
         if self.nominal > 0:
             values = np.maximum(values, CLAMP_FLOOR * self.nominal)
         return values
@@ -134,27 +124,11 @@ class MismatchModel:
 
 @dataclass(frozen=True)
 class ClockSpec:
-    """Periodic edge source; edge k is phase0 + k*period + jitter_k.
-
-    Jitter draws are keyed by the absolute edge index so the edges produced
-    for overlapping windows agree sample-for-sample.
-    """
+    """Periodic edge source; edge k is at phase0 + k*period."""
 
     period: Duration
     phase0: Instant = 0.0
-    jitter_sigma: Duration = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.period <= 0:
             raise ValueError(f"clock period must be > 0, got {self.period}")
-        if self.jitter_sigma < 0:
-            raise ValueError("jitter_sigma must be >= 0")
-
-
-def clock_edge_at(spec: ClockSpec, k: int) -> Instant:
-    """Time of edge k (jitter included, keyed by the edge index)."""
-    t = spec.phase0 + k * spec.period
-    if spec.jitter_sigma > 0:
-        t = t + float(keyed_normal(spec.seed, k)) * spec.jitter_sigma
-    return t

@@ -207,6 +207,19 @@ def run_slice_transfer(cfg: RunConfig, seed: int, out: Path | None) -> Experimen
     return ExperimentResult("slice-transfer", seed, h, metrics, files)
 
 
+def _sweep_table(phases: np.ndarray, period: float, flags: np.ndarray) -> dict:
+    """The PI sweep CSV columns; the last step wraps to code 0 of the next period."""
+    steps = np.empty(256)
+    steps[:-1] = np.diff(phases)
+    steps[-1] = phases[0] + period - phases[255]
+    return {
+        "code": np.arange(256),
+        "phase_seconds": phases,
+        "step_seconds": steps,
+        "inversion_flag": flags,
+    }
+
+
 def run_pi_sweep(cfg: RunConfig, seed: int, out: Path | None) -> ExperimentResult:
     h = config_hash(cfg)
     chain = cfg.pi.chain(seed, 0)
@@ -215,14 +228,13 @@ def run_pi_sweep(cfg: RunConfig, seed: int, out: Path | None) -> ExperimentResul
     if cfg.pi.trim_enabled:
         trim = pimod.trim_paths(chain, clock, cfg.pi.trim_max_iters).trim
     phases = pimod.pi_sweep(chain, clock, trim)
-    steps = np.empty(256)
-    steps[:-1] = np.diff(phases)
-    steps[-1] = phases[0] + clock.period - phases[255]
-    q = pimod.arbitrate_period(chain, clock)
+    n_delays = pimod.arbitrate_period(chain, clock)
     firing_starts = [start for start, _ in pimod.inverted_segments(chain, clock, trim)]
-    flags = np.isin(pimod.code_table(q.n_delays_per_cycle).start_tap, firing_starts)
+    flags = np.isin(pimod.code_table(n_delays).start_tap, firing_starts)
+    table = _sweep_table(phases, clock.period, flags)
+    steps = table["step_seconds"]
     metrics = {
-        "n_delays_per_cycle": q.n_delays_per_cycle,
+        "n_delays_per_cycle": n_delays,
         "mean_step_seconds": float(steps.mean()),
         "min_step_seconds": float(steps.min()),
         "max_step_seconds": float(steps.max()),
@@ -233,15 +245,7 @@ def run_pi_sweep(cfg: RunConfig, seed: int, out: Path | None) -> ExperimentResul
     files = []
     if out is not None:
         p = out / "pi_sweep.csv"
-        _write_csv(
-            p, h, seed,
-            {
-                "code": np.arange(256),
-                "phase_seconds": phases,
-                "step_seconds": steps,
-                "inversion_flag": flags,
-            },
-        )
+        _write_csv(p, h, seed, table)
         pj = out / "pi_sweep.json"
         _write_json(pj, h, seed, {"experiment": "pi-sweep", "metrics": _jsonable(metrics)})
         files = [str(p), str(pj)]
@@ -274,18 +278,7 @@ def run_pi_trim(cfg: RunConfig, seed: int, out: Path | None) -> ExperimentResult
             },
         )
         pc = out / "pi_trim_sweep.csv"
-        steps = np.empty(256)
-        steps[:-1] = np.diff(post_sweep)
-        steps[-1] = post_sweep[0] + clock.period - post_sweep[255]
-        _write_csv(
-            pc, h, seed,
-            {
-                "code": np.arange(256),
-                "phase_seconds": post_sweep,
-                "step_seconds": steps,
-                "inversion_flag": np.zeros(256, dtype=bool),
-            },
-        )
+        _write_csv(pc, h, seed, _sweep_table(post_sweep, clock.period, np.zeros(256, dtype=bool)))
         files = [str(p), str(pc)]
     return ExperimentResult("pi-trim", seed, h, metrics, files)
 

@@ -30,14 +30,8 @@ from .errors import (
     PreconditionError,
     UnderrangeError,
 )
-from .pi import PI_CODES, DelayChain, pi_output, trim_paths, zero_trim
-from .stdc import (
-    InverterChain,
-    OffsetEstimate,
-    adapt_offset,
-    count_edges_batch,
-    validate_chain_window,
-)
+from .pi import PI_CODES, DelayChain, TrimState, pi_output, trim_paths
+from .stdc import InverterChain, OffsetEstimate, adapt_offset, count_edges_batch
 from .stimulus import SineStimulus
 
 if TYPE_CHECKING:
@@ -76,7 +70,7 @@ class AdcSystem:
             keyed_normal(derive_seed(master_seed, "stdc.tap.systematic"), np.arange(adc.n_taps))
             * adc.tap_sigma_systematic
         )
-        divided = ClockSpec(period=adc.divided_ratio * sc.slice_period)
+        divided_period = adc.divided_ratio * sc.slice_period
         self.chains: list[InverterChain] = []
         for s in range(N_SLICES):
             rand_dev = (
@@ -85,8 +79,17 @@ class AdcSystem:
             )
             taps = adc.unit_delay * (1.0 + sys_dev + rand_dev)
             taps = np.maximum(taps, 0.05 * adc.unit_delay)
-            self.chains.append(InverterChain(tap_delays=taps, divided_clock=divided))
-        validate_chain_window(self.chains[0], adc.max_pulse_width)
+            chain = InverterChain(tap_delays=taps)
+            # each tap edge is counted once only if the widest pulse plus this
+            # slice's own chain spread fits in one divided-clock period
+            needed = adc.max_pulse_width + chain.total_delay
+            if divided_period <= needed:
+                raise ConfigError(
+                    f"slice {s} at seed {self.master_seed} needs {needed:.5g} s for the widest "
+                    f"pulse plus its chain spread, but the divided clock period is "
+                    f"{divided_period:.5g} s; raise adc.divided_ratio or shorten the chain"
+                )
+            self.chains.append(chain)
 
         idx = np.arange(2 * N_SLICES)
         slopes = adc.discharge_slope * (
@@ -106,12 +109,11 @@ class AdcSystem:
         self.pi_chains: list[DelayChain] = [
             cfg.pi.chain(master_seed, g) for g in range(N_GROUPS)
         ]
+        self.pi_trims: list[TrimState | None] = [None] * N_GROUPS
         if cfg.pi.trim_enabled:
             self.pi_trims = [
                 trim_paths(c, self.pi_clock, cfg.pi.trim_max_iters).trim for c in self.pi_chains
             ]
-        else:
-            self.pi_trims = [zero_trim(c) for c in self.pi_chains]
 
     def nominal_pi_codes(self) -> np.ndarray:
         # quadrature sits at quarter-period code spacing; basing it at code

@@ -191,15 +191,9 @@ def uncorrelated_sampler(
     numerator: int = 100003,
     denominator: int = 99991,
     phase0: float = 0.0,
-    seed: int = 0,
 ) -> ClockSpec:
     """Sampler clock with a large-prime period ratio to the monitored clock."""
-    return ClockSpec(
-        period=clock.period * numerator / denominator,
-        phase0=phase0,
-        jitter_sigma=0.0,
-        seed=seed,
-    )
+    return ClockSpec(period=clock.period * numerator / denominator, phase0=phase0)
 
 
 def measure_edge_distance(
@@ -219,10 +213,6 @@ def measure_edge_distance(
     """
     check_uncorrelated(sampler.period, clock_period)
     t = sampler.phase0 + np.arange(n_samples) * sampler.period
-    if sampler.jitter_sigma > 0:
-        from .core import keyed_normal
-
-        t = t + keyed_normal(sampler.seed, np.arange(n_samples)) * sampler.jitter_sigma
     level_ref = np.mod(t - phase_ref, clock_period) < clock_period / 2.0
     level = np.mod(t - phase, clock_period) < clock_period / 2.0
     xor_fraction = np.mean(level_ref ^ level)

@@ -34,7 +34,6 @@ from .core import (
     Duration,
     Instant,
     MismatchModel,
-    clock_edge_at,
     derive_seed,
     keyed_normal,
 )
@@ -97,17 +96,6 @@ def make_pi_chain(
 
 
 @dataclass(frozen=True)
-class PeriodQuantization:
-    """Number of unit delays the arbiters find in one clock period."""
-
-    n_delays_per_cycle: int
-
-    def __post_init__(self):
-        if self.n_delays_per_cycle < 1:
-            raise ValueError("n_delays_per_cycle must be >= 1")
-
-
-@dataclass(frozen=True)
 class TrimState:
     """Signed per-path delay adjustments from post-fabrication correction."""
 
@@ -121,28 +109,24 @@ class TrimState:
             raise ValueError("|trim| must stay below the unit delay")
 
 
-def zero_trim(chain: DelayChain) -> TrimState:
-    return TrimState(adjustments=np.zeros(chain.n_taps), unit_delay=chain.unit_delay)
-
-
-def arbitrate_period(chain: DelayChain, clock: ClockSpec) -> PeriodQuantization:
-    """Smallest tap whose accumulated (pre-skew) delay spans one period."""
+def arbitrate_period(chain: DelayChain, clock: ClockSpec) -> int:
+    """Number of unit delays the arbiters find in one clock period: the
+    smallest tap whose accumulated (pre-skew) delay spans the period."""
     limit = clock.period * (1.0 - _ARB_TOL)
     if chain.accumulated[-1] < limit:
         raise ChainUnderspanError(
             f"chain spans {chain.accumulated[-1]:.4e} s, "
             f"shorter than the clock period {clock.period:.4e} s"
         )
-    n = int(np.searchsorted(chain.accumulated, limit, side="left")) + 1
-    return PeriodQuantization(n_delays_per_cycle=n)
+    return int(np.searchsorted(chain.accumulated, limit, side="left")) + 1
 
 
 def ring_positions(
     chain: DelayChain,
     clock: ClockSpec,
     trim: TrimState | None = None,
-) -> tuple[np.ndarray, PeriodQuantization]:
-    """The N+1 blender endpoint times covering one period, in ring order.
+) -> tuple[np.ndarray, int]:
+    """The N+1 blender endpoint times covering one period, in ring order, and N.
 
     The period is the one starting at the clock's edge 0.
 
@@ -152,12 +136,10 @@ def ring_positions(
     (tap N+1 of the same wavefront, or the next cycle's first tap when the
     boundary sits on the last tap).
     """
-    q = arbitrate_period(chain, clock)
-    edge = clock_edge_at(clock, 0)
-    edge_next = clock_edge_at(clock, 1)
-    taps = edge + chain.accumulated
+    n = arbitrate_period(chain, clock)
+    taps = clock.phase0 + chain.accumulated
+    edge_next = clock.phase0 + clock.period
     adjust = chain.path_skews if trim is None else chain.path_skews + trim.adjustments
-    n = q.n_delays_per_cycle
     positions = np.empty(n + 1, dtype=np.float64)
     positions[: n - 1] = taps[: n - 1] + adjust[: n - 1]
     positions[n - 1] = 0.5 * (taps[n - 1] + edge_next) + adjust[n - 1]
@@ -165,7 +147,7 @@ def ring_positions(
         positions[n] = taps[n] + adjust[n]
     else:
         positions[n] = edge_next + chain.tap_delays[0] + adjust[0]
-    return positions, q
+    return positions, n
 
 
 @dataclass(frozen=True)
@@ -232,8 +214,8 @@ def pi_output(
     # checked here: a negative code would index the table from its end
     if not 0 <= code < PI_CODES:
         raise ValueError(f"code must lie in [0, {PI_CODES}), got {code}")
-    positions, q = ring_positions(chain, clock, trim)
-    table = code_table(q.n_delays_per_cycle)
+    positions, n = ring_positions(chain, clock, trim)
+    table = code_table(n)
     return float(_blend(positions, table.start_tap[code], table.blend_k[code]))
 
 
@@ -243,8 +225,8 @@ def pi_sweep(
     trim: TrimState | None = None,
 ) -> np.ndarray:
     """Output phase for every code, one cycle (index = code)."""
-    positions, q = ring_positions(chain, clock, trim)
-    table = code_table(q.n_delays_per_cycle)
+    positions, n = ring_positions(chain, clock, trim)
+    table = code_table(n)
     return _blend(positions, table.start_tap, table.blend_k)
 
 
@@ -261,8 +243,8 @@ def inverted_segments(
     a real arbiter cannot certify margin, and treating ties as clean would
     let trimming stall on an exactly zero-width segment.
     """
-    positions, q = ring_positions(chain, clock, trim)
-    table = code_table(q.n_delays_per_cycle)
+    positions, n = ring_positions(chain, clock, trim)
+    table = code_table(n)
     start = table.start_tap[table.segment_codes]
     firing = ~(positions[start - 1] < positions[start])
     return [(tap, tap + 1) for tap in start[firing].tolist()]

@@ -9,6 +9,9 @@ population rather than from matched delays, which is also why the offset
 code must be estimated in the background from a histogram of raw counts.
 This module holds the chain, the vectorized window count and the offset
 adaptation; a capture applies unfold in `interleaver.convert_pair_arrays`.
+A tap edge is counted once per conversion only while the widest pulse plus
+the chain spread fits in one divided-clock period; `interleaver.AdcSystem`
+checks that window on every slice's chain.
 The single-shot model of one pulse (tap edges, sampler bits, adder tree,
 unfold) lives with the tests in `tests/oracles.py`.
 
@@ -43,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ClockSpec, Duration
+from .core import Duration
 
 
 def _bucket(x: np.ndarray, inv_h: float, n_buckets: int) -> np.ndarray:
@@ -92,7 +95,6 @@ class InverterChain:
     """Per-instance inverter chain; tap i fires at launch + sum(delays[:i+1])."""
 
     tap_delays: np.ndarray
-    divided_clock: ClockSpec | None = None
     edge_offsets: np.ndarray = field(init=False, repr=False)
     edge_buckets: EdgeBuckets = field(init=False, repr=False)
     boundary_guard: float = field(init=False, repr=False)  # 1e-6 x mean tap delay
@@ -107,13 +109,6 @@ class InverterChain:
         object.__setattr__(self, "edge_offsets", np.cumsum(delays))
         object.__setattr__(self, "edge_buckets", EdgeBuckets.build(self.edge_offsets))
         object.__setattr__(self, "boundary_guard", 1e-6 * float(np.mean(delays)))
-        if self.divided_clock is not None:
-            span = float(self.edge_offsets[-1])
-            if self.divided_clock.period <= span:
-                raise ValueError(
-                    "divided clock period must exceed the total chain spread "
-                    f"({self.divided_clock.period} <= {span})"
-                )
 
     @property
     def n_taps(self) -> int:
@@ -122,18 +117,6 @@ class InverterChain:
     @property
     def total_delay(self) -> Duration:
         return float(self.edge_offsets[-1])
-
-
-def validate_chain_window(chain: InverterChain, max_pulse_width: Duration) -> None:
-    """Check the one-counted-edge-per-tap condition for a given pulse bound."""
-    if chain.divided_clock is None:
-        raise ValueError("chain has no divided clock to validate against")
-    needed = max_pulse_width + chain.total_delay
-    if chain.divided_clock.period <= needed:
-        raise ValueError(
-            "divided clock period must exceed max pulse width + chain spread "
-            f"({chain.divided_clock.period} <= {needed})"
-        )
 
 
 @dataclass(frozen=True)

@@ -23,14 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stochadc.core import ClockSpec, Duration, Instant, MismatchModel, keyed_normal
+from stochadc.core import ClockSpec, Duration, Instant, MismatchModel
 from stochadc.errors import OverrangeError, UnderrangeError
 from stochadc.interleaver import CODE_MAX, CODE_MIN, LUT_SIZE, Lut
 from stochadc.pi import (
     BLEND_STEPS,
     PI_CODES,
     DelayChain,
-    PeriodQuantization,
     TrimState,
     ring_positions,
 )
@@ -46,11 +45,11 @@ def substream(master_seed: int, label: str, index: int = 0) -> np.random.Generat
 
 
 def clock_edges(spec: ClockSpec, t_start: Instant, t_end: Instant) -> np.ndarray:
-    """Nominal edges in [t_start, t_end), jitter added per edge.
+    """Edges in [t_start, t_end).
 
-    Window membership is decided on nominal edge times with a guard of
-    1e-9 * period so that edges lying exactly on a window boundary resolve
-    deterministically despite float rounding.
+    Window membership is decided with a guard of 1e-9 * period so that edges
+    lying exactly on a window boundary resolve deterministically despite
+    float rounding.
     """
     if t_start > t_end:
         raise ValueError("t_start must be <= t_end")
@@ -60,10 +59,7 @@ def clock_edges(spec: ClockSpec, t_start: Instant, t_end: Instant) -> np.ndarray
     if k1 < k0:
         return np.empty(0, dtype=np.float64)
     k = np.arange(k0, k1 + 1)
-    times = spec.phase0 + k * spec.period
-    if spec.jitter_sigma > 0:
-        times = times + keyed_normal(spec.seed, k) * spec.jitter_sigma
-    return times
+    return spec.phase0 + k * spec.period
 
 
 # Sampling phases.
@@ -243,11 +239,10 @@ def make_chain(
     n_taps: int = 255,
     sigma_rel: float = 0.0,
     seed: int = 0,
-    divided_clock: ClockSpec | None = None,
 ) -> InverterChain:
     """Chain with per-tap gaussian mismatch around a nominal unit delay."""
     model = MismatchModel(nominal=unit_delay, sigma_rel=sigma_rel, seed=seed)
-    return InverterChain(tap_delays=model.sample(n_taps), divided_clock=divided_clock)
+    return InverterChain(tap_delays=model.sample(n_taps))
 
 
 def tap_edge_times(chain: InverterChain, launch_edge: Instant) -> np.ndarray:
@@ -371,7 +366,7 @@ def propagate_chain(
 def apply_boundary_mixers(
     taps: np.ndarray,
     clock_edge_next: Instant,
-    q: PeriodQuantization,
+    n: int,
     period: Duration,
 ) -> np.ndarray:
     """Usable phase per tap, folded into one period.
@@ -381,14 +376,13 @@ def apply_boundary_mixers(
     alias into the next cycle.  Indexed by tap; sort to view as a phase set.
     """
     taps = np.asarray(taps, dtype=np.float64)
-    n = q.n_delays_per_cycle
     phases = taps.copy()
     phases[n - 1] = 0.5 * (taps[n - 1] + clock_edge_next)
     phases[n:] = taps[n:] - period
     return phases
 
 
-def encode(code: int, q: PeriodQuantization) -> EncoderSelect:
+def encode(code: int, n_delays_per_cycle: int) -> EncoderSelect:
     """Mux selects and blender weight for one control code.
 
     Codes scale onto the N physical ring segments by integer arithmetic:
@@ -402,7 +396,7 @@ def encode(code: int, q: PeriodQuantization) -> EncoderSelect:
     """
     if not (0 <= code < PI_CODES):
         raise ValueError(f"code must lie in [0, {PI_CODES}), got {code}")
-    scaled = code * q.n_delays_per_cycle
+    scaled = code * n_delays_per_cycle
     physical = scaled // PI_CODES
     blend_k = (scaled % PI_CODES) // BLEND_STEPS
     start_tap = physical + 1
@@ -435,8 +429,8 @@ def single_code_output(
     trim: TrimState | None = None,
 ) -> Instant:
     """Output edge time for one control code: encoder, selects, blender."""
-    positions, q = ring_positions(chain, clock, trim)
-    sel = encode(code, q)
+    positions, n = ring_positions(chain, clock, trim)
+    sel = encode(code, n)
     start_tap, end_tap = segment_endpoints(sel)
     return blend(positions[start_tap - 1], positions[end_tap - 1], sel.blend_k)
 

@@ -1,14 +1,20 @@
 """CSV artifact format: the column writer against a row-by-row oracle, and
-golden digests of one artifact of every CSV kind from the shipped configs."""
+golden digests of one artifact of every CSV kind from the shipped configs,
+checked with and without numpy's AVX-512 dispatch."""
 
 import csv
 import hashlib
 import io
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stochadc
 from stochadc.config import config_hash, load_config, parse_config
 from stochadc.experiments import CSV_BLOCK_ROWS, _write_csv, run_experiment
 from stochadc.metrics import walden_fom
@@ -217,3 +223,40 @@ GOLDEN = [
 def test_golden_digest(tmp_path, experiment, config, artifact, digest):
     run_experiment(experiment, load_config(CONFIG_DIR / config), out_dir=tmp_path)
     assert hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest() == digest
+
+
+# numpy dispatches some float64 kernels (np.log10 among them) to AVX-512
+# code whose last bit differs from the baseline kernels, so the digests are
+# checked again with that dispatch switched off
+SIMD_OFF = "X86_V4 AVX512_ICL AVX512_SPR"
+
+GOLDEN_CHILD = """
+import hashlib, json, sys, tempfile
+from pathlib import Path
+from numpy._core._multiarray_umath import __cpu_features__
+from stochadc.config import load_config
+from stochadc.experiments import run_experiment
+
+# a silently ignored NPY_DISABLE_CPU_FEATURES must not pass
+assert not __cpu_features__["AVX512_ICL"], "AVX-512 dispatch is still on"
+digests = {}
+for experiment, config, artifact, _ in json.loads(sys.argv[1]):
+    with tempfile.TemporaryDirectory() as out:
+        run_experiment(experiment, load_config(Path(sys.argv[2]) / config), out_dir=out)
+        digests[artifact] = hashlib.sha256((Path(out) / artifact).read_bytes()).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+def test_golden_digests_without_avx512_dispatch():
+    env = dict(
+        os.environ,
+        NPY_DISABLE_CPU_FEATURES=SIMD_OFF,
+        PYTHONPATH=str(Path(stochadc.__file__).resolve().parents[1]),
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", GOLDEN_CHILD, json.dumps(GOLDEN), str(CONFIG_DIR)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {artifact: digest for _, _, artifact, digest in GOLDEN}

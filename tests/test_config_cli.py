@@ -76,6 +76,11 @@ class TestConfigParsing:
         cfg = parse_config("adc:\n  d_offset: 100e-12\n")
         assert cfg.adc.d_offset == pytest.approx(100e-12)
 
+    def test_float_fields_take_ints_and_optional_fields_take_null(self):
+        cfg = parse_config(MINIMAL_SINE + "adc:\n  vdd: 1\nsystem:\n  front_end_bandwidth: null\n")
+        assert cfg.adc.vdd == 1
+        assert cfg.system.front_end_bandwidth is None
+
     def test_shipped_configs_parse(self):
         for path in sorted(CONFIG_DIR.glob("*.yaml")):
             load_config(path)
@@ -261,6 +266,48 @@ class TestCli:
         # a NaN jitter fails "> 0" and used to be skipped (ENOB 8.005, exit 0)
         p = self.write(tmp_path, MINIMAL_SINE + section)
         assert main(["adc-sine", "--config", str(p), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "text,field",
+        [
+            (MINIMAL_SINE + "adc:\n  tap_sigma_random: true\n", "adc.tap_sigma_random"),
+            (MINIMAL_SINE + "adc:\n  full_scale: true\n", "adc.full_scale"),
+            (MINIMAL_SINE.replace("coherent_bin: 101", "coherent_bin: true"),
+             "stimulus.coherent_bin"),
+            (MINIMAL_SINE + "system:\n  calibration:\n    skew: 'false'\n",
+             "system.calibration.skew"),
+            (MINIMAL_SINE + "output:\n  dir: 5\n", "output.dir"),
+        ],
+        ids=["sigma-bool", "full-scale-bool", "coherent-bin-bool", "skew-string", "dir-int"],
+    )
+    def test_values_must_match_their_annotation(self, tmp_path, monkeypatch, capsys, text, field):
+        # each used to load: true ran as sigma 1.0 (ENOB 3.25) and as a 1 V
+        # full scale, a coherent_bin of true measured bin 1 and the string
+        # 'false' ran the skew calibration, all exit 0; a numeric output dir
+        # ended in a TypeError traceback (exit 1)
+        monkeypatch.chdir(tmp_path)
+        p = self.write(tmp_path, text)
+        assert main(["adc-sine", "--config", str(p)]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_stdc_window_checked_on_every_slice(self, tmp_path, capsys):
+        # only slice 0 used to be checked: at seed 4 slice 3 needs 1.6013 ns
+        # for the widest pulse plus its chain spread against a 1.6 ns divided
+        # period, and the run reported ENOB 4.42 (exit 0)
+        p = self.write(
+            tmp_path,
+            MINIMAL_SINE + "adc:\n  divided_ratio: 2\n  n_taps: 195\n  tap_sigma_random: 0.3\n",
+        )
+        assert main(["adc-sine", "--config", str(p), "--seed", "4", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "slice 3 at seed 4" in err
+        assert main(["adc-sine", "--config", str(p), "--seed", "0", "--out", str(tmp_path)]) == 0
+
+    def test_divided_period_below_the_window_rejected(self, tmp_path, capsys):
+        # a ratio of 1 used to end in a ValueError traceback (exit 1)
+        p = self.write(tmp_path, MINIMAL_SINE + "adc:\n  divided_ratio: 1\n")
+        assert main(["adc-sine", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert "slice 0 at seed 1" in capsys.readouterr().err
 
     def test_nan_phase_rejected_at_load(self, tmp_path):
         # NaN voltages used to pass the range checks and end in a misleading

@@ -8,7 +8,6 @@ from stochadc.errors import ChainUnderspanError, TrimConvergenceError
 from stochadc.pi import (
     PI_CODES,
     DelayChain,
-    PeriodQuantization,
     TrimState,
     arbitrate_period,
     code_table,
@@ -18,7 +17,6 @@ from stochadc.pi import (
     pi_sweep,
     ring_positions,
     trim_paths,
-    zero_trim,
 )
 
 from oracles import (
@@ -71,12 +69,10 @@ class TestPropagate:
 
 class TestArbitrate:
     def test_nominal_sizing(self):
-        q = arbitrate_period(ideal_chain(), CLOCK)
-        assert q.n_delays_per_cycle == 16
+        assert arbitrate_period(ideal_chain(), CLOCK) == 16
 
     def test_short_period_rounds_up(self):
-        q = arbitrate_period(ideal_chain(), ClockSpec(period=195 * PS))
-        assert q.n_delays_per_cycle == 16
+        assert arbitrate_period(ideal_chain(), ClockSpec(period=195 * PS)) == 16
 
     def test_underspan_error(self):
         with pytest.raises(ChainUnderspanError):
@@ -85,8 +81,7 @@ class TestArbitrate:
     def test_arbiter_consistency_across_seeds(self):
         for seed in range(50):
             chain = make_pi_chain(TD, tap_sigma_rel=0.05, seed=seed)
-            q = arbitrate_period(chain, CLOCK)
-            n = q.n_delays_per_cycle
+            n = arbitrate_period(chain, CLOCK)
             guard = 1e-9 * CLOCK.period
             assert chain.accumulated[n - 1] >= CLOCK.period - guard
             if n > 1:
@@ -97,39 +92,39 @@ class TestBoundaryMixers:
     def test_coincident_boundary_edge_unchanged(self):
         chain = ideal_chain()
         taps, _ = propagate_chain(chain, 0.0)
-        q = arbitrate_period(chain, CLOCK)
-        phases = apply_boundary_mixers(taps, 200 * PS, q, 200 * PS)
+        n = arbitrate_period(chain, CLOCK)
+        phases = apply_boundary_mixers(taps, 200 * PS, n, 200 * PS)
         assert phases[15] == pytest.approx(200 * PS, abs=1e-24)
 
     def test_late_boundary_tap_blends_halfway(self):
         taps = np.arange(1, 33) * TD
         taps[15] += 3 * PS  # boundary tap lands 3 ps after the next edge
-        q = arbitrate_period(ideal_chain(), CLOCK)
-        phases = apply_boundary_mixers(taps, 200 * PS, q, 200 * PS)
+        n = arbitrate_period(ideal_chain(), CLOCK)
+        phases = apply_boundary_mixers(taps, 200 * PS, n, 200 * PS)
         assert phases[15] - 200 * PS == pytest.approx(1.5 * PS, rel=1e-12)
 
     def test_phase_set_covers_one_period_monotonically(self):
         chain = ideal_chain()
         taps, _ = propagate_chain(chain, 0.0)
-        q = arbitrate_period(chain, CLOCK)
-        phases = apply_boundary_mixers(taps, 200 * PS, q, 200 * PS)
+        n = arbitrate_period(chain, CLOCK)
+        phases = apply_boundary_mixers(taps, 200 * PS, n, 200 * PS)
         assert np.all(np.diff(np.sort(phases)) >= -1e-24)
         assert phases.max() <= 200 * PS + 1e-24
 
 
 class TestEncoder:
     def test_origin_mapping(self):
-        q = arbitrate_period(ideal_chain(), CLOCK)
-        sel = encode(0, q)
+        n = arbitrate_period(ideal_chain(), CLOCK)
+        sel = encode(0, n)
         assert (sel.sel_odd, sel.sel_even, sel.blend_k, sel.direction) == (
             1, 2, 0, ODD_TO_EVEN,
         )
 
     def test_wraparound_adjacency(self):
         chain = ideal_chain()
-        q = arbitrate_period(chain, CLOCK)
+        n = arbitrate_period(chain, CLOCK)
         phases = pi_sweep(chain, CLOCK)
-        sel = encode(255, q)
+        sel = encode(255, n)
         assert sel.blend_k == 15
         # one blend step below the code-0 phase one period later
         assert phases[0] + 200 * PS - phases[255] == pytest.approx(
@@ -139,10 +134,10 @@ class TestEncoder:
     def test_at_most_one_select_changes_per_code(self):
         # blend_k wraps 15 -> 0 at segment boundaries by construction; the
         # glitch-safety property is that the two mux selects never both move
-        q = arbitrate_period(ideal_chain(), CLOCK)
-        prev = encode(0, q)
+        n = arbitrate_period(ideal_chain(), CLOCK)
+        prev = encode(0, n)
         for code in range(1, 256):
-            cur = encode(code, q)
+            cur = encode(code, n)
             changed = (prev.sel_odd != cur.sel_odd) + (prev.sel_even != cur.sel_even)
             assert changed <= 1
             if changed:
@@ -150,15 +145,15 @@ class TestEncoder:
             prev = cur
 
     def test_leapfrog_alternates_direction(self):
-        q = arbitrate_period(ideal_chain(), CLOCK)
-        directions = [encode(s << 4, q).direction for s in range(16)]
+        n = arbitrate_period(ideal_chain(), CLOCK)
+        directions = [encode(s << 4, n).direction for s in range(16)]
         assert directions[0::2] == [ODD_TO_EVEN] * 8
         assert directions[1::2] == [EVEN_TO_ODD] * 8
 
     def test_code_out_of_range(self):
-        q = arbitrate_period(ideal_chain(), CLOCK)
+        n = arbitrate_period(ideal_chain(), CLOCK)
         with pytest.raises(ValueError):
-            encode(256, q)
+            encode(256, n)
 
 
 class TestBlend:
@@ -260,16 +255,16 @@ class TestTrim:
 
 
 def test_ring_positions_strictly_increasing_for_ideal_chain():
-    positions, q = ring_positions(ideal_chain(), CLOCK)
-    assert positions.size == q.n_delays_per_cycle + 1
+    positions, n = ring_positions(ideal_chain(), CLOCK)
+    assert positions.size == n + 1
     assert np.all(np.diff(positions) > 0)
 
 
 def test_segment_endpoints_share_one_tap_between_neighbors():
-    q = arbitrate_period(ideal_chain(), CLOCK)
-    prev = segment_endpoints(encode(0, q))
+    n = arbitrate_period(ideal_chain(), CLOCK)
+    prev = segment_endpoints(encode(0, n))
     for s in range(1, 16):
-        cur = segment_endpoints(encode(s << 4, q))
+        cur = segment_endpoints(encode(s << 4, n))
         assert prev[1] == cur[0]
         prev = cur
 
@@ -277,7 +272,6 @@ def test_segment_endpoints_share_one_tap_between_neighbors():
 def test_trim_state_bounds():
     with pytest.raises(ValueError):
         TrimState(adjustments=np.full(32, 13 * PS), unit_delay=TD)
-    zero_trim(ideal_chain())  # constructs without error
 
 
 # Post-trim step distribution under the default mismatch point (tap 5%,
@@ -304,11 +298,11 @@ def test_step_distribution_regression_locked():
 
 def per_code_inverted_segments(chain, clock, trim=None):
     """The per-code detector loop `inverted_segments` replaced: the oracle."""
-    positions, q = ring_positions(chain, clock, trim)
+    positions, n = ring_positions(chain, clock, trim)
     firing = []
     seen = set()
     for code in range(PI_CODES):
-        sel = encode(code, q)
+        sel = encode(code, n)
         start_tap, end_tap = segment_endpoints(sel)
         if (start_tap, end_tap) in seen:
             continue
@@ -322,10 +316,9 @@ def per_code_inverted_segments(chain, clock, trim=None):
 
 @pytest.mark.parametrize("n", [1, 2, 7, 15, 16, 17, 31, 32])
 def test_code_table_matches_encoder(n):
-    q = PeriodQuantization(n_delays_per_cycle=n)
     table = code_table(n)
     for code in range(PI_CODES):
-        sel = encode(code, q)
+        sel = encode(code, n)
         assert (table.start_tap[code], table.start_tap[code] + 1) == segment_endpoints(sel)
         assert table.blend_k[code] == sel.blend_k
     assert table.start_tap[table.segment_codes].tolist() == list(range(1, n + 1))
@@ -348,12 +341,7 @@ def pi_cases(draw):
         seed=seed,
     )
     period = chain.accumulated[-1] * draw(st.floats(0.37, 1.0))
-    clock = ClockSpec(
-        period=period,
-        phase0=draw(st.floats(-1e-9, 1e-9)),
-        jitter_sigma=draw(st.sampled_from([0.0, 0.3 * PS, 2 * PS])),
-        seed=seed + 1,
-    )
+    clock = ClockSpec(period=period, phase0=draw(st.floats(-1e-9, 1e-9)))
     trim = None
     trim_rel = draw(st.floats(0.0, 0.99))
     if trim_rel > 0.05:

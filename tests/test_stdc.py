@@ -4,14 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from stochadc.core import ClockSpec
-from stochadc.stdc import (
-    InverterChain,
-    OffsetEstimate,
-    adapt_offset,
-    count_edges_batch,
-    validate_chain_window,
-)
+from stochadc.stdc import InverterChain, OffsetEstimate, adapt_offset, count_edges_batch
 
 from oracles import (
     PulseSample,
@@ -286,11 +279,3 @@ def test_chain_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError):
             InverterChain(tap_delays=np.array([1e-12, bad]))
-    clock = ClockSpec(period=1e-9)
-    with pytest.raises(ValueError):
-        # divided period must exceed the chain spread
-        InverterChain(tap_delays=np.full(255, 10e-12), divided_clock=clock)
-    chain = make_chain(4 * PS, 255, 0.0, divided_clock=ClockSpec(period=6.4e-9))
-    validate_chain_window(chain, 608e-12)
-    with pytest.raises(ValueError):
-        validate_chain_window(chain, 6e-9)
