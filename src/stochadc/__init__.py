@@ -31,7 +31,6 @@ from .pi import (
 from .interleaver import (
     AdcSystem,
     AlignedStream,
-    CalibrationState,
     Lut,
     align_outputs,
     build_lut,
@@ -48,6 +47,6 @@ from .metrics import (
     walden_fom,
 )
 from .config import RunConfig, config_hash, dump_config, load_config, parse_config
-from .experiments import run_experiment
+from .experiments import CalibrationState, run_experiment
 
 __version__ = "0.1.0"

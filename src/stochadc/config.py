@@ -5,9 +5,11 @@ One human-editable YAML file describes an experiment end to end, and its
 design: `AdcSystem` is drawn from them directly, and the derived quantities
 (slice period, discharge slope, PI step, ...) are properties of the section
 they read.  Parsing is strict: unknown keys anywhere in the tree and
-non-finite numbers are rejected.  Each section checks its own values when it
-is constructed, from YAML or in Python; `parse_config` adds the checks that
-span sections (tone coherence, stimulus swing, the skew range the
+non-finite numbers are rejected.  Each section checks its own value ranges
+when it is constructed, from YAML or in Python; value types are checked only
+at YAML load (`_value`), so a section built in Python takes what it is given
+(`AdcConfig(tap_sigma_random=True)` builds).  `parse_config` adds the checks
+that span sections (tone coherence, stimulus swing, the skew range the
 calibration can measure).  Physically meaningful values have no hidden
 defaults beyond the documented design sizing.  Loading then re-serializing a
 config is idempotent.
@@ -173,10 +175,6 @@ class AdcConfig:
     @property
     def nominal_offset_code(self) -> int:
         return int(round(self.d_offset / self.unit_delay))
-
-    @property
-    def max_pulse_width(self) -> float:
-        return (self.vdd - self.v_threshold) / self.discharge_slope + self.d_offset
 
 
 @dataclass(frozen=True)

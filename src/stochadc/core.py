@@ -69,8 +69,8 @@ def derive_seed(master_seed: int, label: str, index: int = 0) -> int:
 def keyed_u64(seed: int, indices) -> np.ndarray:
     """i-th output of a SplitMix64 sequence keyed by ``seed``.
 
-    Negative indices are allowed (clock edges before the origin); they wrap
-    modulo 2^64, which keeps the mapping injective over any practical range.
+    Indices wrap modulo 2^64, so a negative index is a key like any other
+    and the mapping stays injective over any practical range.
     """
     idx = np.asarray(indices, dtype=np.int64).astype(np.uint64)
     with np.errstate(over="ignore"):

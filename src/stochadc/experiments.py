@@ -2,8 +2,9 @@
 
 Every output file embeds the config hash and the master seed, and nothing
 time-dependent is ever written, so a rerun with the same config and seed is
-byte-identical.  The calibrate experiment persists its state to a versioned
-JSON file from which a later measurement run resumes bit-exactly.
+byte-identical.  Every file goes through `_write_artifacts`.  The calibrate
+experiment persists its state to a versioned JSON file, whose format lives
+here alone, from which a later measurement run resumes bit-exactly.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from .config import RunConfig, build_stimulus, config_hash, sine_tone, skew_tone
 from .core import ClockSpec
 from .errors import ConfigError
 from .stimulus import SineStimulus, adaptation_tone
+
+# the calibration file format; `from_json` refuses any other
+CALIBRATION_VERSION = 1
 
 
 @dataclass
@@ -105,9 +109,23 @@ def _write_csv(path: Path, cfg_hash: str, seed: int, columns: dict) -> None:
 
 
 def _write_json(path: Path, cfg_hash: str, seed: int, payload: dict) -> None:
+    """Write the config hash, master seed and payload as one sorted-key JSON object."""
     body = {"config_hash": cfg_hash, "master_seed": seed}
-    body.update(payload)
+    body.update(_jsonable(payload))
     path.write_text(json.dumps(body, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+def _write_artifacts(out: Path, cfg_hash: str, seed: int, bodies: dict) -> list[str]:
+    """Write each {file name: body} into out, a `.csv` body as a column table
+    and any other as a JSON payload; returns the paths in the order written."""
+    paths = []
+    for name, body in bodies.items():
+        path = out / name
+        # looked up at call time, so a wrapped writer sees every artifact
+        write = _write_csv if name.endswith(".csv") else _write_json
+        write(path, cfg_hash, seed, body)
+        paths.append(str(path))
+    return paths
 
 
 def _jsonable(value):
@@ -126,31 +144,93 @@ def _jsonable(value):
     return value
 
 
+@dataclass
+class CalibrationState:
+    """Persisted calibration: offsets, LUTs and PI corrections of one config and seed."""
+
+    config_hash: str
+    master_seed: int
+    offset_codes: np.ndarray
+    luts: list[il.Lut] | None
+    pi_corrections: np.ndarray | None
+
+    @classmethod
+    def from_json(cls, text: str) -> CalibrationState:
+        """Parse a calibration file; malformed content raises ConfigError."""
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"calibration file is not valid JSON: {exc}") from None
+        if not isinstance(payload, dict):
+            raise ConfigError("calibration file must hold a JSON object")
+        if payload.get("version") != CALIBRATION_VERSION:
+            raise ConfigError(f"unsupported calibration version {payload.get('version')!r}")
+        keys = ("config_hash", "master_seed", "offset_codes", "luts", "pi_corrections")
+        missing = [k for k in keys if k not in payload]
+        if missing:
+            raise ConfigError(f"calibration file is missing {', '.join(missing)}")
+        luts = payload["luts"]
+        if luts is not None:
+            table = _int_table(luts, (il.N_SLICES, il.LUT_SIZE), "luts")
+            try:
+                luts = [il.Lut(mapping=m) for m in table]
+            except ValueError as exc:
+                raise ConfigError(f"calibration luts: {exc}") from None
+        corrections = payload["pi_corrections"]
+        return cls(
+            config_hash=payload["config_hash"],
+            master_seed=payload["master_seed"],
+            offset_codes=_int_table(payload["offset_codes"], (il.N_SLICES,), "offset_codes"),
+            luts=luts,
+            pi_corrections=None
+            if corrections is None
+            else _int_table(corrections, (il.N_GROUPS,), "pi_corrections"),
+        )
+
+
+def _int_table(value, shape: tuple, name: str) -> np.ndarray:
+    """An integer array of exactly `shape` from a calibration field, else ConfigError."""
+    try:
+        table = np.asarray(value)
+    except ValueError:  # ragged nesting
+        table = None
+    if table is None or table.shape != shape or table.dtype.kind != "i":
+        raise ConfigError(f"calibration {name} must be integers of shape {shape}")
+    return table.astype(np.int64, copy=False)
+
+
 def _warmup_tone(cfg: RunConfig) -> SineStimulus:
     return adaptation_tone(build_stimulus(cfg), cfg.system.slice_rate)
 
 
-def compute_calibration(cfg: RunConfig, seed: int, system: il.AdcSystem | None = None) -> il.CalibrationState:
+def _linearity_tone(cfg: RunConfig) -> SineStimulus:
+    """The code-density tone of the LUT capture and the linearity capture."""
+    amplitude = cfg.capture.linearity_amplitude or cfg.stimulus.amplitude
+    return sine_tone(cfg, _warmup_tone(cfg).frequency, amplitude)
+
+
+def _offset_codes(cfg: RunConfig, system: il.AdcSystem) -> np.ndarray:
+    """Per-slice offset codes: adapted in the warmup, else the nominal code."""
+    if not cfg.system.calibration.adapt_offsets:
+        return np.full(il.N_SLICES, cfg.adc.nominal_offset_code, dtype=np.int64)
+    offsets, _ = il.adapt_offsets(
+        system, _warmup_tone(cfg), window=cfg.adc.adaptation.window,
+        threshold=cfg.adc.adaptation.threshold,
+    )
+    return offsets
+
+
+def compute_calibration(cfg: RunConfig, seed: int, system: il.AdcSystem) -> CalibrationState:
     """Offset adaptation, LUT construction and skew correction per config."""
-    if system is None:
-        system = il.AdcSystem(cfg, seed)
     cal = cfg.system.calibration
-    warm = _warmup_tone(cfg)
-    if cal.adapt_offsets:
-        offsets, _ = il.adapt_offsets(
-            system, warm, window=cfg.adc.adaptation.window,
-            threshold=cfg.adc.adaptation.threshold,
-        )
-    else:
-        offsets = np.full(il.N_SLICES, cfg.adc.nominal_offset_code, dtype=np.int64)
+    offsets = _offset_codes(cfg, system)
     luts = None
     if cal.lut:
-        amp = cfg.capture.linearity_amplitude or cfg.stimulus.amplitude
-        lut_tone = sine_tone(cfg, warm.frequency, amp)
+        lut_tone = _linearity_tone(cfg)
         capture = il.run_capture(
             system, lut_tone, cal.lut_capture_samples, offset_codes=offsets
         )
-        amplitude_code = amp / (cfg.adc.full_scale / il.CODE_MAX)
+        amplitude_code = lut_tone.amplitude / (cfg.adc.full_scale / il.CODE_MAX)
         luts = il.build_luts(capture, amplitude_code, cal.lut_min_hits)
     corrections = None
     if cal.skew:
@@ -158,29 +238,15 @@ def compute_calibration(cfg: RunConfig, seed: int, system: il.AdcSystem | None =
         corrections = il.calibrate_skew(
             system, skew_tone, cal.skew_capture_samples, offset_codes=offsets
         )
-    return il.CalibrationState(
-        version=1,
-        config_hash=config_hash(cfg),
-        master_seed=seed,
-        offset_codes=offsets,
-        luts=luts,
-        pi_corrections=corrections,
-    )
-
-
-def _applied_pi_codes(system: il.AdcSystem, state: il.CalibrationState) -> np.ndarray:
-    codes = system.nominal_pi_codes()
-    if state.pi_corrections is not None:
-        codes = il.corrected_pi_codes(codes, state.pi_corrections)
-    return codes
+    return CalibrationState(config_hash(cfg), seed, offsets, luts, corrections)
 
 
 def run_slice_transfer(cfg: RunConfig, seed: int, out: Path | None) -> ExperimentResult:
     system = il.AdcSystem(cfg, seed)
     adc = cfg.adc
     h = config_hash(cfg)
-    state = compute_calibration(cfg, seed, system)
-    offset = int(state.offset_codes[0])
+    # the sweep reads slice 0's offset code alone, so no LUT or skew capture runs
+    offset = int(_offset_codes(cfg, system)[0])
     span = cfg.sweep.span_rel * adc.full_scale
     dv = np.linspace(-span, span, cfg.sweep.points)
     cm = cfg.stimulus.common_mode
@@ -196,14 +262,10 @@ def run_slice_transfer(cfg: RunConfig, seed: int, out: Path | None) -> Experimen
     }
     files = []
     if out is not None:
-        p = out / "slice_transfer.csv"
-        _write_csv(
-            p, h, seed,
-            {"delta_t_seconds": delta_t, "raw_count": raw, "signed_code": code},
-        )
-        pj = out / "slice_transfer.json"
-        _write_json(pj, h, seed, {"experiment": "slice-transfer", "metrics": _jsonable(metrics)})
-        files = [str(p), str(pj)]
+        files = _write_artifacts(out, h, seed, {
+            "slice_transfer.csv": {"delta_t_seconds": delta_t, "raw_count": raw, "signed_code": code},
+            "slice_transfer.json": {"experiment": "slice-transfer", "metrics": metrics},
+        })
     return ExperimentResult("slice-transfer", seed, h, metrics, files)
 
 
@@ -244,11 +306,10 @@ def run_pi_sweep(cfg: RunConfig, seed: int, out: Path | None) -> ExperimentResul
     }
     files = []
     if out is not None:
-        p = out / "pi_sweep.csv"
-        _write_csv(p, h, seed, table)
-        pj = out / "pi_sweep.json"
-        _write_json(pj, h, seed, {"experiment": "pi-sweep", "metrics": _jsonable(metrics)})
-        files = [str(p), str(pj)]
+        files = _write_artifacts(out, h, seed, {
+            "pi_sweep.csv": table,
+            "pi_sweep.json": {"experiment": "pi-sweep", "metrics": metrics},
+        })
     return ExperimentResult("pi-sweep", seed, h, metrics, files)
 
 
@@ -268,24 +329,20 @@ def run_pi_trim(cfg: RunConfig, seed: int, out: Path | None) -> ExperimentResult
     }
     files = []
     if out is not None:
-        p = out / "pi_trim.json"
-        _write_json(
-            p, h, seed,
-            {
+        files = _write_artifacts(out, h, seed, {
+            "pi_trim.json": {
                 "experiment": "pi-trim",
-                "metrics": _jsonable(metrics),
-                "trims_seconds": _jsonable(result.trim.adjustments),
+                "metrics": metrics,
+                "trims_seconds": result.trim.adjustments,
             },
-        )
-        pc = out / "pi_trim_sweep.csv"
-        _write_csv(pc, h, seed, _sweep_table(post_sweep, clock.period, np.zeros(256, dtype=bool)))
-        files = [str(p), str(pc)]
+            "pi_trim_sweep.csv": _sweep_table(post_sweep, clock.period, np.zeros(256, dtype=bool)),
+        })
     return ExperimentResult("pi-trim", seed, h, metrics, files)
 
 
 def run_calibrate(cfg: RunConfig, seed: int, out: Path | None) -> ExperimentResult:
     h = config_hash(cfg)
-    state = compute_calibration(cfg, seed)
+    state = compute_calibration(cfg, seed, il.AdcSystem(cfg, seed))
     metrics = {
         "offset_codes": state.offset_codes.tolist(),
         "has_luts": state.luts is not None,
@@ -295,9 +352,14 @@ def run_calibrate(cfg: RunConfig, seed: int, out: Path | None) -> ExperimentResu
     }
     files = []
     if out is not None:
-        p = out / "calibration.json"
-        p.write_text(state.to_json(), encoding="utf-8")
-        files = [str(p)]
+        files = _write_artifacts(out, h, seed, {
+            "calibration.json": {
+                "version": CALIBRATION_VERSION,
+                "offset_codes": state.offset_codes,
+                "luts": None if state.luts is None else [lut.mapping for lut in state.luts],
+                "pi_corrections": state.pi_corrections,
+            },
+        })
     return ExperimentResult("calibrate", seed, h, metrics, files)
 
 
@@ -305,7 +367,7 @@ def run_adc_sine(
     cfg: RunConfig,
     seed: int,
     out: Path | None,
-    calibration: il.CalibrationState | None = None,
+    calibration: CalibrationState | None = None,
 ) -> ExperimentResult:
     system = il.AdcSystem(cfg, seed)
     h = config_hash(cfg)
@@ -320,7 +382,9 @@ def run_adc_sine(
     tone = build_stimulus(cfg)
     fs = cfg.system.aggregate_rate
     n = cfg.capture.n_samples
-    pi_codes = _applied_pi_codes(system, calibration)
+    pi_codes = system.nominal_pi_codes()
+    if calibration.pi_corrections is not None:
+        pi_codes = il.corrected_pi_codes(pi_codes, calibration.pi_corrections)
     capture = il.run_capture(
         system, tone, n,
         offset_codes=calibration.offset_codes,
@@ -337,10 +401,8 @@ def run_adc_sine(
     }
     lin = None
     if cfg.capture.linearity:
-        amp = cfg.capture.linearity_amplitude or tone.amplitude
-        lin_tone = sine_tone(cfg, _warmup_tone(cfg).frequency, amp)
         lin_capture = il.run_capture(
-            system, lin_tone, cfg.capture.linearity_samples,
+            system, _linearity_tone(cfg), cfg.capture.linearity_samples,
             offset_codes=calibration.offset_codes,
             luts=calibration.luts,
             pi_codes=pi_codes,
@@ -353,24 +415,19 @@ def run_adc_sine(
         metrics["missing_codes"] = len(lin.missing_codes)
     files = []
     if out is not None:
-        pj = out / "adc_sine.json"
-        payload = {
-            "experiment": "adc-sine",
-            "metrics": _jsonable(metrics),
-            "spur_list": _jsonable(report.spur_list),
-            "offset_codes": _jsonable(calibration.offset_codes),
-            "pi_codes": _jsonable(pi_codes),
-            "fin_hz": tone.frequency,
-            "fs_hz": fs,
-        }
-        _write_json(pj, h, seed, payload)
-        files.append(str(pj))
-        pc = out / "capture.csv"
         # sample 16*m + s is entry [s, m] of each per-slice array
         k = np.arange(n)
-        _write_csv(
-            pc, h, seed,
-            {
+        bodies = {
+            "adc_sine.json": {
+                "experiment": "adc-sine",
+                "metrics": metrics,
+                "spur_list": report.spur_list,
+                "offset_codes": calibration.offset_codes,
+                "pi_codes": pi_codes,
+                "fin_hz": tone.frequency,
+                "fs_hz": fs,
+            },
+            "capture.csv": {
                 "sample_index": k,
                 "slice": k % il.N_SLICES,
                 "instant_seconds": capture.instants.T.reshape(-1),
@@ -378,28 +435,19 @@ def run_adc_sine(
                 "signed_code": capture.codes.T.reshape(-1),
                 "corrected_code": capture.corrected.T.reshape(-1),
             },
-        )
-        files.append(str(pc))
+        }
         if lin is not None:
-            pl = out / "linearity.csv"
-            _write_csv(
-                pl, h, seed,
-                {"code": lin.codes, "dnl_lsb": lin.dnl, "inl_lsb": lin.inl},
-            )
-            plj = out / "linearity.json"
-            _write_json(
-                plj, h, seed,
-                {
-                    "experiment": "adc-sine/linearity",
-                    "dnl_max": lin.dnl_max,
-                    "inl_max": lin.inl_max,
-                    "missing_codes": _jsonable(lin.missing_codes),
-                    "reference": lin.reference,
-                    "dnl": _jsonable(lin.dnl),
-                    "inl": _jsonable(lin.inl),
-                },
-            )
-            files.extend([str(pl), str(plj)])
+            bodies["linearity.csv"] = {"code": lin.codes, "dnl_lsb": lin.dnl, "inl_lsb": lin.inl}
+            bodies["linearity.json"] = {
+                "experiment": "adc-sine/linearity",
+                "dnl_max": lin.dnl_max,
+                "inl_max": lin.inl_max,
+                "missing_codes": lin.missing_codes,
+                "reference": lin.reference,
+                "dnl": lin.dnl,
+                "inl": lin.inl,
+            }
+        files = _write_artifacts(out, h, seed, bodies)
     return ExperimentResult("adc-sine", seed, h, metrics, files)
 
 
@@ -412,10 +460,8 @@ def run_fom(cfg: RunConfig, seed: int, out: Path | None) -> ExperimentResult:
     metrics = {f"fom_pj_{e.label}": v * 1e12 for e, v in zip(entries, values)}
     files = []
     if out is not None:
-        p = out / "fom.csv"
-        _write_csv(
-            p, h, seed,
-            {
+        files = _write_artifacts(out, h, seed, {
+            "fom.csv": {
                 "label": [e.label for e in entries],
                 "power_watts": [e.power for e in entries],
                 "enob": [e.enob for e in entries],
@@ -423,17 +469,14 @@ def run_fom(cfg: RunConfig, seed: int, out: Path | None) -> ExperimentResult:
                 "fom_joules": values,
                 "fom_pj_per_step": [v * 1e12 for v in values],
             },
-        )
-        pj = out / "fom.json"
-        _write_json(pj, h, seed, {"experiment": "fom", "metrics": _jsonable(metrics)})
-        files = [str(p), str(pj)]
+            "fom.json": {"experiment": "fom", "metrics": metrics},
+        })
     return ExperimentResult("fom", seed, h, metrics, files)
 
 
-def _mc_trial(args) -> tuple[int, dict]:
+def _mc_trial(args) -> dict:
     cfg, name, seed = args
-    result = _DISPATCH[name](cfg, seed, None)
-    return seed, result.metrics
+    return _DISPATCH[name](cfg, seed, None).metrics
 
 
 def run_montecarlo(cfg: RunConfig, seed: int, out: Path | None) -> ExperimentResult:
@@ -451,16 +494,15 @@ def run_montecarlo(cfg: RunConfig, seed: int, out: Path | None) -> ExperimentRes
                 results = list(pool.map(_mc_trial, jobs))
         else:
             results = [_mc_trial(job) for job in jobs]
-    results.sort(key=lambda item: item[0])
     numeric_keys = [
         k
-        for k, v in results[0][1].items()
+        for k, v in results[0].items()
         if isinstance(v, (int, float, np.integer, np.floating))
         and not isinstance(v, bool)
     ]
     summary = {}
     for key in numeric_keys:
-        values = np.array([m[key] for _, m in results], dtype=np.float64)
+        values = np.array([m[key] for m in results], dtype=np.float64)
         summary[key] = {
             f"p{pct:g}": float(np.percentile(values, pct))
             for pct in cfg.montecarlo.percentiles
@@ -469,26 +511,22 @@ def run_montecarlo(cfg: RunConfig, seed: int, out: Path | None) -> ExperimentRes
     metrics = {"trials": len(seeds), "experiment": name}
     for key in numeric_keys:
         metrics[f"{key}_median"] = float(
-            np.median([m[key] for _, m in results])
+            np.median([m[key] for m in results])
         )
     files = []
     if out is not None:
-        p = out / "montecarlo.csv"
-        columns = {"seed": [s for s, _ in results]}
-        columns.update({k: [m[k] for _, m in results] for k in numeric_keys})
-        _write_csv(p, h, seed, columns)
-        pj = out / "montecarlo.json"
-        _write_json(
-            pj, h, seed,
-            {
+        columns = {"seed": seeds}
+        columns.update({k: [m[k] for m in results] for k in numeric_keys})
+        files = _write_artifacts(out, h, seed, {
+            "montecarlo.csv": columns,
+            "montecarlo.json": {
                 "experiment": "montecarlo",
                 "wrapped": name,
                 "trials": len(seeds),
-                "percentiles": _jsonable(summary),
-                "metrics": _jsonable(metrics),
+                "percentiles": summary,
+                "metrics": metrics,
             },
-        )
-        files = [str(p), str(pj)]
+        })
     return ExperimentResult("montecarlo", seed, h, metrics, files)
 
 
@@ -526,6 +564,6 @@ def run_experiment(
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
     if calibration_path is not None:
-        state = il.CalibrationState.from_json(Path(calibration_path).read_text(encoding="utf-8"))
+        state = CalibrationState.from_json(Path(calibration_path).read_text(encoding="utf-8"))
         return run_adc_sine(cfg, run_seed, out, calibration=state)
     return _DISPATCH[name](cfg, run_seed, out)

@@ -15,7 +15,6 @@ retime, which the aligner compensates exactly before interleaving.
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
@@ -70,7 +69,6 @@ class AdcSystem:
             keyed_normal(derive_seed(master_seed, "stdc.tap.systematic"), np.arange(adc.n_taps))
             * adc.tap_sigma_systematic
         )
-        divided_period = adc.divided_ratio * sc.slice_period
         self.chains: list[InverterChain] = []
         for s in range(N_SLICES):
             rand_dev = (
@@ -79,17 +77,7 @@ class AdcSystem:
             )
             taps = adc.unit_delay * (1.0 + sys_dev + rand_dev)
             taps = np.maximum(taps, 0.05 * adc.unit_delay)
-            chain = InverterChain(tap_delays=taps)
-            # each tap edge is counted once only if the widest pulse plus this
-            # slice's own chain spread fits in one divided-clock period
-            needed = adc.max_pulse_width + chain.total_delay
-            if divided_period <= needed:
-                raise ConfigError(
-                    f"slice {s} at seed {self.master_seed} needs {needed:.5g} s for the widest "
-                    f"pulse plus its chain spread, but the divided clock period is "
-                    f"{divided_period:.5g} s; raise adc.divided_ratio or shorten the chain"
-                )
-            self.chains.append(chain)
+            self.chains.append(InverterChain(tap_delays=taps))
 
         idx = np.arange(2 * N_SLICES)
         slopes = adc.discharge_slope * (
@@ -104,6 +92,22 @@ class AdcSystem:
         self.slope_n = slopes[1::2]
         self.vth_p = thresholds[0::2]
         self.vth_n = thresholds[1::2]
+
+        # each tap edge is counted once only if this slice's own widest pulse
+        # (one side at the supply, the other at its threshold) plus its own
+        # chain spread fits in one divided-clock period
+        divided_period = adc.divided_ratio * sc.slice_period
+        widest = adc.d_offset + np.maximum(
+            (adc.vdd - self.vth_p) / self.slope_p, (adc.vdd - self.vth_n) / self.slope_n
+        )
+        for s, chain in enumerate(self.chains):
+            needed = widest[s] + chain.total_delay
+            if divided_period <= needed:
+                raise ConfigError(
+                    f"slice {s} at seed {self.master_seed} needs {needed:.5g} s for its widest "
+                    f"pulse ({widest[s]:.5g} s) plus its chain spread, but the divided clock "
+                    f"period is {divided_period:.5g} s; raise adc.divided_ratio or shorten the chain"
+                )
 
         self.pi_clock = ClockSpec(period=sc.pi_clock_period)
         self.pi_chains: list[DelayChain] = [
@@ -554,74 +558,3 @@ def corrected_pi_codes(pi_codes, corrections) -> np.ndarray:
                 f"correction {code - nominal:+d})"
             )
     return codes
-
-
-@dataclass
-class CalibrationState:
-    """Persisted calibration: offsets, LUTs, PI corrections (versioned)."""
-
-    version: int
-    config_hash: str
-    master_seed: int
-    offset_codes: np.ndarray
-    luts: list[Lut] | None
-    pi_corrections: np.ndarray | None
-
-    def to_json(self) -> str:
-        payload = {
-            "version": self.version,
-            "config_hash": self.config_hash,
-            "master_seed": self.master_seed,
-            "offset_codes": [int(c) for c in self.offset_codes],
-            "luts": None
-            if self.luts is None
-            else [[int(v) for v in lut.mapping] for lut in self.luts],
-            "pi_corrections": None
-            if self.pi_corrections is None
-            else [int(c) for c in self.pi_corrections],
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "CalibrationState":
-        """Parse a calibration file; malformed content raises ConfigError."""
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"calibration file is not valid JSON: {exc}") from None
-        if not isinstance(payload, dict):
-            raise ConfigError("calibration file must hold a JSON object")
-        if payload.get("version") != 1:
-            raise ConfigError(f"unsupported calibration version {payload.get('version')!r}")
-        keys = ("config_hash", "master_seed", "offset_codes", "luts", "pi_corrections")
-        missing = [k for k in keys if k not in payload]
-        if missing:
-            raise ConfigError(f"calibration file is missing {', '.join(missing)}")
-        luts = payload["luts"]
-        if luts is not None:
-            try:
-                luts = [Lut(mapping=m) for m in _int_table(luts, (N_SLICES, LUT_SIZE), "luts")]
-            except ValueError as exc:
-                raise ConfigError(f"calibration luts: {exc}") from None
-        corrections = payload["pi_corrections"]
-        return cls(
-            version=1,
-            config_hash=payload["config_hash"],
-            master_seed=payload["master_seed"],
-            offset_codes=_int_table(payload["offset_codes"], (N_SLICES,), "offset_codes"),
-            luts=luts,
-            pi_corrections=None
-            if corrections is None
-            else _int_table(corrections, (N_GROUPS,), "pi_corrections"),
-        )
-
-
-def _int_table(value, shape: tuple, name: str) -> np.ndarray:
-    """An integer array of exactly `shape` from a calibration field, else ConfigError."""
-    try:
-        table = np.asarray(value)
-    except ValueError:  # ragged nesting
-        table = None
-    if table is None or table.shape != shape or table.dtype.kind != "i":
-        raise ConfigError(f"calibration {name} must be integers of shape {shape}")
-    return table.astype(np.int64, copy=False)

@@ -1,6 +1,6 @@
-"""CSV artifact format: the column writer against a row-by-row oracle, and
-golden digests of one artifact of every CSV kind from the shipped configs,
-checked with and without numpy's AVX-512 dispatch."""
+"""Artifact format: the CSV column writer against a row-by-row oracle, and
+golden digests of one artifact of every CSV and JSON kind from the shipped
+configs, checked with and without numpy's AVX-512 dispatch."""
 
 import csv
 import hashlib
@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import stochadc
+from stochadc import experiments
 from stochadc.config import config_hash, load_config, parse_config
 from stochadc.experiments import CSV_BLOCK_ROWS, _write_csv, run_experiment
 from stochadc.metrics import walden_fom
@@ -196,8 +197,32 @@ def test_fom_yaml_ints_print_as_ints(tmp_path):
     )
 
 
-# sha256 of one artifact of every CSV kind, recorded with the row-by-row
-# writer; a formatting change that drifts the same way on every rerun shows here.
+@pytest.mark.parametrize(
+    "experiment,config",
+    [("fom", "fom.yaml"), ("pi-trim", "pi_trim_injected.yaml"), ("calibrate", "ideal.yaml")],
+)
+def test_every_artifact_goes_through_the_module_writers(tmp_path, monkeypatch, experiment, config):
+    # the writers are looked up when called, so wrapping them (as the
+    # benchmark's traced runs do) sees every file, the calibration file included
+    seen = []
+
+    def recording(writer):
+        def write(path, *args):
+            seen.append(str(path))
+            writer(path, *args)
+        return write
+
+    for name in ("_write_csv", "_write_json"):
+        monkeypatch.setattr(experiments, name, recording(getattr(experiments, name)))
+    result = run_experiment(experiment, load_config(CONFIG_DIR / config), out_dir=tmp_path)
+    assert seen == result.files
+    assert sorted(seen) == sorted(str(p) for p in tmp_path.iterdir())
+
+
+# sha256 of one artifact of every CSV and JSON kind, the CSVs recorded with the
+# row-by-row writer; a formatting change that drifts the same way on every rerun
+# shows here.  Regime's adc_sine.json and montecarlo.json are left out: their
+# sndr_db goes through np.log10, whose last bit depends on the SIMD dispatch.
 # Recorded under Python 3.11.7, numpy 2.4.6, scipy 1.17.1: the simulated values
 # depend on bit-exact draws, scipy.special.ndtri and the FFT, so a mismatch under
 # other library versions may be numeric rather than a formatting regression.
@@ -216,13 +241,44 @@ GOLDEN = [
      "c86879148ac92f3980be8865c11e188c25a859cd7983e2cf83212cc27f495d1b"),
     ("montecarlo", "pi_mc.yaml", "montecarlo.csv",
      "c619e74b1f726c34e16ccfa26a98c452da79af9c94090e61a695a79654171d75"),
+    ("slice-transfer", "ideal.yaml", "slice_transfer.json",
+     "7f8f64050f0adf6da14d17450a93949c84c8b9c91893f43712addd25e3c4d078"),
+    ("pi-sweep", "pi_trim_injected.yaml", "pi_sweep.json",
+     "4201b9966bba0d9f225d024f8ab948492eadf0703bc6c7eaf4efbc5e83faa559"),
+    ("pi-trim", "pi_trim_injected.yaml", "pi_trim.json",
+     "b178bd59c739ff67eec5d52b4e29e7f42f0e9b1f24430753d7a9e1ae1dbd767e"),
+    ("calibrate", "skewcal.yaml", "calibration.json",
+     "194903574687f38e9721cde5d49c269dacba160ab91cc9f8c7e742f6d4ecc0e1"),
+    ("adc-sine", "skewcal.yaml", "adc_sine.json",
+     "a7034734259c93db523dbe68e2ebbef4a591b64846fa5a62c9978e2a571418d0"),
+    ("adc-sine", "regime.yaml", "linearity.json",
+     "c854e3707936a5abcd4b78faa1c812cff5e622ae7554204540bc1ff3f21661f6"),
+    ("fom", "fom.yaml", "fom.json",
+     "b84bc27630ccafcce3efc46e48f6dd9d1a218d9031ec1d1d098837e1c2f21d3e"),
+    ("montecarlo", "pi_mc.yaml", "montecarlo.json",
+     "89f12cd3a116797fa7964b51f20feb916724db09b6aca13cb342789897279978"),
 ]
 
 
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    """The output directory of one experiment on one shipped config, run once."""
+    dirs = {}
+
+    def run(experiment, config):
+        if (experiment, config) not in dirs:
+            out = tmp_path_factory.mktemp("golden")
+            run_experiment(experiment, load_config(CONFIG_DIR / config), out_dir=out)
+            dirs[experiment, config] = out
+        return dirs[experiment, config]
+
+    return run
+
+
 @pytest.mark.parametrize("experiment,config,artifact,digest", GOLDEN, ids=[g[2] for g in GOLDEN])
-def test_golden_digest(tmp_path, experiment, config, artifact, digest):
-    run_experiment(experiment, load_config(CONFIG_DIR / config), out_dir=tmp_path)
-    assert hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest() == digest
+def test_golden_digest(golden_run, experiment, config, artifact, digest):
+    out = golden_run(experiment, config)
+    assert hashlib.sha256((out / artifact).read_bytes()).hexdigest() == digest
 
 
 # numpy dispatches some float64 kernels (np.log10 among them) to AVX-512
@@ -240,10 +296,12 @@ from stochadc.experiments import run_experiment
 # a silently ignored NPY_DISABLE_CPU_FEATURES must not pass
 assert not __cpu_features__["AVX512_ICL"], "AVX-512 dispatch is still on"
 digests = {}
-for experiment, config, artifact, _ in json.loads(sys.argv[1]):
-    with tempfile.TemporaryDirectory() as out:
-        run_experiment(experiment, load_config(Path(sys.argv[2]) / config), out_dir=out)
-        digests[artifact] = hashlib.sha256((Path(out) / artifact).read_bytes()).hexdigest()
+with tempfile.TemporaryDirectory() as root:
+    for experiment, config, artifact, _ in json.loads(sys.argv[1]):
+        out = Path(root) / experiment / config
+        if not out.exists():
+            run_experiment(experiment, load_config(Path(sys.argv[2]) / config), out_dir=out)
+        digests[artifact] = hashlib.sha256((out / artifact).read_bytes()).hexdigest()
 print(json.dumps(digests))
 """
 

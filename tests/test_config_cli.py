@@ -148,6 +148,23 @@ class TestCli:
         )
         assert main(["calibrate", "--config", str(p), "--out", str(tmp_path)]) == 3
 
+    def test_slice_transfer_runs_only_the_offset_warmup(self, tmp_path):
+        # the sweep reads slice 0's offset code alone; it used to run the
+        # whole calibration, so a LUT capture too short for coverage exited 3
+        tables = []
+        for lut in ("false", "true"):
+            out = tmp_path / lut
+            p = self.write(
+                tmp_path,
+                MINIMAL_SINE + "system:\n  calibration:\n    adapt_offsets: true\n"
+                f"    lut: {lut}\n    lut_capture_samples: 16384\n",
+            )
+            assert main(["slice-transfer", "--config", str(p), "--out", str(out)]) == 0
+            # the first line holds the config hash, which the lut flag moves
+            tables.append((out / "slice_transfer.csv").read_bytes().split(b"\n", 1))
+        assert tables[0][0] != tables[1][0]
+        assert tables[0][1] == tables[1][1]
+
     def test_stimulus_over_supply_rejected_at_load(self, tmp_path):
         q = self.write(
             tmp_path,
@@ -308,6 +325,20 @@ class TestCli:
         p = self.write(tmp_path, MINIMAL_SINE + "adc:\n  divided_ratio: 1\n")
         assert main(["adc-sine", "--config", str(p), "--out", str(tmp_path)]) == 2
         assert "slice 0 at seed 1" in capsys.readouterr().err
+
+    def test_stdc_window_uses_each_slices_own_widest_pulse(self, tmp_path, capsys):
+        # the check used the nominal widest pulse: at seed 0 slice 4's
+        # mismatched V2T gives 0.854 ns, which with its 0.760 ns chain
+        # overflows the 1.6 ns divided period, and the run exited 0 (ENOB 2.93)
+        text = (CONFIG_DIR / "ideal.yaml").read_text(encoding="utf-8")
+        assert "\nadc:\n" in text and "amplitude: 0.45\n" in text
+        p = self.write(tmp_path, text.replace(
+            "\nadc:\n",
+            "\nadc:\n  divided_ratio: 2\n  n_taps: 190\n  slope_sigma: 0.05\n"
+            "  threshold_sigma: 0.05\n",
+        ).replace("amplitude: 0.45\n", "amplitude: 0.4\n"))
+        assert main(["adc-sine", "--config", str(p), "--seed", "0", "--out", str(tmp_path)]) == 2
+        assert "slice 4 at seed 0" in capsys.readouterr().err
 
     def test_nan_phase_rejected_at_load(self, tmp_path):
         # NaN voltages used to pass the range checks and end in a misleading

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stochadc import experiments
 from stochadc.config import (
     AdcConfig,
     FomConfig,
@@ -12,6 +13,7 @@ from stochadc.config import (
     RunConfig,
     SystemConfig,
     _validate,
+    config_hash,
     parse_config,
 )
 from stochadc.errors import (
@@ -27,7 +29,6 @@ from stochadc.interleaver import (
     N_SLICES,
     AdcSystem,
     AlignedStream,
-    CalibrationState,
     Lut,
     adapt_offsets,
     align_outputs,
@@ -43,6 +44,7 @@ from stochadc.interleaver import (
     schedule_sampling,
     slice_transfer,
 )
+from stochadc.experiments import CalibrationState
 from stochadc.metrics import code_density_linearity
 from stochadc.stimulus import SineStimulus, adaptation_tone
 
@@ -565,17 +567,21 @@ class TestSliceTransfer:
             assert np.all(np.diff(code) >= 0)
 
 
-def test_calibration_state_roundtrip():
+def test_calibration_state_roundtrip(tmp_path, monkeypatch):
+    # the calibrate experiment writes the state through the artifact writer,
+    # and the reader gives back every field
+    cfg = RunConfig()
     state = CalibrationState(
-        version=1,
-        config_hash="abc",
+        config_hash=config_hash(cfg),
         master_seed=5,
         offset_codes=np.full(16, 25),
         luts=[identity_lut() for _ in range(16)],
         pi_corrections=np.array([0, -2, 3, 1]),
     )
-    back = CalibrationState.from_json(state.to_json())
-    assert back.config_hash == "abc"
+    monkeypatch.setattr(experiments, "compute_calibration", lambda *args: state)
+    experiments.run_experiment("calibrate", cfg, out_dir=tmp_path, seed=5)
+    back = CalibrationState.from_json((tmp_path / "calibration.json").read_text())
+    assert (back.config_hash, back.master_seed) == (state.config_hash, 5)
     assert np.array_equal(back.offset_codes, state.offset_codes)
     assert np.array_equal(back.pi_corrections, state.pi_corrections)
     assert all(
