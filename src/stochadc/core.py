@@ -29,21 +29,32 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN_INT = 0x9E3779B97F4A7C15
 _MIX1_INT = 0xBF58476D1CE4E5B9
 _MIX2_INT = 0x94D049BB133111EB
-_GOLDEN = np.uint64(_GOLDEN_INT)
-_MIX1 = np.uint64(_MIX1_INT)
-_MIX2 = np.uint64(_MIX2_INT)
+# 0-d uint64 arrays, built once: a ufunc takes them faster than np.uint64
+# scalars, which it converts on every call
+_GOLDEN, _MIX1, _MIX2, _ONE, _S11, _S27, _S30, _S31 = (
+    np.array(k, dtype=np.uint64) for k in (_GOLDEN_INT, _MIX1_INT, _MIX2_INT, 1, 11, 27, 30, 31)
+)
+
+# The largest double below 1: the keyed uniform of the top 53-bit value,
+# (2^53 - 1) * 2^-53 + 2^-54, rounds to 1.0 and is clamped here.
+_UNIFORM_MAX = float(np.nextafter(1.0, 0.0))
 
 # Clamp floor for mismatch draws that parameterize a physical delay.
 CLAMP_FLOOR = 0.05
 
 
 def _finalize(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 output function (vectorized over uint64, wraparound intended)."""
-    x = np.asarray(x, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        x = (x ^ (x >> np.uint64(30))) * _MIX1
-        x = (x ^ (x >> np.uint64(27))) * _MIX2
-    return x ^ (x >> np.uint64(31))
+    """SplitMix64 output function (vectorized over uint64, wraparound intended).
+
+    Updates its fresh first result in place; `keyed_u64`, the one caller, runs
+    it under ``np.errstate(over="ignore")``.
+    """
+    x = x ^ (x >> _S30)
+    x *= _MIX1
+    x ^= x >> _S27
+    x *= _MIX2
+    x ^= x >> _S31
+    return x
 
 
 def _finalize_int(x: int) -> int:
@@ -66,25 +77,43 @@ def derive_seed(master_seed: int, label: str, index: int = 0) -> int:
     return _finalize_int((h + int(index) * _GOLDEN_INT) & _MASK64)
 
 
-def keyed_u64(seed: int, indices) -> np.ndarray:
+def keyed_u64(seed, indices) -> np.ndarray:
     """i-th output of a SplitMix64 sequence keyed by ``seed``.
 
-    Indices wrap modulo 2^64, so a negative index is a key like any other
-    and the mapping stays injective over any practical range.
+    ``seed`` is one int, or a sequence of ints that draws one row per seed:
+    the result then has shape ``(len(seed),) + indices.shape`` and row r
+    equals ``keyed_u64(seed[r], indices)`` bit for bit, because every output
+    is a pure function of its (seed, index) pair.  One call per instance
+    group (a converter's chains, a PI chain's taps and skews) costs one
+    call's overhead instead of one per row.
+
+    Seeds and indices wrap modulo 2^64, so a negative index is a key like
+    any other and the mapping stays injective over any practical range.
     """
-    idx = np.asarray(indices, dtype=np.int64).astype(np.uint64)
+    idx = np.asarray(indices, dtype=np.int64).view(np.uint64)
+    if isinstance(seed, (int, np.integer)):
+        seeds = np.array(int(seed) & _MASK64, dtype=np.uint64)
+    else:
+        seeds = np.array([int(s) & _MASK64 for s in seed], dtype=np.uint64)
+        seeds = seeds.reshape(seeds.shape + (1,) * idx.ndim)
     with np.errstate(over="ignore"):
-        return _finalize(np.uint64(seed % (1 << 64)) + (idx + np.uint64(1)) * _GOLDEN)
+        return _finalize(seeds + (idx + _ONE) * _GOLDEN)
 
 
-def keyed_uniform(seed: int, indices) -> np.ndarray:
-    """Uniforms in (0, 1), one per index, pure function of (seed, index)."""
-    bits = keyed_u64(seed, indices) >> np.uint64(11)
-    return bits.astype(np.float64) * 2.0**-53 + 2.0**-54
+def keyed_uniform(seed, indices) -> np.ndarray:
+    """Uniforms in (0, 1), one per (seed, index); seeds as in `keyed_u64`.
+
+    The top 53 bits b map to b * 2^-53 + 2^-54; the one b whose value rounds
+    to 1.0 is clamped to the largest double below 1.
+    """
+    u = (keyed_u64(seed, indices) >> _S11).astype(np.float64)
+    u *= 2.0**-53
+    u += 2.0**-54
+    return np.minimum(u, _UNIFORM_MAX)
 
 
-def keyed_normal(seed: int, indices) -> np.ndarray:
-    """Standard normals, one per index, pure function of (seed, index)."""
+def keyed_normal(seed, indices) -> np.ndarray:
+    """Standard normals, one per (seed, index); seeds as in `keyed_u64`."""
     return ndtri(keyed_uniform(seed, indices))
 
 
@@ -115,8 +144,12 @@ class MismatchModel:
         return self.sample_at(np.arange(count))
 
     def sample_at(self, indices) -> np.ndarray:
-        indices = np.asarray(indices)
-        values = self.nominal + keyed_normal(self.seed, indices) * (self.sigma_rel * self.nominal)
+        return self.scale(keyed_normal(self.seed, indices))
+
+    def scale(self, normals: np.ndarray) -> np.ndarray:
+        """Instance values from standard normals already drawn at this
+        model's seed, so a caller can draw them in one call with other rows."""
+        values = self.nominal + normals * (self.sigma_rel * self.nominal)
         if self.nominal > 0:
             values = np.maximum(values, CLAMP_FLOOR * self.nominal)
         return values

@@ -65,28 +65,22 @@ class AdcSystem:
         self.master_seed = int(master_seed)
 
         adc, sc = cfg.adc, cfg.system
-        sys_dev = (
-            keyed_normal(derive_seed(master_seed, "stdc.tap.systematic"), np.arange(adc.n_taps))
-            * adc.tap_sigma_systematic
-        )
-        self.chains: list[InverterChain] = []
-        for s in range(N_SLICES):
-            rand_dev = (
-                keyed_normal(derive_seed(master_seed, "stdc.tap.random", s), np.arange(adc.n_taps))
-                * adc.tap_sigma_random
-            )
-            taps = adc.unit_delay * (1.0 + sys_dev + rand_dev)
-            taps = np.maximum(taps, 0.05 * adc.unit_delay)
-            self.chains.append(InverterChain(tap_delays=taps))
+        # one keyed draw per instance group: the systematic tap row and the
+        # 16 per-slice random rows, then the V2T slope and threshold rows
+        tap_seeds = [derive_seed(master_seed, "stdc.tap.systematic")]
+        tap_seeds += [derive_seed(master_seed, "stdc.tap.random", s) for s in range(N_SLICES)]
+        tap_normals = keyed_normal(tap_seeds, np.arange(adc.n_taps))
+        sys_dev = tap_normals[0] * adc.tap_sigma_systematic
+        rand_dev = tap_normals[1:] * adc.tap_sigma_random
+        taps = adc.unit_delay * (1.0 + sys_dev + rand_dev)
+        taps = np.maximum(taps, 0.05 * adc.unit_delay)
+        self.chains: list[InverterChain] = [InverterChain(tap_delays=row) for row in taps]
 
-        idx = np.arange(2 * N_SLICES)
-        slopes = adc.discharge_slope * (
-            1.0 + keyed_normal(derive_seed(master_seed, "v2t.slope"), idx) * adc.slope_sigma
-        )
+        v2t_seeds = [derive_seed(master_seed, label) for label in ("v2t.slope", "v2t.threshold")]
+        slope_normals, threshold_normals = keyed_normal(v2t_seeds, np.arange(2 * N_SLICES))
+        slopes = adc.discharge_slope * (1.0 + slope_normals * adc.slope_sigma)
         slopes = np.maximum(slopes, 0.05 * adc.discharge_slope)
-        thresholds = adc.v_threshold * (
-            1.0 + keyed_normal(derive_seed(master_seed, "v2t.threshold"), idx) * adc.threshold_sigma
-        )
+        thresholds = adc.v_threshold * (1.0 + threshold_normals * adc.threshold_sigma)
         thresholds = np.maximum(thresholds, 0.05 * adc.v_threshold)
         self.slope_p = slopes[0::2]
         self.slope_n = slopes[1::2]
@@ -170,9 +164,8 @@ def schedule_sampling(
     )
     instants = base[:, None] + np.arange(n_cycles) * sc.slice_period
     if sc.sampling_jitter > 0:
-        for s in range(N_SLICES):
-            seed = derive_seed(system.master_seed, "sampling.jitter", s)
-            instants[s] += keyed_normal(seed, np.arange(n_cycles)) * sc.sampling_jitter
+        seeds = [derive_seed(system.master_seed, "sampling.jitter", s) for s in range(N_SLICES)]
+        instants += keyed_normal(seeds, np.arange(n_cycles)) * sc.sampling_jitter
     return instants
 
 

@@ -64,7 +64,7 @@ class DelayChain:
             raise ValueError("tap_delays must hold at least two taps")
         if skews.shape != delays.shape:
             raise ValueError("path_skews must match tap_delays in length")
-        if np.any(delays <= 0):
+        if (delays <= 0).any():
             raise ValueError("all tap delays must be > 0")
         if self.unit_delay <= 0:
             raise ValueError("unit_delay must be > 0")
@@ -84,14 +84,20 @@ def make_pi_chain(
     skew_sigma: Duration = 0.0,
     seed: int = 0,
 ) -> DelayChain:
-    """Chain instance with gaussian tap mismatch and routing skews."""
-    taps = MismatchModel(
+    """Chain instance with gaussian tap mismatch and routing skews.
+
+    The tap row and, when skews are on, the skew row come from one keyed
+    draw; each row equals its own single-seed draw bit for bit.
+    """
+    tap_model = MismatchModel(
         nominal=unit_delay, sigma_rel=tap_sigma_rel, seed=derive_seed(seed, "pi.tap")
-    ).sample(n_taps)
+    )
+    seeds = [tap_model.seed]
     if skew_sigma > 0:
-        skews = keyed_normal(derive_seed(seed, "pi.skew"), np.arange(n_taps)) * skew_sigma
-    else:
-        skews = np.zeros(n_taps)
+        seeds.append(derive_seed(seed, "pi.skew"))
+    normals = keyed_normal(seeds, np.arange(n_taps))
+    taps = tap_model.scale(normals[0])
+    skews = normals[1] * skew_sigma if skew_sigma > 0 else np.zeros(n_taps)
     return DelayChain(unit_delay=unit_delay, tap_delays=taps, path_skews=skews)
 
 
@@ -105,7 +111,7 @@ class TrimState:
     def __post_init__(self):
         adj = np.asarray(self.adjustments, dtype=np.float64)
         object.__setattr__(self, "adjustments", adj)
-        if np.any(np.abs(adj) >= self.unit_delay):
+        if (np.abs(adj) >= self.unit_delay).any():
             raise ValueError("|trim| must stay below the unit delay")
 
 
@@ -156,13 +162,17 @@ class CodeTable:
 
     Index = code.  Taps are 1-based ring positions (see `ring_positions`);
     each segment ends on tap `start_tap + 1`.  `segment_codes` lists the first
-    code of each distinct segment, in code order.  All arrays are read-only,
-    because one table is shared by every caller with the same N.
+    code of each distinct segment, in code order.  `weight` and `at_start` are
+    the blender's `blend_k / BLEND_STEPS` and `blend_k == 0`, computed once.
+    All arrays are read-only, because one table is shared by every caller
+    with the same N.
     """
 
     start_tap: np.ndarray
     blend_k: np.ndarray
     segment_codes: np.ndarray
+    weight: np.ndarray
+    at_start: np.ndarray
 
 
 @functools.lru_cache(maxsize=64)
@@ -180,25 +190,29 @@ def code_table(n_delays_per_cycle: int) -> CodeTable:
     scaled = np.arange(PI_CODES, dtype=np.int64) * n_delays_per_cycle
     start_tap = scaled // PI_CODES + 1
     _, segment_codes = np.unique(start_tap, return_index=True)
+    blend_k = (scaled % PI_CODES) // BLEND_STEPS
     table = CodeTable(
         start_tap=start_tap,
-        blend_k=(scaled % PI_CODES) // BLEND_STEPS,
+        blend_k=blend_k,
         segment_codes=segment_codes,
+        weight=blend_k / BLEND_STEPS,
+        at_start=blend_k == 0,
     )
-    for array in (table.start_tap, table.blend_k, table.segment_codes):
+    for array in (table.start_tap, table.blend_k, table.segment_codes, table.weight,
+                  table.at_start):
         array.flags.writeable = False
     return table
 
 
-def _blend(positions: np.ndarray, start_tap, blend_k) -> np.ndarray:
+def _blend(positions: np.ndarray, start_tap, weight, at_start) -> np.ndarray:
     """16-step weighted average of segment endpoints read from ring positions.
 
-    Element-wise over code-table entries; k = 0 returns the start endpoint
-    exactly.
+    Element-wise over code-table entries; k = 0 (`at_start`) returns the
+    start endpoint exactly.
     """
     t_a = positions[start_tap - 1]
     t_b = positions[start_tap]
-    return np.where(blend_k == 0, t_a, t_a + (blend_k / BLEND_STEPS) * (t_b - t_a))
+    return np.where(at_start, t_a, t_a + weight * (t_b - t_a))
 
 
 def pi_output(
@@ -216,7 +230,9 @@ def pi_output(
         raise ValueError(f"code must lie in [0, {PI_CODES}), got {code}")
     positions, n = ring_positions(chain, clock, trim)
     table = code_table(n)
-    return float(_blend(positions, table.start_tap[code], table.blend_k[code]))
+    return float(
+        _blend(positions, table.start_tap[code], table.weight[code], table.at_start[code])
+    )
 
 
 def pi_sweep(
@@ -227,7 +243,7 @@ def pi_sweep(
     """Output phase for every code, one cycle (index = code)."""
     positions, n = ring_positions(chain, clock, trim)
     table = code_table(n)
-    return _blend(positions, table.start_tap, table.blend_k)
+    return _blend(positions, table.start_tap, table.weight, table.at_start)
 
 
 def inverted_segments(

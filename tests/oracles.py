@@ -13,6 +13,8 @@ circuit is drawn, and the tests hold the production path to them:
 * the STDC as tap edges, per-tap sampler bits, an adder tree and unfold;
 * the PI as its chain, boundary mixers, leapfrog encoder, 16-step blender
   and blender-inversion detector;
+* the converter's and the PI chain's mismatch instances, one keyed draw per
+  row;
 * the mid-tread ideal quantizer and the identity LUT.
 """
 
@@ -23,9 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stochadc.core import ClockSpec, Duration, Instant, MismatchModel
+from stochadc.core import (
+    ClockSpec,
+    Duration,
+    Instant,
+    MismatchModel,
+    derive_seed,
+    keyed_normal,
+)
 from stochadc.errors import OverrangeError, UnderrangeError
-from stochadc.interleaver import CODE_MAX, CODE_MIN, LUT_SIZE, Lut
+from stochadc.interleaver import CODE_MAX, CODE_MIN, LUT_SIZE, N_SLICES, Lut
 from stochadc.pi import (
     BLEND_STEPS,
     PI_CODES,
@@ -447,6 +456,64 @@ def detect_blender_inversion(t_a: Instant, t_b: Instant, expected: str) -> bool:
     if expected == EVEN_TO_ODD:
         return not (t_b < t_a)
     raise ValueError(f"unknown direction {expected!r}")
+
+
+# Mismatch instances, one keyed draw per row.
+
+
+def rowwise_adc_draws(adc, master_seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`AdcSystem`'s STDC tap delays (16, n_taps), V2T slopes and thresholds
+    (32,: slice s owns entries 2s and 2s + 1), one keyed draw per row."""
+    sys_dev = (
+        keyed_normal(derive_seed(master_seed, "stdc.tap.systematic"), np.arange(adc.n_taps))
+        * adc.tap_sigma_systematic
+    )
+    taps = []
+    for s in range(N_SLICES):
+        rand_dev = (
+            keyed_normal(derive_seed(master_seed, "stdc.tap.random", s), np.arange(adc.n_taps))
+            * adc.tap_sigma_random
+        )
+        row = adc.unit_delay * (1.0 + sys_dev + rand_dev)
+        taps.append(np.maximum(row, 0.05 * adc.unit_delay))
+    idx = np.arange(2 * N_SLICES)
+    slopes = adc.discharge_slope * (
+        1.0 + keyed_normal(derive_seed(master_seed, "v2t.slope"), idx) * adc.slope_sigma
+    )
+    slopes = np.maximum(slopes, 0.05 * adc.discharge_slope)
+    thresholds = adc.v_threshold * (
+        1.0 + keyed_normal(derive_seed(master_seed, "v2t.threshold"), idx) * adc.threshold_sigma
+    )
+    thresholds = np.maximum(thresholds, 0.05 * adc.v_threshold)
+    return np.array(taps), slopes, thresholds
+
+
+def rowwise_pi_chain(
+    unit_delay: Duration,
+    n_taps: int = 32,
+    tap_sigma_rel: float = 0.0,
+    skew_sigma: Duration = 0.0,
+    seed: int = 0,
+) -> DelayChain:
+    """`pi.make_pi_chain` with the taps from `MismatchModel.sample` and the
+    skews from their own keyed draw."""
+    taps = MismatchModel(
+        nominal=unit_delay, sigma_rel=tap_sigma_rel, seed=derive_seed(seed, "pi.tap")
+    ).sample(n_taps)
+    if skew_sigma > 0:
+        skews = keyed_normal(derive_seed(seed, "pi.skew"), np.arange(n_taps)) * skew_sigma
+    else:
+        skews = np.zeros(n_taps)
+    return DelayChain(unit_delay=unit_delay, tap_delays=taps, path_skews=skews)
+
+
+def rowwise_jitter(master_seed: int, n_cycles: int, sampling_jitter: float) -> np.ndarray:
+    """Per-slice sampling jitter (16, n_cycles), one keyed draw per slice."""
+    return np.array([
+        keyed_normal(derive_seed(master_seed, "sampling.jitter", s), np.arange(n_cycles))
+        * sampling_jitter
+        for s in range(N_SLICES)
+    ])
 
 
 # Codes.

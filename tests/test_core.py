@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochadc.core import ClockSpec, MismatchModel, derive_seed, keyed_normal
+from stochadc.core import (
+    ClockSpec,
+    MismatchModel,
+    derive_seed,
+    keyed_normal,
+    keyed_u64,
+    keyed_uniform,
+)
 
 from oracles import clock_edges, substream
 
@@ -127,6 +134,80 @@ def test_keyed_normal_accepts_negative_indices():
     values = keyed_normal(3, np.arange(-5, 5))
     assert values.shape == (10,)
     assert np.all(np.isfinite(values))
+
+
+KEYED_DRAWS = (keyed_u64, keyed_uniform, keyed_normal)
+EDGE_SEEDS = [0, -1, 2**63, 2**64 - 1, 2**64 + 5]
+
+
+def assert_rows_match_single_seed_draws(draw, seeds, indices):
+    rows = draw(seeds, indices)
+    assert rows.shape == (len(seeds), len(indices))
+    for seed, row in zip(seeds, rows):
+        single = draw(seed, indices)
+        assert np.array_equal(row.view(np.uint64), single.view(np.uint64))
+
+
+@pytest.mark.parametrize("draw", KEYED_DRAWS)
+@pytest.mark.parametrize("seeds", [EDGE_SEEDS, [], [2**64 + 5]])
+def test_seed_sequence_rows_equal_single_seed_draws(draw, seeds):
+    assert_rows_match_single_seed_draws(draw, seeds, np.array([-(2**63), -7, -1, 0, 1, 2**63 - 1]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(KEYED_DRAWS),
+    st.lists(st.sampled_from(EDGE_SEEDS) | st.integers(-(2**70), 2**70), max_size=6),
+    st.lists(st.integers(-(2**63), 2**63 - 1), max_size=40),
+)
+def test_seed_sequence_rows_equal_single_seed_draws_on_random_keys(draw, seeds, indices):
+    assert_rows_match_single_seed_draws(draw, seeds, np.array(indices, dtype=np.int64))
+
+
+def test_scalar_seed_keeps_the_index_shape():
+    assert keyed_normal(3, 5).shape == ()
+    assert keyed_normal(3, np.arange(6).reshape(2, 3)).shape == (2, 3)
+    assert keyed_normal([3, 4], np.arange(6).reshape(2, 3)).shape == (2, 2, 3)
+
+
+def _unxorshift(y: int, shift: int) -> int:
+    x = y
+    for _ in range(64 // shift + 1):
+        x = y ^ (x >> shift)
+    return x
+
+
+def index_for_output(seed: int, output: int) -> int:
+    """The int64 index whose `keyed_u64(seed, index)` is ``output``: the
+    SplitMix64 finalizer inverted step by step, then solved for the index."""
+    mod = 1 << 64
+    x = _unxorshift(output, 31)
+    x = x * pow(0x94D049BB133111EB, -1, mod) % mod
+    x = _unxorshift(x, 27)
+    x = x * pow(0xBF58476D1CE4E5B9, -1, mod) % mod
+    key = _unxorshift(x, 30)
+    index = ((key - seed) * pow(0x9E3779B97F4A7C15, -1, mod) - 1) % mod
+    return index - mod if index >= 1 << 63 else index
+
+
+def test_top_keyed_value_stays_below_one():
+    # the top 53-bit value, (2^53 - 1) * 2^-53 + 2^-54, rounds to 1.0
+    # unclamped, whose inverse normal CDF is +inf
+    index = -2157612136044327382
+    assert index_for_output(12345, 2**64 - 1) == index
+    assert keyed_u64(12345, [index])[0] == 2**64 - 1
+    assert keyed_uniform(12345, [index])[0] == np.nextafter(1.0, 0.0)
+    assert np.isfinite(keyed_normal(12345, [index])[0])
+
+
+@pytest.mark.parametrize("top_bits", [0, 1, 2**52, 2**53 - 2, 2**53 - 1])
+def test_keyed_uniform_is_half_step_centred_below_the_top_value(top_bits):
+    # only the top value moves: bits 0 still map to 2^-54
+    index = index_for_output(7, top_bits << 11)
+    want = min(top_bits * 2.0**-53 + 2.0**-54, np.nextafter(1.0, 0.0))
+    assert keyed_uniform(7, [index])[0] == want
+    if top_bits == 0:
+        assert want == 2.0**-54
 
 
 def test_substreams_are_independent():

@@ -16,6 +16,7 @@ from stochadc.config import (
     config_hash,
     parse_config,
 )
+from stochadc.core import derive_seed
 from stochadc.errors import (
     CoherenceError,
     ConfigError,
@@ -48,7 +49,7 @@ from stochadc.experiments import CalibrationState
 from stochadc.metrics import code_density_linearity
 from stochadc.stimulus import SineStimulus, adaptation_tone
 
-from oracles import identity_lut
+from oracles import identity_lut, rowwise_adc_draws, rowwise_jitter, rowwise_pi_chain
 
 PS = 1e-12
 FS_RATE = 20e9
@@ -197,6 +198,13 @@ class TestSchedule:
         got = schedule_sampling(system, codes, 7)
         want = loop_schedule_sampling(system, codes, 7)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_jitter_rows_equal_one_draw_per_slice(self):
+        codes = [31, 100, 160, 230]
+        jittered = schedule_sampling(ideal_system(seed=5, sampling_jitter=2 * PS), codes, 9)
+        want = schedule_sampling(ideal_system(seed=5), codes, 9)
+        want += rowwise_jitter(5, 9, 2 * PS)
+        assert np.array_equal(jittered.view(np.uint64), want.view(np.uint64))
 
     def test_bad_pi_codes_rejected(self):
         system = ideal_system()
@@ -587,6 +595,52 @@ def test_calibration_state_roundtrip(tmp_path, monkeypatch):
     assert all(
         np.array_equal(a.mapping, b.mapping) for a, b in zip(back.luts, state.luts)
     )
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.floats(1e-3, 0.15),
+    st.floats(1e-3, 0.1),
+    st.floats(1e-3, 0.02),
+    st.floats(1e-3, 0.02),
+    st.floats(1e-3, 0.05),
+    st.floats(1e-3, 0.3),
+)
+def test_mismatch_draws_equal_one_draw_per_row(
+    seed, sigma_systematic, sigma_random, slope_sigma, threshold_sigma, pi_tap, pi_skew
+):
+    # the converter draws its 17 tap rows, its V2T rows and each PI chain's
+    # taps and skews in one keyed call per group; every row must equal the
+    # single-seed draw it replaces
+    cfg = RunConfig(
+        adc=AdcConfig(
+            tap_sigma_systematic=sigma_systematic,
+            tap_sigma_random=sigma_random,
+            slope_sigma=slope_sigma,
+            threshold_sigma=threshold_sigma,
+        ),
+        pi=PiConfig(tap_sigma_rel=pi_tap, skew_sigma_rel=pi_skew),
+    )
+    system = AdcSystem(cfg, seed)
+    taps, slopes, thresholds = rowwise_adc_draws(cfg.adc, seed)
+    got_taps = np.array([chain.tap_delays for chain in system.chains])
+    assert np.array_equal(got_taps.view(np.uint64), taps.view(np.uint64))
+    for got, want in (
+        (system.slope_p, slopes[0::2]),
+        (system.slope_n, slopes[1::2]),
+        (system.vth_p, thresholds[0::2]),
+        (system.vth_n, thresholds[1::2]),
+    ):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    pi = cfg.pi
+    for g, chain in enumerate(system.pi_chains):
+        want = rowwise_pi_chain(
+            pi.unit_delay, pi.n_taps, pi.tap_sigma_rel, pi.skew_sigma_rel * pi.unit_delay,
+            derive_seed(seed, "pi.instance", g),
+        )
+        assert np.array_equal(chain.tap_delays.view(np.uint64), want.tap_delays.view(np.uint64))
+        assert np.array_equal(chain.path_skews.view(np.uint64), want.path_skews.view(np.uint64))
 
 
 def test_design_validation():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from stochadc.core import ClockSpec, keyed_uniform
 from stochadc.errors import ChainUnderspanError, TrimConvergenceError
 from stochadc.pi import (
+    BLEND_STEPS,
     PI_CODES,
     DelayChain,
     TrimState,
@@ -27,6 +28,7 @@ from oracles import (
     detect_blender_inversion,
     encode,
     propagate_chain,
+    rowwise_pi_chain,
     segment_endpoints,
     single_code_output,
 )
@@ -321,9 +323,38 @@ def test_code_table_matches_encoder(n):
         sel = encode(code, n)
         assert (table.start_tap[code], table.start_tap[code] + 1) == segment_endpoints(sel)
         assert table.blend_k[code] == sel.blend_k
+        assert table.weight[code] == sel.blend_k / BLEND_STEPS
+        assert table.at_start[code] == (sel.blend_k == 0)
     assert table.start_tap[table.segment_codes].tolist() == list(range(1, n + 1))
-    with pytest.raises(ValueError):
-        table.start_tap[0] = 5  # shared between callers, so read-only
+    for array in (table.start_tap, table.weight, table.at_start):
+        with pytest.raises(ValueError):
+            array[0] = 1  # shared between callers, so read-only
+
+
+def assert_same_chain(got: DelayChain, want: DelayChain):
+    assert np.array_equal(got.tap_delays.view(np.uint64), want.tap_delays.view(np.uint64))
+    assert np.array_equal(got.path_skews.view(np.uint64), want.path_skews.view(np.uint64))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(-(2**63), 2**64 + 5),
+    st.integers(2, 40),
+    st.floats(1e-3, 0.5),
+    st.floats(1e-3, 0.8),
+)
+def test_chain_draws_equal_one_draw_per_row(seed, n_taps, tap_sigma_rel, skew_rel):
+    # taps and skews come from one two-row keyed draw
+    args = (TD, n_taps, tap_sigma_rel, skew_rel * TD, seed)
+    assert_same_chain(make_pi_chain(*args), rowwise_pi_chain(*args))
+
+
+@pytest.mark.parametrize("tap_sigma_rel", [0.0, 0.2])
+def test_chain_without_skew_draws_only_its_taps(tap_sigma_rel):
+    args = (TD, 32, tap_sigma_rel, 0.0, 9)
+    chain = make_pi_chain(*args)
+    assert_same_chain(chain, rowwise_pi_chain(*args))
+    assert not chain.path_skews.any()
 
 
 @st.composite
