@@ -21,8 +21,6 @@ from .errors import (
 from .stdc import InverterChain, OffsetEstimate, adapt_offset
 from .pi import (
     DelayChain,
-    TrimState,
-    arbitrate_period,
     make_pi_chain,
     pi_output,
     pi_sweep,

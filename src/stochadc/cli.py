@@ -3,9 +3,11 @@
 Usage: stochadc <experiment> --config <path> [--seed N] [--out DIR]
                 [--calibration FILE]
 
-Exit codes distinguish the error classes: 2 for configuration errors, 3 for
-violated preconditions (non-coherent tone, input under-range, undersampled
-calibration, ...), 4 for unconvergent path trimming, 1 for anything else.
+Exit codes distinguish the error classes: 2 for configuration errors (a
+non-coherent tone included, checked at load), 3 for violated preconditions
+(input under-range, undersampled calibration, a PI chain that cannot span
+its clock period, ...), 4 for unconvergent path trimming, 1 for anything
+else.
 """
 
 from __future__ import annotations

@@ -30,8 +30,9 @@ from pathlib import Path
 import yaml
 
 from .core import derive_seed
-from .errors import ConfigError
+from .errors import CoherenceError, ConfigError
 from .interleaver import CODE_MAX, N_GROUPS, N_SLICES
+from .metrics import coherent_bin
 from .pi import DelayChain, make_pi_chain
 from .stimulus import SineStimulus
 
@@ -207,14 +208,16 @@ class PiConfig:
                     f"skew in unit delays], got {entry!r}"
                 )
 
-    def chain(self, master_seed: int, group: int) -> DelayChain:
-        """Group `group`'s interpolator chain for one seed, injected skews included.
+    def chain(self, master_seed: int, group: int, period: float) -> DelayChain:
+        """Group `group`'s interpolator chain for one seed, dividing `period`,
+        injected skews included.
 
         The converter draws its four group chains here, and `pi-sweep` and
         `pi-trim` model group 0's.
         """
         chain = make_pi_chain(
             self.unit_delay,
+            period,
             n_taps=self.n_taps,
             tap_sigma_rel=self.tap_sigma_rel,
             skew_sigma=self.skew_sigma_rel * self.unit_delay,
@@ -224,9 +227,7 @@ class PiConfig:
             skews = chain.path_skews.copy()
             for path, amount in self.injected_skews:
                 skews[int(path) - 1] += float(amount) * self.unit_delay
-            chain = DelayChain(
-                unit_delay=chain.unit_delay, tap_delays=chain.tap_delays, path_skews=skews
-            )
+            chain = dataclasses.replace(chain, path_skews=skews)
         return chain
 
 
@@ -415,17 +416,18 @@ def _validate(cfg: RunConfig) -> RunConfig:
     """The checks that span sections; each section has checked itself."""
     st = cfg.stimulus
     if st.frequency is not None or st.coherent_bin is not None:
+        # the rule the spectral metric and the skew estimate apply at run time
         fs = cfg.system.aggregate_rate
-        n = cfg.capture.n_samples
-        fin = stimulus_frequency(cfg)
-        j = fin * n / fs
-        if abs(j - round(j)) > 1e-6 or int(round(j)) % 2 == 0 or not (
-            1 <= round(j) < n / 2
-        ):
-            raise ConfigError(
-                f"stimulus frequency {fin} is not coherent-odd with "
-                f"capture n_samples={n} at fs={fs} (J={j:.6f})"
+        records = {"capture.n_samples": (stimulus_frequency(cfg), cfg.capture.n_samples)}
+        if cfg.system.calibration.skew:
+            records["system.calibration.skew_capture_samples"] = (
+                skew_tone_frequency(cfg), cfg.system.calibration.skew_capture_samples,
             )
+        for name, (frequency, n) in records.items():
+            try:
+                coherent_bin(frequency, fs, n)
+            except CoherenceError as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
         amplitudes = {"stimulus.amplitude": st.amplitude}
         if cfg.capture.linearity_amplitude is not None:
             amplitudes["capture.linearity_amplitude"] = cfg.capture.linearity_amplitude

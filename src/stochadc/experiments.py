@@ -21,7 +21,6 @@ from . import interleaver as il
 from . import metrics as met
 from . import pi as pimod
 from .config import RunConfig, build_stimulus, config_hash, sine_tone, skew_tone_frequency
-from .core import ClockSpec
 from .errors import ConfigError
 from .stimulus import SineStimulus, adaptation_tone
 
@@ -284,23 +283,21 @@ def _sweep_table(phases: np.ndarray, period: float, flags: np.ndarray) -> dict:
 
 def run_pi_sweep(cfg: RunConfig, seed: int, out: Path | None) -> ExperimentResult:
     h = config_hash(cfg)
-    chain = cfg.pi.chain(seed, 0)
-    clock = ClockSpec(period=cfg.system.pi_clock_period)
-    trim = None
+    period = cfg.system.pi_clock_period
+    chain = cfg.pi.chain(seed, 0, period)
     if cfg.pi.trim_enabled:
-        trim = pimod.trim_paths(chain, clock, cfg.pi.trim_max_iters).trim
-    phases = pimod.pi_sweep(chain, clock, trim)
-    n_delays = pimod.arbitrate_period(chain, clock)
-    firing_starts = [start for start, _ in pimod.inverted_segments(chain, clock, trim)]
-    flags = np.isin(pimod.code_table(n_delays).start_tap, firing_starts)
-    table = _sweep_table(phases, clock.period, flags)
+        chain = pimod.trim_paths(chain, cfg.pi.trim_max_iters).chain
+    phases = pimod.pi_sweep(chain)
+    firing_starts = [start for start, _ in pimod.inverted_segments(chain)]
+    flags = np.isin(pimod.code_table(chain.n_delays).start_tap, firing_starts)
+    table = _sweep_table(phases, period, flags)
     steps = table["step_seconds"]
     metrics = {
-        "n_delays_per_cycle": n_delays,
+        "n_delays_per_cycle": chain.n_delays,
         "mean_step_seconds": float(steps.mean()),
         "min_step_seconds": float(steps.min()),
         "max_step_seconds": float(steps.max()),
-        "nominal_step_seconds": clock.period / 256.0,
+        "nominal_step_seconds": period / 256.0,
         "monotone": bool(np.all(steps > 0)),
         "inversions": int(flags.sum()),
     }
@@ -321,17 +318,17 @@ def _rising(a: np.ndarray) -> bool:
 
 def run_pi_trim(cfg: RunConfig, seed: int, out: Path | None) -> ExperimentResult:
     h = config_hash(cfg)
-    chain = cfg.pi.chain(seed, 0)
-    clock = ClockSpec(period=cfg.system.pi_clock_period)
-    pre_sweep = pimod.pi_sweep(chain, clock)
-    result = pimod.trim_paths(chain, clock, cfg.pi.trim_max_iters)
-    post_sweep = pimod.pi_sweep(chain, clock, result.trim)
+    period = cfg.system.pi_clock_period
+    chain = cfg.pi.chain(seed, 0, period)
+    pre_sweep = pimod.pi_sweep(chain)
+    result = pimod.trim_paths(chain, cfg.pi.trim_max_iters)
+    post_sweep = pimod.pi_sweep(result.chain)
     metrics = {
         "iterations": result.iterations,
         "initial_inversions": result.initial_inversions,
         "pre_trim_monotone": _rising(pre_sweep),
         "post_trim_monotone": _rising(post_sweep),
-        "max_trim_seconds": float(np.max(np.abs(result.trim.adjustments))),
+        "max_trim_seconds": float(np.max(np.abs(result.adjustments))),
     }
     files = []
     if out is not None:
@@ -339,9 +336,9 @@ def run_pi_trim(cfg: RunConfig, seed: int, out: Path | None) -> ExperimentResult
             "pi_trim.json": {
                 "experiment": "pi-trim",
                 "metrics": metrics,
-                "trims_seconds": result.trim.adjustments,
+                "trims_seconds": result.adjustments,
             },
-            "pi_trim_sweep.csv": _sweep_table(post_sweep, clock.period, np.zeros(256, dtype=bool)),
+            "pi_trim_sweep.csv": _sweep_table(post_sweep, period, np.zeros(256, dtype=bool)),
         })
     return ExperimentResult("pi-trim", seed, h, metrics, files)
 

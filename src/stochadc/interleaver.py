@@ -15,13 +15,14 @@ retime, which the aligner compensates exactly before interleaving.
 
 from __future__ import annotations
 
+import cmath
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import ClockSpec, derive_seed, keyed_normal
+from .core import derive_seed, keyed_normal
 from .errors import (
     ConfigError,
     CoverageError,
@@ -29,7 +30,7 @@ from .errors import (
     PreconditionError,
     UnderrangeError,
 )
-from .pi import PI_CODES, DelayChain, TrimState, pi_output, trim_paths
+from .pi import PI_CODES, DelayChain, pi_output, trim_paths
 from .stdc import InverterChain, OffsetEstimate, adapt_offset, count_edges_batch
 from .stimulus import SineStimulus
 
@@ -103,14 +104,12 @@ class AdcSystem:
                     f"period is {divided_period:.5g} s; raise adc.divided_ratio or shorten the chain"
                 )
 
-        self.pi_clock = ClockSpec(period=sc.pi_clock_period)
         self.pi_chains: list[DelayChain] = [
-            cfg.pi.chain(master_seed, g) for g in range(N_GROUPS)
+            cfg.pi.chain(master_seed, g, sc.pi_clock_period) for g in range(N_GROUPS)
         ]
-        self.pi_trims: list[TrimState | None] = [None] * N_GROUPS
         if cfg.pi.trim_enabled:
-            self.pi_trims = [
-                trim_paths(c, self.pi_clock, cfg.pi.trim_max_iters).trim for c in self.pi_chains
+            self.pi_chains = [
+                trim_paths(c, cfg.pi.trim_max_iters).chain for c in self.pi_chains
             ]
 
     def nominal_pi_codes(self) -> np.ndarray:
@@ -125,13 +124,8 @@ class AdcSystem:
         exactly 0; quadrature then comes out as group * period/4 plus the
         code trim.
         """
-        chain = self.pi_chains[group]
-        raw = pi_output(int(code), chain, self.pi_clock, self.pi_trims[group])
-        base = (
-            self.pi_clock.phase0
-            + self.config.pi.unit_delay
-            + NOMINAL_PI_CODE_BASE * self.config.system.pi_step
-        )
+        raw = pi_output(int(code), self.pi_chains[group])
+        base = self.config.pi.unit_delay + NOMINAL_PI_CODE_BASE * self.config.system.pi_step
         return raw - base - group * (self.config.system.pi_clock_period / 4.0)
 
 
@@ -520,7 +514,10 @@ def calibrate_skew(
         sel = (k % N_GROUPS) == g
         z[g] = np.sum(aligned.codes[sel] * phasor[sel])
     ref = z[0] / abs(z[0])
-    tau = np.angle(z * np.conj(ref)) / (2.0 * np.pi * tone.frequency)
+    # libm's phase, element by element: numpy's angle differs in the last
+    # bit on some arguments under AVX-512 dispatch
+    phases = np.array([cmath.phase(w) for w in z * np.conj(ref)])
+    tau = phases / (2.0 * np.pi * tone.frequency)
     tau = tau - np.median(tau)
     corrections = -np.rint(tau / sc.pi_step).astype(np.int64)
     codes = np.asarray(pi_codes, dtype=np.int64) + corrections

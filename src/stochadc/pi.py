@@ -15,9 +15,12 @@ after automated place-and-route, which breaks monotonicity; an arbiter at
 the blender input detects the resulting order contradiction and the
 offending paths are trimmed in fixed steps until no contradiction remains.
 
-`pi_sweep`, `pi_output` and `inverted_segments` read the encoder from a
-cached, read-only code table (`code_table`): each code's start tap and blend
-step, from the encoder's integer arithmetic.  The single-code
+A `DelayChain` is one interpolator instance, its ring worked out once; a
+trim is a change of its path skews.
+
+`pi_sweep`, `pi_output` and `inverted_segments` read the chain's ring
+through a cached, read-only code table (`code_table`): each code's start tap
+and blend step, from the encoder's integer arithmetic.  The single-code
 model (encoder selects, blender, inversion detector) lives with the tests
 in `tests/oracles.py`, which hold these functions to it bit for bit.
 """
@@ -25,12 +28,11 @@ in `tests/oracles.py`, which hold these functions to it bit for bit.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .core import (
-    ClockSpec,
     Duration,
     Instant,
     MismatchModel,
@@ -50,16 +52,31 @@ _ARB_TOL = 1e-9
 
 @dataclass(frozen=True)
 class DelayChain:
-    """Delay chain plus per-tap routing skew toward the blender muxes."""
+    """One interpolator instance: delay chain, per-tap routing skew toward
+    the blender muxes, and the input-clock period it divides.
+
+    Building it works out `n_delays`, the N unit delays the arbiters find in
+    the period (the smallest tap whose pre-skew accumulated delay spans it;
+    `ChainUnderspanError` when none does), and `positions`, the N+1 blender
+    endpoint times covering the period after clock edge 0, in ring order.
+    Position j (1-based tap j) for j < N is that tap's mux-input time,
+    position N the boundary-mixer midpoint plus its skew, and position N+1
+    the wrap endpoint one period up (tap N+1, or the next cycle's first tap
+    when the boundary sits on the last tap).
+    """
 
     unit_delay: Duration
     tap_delays: np.ndarray
     path_skews: np.ndarray
+    period: Duration
     accumulated: np.ndarray = field(init=False, repr=False)
+    n_delays: int = field(init=False)
+    positions: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        delays = np.asarray(self.tap_delays, dtype=np.float64)
-        skews = np.asarray(self.path_skews, dtype=np.float64)
+        # own read-only copies: the ring below is worked out from them once
+        delays = np.array(self.tap_delays, dtype=np.float64)
+        skews = np.array(self.path_skews, dtype=np.float64)
         if delays.ndim != 1 or delays.size < 2:
             raise ValueError("tap_delays must hold at least two taps")
         if skews.shape != delays.shape:
@@ -68,9 +85,30 @@ class DelayChain:
             raise ValueError("all tap delays must be > 0")
         if self.unit_delay <= 0:
             raise ValueError("unit_delay must be > 0")
+        if self.period <= 0:
+            raise ValueError(f"clock period must be > 0, got {self.period}")
+        taps = np.cumsum(delays)
+        limit = self.period * (1.0 - _ARB_TOL)
+        if taps[-1] < limit:
+            raise ChainUnderspanError(
+                f"chain spans {taps[-1]:.4e} s, "
+                f"shorter than the clock period {self.period:.4e} s"
+            )
+        n = int(np.searchsorted(taps, limit, side="left")) + 1
+        positions = np.empty(n + 1, dtype=np.float64)
+        positions[: n - 1] = taps[: n - 1] + skews[: n - 1]
+        positions[n - 1] = 0.5 * (taps[n - 1] + self.period) + skews[n - 1]
+        if n < delays.size:
+            positions[n] = taps[n] + skews[n]
+        else:
+            positions[n] = self.period + delays[0] + skews[0]
+        for array in (delays, skews, taps, positions):
+            array.flags.writeable = False
         object.__setattr__(self, "tap_delays", delays)
         object.__setattr__(self, "path_skews", skews)
-        object.__setattr__(self, "accumulated", np.cumsum(delays))
+        object.__setattr__(self, "accumulated", taps)
+        object.__setattr__(self, "n_delays", n)
+        object.__setattr__(self, "positions", positions)
 
     @property
     def n_taps(self) -> int:
@@ -79,12 +117,14 @@ class DelayChain:
 
 def make_pi_chain(
     unit_delay: Duration,
+    period: Duration,
     n_taps: int = 32,
     tap_sigma_rel: float = 0.0,
     skew_sigma: Duration = 0.0,
     seed: int = 0,
 ) -> DelayChain:
-    """Chain instance with gaussian tap mismatch and routing skews.
+    """Chain instance with gaussian tap mismatch and routing skews, dividing
+    `period`.
 
     The tap row and, when skews are on, the skew row come from one keyed
     draw; each row equals its own single-seed draw bit for bit.
@@ -98,69 +138,14 @@ def make_pi_chain(
     normals = keyed_normal(seeds, np.arange(n_taps))
     taps = tap_model.scale(normals[0])
     skews = normals[1] * skew_sigma if skew_sigma > 0 else np.zeros(n_taps)
-    return DelayChain(unit_delay=unit_delay, tap_delays=taps, path_skews=skews)
-
-
-@dataclass(frozen=True)
-class TrimState:
-    """Signed per-path delay adjustments from post-fabrication correction."""
-
-    adjustments: np.ndarray
-    unit_delay: Duration
-
-    def __post_init__(self):
-        adj = np.asarray(self.adjustments, dtype=np.float64)
-        object.__setattr__(self, "adjustments", adj)
-        if (np.abs(adj) >= self.unit_delay).any():
-            raise ValueError("|trim| must stay below the unit delay")
-
-
-def arbitrate_period(chain: DelayChain, clock: ClockSpec) -> int:
-    """Number of unit delays the arbiters find in one clock period: the
-    smallest tap whose accumulated (pre-skew) delay spans the period."""
-    limit = clock.period * (1.0 - _ARB_TOL)
-    if chain.accumulated[-1] < limit:
-        raise ChainUnderspanError(
-            f"chain spans {chain.accumulated[-1]:.4e} s, "
-            f"shorter than the clock period {clock.period:.4e} s"
-        )
-    return int(np.searchsorted(chain.accumulated, limit, side="left")) + 1
-
-
-def ring_positions(
-    chain: DelayChain,
-    clock: ClockSpec,
-    trim: TrimState | None = None,
-) -> tuple[np.ndarray, int]:
-    """The N+1 blender endpoint times covering one period, in ring order, and N.
-
-    The period is the one starting at the clock's edge 0.
-
-    Position j (1-based tap j) for j < N is that tap's mux-input time,
-    position N is the boundary-mixer midpoint plus the path adjustment, and
-    position N+1 is the wrap endpoint: the next phase position one period up
-    (tap N+1 of the same wavefront, or the next cycle's first tap when the
-    boundary sits on the last tap).
-    """
-    n = arbitrate_period(chain, clock)
-    taps = clock.phase0 + chain.accumulated
-    edge_next = clock.phase0 + clock.period
-    adjust = chain.path_skews if trim is None else chain.path_skews + trim.adjustments
-    positions = np.empty(n + 1, dtype=np.float64)
-    positions[: n - 1] = taps[: n - 1] + adjust[: n - 1]
-    positions[n - 1] = 0.5 * (taps[n - 1] + edge_next) + adjust[n - 1]
-    if n < chain.n_taps:
-        positions[n] = taps[n] + adjust[n]
-    else:
-        positions[n] = edge_next + chain.tap_delays[0] + adjust[0]
-    return positions, n
+    return DelayChain(unit_delay=unit_delay, tap_delays=taps, path_skews=skews, period=period)
 
 
 @dataclass(frozen=True)
 class CodeTable:
     """Encoder output for every code at one period quantization.
 
-    Index = code.  Taps are 1-based ring positions (see `ring_positions`);
+    Index = code.  Taps are 1-based ring positions (see `DelayChain`);
     each segment ends on tap `start_tap + 1`.  `segment_codes` lists the first
     code of each distinct segment, in code order.  `weight` and `at_start` are
     the blender's `blend_k / BLEND_STEPS` and `blend_k == 0`, computed once.
@@ -215,12 +200,7 @@ def _blend(positions: np.ndarray, start_tap, weight, at_start) -> np.ndarray:
     return np.where(at_start, t_a, t_a + weight * (t_b - t_a))
 
 
-def pi_output(
-    code: int,
-    chain: DelayChain,
-    clock: ClockSpec,
-    trim: TrimState | None = None,
-) -> Instant:
+def pi_output(code: int, chain: DelayChain) -> Instant:
     """Output edge time for one control code, in the period after edge 0.
 
     Entry `code` of `pi_sweep`, bit for bit, without computing the others.
@@ -228,29 +208,19 @@ def pi_output(
     # checked here: a negative code would index the table from its end
     if not 0 <= code < PI_CODES:
         raise ValueError(f"code must lie in [0, {PI_CODES}), got {code}")
-    positions, n = ring_positions(chain, clock, trim)
-    table = code_table(n)
+    table = code_table(chain.n_delays)
     return float(
-        _blend(positions, table.start_tap[code], table.weight[code], table.at_start[code])
+        _blend(chain.positions, table.start_tap[code], table.weight[code], table.at_start[code])
     )
 
 
-def pi_sweep(
-    chain: DelayChain,
-    clock: ClockSpec,
-    trim: TrimState | None = None,
-) -> np.ndarray:
+def pi_sweep(chain: DelayChain) -> np.ndarray:
     """Output phase for every code, one cycle (index = code)."""
-    positions, n = ring_positions(chain, clock, trim)
-    table = code_table(n)
-    return _blend(positions, table.start_tap, table.weight, table.at_start)
+    table = code_table(chain.n_delays)
+    return _blend(chain.positions, table.start_tap, table.weight, table.at_start)
 
 
-def inverted_segments(
-    chain: DelayChain,
-    clock: ClockSpec,
-    trim: TrimState | None = None,
-) -> list[tuple[int, int]]:
+def inverted_segments(chain: DelayChain) -> list[tuple[int, int]]:
     """Segments whose blender inputs contradict the encoder, over all codes.
 
     Each distinct segment is checked once, in code order.  Whichever of the
@@ -259,8 +229,8 @@ def inverted_segments(
     a real arbiter cannot certify margin, and treating ties as clean would
     let trimming stall on an exactly zero-width segment.
     """
-    positions, n = ring_positions(chain, clock, trim)
-    table = code_table(n)
+    positions = chain.positions
+    table = code_table(chain.n_delays)
     start = table.start_tap[table.segment_codes]
     firing = ~(positions[start - 1] < positions[start])
     return [(tap, tap + 1) for tap in start[firing].tolist()]
@@ -268,41 +238,46 @@ def inverted_segments(
 
 @dataclass(frozen=True)
 class TrimResult:
-    """Outcome of the post-fabrication trim procedure."""
+    """Outcome of the post-fabrication trim procedure: the trimmed chain,
+    whose path skews are the input chain's plus `adjustments`."""
 
-    trim: TrimState
+    chain: DelayChain
+    adjustments: np.ndarray
     iterations: int
     initial_inversions: int
 
 
-def trim_paths(
-    chain: DelayChain,
-    clock: ClockSpec,
-    max_iters: int = 64,
-) -> TrimResult:
+def trim_paths(chain: DelayChain, max_iters: int = 64) -> TrimResult:
     """Iteratively trim offending paths until no inversion fires.
 
     Each firing segment moves its expected-earlier endpoint earlier and its
     expected-later endpoint later by unit_delay/16 each (a fixed closure of
-    unit_delay/8 per segment per iteration).  Raises when inversions persist
-    at the iteration limit.
+    unit_delay/8 per segment per iteration); every adjustment stays below
+    the unit delay.  Iteration 1 checks the untrimmed chain itself.  Raises
+    when inversions persist at the iteration limit.
     """
     step = chain.unit_delay / 8.0
     limit = chain.unit_delay * (1.0 - 1e-6)
     adjustments = np.zeros(chain.n_taps)
+    trimmed = chain
     initial = None
     for iteration in range(1, max_iters + 1):
-        state = TrimState(adjustments=adjustments.copy(), unit_delay=chain.unit_delay)
-        firing = inverted_segments(chain, clock, state)
+        firing = inverted_segments(trimmed)
         if initial is None:
             initial = len(firing)
         if not firing:
-            return TrimResult(trim=state, iterations=iteration, initial_inversions=initial)
+            return TrimResult(
+                chain=trimmed,
+                adjustments=adjustments,
+                iterations=iteration,
+                initial_inversions=initial,
+            )
         for start_tap, end_tap in firing:
             # the wrap endpoint beyond the last tap is physically tap 1's path
             adjustments[(start_tap - 1) % chain.n_taps] -= step / 2.0
             adjustments[(end_tap - 1) % chain.n_taps] += step / 2.0
         np.clip(adjustments, -limit, limit, out=adjustments)
+        trimmed = replace(chain, path_skews=chain.path_skews + adjustments)
     raise TrimConvergenceError(
         f"inversions persist after {max_iters} trim iterations"
     )

@@ -8,6 +8,7 @@ amplitude/phase factor, so it is applied analytically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,9 @@ class SineStimulus:
         if self.bandwidth is not None:
             ratio = self.frequency / self.bandwidth
             amp = amp / (1.0 + ratio**2) ** (self.filter_stages / 2.0)
-            ph = ph - self.filter_stages * np.arctan(ratio)
+            # libm's scalar arctan: numpy's differs in the last bit on some
+            # arguments under AVX-512 dispatch, so a capture would depend on the host
+            ph = ph - self.filter_stages * math.atan(ratio)
         return amp * np.sin(2.0 * np.pi * self.frequency * np.asarray(t) + ph) / 2.0
 
 

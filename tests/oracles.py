@@ -11,8 +11,8 @@ circuit is drawn, and the tests hold the production path to them:
 * the sampling-phase generator, the discharge-ramp V2T pair and the pulse
   folder;
 * the STDC as tap edges, per-tap sampler bits, an adder tree and unfold;
-* the PI as its chain, boundary mixers, leapfrog encoder, 16-step blender
-  and blender-inversion detector;
+* the PI as its chain, period arbiters and ring, boundary mixers, leapfrog
+  encoder, 16-step blender and blender-inversion detector;
 * the converter's and the PI chain's mismatch instances, one keyed draw per
   row;
 * the mid-tread ideal quantizer and the identity LUT.
@@ -33,15 +33,9 @@ from stochadc.core import (
     derive_seed,
     keyed_normal,
 )
-from stochadc.errors import OverrangeError, UnderrangeError
+from stochadc.errors import ChainUnderspanError, OverrangeError, UnderrangeError
 from stochadc.interleaver import CODE_MAX, CODE_MIN, LUT_SIZE, N_SLICES, Lut
-from stochadc.pi import (
-    BLEND_STEPS,
-    PI_CODES,
-    DelayChain,
-    TrimState,
-    ring_positions,
-)
+from stochadc.pi import BLEND_STEPS, PI_CODES, DelayChain
 from stochadc.stdc import InverterChain, OffsetEstimate
 
 # Clock edges and stream draws.
@@ -364,12 +358,48 @@ class EncoderSelect:
 def propagate_chain(
     chain: DelayChain,
     clock_edge: Instant,
-    trim: TrimState | None = None,
+    adjustments: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Tap edge times (pre-skew) and blender-mux input times (post-skew)."""
-    taps = clock_edge + chain.accumulated
-    adjust = chain.path_skews if trim is None else chain.path_skews + trim.adjustments
+    """Tap edge times (pre-skew) and blender-mux input times (post-skew and
+    post-trim)."""
+    taps = clock_edge + np.cumsum(chain.tap_delays)
+    adjust = chain.path_skews if adjustments is None else chain.path_skews + adjustments
     return taps, taps + adjust
+
+
+def ring_positions(
+    chain: DelayChain,
+    period: Duration,
+    adjustments: np.ndarray | None = None,
+) -> tuple[np.ndarray, int]:
+    """The N+1 blender endpoint times covering the period after clock edge 0,
+    in ring order, and N, for the chain's taps and skews at `period`, with
+    optional per-path trim `adjustments` added to the skews.
+
+    N is the number of unit delays the arbiters find in the period: the
+    smallest tap whose accumulated (pre-skew) delay spans it, within a
+    relative guard of 1e-9 against cumsum rounding.  Position j (1-based tap j) for j < N is that tap's mux-input time,
+    position N is the boundary-mixer midpoint plus the path adjustment, and
+    position N+1 is the wrap endpoint: the next phase position one period up
+    (tap N+1 of the same wavefront, or the next cycle's first tap when the
+    boundary sits on the last tap).
+    """
+    taps = np.cumsum(chain.tap_delays)
+    limit = period * (1.0 - 1e-9)
+    if taps[-1] < limit:
+        raise ChainUnderspanError(
+            f"chain spans {taps[-1]:.4e} s, shorter than the clock period {period:.4e} s"
+        )
+    n = int(np.searchsorted(taps, limit, side="left")) + 1
+    adjust = chain.path_skews if adjustments is None else chain.path_skews + adjustments
+    positions = np.empty(n + 1, dtype=np.float64)
+    positions[: n - 1] = taps[: n - 1] + adjust[: n - 1]
+    positions[n - 1] = 0.5 * (taps[n - 1] + period) + adjust[n - 1]
+    if n < chain.n_taps:
+        positions[n] = taps[n] + adjust[n]
+    else:
+        positions[n] = period + chain.tap_delays[0] + adjust[0]
+    return positions, n
 
 
 def apply_boundary_mixers(
@@ -434,11 +464,11 @@ def segment_endpoints(sel: EncoderSelect) -> tuple[int, int]:
 def single_code_output(
     code: int,
     chain: DelayChain,
-    clock: ClockSpec,
-    trim: TrimState | None = None,
+    adjustments: np.ndarray | None = None,
 ) -> Instant:
-    """Output edge time for one control code: encoder, selects, blender."""
-    positions, n = ring_positions(chain, clock, trim)
+    """Output edge time for one control code at the chain's period, with
+    optional trim `adjustments`: ring, encoder, selects, blender."""
+    positions, n = ring_positions(chain, chain.period, adjustments)
     sel = encode(code, n)
     start_tap, end_tap = segment_endpoints(sel)
     return blend(positions[start_tap - 1], positions[end_tap - 1], sel.blend_k)
@@ -490,6 +520,7 @@ def rowwise_adc_draws(adc, master_seed: int) -> tuple[np.ndarray, np.ndarray, np
 
 def rowwise_pi_chain(
     unit_delay: Duration,
+    period: Duration,
     n_taps: int = 32,
     tap_sigma_rel: float = 0.0,
     skew_sigma: Duration = 0.0,
@@ -504,7 +535,7 @@ def rowwise_pi_chain(
         skews = keyed_normal(derive_seed(seed, "pi.skew"), np.arange(n_taps)) * skew_sigma
     else:
         skews = np.zeros(n_taps)
-    return DelayChain(unit_delay=unit_delay, tap_delays=taps, path_skews=skews)
+    return DelayChain(unit_delay=unit_delay, tap_delays=taps, path_skews=skews, period=period)
 
 
 def rowwise_jitter(master_seed: int, n_cycles: int, sampling_jitter: float) -> np.ndarray:

@@ -8,6 +8,7 @@ linearity) are printed as comparison lines, not asserted as tolerances.
 """
 
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,13 +32,7 @@ from stochadc.metrics import (
     uncorrelated_sampler,
     walden_fom,
 )
-from stochadc.pi import (
-    DelayChain,
-    inverted_segments,
-    make_pi_chain,
-    pi_sweep,
-    trim_paths,
-)
+from stochadc.pi import inverted_segments, make_pi_chain, pi_sweep, trim_paths
 from stochadc.stdc import count_edges_batch
 from stochadc.stimulus import SineStimulus, adaptation_tone
 
@@ -166,11 +161,10 @@ def test_criterion_03_stdc_transfer_monotonicity():
 
 
 def test_criterion_04_pi_step_arithmetic():
-    chain = make_pi_chain(12.5 * PS)
-    clock = ClockSpec(period=200 * PS)
-    phases = pi_sweep(chain, clock)
+    chain = make_pi_chain(12.5 * PS, 200 * PS)
+    phases = pi_sweep(chain)
     steps = np.diff(phases)
-    wrap = phases[0] + clock.period - phases[255]
+    wrap = phases[0] + chain.period - phases[255]
     all_steps = np.concatenate([steps, [wrap]])
     worst = float(np.max(np.abs(all_steps - 0.78125 * PS)))
     ok = bool(np.all(steps > 0)) and worst < 1e-6 * PS
@@ -184,28 +178,27 @@ def test_criterion_04_pi_step_arithmetic():
 
 def test_criterion_05_pi_trim_recovery():
     t0 = time.time()
-    clock = ClockSpec(period=200 * PS)
     # injected case: one path skewed by +1.5 unit delays
-    base = make_pi_chain(12.5 * PS)
+    base = make_pi_chain(12.5 * PS, 200 * PS)
     skews = base.path_skews.copy()
     skews[6] += 1.5 * 12.5 * PS
-    injected = DelayChain(unit_delay=12.5 * PS, tap_delays=base.tap_delays, path_skews=skews)
-    pre_inversions = len(inverted_segments(injected, clock))
-    result = trim_paths(injected, clock)
+    injected = replace(base, path_skews=skews)
+    pre_inversions = len(inverted_segments(injected))
+    result = trim_paths(injected)
     injected_ok = (
         pre_inversions >= 1
-        and bool(np.all(np.diff(pi_sweep(injected, clock, result.trim)) > 0))
+        and bool(np.all(np.diff(pi_sweep(result.chain)) > 0))
     )
     # Monte Carlo: 100 seeds at path-skew sigma 0.15 * unit delay
     monotone = 0
     mc_pre_inversions = 0
     for seed in range(100):
         chain = make_pi_chain(
-            12.5 * PS, tap_sigma_rel=0.05, skew_sigma=0.15 * 12.5 * PS, seed=seed
+            12.5 * PS, 200 * PS, tap_sigma_rel=0.05, skew_sigma=0.15 * 12.5 * PS, seed=seed
         )
-        mc_pre_inversions += len(inverted_segments(chain, clock)) > 0
-        trimmed = trim_paths(chain, clock)
-        monotone += bool(np.all(np.diff(pi_sweep(chain, clock, trimmed.trim)) > 0))
+        mc_pre_inversions += len(inverted_segments(chain)) > 0
+        trimmed = trim_paths(chain)
+        monotone += bool(np.all(np.diff(pi_sweep(trimmed.chain)) > 0))
     elapsed = time.time() - t0
     exercised = pre_inversions + mc_pre_inversions
     report(
@@ -325,8 +318,7 @@ def test_criterion_09_mismatch_regime_consistency():
 
 def test_criterion_10_uncorrelated_monitor():
     clock = ClockSpec(period=200 * PS)
-    chain = make_pi_chain(12.5 * PS)
-    phases = pi_sweep(chain, clock)[:9]
+    phases = pi_sweep(make_pi_chain(12.5 * PS, clock.period))[:9]
     sampler = uncorrelated_sampler(clock, phase0=2.3 * PS)
     estimates = measure_pi_transfer_uncorrelated(
         phases, clock.period, sampler, 10**6, anchor=12.5 * PS

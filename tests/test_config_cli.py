@@ -340,6 +340,55 @@ class TestCli:
         assert main(["adc-sine", "--config", str(p), "--seed", "0", "--out", str(tmp_path)]) == 2
         assert "slice 4 at seed 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment", ["slice-transfer", "calibrate"])
+    def test_underspanning_pi_fails_when_the_converter_is_built(
+        self, tmp_path, capsys, experiment
+    ):
+        # 8 taps of 12.5 ps cannot span the 200 ps PI clock period; these two
+        # experiments never read a PI phase, so they used to exit 0, and
+        # calibrate wrote a file that a resumed adc-sine then refused
+        p = self.write(
+            tmp_path,
+            MINIMAL_SINE + "pi:\n  n_taps: 8\nsystem:\n  calibration:\n    adapt_offsets: false\n",
+        )
+        assert main([experiment, "--config", str(p), "--out", str(tmp_path)]) == 3
+        assert (
+            "chain spans 1.0000e-10 s, shorter than the clock period 2.0000e-10 s"
+            in capsys.readouterr().err
+        )
+        assert not list(tmp_path.glob("*.json"))
+
+    @pytest.mark.parametrize(
+        "text, record",
+        [
+            (
+                MINIMAL_SINE.replace("coherent_bin: 101", "coherent_bin: 41").replace(
+                    "n_samples: 8192", "n_samples: 8000"
+                ),
+                "capture.n_samples: n_samples must be a power of two >= 4096, got 8000",
+            ),
+            (
+                (CONFIG_DIR / "skewcal.yaml").read_text(encoding="utf-8").replace(
+                    "skew_capture_samples: 4096", "skew_capture_samples: 4000"
+                ),
+                "system.calibration.skew_capture_samples: n_samples must be a power of two",
+            ),
+            (
+                # J = 41 + 5e-7: inside the old load-time tolerance of 1e-6,
+                # outside the metric's 1e-9 * J
+                MINIMAL_SINE.replace("coherent_bin: 101", "frequency: 100097657.47070312"),
+                "capture.n_samples: fin=100097657.47070312 Hz is not coherent",
+            ),
+        ],
+        ids=["record-8000", "skew-record-4000", "j-off-by-5e-7"],
+    )
+    def test_incoherent_records_rejected_at_load(self, tmp_path, capsys, text, record):
+        # the load check and the run-time rule disagreed: each config loaded,
+        # ran the warmup and the capture, then exited 3
+        p = self.write(tmp_path, text)
+        assert main(["adc-sine", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert f"config error: {record}" in capsys.readouterr().err
+
     def test_nan_phase_rejected_at_load(self, tmp_path):
         # NaN voltages used to pass the range checks and end in a misleading
         # "no noise power" (exit 3)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -636,8 +637,8 @@ def test_mismatch_draws_equal_one_draw_per_row(
     pi = cfg.pi
     for g, chain in enumerate(system.pi_chains):
         want = rowwise_pi_chain(
-            pi.unit_delay, pi.n_taps, pi.tap_sigma_rel, pi.skew_sigma_rel * pi.unit_delay,
-            derive_seed(seed, "pi.instance", g),
+            pi.unit_delay, cfg.system.pi_clock_period, pi.n_taps, pi.tap_sigma_rel,
+            pi.skew_sigma_rel * pi.unit_delay, derive_seed(seed, "pi.instance", g),
         )
         assert np.array_equal(chain.tap_delays.view(np.uint64), want.tap_delays.view(np.uint64))
         assert np.array_equal(chain.path_skews.view(np.uint64), want.path_skews.view(np.uint64))
@@ -695,3 +696,18 @@ def test_front_end_bandwidth_attenuates_the_tone():
     p_flat = np.abs(np.fft.rfft(aligned_capture(system, cap_flat).codes.astype(float))[1433])
     p_roll = np.abs(np.fft.rfft(aligned_capture(system, cap_roll).codes.astype(float))[1433])
     assert 20 * np.log10(p_flat / p_roll) == pytest.approx(3.01, abs=0.1)
+
+
+def test_front_end_phase_lag_uses_libm_arctan():
+    # the ideal tone (bin 101 of 8192) through a 1.044 GHz front end: numpy's
+    # arctan of the ratio reads 0.23193908446126454 under AVX-512 dispatch and
+    # libm's 0.23193908446126452, so with numpy the tone depended on the host
+    fin = 101 * FS_RATE / 8192
+    bandwidth = 1.044e9
+    tone = SineStimulus(frequency=fin, amplitude=0.45, common_mode=VCM, bandwidth=bandwidth)
+    ratio = fin / bandwidth
+    assert math.atan(ratio) == 0.23193908446126452
+    t = np.arange(8192) / FS_RATE
+    amp = 0.45 / (1.0 + ratio**2) ** (1 / 2.0)
+    expected = amp * np.sin(2.0 * np.pi * fin * t + (0.0 - math.atan(ratio))) / 2.0
+    assert np.array_equal(tone.half_swing(t).view(np.uint64), expected.view(np.uint64))

@@ -134,7 +134,7 @@ class TestSpectrum:
 class TestDelayMonitor:
     def test_known_step_estimated_within_quarter_ps(self):
         clock = ClockSpec(period=200 * PS)
-        phases = pi_sweep(make_pi_chain(12.5 * PS), clock)[:6]
+        phases = pi_sweep(make_pi_chain(12.5 * PS, clock.period))[:6]
         sampler = uncorrelated_sampler(clock, phase0=3.1 * PS)
         est = measure_pi_transfer_uncorrelated(phases, 200 * PS, sampler, 10**6, anchor=12.5 * PS)
         steps = np.diff(est)
@@ -170,9 +170,10 @@ class TestDelayMonitor:
         clock = ClockSpec(period=200 * PS)
         from stochadc.pi import trim_paths
 
-        chain = make_pi_chain(12.5 * PS, tap_sigma_rel=0.05, skew_sigma=0.15 * 12.5 * PS, seed=4)
-        trim = trim_paths(chain, clock).trim
-        phases = pi_sweep(chain, clock, trim)
+        chain = make_pi_chain(
+            12.5 * PS, clock.period, tap_sigma_rel=0.05, skew_sigma=0.15 * 12.5 * PS, seed=4
+        )
+        phases = pi_sweep(trim_paths(chain).chain)
         sampler = uncorrelated_sampler(clock, phase0=1.9 * PS)
         est = measure_pi_transfer_uncorrelated(phases, 200 * PS, sampler, 10**5, anchor=12.5 * PS)
         assert np.max(np.abs(est - phases)) < 0.2 * PS
