@@ -9,10 +9,11 @@ non-finite numbers are rejected.  Each section checks its own value ranges
 when it is constructed, from YAML or in Python; value types are checked only
 at YAML load (`_value`), so a section built in Python takes what it is given
 (`AdcConfig(tap_sigma_random=True)` builds).  `parse_config` adds the checks
-that span sections (tone coherence, stimulus swing, the skew range the
-calibration can measure).  Physically meaningful values have no hidden
-defaults beyond the documented design sizing.  Loading then re-serializing a
-config is idempotent.
+that span sections (tone coherence, stimulus swing, the skew tone's
+amplitude and the skew range the calibration can measure).  The four tones
+of a run are derived here, each through `sine_tone`.  Physically meaningful
+values have no hidden defaults beyond the documented design sizing.  Loading
+then re-serializing a config is idempotent.
 """
 
 from __future__ import annotations
@@ -415,58 +416,46 @@ class RunConfig:
 def _validate(cfg: RunConfig) -> RunConfig:
     """The checks that span sections; each section has checked itself."""
     st = cfg.stimulus
-    if st.frequency is not None or st.coherent_bin is not None:
+    has_tone = st.frequency is not None or st.coherent_bin is not None
+    if has_tone:
         # the rule the spectral metric and the skew estimate apply at run time
         fs = cfg.system.aggregate_rate
-        records = {"capture.n_samples": (stimulus_frequency(cfg), cfg.capture.n_samples)}
+        records = {"capture.n_samples": (measurement_tone(cfg), cfg.capture.n_samples)}
         if cfg.system.calibration.skew:
             records["system.calibration.skew_capture_samples"] = (
-                skew_tone_frequency(cfg), cfg.system.calibration.skew_capture_samples,
+                skew_tone(cfg), cfg.system.calibration.skew_capture_samples,
             )
-        for name, (frequency, n) in records.items():
+        for name, (tone, n) in records.items():
             try:
-                coherent_bin(frequency, fs, n)
+                coherent_bin(tone.frequency, fs, n)
             except CoherenceError as exc:
                 raise ConfigError(f"{name}: {exc}") from exc
-        amplitudes = {"stimulus.amplitude": st.amplitude}
-        if cfg.capture.linearity_amplitude is not None:
-            amplitudes["capture.linearity_amplitude"] = cfg.capture.linearity_amplitude
-        for name, amplitude in amplitudes.items():
-            if st.common_mode - amplitude / 2.0 < cfg.adc.v_threshold:
-                raise ConfigError(
-                    f"stimulus swings below the V2T threshold at {name} {amplitude}; "
-                    "raise common_mode"
-                )
-            if st.common_mode + amplitude / 2.0 > cfg.adc.vdd:
-                raise ConfigError(f"stimulus swings above the supply at {name} {amplitude}")
-        if cfg.system.calibration.skew:
+    # the offset warmup applies the stimulus amplitude whether or not a
+    # measurement tone is set; unset, the linearity amplitude is that one
+    amplitudes = dict([("stimulus.amplitude", st.amplitude), _linearity_amplitude(cfg)])
+    for name, amplitude in amplitudes.items():
+        if st.common_mode - amplitude / 2.0 < cfg.adc.v_threshold:
+            raise ConfigError(
+                f"stimulus swings below the V2T threshold at {name} {amplitude}; "
+                "raise common_mode"
+            )
+        if st.common_mode + amplitude / 2.0 > cfg.adc.vdd:
+            raise ConfigError(f"stimulus swings above the supply at {name} {amplitude}")
+    if cfg.system.calibration.skew:
+        if st.amplitude < cfg.adc.full_scale / 2.0:
+            raise ConfigError(
+                f"stimulus.amplitude {st.amplitude} is below half of adc.full_scale "
+                f"{cfg.adc.full_scale}; the skew calibration tone must be at least half scale"
+            )
+        if has_tone:
             _check_skew_unwraps(cfg)
     return cfg
-
-
-def stimulus_frequency(cfg: RunConfig) -> float:
-    st = cfg.stimulus
-    if st.coherent_bin is not None:
-        return st.coherent_bin * cfg.system.aggregate_rate / cfg.capture.n_samples
-    if st.frequency is None:
-        raise ConfigError("this experiment needs stimulus.frequency or stimulus.coherent_bin")
-    return float(st.frequency)
-
-
-def skew_tone_frequency(cfg: RunConfig) -> float:
-    """The skew estimate's tone: the odd bin of the skew capture nearest the stimulus."""
-    n_skew = cfg.system.calibration.skew_capture_samples
-    fs = cfg.system.aggregate_rate
-    j = int(round(stimulus_frequency(cfg) * n_skew / fs))
-    if j % 2 == 0:
-        j += 1
-    return j * fs / n_skew
 
 
 def _check_skew_unwraps(cfg: RunConfig) -> None:
     """The estimator reads each group's skew against group 0 as a tone phase,
     so an injected skew of half a tone period or more wraps to the wrong sign."""
-    frequency = skew_tone_frequency(cfg)
+    frequency = skew_tone(cfg).frequency
     skews = cfg.system.skew_injection
     for g, skew in enumerate(skews):
         if abs(skew - skews[0]) >= 0.5 / frequency:
@@ -475,6 +464,15 @@ def _check_skew_unwraps(cfg: RunConfig) -> None:
                 f"group 0, at or beyond half the skew-tone period "
                 f"({0.5e12 / frequency:.1f} ps at {frequency / 1e9:.3f} GHz)"
             )
+
+
+# The offset warmup's tone advances each slice's phase by the golden fraction
+# of a cycle per sample.  A tone coherent with the capture gives each slice
+# only n/16 distinct phases, so whether any sample lands on the minimum code
+# is a parity accident; the golden fraction fills the phase circle maximally
+# uniformly, which guarantees histogram mass at the true minimum for any
+# adaptation window a few thousand samples long.
+GOLDEN_FRACTION = 0.6180339887498949
 
 
 def sine_tone(cfg: RunConfig, frequency: float, amplitude: float) -> SineStimulus:
@@ -490,9 +488,48 @@ def sine_tone(cfg: RunConfig, frequency: float, amplitude: float) -> SineStimulu
     )
 
 
-def build_stimulus(cfg: RunConfig) -> SineStimulus:
-    """The configured measurement tone."""
-    return sine_tone(cfg, stimulus_frequency(cfg), cfg.stimulus.amplitude)
+def measurement_tone(cfg: RunConfig) -> SineStimulus:
+    """The configured tone `adc-sine` measures: its coherent bin of the
+    capture, else its frequency."""
+    st = cfg.stimulus
+    if st.coherent_bin is not None:
+        frequency = st.coherent_bin * cfg.system.aggregate_rate / cfg.capture.n_samples
+    elif st.frequency is not None:
+        frequency = float(st.frequency)
+    else:
+        raise ConfigError("this experiment needs stimulus.frequency or stimulus.coherent_bin")
+    return sine_tone(cfg, frequency, st.amplitude)
+
+
+def warmup_tone(cfg: RunConfig) -> SineStimulus:
+    """The offset warmup's zero-mean tone at the stimulus amplitude; it needs
+    no configured frequency."""
+    return sine_tone(cfg, GOLDEN_FRACTION * cfg.system.slice_rate, cfg.stimulus.amplitude)
+
+
+def _linearity_amplitude(cfg: RunConfig) -> tuple[str, float]:
+    """The code-density tone's amplitude and the field it is read from:
+    `capture.linearity_amplitude` when set, else the stimulus amplitude."""
+    if cfg.capture.linearity_amplitude is None:
+        return "stimulus.amplitude", cfg.stimulus.amplitude
+    return "capture.linearity_amplitude", cfg.capture.linearity_amplitude
+
+
+def linearity_tone(cfg: RunConfig) -> SineStimulus:
+    """The code-density tone of the LUT capture and the linearity capture:
+    the warmup's frequency at the linearity amplitude."""
+    return sine_tone(cfg, GOLDEN_FRACTION * cfg.system.slice_rate, _linearity_amplitude(cfg)[1])
+
+
+def skew_tone(cfg: RunConfig) -> SineStimulus:
+    """The skew estimate's tone at the stimulus amplitude: the odd bin of the
+    skew capture nearest the measurement tone."""
+    n_skew = cfg.system.calibration.skew_capture_samples
+    fs = cfg.system.aggregate_rate
+    j = int(round(measurement_tone(cfg).frequency * n_skew / fs))
+    if j % 2 == 0:
+        j += 1
+    return sine_tone(cfg, j * fs / n_skew, cfg.stimulus.amplitude)
 
 
 def load_config(path) -> RunConfig:

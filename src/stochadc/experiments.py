@@ -2,7 +2,9 @@
 
 Every output file embeds the config hash and the master seed, and nothing
 time-dependent is ever written, so a rerun with the same config and seed is
-byte-identical.  Every file goes through `_write_artifacts`.  The calibrate
+byte-identical.  Each experiment returns its metrics and a function that
+builds its artifact bodies; `run_experiment` is the one frame around them,
+and every file goes through `_write_artifacts` there.  The calibrate
 experiment persists its state to a versioned JSON file, whose format lives
 here alone, from which a later measurement run resumes bit-exactly.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,9 +23,8 @@ import numpy as np
 from . import interleaver as il
 from . import metrics as met
 from . import pi as pimod
-from .config import RunConfig, build_stimulus, config_hash, sine_tone, skew_tone_frequency
+from .config import RunConfig, config_hash, linearity_tone, measurement_tone, skew_tone, warmup_tone
 from .errors import ConfigError
-from .stimulus import SineStimulus, adaptation_tone
 
 # the calibration file format; `from_json` refuses any other
 CALIBRATION_VERSION = 1
@@ -35,6 +37,10 @@ class ExperimentResult:
     config_hash: str
     metrics: dict
     files: list
+
+
+# a run_*'s metrics and the function that builds its {file name: body} artifacts
+Run = tuple[dict, Callable[[], dict]]
 
 
 # rows formatted and written at a time: bounds the text held in memory
@@ -198,22 +204,12 @@ def _int_table(value, shape: tuple, name: str) -> np.ndarray:
     return table.astype(np.int64, copy=False)
 
 
-def _warmup_tone(cfg: RunConfig) -> SineStimulus:
-    return adaptation_tone(build_stimulus(cfg), cfg.system.slice_rate)
-
-
-def _linearity_tone(cfg: RunConfig) -> SineStimulus:
-    """The code-density tone of the LUT capture and the linearity capture."""
-    amplitude = cfg.capture.linearity_amplitude or cfg.stimulus.amplitude
-    return sine_tone(cfg, _warmup_tone(cfg).frequency, amplitude)
-
-
 def _offset_codes(cfg: RunConfig, system: il.AdcSystem) -> np.ndarray:
     """Per-slice offset codes: adapted in the warmup, else the nominal code."""
     if not cfg.system.calibration.adapt_offsets:
         return np.full(il.N_SLICES, cfg.adc.nominal_offset_code, dtype=np.int64)
     offsets, _ = il.adapt_offsets(
-        system, _warmup_tone(cfg), window=cfg.adc.adaptation.window,
+        system, warmup_tone(cfg), window=cfg.adc.adaptation.window,
         threshold=cfg.adc.adaptation.threshold,
     )
     return offsets
@@ -225,7 +221,7 @@ def compute_calibration(cfg: RunConfig, seed: int, system: il.AdcSystem) -> Cali
     offsets = _offset_codes(cfg, system)
     luts = None
     if cal.lut:
-        lut_tone = _linearity_tone(cfg)
+        lut_tone = linearity_tone(cfg)
         capture = il.run_capture(
             system, lut_tone, cal.lut_capture_samples, offset_codes=offsets
         )
@@ -233,24 +229,21 @@ def compute_calibration(cfg: RunConfig, seed: int, system: il.AdcSystem) -> Cali
         luts = il.build_luts(capture, amplitude_code, cal.lut_min_hits)
     corrections = None
     if cal.skew:
-        skew_tone = sine_tone(cfg, skew_tone_frequency(cfg), cfg.stimulus.amplitude)
         corrections = il.calibrate_skew(
-            system, skew_tone, cal.skew_capture_samples, offset_codes=offsets
+            system, skew_tone(cfg), cal.skew_capture_samples, offset_codes=offsets
         )
     return CalibrationState(config_hash(cfg), seed, offsets, luts, corrections)
 
 
-def run_slice_transfer(cfg: RunConfig, seed: int, out: Path | None) -> ExperimentResult:
+def run_slice_transfer(cfg: RunConfig, seed: int) -> Run:
     system = il.AdcSystem(cfg, seed)
     adc = cfg.adc
-    h = config_hash(cfg)
     # the sweep reads slice 0's offset code alone, so no LUT or skew capture runs
     offset = int(_offset_codes(cfg, system)[0])
     span = cfg.sweep.span_rel * adc.full_scale
     dv = np.linspace(-span, span, cfg.sweep.points)
     cm = cfg.stimulus.common_mode
     raw, sign, code = il.slice_transfer(system, 0, dv, cm, offset)
-    delta_t = dv / adc.discharge_slope
     monotone = bool(np.all(np.diff(code) >= 0))
     metrics = {
         "offset_code": offset,
@@ -259,13 +252,12 @@ def run_slice_transfer(cfg: RunConfig, seed: int, out: Path | None) -> Experimen
         "code_min": int(code.min()),
         "code_max": int(code.max()),
     }
-    files = []
-    if out is not None:
-        files = _write_artifacts(out, h, seed, {
-            "slice_transfer.csv": {"delta_t_seconds": delta_t, "raw_count": raw, "signed_code": code},
-            "slice_transfer.json": {"experiment": "slice-transfer", "metrics": metrics},
-        })
-    return ExperimentResult("slice-transfer", seed, h, metrics, files)
+    return metrics, lambda: {
+        "slice_transfer.csv": {
+            "delta_t_seconds": dv / adc.discharge_slope, "raw_count": raw, "signed_code": code,
+        },
+        "slice_transfer.json": {"experiment": "slice-transfer", "metrics": metrics},
+    }
 
 
 def _sweep_table(phases: np.ndarray, period: float, flags: np.ndarray) -> dict:
@@ -281,8 +273,7 @@ def _sweep_table(phases: np.ndarray, period: float, flags: np.ndarray) -> dict:
     }
 
 
-def run_pi_sweep(cfg: RunConfig, seed: int, out: Path | None) -> ExperimentResult:
-    h = config_hash(cfg)
+def run_pi_sweep(cfg: RunConfig, seed: int) -> Run:
     period = cfg.system.pi_clock_period
     chain = cfg.pi.chain(seed, 0, period)
     if cfg.pi.trim_enabled:
@@ -301,13 +292,10 @@ def run_pi_sweep(cfg: RunConfig, seed: int, out: Path | None) -> ExperimentResul
         "monotone": bool(np.all(steps > 0)),
         "inversions": int(flags.sum()),
     }
-    files = []
-    if out is not None:
-        files = _write_artifacts(out, h, seed, {
-            "pi_sweep.csv": table,
-            "pi_sweep.json": {"experiment": "pi-sweep", "metrics": metrics},
-        })
-    return ExperimentResult("pi-sweep", seed, h, metrics, files)
+    return metrics, lambda: {
+        "pi_sweep.csv": table,
+        "pi_sweep.json": {"experiment": "pi-sweep", "metrics": metrics},
+    }
 
 
 def _rising(a: np.ndarray) -> bool:
@@ -316,8 +304,7 @@ def _rising(a: np.ndarray) -> bool:
     return bool((a[1:] > a[:-1]).all())
 
 
-def run_pi_trim(cfg: RunConfig, seed: int, out: Path | None) -> ExperimentResult:
-    h = config_hash(cfg)
+def run_pi_trim(cfg: RunConfig, seed: int) -> Run:
     period = cfg.system.pi_clock_period
     chain = cfg.pi.chain(seed, 0, period)
     pre_sweep = pimod.pi_sweep(chain)
@@ -330,21 +317,17 @@ def run_pi_trim(cfg: RunConfig, seed: int, out: Path | None) -> ExperimentResult
         "post_trim_monotone": _rising(post_sweep),
         "max_trim_seconds": float(np.max(np.abs(result.adjustments))),
     }
-    files = []
-    if out is not None:
-        files = _write_artifacts(out, h, seed, {
-            "pi_trim.json": {
-                "experiment": "pi-trim",
-                "metrics": metrics,
-                "trims_seconds": result.adjustments,
-            },
-            "pi_trim_sweep.csv": _sweep_table(post_sweep, period, np.zeros(256, dtype=bool)),
-        })
-    return ExperimentResult("pi-trim", seed, h, metrics, files)
+    return metrics, lambda: {
+        "pi_trim.json": {
+            "experiment": "pi-trim",
+            "metrics": metrics,
+            "trims_seconds": result.adjustments,
+        },
+        "pi_trim_sweep.csv": _sweep_table(post_sweep, period, np.zeros(256, dtype=bool)),
+    }
 
 
-def run_calibrate(cfg: RunConfig, seed: int, out: Path | None) -> ExperimentResult:
-    h = config_hash(cfg)
+def run_calibrate(cfg: RunConfig, seed: int) -> Run:
     state = compute_calibration(cfg, seed, il.AdcSystem(cfg, seed))
     metrics = {
         "offset_codes": state.offset_codes.tolist(),
@@ -353,36 +336,23 @@ def run_calibrate(cfg: RunConfig, seed: int, out: Path | None) -> ExperimentResu
         if state.pi_corrections is None
         else state.pi_corrections.tolist(),
     }
-    files = []
-    if out is not None:
-        files = _write_artifacts(out, h, seed, {
-            "calibration.json": {
-                "version": CALIBRATION_VERSION,
-                "offset_codes": state.offset_codes,
-                "luts": None if state.luts is None else [lut.mapping for lut in state.luts],
-                "pi_corrections": state.pi_corrections,
-            },
-        })
-    return ExperimentResult("calibrate", seed, h, metrics, files)
+    return metrics, lambda: {
+        "calibration.json": {
+            "version": CALIBRATION_VERSION,
+            "offset_codes": state.offset_codes,
+            "luts": None if state.luts is None else [lut.mapping for lut in state.luts],
+            "pi_corrections": state.pi_corrections,
+        },
+    }
 
 
-def run_adc_sine(
-    cfg: RunConfig,
-    seed: int,
-    out: Path | None,
-    calibration: CalibrationState | None = None,
-) -> ExperimentResult:
+def run_adc_sine(cfg: RunConfig, seed: int, calibration: CalibrationState | None = None) -> Run:
+    """Measure the configured tone, calibrating first unless `calibration`
+    (already checked against this config and seed) is given."""
     system = il.AdcSystem(cfg, seed)
-    h = config_hash(cfg)
     if calibration is None:
         calibration = compute_calibration(cfg, seed, system)
-    elif calibration.config_hash != h or calibration.master_seed != seed:
-        raise ConfigError(
-            "calibration file does not match this config/seed "
-            f"(file: {calibration.config_hash}/{calibration.master_seed}, "
-            f"run: {h}/{seed})"
-        )
-    tone = build_stimulus(cfg)
+    tone = measurement_tone(cfg)
     fs = cfg.system.aggregate_rate
     n = cfg.capture.n_samples
     pi_codes = system.nominal_pi_codes()
@@ -405,7 +375,7 @@ def run_adc_sine(
     lin = None
     if cfg.capture.linearity:
         lin_capture = il.run_capture(
-            system, _linearity_tone(cfg), cfg.capture.linearity_samples,
+            system, linearity_tone(cfg), cfg.capture.linearity_samples,
             offset_codes=calibration.offset_codes,
             luts=calibration.luts,
             pi_codes=pi_codes,
@@ -416,11 +386,11 @@ def run_adc_sine(
         metrics["dnl_max"] = lin.dnl_max
         metrics["inl_max"] = lin.inl_max
         metrics["missing_codes"] = len(lin.missing_codes)
-    files = []
-    if out is not None:
+
+    def bodies():
         # sample 16*m + s is entry [s, m] of each per-slice array
         k = np.arange(n)
-        bodies = {
+        files = {
             "adc_sine.json": {
                 "experiment": "adc-sine",
                 "metrics": metrics,
@@ -440,8 +410,8 @@ def run_adc_sine(
             },
         }
         if lin is not None:
-            bodies["linearity.csv"] = {"code": lin.codes, "dnl_lsb": lin.dnl, "inl_lsb": lin.inl}
-            bodies["linearity.json"] = {
+            files["linearity.csv"] = {"code": lin.codes, "dnl_lsb": lin.dnl, "inl_lsb": lin.inl}
+            files["linearity.json"] = {
                 "experiment": "adc-sine/linearity",
                 "dnl_max": lin.dnl_max,
                 "inl_max": lin.inl_max,
@@ -450,40 +420,38 @@ def run_adc_sine(
                 "dnl": lin.dnl,
                 "inl": lin.inl,
             }
-        files = _write_artifacts(out, h, seed, bodies)
-    return ExperimentResult("adc-sine", seed, h, metrics, files)
+        return files
+
+    return metrics, bodies
 
 
-def run_fom(cfg: RunConfig, seed: int, out: Path | None) -> ExperimentResult:
-    h = config_hash(cfg)
+def run_fom(cfg: RunConfig, seed: int) -> Run:
     if not cfg.fom.entries:
         raise ConfigError("fom experiment needs fom.entries in the config")
     entries = cfg.fom.entries
     values = [met.walden_fom(e.power, e.enob, e.rate) for e in entries]
     metrics = {f"fom_pj_{e.label}": v * 1e12 for e, v in zip(entries, values)}
-    files = []
-    if out is not None:
-        files = _write_artifacts(out, h, seed, {
-            "fom.csv": {
-                "label": [e.label for e in entries],
-                "power_watts": [e.power for e in entries],
-                "enob": [e.enob for e in entries],
-                "rate_sps": [e.rate for e in entries],
-                "fom_joules": values,
-                "fom_pj_per_step": [v * 1e12 for v in values],
-            },
-            "fom.json": {"experiment": "fom", "metrics": metrics},
-        })
-    return ExperimentResult("fom", seed, h, metrics, files)
+    return metrics, lambda: {
+        "fom.csv": {
+            "label": [e.label for e in entries],
+            "power_watts": [e.power for e in entries],
+            "enob": [e.enob for e in entries],
+            "rate_sps": [e.rate for e in entries],
+            "fom_joules": values,
+            "fom_pj_per_step": [v * 1e12 for v in values],
+        },
+        "fom.json": {"experiment": "fom", "metrics": metrics},
+    }
 
 
 def _mc_trial(args) -> dict:
+    """One trial's metrics; its artifact bodies are never built."""
     cfg, name, seed = args
-    return _DISPATCH[name](cfg, seed, None).metrics
+    metrics, _ = _DISPATCH[name](cfg, seed)
+    return metrics
 
 
-def run_montecarlo(cfg: RunConfig, seed: int, out: Path | None) -> ExperimentResult:
-    h = config_hash(cfg)
+def run_montecarlo(cfg: RunConfig, seed: int) -> Run:
     name = cfg.montecarlo.experiment
     if name not in _DISPATCH or name == "montecarlo":
         raise ConfigError(f"montecarlo cannot wrap experiment {name!r}")
@@ -516,11 +484,11 @@ def run_montecarlo(cfg: RunConfig, seed: int, out: Path | None) -> ExperimentRes
         metrics[f"{key}_median"] = float(
             np.median([m[key] for m in results])
         )
-    files = []
-    if out is not None:
+
+    def bodies():
         columns = {"seed": seeds}
         columns.update({k: [m[k] for m in results] for k in numeric_keys})
-        files = _write_artifacts(out, h, seed, {
+        return {
             "montecarlo.csv": columns,
             "montecarlo.json": {
                 "experiment": "montecarlo",
@@ -529,8 +497,9 @@ def run_montecarlo(cfg: RunConfig, seed: int, out: Path | None) -> ExperimentRes
                 "percentiles": summary,
                 "metrics": metrics,
             },
-        })
-    return ExperimentResult("montecarlo", seed, h, metrics, files)
+        }
+
+    return metrics, bodies
 
 
 # in the order the command line lists them
@@ -553,7 +522,12 @@ def run_experiment(
     seed: int | None = None,
     calibration_path=None,
 ) -> ExperimentResult:
-    """Run one named experiment; artifacts land in out_dir when given."""
+    """Run one named experiment; artifacts land in out_dir when given.
+
+    The one frame around every experiment: it hashes the config, refuses a
+    calibration file from another config or seed, makes the output
+    directory and builds and writes the artifact bodies only when it has one.
+    """
     if name not in _DISPATCH:
         raise ConfigError(
             f"unknown experiment {name!r}; choose from {', '.join(EXPERIMENT_NAMES)}"
@@ -562,11 +536,20 @@ def run_experiment(
         # every other experiment calibrates itself or needs no calibration
         raise ConfigError(f"--calibration applies only to adc-sine, not to {name}")
     run_seed = cfg.master_seed if seed is None else int(seed)
+    h = config_hash(cfg)
     out = None
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
+    resume = {}
     if calibration_path is not None:
         state = CalibrationState.from_json(Path(calibration_path).read_text(encoding="utf-8"))
-        return run_adc_sine(cfg, run_seed, out, calibration=state)
-    return _DISPATCH[name](cfg, run_seed, out)
+        if state.config_hash != h or state.master_seed != run_seed:
+            raise ConfigError(
+                "calibration file does not match this config/seed "
+                f"(file: {state.config_hash}/{state.master_seed}, run: {h}/{run_seed})"
+            )
+        resume["calibration"] = state
+    metrics, bodies = _DISPATCH[name](cfg, run_seed, **resume)
+    files = [] if out is None else _write_artifacts(out, h, run_seed, bodies())
+    return ExperimentResult(name, run_seed, h, metrics, files)

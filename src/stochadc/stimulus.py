@@ -44,25 +44,3 @@ class SineStimulus:
             ph = ph - self.filter_stages * math.atan(ratio)
         return amp * np.sin(2.0 * np.pi * self.frequency * np.asarray(t) + ph) / 2.0
 
-
-GOLDEN_FRACTION = 0.6180339887498949
-
-
-def adaptation_tone(template: SineStimulus, slice_rate: float) -> SineStimulus:
-    """Zero-mean warmup tone for background offset adaptation.
-
-    A tone coherent with the capture gives each slice only n/16 distinct
-    phases, so whether any sample lands on the minimum code is a parity
-    accident.  Advancing each slice's phase by the golden fraction of a
-    cycle per sample fills the phase circle maximally uniformly, which
-    guarantees histogram mass at the true minimum for any adaptation window
-    a few thousand samples long.
-    """
-    return SineStimulus(
-        frequency=GOLDEN_FRACTION * slice_rate,
-        amplitude=template.amplitude,
-        common_mode=template.common_mode,
-        phase=template.phase,
-        bandwidth=template.bandwidth,
-        filter_stages=template.filter_stages,
-    )

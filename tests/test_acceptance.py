@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stochadc.config import AdcConfig, RunConfig, SystemConfig, load_config
+from stochadc.config import GOLDEN_FRACTION, AdcConfig, RunConfig, SystemConfig, load_config
 from stochadc.core import ClockSpec
-from stochadc.experiments import run_adc_sine, run_experiment
+from stochadc.experiments import run_experiment
 from stochadc.interleaver import (
     AdcSystem,
     adapt_offsets,
@@ -34,7 +34,7 @@ from stochadc.metrics import (
 )
 from stochadc.pi import inverted_segments, make_pi_chain, pi_sweep, trim_paths
 from stochadc.stdc import count_edges_batch
-from stochadc.stimulus import SineStimulus, adaptation_tone
+from stochadc.stimulus import SineStimulus
 
 from oracles import adder_tree_sum, make_chain, substream, tap_edge_times
 
@@ -136,7 +136,7 @@ def test_criterion_01_stdc_oracle_equivalence():
 def test_criterion_02_ideal_mode_enob():
     t0 = time.time()
     cfg = load_config(CONFIG_DIR / "ideal.yaml")
-    result = run_adc_sine(cfg, cfg.master_seed, None)
+    result = run_experiment("adc-sine", cfg)
     enob = result.metrics["enob"]
     elapsed = time.time() - t0
     report(
@@ -216,10 +216,9 @@ def test_criterion_06_offset_adaptation_recovery():
         cfg = RunConfig(adc=AdcConfig(tap_sigma_random=0.1))
         adc = cfg.adc
         system = AdcSystem(cfg, master_seed=seed)
-        tone = adaptation_tone(
-            SineStimulus(frequency=1.0, amplitude=0.45, common_mode=0.525,
-                         phase=float(substream(seed, "adapt.phase").uniform(0, 2 * np.pi))),
-            cfg.system.slice_rate,
+        tone = SineStimulus(
+            frequency=GOLDEN_FRACTION * cfg.system.slice_rate, amplitude=0.45, common_mode=0.525,
+            phase=float(substream(seed, "adapt.phase").uniform(0, 2 * np.pi)),
         )
         offsets, _ = adapt_offsets(system, tone, window=10_000)
         # ground truth: window nesting makes the dv = 0 raw count the true
@@ -247,7 +246,8 @@ def test_criterion_07_skew_calibration():
         system = AdcSystem(RunConfig(system=design), master_seed=seed)
         phase = float(rng.uniform(0, 2 * np.pi))
         tone = SineStimulus(frequency=fin, amplitude=0.44, common_mode=0.525, phase=phase)
-        offsets, _ = adapt_offsets(system, adaptation_tone(tone, design.slice_rate), window=10_000)
+        warm = replace(tone, frequency=GOLDEN_FRACTION * design.slice_rate)
+        offsets, _ = adapt_offsets(system, warm, window=10_000)
         corr = calibrate_skew(system, tone, n, offset_codes=offsets)
         pre = sndr_enob(
             aligned_capture(system, run_capture(system, tone, n, offset_codes=offsets)).codes,
@@ -295,7 +295,7 @@ def test_criterion_09_mismatch_regime_consistency():
     enob = []
     lock_ok = True
     for seed, dnl_lock, enob_lock in REGIME_LOCK:
-        result = run_adc_sine(cfg, seed, None)
+        result = run_experiment("adc-sine", cfg, seed=seed)
         dnl.append(result.metrics["dnl_max"])
         inl.append(result.metrics["inl_max"])
         enob.append(result.metrics["enob"])

@@ -16,7 +16,7 @@ from stochadc.config import (
     parse_config,
 )
 from stochadc.errors import ConfigError
-from stochadc.experiments import run_adc_sine, run_experiment, run_montecarlo
+from stochadc.experiments import run_experiment
 from stochadc.stimulus import SineStimulus
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -164,6 +164,58 @@ class TestCli:
             tables.append((out / "slice_transfer.csv").read_bytes().split(b"\n", 1))
         assert tables[0][0] != tables[1][0]
         assert tables[0][1] == tables[1][1]
+
+    def test_warmup_only_runs_need_no_tone(self, tmp_path, capsys):
+        # the warmup tone's frequency is the golden fraction of the slice
+        # rate, whatever the stimulus says; slice-transfer and calibrate on a
+        # config without a tone used to exit 2 asking for one
+        tables = []
+        for tone in ("", "  coherent_bin: 101\n"):
+            out = tmp_path / ("tone" if tone else "none")
+            p = self.write(tmp_path, "master_seed: 1\nstimulus:\n  amplitude: 0.45\n" + tone)
+            assert main(["slice-transfer", "--config", str(p), "--out", str(out)]) == 0
+            tables.append((out / "slice_transfer.csv").read_bytes().split(b"\n", 1))
+        assert tables[0][0] != tables[1][0]
+        assert tables[0][1] == tables[1][1]
+        p = self.write(tmp_path, "master_seed: 1\n")
+        assert main(["calibrate", "--config", str(p), "--out", str(tmp_path / "cal")]) == 0
+        capsys.readouterr()
+        # the measurement still needs one
+        assert main(["adc-sine", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert (
+            "config error: this experiment needs stimulus.frequency or stimulus.coherent_bin"
+            in capsys.readouterr().err
+        )
+
+    def test_toneless_swing_below_threshold_rejected_at_load(self, tmp_path, capsys):
+        # the warmup applies the stimulus amplitude with or without a tone
+        text = "stimulus:\n  common_mode: 0.4\n"
+        with pytest.raises(ConfigError, match="below the V2T threshold at stimulus.amplitude"):
+            parse_config(text)
+        p = self.write(tmp_path, text)
+        assert main(["slice-transfer", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert "below the V2T threshold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment", ["adc-sine", "calibrate"])
+    def test_skew_tone_below_half_scale_rejected_at_load(
+        self, tmp_path, monkeypatch, capsys, experiment
+    ):
+        # calibrate_skew refused it only after the 160k-sample offset warmup
+        import stochadc.interleaver as il
+
+        def unbuilt(*args):
+            raise AssertionError("the converter was built")
+
+        monkeypatch.setattr(il.AdcSystem, "__init__", unbuilt)
+        text = (CONFIG_DIR / "skewcal.yaml").read_text(encoding="utf-8")
+        assert "amplitude: 0.44\n" in text
+        p = self.write(tmp_path, text.replace("amplitude: 0.44\n", "amplitude: 0.2\n"))
+        assert main([experiment, "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert (
+            "config error: stimulus.amplitude 0.2 is below half of adc.full_scale"
+            in capsys.readouterr().err
+        )
+        assert not list(tmp_path.glob("*.json"))
 
     def test_stimulus_over_supply_rejected_at_load(self, tmp_path):
         q = self.write(
@@ -688,6 +740,26 @@ class TestMonteCarlo:
         payload = json.loads((tmp_path / "montecarlo.json").read_text())
         assert "iterations" in payload["percentiles"]
 
+    def test_trials_build_no_artifact_bodies(self, tmp_path, monkeypatch):
+        # only the montecarlo's own files are written, so no trial builds
+        # the sweep table of its pi_trim_sweep.csv
+        import stochadc.experiments as exp
+
+        tables = []
+        real = exp._sweep_table
+        monkeypatch.setattr(exp, "_sweep_table", lambda *args: tables.append(1) or real(*args))
+        cfg = parse_config(
+            "pi:\n  tap_sigma_rel: 0.05\n  trim_enabled: true\n"
+            "montecarlo:\n  trials: 4\n  experiment: pi-trim\n"
+        )
+        result = run_experiment("montecarlo", cfg, out_dir=tmp_path / "mc")
+        assert result.metrics["trials"] == 4 and tables == []
+        assert sorted(p.name for p in (tmp_path / "mc").iterdir()) == [
+            "montecarlo.csv", "montecarlo.json",
+        ]
+        run_experiment("pi-trim", cfg, out_dir=tmp_path / "one")
+        assert len(tables) == 1
+
     def test_montecarlo_parallel_matches_serial(self, tmp_path):
         text = (
             "master_seed: 4\n"
@@ -724,15 +796,14 @@ def small_regime(trials=3, **sections) -> RunConfig:
 
 def trial_metrics(cfg: RunConfig, out: Path) -> dict:
     """seed -> numeric adc-sine metrics of one Monte Carlo, read from its CSV."""
-    out.mkdir(parents=True, exist_ok=True)
-    run_montecarlo(cfg, 0, out)
+    run_experiment("montecarlo", cfg, out, seed=0)
     lines = (out / "montecarlo.csv").read_text(encoding="utf-8").splitlines()[2:]
     header, *rows = (line.split(",") for line in lines)
     return {int(r[0]): dict(zip(header[1:], map(float, r[1:]))) for r in rows}
 
 
 def stand_alone_metrics(cfg: RunConfig, seed: int, keys) -> dict:
-    metrics = run_adc_sine(cfg, seed, None).metrics
+    metrics = run_experiment("adc-sine", cfg, seed=seed).metrics
     return {k: float(metrics[k]) for k in keys}
 
 
@@ -811,13 +882,13 @@ class TestSharedToneSwings:
         import stochadc.interleaver as il
 
         cfg = small_regime(trials=2)
-        run_montecarlo(cfg, 0, None)
+        run_experiment("montecarlo", cfg, seed=0)
         memo = spy["captures"][0][0]
         assert il._tone_swings is None
         assert memo.grid is None and memo.swings == {}
         # a single run samples every tone itself
         spy["captures"].clear()
-        run_adc_sine(cfg, 0, None)
+        run_experiment("adc-sine", cfg, seed=0)
         assert all(memo is None for memo, *_ in spy["captures"])
 
     def test_other_stimuli_bypass_the_memo(self):
@@ -860,7 +931,7 @@ def test_every_capture_tone_models_the_front_end(monkeypatch):
         return real(system, stimulus, *args, **kwargs)
 
     monkeypatch.setattr(il, "run_capture", recording)
-    run_adc_sine(cfg, 1, None)
+    run_experiment("adc-sine", cfg, seed=1)
     # offset warmup, LUT, skew estimate, measurement, linearity histogram
     assert len(tones) == 5
     assert all((t.bandwidth, t.filter_stages) == (8.0e9, 2) for t in tones)

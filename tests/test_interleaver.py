@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from stochadc import experiments
 from stochadc.config import (
+    GOLDEN_FRACTION,
     AdcConfig,
     FomConfig,
     PiConfig,
@@ -48,7 +49,7 @@ from stochadc.interleaver import (
 )
 from stochadc.experiments import CalibrationState
 from stochadc.metrics import code_density_linearity
-from stochadc.stimulus import SineStimulus, adaptation_tone
+from stochadc.stimulus import SineStimulus
 
 from oracles import identity_lut, rowwise_adc_draws, rowwise_jitter, rowwise_pi_chain
 
@@ -378,8 +379,9 @@ class TestAlign:
 class TestLut:
     def test_identity_for_ideal_slice(self):
         system = ideal_system()
-        tone = adaptation_tone(
-            coherent_tone(1, 16, amplitude=0.459, cm=0.55), system.config.system.slice_rate
+        tone = dataclasses.replace(
+            coherent_tone(1, 16, amplitude=0.459, cm=0.55),
+            frequency=GOLDEN_FRACTION * system.config.system.slice_rate,
         )
         offsets, _ = adapt_offsets(system, tone, window=4096)
         capture = run_capture(system, tone, 16 * 2**14, offset_codes=offsets)
@@ -442,8 +444,9 @@ class TestLut:
     def test_calibration_stability_across_seeds(self):
         system = mismatched_system(3, tap_sigma_random=0.1)
         amplitude_code = 0.459 / (0.45 / 127)
-        warm = adaptation_tone(
-            coherent_tone(1, 16, amplitude=0.459, cm=0.55), system.config.system.slice_rate
+        warm = dataclasses.replace(
+            coherent_tone(1, 16, amplitude=0.459, cm=0.55),
+            frequency=GOLDEN_FRACTION * system.config.system.slice_rate,
         )
         offsets, _ = adapt_offsets(system, warm, window=4096)
         maps = []
