@@ -10,8 +10,8 @@ when it is constructed, from YAML or in Python; value types are checked only
 at YAML load (`_value`), so a section built in Python takes what it is given
 (`AdcConfig(tap_sigma_random=True)` builds).  `parse_config` adds the checks
 that span sections (tone coherence, stimulus swing, the skew tone's
-amplitude and the skew range the calibration can measure).  The four tones
-of a run are derived here, each through `sine_tone`.  Physically meaningful
+presence and amplitude and the skew range the calibration can measure).
+The four tones of a run are derived here, each through `sine_tone`.  Physically meaningful
 values have no hidden defaults beyond the documented design sizing.  Loading
 then re-serializing a config is idempotent.
 """
@@ -28,13 +28,14 @@ import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .core import derive_seed
 from .errors import CoherenceError, ConfigError
 from .interleaver import CODE_MAX, N_GROUPS, N_SLICES
 from .metrics import coherent_bin
-from .pi import DelayChain, make_pi_chain
+from .pi import DelayChain, chain_from_normals, chain_seeds
 from .stimulus import SineStimulus
 
 
@@ -115,6 +116,15 @@ def _check_counts(section, path: str, *names: str) -> None:
         value = getattr(section, name)
         if not _is_int(value) or value < 1:
             raise ConfigError(f"{path}.{name} must be an integer >= 1, got {value!r}")
+
+
+def _check_captures(section, path: str, *names: str) -> None:
+    """Aggregate capture sizes: a capture takes the same number of samples
+    from each of the N_SLICES slices."""
+    for name in names:
+        value = getattr(section, name)
+        if value % N_SLICES:
+            raise ConfigError(f"{path}.{name} must be a multiple of {N_SLICES}, got {value}")
 
 
 def _check_positive(section, path: str, *names: str) -> None:
@@ -209,20 +219,24 @@ class PiConfig:
                     f"skew in unit delays], got {entry!r}"
                 )
 
-    def chain(self, master_seed: int, group: int, period: float) -> DelayChain:
-        """Group `group`'s interpolator chain for one seed, dividing `period`,
-        injected skews included.
+    @property
+    def skew_sigma(self) -> float:
+        return self.skew_sigma_rel * self.unit_delay
 
-        The converter draws its four group chains here, and `pi-sweep` and
-        `pi-trim` model group 0's.
+    def row_seeds(self, master_seeds: np.ndarray, group: int) -> np.ndarray:
+        """Keyed-draw seeds of group `group`'s interpolator chain for each
+        master seed (a uint64 array), in `pi.chain_seeds` layout.
+
+        The converter draws its four group chains from these, and `pi-sweep`
+        and `pi-trim` model group 0's.
         """
-        chain = make_pi_chain(
-            self.unit_delay,
-            period,
-            n_taps=self.n_taps,
-            tap_sigma_rel=self.tap_sigma_rel,
-            skew_sigma=self.skew_sigma_rel * self.unit_delay,
-            seed=derive_seed(master_seed, "pi.instance", group),
+        return chain_seeds(derive_seed(master_seeds, "pi.instance", group), self.skew_sigma > 0)
+
+    def chain(self, normals: np.ndarray, period: float) -> DelayChain:
+        """A group chain from the standard normal rows keyed by its
+        `row_seeds`, dividing `period`, injected skews included."""
+        chain = chain_from_normals(
+            self.unit_delay, period, self.tap_sigma_rel, self.skew_sigma, normals
         )
         if self.injected_skews:
             skews = chain.path_skews.copy()
@@ -244,6 +258,8 @@ class CalibrationConfig:
     def __post_init__(self):
         _check_counts(self, "system.calibration", "lut_capture_samples",
                       "skew_capture_samples", "lut_min_hits")
+        _check_captures(self, "system.calibration", "lut_capture_samples",
+                        "skew_capture_samples")
 
 
 @dataclass(frozen=True)
@@ -321,6 +337,7 @@ class CaptureConfig:
 
     def __post_init__(self):
         _check_counts(self, "capture", "n_samples", "linearity_samples")
+        _check_captures(self, "capture", "n_samples", "linearity_samples")
         # unset means the stimulus amplitude; 0 must not read as unset
         if self.linearity_amplitude is not None:
             _check_positive(self, "capture", "linearity_amplitude")
@@ -442,13 +459,18 @@ def _validate(cfg: RunConfig) -> RunConfig:
         if st.common_mode + amplitude / 2.0 > cfg.adc.vdd:
             raise ConfigError(f"stimulus swings above the supply at {name} {amplitude}")
     if cfg.system.calibration.skew:
+        # the skew tone is the measurement tone moved to the skew capture's grid
+        if not has_tone:
+            raise ConfigError(
+                "system.calibration.skew needs a tone: set stimulus.frequency or "
+                "stimulus.coherent_bin"
+            )
         if st.amplitude < cfg.adc.full_scale / 2.0:
             raise ConfigError(
                 f"stimulus.amplitude {st.amplitude} is below half of adc.full_scale "
                 f"{cfg.adc.full_scale}; the skew calibration tone must be at least half scale"
             )
-        if has_tone:
-            _check_skew_unwraps(cfg)
+        _check_skew_unwraps(cfg)
     return cfg
 
 

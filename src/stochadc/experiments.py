@@ -12,9 +12,9 @@ here alone, from which a later measurement run resumes bit-exactly.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,6 +24,7 @@ from . import interleaver as il
 from . import metrics as met
 from . import pi as pimod
 from .config import RunConfig, config_hash, linearity_tone, measurement_tone, skew_tone, warmup_tone
+from .core import median, normal_rows, percentile, seed_array
 from .errors import ConfigError
 
 # the calibration file format; `from_json` refuses any other
@@ -235,8 +236,8 @@ def compute_calibration(cfg: RunConfig, seed: int, system: il.AdcSystem) -> Cali
     return CalibrationState(config_hash(cfg), seed, offsets, luts, corrections)
 
 
-def run_slice_transfer(cfg: RunConfig, seed: int) -> Run:
-    system = il.AdcSystem(cfg, seed)
+def run_slice_transfer(cfg: RunConfig, seed: int, normals) -> Run:
+    system = il.AdcSystem(cfg, seed, normals)
     adc = cfg.adc
     # the sweep reads slice 0's offset code alone, so no LUT or skew capture runs
     offset = int(_offset_codes(cfg, system)[0])
@@ -273,9 +274,14 @@ def _sweep_table(phases: np.ndarray, period: float, flags: np.ndarray) -> dict:
     }
 
 
-def run_pi_sweep(cfg: RunConfig, seed: int) -> Run:
+def _pi_seeds(cfg: RunConfig, master_seeds: np.ndarray) -> list[tuple[np.ndarray, int]]:
+    """The rows of group 0's chain, the one `pi-sweep` and `pi-trim` model."""
+    return [(cfg.pi.row_seeds(master_seeds, 0), cfg.pi.n_taps)]
+
+
+def run_pi_sweep(cfg: RunConfig, seed: int, normals) -> Run:
     period = cfg.system.pi_clock_period
-    chain = cfg.pi.chain(seed, 0, period)
+    chain = cfg.pi.chain(normals[0], period)
     if cfg.pi.trim_enabled:
         chain = pimod.trim_paths(chain, cfg.pi.trim_max_iters).chain
     phases = pimod.pi_sweep(chain)
@@ -304,9 +310,9 @@ def _rising(a: np.ndarray) -> bool:
     return bool((a[1:] > a[:-1]).all())
 
 
-def run_pi_trim(cfg: RunConfig, seed: int) -> Run:
+def run_pi_trim(cfg: RunConfig, seed: int, normals) -> Run:
     period = cfg.system.pi_clock_period
-    chain = cfg.pi.chain(seed, 0, period)
+    chain = cfg.pi.chain(normals[0], period)
     pre_sweep = pimod.pi_sweep(chain)
     result = pimod.trim_paths(chain, cfg.pi.trim_max_iters)
     post_sweep = pimod.pi_sweep(result.chain)
@@ -327,8 +333,8 @@ def run_pi_trim(cfg: RunConfig, seed: int) -> Run:
     }
 
 
-def run_calibrate(cfg: RunConfig, seed: int) -> Run:
-    state = compute_calibration(cfg, seed, il.AdcSystem(cfg, seed))
+def run_calibrate(cfg: RunConfig, seed: int, normals) -> Run:
+    state = compute_calibration(cfg, seed, il.AdcSystem(cfg, seed, normals))
     metrics = {
         "offset_codes": state.offset_codes.tolist(),
         "has_luts": state.luts is not None,
@@ -346,10 +352,12 @@ def run_calibrate(cfg: RunConfig, seed: int) -> Run:
     }
 
 
-def run_adc_sine(cfg: RunConfig, seed: int, calibration: CalibrationState | None = None) -> Run:
+def run_adc_sine(
+    cfg: RunConfig, seed: int, normals, calibration: CalibrationState | None = None
+) -> Run:
     """Measure the configured tone, calibrating first unless `calibration`
     (already checked against this config and seed) is given."""
-    system = il.AdcSystem(cfg, seed)
+    system = il.AdcSystem(cfg, seed, normals)
     if calibration is None:
         calibration = compute_calibration(cfg, seed, system)
     tone = measurement_tone(cfg)
@@ -444,10 +452,39 @@ def run_fom(cfg: RunConfig, seed: int) -> Run:
     }
 
 
+# standard normals a Monte Carlo draws at a time: bounds the mismatch rows
+# held in memory (about 56 converter or 4,096 PI chain instances per draw)
+DRAW_NORMALS = 1 << 18
+
+
+def _instance_normals(name: str, cfg: RunConfig, seeds: list[int]):
+    """Yield each seed's mismatch rows for experiment `name`, or None for an
+    experiment without a mismatch instance.
+
+    The one instancer of single runs and Monte Carlo trials: the rows of
+    many seeds come from one `core.normal_rows` draw of at most about
+    DRAW_NORMALS normals, and each equals its single-seed draw bit for bit.
+    """
+    if name not in _MISMATCH:
+        yield from itertools.repeat(None, len(seeds))
+        return
+    row_seeds = _MISMATCH[name]
+    per_seed = sum(s.size * length for s, length in row_seeds(cfg, seed_array(seeds[:1])))
+    step = max(1, DRAW_NORMALS // per_seed)
+    for start in range(0, len(seeds), step):
+        yield from normal_rows(row_seeds(cfg, seed_array(seeds[start : start + step])))
+
+
+def _run(name: str, cfg: RunConfig, seed: int, normals, **resume) -> Run:
+    """Run experiment `name`, handing it its mismatch rows if it has any."""
+    if normals is not None:
+        resume["normals"] = normals
+    return _DISPATCH[name](cfg, seed, **resume)
+
+
 def _mc_trial(args) -> dict:
     """One trial's metrics; its artifact bodies are never built."""
-    cfg, name, seed = args
-    metrics, _ = _DISPATCH[name](cfg, seed)
+    metrics, _ = _run(*args)
     return metrics
 
 
@@ -456,15 +493,18 @@ def run_montecarlo(cfg: RunConfig, seed: int) -> Run:
     if name not in _DISPATCH or name == "montecarlo":
         raise ConfigError(f"montecarlo cannot wrap experiment {name!r}")
     seeds = [seed + i for i in range(cfg.montecarlo.trials)]
-    jobs = [(cfg, name, s) for s in seeds]
+    jobs = zip(itertools.repeat(name), itertools.repeat(cfg), seeds,
+               _instance_normals(name, cfg, seeds))
     # trials on one sampling grid sample each tone once; a forked worker
     # inherits the open, empty memo, a spawned one runs without it
     with il.shared_tone_swings():
         if cfg.montecarlo.workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=cfg.montecarlo.workers) as pool:
                 results = list(pool.map(_mc_trial, jobs))
         else:
-            results = [_mc_trial(job) for job in jobs]
+            results = list(map(_mc_trial, jobs))
     numeric_keys = [
         k
         for k, v in results[0].items()
@@ -472,18 +512,14 @@ def run_montecarlo(cfg: RunConfig, seed: int) -> Run:
         and not isinstance(v, bool)
     ]
     summary = {}
+    metrics = {"trials": len(seeds), "experiment": name}
     for key in numeric_keys:
         values = np.array([m[key] for m in results], dtype=np.float64)
         summary[key] = {
-            f"p{pct:g}": float(np.percentile(values, pct))
-            for pct in cfg.montecarlo.percentiles
+            f"p{pct:g}": percentile(values, pct) for pct in cfg.montecarlo.percentiles
         }
         summary[key]["mean"] = float(values.mean())
-    metrics = {"trials": len(seeds), "experiment": name}
-    for key in numeric_keys:
-        metrics[f"{key}_median"] = float(
-            np.median([m[key] for m in results])
-        )
+        metrics[f"{key}_median"] = median(values)
 
     def bodies():
         columns = {"seed": seeds}
@@ -513,6 +549,15 @@ _DISPATCH = {
     "fom": run_fom,
 }
 EXPERIMENT_NAMES = tuple(_DISPATCH)
+
+# the keyed-draw rows of each experiment's mismatch instance (`normals`)
+_MISMATCH = {
+    "slice-transfer": il.mismatch_seeds,
+    "adc-sine": il.mismatch_seeds,
+    "pi-sweep": _pi_seeds,
+    "pi-trim": _pi_seeds,
+    "calibrate": il.mismatch_seeds,
+}
 
 
 def run_experiment(
@@ -550,6 +595,7 @@ def run_experiment(
                 f"(file: {state.config_hash}/{state.master_seed}, run: {h}/{run_seed})"
             )
         resume["calibration"] = state
-    metrics, bodies = _DISPATCH[name](cfg, run_seed, **resume)
+    (normals,) = _instance_normals(name, cfg, [run_seed])
+    metrics, bodies = _run(name, cfg, run_seed, normals, **resume)
     files = [] if out is None else _write_artifacts(out, h, run_seed, bodies())
     return ExperimentResult(name, run_seed, h, metrics, files)

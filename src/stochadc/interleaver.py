@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import derive_seed, keyed_normal
+from .core import derive_seed, keyed_normal, median, normal_rows, seed_array
 from .errors import (
     ConfigError,
     CoverageError,
@@ -39,7 +39,6 @@ if TYPE_CHECKING:
 
 N_SLICES = 16
 N_GROUPS = 4
-SLICES_PER_GROUP = 4
 CODE_MIN, CODE_MAX = -127, 127
 LUT_SIZE = 256
 NOMINAL_PI_CODE_BASE = 32
@@ -47,14 +46,32 @@ NOMINAL_PI_CODE_BASE = 32
 _V_EPS = 1e-12
 
 
+def mismatch_seeds(cfg: RunConfig, master_seeds: np.ndarray) -> list[tuple[np.ndarray, int]]:
+    """The converter's keyed-draw rows for each master seed (a uint64 array),
+    as `core.normal_rows` takes them: the systematic and 16 per-slice STDC tap
+    rows, the V2T slope and threshold rows, and each group's PI chain rows."""
+    taps = [derive_seed(master_seeds, "stdc.tap.systematic")]
+    taps += [derive_seed(master_seeds, "stdc.tap.random", s) for s in range(N_SLICES)]
+    v2t = [derive_seed(master_seeds, label) for label in ("v2t.slope", "v2t.threshold")]
+    pi = [cfg.pi.row_seeds(master_seeds, g) for g in range(N_GROUPS)]
+    return [
+        (np.stack(taps, axis=-1), cfg.adc.n_taps),
+        (np.stack(v2t, axis=-1), 2 * N_SLICES),
+        (np.stack(pi, axis=1), cfg.pi.n_taps),
+    ]
+
+
 class AdcSystem:
     """Mismatch-instantiated converter: chains, V2T parameters, group PIs.
 
     Drawn from the `adc`, `pi` and `system` sections of a run config, the one
-    description of the design, and read back from ``self.config``.
+    description of the design, and read back from ``self.config``.  The
+    mismatch comes from ``normals``, this seed's rows of `mismatch_seeds`
+    drawn by `core.normal_rows`; left out, they are drawn here for this one
+    seed.
     """
 
-    def __init__(self, cfg: RunConfig, master_seed: int):
+    def __init__(self, cfg: RunConfig, master_seed: int, normals=None):
         if cfg.pi.injected_skews:
             # a per-path skew is defined on the one chain pi-sweep/pi-trim model,
             # not across the system's four group chains
@@ -66,19 +83,15 @@ class AdcSystem:
         self.master_seed = int(master_seed)
 
         adc, sc = cfg.adc, cfg.system
-        # one keyed draw per instance group: the systematic tap row and the
-        # 16 per-slice random rows, then the V2T slope and threshold rows
-        tap_seeds = [derive_seed(master_seed, "stdc.tap.systematic")]
-        tap_seeds += [derive_seed(master_seed, "stdc.tap.random", s) for s in range(N_SLICES)]
-        tap_normals = keyed_normal(tap_seeds, np.arange(adc.n_taps))
+        if normals is None:
+            (normals,) = normal_rows(mismatch_seeds(cfg, seed_array([master_seed])))
+        tap_normals, (slope_normals, threshold_normals), pi_normals = normals
         sys_dev = tap_normals[0] * adc.tap_sigma_systematic
         rand_dev = tap_normals[1:] * adc.tap_sigma_random
         taps = adc.unit_delay * (1.0 + sys_dev + rand_dev)
         taps = np.maximum(taps, 0.05 * adc.unit_delay)
         self.chains: list[InverterChain] = [InverterChain(tap_delays=row) for row in taps]
 
-        v2t_seeds = [derive_seed(master_seed, label) for label in ("v2t.slope", "v2t.threshold")]
-        slope_normals, threshold_normals = keyed_normal(v2t_seeds, np.arange(2 * N_SLICES))
         slopes = adc.discharge_slope * (1.0 + slope_normals * adc.slope_sigma)
         slopes = np.maximum(slopes, 0.05 * adc.discharge_slope)
         thresholds = adc.v_threshold * (1.0 + threshold_normals * adc.threshold_sigma)
@@ -105,7 +118,7 @@ class AdcSystem:
                 )
 
         self.pi_chains: list[DelayChain] = [
-            cfg.pi.chain(master_seed, g, sc.pi_clock_period) for g in range(N_GROUPS)
+            cfg.pi.chain(rows, sc.pi_clock_period) for rows in pi_normals
         ]
         if cfg.pi.trim_enabled:
             self.pi_chains = [
@@ -518,7 +531,7 @@ def calibrate_skew(
     # bit on some arguments under AVX-512 dispatch
     phases = np.array([cmath.phase(w) for w in z * np.conj(ref)])
     tau = phases / (2.0 * np.pi * tone.frequency)
-    tau = tau - np.median(tau)
+    tau = tau - median(tau)
     corrections = -np.rint(tau / sc.pi_step).astype(np.int64)
     codes = np.asarray(pi_codes, dtype=np.int64) + corrections
     lowest, highest = -int(codes.min()), PI_CODES - 1 - int(codes.max())

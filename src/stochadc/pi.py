@@ -38,6 +38,7 @@ from .core import (
     MismatchModel,
     derive_seed,
     keyed_normal,
+    seed_array,
 )
 from .errors import ChainUnderspanError, TrimConvergenceError
 
@@ -115,6 +116,30 @@ class DelayChain:
         return int(self.tap_delays.size)
 
 
+def chain_seeds(seeds: np.ndarray, skewed: bool) -> np.ndarray:
+    """Keyed-draw seeds of the chains keyed by ``seeds`` (a uint64 array):
+    shape ``seeds.shape + (rows,)``, the tap row, then the skew row when the
+    chain has skews."""
+    rows = [derive_seed(seeds, "pi.tap")]
+    if skewed:
+        rows.append(derive_seed(seeds, "pi.skew"))
+    return np.stack(rows, axis=-1)
+
+
+def chain_from_normals(
+    unit_delay: Duration,
+    period: Duration,
+    tap_sigma_rel: float,
+    skew_sigma: Duration,
+    normals: np.ndarray,
+) -> DelayChain:
+    """Chain instance from its standard normal rows, in `chain_seeds` order,
+    dividing `period`."""
+    taps = MismatchModel(nominal=unit_delay, sigma_rel=tap_sigma_rel).scale(normals[0])
+    skews = normals[1] * skew_sigma if skew_sigma > 0 else np.zeros(normals.shape[-1])
+    return DelayChain(unit_delay=unit_delay, tap_delays=taps, path_skews=skews, period=period)
+
+
 def make_pi_chain(
     unit_delay: Duration,
     period: Duration,
@@ -129,16 +154,9 @@ def make_pi_chain(
     The tap row and, when skews are on, the skew row come from one keyed
     draw; each row equals its own single-seed draw bit for bit.
     """
-    tap_model = MismatchModel(
-        nominal=unit_delay, sigma_rel=tap_sigma_rel, seed=derive_seed(seed, "pi.tap")
-    )
-    seeds = [tap_model.seed]
-    if skew_sigma > 0:
-        seeds.append(derive_seed(seed, "pi.skew"))
-    normals = keyed_normal(seeds, np.arange(n_taps))
-    taps = tap_model.scale(normals[0])
-    skews = normals[1] * skew_sigma if skew_sigma > 0 else np.zeros(n_taps)
-    return DelayChain(unit_delay=unit_delay, tap_delays=taps, path_skews=skews, period=period)
+    row_seeds = chain_seeds(seed_array([seed]), skew_sigma > 0)[0]
+    normals = keyed_normal(row_seeds, np.arange(n_taps))
+    return chain_from_normals(unit_delay, period, tap_sigma_rel, skew_sigma, normals)
 
 
 @dataclass(frozen=True)

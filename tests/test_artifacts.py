@@ -223,9 +223,10 @@ def test_every_artifact_goes_through_the_module_writers(tmp_path, monkeypatch, e
 # row-by-row writer; a formatting change that drifts the same way on every rerun
 # shows here.  Regime's adc_sine.json and montecarlo.json are left out: their
 # sndr_db goes through np.log10, whose last bit depends on the SIMD dispatch.
-# Recorded under Python 3.11.7, numpy 2.4.6, scipy 1.17.1: the simulated values
-# depend on bit-exact draws, scipy.special.ndtri and the FFT, so a mismatch under
-# other library versions may be numeric rather than a formatting regression.
+# Recorded under Python 3.11.7 and numpy 2.4.6: the simulated values depend on
+# bit-exact draws (core.ndtri, whose tail logs go through the C library) and the
+# FFT, so a mismatch under other library versions may be numeric rather than a
+# formatting regression.
 GOLDEN = [
     ("slice-transfer", "ideal.yaml", "slice_transfer.csv",
      "6d4ebd7450e0aac77d1e7d665c9ea69ced97af0ea772a29e57ffbccc6c8a9adf"),

@@ -1,11 +1,15 @@
 import json
+import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import stochadc
 from stochadc.cli import main
 from stochadc.config import (
     MonteCarloConfig,
@@ -216,6 +220,57 @@ class TestCli:
             in capsys.readouterr().err
         )
         assert not list(tmp_path.glob("*.json"))
+
+    @pytest.mark.parametrize("experiment", ["calibrate", "pi-sweep"])
+    def test_skew_calibration_without_tone_rejected_at_load(
+        self, tmp_path, monkeypatch, capsys, experiment
+    ):
+        # the skew tone is derived from the measurement tone: calibrate ran
+        # the whole offset warmup before it asked for one
+        import stochadc.interleaver as il
+
+        def unbuilt(*args):
+            raise AssertionError("the converter was built")
+
+        monkeypatch.setattr(il.AdcSystem, "__init__", unbuilt)
+        text = "system:\n  calibration:\n    skew: true\n"
+        with pytest.raises(ConfigError, match="system.calibration.skew needs a tone"):
+            parse_config(text)
+        p = self.write(tmp_path, text)
+        assert main([experiment, "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert "config error: system.calibration.skew needs a tone" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.json"))
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            (MINIMAL_SINE.replace("n_samples: 8192", "n_samples: 8200"), "capture.n_samples"),
+            (MINIMAL_SINE + "  linearity: true\n  linearity_samples: 1000\n",
+             "capture.linearity_samples"),
+            (MINIMAL_SINE + "system:\n  calibration:\n    lut: true\n"
+             "    lut_capture_samples: 1000\n", "system.calibration.lut_capture_samples"),
+            (MINIMAL_SINE + "system:\n  calibration:\n    skew: true\n"
+             "    skew_capture_samples: 4100\n", "system.calibration.skew_capture_samples"),
+        ],
+        ids=["n_samples", "linearity_samples", "lut_capture_samples", "skew_capture_samples"],
+    )
+    def test_capture_sizes_off_a_multiple_of_16_rejected_at_load(
+        self, tmp_path, monkeypatch, capsys, text, field
+    ):
+        # each slice takes every 16th sample: a LUT or linearity capture of
+        # 1000 failed after the warmup and the measurement capture, naming
+        # no field
+        import stochadc.interleaver as il
+
+        def unbuilt(*args):
+            raise AssertionError("the converter was built")
+
+        monkeypatch.setattr(il.AdcSystem, "__init__", unbuilt)
+        with pytest.raises(ConfigError, match=f"{field} must be a multiple of 16"):
+            parse_config(text)
+        p = self.write(tmp_path, text)
+        assert main(["adc-sine", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert f"config error: {field} must be a multiple of 16" in capsys.readouterr().err
 
     def test_stimulus_over_supply_rejected_at_load(self, tmp_path):
         q = self.write(
@@ -903,6 +958,28 @@ class TestSharedToneSwings:
             capture = il.run_capture(system, level, 256)
             assert memo.swings == {}
         assert np.array_equal(capture.raw, il.run_capture(system, level, 256).raw)
+
+
+def test_cli_import_loads_neither_scipy_nor_a_process_pool(tmp_path):
+    # scipy is only the tests' oracle, and only a Monte Carlo with workers
+    # needs concurrent.futures; both cost import time on every run.  numpy.ma
+    # (imported by np.median and np.percentile) stays out of a Monte Carlo and
+    # a skew calibration too
+    code = (
+        "import sys, stochadc.cli as cli; "
+        "print(sorted(m for m in ('scipy', 'concurrent.futures') if m in sys.modules)); "
+        f"cli.main(['montecarlo', '--config', {str(CONFIG_DIR / 'pi_mc.yaml')!r}]); "
+        f"cli.main(['calibrate', '--config', {str(CONFIG_DIR / 'skewcal.yaml')!r}]); "
+        "print(sorted(m for m in ('scipy', 'numpy.ma') if m in sys.modules))"
+    )
+    src = str(Path(stochadc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120, cwd=tmp_path,
+    )
+    lines = proc.stdout.strip().splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[]")
 
 
 def test_unknown_experiment_rejected():

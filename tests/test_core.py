@@ -1,9 +1,11 @@
+import math
 import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri as scipy_ndtri
 
 from stochadc.core import (
     ClockSpec,
@@ -12,6 +14,11 @@ from stochadc.core import (
     keyed_normal,
     keyed_u64,
     keyed_uniform,
+    median,
+    ndtri,
+    normal_rows,
+    percentile,
+    seed_array,
 )
 
 from oracles import clock_edges, substream
@@ -60,6 +67,29 @@ def test_count_below_one_rejected():
     model = MismatchModel(nominal=1.0, sigma_rel=0.1)
     with pytest.raises(ValueError):
         model.sample(0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan])
+        | st.floats(allow_nan=False)
+        | st.integers(-5, 5).map(float),
+        min_size=1,
+        max_size=12,
+    ),
+    st.lists(st.sampled_from([0, 5.0, 50, 95.0, 100]) | st.floats(0, 100), max_size=4),
+)
+def test_percentile_and_median_equal_numpy(values, percentiles):
+    # the package's own percentile and median, which avoid numpy.ma, hold to
+    # numpy's bit for bit: ties of 0.0 and -0.0 and NaN included
+    values = np.array(values)
+    with np.errstate(all="ignore"):
+        for pct in percentiles:
+            got, want = percentile(values, pct), float(np.percentile(values, pct))
+            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+        got, want = median(values), float(np.median(values))
+    assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
 
 
 def test_clock_edges_arithmetic_sequence():
@@ -124,6 +154,22 @@ def test_derive_seed_matches_uint64_oracle_on_random_keys(master_seed, label, in
     assert derive_seed(master_seed, label, index) == derive_seed_uint64(master_seed, label, index)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.sampled_from([0, -1, 2**64 - 1, 2**64 + 5]) | st.integers(-(2**70), 2**70),
+             max_size=8),
+    st.text(max_size=8),
+    st.integers(-(2**70), 2**70),
+)
+def test_derive_seed_over_a_seed_sequence_equals_each_scalar_derivation(seeds, label, index):
+    derived = derive_seed(seeds, label, index)
+    assert derived.dtype == np.uint64
+    assert derived.tolist() == [derive_seed(s, label, index) for s in seeds]
+    # a uint64 array of any shape derives element for element
+    grid = derive_seed(seed_array(seeds).reshape(-1, 1).repeat(2, axis=1), label, index)
+    assert np.array_equal(grid, np.stack([derived, derived], axis=1))
+
+
 def test_derive_seed_locked_values():
     assert derive_seed(0, "pi.instance", 0) == 11778319387992475664
     assert derive_seed(-1, "stdc.tap.random", 5) == 14313074778882951998
@@ -162,6 +208,38 @@ def test_seed_sequence_rows_equal_single_seed_draws(draw, seeds):
 )
 def test_seed_sequence_rows_equal_single_seed_draws_on_random_keys(draw, seeds, indices):
     assert_rows_match_single_seed_draws(draw, seeds, np.array(indices, dtype=np.int64))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.tuples(
+            # enough seeds for 3 instances of the largest row shape
+            st.lists(st.sampled_from(EDGE_SEEDS) | st.integers(-(2**70), 2**70), min_size=18,
+                     max_size=18),
+            st.sampled_from([(1,), (2,), (3, 2)]),
+            st.integers(1, 5),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    st.integers(1, 3),
+)
+def test_normal_rows_equal_single_seed_draws(blocks, instances):
+    # blocks of several row shapes and lengths, some sharing a length and so
+    # one keyed draw; instance i reads back its own rows of every block
+    blocks = [
+        (seed_array(seeds[: instances * math.prod(shape)]).reshape((instances, *shape)), length)
+        for seeds, shape, length in blocks
+    ]
+    rows = normal_rows(blocks)
+    assert len(rows) == instances
+    for i, instance in enumerate(rows):
+        for (seeds, length), got in zip(blocks, instance):
+            assert got.shape == seeds.shape[1:] + (length,)
+            for seed, row in zip(seeds[i].reshape(-1), got.reshape(-1, length)):
+                want = keyed_normal(int(seed), np.arange(length))
+                assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
 
 
 def test_scalar_seed_keeps_the_index_shape():
@@ -215,3 +293,68 @@ def test_substreams_are_independent():
     b = substream(1, "y").normal(size=8)
     assert not np.allclose(a, b)
     assert np.array_equal(a, substream(1, "x").normal(size=8))
+
+
+# ndtri is held to scipy.special.ndtri, the oracle from the test extra.
+
+
+def assert_ndtri_matches_scipy(u):
+    u = np.asarray(u, dtype=np.float64)
+    assert np.array_equal(ndtri(u).view(np.uint64), scipy_ndtri(u).view(np.uint64))
+
+
+def ulps(x: float) -> list[float]:
+    return [float(np.nextafter(x, 0.0)), x, float(np.nextafter(x, 1.0))]
+
+
+# e^-2 splits the centre from the tails, on either side of 0.5; below e^-32
+# (x = sqrt(-2 log y) >= 8) the far-tail coefficients apply, which the
+# smallest keyed uniform 2^-54 reaches
+NDTRI_BRANCH_POINTS = [
+    *ulps(math.exp(-2)),
+    *ulps(1.0 - math.exp(-2)),
+    0.5,
+    2.0**-54,
+    float(np.nextafter(1.0, 0.0)),
+    *ulps(math.exp(-32)),
+]
+
+
+@pytest.mark.parametrize("u", NDTRI_BRANCH_POINTS)
+def test_ndtri_matches_scipy_at_branch_points(u):
+    assert_ndtri_matches_scipy([u])
+
+
+def test_smallest_keyed_uniform_reaches_the_far_tail():
+    assert math.sqrt(-2.0 * math.log(2.0**-54)) >= 8.0
+    assert ndtri(2.0**-54) == scipy_ndtri(2.0**-54)
+
+
+def test_ndtri_matches_scipy_on_long_keyed_streams():
+    for seed in (0, 1, 2**64 - 1):
+        assert_ndtri_matches_scipy(keyed_uniform(seed, np.arange(200_000)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(EDGE_SEEDS) | st.integers(-(2**70), 2**70),
+    st.lists(st.integers(-(2**63), 2**63 - 1), max_size=64),
+)
+def test_ndtri_matches_scipy_on_keyed_streams(seed, indices):
+    assert_ndtri_matches_scipy(keyed_uniform(seed, np.array(indices, dtype=np.int64)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**20), st.booleans())
+def test_ndtri_matches_scipy_in_the_keyed_tails(seed, offset, upper):
+    # the keyed uniforms within 2^20 steps of either end, by inverting the
+    # stream: offsets below 114 from the bottom lie below e^-32
+    top_bits = 2**53 - 1 - offset if upper else offset
+    index = index_for_output(seed, top_bits << 11)
+    assert_ndtri_matches_scipy(keyed_uniform(seed, [index]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.floats(min_value=np.finfo(np.float64).tiny, max_value=float(np.nextafter(1.0, 0.0))))
+def test_ndtri_matches_scipy_on_normal_doubles(u):
+    assert_ndtri_matches_scipy([u])

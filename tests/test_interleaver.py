@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -645,6 +646,83 @@ def test_mismatch_draws_equal_one_draw_per_row(
         )
         assert np.array_equal(chain.tap_delays.view(np.uint64), want.tap_delays.view(np.uint64))
         assert np.array_equal(chain.path_skews.view(np.uint64), want.path_skews.view(np.uint64))
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.sampled_from([0, -1, 3, 2**64 - 1, 2**64 + 3]) | st.integers(-(2**65), 2**65),
+        min_size=1,
+        max_size=5,
+    ),
+    st.sampled_from([1, 10_000, 1 << 18]),
+    st.floats(1e-3, 0.1),
+    st.floats(1e-3, 0.3),
+)
+def test_trial_instances_equal_single_seed_builds(seeds, draw_normals, sigma, pi_skew):
+    # a Monte Carlo draws every trial's mismatch rows at once, DRAW_NORMALS
+    # normals at a time (1 draws seed by seed, 10,000 two converters at a
+    # time); each trial's instance must equal its single-seed build, for
+    # repeated seeds, negative ones and ones that wrap modulo 2^64 too
+    cfg = RunConfig(
+        adc=AdcConfig(tap_sigma_systematic=sigma, tap_sigma_random=sigma, slope_sigma=sigma / 5,
+                      threshold_sigma=sigma / 5),
+        pi=PiConfig(tap_sigma_rel=sigma, skew_sigma_rel=pi_skew),
+    )
+    period = cfg.system.pi_clock_period
+    with mock.patch.object(experiments, "DRAW_NORMALS", draw_normals):
+        converters = list(experiments._instance_normals("adc-sine", cfg, seeds))
+        chains = list(experiments._instance_normals("pi-trim", cfg, seeds))
+    assert len(converters) == len(chains) == len(seeds)
+    for seed, normals, pi_normals in zip(seeds, converters, chains):
+        got, want = AdcSystem(cfg, seed, normals), AdcSystem(cfg, seed)
+        for a, b in zip(got.chains, want.chains):
+            assert_same_bits(a.tap_delays, b.tap_delays)
+        for name in ("slope_p", "slope_n", "vth_p", "vth_n"):
+            assert_same_bits(getattr(got, name), getattr(want, name))
+        for a, b in zip(got.pi_chains, want.pi_chains):
+            assert_same_bits(a.tap_delays, b.tap_delays)
+            assert_same_bits(a.path_skews, b.path_skews)
+            assert_same_bits(a.positions, b.positions)
+        chain = cfg.pi.chain(pi_normals[0], period)
+        oracle = rowwise_pi_chain(
+            cfg.pi.unit_delay, period, cfg.pi.n_taps, cfg.pi.tap_sigma_rel,
+            cfg.pi.skew_sigma, derive_seed(seed, "pi.instance", 0),
+        )
+        assert_same_bits(chain.tap_delays, oracle.tap_delays)
+        assert_same_bits(chain.path_skews, oracle.path_skews)
+        assert_same_bits(chain.positions, oracle.positions)
+
+
+@pytest.mark.parametrize(
+    "name, draws",
+    # a converter draws rows of two lengths: 255 STDC taps, and 32 V2T
+    # parameters and PI taps
+    [("pi-trim", 1), ("slice-transfer", 2)],
+)
+def test_montecarlo_draws_once_per_row_length(monkeypatch, name, draws):
+    from stochadc import core
+
+    calls = []
+    draw = core.keyed_normal
+
+    def counted(seed, indices):
+        calls.append(seed)
+        return draw(seed, indices)
+
+    monkeypatch.setattr(core, "keyed_normal", counted)
+    cfg = RunConfig(
+        pi=PiConfig(tap_sigma_rel=0.05, skew_sigma_rel=0.15),
+        system=SystemConfig(calibration=dataclasses.replace(
+            SystemConfig().calibration, adapt_offsets=False)),
+        montecarlo=dataclasses.replace(RunConfig().montecarlo, trials=3, experiment=name),
+    )
+    experiments.run_experiment("montecarlo", cfg, seed=-1)
+    assert len(calls) == draws
 
 
 def test_design_validation():
