@@ -5,7 +5,7 @@ Monte Carlo, and the measurement methodology (DNL/INL, SNDR/ENOB, PI
 transfer, energy figure of merit) used to characterize it.
 """
 
-from .core import ClockSpec, MismatchModel, derive_seed
+from .core import ClockSpec, derive_seed, mismatch_scale
 from .errors import (
     ChainUnderspanError,
     CoherenceError,

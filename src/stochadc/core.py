@@ -1,5 +1,5 @@
-"""Shared numeric types, seeded randomness, mismatch-instance sampling and
-the percentile and median of a run summary.
+"""Shared numeric types, seeded randomness, the mismatch scale and clamp,
+and the percentile and median of a run summary.
 
 All analog behavior in this package is expressed as edge timestamps: plain
 floats in seconds (double precision comfortably resolves sub-ps steps against
@@ -12,7 +12,8 @@ Cephes' ndtri that equals scipy.special.ndtri bit for bit, so numpy alone
 fixes the draws).  Everything that must be reproducible per instance index
 (tap delays, path skews, V2T parameters, sampling jitter) draws this way,
 independent of how many instances exist or in which order they are
-evaluated; `normal_rows` draws the rows of many instances in one call.
+evaluated; `normal_rows` draws the rows of many instances in one call, and
+`mismatch_scale` turns a row of standard normals into instance values.
 """
 
 from __future__ import annotations
@@ -26,16 +27,13 @@ import numpy as np
 Instant = float
 Duration = float
 
-# SplitMix64 constants: Python ints for the scalar seed derivation, uint64
-# for the vectorized keyed draws
+# SplitMix64 constants as 0-d uint64 arrays, built once: a ufunc takes them
+# faster than np.uint64 scalars, which it converts on every call
 _MASK64 = (1 << 64) - 1
 _GOLDEN_INT = 0x9E3779B97F4A7C15
-_MIX1_INT = 0xBF58476D1CE4E5B9
-_MIX2_INT = 0x94D049BB133111EB
-# 0-d uint64 arrays, built once: a ufunc takes them faster than np.uint64
-# scalars, which it converts on every call
 _GOLDEN, _MIX1, _MIX2, _ONE, _S11, _S27, _S30, _S31 = (
-    np.array(k, dtype=np.uint64) for k in (_GOLDEN_INT, _MIX1_INT, _MIX2_INT, 1, 11, 27, 30, 31)
+    np.array(k, dtype=np.uint64)
+    for k in (_GOLDEN_INT, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 1, 11, 27, 30, 31)
 )
 
 # The largest double below 1: the keyed uniform of the top 53-bit value,
@@ -60,13 +58,6 @@ def _finalize(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _finalize_int(x: int) -> int:
-    """`_finalize` for one value in [0, 2^64), in Python int arithmetic."""
-    x = ((x ^ (x >> 30)) * _MIX1_INT) & _MASK64
-    x = ((x ^ (x >> 27)) * _MIX2_INT) & _MASK64
-    return x ^ (x >> 31)
-
-
 def seed_array(seeds) -> np.ndarray:
     """Seeds as a uint64 array, each int wrapped modulo 2^64; a uint64 array
     is returned as it is."""
@@ -83,19 +74,18 @@ def derive_seed(master_seed, label: str, index: int = 0):
     a shared stream.  Seed and index wrap modulo 2^64 (`& _MASK64` is that
     modulus for negative ints too), exactly as uint64 arithmetic would.
 
-    A sequence of master seeds (or a uint64 array of any shape) derives one
-    seed each, as a uint64 array, in one vectorized pass; element i equals
-    the int derived from master seed i.
+    An int master seed derives one int; a sequence of master seeds (or a
+    uint64 array of any shape) derives one seed each, as a uint64 array.
+    Both go through the same vectorized pass, so element i equals the int
+    derived from master seed i.
     """
-    if not isinstance(master_seed, (int, np.integer)):
-        label_key = np.array(zlib.crc32(label.encode()), dtype=np.uint64)
-        index_key = np.array((int(index) * _GOLDEN_INT) & _MASK64, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            h = _finalize(seed_array(master_seed) + _GOLDEN)
-            return _finalize(_finalize(h ^ label_key) + index_key)
-    h = _finalize_int((int(master_seed) + _GOLDEN_INT) & _MASK64)
-    h = _finalize_int(h ^ zlib.crc32(label.encode()))
-    return _finalize_int((h + int(index) * _GOLDEN_INT) & _MASK64)
+    scalar = isinstance(master_seed, (int, np.integer))
+    label_key = np.array(zlib.crc32(label.encode()), dtype=np.uint64)
+    index_key = np.array((int(index) * _GOLDEN_INT) & _MASK64, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        h = _finalize(seed_array([master_seed] if scalar else master_seed) + _GOLDEN)
+        h = _finalize(_finalize(h ^ label_key) + index_key)
+    return int(h[0]) if scalar else h
 
 
 def keyed_u64(seed, indices) -> np.ndarray:
@@ -292,42 +282,20 @@ def median(values: np.ndarray) -> float:
     return float(np.mean(part[half - 1 + odd : half + 1]))
 
 
-@dataclass(frozen=True)
-class MismatchModel:
-    """Gaussian per-instance deviations around a nominal value.
+def mismatch_scale(nominal: float, sigma_rel: float, normals: np.ndarray) -> np.ndarray:
+    """Gaussian per-instance values around ``nominal`` from standard normals:
+    ``nominal + n * (sigma_rel * nominal)``, element-wise.
 
-    ``sample(count)`` yields one draw per instance index; identical
-    (model, index) always yields the identical value and the draws for the
-    first ``n`` instances do not depend on ``count``.
-
-    Draws whose nominal is positive parameterize a physical quantity and are
-    clamped to ``CLAMP_FLOOR * nominal`` so a wide sigma can never produce a
+    A positive nominal parameterizes a physical quantity, so its values are
+    clamped to ``CLAMP_FLOOR * nominal`` and a wide sigma can never produce a
     non-positive delay.
     """
-
-    nominal: float
-    sigma_rel: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.sigma_rel < 0:
-            raise ValueError(f"sigma_rel must be >= 0, got {self.sigma_rel}")
-
-    def sample(self, count: int) -> np.ndarray:
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        return self.sample_at(np.arange(count))
-
-    def sample_at(self, indices) -> np.ndarray:
-        return self.scale(keyed_normal(self.seed, indices))
-
-    def scale(self, normals: np.ndarray) -> np.ndarray:
-        """Instance values from standard normals already drawn at this
-        model's seed, so a caller can draw them in one call with other rows."""
-        values = self.nominal + normals * (self.sigma_rel * self.nominal)
-        if self.nominal > 0:
-            values = np.maximum(values, CLAMP_FLOOR * self.nominal)
-        return values
+    if sigma_rel < 0:
+        raise ValueError(f"sigma_rel must be >= 0, got {sigma_rel}")
+    values = nominal + normals * (sigma_rel * nominal)
+    if nominal > 0:
+        values = np.maximum(values, CLAMP_FLOOR * nominal)
+    return values
 
 
 @dataclass(frozen=True)

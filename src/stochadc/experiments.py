@@ -11,6 +11,7 @@ here alone, from which a later measurement run resumes bit-exactly.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import json
@@ -457,22 +458,24 @@ def run_fom(cfg: RunConfig, seed: int) -> Run:
 DRAW_NORMALS = 1 << 18
 
 
-def _instance_normals(name: str, cfg: RunConfig, seeds: list[int]):
-    """Yield each seed's mismatch rows for experiment `name`, or None for an
-    experiment without a mismatch instance.
+def _instance_chunks(name: str, cfg: RunConfig, seeds: list[int]):
+    """Yield the seeds in order, in chunks, each with its seeds' mismatch rows
+    for experiment `name` (None each for an experiment without a mismatch
+    instance).
 
-    The one instancer of single runs and Monte Carlo trials: the rows of
-    many seeds come from one `core.normal_rows` draw of at most about
-    DRAW_NORMALS normals, and each equals its single-seed draw bit for bit.
+    The one instancer of single runs and Monte Carlo trials: a chunk's rows
+    come from one `core.normal_rows` draw of at most about DRAW_NORMALS
+    normals, and each seed's equal its single-seed draw bit for bit.
     """
     if name not in _MISMATCH:
-        yield from itertools.repeat(None, len(seeds))
+        yield seeds, [None] * len(seeds)
         return
     row_seeds = _MISMATCH[name]
     per_seed = sum(s.size * length for s, length in row_seeds(cfg, seed_array(seeds[:1])))
     step = max(1, DRAW_NORMALS // per_seed)
     for start in range(0, len(seeds), step):
-        yield from normal_rows(row_seeds(cfg, seed_array(seeds[start : start + step])))
+        chunk = seeds[start : start + step]
+        yield chunk, normal_rows(row_seeds(cfg, seed_array(chunk)))
 
 
 def _run(name: str, cfg: RunConfig, seed: int, normals, **resume) -> Run:
@@ -493,18 +496,21 @@ def run_montecarlo(cfg: RunConfig, seed: int) -> Run:
     if name not in _DISPATCH or name == "montecarlo":
         raise ConfigError(f"montecarlo cannot wrap experiment {name!r}")
     seeds = [seed + i for i in range(cfg.montecarlo.trials)]
-    jobs = zip(itertools.repeat(name), itertools.repeat(cfg), seeds,
-               _instance_normals(name, cfg, seeds))
+    results = []
     # trials on one sampling grid sample each tone once; a forked worker
     # inherits the open, empty memo, a spawned one runs without it
-    with il.shared_tone_swings():
+    with il.shared_tone_swings(), contextlib.ExitStack() as stack:
+        trial_map = map
         if cfg.montecarlo.workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=cfg.montecarlo.workers) as pool:
-                results = list(pool.map(_mc_trial, jobs))
-        else:
-            results = list(map(_mc_trial, jobs))
+            pool = ProcessPoolExecutor(max_workers=cfg.montecarlo.workers)
+            trial_map = stack.enter_context(pool).map
+        # a chunk's trials return before the next chunk is drawn, so a pooled
+        # run, like a serial one, never holds more than two chunks' rows
+        for chunk, normals in _instance_chunks(name, cfg, seeds):
+            jobs = zip(itertools.repeat(name), itertools.repeat(cfg), chunk, normals)
+            results += trial_map(_mc_trial, jobs)
     numeric_keys = [
         k
         for k, v in results[0].items()
@@ -595,7 +601,7 @@ def run_experiment(
                 f"(file: {state.config_hash}/{state.master_seed}, run: {h}/{run_seed})"
             )
         resume["calibration"] = state
-    (normals,) = _instance_normals(name, cfg, [run_seed])
+    [(_, (normals,))] = _instance_chunks(name, cfg, [run_seed])
     metrics, bodies = _run(name, cfg, run_seed, normals, **resume)
     files = [] if out is None else _write_artifacts(out, h, run_seed, bodies())
     return ExperimentResult(name, run_seed, h, metrics, files)

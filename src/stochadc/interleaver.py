@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import derive_seed, keyed_normal, median, normal_rows, seed_array
+from .core import CLAMP_FLOOR, derive_seed, keyed_normal, median, normal_rows, seed_array
 from .errors import (
     ConfigError,
     CoverageError,
@@ -89,13 +89,13 @@ class AdcSystem:
         sys_dev = tap_normals[0] * adc.tap_sigma_systematic
         rand_dev = tap_normals[1:] * adc.tap_sigma_random
         taps = adc.unit_delay * (1.0 + sys_dev + rand_dev)
-        taps = np.maximum(taps, 0.05 * adc.unit_delay)
+        taps = np.maximum(taps, CLAMP_FLOOR * adc.unit_delay)
         self.chains: list[InverterChain] = [InverterChain(tap_delays=row) for row in taps]
 
         slopes = adc.discharge_slope * (1.0 + slope_normals * adc.slope_sigma)
-        slopes = np.maximum(slopes, 0.05 * adc.discharge_slope)
+        slopes = np.maximum(slopes, CLAMP_FLOOR * adc.discharge_slope)
         thresholds = adc.v_threshold * (1.0 + threshold_normals * adc.threshold_sigma)
-        thresholds = np.maximum(thresholds, 0.05 * adc.v_threshold)
+        thresholds = np.maximum(thresholds, CLAMP_FLOOR * adc.v_threshold)
         self.slope_p = slopes[0::2]
         self.slope_n = slopes[1::2]
         self.vth_p = thresholds[0::2]
@@ -358,10 +358,7 @@ def run_capture(
 
 
 def adapt_offsets(
-    system: AdcSystem,
-    stimulus,
-    window: int = 10_000,
-    threshold: float = 0.001,
+    system: AdcSystem, stimulus, window: int, threshold: float
 ) -> tuple[np.ndarray, list[OffsetEstimate]]:
     """Background-adaptation warmup: per-slice offset codes from raw counts."""
     capture = run_capture(system, stimulus, window * N_SLICES, _raw_only=True)
@@ -441,11 +438,7 @@ def code_histogram(codes: np.ndarray) -> np.ndarray:
     return np.bincount(clipped - CODE_MIN, minlength=255)[:255]
 
 
-def build_lut(
-    histogram: np.ndarray,
-    amplitude_code: float,
-    min_hits: int = 100,
-) -> Lut:
+def build_lut(histogram: np.ndarray, amplitude_code: float, min_hits: int) -> Lut:
     """Code-density linearization of one slice from a sine capture.
 
     The corrected value for raw code c is the ideal code whose cumulative
@@ -476,11 +469,7 @@ def build_lut(
     return Lut(mapping=mapping)
 
 
-def build_luts(
-    capture: CaptureResult,
-    amplitude_code: float,
-    min_hits: int = 100,
-) -> list[Lut]:
+def build_luts(capture: CaptureResult, amplitude_code: float, min_hits: int) -> list[Lut]:
     return [
         build_lut(code_histogram(capture.codes[s]), amplitude_code, min_hits)
         for s in range(N_SLICES)

@@ -35,9 +35,9 @@ import numpy as np
 from .core import (
     Duration,
     Instant,
-    MismatchModel,
     derive_seed,
     keyed_normal,
+    mismatch_scale,
     seed_array,
 )
 from .errors import ChainUnderspanError, TrimConvergenceError
@@ -135,7 +135,7 @@ def chain_from_normals(
 ) -> DelayChain:
     """Chain instance from its standard normal rows, in `chain_seeds` order,
     dividing `period`."""
-    taps = MismatchModel(nominal=unit_delay, sigma_rel=tap_sigma_rel).scale(normals[0])
+    taps = mismatch_scale(unit_delay, tap_sigma_rel, normals[0])
     skews = normals[1] * skew_sigma if skew_sigma > 0 else np.zeros(normals.shape[-1])
     return DelayChain(unit_delay=unit_delay, tap_delays=taps, path_skews=skews, period=period)
 
@@ -265,7 +265,7 @@ class TrimResult:
     initial_inversions: int
 
 
-def trim_paths(chain: DelayChain, max_iters: int = 64) -> TrimResult:
+def trim_paths(chain: DelayChain, max_iters: int) -> TrimResult:
     """Iteratively trim offending paths until no inversion fires.
 
     Each firing segment moves its expected-earlier endpoint earlier and its

@@ -136,11 +136,7 @@ class OffsetEstimate:
             raise ValueError("histogram total must equal the window size")
 
 
-def adapt_offset(
-    raw_stream,
-    window: int = 10_000,
-    threshold: float = 0.001,
-) -> OffsetEstimate:
+def adapt_offset(raw_stream, window: int, threshold: float) -> OffsetEstimate:
     """Estimate the offset code from a histogram of recent raw counts.
 
     The estimate is a robust minimum: the smallest raw code whose cumulative

@@ -7,7 +7,8 @@ phase interpolator reads every code from its code table (`pi.pi_sweep`,
 describe the same blocks one conversion or one code at a time, the way the
 circuit is drawn, and the tests hold the production path to them:
 
-* clock edges over a window, and order-dependent sub-stream generators;
+* clock edges over a window, order-dependent sub-stream generators and
+  keyed per-instance mismatch values;
 * the sampling-phase generator, the discharge-ramp V2T pair and the pulse
   folder;
 * the STDC as tap edges, per-tap sampler bits, an adder tree and unfold;
@@ -29,7 +30,6 @@ from stochadc.core import (
     ClockSpec,
     Duration,
     Instant,
-    MismatchModel,
     derive_seed,
     keyed_normal,
 )
@@ -45,6 +45,24 @@ def substream(master_seed: int, label: str, index: int = 0) -> np.random.Generat
     """Order-dependent generator on an independent sub-stream."""
     entropy = [int(master_seed) % (1 << 64), zlib.crc32(label.encode()), int(index)]
     return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+@dataclass(frozen=True)
+class KeyedMismatch:
+    """Gaussian per-instance values around a nominal, keyed by instance
+    index: value i depends on (seed, i) alone, never on how many instances
+    are drawn.  A positive nominal is a physical quantity, clamped to 0.05
+    of itself."""
+
+    nominal: float
+    sigma_rel: float
+    seed: int = 0
+
+    def sample_at(self, indices) -> np.ndarray:
+        values = self.nominal + keyed_normal(self.seed, indices) * (self.sigma_rel * self.nominal)
+        if self.nominal > 0:
+            values = np.maximum(values, 0.05 * self.nominal)
+        return values
 
 
 def clock_edges(spec: ClockSpec, t_start: Instant, t_end: Instant) -> np.ndarray:
@@ -162,8 +180,8 @@ class V2TConfig:
     vdd: float
     v_threshold: float
     discharge_slope: float  # volts/second
-    slope_mismatch: MismatchModel
-    threshold_mismatch: MismatchModel
+    slope_mismatch: KeyedMismatch
+    threshold_mismatch: KeyedMismatch
     c_sample: float = 50e-15
     t_phi2: Instant = 0.0
 
@@ -182,8 +200,8 @@ class V2TConfig:
         return slope, v_th
 
 
-def ideal_mismatch(nominal: float) -> MismatchModel:
-    return MismatchModel(nominal=nominal, sigma_rel=0.0)
+def ideal_mismatch(nominal: float) -> KeyedMismatch:
+    return KeyedMismatch(nominal=nominal, sigma_rel=0.0)
 
 
 def v2t_edge_time(
@@ -244,8 +262,8 @@ def make_chain(
     seed: int = 0,
 ) -> InverterChain:
     """Chain with per-tap gaussian mismatch around a nominal unit delay."""
-    model = MismatchModel(nominal=unit_delay, sigma_rel=sigma_rel, seed=seed)
-    return InverterChain(tap_delays=model.sample(n_taps))
+    model = KeyedMismatch(nominal=unit_delay, sigma_rel=sigma_rel, seed=seed)
+    return InverterChain(tap_delays=model.sample_at(np.arange(n_taps)))
 
 
 def tap_edge_times(chain: InverterChain, launch_edge: Instant) -> np.ndarray:
@@ -526,11 +544,11 @@ def rowwise_pi_chain(
     skew_sigma: Duration = 0.0,
     seed: int = 0,
 ) -> DelayChain:
-    """`pi.make_pi_chain` with the taps from `MismatchModel.sample` and the
-    skews from their own keyed draw."""
-    taps = MismatchModel(
+    """`pi.make_pi_chain` with the taps from their own `KeyedMismatch` draw
+    and the skews from theirs."""
+    taps = KeyedMismatch(
         nominal=unit_delay, sigma_rel=tap_sigma_rel, seed=derive_seed(seed, "pi.tap")
-    ).sample(n_taps)
+    ).sample_at(np.arange(n_taps))
     if skew_sigma > 0:
         skews = keyed_normal(derive_seed(seed, "pi.skew"), np.arange(n_taps)) * skew_sigma
     else:

@@ -184,7 +184,7 @@ def test_criterion_05_pi_trim_recovery():
     skews[6] += 1.5 * 12.5 * PS
     injected = replace(base, path_skews=skews)
     pre_inversions = len(inverted_segments(injected))
-    result = trim_paths(injected)
+    result = trim_paths(injected, 64)
     injected_ok = (
         pre_inversions >= 1
         and bool(np.all(np.diff(pi_sweep(result.chain)) > 0))
@@ -197,7 +197,7 @@ def test_criterion_05_pi_trim_recovery():
             12.5 * PS, 200 * PS, tap_sigma_rel=0.05, skew_sigma=0.15 * 12.5 * PS, seed=seed
         )
         mc_pre_inversions += len(inverted_segments(chain)) > 0
-        trimmed = trim_paths(chain)
+        trimmed = trim_paths(chain, 64)
         monotone += bool(np.all(np.diff(pi_sweep(trimmed.chain)) > 0))
     elapsed = time.time() - t0
     exercised = pre_inversions + mc_pre_inversions
@@ -220,7 +220,7 @@ def test_criterion_06_offset_adaptation_recovery():
             frequency=GOLDEN_FRACTION * cfg.system.slice_rate, amplitude=0.45, common_mode=0.525,
             phase=float(substream(seed, "adapt.phase").uniform(0, 2 * np.pi)),
         )
-        offsets, _ = adapt_offsets(system, tone, window=10_000)
+        offsets, _ = adapt_offsets(system, tone, window=10_000, threshold=0.001)
         # ground truth: window nesting makes the dv = 0 raw count the true
         # minimum; evaluate it directly on the instance's chain
         truth_start = adc.launch_lead + (0.525 - adc.v_threshold) / adc.discharge_slope
@@ -247,7 +247,7 @@ def test_criterion_07_skew_calibration():
         phase = float(rng.uniform(0, 2 * np.pi))
         tone = SineStimulus(frequency=fin, amplitude=0.44, common_mode=0.525, phase=phase)
         warm = replace(tone, frequency=GOLDEN_FRACTION * design.slice_rate)
-        offsets, _ = adapt_offsets(system, warm, window=10_000)
+        offsets, _ = adapt_offsets(system, warm, window=10_000, threshold=0.001)
         corr = calibrate_skew(system, tone, n, offset_codes=offsets)
         pre = sndr_enob(
             aligned_capture(system, run_capture(system, tone, n, offset_codes=offsets)).codes,

@@ -832,6 +832,38 @@ class TestMonteCarlo:
         ).read_text().splitlines()[3:]
         assert serial.metrics.keys() == parallel.metrics.keys()
 
+    def test_pool_is_handed_one_draw_chunk_at_a_time(self, monkeypatch):
+        # with workers, each DRAW_NORMALS chunk of trials is drawn only after
+        # the previous chunk's trials have returned, so the pool holds one
+        # chunk's mismatch rows and not every trial's
+        from concurrent.futures import ProcessPoolExecutor
+
+        import stochadc.experiments as exp
+        from stochadc.core import seed_array
+
+        cfg = parse_config(
+            "pi:\n  tap_sigma_rel: 0.05\n  skew_sigma_rel: 0.15\n"
+            "montecarlo:\n  trials: 6\n  experiment: pi-trim\n  workers: 2\n"
+        )
+        per_trial = sum(s.size * n for s, n in exp._pi_seeds(cfg, seed_array([0])))
+        monkeypatch.setattr(exp, "DRAW_NORMALS", 2 * per_trial)
+        events = []
+        draw, pool_map = exp.normal_rows, ProcessPoolExecutor.map
+
+        def drawn(blocks):
+            events.append("draw")
+            return draw(blocks)
+
+        def returned(pool, fn, *iterables, **kwargs):
+            for metrics in pool_map(pool, fn, *iterables, **kwargs):
+                events.append("trial")
+                yield metrics
+
+        monkeypatch.setattr(exp, "normal_rows", drawn)
+        monkeypatch.setattr(ProcessPoolExecutor, "map", returned)
+        assert run_experiment("montecarlo", cfg).metrics["trials"] == 6
+        assert events == ["draw", "trial", "trial"] * 3
+
     def test_montecarlo_cannot_wrap_itself(self):
         cfg = parse_config("montecarlo:\n  trials: 2\n  experiment: montecarlo\n")
         with pytest.raises(ConfigError):
@@ -980,6 +1012,21 @@ def test_cli_import_loads_neither_scipy_nor_a_process_pool(tmp_path):
     )
     lines = proc.stdout.strip().splitlines()
     assert (lines[0], lines[-1]) == ("[]", "[]")
+
+
+def test_every_benchmark_hook_target_exists():
+    # the traced benchmark patches the names in perfbench/hooks.py after
+    # `import stochadc.cli`, as perfbench/child.py does; install fails on a
+    # missing name, which no other test would notice
+    src = str(Path(stochadc.__file__).resolve().parents[1])
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    code = "import stochadc.cli, stochadc, hooks; hooks.Tracer().install(stochadc)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, perfbench]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_unknown_experiment_rejected():

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from scipy.special import ndtri as scipy_ndtri
 
 from stochadc.core import (
+    CLAMP_FLOOR,
     ClockSpec,
-    MismatchModel,
     derive_seed,
     keyed_normal,
     keyed_u64,
     keyed_uniform,
     median,
+    mismatch_scale,
     ndtri,
     normal_rows,
     percentile,
@@ -25,48 +26,44 @@ from oracles import clock_edges, substream
 
 
 def test_zero_variance_returns_copies_of_nominal():
-    model = MismatchModel(nominal=10e-12, sigma_rel=0.0, seed=3)
-    samples = model.sample(255)
+    samples = mismatch_scale(10e-12, 0.0, keyed_normal(3, np.arange(255)))
     assert samples.shape == (255,)
     assert np.all(samples == 10e-12)
 
 
 def test_gaussian_moments_match_request():
-    model = MismatchModel(nominal=10e-12, sigma_rel=0.1, seed=7)
-    samples = model.sample(10**5)
+    samples = mismatch_scale(10e-12, 0.1, keyed_normal(7, np.arange(10**5)))
     assert abs(samples.mean() - 10e-12) < 0.02e-12
     assert abs(samples.std() - 1e-12) < 0.02e-12
 
 
 def test_sampling_is_deterministic():
-    model = MismatchModel(nominal=10e-12, sigma_rel=0.1, seed=7)
-    a = model.sample(255)
-    b = model.sample(255)
+    a = mismatch_scale(10e-12, 0.1, keyed_normal(7, np.arange(255)))
+    b = mismatch_scale(10e-12, 0.1, keyed_normal(7, np.arange(255)))
     assert np.array_equal(a, b)
 
 
 def test_instance_samples_independent_of_count():
-    # sample i is a pure function of (model, i): the first ten draws cannot
+    # sample i is a pure function of (seed, i): the first ten draws cannot
     # depend on how many other instances exist
-    model = MismatchModel(nominal=10e-12, sigma_rel=0.1, seed=11)
-    assert np.array_equal(model.sample(10), model.sample(255)[:10])
+    first = mismatch_scale(10e-12, 0.1, keyed_normal(11, np.arange(10)))
+    assert np.array_equal(first, mismatch_scale(10e-12, 0.1, keyed_normal(11, np.arange(255)))[:10])
 
 
 def test_clamp_floor_prevents_nonpositive_delays():
-    model = MismatchModel(nominal=10e-12, sigma_rel=5.0, seed=1)
-    samples = model.sample(10**4)
-    assert samples.min() >= 0.05 * 10e-12
+    normals = keyed_normal(1, np.arange(10**4))
+    samples = mismatch_scale(10e-12, 5.0, normals)
+    assert samples.min() == CLAMP_FLOOR * 10e-12
+    # unclamped draws keep the scale arithmetic, bit for bit
+    free = samples > CLAMP_FLOOR * 10e-12
+    assert np.array_equal(samples[free], (10e-12 + normals * (5.0 * 10e-12))[free])
+    # a non-positive nominal is not a physical delay and is not clamped
+    assert np.array_equal(mismatch_scale(-1.0, 5.0, normals), -1.0 + normals * -5.0)
 
 
 def test_negative_sigma_rejected():
     with pytest.raises(ValueError):
-        MismatchModel(nominal=1.0, sigma_rel=-0.1)
-
-
-def test_count_below_one_rejected():
-    model = MismatchModel(nominal=1.0, sigma_rel=0.1)
-    with pytest.raises(ValueError):
-        model.sample(0)
+        mismatch_scale(1.0, -0.1, np.zeros(3))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -126,7 +123,8 @@ def test_derive_seed_separates_labels_and_indices():
 
 
 def derive_seed_uint64(master_seed, label, index=0):
-    """The numpy-uint64 SplitMix64 `derive_seed` replaced: the oracle."""
+    """`derive_seed` in numpy uint64 scalars, one SplitMix64 step at a time:
+    the oracle."""
 
     def finalize(x):
         x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
@@ -164,7 +162,7 @@ def test_derive_seed_matches_uint64_oracle_on_random_keys(master_seed, label, in
 def test_derive_seed_over_a_seed_sequence_equals_each_scalar_derivation(seeds, label, index):
     derived = derive_seed(seeds, label, index)
     assert derived.dtype == np.uint64
-    assert derived.tolist() == [derive_seed(s, label, index) for s in seeds]
+    assert derived.tolist() == [derive_seed_uint64(s, label, index) for s in seeds]
     # a uint64 array of any shape derives element for element
     grid = derive_seed(seed_array(seeds).reshape(-1, 1).repeat(2, axis=1), label, index)
     assert np.array_equal(grid, np.stack([derived, derived], axis=1))

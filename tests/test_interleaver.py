@@ -221,7 +221,7 @@ class TestCapture:
     def test_zero_differential_input_gives_zero_codes(self):
         system = ideal_system()
         stim = constant_input(0.0)
-        offsets, _ = adapt_offsets(system, stim, window=2048)
+        offsets, _ = adapt_offsets(system, stim, window=2048, threshold=0.001)
         capture = run_capture(system, stim, 16 * 32, offset_codes=offsets)
         assert np.all(capture.codes == 0)
 
@@ -384,7 +384,7 @@ class TestLut:
             coherent_tone(1, 16, amplitude=0.459, cm=0.55),
             frequency=GOLDEN_FRACTION * system.config.system.slice_rate,
         )
-        offsets, _ = adapt_offsets(system, tone, window=4096)
+        offsets, _ = adapt_offsets(system, tone, window=4096, threshold=0.001)
         capture = run_capture(system, tone, 16 * 2**14, offset_codes=offsets)
         amplitude_code = 0.459 / (0.45 / 127)
         hist = code_histogram(capture.codes[0])
@@ -449,7 +449,7 @@ class TestLut:
             coherent_tone(1, 16, amplitude=0.459, cm=0.55),
             frequency=GOLDEN_FRACTION * system.config.system.slice_rate,
         )
-        offsets, _ = adapt_offsets(system, warm, window=4096)
+        offsets, _ = adapt_offsets(system, warm, window=4096, threshold=0.001)
         maps = []
         for phase in (0.1, 2.3):  # same mismatch instance, different captures
             tone = SineStimulus(frequency=warm.frequency, amplitude=0.459,
@@ -674,9 +674,13 @@ def test_trial_instances_equal_single_seed_builds(seeds, draw_normals, sigma, pi
         pi=PiConfig(tap_sigma_rel=sigma, skew_sigma_rel=pi_skew),
     )
     period = cfg.system.pi_clock_period
+    def instances(name):
+        chunks = list(experiments._instance_chunks(name, cfg, seeds))
+        assert [s for chunk, _ in chunks for s in chunk] == seeds
+        return [normals for _, rows in chunks for normals in rows]
+
     with mock.patch.object(experiments, "DRAW_NORMALS", draw_normals):
-        converters = list(experiments._instance_normals("adc-sine", cfg, seeds))
-        chains = list(experiments._instance_normals("pi-trim", cfg, seeds))
+        converters, chains = instances("adc-sine"), instances("pi-trim")
     assert len(converters) == len(chains) == len(seeds)
     for seed, normals, pi_normals in zip(seeds, converters, chains):
         got, want = AdcSystem(cfg, seed, normals), AdcSystem(cfg, seed)

@@ -173,7 +173,7 @@ class TestDelayMonitor:
         chain = make_pi_chain(
             12.5 * PS, clock.period, tap_sigma_rel=0.05, skew_sigma=0.15 * 12.5 * PS, seed=4
         )
-        phases = pi_sweep(trim_paths(chain).chain)
+        phases = pi_sweep(trim_paths(chain, 64).chain)
         sampler = uncorrelated_sampler(clock, phase0=1.9 * PS)
         est = measure_pi_transfer_uncorrelated(phases, 200 * PS, sampler, 10**5, anchor=12.5 * PS)
         assert np.max(np.abs(est - phases)) < 0.2 * PS

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from stochadc.core import MismatchModel
 from stochadc.errors import OverrangeError, UnderrangeError
 
 from oracles import (
+    KeyedMismatch,
     PhaseTiming,
     V2TConfig,
     fold,
@@ -22,8 +22,8 @@ def make_cfg(slope=1e9, vth=0.3, vdd=0.9, slope_sigma=0.0, vth_sigma=0.0, t_phi2
         vdd=vdd,
         v_threshold=vth,
         discharge_slope=slope,
-        slope_mismatch=MismatchModel(nominal=slope, sigma_rel=slope_sigma, seed=2),
-        threshold_mismatch=MismatchModel(nominal=vth, sigma_rel=vth_sigma, seed=3),
+        slope_mismatch=KeyedMismatch(nominal=slope, sigma_rel=slope_sigma, seed=2),
+        threshold_mismatch=KeyedMismatch(nominal=vth, sigma_rel=vth_sigma, seed=3),
         t_phi2=t_phi2,
     )
 
