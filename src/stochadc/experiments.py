@@ -45,8 +45,20 @@ class ExperimentResult:
 Run = tuple[dict, Callable[[], dict]]
 
 
-# rows formatted and written at a time: bounds the text held in memory
+# rows formatted and written at a time: bounds the bytes held in memory
 CSV_BLOCK_ROWS = 8192
+
+# a cell the block encoder cannot write digit by digit is formatted by Python
+# into a slot this wide: a float's repr has at most 24 characters, an int's 20
+_TEXT_WIDTH = 24
+# |int| below this is written digit by digit
+_INT_DIGITS_BOUND = 2**62
+# the double nearest 10**k, k = -9..-4: a double is at least the one for k
+# exactly when its shortest decimal is at least 10**k
+_DECADE_STARTS = np.array([1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4])
+# 10**s, s = 19..22, each an exact double
+_EXACT_POW10 = np.array([1e19, 1e20, 1e21, 1e22])
+_DIGIT = ord("0")
 
 
 def _fmt(value) -> str:
@@ -63,56 +75,140 @@ def _is_numeric(column) -> bool:
     return isinstance(column, np.ndarray) and column.dtype.kind in "biuf"
 
 
-def _cells(chunk) -> list[str]:
-    """One block of a column as CSV cells: a bool, int or float array in one
-    pass, anything else cell by cell through `_fmt`.
+def _text_rows(values: list) -> np.ndarray:
+    """The repr of each Python int or float, padded with spaces (which no
+    such repr holds): (len(values), _TEXT_WIDTH) uint8."""
+    text = (f"%-{_TEXT_WIDTH}r" * len(values)) % tuple(values)
+    return np.frombuffer(text.encode(), np.uint8).reshape(-1, _TEXT_WIDTH)
 
-    An int block spanning fewer than half as many values as it has cells
-    formats each value in its range once and gathers the cells from that
-    table; past about three quarters the table costs more than formatting
-    every cell, so wider blocks (a sample index) are formatted cell by cell.
+
+def _digit_planes(q: np.ndarray, width: int) -> np.ndarray:
+    """The last `width` decimal digits of each non-negative int64 of q as
+    ASCII, most significant first: (width, len(q)) uint8."""
+    planes = np.empty((width, q.size), np.uint8)
+    for j in range(width - 1, -1, -1):
+        nxt = q // 10
+        planes[j] = q - nxt * 10
+        q = nxt
+    planes += _DIGIT
+    return planes
+
+
+def _int_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A bool or int block as (planes, the rows left to `_text_rows`)."""
+    if x.dtype.kind == "b":
+        return (x.astype(np.uint8) + _DIGIT)[None], np.empty(0, np.intp)
+    if x.dtype.kind == "u":
+        wide = x >= _INT_DIGITS_BOUND
+        v = np.where(wide, 0, x).astype(np.int64)
+    else:
+        v = x.astype(np.int64)
+        wide = (v <= -_INT_DIGITS_BOUND) | (v >= _INT_DIGITS_BOUND)
+        v[wide] = 0
+    a = np.abs(v)
+    width = len(str(a.max()))
+    digits = _digit_planes(a, width)
+    # no leading zeros: the digit of 10**k shows when a >= 10**k, the units always
+    for j in range(width - 1):
+        digits[j] *= a >= 10 ** (width - 1 - j)
+    negative = v < 0
+    parts = [negative.astype(np.uint8)[None] * ord("-"), digits] if negative.any() else [digits]
+    slow = np.flatnonzero(wide)
+    if slow.size:
+        parts.append(np.zeros((_TEXT_WIDTH - sum(map(len, parts)), x.size), np.uint8))
+    return np.concatenate(parts), slow
+
+
+def _float_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A float block as (planes, the rows left to `_text_rows`).
+
+    A value of decade -8 to -5, which repr writes as `d[.ddd]e-0X`, is
+    written from N = rint(|x| * 10**s), s = 14 - decade, when 1e14 <= N <
+    1e15 and N / 10**s == |x|.  That quotient of two exact doubles is
+    correctly rounded, so N's 15-digit decimal round-trips; decimals of 15
+    digits or fewer lie further apart than a double's rounding interval is
+    wide, so no other one does, and N without its trailing zeros is repr's
+    digits.  Every other value (16 or 17 digits, another decade, ±0,
+    subnormal, inf, nan) is left to repr.  The decade only picks the
+    candidate: a wrong guess fails the check.
     """
-    if not _is_numeric(chunk):
-        return [_fmt(v) for v in chunk]
-    kind = chunk.dtype.kind
-    if kind == "b":
-        return ["1" if v else "0" for v in chunk.tolist()]
-    if kind in "iu" and chunk.size:
-        lo, hi = int(chunk.min()), int(chunk.max())
-        if hi - lo < chunk.size // 2:
-            # offsets from lo in 64 bits: in a narrow dtype, chunk - lo wraps
-            wide = np.uint64 if kind == "u" else np.int64
-            index = (chunk.astype(wide) - wide(lo)).astype(np.intp)
-            text = np.array(list(map(str, range(lo, hi + 1))), dtype=object)
-            return text[index].tolist()
-    return list(map(repr if kind == "f" else str, chunk.tolist()))
+    x = x.astype(np.float64, copy=False)
+    a = np.abs(x)
+    # a value outside the window (huge, inf, a signalling nan) may raise a
+    # floating-point flag on the way; it is left to repr all the same
+    with np.errstate(all="ignore"):
+        # a's decade, clipped to -10..-4; outside -8..-5 the candidate
+        # misses [1e14, 1e15)
+        decade = np.searchsorted(_DECADE_STARTS, a, side="right") - 10
+        s = np.clip(14 - decade, 19, 22)
+        p = _EXACT_POW10[s - 19]
+        n = np.rint(a * p)
+        fast = (n >= 1e14) & (n < 1e15) & (n / p == a)
+    digits = _digit_planes(np.where(fast, n, 0).astype(np.int64), 15)
+    # trailing zeros go, and the point with them when one digit is left
+    shown = np.zeros(x.size, bool)
+    for row in digits[:0:-1]:
+        shown |= row != _DIGIT
+        row *= shown
+    planes = np.zeros((_TEXT_WIDTH, x.size), np.uint8)
+    planes[0] = np.signbit(x) * ord("-")
+    planes[1] = digits[0]
+    planes[2] = shown * ord(".")
+    planes[3:17] = digits[1:]
+    planes[17:20] = np.frombuffer(b"e-0", np.uint8)[:, None]
+    planes[20] = _DIGIT + s - 14
+    return planes, np.flatnonzero(~fast)
+
+
+def _encode_block(chunks: list) -> bytes:
+    """One block of an all-numeric table as CSV bytes.
+
+    Each column becomes a stack of uint8 planes, one per byte position of
+    its cells, with 0 where a cell is shorter, and a `,` or `\\n` plane
+    follows it.  The stack is transposed to rows, the cells a column leaves
+    to `_text_rows` take a whole _TEXT_WIDTH slot from it, and dropping the
+    0 bytes and the text's space padding leaves the CSV text.
+    """
+    cells = [(_float_cells if c.dtype.kind == "f" else _int_cells)(c) for c in chunks]
+    n_rows = len(chunks[0])
+    planes = []
+    for column, _ in cells:
+        planes += [column, np.full((1, n_rows), ord(","), np.uint8)]
+    planes[-1] = np.full((1, n_rows), ord("\n"), np.uint8)
+    block = np.concatenate(planes).T.copy()
+    at = 0
+    for chunk, (column, slow) in zip(chunks, cells):
+        if slow.size:
+            block[slow, at : at + _TEXT_WIDTH] = _text_rows(chunk[slow].tolist())
+        at += len(column) + 1
+    return block.tobytes().translate(None, b"\0 ")
 
 
 def _write_csv(path: Path, cfg_hash: str, seed: int, columns: dict) -> None:
-    """Write a table given as {header: column}, streamed in blocks of rows.
+    """Write a table given as {header: column}.
 
     Format: two `#` lines with the config hash and master seed, the header,
     then one row per index; `\\n` line ends, ints in decimal, floats as their
     shortest round-trip repr, bools as 1/0, strings with csv minimal quoting.
+    A table of numeric arrays alone (no cell needs quoting) is encoded
+    `CSV_BLOCK_ROWS` rows at a time by `_encode_block`; any other goes
+    through the csv module row by row.
     """
     cols = list(columns.values())
     n_rows = len(cols[0]) if cols else 0
     if any(len(c) != n_rows for c in cols):
         raise ValueError(f"CSV columns of unequal length for {path.name}")
-    # numeric cells never need quoting, so only a table with other columns
-    # goes through the csv module row by row; the plain join writes the
-    # 1.5 M-cell capture.csv about 0.2 s faster than writer.writerows
-    quoted = not all(_is_numeric(c) for c in cols)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# config_hash={cfg_hash}\n# master_seed={seed}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(columns))
+        if not all(_is_numeric(c) for c in cols):
+            writer.writerows(zip(*(map(_fmt, c) for c in cols)))
+            return
+        # the blocks are bytes: past the text layer, once its buffer is out
+        fh.flush()
         for start in range(0, n_rows, CSV_BLOCK_ROWS):
-            rows = zip(*(_cells(c[start : start + CSV_BLOCK_ROWS]) for c in cols))
-            if quoted:
-                writer.writerows(rows)
-            else:
-                fh.write("\n".join(map(",".join, rows)) + "\n")
+            fh.buffer.write(_encode_block([c[start : start + CSV_BLOCK_ROWS] for c in cols]))
 
 
 def _write_json(path: Path, cfg_hash: str, seed: int, payload: dict) -> None:

@@ -6,13 +6,17 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stochadc
 from stochadc import experiments
@@ -171,6 +175,95 @@ def test_table_and_direct_blocks_alternate(tmp_path):
         "int32": values.astype(np.int32),
         "uint64": (values - values.min()).astype(np.uint64) + np.uint64(2**63),
     })
+
+
+# values where the block encoder's float digits meet repr's: short decimals
+# k * 10**e over the whole double range, powers of ten (where the decade and
+# the notation switch: 1e-5, 1e16) and of two (an interval twice as wide
+# above as below), each perhaps one ulp off, and any double at all
+_DECIMALS = st.builds(
+    lambda k, e: float(f"{k}e{e}"), st.integers(1, 10**15 - 1), st.integers(-340, 308)
+)
+_POWERS = st.one_of(
+    st.integers(-324, 308).map(lambda k: float(f"1e{k}")),
+    st.integers(-1074, 1023).map(lambda e: math.ldexp(1.0, e)),
+    st.sampled_from([1e-9, 1e-8, 1e-5, 1e-4, 1e16]),
+)
+_ULP_STEP = st.sampled_from([None, -math.inf, math.inf])
+FLOATS = st.builds(
+    lambda x, step, negate: (-1) ** negate * (x if step is None else math.nextafter(x, step)),
+    st.one_of(st.floats(), _DECIMALS, _POWERS), _ULP_STEP, st.booleans(),
+)
+FLOAT32S = st.one_of(st.floats(width=32), st.floats(1e-9, 1e-4).map(lambda v: float(np.float32(v))))
+
+
+@st.composite
+def int_columns(draw):
+    dtype = np.dtype(draw(st.sampled_from(INT_DTYPES + [np.int32, np.uint16, np.uint32])))
+    lo, hi = int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)
+    edges = [lo, lo + 1, hi - 1, hi, 0, -1, 2**62 - 1, 2**62, -(2**62), -(2**62) + 1, 9, 10]
+    values = st.one_of(st.sampled_from([v for v in edges if lo <= v <= hi]), st.integers(lo, hi))
+    return np.array(draw(st.lists(values, min_size=1, max_size=40)), dtype=dtype)
+
+
+NUMERIC_COLUMNS = st.one_of(
+    st.lists(FLOATS, min_size=1, max_size=40).map(np.array),
+    st.lists(FLOAT32S, min_size=1, max_size=40).map(lambda v: np.array(v, dtype=np.float32)),
+    int_columns(),
+    st.lists(st.booleans(), min_size=1, max_size=40).map(np.array),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(NUMERIC_COLUMNS, min_size=1, max_size=4),
+    st.one_of(
+        st.integers(0, 60),
+        st.sampled_from([CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1]),
+    ),
+)
+def test_numeric_tables_match_the_oracle(tmp_path_factory, values, n_rows):
+    # each column's values repeat down the rows, across the block boundaries
+    columns = {f"c{i}": np.resize(v, n_rows) for i, v in enumerate(values)}
+    assert_matches_oracle(tmp_path_factory.mktemp("table"), columns)
+
+
+def test_every_power_of_ten_and_two_and_their_neighbours(tmp_path):
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)] + [
+        math.ldexp(1.0, e) for e in range(-1074, 1024)
+    ])
+    values = np.concatenate([
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf), -powers,
+    ])
+    with np.errstate(over="ignore"):
+        float32 = values.astype(np.float32)
+    assert_matches_oracle(tmp_path, {"value": values, "float32": float32})
+
+
+def test_a_capture_sized_table_is_written_in_blocks(tmp_path):
+    # a 2**18-row capture-shaped table: the writer's peak allocation stays a
+    # small part of the file, so a dump never sits in memory as one string
+    n = 2**18
+    k = np.arange(n)
+    rng = np.random.default_rng(5)
+    codes = rng.integers(-124, 125, n)
+    columns = {
+        "sample_index": k,
+        "slice": k % 16,
+        "instant_seconds": (k + 0.05 * rng.standard_normal(n)) * 50e-12,
+        "raw_count": codes + 150,
+        "signed_code": codes,
+        "corrected_code": np.clip(codes + rng.integers(-2, 3, n), -124, 124),
+    }
+    path = tmp_path / "capture.csv"
+    tracemalloc.start()
+    try:
+        _write_csv(path, "abc123", 7, columns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert path.read_bytes().count(b"\n") == n + 3
 
 
 def test_unequal_columns_rejected(tmp_path):
