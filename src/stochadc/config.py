@@ -8,7 +8,8 @@ they read.  Parsing is strict: unknown keys anywhere in the tree and
 non-finite numbers are rejected.  Each section checks its own value ranges
 when it is constructed, from YAML or in Python; value types are checked only
 at YAML load (`_value`), so a section built in Python takes what it is given
-(`AdcConfig(tap_sigma_random=True)` builds).  `parse_config` adds the checks
+(`AdcConfig(tap_sigma_random=True)` builds); a field that feeds no result
+takes only its default (`_check_pinned`).  `parse_config` adds the checks
 that span sections (tone coherence, stimulus swing, the skew tone's
 presence and amplitude and the skew range the calibration can measure).
 The four tones of a run are derived here, each through `sine_tone`.  Physically meaningful
@@ -125,6 +126,19 @@ def _check_captures(section, path: str, *names: str) -> None:
         value = getattr(section, name)
         if value % N_SLICES:
             raise ConfigError(f"{path}.{name} must be a multiple of {N_SLICES}, got {value}")
+
+
+def _check_pinned(section, path: str, *names: str) -> None:
+    """Fields that feed no result take only their dataclass default, of its
+    type, so a config that loads hashes as if they were not set."""
+    defaults = {f.name: f.default for f in fields(section)}
+    for name in names:
+        value, default = getattr(section, name), defaults[name]
+        if type(value) is not type(default) or value != default:
+            raise ConfigError(
+                f"{path}.{name} feeds no result and takes only its default "
+                f"{default!r}, got {value!r}"
+            )
 
 
 def _check_positive(section, path: str, *names: str) -> None:
@@ -290,8 +304,7 @@ class SystemConfig:
         if self.front_end_bandwidth is not None:
             _check_positive(self, "system", "front_end_bandwidth")
         _check_counts(self, "system", "front_end_stages")
-        if not (0 < self.early < self.track) or self.late <= 0:
-            raise ConfigError("system timing needs 0 < early < track and late > 0")
+        _check_pinned(self, "system", "track", "early", "late")
 
     @property
     def slice_rate(self) -> float:
@@ -320,8 +333,7 @@ class StimulusConfig:
     phase: float = 0.0
 
     def __post_init__(self):
-        if self.type != "sine":
-            raise ConfigError(f"stimulus.type must be 'sine', got {self.type!r}")
+        _check_pinned(self, "stimulus", "type")
         # a negative amplitude would pass the swing check at load
         _check_positive(self, "stimulus", "amplitude")
         if self.coherent_bin is not None and self.coherent_bin % 2 == 0:
@@ -351,6 +363,7 @@ class SweepConfig:
 
     def __post_init__(self):
         _check_counts(self, "sweep", "points")
+        _check_pinned(self, "sweep", "seeds")
 
 
 @dataclass(frozen=True)
@@ -361,7 +374,8 @@ class MonteCarloConfig:
     percentiles: tuple = (5.0, 50.0, 95.0)
 
     def __post_init__(self):
-        _check_counts(self, "montecarlo", "trials", "workers")
+        _check_counts(self, "montecarlo", "trials")
+        _check_pinned(self, "montecarlo", "workers")
         if not isinstance(self.percentiles, (tuple, list)) or not all(
             _is_real(p) and 0 <= p <= 100 for p in self.percentiles
         ):
@@ -400,9 +414,7 @@ class OutputConfig:
     formats: tuple = ("csv", "json")
 
     def __post_init__(self):
-        bad = [f for f in self.formats if f not in ("csv", "json")]
-        if bad:
-            raise ConfigError(f"unknown output formats {bad}")
+        _check_pinned(self, "output", "formats")
 
 
 @dataclass(frozen=True)

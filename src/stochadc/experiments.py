@@ -11,9 +11,7 @@ here alone, from which a later measurement run resumes bit-exactly.
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import itertools
 import json
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -581,32 +579,20 @@ def _run(name: str, cfg: RunConfig, seed: int, normals, **resume) -> Run:
     return _DISPATCH[name](cfg, seed, **resume)
 
 
-def _mc_trial(args) -> dict:
-    """One trial's metrics; its artifact bodies are never built."""
-    metrics, _ = _run(*args)
-    return metrics
-
-
 def run_montecarlo(cfg: RunConfig, seed: int) -> Run:
     name = cfg.montecarlo.experiment
     if name not in _DISPATCH or name == "montecarlo":
         raise ConfigError(f"montecarlo cannot wrap experiment {name!r}")
     seeds = [seed + i for i in range(cfg.montecarlo.trials)]
-    results = []
-    # trials on one sampling grid sample each tone once; a forked worker
-    # inherits the open, empty memo, a spawned one runs without it
-    with il.shared_tone_swings(), contextlib.ExitStack() as stack:
-        trial_map = map
-        if cfg.montecarlo.workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = ProcessPoolExecutor(max_workers=cfg.montecarlo.workers)
-            trial_map = stack.enter_context(pool).map
-        # a chunk's trials return before the next chunk is drawn, so a pooled
-        # run, like a serial one, never holds more than two chunks' rows
-        for chunk, normals in _instance_chunks(name, cfg, seeds):
-            jobs = zip(itertools.repeat(name), itertools.repeat(cfg), chunk, normals)
-            results += trial_map(_mc_trial, jobs)
+    # trials on one sampling grid sample each tone once; a chunk's trials
+    # return before the next chunk is drawn, so a run never holds more than
+    # two chunks' rows.  No trial builds its artifact bodies
+    with il.shared_tone_swings():
+        results = [
+            _run(name, cfg, trial_seed, rows)[0]
+            for chunk, normals in _instance_chunks(name, cfg, seeds)
+            for trial_seed, rows in zip(chunk, normals)
+        ]
     numeric_keys = [
         k
         for k, v in results[0].items()

@@ -15,6 +15,7 @@ from stochadc.config import (
     MonteCarloConfig,
     RunConfig,
     config_hash,
+    config_to_dict,
     dump_config,
     load_config,
     parse_config,
@@ -35,6 +36,17 @@ stimulus:
 capture:
   n_samples: 8192
 """
+
+# a value other than the default for each field that feeds no result
+PINNED_VALUES = {
+    "system.track": 1.0e-12,
+    "system.early": 4.0e-12,
+    "system.late": 6.0e-12,
+    "output.formats": ["csv"],
+    "sweep.seeds": 2,
+    "montecarlo.workers": 2,
+    "stimulus.type": "ramp",
+}
 
 
 def skewcal_with(skews: str) -> str:
@@ -519,7 +531,6 @@ class TestCli:
             "system:\n  front_end_stages: -2\n",
             "system:\n  front_end_stages: 1.5\n",
             "adc:\n  divided_ratio: 8.5\n",
-            "system:\n  track: 1.0e-12\n",
             "system:\n  latencies: [2.5, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2]\n",
             "system:\n  skew_injection: [0.0, abc, 0.0, 0.0]\n",
             "adc:\n  slope_sigma: -0.01\n",
@@ -543,7 +554,6 @@ class TestCli:
             "stages-negative",
             "stages-fraction",
             "divided-ratio-fraction",
-            "track-below-early",
             "latency-fraction",
             "skew-injection-text",
             "slope-sigma-negative",
@@ -557,13 +567,40 @@ class TestCli:
     def test_bad_sizing_rejected_at_load(self, tmp_path, section, experiment):
         # n_taps 2.5 used to run adc-sine to ENOB -0.80 and a lead of -1 to
         # ENOB 6.71, both exit 0; n_taps 0 and points 0 ended in tracebacks.
-        # A zero rate or bandwidth divided by zero and a track below early
-        # raised a ValueError (exit 1); a negative bandwidth flipped the phase
-        # lag, stages of -2 amplified the tone and a fractional divided ratio
-        # ran, all exit 0.  A fractional latency was truncated (exit 0);
-        # pi.n_taps 2.5 and a negative PI sigma ended in tracebacks
+        # A zero rate or bandwidth divided by zero and raised a ValueError
+        # (exit 1); a negative bandwidth flipped the phase lag, stages of -2
+        # amplified the tone and a fractional divided ratio ran, all exit 0.
+        # A fractional latency was truncated (exit 0); pi.n_taps 2.5 and a
+        # negative PI sigma ended in tracebacks
         p = self.write(tmp_path, MINIMAL_SINE + section)
         assert main([experiment, "--config", str(p), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("field", PINNED_VALUES)
+    def test_pinned_field_refused_at_load(self, tmp_path, capsys, field):
+        # these fields feed no result: another value used to load and move
+        # only the config hash (workers above 1 ran the same trials in a
+        # process pool)
+        section, name = field.split(".")
+        value = PINNED_VALUES[field]
+        data = yaml.safe_load(MINIMAL_SINE)
+        data.setdefault(section, {})[name] = value
+        p = self.write(tmp_path, yaml.safe_dump(data))
+        assert main(["adc-sine", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert f"{section}.{name} feeds no result" in capsys.readouterr().err
+        cls = type(getattr(RunConfig(), section))
+        with pytest.raises(ConfigError, match=f"{section}.{name} feeds no result"):
+            cls(**{name: tuple(value) if isinstance(value, list) else value})
+        # the default itself loads, with the hash of a config that omits it
+        data[section][name] = config_to_dict(RunConfig())[section][name]
+        assert config_hash(parse_config(yaml.safe_dump(data))) == config_hash(
+            parse_config(MINIMAL_SINE)
+        )
+
+    @pytest.mark.parametrize("value", [1.0, True])
+    def test_pinned_field_refuses_its_default_as_another_type(self, value):
+        # 1.0 and True equal the default 1, but would move the config hash
+        with pytest.raises(ConfigError, match="montecarlo.workers feeds no result"):
+            MonteCarloConfig(workers=value)
 
     @pytest.mark.parametrize("value", ["[[0, 1.5]]", "[[40, 1.5]]", "[[7]]"])
     def test_bad_injected_skews_rejected_at_load(self, tmp_path, value):
@@ -583,7 +620,6 @@ class TestCli:
         "experiment,text",
         [
             ("montecarlo", MINIMAL_SINE + "montecarlo:\n  trials: 2.5\n  experiment: pi-trim\n"),
-            ("montecarlo", MINIMAL_SINE + "montecarlo:\n  workers: 2.5\n  experiment: pi-trim\n"),
             ("adc-sine", MINIMAL_SINE.replace("n_samples: 8192", "n_samples: 8192.0")),
             ("adc-sine", MINIMAL_SINE + "  linearity: true\n  linearity_samples: 65536.0\n"),
             ("adc-sine", MINIMAL_SINE + "adc:\n  adaptation:\n    window: 1000.0\n"),
@@ -598,7 +634,6 @@ class TestCli:
         ],
         ids=[
             "trials-fraction",
-            "workers-fraction",
             "n-samples-float",
             "linearity-samples-float",
             "adaptation-window-float",
@@ -815,52 +850,33 @@ class TestMonteCarlo:
         run_experiment("pi-trim", cfg, out_dir=tmp_path / "one")
         assert len(tables) == 1
 
-    def test_montecarlo_parallel_matches_serial(self, tmp_path):
-        text = (
-            "master_seed: 4\n"
-            "pi:\n  tap_sigma_rel: 0.05\n  skew_sigma_rel: 0.15\n  trim_enabled: true\n"
-            "montecarlo:\n  trials: 4\n  experiment: pi-trim\n  workers: {n}\n"
-        )
-        serial = run_experiment(
-            "montecarlo", parse_config(text.format(n=1)), out_dir=tmp_path / "s"
-        )
-        parallel = run_experiment(
-            "montecarlo", parse_config(text.format(n=2)), out_dir=tmp_path / "p"
-        )
-        assert (tmp_path / "s" / "montecarlo.csv").read_text().splitlines()[3:] == (
-            tmp_path / "p" / "montecarlo.csv"
-        ).read_text().splitlines()[3:]
-        assert serial.metrics.keys() == parallel.metrics.keys()
-
     def test_pool_is_handed_one_draw_chunk_at_a_time(self, monkeypatch):
-        # with workers, each DRAW_NORMALS chunk of trials is drawn only after
-        # the previous chunk's trials have returned, so the pool holds one
-        # chunk's mismatch rows and not every trial's
-        from concurrent.futures import ProcessPoolExecutor
-
+        # each DRAW_NORMALS chunk of trials is drawn only after the previous
+        # chunk's trials have returned, so a run holds one chunk's mismatch
+        # rows and not every trial's
         import stochadc.experiments as exp
         from stochadc.core import seed_array
 
         cfg = parse_config(
             "pi:\n  tap_sigma_rel: 0.05\n  skew_sigma_rel: 0.15\n"
-            "montecarlo:\n  trials: 6\n  experiment: pi-trim\n  workers: 2\n"
+            "montecarlo:\n  trials: 6\n  experiment: pi-trim\n"
         )
         per_trial = sum(s.size * n for s, n in exp._pi_seeds(cfg, seed_array([0])))
         monkeypatch.setattr(exp, "DRAW_NORMALS", 2 * per_trial)
         events = []
-        draw, pool_map = exp.normal_rows, ProcessPoolExecutor.map
+        draw, trial = exp.normal_rows, exp._DISPATCH["pi-trim"]
 
         def drawn(blocks):
             events.append("draw")
             return draw(blocks)
 
-        def returned(pool, fn, *iterables, **kwargs):
-            for metrics in pool_map(pool, fn, *iterables, **kwargs):
-                events.append("trial")
-                yield metrics
+        def returned(*args, **kwargs):
+            result = trial(*args, **kwargs)
+            events.append("trial")
+            return result
 
         monkeypatch.setattr(exp, "normal_rows", drawn)
-        monkeypatch.setattr(ProcessPoolExecutor, "map", returned)
+        monkeypatch.setitem(exp._DISPATCH, "pi-trim", returned)
         assert run_experiment("montecarlo", cfg).metrics["trials"] == 6
         assert events == ["draw", "trial", "trial"] * 3
 
@@ -958,13 +974,6 @@ class TestSharedToneSwings:
         for seed, metrics in trials.items():
             assert stand_alone_metrics(cfg, seed, metrics) == metrics
 
-    def test_workers_match_serial(self, tmp_path):
-        serial = trial_metrics(small_regime(), tmp_path / "s")
-        parallel = trial_metrics(
-            small_regime(montecarlo={"workers": 2}), tmp_path / "p"
-        )
-        assert parallel == serial
-
     def test_memo_is_scoped_to_the_montecarlo(self, spy):
         import stochadc.interleaver as il
 
@@ -993,8 +1002,8 @@ class TestSharedToneSwings:
 
 
 def test_cli_import_loads_neither_scipy_nor_a_process_pool(tmp_path):
-    # scipy is only the tests' oracle, and only a Monte Carlo with workers
-    # needs concurrent.futures; both cost import time on every run.  numpy.ma
+    # scipy is only the tests' oracle, and the Monte Carlo runs its trials
+    # in process; both would cost import time on every run.  numpy.ma
     # (imported by np.median and np.percentile) stays out of a Monte Carlo and
     # a skew calibration too
     code = (
@@ -1002,7 +1011,8 @@ def test_cli_import_loads_neither_scipy_nor_a_process_pool(tmp_path):
         "print(sorted(m for m in ('scipy', 'concurrent.futures') if m in sys.modules)); "
         f"cli.main(['montecarlo', '--config', {str(CONFIG_DIR / 'pi_mc.yaml')!r}]); "
         f"cli.main(['calibrate', '--config', {str(CONFIG_DIR / 'skewcal.yaml')!r}]); "
-        "print(sorted(m for m in ('scipy', 'numpy.ma') if m in sys.modules))"
+        "print(sorted(m for m in ('scipy', 'numpy.ma', 'concurrent.futures') "
+        "if m in sys.modules))"
     )
     src = str(Path(stochadc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
