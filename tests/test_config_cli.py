@@ -531,6 +531,7 @@ class TestCli:
             "system:\n  front_end_stages: -2\n",
             "system:\n  front_end_stages: 1.5\n",
             "adc:\n  divided_ratio: 8.5\n",
+            "system:\n  track: 1.0e-12\n",
             "system:\n  latencies: [2.5, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2]\n",
             "system:\n  skew_injection: [0.0, abc, 0.0, 0.0]\n",
             "adc:\n  slope_sigma: -0.01\n",
@@ -554,6 +555,7 @@ class TestCli:
             "stages-negative",
             "stages-fraction",
             "divided-ratio-fraction",
+            "track-below-early",
             "latency-fraction",
             "skew-injection-text",
             "slope-sigma-negative",
@@ -567,11 +569,11 @@ class TestCli:
     def test_bad_sizing_rejected_at_load(self, tmp_path, section, experiment):
         # n_taps 2.5 used to run adc-sine to ENOB -0.80 and a lead of -1 to
         # ENOB 6.71, both exit 0; n_taps 0 and points 0 ended in tracebacks.
-        # A zero rate or bandwidth divided by zero and raised a ValueError
-        # (exit 1); a negative bandwidth flipped the phase lag, stages of -2
-        # amplified the tone and a fractional divided ratio ran, all exit 0.
-        # A fractional latency was truncated (exit 0); pi.n_taps 2.5 and a
-        # negative PI sigma ended in tracebacks
+        # A zero rate or bandwidth divided by zero and a track below early
+        # raised a ValueError (exit 1); a negative bandwidth flipped the phase
+        # lag, stages of -2 amplified the tone and a fractional divided ratio
+        # ran, all exit 0.  A fractional latency was truncated (exit 0);
+        # pi.n_taps 2.5 and a negative PI sigma ended in tracebacks
         p = self.write(tmp_path, MINIMAL_SINE + section)
         assert main([experiment, "--config", str(p), "--out", str(tmp_path)]) == 2
 
