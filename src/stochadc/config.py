@@ -2,19 +2,22 @@
 
 One human-editable YAML file describes an experiment end to end, and its
 `adc`, `pi` and `system` sections are the one description of the converter
-design: `AdcSystem` is drawn from them directly, and the derived quantities
-(slice period, discharge slope, PI step, ...) are properties of the section
-they read.  Parsing is strict: unknown keys anywhere in the tree and
-non-finite numbers are rejected.  Each section checks its own value ranges
-when it is constructed, from YAML or in Python; value types are checked only
-at YAML load (`_value`), so a section built in Python takes what it is given
-(`AdcConfig(tap_sigma_random=True)` builds); a field that feeds no result
-takes only its default (`_check_pinned`).  `parse_config` adds the checks
-that span sections (tone coherence, stimulus swing, the skew tone's
-presence and amplitude and the skew range the calibration can measure).
-The four tones of a run are derived here, each through `sine_tone`.  Physically meaningful
-values have no hidden defaults beyond the documented design sizing.  Loading
-then re-serializing a config is idempotent.
+design: `AdcSystem` and the PI chain of `pi-sweep` and `pi-trim` are drawn
+from them by `interleaver`, which alone decides which keyed-draw rows become
+which instance, and the derived quantities (slice period, discharge slope,
+PI step, ...) are properties of the section they read.  Parsing is strict:
+unknown keys anywhere in the tree and non-finite numbers are rejected.  Each
+section checks its own value ranges when it is constructed, from YAML or in
+Python; value types are checked at YAML load (`_value`), and in Python only
+by the shared checks that test them (`_check_counts`, `_check_positive`,
+`_check_pinned`), so `AdcConfig(tap_sigma_random=True)` builds; a field
+that feeds no result takes only its default (`_check_pinned`).
+`parse_config` adds the checks that span sections (tone coherence, stimulus
+swing, the skew tone's presence and amplitude and the skew range the
+calibration can measure).  The four tones of a run are derived here, each
+through `sine_tone`.  Physically meaningful values have no hidden defaults
+beyond the documented design sizing.  Loading then re-serializing a config
+is idempotent.
 """
 
 from __future__ import annotations
@@ -29,14 +32,11 @@ import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-import numpy as np
 import yaml
 
-from .core import derive_seed
 from .errors import CoherenceError, ConfigError
 from .interleaver import CODE_MAX, N_GROUPS, N_SLICES
 from .metrics import coherent_bin
-from .pi import DelayChain, chain_from_normals, chain_seeds
 from .stimulus import SineStimulus
 
 
@@ -184,8 +184,7 @@ class AdcConfig:
             )
         if not (0 < self.v_threshold < self.vdd / 2):
             raise ConfigError("adc.v_threshold must lie in (0, vdd/2)")
-        if self.full_scale <= 0 or self.unit_delay <= 0 or self.d_offset <= 0:
-            raise ConfigError("adc full_scale, unit_delay and d_offset must be > 0")
+        _check_positive(self, "adc", "full_scale", "unit_delay", "d_offset")
         _check_sigmas(self, "adc", "tap_sigma_systematic", "tap_sigma_random",
                       "slope_sigma", "threshold_sigma")
 
@@ -215,8 +214,7 @@ class PiConfig:
 
     def __post_init__(self):
         _check_counts(self, "pi", "trim_max_iters")
-        if self.unit_delay <= 0:
-            raise ConfigError("pi.unit_delay must be > 0")
+        _check_positive(self, "pi", "unit_delay")
         if not _is_int(self.n_taps) or self.n_taps < 2:
             raise ConfigError(f"pi.n_taps must be an integer >= 2, got {self.n_taps!r}")
         _check_sigmas(self, "pi", "tap_sigma_rel", "skew_sigma_rel")
@@ -236,28 +234,6 @@ class PiConfig:
     @property
     def skew_sigma(self) -> float:
         return self.skew_sigma_rel * self.unit_delay
-
-    def row_seeds(self, master_seeds: np.ndarray, group: int) -> np.ndarray:
-        """Keyed-draw seeds of group `group`'s interpolator chain for each
-        master seed (a uint64 array), in `pi.chain_seeds` layout.
-
-        The converter draws its four group chains from these, and `pi-sweep`
-        and `pi-trim` model group 0's.
-        """
-        return chain_seeds(derive_seed(master_seeds, "pi.instance", group), self.skew_sigma > 0)
-
-    def chain(self, normals: np.ndarray, period: float) -> DelayChain:
-        """A group chain from the standard normal rows keyed by its
-        `row_seeds`, dividing `period`, injected skews included."""
-        chain = chain_from_normals(
-            self.unit_delay, period, self.tap_sigma_rel, self.skew_sigma, normals
-        )
-        if self.injected_skews:
-            skews = chain.path_skews.copy()
-            for path, amount in self.injected_skews:
-                skews[int(path) - 1] += float(amount) * self.unit_delay
-            chain = dataclasses.replace(chain, path_skews=skews)
-        return chain
 
 
 @dataclass(frozen=True)
@@ -297,8 +273,7 @@ class SystemConfig:
             raise ConfigError(f"system.latencies needs {N_SLICES} entries")
         if not all(_is_int(lat) and lat >= 0 for lat in self.latencies):
             raise ConfigError("system.latencies must be integers >= 0")
-        if self.sampling_jitter < 0:
-            raise ConfigError("system.sampling_jitter must be >= 0")
+        _check_sigmas(self, "system", "sampling_jitter")
         # a bandwidth <= 0 divides by zero or flips the sign of the phase lag,
         # and a stage count below one (or fractional) amplifies the tone
         if self.front_end_bandwidth is not None:

@@ -209,11 +209,18 @@ def _write_csv(path: Path, cfg_hash: str, seed: int, columns: dict) -> None:
             fh.buffer.write(_encode_block([c[start : start + CSV_BLOCK_ROWS] for c in cols]))
 
 
+def _plain(value):
+    """A numpy scalar or array as the plain Python value JSON writes."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def _write_json(path: Path, cfg_hash: str, seed: int, payload: dict) -> None:
     """Write the config hash, master seed and payload as one sorted-key JSON object."""
-    body = {"config_hash": cfg_hash, "master_seed": seed}
-    body.update(_jsonable(payload))
-    path.write_text(json.dumps(body, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    body = {"config_hash": cfg_hash, "master_seed": seed, **payload}
+    text = json.dumps(body, sort_keys=True, indent=2, default=_plain)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _write_artifacts(out: Path, cfg_hash: str, seed: int, bodies: dict) -> list[str]:
@@ -227,22 +234,6 @@ def _write_artifacts(out: Path, cfg_hash: str, seed: int, bodies: dict) -> list[
         write(path, cfg_hash, seed, body)
         paths.append(str(path))
     return paths
-
-
-def _jsonable(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    return value
 
 
 @dataclass
@@ -358,25 +349,20 @@ def run_slice_transfer(cfg: RunConfig, seed: int, normals) -> Run:
 
 def _sweep_table(phases: np.ndarray, period: float, flags: np.ndarray) -> dict:
     """The PI sweep CSV columns; the last step wraps to code 0 of the next period."""
-    steps = np.empty(256)
+    steps = np.empty(pimod.PI_CODES)
     steps[:-1] = np.diff(phases)
-    steps[-1] = phases[0] + period - phases[255]
+    steps[-1] = phases[0] + period - phases[-1]
     return {
-        "code": np.arange(256),
+        "code": np.arange(pimod.PI_CODES),
         "phase_seconds": phases,
         "step_seconds": steps,
         "inversion_flag": flags,
     }
 
 
-def _pi_seeds(cfg: RunConfig, master_seeds: np.ndarray) -> list[tuple[np.ndarray, int]]:
-    """The rows of group 0's chain, the one `pi-sweep` and `pi-trim` model."""
-    return [(cfg.pi.row_seeds(master_seeds, 0), cfg.pi.n_taps)]
-
-
 def run_pi_sweep(cfg: RunConfig, seed: int, normals) -> Run:
     period = cfg.system.pi_clock_period
-    chain = cfg.pi.chain(normals[0], period)
+    chain = il.pi_chain(cfg, *normals)
     if cfg.pi.trim_enabled:
         chain = pimod.trim_paths(chain, cfg.pi.trim_max_iters).chain
     phases = pimod.pi_sweep(chain)
@@ -389,7 +375,7 @@ def run_pi_sweep(cfg: RunConfig, seed: int, normals) -> Run:
         "mean_step_seconds": float(steps.mean()),
         "min_step_seconds": float(steps.min()),
         "max_step_seconds": float(steps.max()),
-        "nominal_step_seconds": period / 256.0,
+        "nominal_step_seconds": period / pimod.PI_CODES,
         "monotone": bool(np.all(steps > 0)),
         "inversions": int(flags.sum()),
     }
@@ -406,8 +392,7 @@ def _rising(a: np.ndarray) -> bool:
 
 
 def run_pi_trim(cfg: RunConfig, seed: int, normals) -> Run:
-    period = cfg.system.pi_clock_period
-    chain = cfg.pi.chain(normals[0], period)
+    chain = il.pi_chain(cfg, *normals)
     pre_sweep = pimod.pi_sweep(chain)
     result = pimod.trim_paths(chain, cfg.pi.trim_max_iters)
     post_sweep = pimod.pi_sweep(result.chain)
@@ -424,7 +409,9 @@ def run_pi_trim(cfg: RunConfig, seed: int, normals) -> Run:
             "metrics": metrics,
             "trims_seconds": result.adjustments,
         },
-        "pi_trim_sweep.csv": _sweep_table(post_sweep, period, np.zeros(256, dtype=bool)),
+        "pi_trim_sweep.csv": _sweep_table(
+            post_sweep, cfg.system.pi_clock_period, np.zeros(pimod.PI_CODES, dtype=bool)
+        ),
     }
 
 
@@ -557,14 +544,14 @@ def _instance_chunks(name: str, cfg: RunConfig, seeds: list[int]):
     for experiment `name` (None each for an experiment without a mismatch
     instance).
 
-    The one instancer of single runs and Monte Carlo trials: a chunk's rows
-    come from one `core.normal_rows` draw of at most about DRAW_NORMALS
-    normals, and each seed's equal its single-seed draw bit for bit.
+    The one draw of single runs and Monte Carlo trials: a chunk's rows come
+    from one `core.normal_rows` draw of at most about DRAW_NORMALS normals,
+    and each seed's equal its single-seed draw bit for bit.
     """
-    if name not in _MISMATCH:
+    row_seeds = _EXPERIMENTS[name][1]
+    if row_seeds is None:
         yield seeds, [None] * len(seeds)
         return
-    row_seeds = _MISMATCH[name]
     per_seed = sum(s.size * length for s, length in row_seeds(cfg, seed_array(seeds[:1])))
     step = max(1, DRAW_NORMALS // per_seed)
     for start in range(0, len(seeds), step):
@@ -576,12 +563,12 @@ def _run(name: str, cfg: RunConfig, seed: int, normals, **resume) -> Run:
     """Run experiment `name`, handing it its mismatch rows if it has any."""
     if normals is not None:
         resume["normals"] = normals
-    return _DISPATCH[name](cfg, seed, **resume)
+    return _EXPERIMENTS[name][0](cfg, seed, **resume)
 
 
 def run_montecarlo(cfg: RunConfig, seed: int) -> Run:
     name = cfg.montecarlo.experiment
-    if name not in _DISPATCH or name == "montecarlo":
+    if name not in _EXPERIMENTS or name == "montecarlo":
         raise ConfigError(f"montecarlo cannot wrap experiment {name!r}")
     seeds = [seed + i for i in range(cfg.montecarlo.trials)]
     # trials on one sampling grid sample each tone once; a chunk's trials
@@ -626,26 +613,19 @@ def run_montecarlo(cfg: RunConfig, seed: int) -> Run:
     return metrics, bodies
 
 
-# in the order the command line lists them
-_DISPATCH = {
-    "slice-transfer": run_slice_transfer,
-    "adc-sine": run_adc_sine,
-    "pi-sweep": run_pi_sweep,
-    "pi-trim": run_pi_trim,
-    "montecarlo": run_montecarlo,
-    "calibrate": run_calibrate,
-    "fom": run_fom,
+# name -> (run function, the keyed-draw rows of its mismatch instance or
+# None), in the order the command line lists them; a run with rows takes its
+# seed's as `normals`
+_EXPERIMENTS = {
+    "slice-transfer": (run_slice_transfer, il.mismatch_seeds),
+    "adc-sine": (run_adc_sine, il.mismatch_seeds),
+    "pi-sweep": (run_pi_sweep, il.pi_mismatch_seeds),
+    "pi-trim": (run_pi_trim, il.pi_mismatch_seeds),
+    "montecarlo": (run_montecarlo, None),
+    "calibrate": (run_calibrate, il.mismatch_seeds),
+    "fom": (run_fom, None),
 }
-EXPERIMENT_NAMES = tuple(_DISPATCH)
-
-# the keyed-draw rows of each experiment's mismatch instance (`normals`)
-_MISMATCH = {
-    "slice-transfer": il.mismatch_seeds,
-    "adc-sine": il.mismatch_seeds,
-    "pi-sweep": _pi_seeds,
-    "pi-trim": _pi_seeds,
-    "calibrate": il.mismatch_seeds,
-}
+EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
 
 
 def run_experiment(
@@ -661,7 +641,7 @@ def run_experiment(
     calibration file from another config or seed, makes the output
     directory and builds and writes the artifact bodies only when it has one.
     """
-    if name not in _DISPATCH:
+    if name not in _EXPERIMENTS:
         raise ConfigError(
             f"unknown experiment {name!r}; choose from {', '.join(EXPERIMENT_NAMES)}"
         )

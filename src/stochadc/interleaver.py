@@ -11,6 +11,11 @@ Conversion arithmetic is cycle-local: the STDC wavefront is launched
 ``launch_lead`` before the discharge phase, so only the sampling instants
 are absolute times.  Slice outputs pass through a fixed-depth double-flop
 retime, which the aligner compensates exactly before interleaving.
+
+This module is also the one mismatch instancer: it alone decides which
+keyed-draw rows become which instance, the converter's (`mismatch_seeds`,
+read by `AdcSystem`) and the one PI chain `pi-sweep` and `pi-trim` model
+(`pi_mismatch_seeds`, read by `pi_chain`).
 """
 
 from __future__ import annotations
@@ -22,7 +27,15 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import CLAMP_FLOOR, derive_seed, keyed_normal, median, normal_rows, seed_array
+from .core import (
+    CLAMP_FLOOR,
+    derive_seed,
+    keyed_normal,
+    median,
+    mismatch_scale,
+    normal_rows,
+    seed_array,
+)
 from .errors import (
     ConfigError,
     CoverageError,
@@ -30,7 +43,7 @@ from .errors import (
     PreconditionError,
     UnderrangeError,
 )
-from .pi import PI_CODES, DelayChain, pi_output, trim_paths
+from .pi import PI_CODES, DelayChain, chain_seeds, pi_output, trim_paths
 from .stdc import InverterChain, OffsetEstimate, adapt_offset, count_edges_batch
 from .stimulus import SineStimulus
 
@@ -46,6 +59,12 @@ NOMINAL_PI_CODE_BASE = 32
 _V_EPS = 1e-12
 
 
+def _pi_row_seeds(cfg: RunConfig, master_seeds: np.ndarray, group: int) -> np.ndarray:
+    """Keyed-draw seeds of group `group`'s PI chain for each master seed, in
+    `pi.chain_seeds` layout."""
+    return chain_seeds(derive_seed(master_seeds, "pi.instance", group), cfg.pi.skew_sigma > 0)
+
+
 def mismatch_seeds(cfg: RunConfig, master_seeds: np.ndarray) -> list[tuple[np.ndarray, int]]:
     """The converter's keyed-draw rows for each master seed (a uint64 array),
     as `core.normal_rows` takes them: the systematic and 16 per-slice STDC tap
@@ -53,12 +72,34 @@ def mismatch_seeds(cfg: RunConfig, master_seeds: np.ndarray) -> list[tuple[np.nd
     taps = [derive_seed(master_seeds, "stdc.tap.systematic")]
     taps += [derive_seed(master_seeds, "stdc.tap.random", s) for s in range(N_SLICES)]
     v2t = [derive_seed(master_seeds, label) for label in ("v2t.slope", "v2t.threshold")]
-    pi = [cfg.pi.row_seeds(master_seeds, g) for g in range(N_GROUPS)]
+    pi = [_pi_row_seeds(cfg, master_seeds, g) for g in range(N_GROUPS)]
     return [
         (np.stack(taps, axis=-1), cfg.adc.n_taps),
         (np.stack(v2t, axis=-1), 2 * N_SLICES),
         (np.stack(pi, axis=1), cfg.pi.n_taps),
     ]
+
+
+def pi_mismatch_seeds(cfg: RunConfig, master_seeds: np.ndarray) -> list[tuple[np.ndarray, int]]:
+    """The keyed-draw rows of group 0's PI chain alone, the one `pi-sweep`
+    and `pi-trim` model, as `core.normal_rows` takes them."""
+    return [(_pi_row_seeds(cfg, master_seeds, 0), cfg.pi.n_taps)]
+
+
+def pi_chain(cfg: RunConfig, rows: np.ndarray) -> DelayChain:
+    """A group's PI chain from its standard normal rows (`pi.chain_seeds`
+    order), dividing the PI clock period, with `pi.injected_skews` added to
+    its skew row."""
+    pi = cfg.pi
+    skews = rows[1] * pi.skew_sigma if pi.skew_sigma > 0 else np.zeros(rows.shape[-1])
+    for path, amount in pi.injected_skews:
+        skews[int(path) - 1] += float(amount) * pi.unit_delay
+    return DelayChain(
+        unit_delay=pi.unit_delay,
+        tap_delays=mismatch_scale(pi.unit_delay, pi.tap_sigma_rel, rows[0]),
+        path_skews=skews,
+        period=cfg.system.pi_clock_period,
+    )
 
 
 class AdcSystem:
@@ -117,9 +158,7 @@ class AdcSystem:
                     f"period is {divided_period:.5g} s; raise adc.divided_ratio or shorten the chain"
                 )
 
-        self.pi_chains: list[DelayChain] = [
-            cfg.pi.chain(rows, sc.pi_clock_period) for rows in pi_normals
-        ]
+        self.pi_chains: list[DelayChain] = [pi_chain(cfg, rows) for rows in pi_normals]
         if cfg.pi.trim_enabled:
             self.pi_chains = [
                 trim_paths(c, cfg.pi.trim_max_iters).chain for c in self.pi_chains
@@ -157,8 +196,8 @@ def schedule_sampling(
     pi_codes = np.asarray(pi_codes, dtype=np.int64)
     if pi_codes.shape != (N_GROUPS,):
         raise ConfigError(f"pi_codes must have shape ({N_GROUPS},)")
-    if np.any((pi_codes < 0) | (pi_codes > 255)):
-        raise ConfigError("pi codes must lie in [0, 256)")
+    if np.any((pi_codes < 0) | (pi_codes >= PI_CODES)):
+        raise ConfigError(f"pi codes must lie in [0, {PI_CODES})")
     # one PI lookup per group, shared by its four slices
     offsets = np.array([system.group_phase_offset(g, int(c)) for g, c in enumerate(pi_codes)])
     slices = np.arange(N_SLICES)

@@ -70,7 +70,6 @@ class DelayChain:
     tap_delays: np.ndarray
     path_skews: np.ndarray
     period: Duration
-    accumulated: np.ndarray = field(init=False, repr=False)
     n_delays: int = field(init=False)
     positions: np.ndarray = field(init=False, repr=False)
 
@@ -103,11 +102,10 @@ class DelayChain:
             positions[n] = taps[n] + skews[n]
         else:
             positions[n] = self.period + delays[0] + skews[0]
-        for array in (delays, skews, taps, positions):
+        for array in (delays, skews, positions):
             array.flags.writeable = False
         object.__setattr__(self, "tap_delays", delays)
         object.__setattr__(self, "path_skews", skews)
-        object.__setattr__(self, "accumulated", taps)
         object.__setattr__(self, "n_delays", n)
         object.__setattr__(self, "positions", positions)
 

@@ -48,6 +48,9 @@ PINNED_VALUES = {
     "stimulus.type": "ramp",
 }
 
+# the fields `_check_positive` holds above 0 in each section's constructor
+POSITIVE_FIELDS = ["adc.full_scale", "adc.unit_delay", "adc.d_offset", "pi.unit_delay"]
+
 
 def skewcal_with(skews: str) -> str:
     """configs/skewcal.yaml with its injected group skews replaced."""
@@ -604,6 +607,31 @@ class TestCli:
         with pytest.raises(ConfigError, match="montecarlo.workers feeds no result"):
             MonteCarloConfig(workers=value)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            (field, value)
+            for field in POSITIVE_FIELDS
+            for value in (0, -1.0e-12)
+        ] + [("system.sampling_jitter", -1.0e-12)],
+    )
+    def test_bad_range_names_its_field_at_load(self, tmp_path, capsys, field, value):
+        # "adc full_scale, unit_delay and d_offset must be > 0" named no one field
+        section, name = field.split(".")
+        data = yaml.safe_load(MINIMAL_SINE)
+        data.setdefault(section, {})[name] = value
+        p = self.write(tmp_path, yaml.safe_dump(data))
+        assert main(["adc-sine", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert f"config error: {field} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", POSITIVE_FIELDS)
+    def test_positive_field_built_in_python_refuses_a_string(self, field):
+        # the comparison with 0 used to raise a TypeError
+        section, name = field.split(".")
+        cls = type(getattr(RunConfig(), section))
+        with pytest.raises(ConfigError, match=f"{field} must be a number > 0, got '1e-12'"):
+            cls(**{name: "1e-12"})
+
     @pytest.mark.parametrize("value", ["[[0, 1.5]]", "[[40, 1.5]]", "[[7]]"])
     def test_bad_injected_skews_rejected_at_load(self, tmp_path, value):
         # path 0 used to skew path 32 silently (exit 0); path 40 ended in an
@@ -857,16 +885,17 @@ class TestMonteCarlo:
         # chunk's trials have returned, so a run holds one chunk's mismatch
         # rows and not every trial's
         import stochadc.experiments as exp
+        import stochadc.interleaver as il
         from stochadc.core import seed_array
 
         cfg = parse_config(
             "pi:\n  tap_sigma_rel: 0.05\n  skew_sigma_rel: 0.15\n"
             "montecarlo:\n  trials: 6\n  experiment: pi-trim\n"
         )
-        per_trial = sum(s.size * n for s, n in exp._pi_seeds(cfg, seed_array([0])))
+        per_trial = sum(s.size * n for s, n in il.pi_mismatch_seeds(cfg, seed_array([0])))
         monkeypatch.setattr(exp, "DRAW_NORMALS", 2 * per_trial)
         events = []
-        draw, trial = exp.normal_rows, exp._DISPATCH["pi-trim"]
+        draw, (trial, rows) = exp.normal_rows, exp._EXPERIMENTS["pi-trim"]
 
         def drawn(blocks):
             events.append("draw")
@@ -878,7 +907,7 @@ class TestMonteCarlo:
             return result
 
         monkeypatch.setattr(exp, "normal_rows", drawn)
-        monkeypatch.setitem(exp._DISPATCH, "pi-trim", returned)
+        monkeypatch.setitem(exp._EXPERIMENTS, "pi-trim", (returned, rows))
         assert run_experiment("montecarlo", cfg).metrics["trials"] == 6
         assert events == ["draw", "trial", "trial"] * 3
 

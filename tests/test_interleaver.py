@@ -43,6 +43,7 @@ from stochadc.interleaver import (
     code_histogram,
     convert_pair_arrays,
     corrected_pi_codes,
+    pi_chain,
     retime_streams,
     run_capture,
     schedule_sampling,
@@ -692,7 +693,7 @@ def test_trial_instances_equal_single_seed_builds(seeds, draw_normals, sigma, pi
             assert_same_bits(a.tap_delays, b.tap_delays)
             assert_same_bits(a.path_skews, b.path_skews)
             assert_same_bits(a.positions, b.positions)
-        chain = cfg.pi.chain(pi_normals[0], period)
+        chain = pi_chain(cfg, *pi_normals)
         oracle = rowwise_pi_chain(
             cfg.pi.unit_delay, period, cfg.pi.n_taps, cfg.pi.tap_sigma_rel,
             cfg.pi.skew_sigma, derive_seed(seed, "pi.instance", 0),
@@ -700,6 +701,39 @@ def test_trial_instances_equal_single_seed_builds(seeds, draw_normals, sigma, pi
         assert_same_bits(chain.tap_delays, oracle.tap_delays)
         assert_same_bits(chain.path_skews, oracle.path_skews)
         assert_same_bits(chain.positions, oracle.positions)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(-(2**63), 2**64 + 5),
+    st.floats(0.0, 0.1),
+    st.sampled_from([0.0, 0.15]) | st.floats(1e-3, 0.5),
+    st.lists(
+        st.tuples(st.integers(1, 32), st.floats(-3.0, 3.0)), min_size=1, max_size=4
+    ),
+)
+def test_injected_skews_enter_the_one_chain_build(seed, pi_tap, pi_skew, injected):
+    # the chain pi-sweep builds from its rows, with the injected skews added
+    # to the skew row before the build, equals the per-row oracle chain
+    # rebuilt with the same skews added entry by entry (repeated paths and
+    # negative amounts too)
+    cfg = RunConfig(
+        pi=PiConfig(tap_sigma_rel=pi_tap, skew_sigma_rel=pi_skew, injected_skews=tuple(injected))
+    )
+    [(_, (normals,))] = experiments._instance_chunks("pi-sweep", cfg, [seed])
+    chain = pi_chain(cfg, *normals)
+    pi = cfg.pi
+    oracle = rowwise_pi_chain(
+        pi.unit_delay, cfg.system.pi_clock_period, pi.n_taps, pi.tap_sigma_rel,
+        pi.skew_sigma, derive_seed(seed, "pi.instance", 0),
+    )
+    skews = oracle.path_skews.copy()
+    for path, amount in injected:
+        skews[path - 1] += amount * pi.unit_delay
+    oracle = dataclasses.replace(oracle, path_skews=skews)
+    assert_same_bits(chain.tap_delays, oracle.tap_delays)
+    assert_same_bits(chain.path_skews, oracle.path_skews)
+    assert_same_bits(chain.positions, oracle.positions)
 
 
 @pytest.mark.parametrize(
