@@ -9,8 +9,9 @@ PI step, ...) are properties of the section they read.  Parsing is strict:
 unknown keys anywhere in the tree and non-finite numbers are rejected.  Each
 section checks its own value ranges when it is constructed, from YAML or in
 Python; value types are checked at YAML load (`_value`), and in Python only
-by the shared checks that test them (`_check_counts`, `_check_positive`,
-`_check_pinned`), so `AdcConfig(tap_sigma_random=True)` builds; a field
+by the checks that test them (`_check_counts`, `_check_positive`,
+`_check_sigmas`, `_check_pinned` and a few others), so `AdcConfig(vdd=True)`
+builds; a field
 that feeds no result takes only its default (`_check_pinned`).
 `parse_config` adds the checks that span sections (tone coherence, stimulus
 swing, the skew tone's presence and amplitude and the skew range the
@@ -108,7 +109,8 @@ _SCALARS = {
 
 def _check_sigmas(section, path: str, *names: str) -> None:
     for name in names:
-        if getattr(section, name) < 0:
+        value = getattr(section, name)
+        if not _is_real(value) or not value >= 0:
             raise ConfigError(f"{path}.{name} must be >= 0")
 
 
@@ -144,7 +146,7 @@ def _check_pinned(section, path: str, *names: str) -> None:
 def _check_positive(section, path: str, *names: str) -> None:
     for name in names:
         value = getattr(section, name)
-        if not _is_real(value) or value <= 0:
+        if not _is_real(value) or not value > 0:
             raise ConfigError(f"{path}.{name} must be a number > 0, got {value!r}")
 
 
@@ -155,8 +157,10 @@ class AdaptationConfig:
 
     def __post_init__(self):
         _check_counts(self, "adc.adaptation", "window")
-        if not (0 < self.threshold <= 1):
-            raise ConfigError("adaptation threshold must lie in (0, 1]")
+        if not _is_real(self.threshold) or not 0 < self.threshold <= 1:
+            raise ConfigError(
+                f"adc.adaptation.threshold must lie in (0, 1], got {self.threshold!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -178,7 +182,7 @@ class AdcConfig:
     def __post_init__(self):
         _check_counts(self, "adc", "n_taps", "divided_ratio")
         # a negative lead opens the pulse window before the STDC launch edge
-        if not _is_real(self.launch_lead_taps) or self.launch_lead_taps < 0:
+        if not _is_real(self.launch_lead_taps) or not self.launch_lead_taps >= 0:
             raise ConfigError(
                 f"adc.launch_lead_taps must be a number >= 0, got {self.launch_lead_taps!r}"
             )

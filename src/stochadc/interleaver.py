@@ -32,7 +32,6 @@ from .core import (
     derive_seed,
     keyed_normal,
     median,
-    mismatch_scale,
     normal_rows,
     seed_array,
 )
@@ -43,7 +42,7 @@ from .errors import (
     PreconditionError,
     UnderrangeError,
 )
-from .pi import PI_CODES, DelayChain, chain_seeds, pi_output, trim_paths
+from .pi import PI_CODES, DelayChain, chain_delays, chain_seeds, pi_output, trim_paths
 from .stdc import InverterChain, OffsetEstimate, adapt_offset, count_edges_batch
 from .stimulus import SineStimulus
 
@@ -91,12 +90,12 @@ def pi_chain(cfg: RunConfig, rows: np.ndarray) -> DelayChain:
     order), dividing the PI clock period, with `pi.injected_skews` added to
     its skew row."""
     pi = cfg.pi
-    skews = rows[1] * pi.skew_sigma if pi.skew_sigma > 0 else np.zeros(rows.shape[-1])
+    taps, skews = chain_delays(pi.unit_delay, pi.tap_sigma_rel, pi.skew_sigma, rows)
     for path, amount in pi.injected_skews:
         skews[int(path) - 1] += float(amount) * pi.unit_delay
     return DelayChain(
         unit_delay=pi.unit_delay,
-        tap_delays=mismatch_scale(pi.unit_delay, pi.tap_sigma_rel, rows[0]),
+        tap_delays=taps,
         path_skews=skews,
         period=cfg.system.pi_clock_period,
     )

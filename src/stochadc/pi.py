@@ -124,18 +124,17 @@ def chain_seeds(seeds: np.ndarray, skewed: bool) -> np.ndarray:
     return np.stack(rows, axis=-1)
 
 
-def chain_from_normals(
+def chain_delays(
     unit_delay: Duration,
-    period: Duration,
     tap_sigma_rel: float,
     skew_sigma: Duration,
     normals: np.ndarray,
-) -> DelayChain:
-    """Chain instance from its standard normal rows, in `chain_seeds` order,
-    dividing `period`."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tap delays and path skews of a chain instance from its standard normal
+    rows, in `chain_seeds` order."""
     taps = mismatch_scale(unit_delay, tap_sigma_rel, normals[0])
     skews = normals[1] * skew_sigma if skew_sigma > 0 else np.zeros(normals.shape[-1])
-    return DelayChain(unit_delay=unit_delay, tap_delays=taps, path_skews=skews, period=period)
+    return taps, skews
 
 
 def make_pi_chain(
@@ -154,7 +153,8 @@ def make_pi_chain(
     """
     row_seeds = chain_seeds(seed_array([seed]), skew_sigma > 0)[0]
     normals = keyed_normal(row_seeds, np.arange(n_taps))
-    return chain_from_normals(unit_delay, period, tap_sigma_rel, skew_sigma, normals)
+    taps, skews = chain_delays(unit_delay, tap_sigma_rel, skew_sigma, normals)
+    return DelayChain(unit_delay=unit_delay, tap_delays=taps, path_skews=skews, period=period)
 
 
 @dataclass(frozen=True)

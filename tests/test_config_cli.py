@@ -51,6 +51,19 @@ PINNED_VALUES = {
 # the fields `_check_positive` holds above 0 in each section's constructor
 POSITIVE_FIELDS = ["adc.full_scale", "adc.unit_delay", "adc.d_offset", "pi.unit_delay"]
 
+# every field a section's constructor holds in a numeric range
+RANGE_FIELDS = POSITIVE_FIELDS + [
+    "adc.tap_sigma_systematic",
+    "adc.tap_sigma_random",
+    "adc.slope_sigma",
+    "adc.threshold_sigma",
+    "adc.launch_lead_taps",
+    "adc.adaptation.threshold",
+    "pi.tap_sigma_rel",
+    "pi.skew_sigma_rel",
+    "system.sampling_jitter",
+]
+
 
 def skewcal_with(skews: str) -> str:
     """configs/skewcal.yaml with its injected group skews replaced."""
@@ -624,13 +637,17 @@ class TestCli:
         assert main(["adc-sine", "--config", str(p), "--out", str(tmp_path)]) == 2
         assert f"config error: {field} must be" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field", POSITIVE_FIELDS)
-    def test_positive_field_built_in_python_refuses_a_string(self, field):
-        # the comparison with 0 used to raise a TypeError
-        section, name = field.split(".")
-        cls = type(getattr(RunConfig(), section))
-        with pytest.raises(ConfigError, match=f"{field} must be a number > 0, got '1e-12'"):
-            cls(**{name: "1e-12"})
+    @pytest.mark.parametrize("value", [float("nan"), "1e-12"], ids=["nan", "string"])
+    @pytest.mark.parametrize("field", RANGE_FIELDS)
+    def test_range_field_built_in_python_refuses_nan_and_strings(self, field, value):
+        # a NaN passed the comparisons with 0 and a string raised a TypeError;
+        # YAML load rejects both earlier, in `_value`
+        *path, name = field.split(".")
+        section = RunConfig()
+        for part in path:
+            section = getattr(section, part)
+        with pytest.raises(ConfigError, match=f"{field} must "):
+            type(section)(**{name: value})
 
     @pytest.mark.parametrize("value", ["[[0, 1.5]]", "[[40, 1.5]]", "[[7]]"])
     def test_bad_injected_skews_rejected_at_load(self, tmp_path, value):
