@@ -5,24 +5,31 @@ One human-editable YAML file describes an experiment end to end, and its
 design: `AdcSystem` and the PI chain of `pi-sweep` and `pi-trim` are drawn
 from them by `interleaver`, which alone decides which keyed-draw rows become
 which instance, and the derived quantities (slice period, discharge slope,
-PI step, ...) are properties of the section they read.  Parsing is strict:
-unknown keys anywhere in the tree and non-finite numbers are rejected.  Each
-section checks its own value ranges when it is constructed, from YAML or in
-Python; value types are checked at YAML load (`_value`), and in Python only
-by the checks that test them (`_check_counts`, `_check_positive`,
-`_check_sigmas`, `_check_pinned` and a few others), so `AdcConfig(vdd=True)`
-builds; a field
-that feeds no result takes only its default (`_check_pinned`).
-`parse_config` adds the checks that span sections (tone coherence, stimulus
-swing, the skew tone's presence and amplitude and the skew range the
-calibration can measure).  The four tones of a run are derived here, each
-through `sine_tone`.  Physically meaningful values have no hidden defaults
-beyond the documented design sizing.  Loading then re-serializing a config
-is idempotent.
+PI step, ...) are properties of the section they read.
+
+Each field's type and range sit on its annotation: a range is an
+`Annotated[type, (test, text)]` alias such as `Positive`, `Count` or
+`Capture`.  Every section's constructor calls `_check` first, so a section
+is held to its annotations however it is built, from YAML or in Python:
+the fields that feed no result take only their default, then each field
+must match its type (see `_SCALARS`; `X | None` also takes None, a tuple a
+list), be finite and lie in its range, and the error names the field.  A
+section's rules between its own fields follow in its constructor.  Loading
+adds strictness (unknown keys anywhere in the tree are rejected; `_value`
+only nests sections, turns lists into tuples and reads YAML 1.1's
+"100e-12" as a number) and `parse_config` the checks that span sections
+(tone coherence, stimulus swing, the skew tone's presence and amplitude and
+the skew range the calibration can measure).  The four tones of a run are
+derived here, each through `sine_tone`.  Physically meaningful values have
+no hidden defaults beyond the documented design sizing.  Loading then
+re-serializing a config is idempotent.
+
+Annotations are evaluated when each class is created (no postponed
+annotations), so `_check` reads each `Field.type` as it is;
+`typing.get_type_hints` on every section would slow the first load.
 """
 
-from __future__ import annotations
-
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -32,12 +39,13 @@ import numbers
 import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Annotated
 
 import yaml
 
 from .errors import CoherenceError, ConfigError
-from .interleaver import CODE_MAX, N_GROUPS, N_SLICES
-from .metrics import coherent_bin
+from .interleaver import CODE_MAX, CODE_MIN, N_GROUPS, N_SLICES
+from .metrics import MIN_HITS_PER_CODE, coherent_bin
 from .stimulus import SineStimulus
 
 
@@ -48,10 +56,10 @@ def _build(cls, data, path: str):
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a mapping, got {type(data).__name__}")
-    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    hints = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(data) - set(hints))
     if unknown:
         raise ConfigError(f"{path}: unknown keys {unknown}")
-    hints = typing.get_type_hints(cls)
     kwargs = {name: _value(hints[name], value, f"{path}.{name}") for name, value in data.items()}
     try:
         return cls(**kwargs)
@@ -60,32 +68,20 @@ def _build(cls, data, path: str):
 
 
 def _value(hint, value, path: str):
-    """One YAML value as the annotation `hint` reads it.
-
-    A section type builds that section, a list becomes a tuple of the
-    annotation's item type, a scalar must match its annotation (see
-    `_SCALARS`; `X | None` also takes null), and nan or inf is rejected at
-    any depth.
-    """
+    """One YAML value as the annotation `hint` reads it: a section type builds
+    that section, a list becomes a tuple of the annotation's items, and a
+    string where a number is expected becomes one if it reads as one (YAML 1.1
+    parses "100e-12", an exponent without a decimal point, as a string).  The
+    section's `_check` then holds the result to `hint`."""
+    hint = _parts(hint)[0]
     if dataclasses.is_dataclass(hint):
         return _build(hint, value, path)
-    args = typing.get_args(hint)
-    if isinstance(value, str) and float in (hint, *args):
-        # YAML 1.1 parses exponent literals without a decimal point as
-        # strings; accept them rather than failing on "100e-12"
-        try:
-            value = float(value)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: expected a number, got {value!r}") from exc
-    kinds = [t for t in (hint, *args) if t in _SCALARS]
-    unset = value is None and type(None) in args
-    if kinds and not unset and not any(_SCALARS[t][0](value) for t in kinds):
-        raise ConfigError(f"{path}: expected {_SCALARS[kinds[0]][1]}, got {value!r}")
     if isinstance(value, list):
-        item = (args or (None,))[0]
+        item = (typing.get_args(hint) or (None,))[0]
         return tuple(_value(item, v, f"{path}[]") for v in value)
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{path}: numbers must be finite, got {value!r}")
+    if isinstance(value, str) and hint is float:
+        with contextlib.suppress(ValueError):
+            return float(value)
     return value
 
 
@@ -97,7 +93,7 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-# annotation -> (accepts the YAML value, what the error says it expected);
+# annotation -> (accepts the value, what the error says it must be);
 # a bool is not a number here, and an int is a valid float
 _SCALARS = {
     bool: (lambda v: isinstance(v, bool), "true or false"),
@@ -106,91 +102,99 @@ _SCALARS = {
     str: (lambda v: isinstance(v, str), "a string"),
 }
 
-
-def _check_sigmas(section, path: str, *names: str) -> None:
-    for name in names:
-        value = getattr(section, name)
-        if not _is_real(value) or not value >= 0:
-            raise ConfigError(f"{path}.{name} must be >= 0")
-
-
-def _check_counts(section, path: str, *names: str) -> None:
-    for name in names:
-        value = getattr(section, name)
-        if not _is_int(value) or value < 1:
-            raise ConfigError(f"{path}.{name} must be an integer >= 1, got {value!r}")
+Positive = Annotated[float, (lambda v: v > 0, "a number > 0")]
+NonNegative = Annotated[float, (lambda v: v >= 0, "a number >= 0")]
+Count = Annotated[int, (lambda v: v >= 1, "an integer >= 1")]
+# an aggregate capture size: a capture takes the same number of samples from
+# each of the N_SLICES slices
+Capture = Annotated[
+    int, (lambda v: v >= 1 and v % N_SLICES == 0, f"a multiple of {N_SLICES} above 0")
+]
 
 
-def _check_captures(section, path: str, *names: str) -> None:
-    """Aggregate capture sizes: a capture takes the same number of samples
-    from each of the N_SLICES slices."""
-    for name in names:
-        value = getattr(section, name)
-        if value % N_SLICES:
-            raise ConfigError(f"{path}.{name} must be a multiple of {N_SLICES}, got {value}")
+@functools.cache
+def _parts(hint) -> tuple:
+    """An annotation as (type, range rule or None, whether it takes None)."""
+    args = typing.get_args(hint)
+    optional = type(None) in args
+    if optional:
+        hint = args[0]
+    if typing.get_origin(hint) is Annotated:
+        return hint.__origin__, hint.__metadata__[0], optional
+    return hint, None, optional
 
 
-def _check_pinned(section, path: str, *names: str) -> None:
-    """Fields that feed no result take only their dataclass default, of its
-    type, so a config that loads hashes as if they were not set."""
-    defaults = {f.name: f.default for f in fields(section)}
-    for name in names:
-        value, default = getattr(section, name), defaults[name]
+def _check(section, path: str, *pinned: str) -> None:
+    """Hold each field of `section` to its annotation, naming it
+    `path.field`: first the `pinned` fields, which feed no result and so take
+    only their dataclass default, of its type (a config that loads then
+    hashes as if they were not set); then every field's type, finiteness and
+    range."""
+    prefix = f"{path}." if path else ""
+    for name in pinned:
+        value, default = getattr(section, name), section.__dataclass_fields__[name].default
         if type(value) is not type(default) or value != default:
             raise ConfigError(
-                f"{path}.{name} feeds no result and takes only its default "
+                f"{prefix}{name} feeds no result and takes only its default "
                 f"{default!r}, got {value!r}"
             )
+    for f in fields(section):
+        _check_value(f.type, getattr(section, f.name), prefix + f.name)
 
 
-def _check_positive(section, path: str, *names: str) -> None:
-    for name in names:
-        value = getattr(section, name)
-        if not _is_real(value) or not value > 0:
-            raise ConfigError(f"{path}.{name} must be a number > 0, got {value!r}")
+def _check_value(hint, value, path: str) -> None:
+    """Hold one value to its annotation: type, finiteness, then range."""
+    kind, rule, optional = _parts(hint)
+    if value is None and optional:
+        return
+    if typing.get_origin(kind) is tuple:
+        if not isinstance(value, (tuple, list)):
+            raise ConfigError(f"{path} must be a list, got {value!r}")
+        item = typing.get_args(kind)[0]
+        for i, v in enumerate(value):
+            _check_value(item, v, f"{path}[{i}]")
+    elif kind in _SCALARS:
+        accepts, text = _SCALARS[kind]
+        if not accepts(value):
+            raise ConfigError(f"{path} must be {text}, got {value!r}")
+        if kind is float and not (_is_int(value) or math.isfinite(value)):
+            raise ConfigError(f"{path} must be finite, got {value!r}")
+    elif not isinstance(value, kind):
+        raise ConfigError(f"{path} must be a section ({kind.__name__}), got {value!r}")
+    if rule is not None and not rule[0](value):
+        raise ConfigError(f"{path} must be {rule[1]}, got {value!r}")
 
 
 @dataclass(frozen=True)
 class AdaptationConfig:
-    window: int = 10_000
-    threshold: float = 0.001
+    window: Count = 10_000
+    threshold: Annotated[float, (lambda v: 0 < v <= 1, "a number in (0, 1]")] = 0.001
 
     def __post_init__(self):
-        _check_counts(self, "adc.adaptation", "window")
-        if not _is_real(self.threshold) or not 0 < self.threshold <= 1:
-            raise ConfigError(
-                f"adc.adaptation.threshold must lie in (0, 1], got {self.threshold!r}"
-            )
+        _check(self, "adc.adaptation")
 
 
 @dataclass(frozen=True)
 class AdcConfig:
     vdd: float = 0.9
     v_threshold: float = 0.3
-    full_scale: float = 0.45  # differential full scale: max |v_p - v_n|, volts
-    d_offset: float = 100e-12
-    unit_delay: float = 4e-12
-    n_taps: int = 255
-    launch_lead_taps: float = 0.25
-    divided_ratio: int = 8
-    tap_sigma_systematic: float = 0.0
-    tap_sigma_random: float = 0.0
-    slope_sigma: float = 0.0
-    threshold_sigma: float = 0.0
+    full_scale: Positive = 0.45  # differential full scale: max |v_p - v_n|, volts
+    d_offset: Positive = 100e-12
+    unit_delay: Positive = 4e-12
+    n_taps: Count = 255
+    # a negative lead opens the pulse window before the STDC launch edge
+    launch_lead_taps: NonNegative = 0.25
+    divided_ratio: Count = 8
+    tap_sigma_systematic: NonNegative = 0.0
+    tap_sigma_random: NonNegative = 0.0
+    slope_sigma: NonNegative = 0.0
+    threshold_sigma: NonNegative = 0.0
     adaptation: AdaptationConfig = field(default_factory=AdaptationConfig)
 
     def __post_init__(self):
-        _check_counts(self, "adc", "n_taps", "divided_ratio")
-        # a negative lead opens the pulse window before the STDC launch edge
-        if not _is_real(self.launch_lead_taps) or not self.launch_lead_taps >= 0:
-            raise ConfigError(
-                f"adc.launch_lead_taps must be a number >= 0, got {self.launch_lead_taps!r}"
-            )
+        _check(self, "adc")
         if not (0 < self.v_threshold < self.vdd / 2):
             raise ConfigError("adc.v_threshold must lie in (0, vdd/2)")
-        _check_positive(self, "adc", "full_scale", "unit_delay", "d_offset")
-        _check_sigmas(self, "adc", "tap_sigma_systematic", "tap_sigma_random",
-                      "slope_sigma", "threshold_sigma")
 
     @property
     def discharge_slope(self) -> float:
@@ -208,28 +212,19 @@ class AdcConfig:
 
 @dataclass(frozen=True)
 class PiConfig:
-    unit_delay: float = 12.5e-12
-    n_taps: int = 32
-    tap_sigma_rel: float = 0.0
-    skew_sigma_rel: float = 0.0  # in units of unit_delay
+    unit_delay: Positive = 12.5e-12
+    n_taps: Annotated[int, (lambda v: v >= 2, "an integer >= 2")] = 32
+    tap_sigma_rel: NonNegative = 0.0
+    skew_sigma_rel: NonNegative = 0.0  # in units of unit_delay
     trim_enabled: bool = False
-    trim_max_iters: int = 64
-    injected_skews: tuple = ()  # (path index 1-based, skew in unit delays) pairs
+    trim_max_iters: Count = 64
+    # (path index 1-based, skew in unit delays) pairs
+    injected_skews: tuple[tuple[float, ...], ...] = ()
 
     def __post_init__(self):
-        _check_counts(self, "pi", "trim_max_iters")
-        _check_positive(self, "pi", "unit_delay")
-        if not _is_int(self.n_taps) or self.n_taps < 2:
-            raise ConfigError(f"pi.n_taps must be an integer >= 2, got {self.n_taps!r}")
-        _check_sigmas(self, "pi", "tap_sigma_rel", "skew_sigma_rel")
+        _check(self, "pi")
         for entry in self.injected_skews:
-            if not (
-                isinstance(entry, (tuple, list))
-                and len(entry) == 2
-                and _is_int(entry[0])
-                and 1 <= entry[0] <= self.n_taps
-                and _is_real(entry[1])
-            ):
+            if not (len(entry) == 2 and _is_int(entry[0]) and 1 <= entry[0] <= self.n_taps):
                 raise ConfigError(
                     f"pi.injected_skews entries must be [path in 1..{self.n_taps}, "
                     f"skew in unit delays], got {entry!r}"
@@ -245,45 +240,36 @@ class CalibrationConfig:
     adapt_offsets: bool = True
     lut: bool = False
     skew: bool = False
-    lut_capture_samples: int = 1_048_576  # aggregate; 100-hit floor needs ~2^20
-    lut_min_hits: int = 100
-    skew_capture_samples: int = 4_096
+    lut_capture_samples: Capture = 1_048_576  # aggregate; 100-hit floor needs ~2^20
+    lut_min_hits: Count = 100
+    skew_capture_samples: Capture = 4_096
 
     def __post_init__(self):
-        _check_counts(self, "system.calibration", "lut_capture_samples",
-                      "skew_capture_samples", "lut_min_hits")
-        _check_captures(self, "system.calibration", "lut_capture_samples",
-                        "skew_capture_samples")
+        _check(self, "system.calibration")
 
 
 @dataclass(frozen=True)
 class SystemConfig:
-    aggregate_rate: float = 20e9
-    skew_injection: tuple = (0.0,) * N_GROUPS
-    latencies: tuple = (2,) * N_SLICES
-    sampling_jitter: float = 0.0
-    front_end_bandwidth: float | None = None
-    front_end_stages: int = 1
+    aggregate_rate: Positive = 20e9
+    skew_injection: Annotated[
+        tuple[float, ...], (lambda v: len(v) == N_GROUPS, f"a list of {N_GROUPS} numbers")
+    ] = (0.0,) * N_GROUPS
+    latencies: Annotated[
+        tuple[int, ...],
+        (lambda v: len(v) == N_SLICES and min(v) >= 0, f"a list of {N_SLICES} integers >= 0"),
+    ] = (2,) * N_SLICES
+    sampling_jitter: NonNegative = 0.0
+    # a bandwidth <= 0 divides by zero or flips the sign of the phase lag,
+    # and a stage count below one (or fractional) amplifies the tone
+    front_end_bandwidth: Positive | None = None
+    front_end_stages: Count = 1
     track: float = 50e-12
     early: float = 5e-12
     late: float = 5e-12
     calibration: CalibrationConfig = field(default_factory=CalibrationConfig)
 
     def __post_init__(self):
-        _check_positive(self, "system", "aggregate_rate")
-        if len(self.skew_injection) != N_GROUPS or not all(map(_is_real, self.skew_injection)):
-            raise ConfigError(f"system.skew_injection needs {N_GROUPS} numbers")
-        if len(self.latencies) != N_SLICES:
-            raise ConfigError(f"system.latencies needs {N_SLICES} entries")
-        if not all(_is_int(lat) and lat >= 0 for lat in self.latencies):
-            raise ConfigError("system.latencies must be integers >= 0")
-        _check_sigmas(self, "system", "sampling_jitter")
-        # a bandwidth <= 0 divides by zero or flips the sign of the phase lag,
-        # and a stage count below one (or fractional) amplifies the tone
-        if self.front_end_bandwidth is not None:
-            _check_positive(self, "system", "front_end_bandwidth")
-        _check_counts(self, "system", "front_end_stages")
-        _check_pinned(self, "system", "track", "early", "late")
+        _check(self, "system", "track", "early", "late")
 
     @property
     def slice_rate(self) -> float:
@@ -306,74 +292,69 @@ class SystemConfig:
 class StimulusConfig:
     type: str = "sine"  # the only stimulus any experiment applies
     frequency: float | None = None
-    coherent_bin: int | None = None
-    amplitude: float = 0.45
+    coherent_bin: Annotated[int, (lambda v: v % 2 == 1, "odd")] | None = None
+    # a negative amplitude would pass the swing check at load
+    amplitude: Positive = 0.45
     common_mode: float = 0.525
     phase: float = 0.0
 
     def __post_init__(self):
-        _check_pinned(self, "stimulus", "type")
-        # a negative amplitude would pass the swing check at load
-        _check_positive(self, "stimulus", "amplitude")
-        if self.coherent_bin is not None and self.coherent_bin % 2 == 0:
-            raise ConfigError("coherent_bin must be odd")
+        _check(self, "stimulus", "type")
 
 
 @dataclass(frozen=True)
 class CaptureConfig:
-    n_samples: int = 8_192
+    n_samples: Capture = 8_192
     linearity: bool = False
-    linearity_samples: int = 65_536
-    linearity_amplitude: float | None = None
+    linearity_samples: Capture = 65_536
+    # unset means the stimulus amplitude; 0 must not read as unset
+    linearity_amplitude: Positive | None = None
 
     def __post_init__(self):
-        _check_counts(self, "capture", "n_samples", "linearity_samples")
-        _check_captures(self, "capture", "n_samples", "linearity_samples")
-        # unset means the stimulus amplitude; 0 must not read as unset
-        if self.linearity_amplitude is not None:
-            _check_positive(self, "capture", "linearity_amplitude")
+        _check(self, "capture")
+        # the code-density histogram needs MIN_HITS_PER_CODE samples per code
+        floor = MIN_HITS_PER_CODE * (CODE_MAX - CODE_MIN + 1)
+        if self.linearity and self.linearity_samples < floor:
+            raise ConfigError(
+                f"capture.linearity_samples must be at least {floor} "
+                f"({MIN_HITS_PER_CODE} per code) with capture.linearity on, "
+                f"got {self.linearity_samples}"
+            )
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    points: int = 511
+    points: Count = 511
     span_rel: float = 1.0  # fraction of full scale swept on each side
     seeds: int = 1
 
     def __post_init__(self):
-        _check_counts(self, "sweep", "points")
-        _check_pinned(self, "sweep", "seeds")
+        _check(self, "sweep", "seeds")
+
+
+Percentile = Annotated[float, (lambda v: 0 <= v <= 100, "a number in [0, 100]")]
 
 
 @dataclass(frozen=True)
 class MonteCarloConfig:
-    trials: int = 20
+    trials: Count = 20
     experiment: str = "adc-sine"
     workers: int = 1
-    percentiles: tuple = (5.0, 50.0, 95.0)
+    percentiles: tuple[Percentile, ...] = (5.0, 50.0, 95.0)
 
     def __post_init__(self):
-        _check_counts(self, "montecarlo", "trials")
-        _check_pinned(self, "montecarlo", "workers")
-        if not isinstance(self.percentiles, (tuple, list)) or not all(
-            _is_real(p) and 0 <= p <= 100 for p in self.percentiles
-        ):
-            raise ConfigError(
-                f"montecarlo percentiles must be a list of numbers in [0, 100], "
-                f"got {self.percentiles!r}"
-            )
+        _check(self, "montecarlo", "workers")
 
 
 @dataclass(frozen=True)
 class FomEntry:
     label: str
-    power: float
+    power: Positive  # the figure of merit divides by both
     enob: float
-    rate: float
+    rate: Positive
 
     def __post_init__(self):
-        # the figure of merit divides by both
-        _check_positive(self, "fom.entries[]", "power", "rate")
+        _check(self, "fom.entries[]")
 
 
 @dataclass(frozen=True)
@@ -381,23 +362,21 @@ class FomConfig:
     entries: tuple[FomEntry, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.entries, tuple) or not all(
-            isinstance(entry, FomEntry) for entry in self.entries
-        ):
-            raise ConfigError(f"fom.entries must be a list of mappings, got {self.entries!r}")
+        _check(self, "fom")
 
 
 @dataclass(frozen=True)
 class OutputConfig:
     dir: str = "out"
-    formats: tuple = ("csv", "json")
+    formats: tuple[str, ...] = ("csv", "json")
 
     def __post_init__(self):
-        _check_pinned(self, "output", "formats")
+        _check(self, "output", "formats")
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    # derive_seed would truncate a fractional seed to another run's draws
     master_seed: int = 0
     adc: AdcConfig = field(default_factory=AdcConfig)
     pi: PiConfig = field(default_factory=PiConfig)
@@ -410,9 +389,7 @@ class RunConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
 
     def __post_init__(self):
-        # derive_seed would truncate a fractional seed to another run's draws
-        if not _is_int(self.master_seed):
-            raise ConfigError(f"master_seed must be an integer, got {self.master_seed!r}")
+        _check(self, "")
 
     @functools.cached_property
     def digest(self) -> str:
@@ -567,7 +544,7 @@ def config_to_dict(cfg) -> dict:
         return {
             f.name: config_to_dict(getattr(cfg, f.name)) for f in fields(cfg)
         }
-    if isinstance(cfg, tuple):
+    if isinstance(cfg, (tuple, list)):
         return [config_to_dict(v) for v in cfg]
     return cfg
 

@@ -24,6 +24,8 @@ ENOB_OFFSET_DB = 1.76
 ENOB_SLOPE_DB = 6.02
 # interleaving factor: the spur families sit at multiples of fs/16
 SPUR_FAMILY = 16
+# code-density floor: a histogram needs this many samples per code
+MIN_HITS_PER_CODE = 100
 
 
 @dataclass
@@ -73,7 +75,7 @@ def code_density_linearity(histogram: np.ndarray, stimulus: str) -> LinearityRep
     if stimulus not in ("ramp", "sine"):
         raise ValueError(f"unknown stimulus {stimulus!r}")
     n_codes = hist.size
-    _check_counts(hist, 100 * n_codes)
+    _check_counts(hist, MIN_HITS_PER_CODE * n_codes)
     total = hist.sum()
     if stimulus == "sine":
         if hist[0] == 0 or hist[-1] == 0:
@@ -110,19 +112,21 @@ def coherent_bin(fin: float, fs: float, n_samples: int) -> int:
     """Validate coherence and return the tone bin.
 
     Requires fin = J/n_samples * fs with J odd (hence coprime to the
-    power-of-two record length); on failure the nearest coherent frequency
-    is suggested in the error message.
+    power-of-two record length) and below Nyquist, 1 <= J < n_samples/2; on
+    failure the nearest coherent frequency is suggested in the error message.
     """
     if n_samples < 2**12 or n_samples & (n_samples - 1):
         raise CoherenceError(f"n_samples must be a power of two >= 4096, got {n_samples}")
     j_exact = fin * n_samples / fs
     j = int(round(j_exact))
-    if j < 1 or j >= n_samples // 2 or j % 2 == 0 or abs(j_exact - j) > 1e-9 * max(j, 1):
-        j_near = max(1, int(round(j_exact)) | 1)
+    nyquist = n_samples // 2
+    if j < 1 or j >= nyquist or j % 2 == 0 or abs(j_exact - j) > 1e-9 * max(j, 1):
+        # n_samples/2 - 1 is odd, the highest coherent bin
+        j_near = min(max(1, j | 1), nyquist - 1)
         raise CoherenceError(
             f"fin={fin} Hz is not coherent with n={n_samples} at fs={fs} Hz "
-            f"(J={j_exact:.6f} must be an odd integer); nearest coherent "
-            f"fin = {j_near * fs / n_samples} Hz"
+            f"(J={j_exact:.6f} must be an odd integer in 1 <= J < {nyquist}); "
+            f"nearest coherent fin = {j_near * fs / n_samples} Hz (J={j_near})"
         )
     return j
 

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,8 @@ import yaml
 import stochadc
 from stochadc.cli import main
 from stochadc.config import (
+    FomConfig,
+    FomEntry,
     MonteCarloConfig,
     RunConfig,
     config_hash,
@@ -20,8 +24,9 @@ from stochadc.config import (
     load_config,
     parse_config,
 )
-from stochadc.errors import ConfigError
+from stochadc.errors import ConfigError, PreconditionError
 from stochadc.experiments import run_experiment
+from stochadc.metrics import code_density_linearity
 from stochadc.stimulus import SineStimulus
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -48,7 +53,7 @@ PINNED_VALUES = {
     "stimulus.type": "ramp",
 }
 
-# the fields `_check_positive` holds above 0 in each section's constructor
+# fields held above 0 in each section's constructor
 POSITIVE_FIELDS = ["adc.full_scale", "adc.unit_delay", "adc.d_offset", "pi.unit_delay"]
 
 # every field a section's constructor holds in a numeric range
@@ -63,6 +68,56 @@ RANGE_FIELDS = POSITIVE_FIELDS + [
     "pi.skew_sigma_rel",
     "system.sampling_jitter",
 ]
+
+NAN, INF = float("nan"), float("inf")
+FOM_ENTRY = {"label": "a", "power": 0.1, "enob": 5.6, "rate": 2.0e10}
+
+
+def config_sections() -> dict:
+    """Every config section by the path its errors name, as a valid instance:
+    those reached from the defaults, and one fom entry."""
+    found = {}
+
+    def walk(path, section):
+        found[path] = section
+        for f in dataclasses.fields(section):
+            value = getattr(section, f.name)
+            if dataclasses.is_dataclass(value):
+                walk(f"{path}.{f.name}" if path else f.name, value)
+
+    walk("", RunConfig())
+    found["fom.entries[]"] = FomEntry(**FOM_ENTRY)
+    return found
+
+
+def wrong_values(valid) -> list:
+    """Values of another kind than the valid value `valid`, and the
+    non-finite numbers; every unset (None) field is a number."""
+    if dataclasses.is_dataclass(valid):
+        return [5, "abc", True, NAN]
+    if isinstance(valid, bool):
+        return ["false", 1, NAN, INF]
+    if isinstance(valid, str):
+        return [5, True, NAN, INF, -INF]
+    if isinstance(valid, tuple):
+        return ["abc", True, NAN, INF]
+    return [True, "abc", NAN, INF, -INF]
+
+
+def wrong_field_values() -> list:
+    """(section path, field, wrong value, index of the list item it replaces
+    or None) for every field of every section."""
+    cases = []
+    for path, section in config_sections().items():
+        for f in dataclasses.fields(section):
+            valid = getattr(section, f.name)
+            cases += [(path, f.name, bad, None) for bad in wrong_values(valid)]
+            if isinstance(valid, tuple) and valid:
+                cases += [(path, f.name, bad, 0) for bad in wrong_values(valid[0])]
+    return cases
+
+
+WRONG_FIELD_VALUES = wrong_field_values()
 
 
 def skewcal_with(skews: str) -> str:
@@ -123,6 +178,11 @@ class TestConfigParsing:
         tupled = RunConfig(montecarlo=MonteCarloConfig(percentiles=(5.0, 95.0)))
         assert config_hash(listed) == config_hash(tupled)
         assert config_hash(pickle.loads(pickle.dumps(listed))) == config_hash(listed)
+        # a list of sections too
+        entry = FomEntry(**FOM_ENTRY)
+        assert config_hash(RunConfig(fom=FomConfig(entries=[entry]))) == config_hash(
+            RunConfig(fom=FomConfig(entries=(entry,)))
+        )
 
     @pytest.mark.parametrize(
         "skews,ok",
@@ -300,6 +360,38 @@ class TestCli:
         assert main(["adc-sine", "--config", str(p), "--out", str(tmp_path)]) == 2
         assert f"config error: {field} must be a multiple of 16" in capsys.readouterr().err
 
+    def test_linearity_capture_below_the_histogram_floor_rejected_at_load(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # the code-density histogram needs 100 samples for each of the 255
+        # codes: 4096 used to exit 3 after the offset warmup and the
+        # measurement capture
+        import stochadc.interleaver as il
+
+        def unbuilt(*args):
+            raise AssertionError("the converter was built")
+
+        monkeypatch.setattr(il.AdcSystem, "__init__", unbuilt)
+        text = MINIMAL_SINE + "  linearity: true\n  linearity_samples: 4096\n"
+        p = self.write(tmp_path, text)
+        assert main(["adc-sine", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert (
+            "config error: capture.linearity_samples must be at least 25500 (100 per code) "
+            "with capture.linearity on, got 4096"
+        ) in capsys.readouterr().err
+        # 25,504 is the smallest multiple of 16 at the floor, and without the
+        # linearity capture the size is unused
+        parse_config(text.replace("4096", "25504"))
+        parse_config(text.replace("linearity: true", "linearity: false"))
+        with pytest.raises(ConfigError, match="capture.linearity_samples must be at least"):
+            parse_config(text.replace("4096", "25488"))
+        # the floor is the metric's own
+        hist = np.full(255, 100)
+        code_density_linearity(hist, "ramp")
+        hist[1] -= 1
+        with pytest.raises(PreconditionError, match="need at least 25500"):
+            code_density_linearity(hist, "ramp")
+
     def test_stimulus_over_supply_rejected_at_load(self, tmp_path):
         q = self.write(
             tmp_path,
@@ -403,6 +495,8 @@ class TestCli:
             "adc:\n  unit_delay: .inf\n",
             "adc:\n  d_offset: nan\n",
             "pi:\n  tap_sigma_rel: -.inf\n",
+            "pi:\n  injected_skews: [[7, .nan]]\n",
+            "montecarlo:\n  percentiles: [5, .nan]\n",
         ],
         ids=[
             "jitter-nan",
@@ -412,6 +506,8 @@ class TestCli:
             "unit-delay-inf",
             "d-offset-nan-string",
             "pi-sigma-minus-inf",
+            "injected-skew-nan",
+            "percentile-nan",
         ],
     )
     def test_non_finite_or_negative_jitter_rejected_at_load(self, tmp_path, section):
@@ -429,8 +525,13 @@ class TestCli:
             (MINIMAL_SINE + "system:\n  calibration:\n    skew: 'false'\n",
              "system.calibration.skew"),
             (MINIMAL_SINE + "output:\n  dir: 5\n", "output.dir"),
+            (MINIMAL_SINE.replace("coherent_bin: 101", "coherent_bin: 100"),
+             "stimulus.coherent_bin"),
         ],
-        ids=["sigma-bool", "full-scale-bool", "coherent-bin-bool", "skew-string", "dir-int"],
+        ids=[
+            "sigma-bool", "full-scale-bool", "coherent-bin-bool", "skew-string", "dir-int",
+            "coherent-bin-even",
+        ],
     )
     def test_values_must_match_their_annotation(self, tmp_path, monkeypatch, capsys, text, field):
         # each used to load: true ran as sigma 1.0 (ENOB 3.25) and as a 1 V
@@ -514,8 +615,22 @@ class TestCli:
                 MINIMAL_SINE.replace("coherent_bin: 101", "frequency: 100097657.47070312"),
                 "capture.n_samples: fin=100097657.47070312 Hz is not coherent",
             ),
+            # an odd bin at or above Nyquist, or below 1, was called not odd
+            # and the same frequency was suggested back
+            (
+                MINIMAL_SINE.replace("coherent_bin: 101", "coherent_bin: 4097"),
+                "capture.n_samples: fin=10002441406.25 Hz is not coherent with n=8192 at "
+                "fs=20000000000.0 Hz (J=4097.000000 must be an odd integer in 1 <= J < 4096); "
+                "nearest coherent fin = 9997558593.75 Hz (J=4095)\n",
+            ),
+            (
+                MINIMAL_SINE.replace("coherent_bin: 101", "coherent_bin: -3"),
+                "capture.n_samples: fin=-7324218.75 Hz is not coherent with n=8192 at "
+                "fs=20000000000.0 Hz (J=-3.000000 must be an odd integer in 1 <= J < 4096); "
+                "nearest coherent fin = 2441406.25 Hz (J=1)\n",
+            ),
         ],
-        ids=["record-8000", "skew-record-4000", "j-off-by-5e-7"],
+        ids=["record-8000", "skew-record-4000", "j-off-by-5e-7", "j-above-nyquist", "j-negative"],
     )
     def test_incoherent_records_rejected_at_load(self, tmp_path, capsys, text, record):
         # the load check and the run-time rule disagreed: each config loaded,
@@ -640,14 +755,48 @@ class TestCli:
     @pytest.mark.parametrize("value", [float("nan"), "1e-12"], ids=["nan", "string"])
     @pytest.mark.parametrize("field", RANGE_FIELDS)
     def test_range_field_built_in_python_refuses_nan_and_strings(self, field, value):
-        # a NaN passed the comparisons with 0 and a string raised a TypeError;
-        # YAML load rejects both earlier, in `_value`
+        # a NaN passed the comparisons with 0 and a string raised a TypeError
         *path, name = field.split(".")
         section = RunConfig()
         for part in path:
             section = getattr(section, part)
         with pytest.raises(ConfigError, match=f"{field} must "):
             type(section)(**{name: value})
+
+    @pytest.mark.parametrize(
+        "path, name, bad, item",
+        WRONG_FIELD_VALUES,
+        ids=[
+            f"{path}{'.' if path else ''}{name}{'' if item is None else f'[{item}]'}={bad!r}"
+            for path, name, bad, item in WRONG_FIELD_VALUES
+        ],
+    )
+    def test_every_field_refuses_a_wrong_type_or_a_non_finite_value(
+        self, tmp_path, capsys, path, name, bad, item
+    ):
+        # a section built in Python used to be held only to the types its
+        # range checks tested: AdcConfig(vdd=True), OutputConfig(dir=5),
+        # CalibrationConfig(skew="false") and SystemConfig(aggregate_rate=inf)
+        # all built
+        section = config_sections()[path]
+        value = bad
+        if item is not None:
+            value = tuple(bad if i == item else v for i, v in enumerate(getattr(section, name)))
+        field = f"{path}.{name}" if path else name
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            dataclasses.replace(section, **{name: value})
+        data = yaml.safe_load(MINIMAL_SINE)
+        if path == "fom.entries[]":
+            node = dict(FOM_ENTRY)
+            data["fom"] = {"entries": [node]}
+        else:
+            node = data
+            for part in filter(None, path.split(".")):
+                node = node.setdefault(part, {})
+        node[name] = list(value) if isinstance(value, tuple) else value
+        p = self.write(tmp_path, yaml.safe_dump(data))
+        assert main(["pi-sweep", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert field in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["[[0, 1.5]]", "[[40, 1.5]]", "[[7]]"])
     def test_bad_injected_skews_rejected_at_load(self, tmp_path, value):
