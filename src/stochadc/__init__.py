@@ -5,12 +5,11 @@ Monte Carlo, and the measurement methodology (DNL/INL, SNDR/ENOB, PI
 transfer, energy figure of merit) used to characterize it.
 """
 
-from .core import ClockSpec, derive_seed, mismatch_scale
+from .core import derive_seed, mismatch_scale
 from .errors import (
     ChainUnderspanError,
     CoherenceError,
     ConfigError,
-    CorrelatedSamplerError,
     CoverageError,
     OverrangeError,
     PreconditionError,
@@ -37,8 +36,6 @@ from .interleaver import (
     schedule_sampling,
 )
 from .metrics import (
-    LinearityReport,
-    SpectrumReport,
     code_density_linearity,
     measure_pi_transfer_uncorrelated,
     sndr_enob,

@@ -18,8 +18,9 @@ section's rules between its own fields follow in its constructor.  Loading
 adds strictness (unknown keys anywhere in the tree are rejected; `_value`
 only nests sections, turns lists into tuples and reads YAML 1.1's
 "100e-12" as a number) and `parse_config` the checks that span sections
-(tone coherence, stimulus swing, the skew tone's presence and amplitude and
-the skew range the calibration can measure).  The four tones of a run are
+(tone coherence, the stimulus swing and the slice-transfer sweep inside the
+V2T input range, the skew tone's presence and amplitude and the skew range
+the calibration can measure).  The four tones of a run are
 derived here, each through `sine_tone`.  Physically meaningful values have
 no hidden defaults beyond the documented design sizing.  Loading then
 re-serializing a config is idempotent.
@@ -325,7 +326,7 @@ class CaptureConfig:
 @dataclass(frozen=True)
 class SweepConfig:
     points: Count = 511
-    span_rel: float = 1.0  # fraction of full scale swept on each side
+    span_rel: Positive = 1.0  # fraction of full scale swept on each side
     seeds: int = 1
 
     def __post_init__(self):
@@ -426,6 +427,15 @@ def _validate(cfg: RunConfig) -> RunConfig:
             )
         if st.common_mode + amplitude / 2.0 > cfg.adc.vdd:
             raise ConfigError(f"stimulus swings above the supply at {name} {amplitude}")
+    # the slice-transfer sweep's differential endpoints, as the run forms them
+    half_span = cfg.sweep.span_rel * cfg.adc.full_scale / 2.0
+    low, high = st.common_mode - half_span, st.common_mode + half_span
+    if low < cfg.adc.v_threshold or high > cfg.adc.vdd:
+        raise ConfigError(
+            f"sweep.span_rel {cfg.sweep.span_rel} sweeps the V2T inputs over "
+            f"[{low:g}, {high:g}] V, outside adc.v_threshold {cfg.adc.v_threshold} "
+            f"to adc.vdd {cfg.adc.vdd} V"
+        )
     if cfg.system.calibration.skew:
         # the skew tone is the measurement tone moved to the skew capture's grid
         if not has_tone:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -297,14 +296,3 @@ def mismatch_scale(nominal: float, sigma_rel: float, normals: np.ndarray) -> np.
         values = np.maximum(values, CLAMP_FLOOR * nominal)
     return values
 
-
-@dataclass(frozen=True)
-class ClockSpec:
-    """Periodic edge source; edge k is at phase0 + k*period."""
-
-    period: Duration
-    phase0: Instant = 0.0
-
-    def __post_init__(self):
-        if self.period <= 0:
-            raise ValueError(f"clock period must be > 0, got {self.period}")

@@ -29,10 +29,6 @@ class ChainUnderspanError(PreconditionError):
     """Delay chain does not span one clock period."""
 
 
-class CorrelatedSamplerError(PreconditionError):
-    """Asynchronous-sampling monitor configured with a correlated clock."""
-
-
 class CoverageError(PreconditionError):
     """Calibration capture left codes undersampled."""
 

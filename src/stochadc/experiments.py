@@ -455,13 +455,7 @@ def run_adc_sine(
         pi_codes=pi_codes,
     )
     aligned = il.aligned_capture(system, capture)
-    report = met.sndr_enob(aligned.codes, fs, tone.frequency)
-    metrics = {
-        "sndr_db": report.sndr_db,
-        "enob": report.enob,
-        "fundamental_bin": report.fundamental_bin,
-        "dominant_family_spur_dbc": met.dominant_family_spur_db(report),
-    }
+    metrics, spur_list = met.sndr_enob(aligned.codes, fs, tone.frequency)
     lin = None
     if cfg.capture.linearity:
         lin_capture = il.run_capture(
@@ -473,9 +467,9 @@ def run_adc_sine(
         # a histogram ignores order, and aligning drops no sample
         hist = il.code_histogram(lin_capture.corrected)
         lin = met.code_density_linearity(hist, "sine")
-        metrics["dnl_max"] = lin.dnl_max
-        metrics["inl_max"] = lin.inl_max
-        metrics["missing_codes"] = len(lin.missing_codes)
+        metrics["dnl_max"] = lin["dnl_max"]
+        metrics["inl_max"] = lin["inl_max"]
+        metrics["missing_codes"] = len(lin["missing_codes"])
 
     def bodies():
         # sample 16*m + s is entry [s, m] of each per-slice array
@@ -484,7 +478,7 @@ def run_adc_sine(
             "adc_sine.json": {
                 "experiment": "adc-sine",
                 "metrics": metrics,
-                "spur_list": report.spur_list,
+                "spur_list": spur_list,
                 "offset_codes": calibration.offset_codes,
                 "pi_codes": pi_codes,
                 "fin_hz": tone.frequency,
@@ -500,15 +494,12 @@ def run_adc_sine(
             },
         }
         if lin is not None:
-            files["linearity.csv"] = {"code": lin.codes, "dnl_lsb": lin.dnl, "inl_lsb": lin.inl}
+            files["linearity.csv"] = {
+                "code": lin["codes"], "dnl_lsb": lin["dnl"], "inl_lsb": lin["inl"],
+            }
             files["linearity.json"] = {
                 "experiment": "adc-sine/linearity",
-                "dnl_max": lin.dnl_max,
-                "inl_max": lin.inl_max,
-                "missing_codes": lin.missing_codes,
-                "reference": lin.reference,
-                "dnl": lin.dnl,
-                "inl": lin.inl,
+                **{k: v for k, v in lin.items() if k != "codes"},
             }
         return files
 

@@ -12,13 +12,9 @@ zero at both extreme codes, and that reference is stated in the report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 import numpy as np
 
-from .core import ClockSpec
-from .errors import CoherenceError, CorrelatedSamplerError, PreconditionError
+from .errors import CoherenceError, PreconditionError
 
 ENOB_OFFSET_DB = 1.76
 ENOB_SLOPE_DB = 6.02
@@ -26,29 +22,9 @@ ENOB_SLOPE_DB = 6.02
 SPUR_FAMILY = 16
 # code-density floor: a histogram needs this many samples per code
 MIN_HITS_PER_CODE = 100
-
-
-@dataclass
-class LinearityReport:
-    """DNL/INL per code, in LSB, endpoint-referenced."""
-
-    codes: np.ndarray  # code values the arrays are indexed by
-    dnl: np.ndarray
-    inl: np.ndarray
-    dnl_max: float
-    inl_max: float
-    missing_codes: list
-    reference: str = "endpoint"
-
-
-@dataclass
-class SpectrumReport:
-    """Coherent-capture spectral metrics; spur list sorted by power."""
-
-    sndr_db: float
-    enob: float
-    fundamental_bin: int
-    spur_list: list  # (bin, dBc) pairs, descending power
+# the monitor's sampler period is clock_period * 100003 / 99991: a ratio of
+# large primes, so the sampling instants never lock to the monitored clock
+SAMPLER_RATIO = (100003, 99991)
 
 
 def _check_counts(histogram: np.ndarray, minimum: int) -> None:
@@ -59,15 +35,17 @@ def _check_counts(histogram: np.ndarray, minimum: int) -> None:
         )
 
 
-def code_density_linearity(histogram: np.ndarray, stimulus: str) -> LinearityReport:
-    """DNL/INL from a code-density histogram of a ramp or sine capture.
+def code_density_linearity(histogram: np.ndarray, stimulus: str) -> dict:
+    """DNL/INL per interior code, in LSB, from a code-density histogram of a
+    ramp or sine capture.
 
     The two end bins absorb the (required) slight over-range of a sine and
     the clip mass of a ramp, so they carry no width information; DNL is
     computed over the interior codes.  For a sine the observed cumulative
     density is mapped through the arcsine law first, which removes the
     stimulus distribution without needing an amplitude estimate (it cancels
-    in the width normalization).
+    in the width normalization).  Returns the interior `codes`, `dnl`,
+    `inl`, their maxima, the `missing_codes` and the INL `reference`.
     """
     hist = np.asarray(histogram, dtype=np.float64)
     if hist.ndim != 1 or hist.size < 8:
@@ -98,14 +76,15 @@ def code_density_linearity(histogram: np.ndarray, stimulus: str) -> LinearityRep
     # endpoint reference: INL is exactly 0 at both extreme codes
     inl -= np.linspace(inl[0], inl[-1], inl.size)
     missing = (interior[hist[interior] == 0]).tolist()
-    return LinearityReport(
-        codes=interior,
-        dnl=dnl,
-        inl=inl,
-        dnl_max=float(np.max(np.abs(dnl))),
-        inl_max=float(np.max(np.abs(inl))),
-        missing_codes=missing,
-    )
+    return {
+        "codes": interior,
+        "dnl": dnl,
+        "inl": inl,
+        "dnl_max": float(np.max(np.abs(dnl))),
+        "inl_max": float(np.max(np.abs(inl))),
+        "missing_codes": missing,
+        "reference": "endpoint",
+    }
 
 
 def coherent_bin(fin: float, fs: float, n_samples: int) -> int:
@@ -131,13 +110,15 @@ def coherent_bin(fin: float, fs: float, n_samples: int) -> int:
     return j
 
 
-def sndr_enob(codes: np.ndarray, fs: float, fin: float) -> SpectrumReport:
+def sndr_enob(codes: np.ndarray, fs: float, fin: float) -> tuple[dict, list]:
     """SNDR/ENOB of a coherent sine capture (rectangular window).
 
     SNDR is fundamental power over everything else except DC; ENOB follows
     the (SNDR - 1.76)/6.02 relation by construction.  The spur list reports
     the interleaving families: tones at multiples of fs/SPUR_FAMILY and
-    their images around the fundamental.
+    their images around the fundamental, as (bin, dBc) pairs by descending
+    power.  Returns the metrics `sndr_db`, `enob`, `fundamental_bin` and
+    `dominant_family_spur_dbc` (the first spur), and the spur list.
     """
     x = np.asarray(codes, dtype=np.float64)
     n = x.size
@@ -151,6 +132,7 @@ def sndr_enob(codes: np.ndarray, fs: float, fin: float) -> SpectrumReport:
     if noise <= 0:
         raise PreconditionError("capture has no noise power; degenerate input")
     sndr = 10.0 * np.log10(signal / noise)
+    # the offset tones k*step are even bins and j is odd: never an empty list
     spur_bins = set()
     step = n // SPUR_FAMILY
     for k in range(1, SPUR_FAMILY):
@@ -164,70 +146,40 @@ def sndr_enob(codes: np.ndarray, fs: float, fin: float) -> SpectrumReport:
         key=lambda item: item[1],
         reverse=True,
     )
-    return SpectrumReport(
-        sndr_db=float(sndr),
-        enob=float((sndr - ENOB_OFFSET_DB) / ENOB_SLOPE_DB),
-        fundamental_bin=j,
-        spur_list=[(int(b), float(db)) for b, db in spurs],
-    )
-
-
-def dominant_family_spur_db(report: SpectrumReport) -> float:
-    """Largest interleaving-family spur, dBc."""
-    if not report.spur_list:
-        raise ValueError("report carries no spur list")
-    return report.spur_list[0][1]
-
-
-def check_uncorrelated(sampler_period: float, clock_period: float) -> None:
-    """Reject sampler periods commensurate with the monitored clock."""
-    ratio = Fraction(sampler_period / clock_period).limit_denominator(10**6)
-    err = abs(float(ratio) - sampler_period / clock_period)
-    if ratio.denominator < 1000 and err < 1e-12:
-        raise CorrelatedSamplerError(
-            f"sampler/clock period ratio {ratio} is low-order rational; "
-            "uncorrelated sampling needs a large-prime ratio"
-        )
-
-
-def uncorrelated_sampler(
-    clock: ClockSpec,
-    numerator: int = 100003,
-    denominator: int = 99991,
-    phase0: float = 0.0,
-) -> ClockSpec:
-    """Sampler clock with a large-prime period ratio to the monitored clock."""
-    return ClockSpec(period=clock.period * numerator / denominator, phase0=phase0)
+    spur_list = [(int(b), float(db)) for b, db in spurs]
+    metrics = {
+        "sndr_db": float(sndr),
+        "enob": float((sndr - ENOB_OFFSET_DB) / ENOB_SLOPE_DB),
+        "fundamental_bin": j,
+        "dominant_family_spur_dbc": spur_list[0][1],
+    }
+    return metrics, spur_list
 
 
 def measure_edge_distance(
-    phase_ref: float,
-    phase: float,
-    clock_period: float,
-    sampler: ClockSpec,
-    n_samples: int,
+    phase: float, clock_period: float, n_samples: int, sampler_phase0: float
 ) -> float:
-    """Folded edge distance by asynchronous sampling, in [0, period/2].
+    """Folded distance of an edge at `phase` from the clock edge at 0, by
+    asynchronous sampling, in [0, period/2].
 
     Both signals are 50%-duty squares at the monitored clock rate with
-    rising edges at their respective phases.  The mean of their sampled XOR
-    is 2*w/period where w is the phase distance folded at half a period;
-    the sign of a distance is not observable from level statistics alone,
-    which is why the transfer measurement unwraps a swept sequence instead.
+    rising edges at their respective phases; the sampler starts at
+    `sampler_phase0` with the period SAMPLER_RATIO sets.  The mean of their
+    sampled XOR is 2*w/period where w is the phase distance folded at half a
+    period; the sign of a distance is not observable from level statistics
+    alone, which is why the transfer measurement unwraps a swept sequence
+    instead.
     """
-    check_uncorrelated(sampler.period, clock_period)
-    t = sampler.phase0 + np.arange(n_samples) * sampler.period
-    level_ref = np.mod(t - phase_ref, clock_period) < clock_period / 2.0
+    numerator, denominator = SAMPLER_RATIO
+    t = sampler_phase0 + np.arange(n_samples) * (clock_period * numerator / denominator)
+    level_ref = np.mod(t, clock_period) < clock_period / 2.0
     level = np.mod(t - phase, clock_period) < clock_period / 2.0
     xor_fraction = np.mean(level_ref ^ level)
     return float(xor_fraction * clock_period / 2.0)
 
 
 def unwrap_distances(
-    folded: np.ndarray,
-    clock_period: float,
-    anchor: float,
-    step_hint: float = 0.0,
+    folded: np.ndarray, clock_period: float, anchor: float, step_hint: float
 ) -> np.ndarray:
     """Reconstruct a smoothly swept phase sequence from folded distances.
 
@@ -257,17 +209,17 @@ def unwrap_distances(
 def measure_pi_transfer_uncorrelated(
     phases: np.ndarray,
     clock_period: float,
-    sampler: ClockSpec,
     n_samples: int,
-    anchor: float | None = None,
+    sampler_phase0: float,
+    anchor: float,
 ) -> np.ndarray:
     """Per-code phase estimates of a swept interpolator, via the monitor.
 
     Each code's output is measured against the input clock edge; the folded
     distances are unwrapped along the sweep starting from ``anchor`` (the
-    nominal first-code phase; defaults to one sixteenth of the period, the
-    nominal unit delay).  Differencing adjacent codes yields per-step delay
-    estimates that converge to the true simulated steps as n_samples grows.
+    nominal first-code phase).  Differencing adjacent codes yields per-step
+    delay estimates that converge to the true simulated steps as n_samples
+    grows.
     """
     phases = np.asarray(phases, dtype=np.float64)
     if n_samples < 10**5:
@@ -276,9 +228,7 @@ def measure_pi_transfer_uncorrelated(
         )
     folded = np.empty(phases.size)
     for i, ph in enumerate(phases):
-        folded[i] = measure_edge_distance(0.0, ph, clock_period, sampler, n_samples)
-    if anchor is None:
-        anchor = clock_period / 16.0
+        folded[i] = measure_edge_distance(ph, clock_period, n_samples, sampler_phase0)
     step_hint = clock_period / 256.0 if phases.size > 1 else 0.0
     return unwrap_distances(folded, clock_period, anchor, step_hint)
 

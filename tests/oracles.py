@@ -7,8 +7,8 @@ phase interpolator reads every code from its code table (`pi.pi_sweep`,
 describe the same blocks one conversion or one code at a time, the way the
 circuit is drawn, and the tests hold the production path to them:
 
-* clock edges over a window, order-dependent sub-stream generators and
-  keyed per-instance mismatch values;
+* order-dependent sub-stream generators and keyed per-instance mismatch
+  values;
 * the sampling-phase generator, the discharge-ramp V2T pair and the pulse
   folder;
 * the STDC as tap edges, per-tap sampler bits, an adder tree and unfold;
@@ -26,19 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stochadc.core import (
-    ClockSpec,
-    Duration,
-    Instant,
-    derive_seed,
-    keyed_normal,
-)
+from stochadc.core import Duration, Instant, derive_seed, keyed_normal
 from stochadc.errors import ChainUnderspanError, OverrangeError, UnderrangeError
 from stochadc.interleaver import CODE_MAX, CODE_MIN, LUT_SIZE, N_SLICES, Lut
 from stochadc.pi import BLEND_STEPS, PI_CODES, DelayChain
 from stochadc.stdc import InverterChain, OffsetEstimate
 
-# Clock edges and stream draws.
+# Stream draws.
 
 
 def substream(master_seed: int, label: str, index: int = 0) -> np.random.Generator:
@@ -63,24 +57,6 @@ class KeyedMismatch:
         if self.nominal > 0:
             values = np.maximum(values, 0.05 * self.nominal)
         return values
-
-
-def clock_edges(spec: ClockSpec, t_start: Instant, t_end: Instant) -> np.ndarray:
-    """Edges in [t_start, t_end).
-
-    Window membership is decided with a guard of 1e-9 * period so that edges
-    lying exactly on a window boundary resolve deterministically despite
-    float rounding.
-    """
-    if t_start > t_end:
-        raise ValueError("t_start must be <= t_end")
-    guard = 1e-9 * spec.period
-    k0 = int(np.ceil((t_start - spec.phase0 - guard) / spec.period))
-    k1 = int(np.floor((t_end - spec.phase0 - guard) / spec.period))
-    if k1 < k0:
-        return np.empty(0, dtype=np.float64)
-    k = np.arange(k0, k1 + 1)
-    return spec.phase0 + k * spec.period
 
 
 # Sampling phases.

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from stochadc.config import GOLDEN_FRACTION, AdcConfig, RunConfig, SystemConfig, load_config
-from stochadc.core import ClockSpec
 from stochadc.experiments import run_experiment
 from stochadc.interleaver import (
     AdcSystem,
@@ -25,13 +24,7 @@ from stochadc.interleaver import (
     run_capture,
     slice_transfer,
 )
-from stochadc.metrics import (
-    dominant_family_spur_db,
-    measure_pi_transfer_uncorrelated,
-    sndr_enob,
-    uncorrelated_sampler,
-    walden_fom,
-)
+from stochadc.metrics import measure_pi_transfer_uncorrelated, sndr_enob, walden_fom
 from stochadc.pi import inverted_segments, make_pi_chain, pi_sweep, trim_paths
 from stochadc.stdc import count_edges_batch
 from stochadc.stimulus import SineStimulus
@@ -96,6 +89,13 @@ REGIME_LOCK = [
     (17, 0.4745970997264317, 5.059345713874172),
     (18, 0.4866172955205761, 5.359479197756763),
     (19, 0.7868567263099819, 5.441417442398935),
+]
+
+# Criterion 10 lock: the monitor's nine per-code estimates, bit for bit.
+MONITOR_LOCK = [
+    "0x1.b8160c5bf7790p-37", "0x1.d390abbfdb59ep-37", "0x1.ef0b4b23bf3aap-37",
+    "0x1.0542f543d18dcp-36", "0x1.130044f5c37e2p-36", "0x1.20bd94a7b56e9p-36",
+    "0x1.2e7f65458f18cp-36", "0x1.3c3cb4f781093p-36", "0x1.49fa04a972f99p-36",
 ]
 
 
@@ -249,20 +249,20 @@ def test_criterion_07_skew_calibration():
         warm = replace(tone, frequency=GOLDEN_FRACTION * design.slice_rate)
         offsets, _ = adapt_offsets(system, warm, window=10_000, threshold=0.001)
         corr = calibrate_skew(system, tone, n, offset_codes=offsets)
-        pre = sndr_enob(
+        pre, _ = sndr_enob(
             aligned_capture(system, run_capture(system, tone, n, offset_codes=offsets)).codes,
             FS, fin,
         )
         post_codes = np.clip(system.nominal_pi_codes() + corr, 0, 255)
-        post = sndr_enob(
+        post, _ = sndr_enob(
             aligned_capture(
                 system,
                 run_capture(system, tone, n, offset_codes=offsets, pi_codes=post_codes),
             ).codes,
             FS, fin,
         )
-        sp_pre = dominant_family_spur_db(pre)
-        sp_post = dominant_family_spur_db(post)
+        sp_pre = pre["dominant_family_spur_dbc"]
+        sp_post = post["dominant_family_spur_dbc"]
         residual = np.asarray(skews) + corr * design.pi_step
         residual -= np.median(residual)
         ok_resid += bool(np.max(np.abs(residual)) <= design.pi_step)
@@ -317,19 +317,16 @@ def test_criterion_09_mismatch_regime_consistency():
 
 
 def test_criterion_10_uncorrelated_monitor():
-    clock = ClockSpec(period=200 * PS)
-    phases = pi_sweep(make_pi_chain(12.5 * PS, clock.period))[:9]
-    sampler = uncorrelated_sampler(clock, phase0=2.3 * PS)
-    estimates = measure_pi_transfer_uncorrelated(
-        phases, clock.period, sampler, 10**6, anchor=12.5 * PS
-    )
+    phases = pi_sweep(make_pi_chain(12.5 * PS, 200 * PS))[:9]
+    estimates = measure_pi_transfer_uncorrelated(phases, 200 * PS, 10**6, 2.3 * PS, 12.5 * PS)
     steps = np.diff(estimates)
     worst = float(np.max(np.abs(steps - 0.78125 * PS)))
+    exact = [float(e).hex() for e in estimates] == MONITOR_LOCK
     report(
         10,
-        worst <= 0.25 * PS,
+        worst <= 0.25 * PS and exact,
         f"monitor estimates the 0.78125 ps step within {worst / PS:.4f} ps "
-        f"(bound 0.25 ps) at 10^6 samples per code",
+        f"(bound 0.25 ps) at 10^6 samples per code, estimates match lock bit for bit: {exact}",
     )
 
 

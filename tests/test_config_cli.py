@@ -288,6 +288,34 @@ class TestCli:
         assert main(["slice-transfer", "--config", str(p), "--out", str(tmp_path)]) == 2
         assert "below the V2T threshold" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("output:", "sweep:\n  span_rel: 3.0\noutput:"),
+            ("adc:", "adc:\n  full_scale: 1.35"),
+            # only the upper endpoint, 0.975 V, lies outside
+            ("amplitude: 0.45\n  common_mode: 0.525", "amplitude: 0.1\n  common_mode: 0.75"),
+        ],
+        ids=["span-rel-3", "full-scale-1.35", "above-the-supply"],
+    )
+    def test_sweep_beyond_the_v2t_range_rejected_at_load(
+        self, tmp_path, monkeypatch, capsys, old, new
+    ):
+        # slice-transfer exited 3 (UnderrangeError, v_p = -0.15 V) only after
+        # the 160k-sample offset warmup
+        import stochadc.interleaver as il
+
+        captures = []
+        monkeypatch.setattr(il, "run_capture", lambda *args, **kwargs: captures.append(args))
+        text = (CONFIG_DIR / "ideal.yaml").read_text(encoding="utf-8")
+        assert old in text
+        p = self.write(tmp_path, text.replace(old, new))
+        assert main(["slice-transfer", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert "config error: sweep.span_rel " in capsys.readouterr().err
+        assert captures == []
+        # the shipped sweep ends on the threshold, 0.525 - 0.45 / 2 V, and loads
+        parse_config(text)
+
     @pytest.mark.parametrize("experiment", ["adc-sine", "calibrate"])
     def test_skew_tone_below_half_scale_rejected_at_load(
         self, tmp_path, monkeypatch, capsys, experiment
@@ -527,17 +555,20 @@ class TestCli:
             (MINIMAL_SINE + "output:\n  dir: 5\n", "output.dir"),
             (MINIMAL_SINE.replace("coherent_bin: 101", "coherent_bin: 100"),
              "stimulus.coherent_bin"),
+            (MINIMAL_SINE + "sweep:\n  span_rel: 0\n", "sweep.span_rel"),
+            (MINIMAL_SINE + "sweep:\n  span_rel: -1\n", "sweep.span_rel"),
         ],
         ids=[
             "sigma-bool", "full-scale-bool", "coherent-bin-bool", "skew-string", "dir-int",
-            "coherent-bin-even",
+            "coherent-bin-even", "span-rel-zero", "span-rel-negative",
         ],
     )
     def test_values_must_match_their_annotation(self, tmp_path, monkeypatch, capsys, text, field):
         # each used to load: true ran as sigma 1.0 (ENOB 3.25) and as a 1 V
         # full scale, a coherent_bin of true measured bin 1 and the string
         # 'false' ran the skew calibration, all exit 0; a numeric output dir
-        # ended in a TypeError traceback (exit 1)
+        # ended in a TypeError traceback (exit 1); a sweep span of 0 wrote
+        # one point 5 times and a negative span the sweep in descending order
         monkeypatch.chdir(tmp_path)
         p = self.write(tmp_path, text)
         assert main(["adc-sine", "--config", str(p)]) == 2
@@ -1025,6 +1056,23 @@ class TestMonteCarlo:
         assert seeds == sorted(seeds)
         payload = json.loads((tmp_path / "montecarlo.json").read_text())
         assert "iterations" in payload["percentiles"]
+
+    def test_adc_sine_columns_follow_the_metrics_order(self, tmp_path):
+        # the columns are the trial metrics in the order sndr_enob and the
+        # linearity capture add them; regime's Monte Carlo has no digest lock
+        text = (CONFIG_DIR / "regime.yaml").read_text(encoding="utf-8")
+        assert "trials: 20\n" in text and "linearity: true\n" in text
+        cfg = parse_config(text.replace("trials: 20\n", "trials: 2\n"))
+        result = run_experiment("montecarlo", cfg, out_dir=tmp_path)
+        lines = (tmp_path / "montecarlo.csv").read_text().splitlines()
+        assert lines[2] == (
+            "seed,sndr_db,enob,fundamental_bin,dominant_family_spur_dbc,"
+            "dnl_max,inl_max,missing_codes"
+        )
+        assert [row.split(",")[0] for row in lines[3:]] == ["0", "1"]
+        assert list(result.metrics)[2:] == [
+            f"{key}_median" for key in lines[2].split(",")[1:]
+        ]
 
     def test_trials_build_no_artifact_bodies(self, tmp_path, monkeypatch):
         # only the montecarlo's own files are written, so no trial builds

@@ -9,7 +9,6 @@ from scipy.special import ndtri as scipy_ndtri
 
 from stochadc.core import (
     CLAMP_FLOOR,
-    ClockSpec,
     derive_seed,
     keyed_normal,
     keyed_u64,
@@ -22,7 +21,7 @@ from stochadc.core import (
     seed_array,
 )
 
-from oracles import clock_edges, substream
+from oracles import substream
 
 
 def test_zero_variance_returns_copies_of_nominal():
@@ -87,29 +86,6 @@ def test_percentile_and_median_equal_numpy(values, percentiles):
             assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
         got, want = median(values), float(np.median(values))
     assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
-
-
-def test_clock_edges_arithmetic_sequence():
-    spec = ClockSpec(period=200e-12, phase0=0.0)
-    edges = clock_edges(spec, 0.0, 1e-9)
-    assert np.allclose(edges, np.array([0, 200, 400, 600, 800]) * 1e-12, atol=1e-24)
-
-
-def test_clock_edges_with_phase():
-    spec = ClockSpec(period=200e-12, phase0=50e-12)
-    edges = clock_edges(spec, 0.0, 400e-12)
-    assert np.allclose(edges, np.array([50, 250]) * 1e-12, atol=1e-24)
-
-
-def test_clock_edges_invalid_window():
-    spec = ClockSpec(period=200e-12)
-    with pytest.raises(ValueError):
-        clock_edges(spec, 1e-9, 0.0)
-
-
-def test_clock_spec_validation():
-    with pytest.raises(ValueError):
-        ClockSpec(period=0.0)
 
 
 def test_derive_seed_separates_labels_and_indices():

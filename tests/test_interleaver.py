@@ -406,8 +406,8 @@ class TestLut:
         corrected = apply_lut(lut, codes)
         pre = code_density_linearity(code_histogram(codes), "sine")
         post = code_density_linearity(code_histogram(corrected), "sine")
-        assert pre.inl_max > 2.0
-        assert post.inl_max <= pre.inl_max / 4.0
+        assert pre["inl_max"] > 2.0
+        assert post["inl_max"] <= pre["inl_max"] / 4.0
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
