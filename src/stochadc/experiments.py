@@ -56,6 +56,8 @@ _INT_DIGITS_BOUND = 2**62
 _DECADE_STARTS = np.array([1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4])
 # 10**s, s = 19..22, each an exact double
 _EXACT_POW10 = np.array([1e19, 1e20, 1e21, 1e22])
+# 5**t, t = 0..24, of which `_long_digits` takes 21..24
+_POW5 = np.array([5**t for t in range(25)], np.uint64)
 _DIGIT = ord("0")
 
 
@@ -117,6 +119,53 @@ def _int_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(parts), slow
 
 
+def _exact_split(m: np.ndarray, q: np.ndarray, t: np.ndarray) -> tuple:
+    """(d, r, sh), all uint64, with m * 5**t = d * 2**sh + r, 0 <= r <
+    2**sh and sh = -(q + t): floor(m * 2**q * 10**t) and its remainder,
+    exact.  m < 2**53 and t <= 24 keep the product below 2**109, summed in
+    two uint64 limbs from 32-bit partial products; 1 <= sh <= 63 keeps
+    every shift defined."""
+    c = _POW5[t]
+    mh, ml, ch, cl = m >> 32, m & 0xFFFFFFFF, c >> 32, c & 0xFFFFFFFF
+    lo = ml * cl
+    mid = mh * cl + ml * ch
+    low = lo + (mid << 32)
+    high = mh * ch + (mid >> 32) + (low < lo)
+    sh = (-(q + t)).astype(np.uint64)
+    return (high << (64 - sh)) | (low >> sh), low & ((1 << sh) - 1), sh
+
+
+def _long_digits(a: np.ndarray, decade: np.ndarray) -> np.ndarray:
+    """repr's digits of positive normal doubles of decade -8..-5 that no
+    decimal of 15 digits or fewer round-trips, as 17-digit ints (a 16-digit
+    one times 10).
+
+    With a = m * 2**q and a * 10**t = D + R / 2**sh, t = 16 - decade,
+    repr's 17 digits are a * 10**t rounded, ties to even.  In units of
+    2**-(sh+2), the 16-digit candidates 10 * (D // 10) and 10 more lie 4 *
+    ((D mod 10) * 2**sh + R) below a and 40 * 2**sh less that above it,
+    and half an ulp is 2 * 5**t (5**t below a power of two).  A candidate
+    within it round-trips; repr takes the nearer, or of two equally near
+    the even one.  No candidate lies on an end, which is 2 (mod 4) or odd
+    here, so m's parity never decides.  On these decades sh is 45..55, so
+    40 * 2**sh stays below 2**63.
+    """
+    f, e = np.frexp(a)
+    m = (f * 2.0**53).astype(np.uint64)
+    t = 16 - decade
+    d, r, sh = _exact_split(m, e - 53, t)
+    half = 1 << (sh - 1)
+    seventeen = d + ((r > half) | ((r == half) & (d & 1 == 1)))
+    tens = d // 10
+    below = (((d - tens * 10) << sh) + r) << 2
+    above = (40 << sh) - below
+    reach = _POW5[t] << 1
+    down_ok = below < np.where(m == 2**52, reach >> 1, reach)
+    up_ok = above < reach
+    up = up_ok & (~down_ok | (above < below) | ((above == below) & (tens & 1 == 1)))
+    return np.where(down_ok | up_ok, (tens + up) * 10, seventeen).astype(np.int64)
+
+
 def _float_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A float block as (planes, the rows left to `_text_rows`).
 
@@ -126,9 +175,11 @@ def _float_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     correctly rounded, so N's 15-digit decimal round-trips; decimals of 15
     digits or fewer lie further apart than a double's rounding interval is
     wide, so no other one does, and N without its trailing zeros is repr's
-    digits.  Every other value (16 or 17 digits, another decade, ±0,
-    subnormal, inf, nan) is left to repr.  The decade only picks the
-    candidate: a wrong guess fails the check.
+    digits.  The decade only picks the candidate: a wrong guess fails the
+    check.  A value of those decades that fails it has 16 or 17 digits,
+    which `_long_digits` finds by exact integer arithmetic; its decade is
+    repr's own (see `_DECADE_STARTS`).  Every other value (another decade,
+    ±0, subnormal, inf, nan) is left to repr.
     """
     x = x.astype(np.float64, copy=False)
     a = np.abs(x)
@@ -142,8 +193,12 @@ def _float_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         p = _EXACT_POW10[s - 19]
         n = np.rint(a * p)
         fast = (n >= 1e14) & (n < 1e15) & (n / p == a)
-    digits = _digit_planes(np.where(fast, n, 0).astype(np.int64), 15)
-    # trailing zeros go, and the point with them when one digit is left
+        long = np.flatnonzero(~fast & (decade >= -8) & (decade <= -5))
+    # every written row as 17 digits; trailing zeros go, and the point with
+    # them when one digit is left
+    q = np.where(fast, n, 0).astype(np.int64) * 100
+    q[long] = _long_digits(a[long], decade[long])
+    digits = _digit_planes(q, 17)
     shown = np.zeros(x.size, bool)
     for row in digits[:0:-1]:
         shown |= row != _DIGIT
@@ -152,9 +207,11 @@ def _float_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     planes[0] = np.signbit(x) * ord("-")
     planes[1] = digits[0]
     planes[2] = shown * ord(".")
-    planes[3:17] = digits[1:]
-    planes[17:20] = np.frombuffer(b"e-0", np.uint8)[:, None]
-    planes[20] = _DIGIT + s - 14
+    planes[3:19] = digits[1:]
+    planes[19:22] = np.frombuffer(b"e-0", np.uint8)[:, None]
+    planes[22] = _DIGIT + s - 14
+    # the 16- and 17-digit rows are written too
+    fast[long] = True
     return planes, np.flatnonzero(~fast)
 
 

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -182,7 +183,9 @@ def test_table_and_direct_blocks_alternate(tmp_path):
 # the notation switch: 1e-5, 1e16) and of two (an interval twice as wide
 # above as below), each perhaps one ulp off, and any double at all
 _DECIMALS = st.builds(
-    lambda k, e: float(f"{k}e{e}"), st.integers(1, 10**15 - 1), st.integers(-340, 308)
+    lambda k, e: float(f"{k}e{e}"),
+    st.one_of(st.integers(1, 10**15 - 1), st.integers(10**15, 10**17 - 1)),
+    st.integers(-340, 308),
 )
 _POWERS = st.one_of(
     st.integers(-324, 308).map(lambda k: float(f"1e{k}")),
@@ -240,14 +243,134 @@ def test_every_power_of_ten_and_two_and_their_neighbours(tmp_path):
     assert_matches_oracle(tmp_path, {"value": values, "float32": float32})
 
 
-def test_a_capture_sized_table_is_written_in_blocks(tmp_path):
-    # a 2**18-row capture-shaped table: the writer's peak allocation stays a
-    # small part of the file, so a dump never sits in memory as one string
+# the decades whose floats the block encoder writes digit by digit
+WINDOW = range(-8, -4)
+
+
+def in_window(values) -> np.ndarray:
+    a = np.abs(np.asarray(values, np.float64))
+    return (a >= 1e-8) & (a < 1e-4)
+
+
+def repr_digits(value: float) -> int:
+    return len(repr(value).split("e")[0].replace("-", "").replace(".", ""))
+
+
+def spy_text_rows(monkeypatch) -> list:
+    """Every value the block encoder leaves to `_text_rows`, from now on."""
+    seen = []
+
+    def recording(values):
+        seen.extend(values)
+        return text_rows(values)
+
+    text_rows = experiments._text_rows
+    monkeypatch.setattr(experiments, "_text_rows", recording)
+    return seen
+
+
+def nearest_decimals_to_interval_ends(decade: int) -> tuple[list, list]:
+    """Pairs of adjacent doubles (lo, hi) of the decade whose shared
+    rounding-interval end, (lo + hi) / 2, lies as near a 16-digit decimal v
+    as any can, within 7 * ulp / (2 * 5**t) either side, and the parities
+    of lo's significand.
+
+    An end is an odd multiple of 2**(q - 1), q <= -66 here, so its decimal
+    has more than 60 significant digits and is never v itself.  With v = D
+    / 10**t, t = 15 - decade, v / ulp = D * 2**sh / 5**t, sh = -(q + t), so
+    v's place in the ulp grid is set by D * 2**sh mod 5**t, which cannot
+    be the odd 5**t halved: the nearest are (5**t + i) / 2 for small odd i.
+    """
+    t = 15 - decade
+    pairs, parities = [], []
+    lowest, highest = Fraction(10) ** decade, Fraction(10) ** (decade + 1)
+    for e in range(math.frexp(1e-8)[1], math.frexp(1e-4)[1] + 1):
+        lo_v, hi_v = max(lowest, Fraction(2) ** (e - 1)), min(highest, Fraction(2) ** e)
+        if lo_v >= hi_v:
+            continue
+        sh = -(e - 53 + t)
+        for i in (-7, -5, -3, -1, 1, 3, 5, 7):
+            target = (5**t + i) // 2
+            residue = target * pow(2, -sh, 5**t) % 5**t
+            first = math.ceil((lo_v * 10**t - residue) / 5**t)
+            last = math.floor((hi_v * 10**t - residue - 1) / 5**t)
+            for k in sorted({first, (first + last) // 2, last}):
+                if k < first or k > last:
+                    continue
+                v = Fraction(residue + k * 5**t, 10**t)
+                x = float(v)
+                lo, hi = (x, math.nextafter(x, math.inf)) if x < v else (math.nextafter(x, 0), x)
+                end = (Fraction(lo) + Fraction(hi)) / 2
+                assert v - end == (Fraction(hi) - Fraction(lo)) * i / (2 * 5**t)
+                pairs.append((lo, hi))
+                parities.append(int(np.float64(lo).view(np.int64)) & 1)
+    return pairs, parities
+
+
+def test_sixteen_and_seventeen_digit_window(tmp_path, monkeypatch):
+    # the block encoder's 16- and 17-digit rule, on the values where it
+    # decides by the least: interval ends nearest a 16-digit decimal, for
+    # both significand parities (an end rounds to x only for an even one), the
+    # powers of two (whose interval is half as wide below), and the exact
+    # midpoints between two candidates of 16 and of 17 digits
+    values = []
+    for decade in WINDOW:
+        pairs, parities = nearest_decimals_to_interval_ends(decade)
+        assert set(parities) == {0, 1}, decade
+        values += [x for pair in pairs for x in pair]
+    powers = [math.ldexp(1.0, e) for e in range(-26, -13)]
+    values += powers + [math.nextafter(p, 0) for p in powers]
+    values += [math.nextafter(p, 1) for p in powers]
+    midpoints = {16: [], 17: []}
+    for decade in WINDOW:
+        for digits in midpoints:
+            # x * 10**t = j / 2 for odd j, t = digits - 1 - decade
+            t = digits - 1 - decade
+            lowest = math.floor(10.0**decade * 2 ** (t + 1))
+            for j in range(lowest | 1, math.ceil(10.0 ** (decade + 1) * 2 ** (t + 1)) + 1, 2):
+                x = math.ldexp(j, -t - 1)
+                if 1e-8 <= x < 1e-4:
+                    midpoints[digits].append(x)
+    # midpoints exist in the window, and some are repr'd at their own digit
+    # count, so a tie between two equally near candidates is decided there
+    for digits, xs in midpoints.items():
+        assert any(repr_digits(x) == digits for x in xs), digits
+    values += midpoints[16] + midpoints[17]
+    values = np.array(values)
+    assert in_window(values).all()
+    seen = spy_text_rows(monkeypatch)
+    assert_matches_oracle(tmp_path, {"value": values, "negated": -values})
+    assert seen == []
+
+
+def test_exact_split_shifts_stay_defined_across_the_window():
+    # numpy's shift by 64 or more is not the same on every platform (x86
+    # masks the count), so each binade meeting the window must keep
+    # 1 <= sh and 40 * 2**sh, the 16-digit candidates' span, below 2**63;
+    # and the split is exact there
+    rng = np.random.default_rng(23)
+    for e in range(math.frexp(1e-8)[1], math.frexp(1e-4)[1] + 1):
+        for decade in WINDOW:
+            if not (2.0 ** (e - 1) < 10.0 ** (decade + 1) and 10.0**decade < 2.0**e):
+                continue
+            t = 16 - decade
+            sh = -(e - 53 + t)
+            assert 1 <= sh and sh + 6 <= 63, (e, decade)
+            m = [2**52, 2**52 + 1, 2**53 - 1] + rng.integers(2**52, 2**53, 8).tolist()
+            d, r, shift = experiments._exact_split(
+                np.array(m, np.uint64), np.full(len(m), e - 53), np.full(len(m), t)
+            )
+            assert shift.tolist() == [sh] * len(m)
+            assert list(zip(d.tolist(), r.tolist())) == [divmod(v * 5**t, 2**sh) for v in m]
+
+
+def capture_columns() -> dict:
+    """A 2**18-row table shaped like an adc-sine capture dump."""
     n = 2**18
     k = np.arange(n)
     rng = np.random.default_rng(5)
     codes = rng.integers(-124, 125, n)
-    columns = {
+    return {
         "sample_index": k,
         "slice": k % 16,
         "instant_seconds": (k + 0.05 * rng.standard_normal(n)) * 50e-12,
@@ -255,6 +378,12 @@ def test_a_capture_sized_table_is_written_in_blocks(tmp_path):
         "signed_code": codes,
         "corrected_code": np.clip(codes + rng.integers(-2, 3, n), -124, 124),
     }
+
+
+def test_a_capture_sized_table_is_written_in_blocks(tmp_path):
+    # the writer's peak allocation stays a small part of the file, so a
+    # dump never sits in memory as one string
+    columns = capture_columns()
     path = tmp_path / "capture.csv"
     tracemalloc.start()
     try:
@@ -263,7 +392,21 @@ def test_a_capture_sized_table_is_written_in_blocks(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
-    assert path.read_bytes().count(b"\n") == n + 3
+    written = path.read_bytes()
+    assert written.count(b"\n") == len(columns["sample_index"]) + 3
+    assert written == reference_csv("abc123", 7, list(columns), zip(*columns.values()))
+
+
+def test_a_capture_leaves_no_window_instant_to_repr(tmp_path, monkeypatch):
+    columns = capture_columns()
+    instants = columns["instant_seconds"]
+    window = instants[in_window(instants)]
+    # the table has window instants of 16 and 17 digits, and instants of
+    # other decades, which do go to repr
+    assert {16, 17} <= {repr_digits(x) for x in window[:2000].tolist()}
+    seen = spy_text_rows(monkeypatch)
+    _write_csv(tmp_path / "capture.csv", "abc123", 7, columns)
+    assert seen and not in_window(seen).any()
 
 
 def test_unequal_columns_rejected(tmp_path):
