@@ -28,7 +28,6 @@ from .pi import (
 from .interleaver import (
     AdcSystem,
     AlignedStream,
-    Lut,
     align_outputs,
     build_lut,
     calibrate_skew,

@@ -11,9 +11,11 @@ Each field's type and range sit on its annotation: a range is an
 `Annotated[type, (test, text)]` alias such as `Positive`, `Count` or
 `Capture`.  Every section's constructor calls `_check` first, so a section
 is held to its annotations however it is built, from YAML or in Python:
-the fields that feed no result take only their default, then each field
-must match its type (see `_SCALARS`; `X | None` also takes None, a tuple a
-list), be finite and lie in its range, and the error names the field.  A
+the eight fields that feed no result (`system.latencies`, `track`, `early`
+and `late`, `output.formats`, `sweep.seeds`, `montecarlo.workers` and
+`stimulus.type`) take only their default, then each field must match its
+type (see `_SCALARS`; `X | None` also takes None, a tuple a list), be
+finite and lie in its range, and the error names the field.  A
 section's rules between its own fields follow in its constructor.  Loading
 adds strictness (unknown keys anywhere in the tree are rejected; `_value`
 only nests sections, turns lists into tuples and reads YAML 1.1's
@@ -45,7 +47,7 @@ from typing import Annotated
 import yaml
 
 from .errors import CoherenceError, ConfigError
-from .interleaver import CODE_MAX, CODE_MIN, N_GROUPS, N_SLICES
+from .interleaver import CODE_MAX, N_CODES, N_GROUPS, N_SLICES, PI_CODES
 from .metrics import MIN_HITS_PER_CODE, coherent_bin
 from .stimulus import SineStimulus
 
@@ -255,10 +257,8 @@ class SystemConfig:
     skew_injection: Annotated[
         tuple[float, ...], (lambda v: len(v) == N_GROUPS, f"a list of {N_GROUPS} numbers")
     ] = (0.0,) * N_GROUPS
-    latencies: Annotated[
-        tuple[int, ...],
-        (lambda v: len(v) == N_SLICES and min(v) >= 0, f"a list of {N_SLICES} integers >= 0"),
-    ] = (2,) * N_SLICES
+    # the aligner removes exactly the retime it models
+    latencies: tuple[int, ...] = (2,) * N_SLICES
     sampling_jitter: NonNegative = 0.0
     # a bandwidth <= 0 divides by zero or flips the sign of the phase lag,
     # and a stage count below one (or fractional) amplifies the tone
@@ -270,7 +270,7 @@ class SystemConfig:
     calibration: CalibrationConfig = field(default_factory=CalibrationConfig)
 
     def __post_init__(self):
-        _check(self, "system", "track", "early", "late")
+        _check(self, "system", "latencies", "track", "early", "late")
 
     @property
     def slice_rate(self) -> float:
@@ -286,7 +286,7 @@ class SystemConfig:
 
     @property
     def pi_step(self) -> float:
-        return self.pi_clock_period / 256.0
+        return self.pi_clock_period / PI_CODES
 
 
 @dataclass(frozen=True)
@@ -314,7 +314,7 @@ class CaptureConfig:
     def __post_init__(self):
         _check(self, "capture")
         # the code-density histogram needs MIN_HITS_PER_CODE samples per code
-        floor = MIN_HITS_PER_CODE * (CODE_MAX - CODE_MIN + 1)
+        floor = MIN_HITS_PER_CODE * N_CODES
         if self.linearity and self.linearity_samples < floor:
             raise ConfigError(
                 f"capture.linearity_samples must be at least {floor} "

@@ -300,12 +300,13 @@ class CalibrationState:
     config_hash: str
     master_seed: int
     offset_codes: np.ndarray
-    luts: list[il.Lut] | None
+    luts: np.ndarray | None  # (16, LUT_SIZE), read-only
     pi_corrections: np.ndarray | None
 
     @classmethod
     def from_json(cls, text: str) -> CalibrationState:
-        """Parse a calibration file; malformed content raises ConfigError."""
+        """Parse a calibration file, where any table from outside is checked;
+        malformed content raises ConfigError."""
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -318,18 +319,21 @@ class CalibrationState:
         missing = [k for k in keys if k not in payload]
         if missing:
             raise ConfigError(f"calibration file is missing {', '.join(missing)}")
+        offsets = _int_table(payload["offset_codes"], (il.N_SLICES,), "offset_codes")
+        if offsets.min() < 0:
+            raise ConfigError("calibration offset_codes must be >= 0")
         luts = payload["luts"]
         if luts is not None:
-            table = _int_table(luts, (il.N_SLICES, il.LUT_SIZE), "luts")
-            try:
-                luts = [il.Lut(mapping=m) for m in table]
-            except ValueError as exc:
-                raise ConfigError(f"calibration luts: {exc}") from None
+            luts = _int_table(luts, (il.N_SLICES, il.LUT_SIZE), "luts")
+            if luts.min() < il.CODE_MIN or luts.max() > il.CODE_MAX:
+                raise ConfigError(f"calibration luts must lie in [{il.CODE_MIN}, {il.CODE_MAX}]")
+            if np.any(np.diff(luts[:, 1:]) < 0):  # as build_lut makes them
+                raise ConfigError("calibration luts must not fall from entry 1 on")
         corrections = payload["pi_corrections"]
         return cls(
             config_hash=payload["config_hash"],
             master_seed=payload["master_seed"],
-            offset_codes=_int_table(payload["offset_codes"], (il.N_SLICES,), "offset_codes"),
+            offset_codes=offsets,
             luts=luts,
             pi_corrections=None
             if corrections is None
@@ -338,14 +342,16 @@ class CalibrationState:
 
 
 def _int_table(value, shape: tuple, name: str) -> np.ndarray:
-    """An integer array of exactly `shape` from a calibration field, else ConfigError."""
+    """A read-only int64 array of exactly `shape` from a calibration field, else ConfigError."""
     try:
         table = np.asarray(value)
     except ValueError:  # ragged nesting
         table = None
     if table is None or table.shape != shape or table.dtype.kind != "i":
         raise ConfigError(f"calibration {name} must be integers of shape {shape}")
-    return table.astype(np.int64, copy=False)
+    table = table.astype(np.int64, copy=False)
+    table.flags.writeable = False
+    return table
 
 
 def _offset_codes(cfg: RunConfig, system: il.AdcSystem) -> np.ndarray:
@@ -485,7 +491,7 @@ def run_calibrate(cfg: RunConfig, seed: int, normals) -> Run:
         "calibration.json": {
             "version": CALIBRATION_VERSION,
             "offset_codes": state.offset_codes,
-            "luts": None if state.luts is None else [lut.mapping for lut in state.luts],
+            "luts": state.luts,
             "pi_corrections": state.pi_corrections,
         },
     }

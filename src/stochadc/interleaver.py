@@ -42,6 +42,7 @@ from .errors import (
     PreconditionError,
     UnderrangeError,
 )
+from .metrics import coherent_bin
 from .pi import PI_CODES, DelayChain, chain_delays, chain_seeds, pi_output, trim_paths
 from .stdc import InverterChain, OffsetEstimate, adapt_offset, count_edges_batch
 from .stimulus import SineStimulus
@@ -52,6 +53,8 @@ if TYPE_CHECKING:
 N_SLICES = 16
 N_GROUPS = 4
 CODE_MIN, CODE_MAX = -127, 127
+N_CODES = CODE_MAX - CODE_MIN + 1
+# a slice's calibration LUT is indexed by code + LUT_SIZE // 2
 LUT_SIZE = 256
 NOMINAL_PI_CODE_BASE = 32
 
@@ -166,7 +169,7 @@ class AdcSystem:
     def nominal_pi_codes(self) -> np.ndarray:
         # quadrature sits at quarter-period code spacing; basing it at code
         # 32 (not 0) gives every group +/-32 codes of correction headroom
-        return NOMINAL_PI_CODE_BASE + np.arange(N_GROUPS) * 64
+        return NOMINAL_PI_CODE_BASE + np.arange(N_GROUPS) * (PI_CODES // N_GROUPS)
 
     def group_phase_offset(self, group: int, code: int) -> float:
         """Group sampling-phase offset vs the ideal grid, for a PI code.
@@ -221,7 +224,7 @@ class CaptureResult:
     instants: np.ndarray  # (16, n) sampling instants
     raw: np.ndarray  # (16, n) unsigned counts
     codes: np.ndarray | None  # (16, n) signed codes after unfold; None in the warmup
-    corrected: np.ndarray | None  # (16, n) after LUT (the codes array itself when no LUT)
+    corrected: np.ndarray | None  # (16, n) after the LUTs (the codes array itself without)
 
 
 def convert_pair_arrays(
@@ -358,8 +361,10 @@ def run_capture(
 ) -> CaptureResult:
     """Full-system capture of n_samples aggregate samples (multiple of 16).
 
-    `_raw_only` (the offset warmup) fills `raw` alone and leaves `codes` and
-    `corrected` None.
+    `luts`, a (16, LUT_SIZE) table, maps each slice's codes; a code beyond
+    the 8-bit range (an offset estimate that is off) saturates the SRAM
+    address to an end entry.  `_raw_only` (the offset warmup) fills `raw`
+    alone and leaves `codes` and `corrected` None.
     """
     if n_samples % N_SLICES != 0 or n_samples <= 0:
         raise ConfigError(f"n_samples must be a positive multiple of {N_SLICES}")
@@ -389,9 +394,8 @@ def run_capture(
             )
     corrected = codes
     if luts is not None:
-        corrected = np.empty_like(codes)
-        for s in range(N_SLICES):
-            corrected[s] = apply_lut(luts[s], codes[s])
+        address = np.clip(codes + LUT_SIZE // 2, 0, LUT_SIZE - 1)
+        corrected = np.take_along_axis(luts, address, axis=1)
     return CaptureResult(instants=instants, raw=raw, codes=codes, corrected=corrected)
 
 
@@ -448,36 +452,15 @@ def aligned_capture(system: AdcSystem, capture: CaptureResult) -> AlignedStream:
     return align_outputs(retime_streams(capture.corrected, lat), lat)
 
 
-@dataclass(frozen=True)
-class Lut:
-    """Per-slice static-nonlinearity correction, indexed by code + 128."""
-
-    mapping: np.ndarray
-
-    def __post_init__(self):
-        mapping = np.asarray(self.mapping, dtype=np.int64)
-        object.__setattr__(self, "mapping", mapping)
-        if mapping.shape != (LUT_SIZE,):
-            raise ValueError(f"LUT mapping must have {LUT_SIZE} entries")
-        if np.any(np.diff(mapping[1:]) < 0):
-            raise ValueError("LUT mapping must be monotone non-decreasing")
-
-
-def apply_lut(lut: Lut, codes: np.ndarray) -> np.ndarray:
-    # raw signed codes can exceed the 8-bit range when the offset estimate
-    # is off; the SRAM address saturates to the end entries
-    idx = np.clip(np.asarray(codes, dtype=np.int64) + 128, 0, LUT_SIZE - 1)
-    return lut.mapping[idx]
-
-
 def code_histogram(codes: np.ndarray) -> np.ndarray:
     """Counts per signed code over [-127, 127], length 255 (ends saturate)."""
     clipped = np.clip(np.asarray(codes).ravel(), CODE_MIN, CODE_MAX)
-    return np.bincount(clipped - CODE_MIN, minlength=255)[:255]
+    return np.bincount(clipped - CODE_MIN, minlength=N_CODES)[:N_CODES]
 
 
-def build_lut(histogram: np.ndarray, amplitude_code: float, min_hits: int) -> Lut:
-    """Code-density linearization of one slice from a sine capture.
+def build_lut(histogram: np.ndarray, amplitude_code: float, min_hits: int) -> np.ndarray:
+    """Code-density linearization of one slice from a sine capture: its
+    (LUT_SIZE,) mapping, monotone and inside [CODE_MIN, CODE_MAX].
 
     The corrected value for raw code c is the ideal code whose cumulative
     density matches c's observed cumulative density, with the sine's
@@ -485,8 +468,8 @@ def build_lut(histogram: np.ndarray, amplitude_code: float, min_hits: int) -> Lu
     reachable code with at least ``min_hits`` samples.
     """
     hist = np.asarray(histogram, dtype=np.float64)
-    if hist.shape != (255,):
-        raise ValueError("histogram must have 255 per-code entries")
+    if hist.shape != (N_CODES,):
+        raise ValueError(f"histogram must have {N_CODES} per-code entries")
     total = hist.sum()
     if total <= 0:
         raise CoverageError(list(range(CODE_MIN, CODE_MAX + 1)), min_hits)
@@ -504,14 +487,17 @@ def build_lut(histogram: np.ndarray, amplitude_code: float, min_hits: int) -> Lu
     mapping = np.empty(LUT_SIZE, dtype=np.int64)
     mapping[1:] = corrected
     mapping[0] = corrected[0]
-    return Lut(mapping=mapping)
+    return mapping
 
 
-def build_luts(capture: CaptureResult, amplitude_code: float, min_hits: int) -> list[Lut]:
-    return [
+def build_luts(capture: CaptureResult, amplitude_code: float, min_hits: int) -> np.ndarray:
+    """Every slice's `build_lut` mapping as one read-only (16, LUT_SIZE) table."""
+    luts = np.stack([
         build_lut(code_histogram(capture.codes[s]), amplitude_code, min_hits)
         for s in range(N_SLICES)
-    ]
+    ])
+    luts.flags.writeable = False
+    return luts
 
 
 def calibrate_skew(
@@ -532,8 +518,6 @@ def calibrate_skew(
     code in range; when the codes span more than that range, no shift fits
     and PreconditionError is raised before a caller can persist them.
     """
-    from .metrics import coherent_bin
-
     sc = system.config.system
     fs = sc.aggregate_rate
     coherent_bin(tone.frequency, fs, n_samples)

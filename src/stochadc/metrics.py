@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CoherenceError, PreconditionError
+from .pi import PI_CODES
 
 ENOB_OFFSET_DB = 1.76
 ENOB_SLOPE_DB = 6.02
@@ -229,7 +230,7 @@ def measure_pi_transfer_uncorrelated(
     folded = np.empty(phases.size)
     for i, ph in enumerate(phases):
         folded[i] = measure_edge_distance(ph, clock_period, n_samples, sampler_phase0)
-    step_hint = clock_period / 256.0 if phases.size > 1 else 0.0
+    step_hint = clock_period / PI_CODES if phases.size > 1 else 0.0
     return unwrap_distances(folded, clock_period, anchor, step_hint)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from stochadc.core import Duration, Instant, derive_seed, keyed_normal
 from stochadc.errors import ChainUnderspanError, OverrangeError, UnderrangeError
-from stochadc.interleaver import CODE_MAX, CODE_MIN, LUT_SIZE, N_SLICES, Lut
+from stochadc.interleaver import CODE_MAX, CODE_MIN, LUT_SIZE, N_SLICES
 from stochadc.pi import BLEND_STEPS, PI_CODES, DelayChain
 from stochadc.stdc import InverterChain, OffsetEstimate
 
@@ -557,6 +557,7 @@ def ideal_quantizer_codes(
     return np.clip(np.rint(wave), -full_scale_codes, full_scale_codes).astype(np.int64)
 
 
-def identity_lut() -> Lut:
-    codes = np.arange(LUT_SIZE) - 128
-    return Lut(mapping=np.clip(codes, CODE_MIN, CODE_MAX))
+def identity_lut() -> np.ndarray:
+    """The (LUT_SIZE,) mapping that leaves every code in range as it is."""
+    codes = np.arange(LUT_SIZE) - LUT_SIZE // 2
+    return np.clip(codes, CODE_MIN, CODE_MAX)

@@ -1,6 +1,7 @@
 """Artifact format: the CSV column writer against a row-by-row oracle, and
 golden digests of one artifact of every CSV and JSON kind from the shipped
-configs, checked with and without numpy's AVX-512 dispatch."""
+configs and of a run with the per-slice LUTs on, checked with and without
+numpy's AVX-512 dispatch."""
 
 import csv
 import hashlib
@@ -497,22 +498,69 @@ GOLDEN = [
 ]
 
 
+# The per-slice LUTs, which no shipped config enables, on a small
+# mismatched design with the skew calibration and the linearity capture on
+LUT_CONFIG = """
+master_seed: 1
+adc:
+  tap_sigma_random: 0.05
+  slope_sigma: 0.01
+  adaptation:
+    window: 2000
+stimulus:
+  coherent_bin: 101
+  amplitude: 0.45
+  common_mode: 0.525
+capture:
+  n_samples: 4096
+  linearity: true
+  linearity_samples: 32768
+system:
+  skew_injection: [0.0, 2.0e-12, 0.0, -1.0e-12]
+  calibration:
+    lut: true
+    lut_capture_samples: 16384
+    lut_min_hits: 1
+    skew: true
+"""
+
+# sha256 of the LUT run's artifacts that hold at every dispatch level;
+# adc_sine.json is left out, its sndr_db going through np.log10
+LUT_LOCK = [
+    ("calibrate", LUT_CONFIG, "calibration.json",
+     "117161213935074823ebc032cf2f915463ace2d3033c3919b60d7efd687926a7"),
+    ("adc-sine", LUT_CONFIG, "capture.csv",
+     "dc740c259f1b369037afe02cd0a4294061f4a175a9d4bbbf40e7b7e3d80024d8"),
+    ("adc-sine", LUT_CONFIG, "linearity.csv",
+     "ac77e4b71618e2089b205edb6ec8fd98de7391371bab5ee745ddcb34fb45bff5"),
+]
+
+
+def _config(config: str):
+    """A shipped config by file name, or an inline YAML config."""
+    return parse_config(config) if "\n" in config else load_config(CONFIG_DIR / config)
+
+
 @pytest.fixture(scope="module")
 def golden_run(tmp_path_factory):
-    """The output directory of one experiment on one shipped config, run once."""
+    """The output directory of one experiment on one config, run once."""
     dirs = {}
 
     def run(experiment, config):
         if (experiment, config) not in dirs:
             out = tmp_path_factory.mktemp("golden")
-            run_experiment(experiment, load_config(CONFIG_DIR / config), out_dir=out)
+            run_experiment(experiment, _config(config), out_dir=out)
             dirs[experiment, config] = out
         return dirs[experiment, config]
 
     return run
 
 
-@pytest.mark.parametrize("experiment,config,artifact,digest", GOLDEN, ids=[g[2] for g in GOLDEN])
+@pytest.mark.parametrize(
+    "experiment,config,artifact,digest",
+    GOLDEN + LUT_LOCK,
+    ids=[g[2] for g in GOLDEN] + [f"lut-{g[2]}" for g in LUT_LOCK],
+)
 def test_golden_digest(golden_run, experiment, config, artifact, digest):
     out = golden_run(experiment, config)
     assert hashlib.sha256((out / artifact).read_bytes()).hexdigest() == digest
@@ -527,18 +575,20 @@ GOLDEN_CHILD = """
 import hashlib, json, sys, tempfile
 from pathlib import Path
 from numpy._core._multiarray_umath import __cpu_features__
-from stochadc.config import load_config
+from stochadc.config import load_config, parse_config
 from stochadc.experiments import run_experiment
 
 # a silently ignored NPY_DISABLE_CPU_FEATURES must not pass
 assert not __cpu_features__["AVX512_ICL"], "AVX-512 dispatch is still on"
-digests = {}
+digests = []
 with tempfile.TemporaryDirectory() as root:
     for experiment, config, artifact, _ in json.loads(sys.argv[1]):
-        out = Path(root) / experiment / config
+        out = Path(root) / experiment / hashlib.sha256(config.encode()).hexdigest()
         if not out.exists():
-            run_experiment(experiment, load_config(Path(sys.argv[2]) / config), out_dir=out)
-        digests[artifact] = hashlib.sha256((out / artifact).read_bytes()).hexdigest()
+            inline = "\\n" in config
+            cfg = parse_config(config) if inline else load_config(Path(sys.argv[2]) / config)
+            run_experiment(experiment, cfg, out_dir=out)
+        digests.append(hashlib.sha256((out / artifact).read_bytes()).hexdigest())
 print(json.dumps(digests))
 """
 
@@ -550,8 +600,8 @@ def test_golden_digests_without_avx512_dispatch():
         PYTHONPATH=str(Path(stochadc.__file__).resolve().parents[1]),
     )
     proc = subprocess.run(
-        [sys.executable, "-c", GOLDEN_CHILD, json.dumps(GOLDEN), str(CONFIG_DIR)],
+        [sys.executable, "-c", GOLDEN_CHILD, json.dumps(GOLDEN + LUT_LOCK), str(CONFIG_DIR)],
         env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {artifact: digest for _, _, artifact, digest in GOLDEN}
+    assert json.loads(proc.stdout) == [digest for *_, digest in GOLDEN + LUT_LOCK]

@@ -29,6 +29,8 @@ from stochadc.experiments import run_experiment
 from stochadc.metrics import code_density_linearity
 from stochadc.stimulus import SineStimulus
 
+from test_artifacts import LUT_CONFIG
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 MINIMAL_SINE = """
@@ -51,6 +53,7 @@ PINNED_VALUES = {
     "sweep.seeds": 2,
     "montecarlo.workers": 2,
     "stimulus.type": "ramp",
+    "system.latencies": [3] * 16,
 }
 
 # fields held above 0 in each section's constructor
@@ -926,11 +929,18 @@ class TestCli:
         for name in ("adc_sine.json", "capture.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
-    def test_calibrate_then_measure_matches_fused_run(self, tmp_path):
-        cfg_text = MINIMAL_SINE + (
-            "system:\n  calibration:\n    adapt_offsets: true\n    skew: true\n"
-            "    skew_capture_samples: 4096\n"
-        )
+    @pytest.mark.parametrize(
+        "cfg_text",
+        [
+            MINIMAL_SINE + (
+                "system:\n  calibration:\n    adapt_offsets: true\n    skew: true\n"
+                "    skew_capture_samples: 4096\n"
+            ),
+            LUT_CONFIG,
+        ],
+        ids=["offsets-skew", "lut-skew-linearity"],
+    )
+    def test_calibrate_then_measure_matches_fused_run(self, tmp_path, cfg_text):
         cfg = self.write(tmp_path, cfg_text)
         cal_dir = tmp_path / "cal"
         assert main(["calibrate", "--config", str(cfg), "--out", str(cal_dir)]) == 0
@@ -941,7 +951,9 @@ class TestCli:
             "--calibration", str(cal_dir / "calibration.json"),
         ]) == 0
         assert main(["adc-sine", "--config", str(cfg), "--out", str(fused)]) == 0
-        for name in ("adc_sine.json", "capture.csv"):
+        names = sorted(p.name for p in fused.iterdir())
+        assert names == sorted(p.name for p in resumed.iterdir())
+        for name in names:
             assert (resumed / name).read_bytes() == (fused / name).read_bytes()
 
     def test_shipped_skewcal_corrections(self, tmp_path):
@@ -1010,36 +1022,66 @@ class TestCli:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "corrupt",
+        "corrupt,named",
         [
-            lambda text, payload: text[: len(text) // 2],
-            lambda text, payload: "[1, 2]",
-            lambda text, payload: json.dumps({"version": 1}),
-            lambda text, payload: json.dumps({**payload, "offset_codes": payload["offset_codes"][:15]}),
-            lambda text, payload: json.dumps({**payload, "offset_codes": [1.5] * 16}),
-            lambda text, payload: json.dumps({**payload, "luts": [list(range(256))] * 15}),
-            lambda text, payload: json.dumps({**payload, "luts": [list(range(255))] * 16}),
-            lambda text, payload: json.dumps({**payload, "luts": [list(range(256))[::-1]] * 16}),
-            lambda text, payload: json.dumps({**payload, "pi_corrections": [0, 0, 0]}),
+            (lambda text, payload: text[: len(text) // 2], "not valid JSON"),
+            (lambda text, payload: "[1, 2]", "JSON object"),
+            (lambda text, payload: json.dumps({"version": 1}), "missing config_hash"),
+            (
+                lambda text, payload: json.dumps(
+                    {**payload, "offset_codes": payload["offset_codes"][:15]}
+                ),
+                "offset_codes",
+            ),
+            (
+                lambda text, payload: json.dumps({**payload, "offset_codes": [1.5] * 16}),
+                "offset_codes",
+            ),
+            (lambda text, payload: json.dumps({**payload, "luts": [list(range(256))] * 15}), "luts"),
+            (lambda text, payload: json.dumps({**payload, "luts": [list(range(255))] * 16}), "luts"),
+            # in range, descending from entry 1 on
+            (
+                lambda text, payload: json.dumps(
+                    {**payload, "luts": [[0, *range(127, -128, -1)]] * 16}
+                ),
+                "luts must not fall",
+            ),
+            (
+                lambda text, payload: json.dumps({**payload, "pi_corrections": [0, 0, 0]}),
+                "pi_corrections",
+            ),
+            # monotone, but mapping codes to 100..355: this used to exit 0,
+            # writing corrected codes 228, 238, 248, ... and ENOB 8.005
+            (
+                lambda text, payload: json.dumps({**payload, "luts": [list(range(100, 356))] * 16}),
+                "luts must lie in [-127, 127]",
+            ),
+            # this used to exit 0 with signed codes -192..192 and ENOB 2.10
+            (
+                lambda text, payload: json.dumps({**payload, "offset_codes": [-40] * 16}),
+                "offset_codes must be >= 0",
+            ),
         ],
         ids=[
             "truncated", "not-an-object", "missing-keys", "15-offset-codes",
             "float-offset-codes", "15-luts", "short-lut", "non-monotone-lut",
-            "3-pi-corrections",
+            "3-pi-corrections", "lut-out-of-range", "negative-offset-codes",
         ],
     )
-    def test_malformed_calibration_exit_code(self, tmp_path, corrupt):
+    def test_malformed_calibration_exit_code(self, tmp_path, capsys, corrupt, named):
         cfg = self.write(tmp_path, MINIMAL_SINE)
         cal_dir = tmp_path / "cal"
         assert main(["calibrate", "--config", str(cfg), "--out", str(cal_dir)]) == 0
         cal = cal_dir / "calibration.json"
         text = cal.read_text()
         cal.write_text(corrupt(text, json.loads(text)))
+        capsys.readouterr()
         code = main([
             "adc-sine", "--config", str(cfg), "--out", str(tmp_path / "x"),
             "--calibration", str(cal),
         ])
         assert code == 2
+        assert named in capsys.readouterr().err
 
 
 class TestMonteCarlo:

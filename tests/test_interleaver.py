@@ -33,12 +33,11 @@ from stochadc.interleaver import (
     N_SLICES,
     AdcSystem,
     AlignedStream,
-    Lut,
     adapt_offsets,
     align_outputs,
     aligned_capture,
-    apply_lut,
     build_lut,
+    build_luts,
     calibrate_skew,
     code_histogram,
     convert_pair_arrays,
@@ -119,7 +118,7 @@ def argsort_align_outputs(streams, latencies, instants=None):
 @st.composite
 def mismatched_systems(draw):
     """Random converter: tap, V2T and PI mismatch, group skews up to +/-80 ps
-    (beyond the 50 ps pitch), optional jitter and per-slice latencies."""
+    (beyond the 50 ps pitch) and optional jitter."""
     cfg = RunConfig(
         adc=AdcConfig(
             tap_sigma_systematic=draw(st.floats(0.0, 0.15)),
@@ -136,7 +135,6 @@ def mismatched_systems(draw):
                 draw(st.lists(st.floats(-80 * PS, 80 * PS), min_size=4, max_size=4))
             ),
             sampling_jitter=draw(st.sampled_from([0.0, 2 * PS, 60 * PS])),
-            latencies=tuple(draw(st.lists(st.integers(0, 5), min_size=16, max_size=16))),
         ),
     )
     return AdcSystem(cfg, master_seed=draw(st.integers(0, 2**32)))
@@ -281,7 +279,7 @@ class TestCapture:
         luts = None
         if lut_seed is not None:
             rng = np.random.default_rng(lut_seed)
-            luts = [Lut(np.sort(rng.integers(-127, 128, 256))) for _ in range(16)]
+            luts = np.sort(rng.integers(-127, 128, (16, 256)), axis=1)
         tone = coherent_tone(11, 512, amplitude=0.4, cm=0.55)
         kwargs = dict(offset_codes=offsets, luts=luts, pi_codes=pi_codes)
         short = run_capture(system, tone, 16 * n_cycles, **kwargs)
@@ -361,7 +359,7 @@ class TestAlign:
         luts = None
         if lut:
             rng = np.random.default_rng(seed)
-            luts = [Lut(np.sort(rng.integers(-127, 128, 256))) for _ in range(16)]
+            luts = np.sort(rng.integers(-127, 128, (16, 256)), axis=1)
         capture = run_capture(
             system, coherent_tone(11, 512, amplitude=0.4, cm=0.55), 512, luts=luts
         )
@@ -391,7 +389,7 @@ class TestLut:
         hist = code_histogram(capture.codes[0])
         lut = build_lut(hist, amplitude_code, min_hits=20)
         reachable = np.arange(-127, 128)
-        mapped = apply_lut(lut, reachable)
+        mapped = lut[reachable + 128]
         assert np.max(np.abs(mapped - reachable)) <= 1
 
     def test_known_static_bow_is_inverted(self):
@@ -403,7 +401,7 @@ class TestLut:
         bowed = 0.45 * (x + 0.1 * (x**3 - x))
         codes = np.clip(np.rint(bowed / (0.45 / 127)), -127, 127).astype(int)
         lut = build_lut(code_histogram(codes), 0.459 / (0.45 / 127), min_hits=50)
-        corrected = apply_lut(lut, codes)
+        corrected = lut[codes + 128]
         pre = code_density_linearity(code_histogram(codes), "sine")
         post = code_density_linearity(code_histogram(corrected), "sine")
         assert pre["inl_max"] > 2.0
@@ -426,14 +424,10 @@ class TestLut:
         hist[lo : hi + 1] = rng.integers(min_hits, 10 * min_hits + 1000, hi - lo + 1)
         hist[lo : hi + 1] *= rng.random(hi - lo + 1) < rng.uniform(0.3, 1.0)
         hist[[lo, hi]] = min_hits
-        mapping = build_lut(hist, amplitude_code, min_hits).mapping
+        mapping = build_lut(hist, amplitude_code, min_hits)
         assert mapping.shape == (256,)
         assert np.all(np.diff(mapping) >= 0)
         assert mapping.min() >= -127 and mapping.max() <= 127
-
-    def test_mapping_monotone_enforced(self):
-        with pytest.raises(ValueError):
-            Lut(mapping=np.concatenate([[0], np.arange(127, -128, -1)]))
 
     def test_coverage_error_lists_codes(self):
         hist = np.zeros(255, dtype=int)
@@ -459,13 +453,36 @@ class TestLut:
             # mismatch legitimately produces near-zero-width codes (two
             # transition ladders nearly coinciding), so the hit floor is
             # relaxed here; the coverage check is exercised elsewhere
-            lut = build_lut(code_histogram(capture.codes[4]), amplitude_code, min_hits=2)
-            maps.append(lut.mapping)
+            maps.append(build_lut(code_histogram(capture.codes[4]), amplitude_code, min_hits=2))
         assert np.max(np.abs(maps[0] - maps[1])) <= 1
 
     def test_identity_lut_is_identity(self):
         codes = np.arange(-127, 128)
-        assert np.array_equal(apply_lut(identity_lut(), codes), codes)
+        assert np.array_equal(identity_lut()[codes + 128], codes)
+
+    def test_build_luts_is_one_read_only_table(self):
+        system = ideal_system()
+        tone = SineStimulus(frequency=GOLDEN_FRACTION * system.config.system.slice_rate,
+                            amplitude=0.459, common_mode=0.55)
+        capture = run_capture(system, tone, 16 * 2**12)
+        amplitude_code = 0.459 / (0.45 / 127)
+        luts = build_luts(capture, amplitude_code, min_hits=1)
+        assert (luts.shape, luts.dtype, luts.flags.writeable) == ((16, 256), np.int64, False)
+        for s in range(16):
+            want = build_lut(code_histogram(capture.codes[s]), amplitude_code, min_hits=1)
+            assert np.array_equal(luts[s], want)
+
+    def test_each_slice_reads_its_own_lut_with_saturating_address(self):
+        # an offset code of 0, 25 below the nominal, pushes full-scale codes
+        # past the 8-bit range: the SRAM address saturates to the end entries
+        rng = np.random.default_rng(7)
+        luts = np.sort(rng.integers(-127, 128, (16, 256)), axis=1)
+        tone = coherent_tone(11, 256, amplitude=0.45)
+        capture = run_capture(ideal_system(), tone, 256, offset_codes=[0] * 16, luts=luts)
+        assert capture.codes.min() < -128 and capture.codes.max() > 127
+        for s in range(16):
+            address = np.clip(capture.codes[s] + 128, 0, 255)
+            assert np.array_equal(capture.corrected[s], luts[s][address])
 
 
 class TestSkewCalibration:
@@ -589,7 +606,7 @@ def test_calibration_state_roundtrip(tmp_path, monkeypatch):
         config_hash=config_hash(cfg),
         master_seed=5,
         offset_codes=np.full(16, 25),
-        luts=[identity_lut() for _ in range(16)],
+        luts=np.tile(identity_lut(), (16, 1)),
         pi_corrections=np.array([0, -2, 3, 1]),
     )
     monkeypatch.setattr(experiments, "compute_calibration", lambda *args: state)
@@ -598,9 +615,8 @@ def test_calibration_state_roundtrip(tmp_path, monkeypatch):
     assert (back.config_hash, back.master_seed) == (state.config_hash, 5)
     assert np.array_equal(back.offset_codes, state.offset_codes)
     assert np.array_equal(back.pi_corrections, state.pi_corrections)
-    assert all(
-        np.array_equal(a.mapping, b.mapping) for a, b in zip(back.luts, state.luts)
-    )
+    assert np.array_equal(back.luts, state.luts)
+    assert (back.luts.dtype, back.luts.flags.writeable) == (np.int64, False)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
