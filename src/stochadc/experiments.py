@@ -295,18 +295,17 @@ def _write_artifacts(out: Path, cfg_hash: str, seed: int, bodies: dict) -> list[
 
 @dataclass
 class CalibrationState:
-    """Persisted calibration: offsets, LUTs and PI corrections of one config and seed."""
+    """Persisted calibration: offsets, LUTs and PI corrections."""
 
-    config_hash: str
-    master_seed: int
     offset_codes: np.ndarray
     luts: np.ndarray | None  # (16, LUT_SIZE), read-only
     pi_corrections: np.ndarray | None
 
     @classmethod
-    def from_json(cls, text: str) -> CalibrationState:
-        """Parse a calibration file, where any table from outside is checked;
-        malformed content raises ConfigError."""
+    def from_json(cls, text: str, cfg: RunConfig, seed: int) -> CalibrationState:
+        """Parse a calibration file for a run of `cfg` at `seed`: its one check.
+        What a `calibrate` run of them cannot write raises ConfigError naming
+        the field (README lists the rules); an offset code in range passes."""
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -319,36 +318,53 @@ class CalibrationState:
         missing = [k for k in keys if k not in payload]
         if missing:
             raise ConfigError(f"calibration file is missing {', '.join(missing)}")
-        offsets = _int_table(payload["offset_codes"], (il.N_SLICES,), "offset_codes")
-        if offsets.min() < 0:
-            raise ConfigError("calibration offset_codes must be >= 0")
-        luts = payload["luts"]
-        if luts is not None:
-            luts = _int_table(luts, (il.N_SLICES, il.LUT_SIZE), "luts")
-            if luts.min() < il.CODE_MIN or luts.max() > il.CODE_MAX:
-                raise ConfigError(f"calibration luts must lie in [{il.CODE_MIN}, {il.CODE_MAX}]")
-            if np.any(np.diff(luts[:, 1:]) < 0):  # as build_lut makes them
-                raise ConfigError("calibration luts must not fall from entry 1 on")
-        corrections = payload["pi_corrections"]
-        return cls(
-            config_hash=payload["config_hash"],
-            master_seed=payload["master_seed"],
-            offset_codes=offsets,
-            luts=luts,
-            pi_corrections=None
-            if corrections is None
-            else _int_table(corrections, (il.N_GROUPS,), "pi_corrections"),
-        )
+        file, run = (payload["config_hash"], payload["master_seed"]), (config_hash(cfg), seed)
+        if file != run:
+            raise ConfigError(
+                "calibration file does not match this config/seed "
+                f"(file: {file[0]}/{file[1]}, run: {run[0]}/{seed})"
+            )
+        cal, adc = cfg.system.calibration, cfg.adc
+        bounds = (0, adc.n_taps) if cal.adapt_offsets else (adc.nominal_offset_code,) * 2
+        offsets = _int_table(payload, "offset_codes", (il.N_SLICES,), *bounds)
+        shape = (il.N_SLICES, il.LUT_SIZE)
+        luts = _int_table(payload, "luts", shape, il.CODE_MIN, il.CODE_MAX, cal.lut)
+        if luts is not None and np.any(np.diff(luts[:, 1:]) < 0):  # as build_lut makes them
+            raise ConfigError("calibration luts must not fall from entry 1 on")
+        corrections = _int_table(payload, "pi_corrections", (il.N_GROUPS,), switch=cal.skew)
+        if corrections is not None:
+            codes = il.NOMINAL_PI_CODES + corrections
+            if codes.min() < 0 or codes.max() >= pimod.PI_CODES:
+                raise ConfigError(
+                    f"calibration pi_corrections move the PI codes to {codes.tolist()}, "
+                    f"outside [0, {pimod.PI_CODES - 1}]"
+                )
+        return cls(offsets, luts, corrections)
 
 
-def _int_table(value, shape: tuple, name: str) -> np.ndarray:
-    """A read-only int64 array of exactly `shape` from a calibration field, else ConfigError."""
+_SWITCHES = {"luts": "lut", "pi_corrections": "skew"}
+
+
+def _int_table(payload: dict, name: str, shape: tuple, low=None, high=None, switch=None):
+    """Calibration field `name` as a read-only int64 array of `shape` inside
+    [low, high], or ConfigError; given its switch, null exactly when it is off."""
+    value = payload[name]
+    if switch is not None:
+        if (value is None) == switch:
+            raise ConfigError(
+                f"calibration {name} must {'not ' * switch}be null with "
+                f"system.calibration.{_SWITCHES[name]} {'on' if switch else 'off'}"
+            )
+        if value is None:
+            return None
     try:
         table = np.asarray(value)
     except ValueError:  # ragged nesting
         table = None
     if table is None or table.shape != shape or table.dtype.kind != "i":
         raise ConfigError(f"calibration {name} must be integers of shape {shape}")
+    if low is not None and (table.min() < low or table.max() > high):
+        raise ConfigError(f"calibration {name} must lie in [{low}, {high}]")
     table = table.astype(np.int64, copy=False)
     table.flags.writeable = False
     return table
@@ -365,7 +381,7 @@ def _offset_codes(cfg: RunConfig, system: il.AdcSystem) -> np.ndarray:
     return offsets
 
 
-def compute_calibration(cfg: RunConfig, seed: int, system: il.AdcSystem) -> CalibrationState:
+def compute_calibration(cfg: RunConfig, system: il.AdcSystem) -> CalibrationState:
     """Offset adaptation, LUT construction and skew correction per config."""
     cal = cfg.system.calibration
     offsets = _offset_codes(cfg, system)
@@ -382,7 +398,7 @@ def compute_calibration(cfg: RunConfig, seed: int, system: il.AdcSystem) -> Cali
         corrections = il.calibrate_skew(
             system, skew_tone(cfg), cal.skew_capture_samples, offset_codes=offsets
         )
-    return CalibrationState(config_hash(cfg), seed, offsets, luts, corrections)
+    return CalibrationState(offsets, luts, corrections)
 
 
 def run_slice_transfer(cfg: RunConfig, seed: int, normals) -> Run:
@@ -479,7 +495,7 @@ def run_pi_trim(cfg: RunConfig, seed: int, normals) -> Run:
 
 
 def run_calibrate(cfg: RunConfig, seed: int, normals) -> Run:
-    state = compute_calibration(cfg, seed, il.AdcSystem(cfg, seed, normals))
+    state = compute_calibration(cfg, il.AdcSystem(cfg, seed, normals))
     metrics = {
         "offset_codes": state.offset_codes.tolist(),
         "has_luts": state.luts is not None,
@@ -504,13 +520,13 @@ def run_adc_sine(
     (already checked against this config and seed) is given."""
     system = il.AdcSystem(cfg, seed, normals)
     if calibration is None:
-        calibration = compute_calibration(cfg, seed, system)
+        calibration = compute_calibration(cfg, system)
     tone = measurement_tone(cfg)
     fs = cfg.system.aggregate_rate
     n = cfg.capture.n_samples
-    pi_codes = system.nominal_pi_codes()
+    pi_codes = il.NOMINAL_PI_CODES
     if calibration.pi_corrections is not None:
-        pi_codes = il.corrected_pi_codes(pi_codes, calibration.pi_corrections)
+        pi_codes = pi_codes + calibration.pi_corrections
     capture = il.run_capture(
         system, tone, n,
         offset_codes=calibration.offset_codes,
@@ -691,9 +707,9 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run one named experiment; artifacts land in out_dir when given.
 
-    The one frame around every experiment: it hashes the config, refuses a
-    calibration file from another config or seed, makes the output
-    directory and builds and writes the artifact bodies only when it has one.
+    The one frame around every experiment: it hashes the config, reads a
+    calibration file, makes the output directory and builds and writes the
+    artifact bodies only when it has one.
     """
     if name not in _EXPERIMENTS:
         raise ConfigError(
@@ -710,13 +726,8 @@ def run_experiment(
         out.mkdir(parents=True, exist_ok=True)
     resume = {}
     if calibration_path is not None:
-        state = CalibrationState.from_json(Path(calibration_path).read_text(encoding="utf-8"))
-        if state.config_hash != h or state.master_seed != run_seed:
-            raise ConfigError(
-                "calibration file does not match this config/seed "
-                f"(file: {state.config_hash}/{state.master_seed}, run: {h}/{run_seed})"
-            )
-        resume["calibration"] = state
+        text = Path(calibration_path).read_text(encoding="utf-8")
+        resume["calibration"] = CalibrationState.from_json(text, cfg, run_seed)
     [(_, (normals,))] = _instance_chunks(name, cfg, [run_seed])
     metrics, bodies = _run(name, cfg, run_seed, normals, **resume)
     files = [] if out is None else _write_artifacts(out, h, run_seed, bodies())

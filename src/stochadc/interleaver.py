@@ -57,6 +57,10 @@ N_CODES = CODE_MAX - CODE_MIN + 1
 # a slice's calibration LUT is indexed by code + LUT_SIZE // 2
 LUT_SIZE = 256
 NOMINAL_PI_CODE_BASE = 32
+# quadrature sits at quarter-period code spacing; basing it at code 32 (not
+# 0) gives every group +/-32 codes of correction headroom
+NOMINAL_PI_CODES = NOMINAL_PI_CODE_BASE + np.arange(N_GROUPS) * (PI_CODES // N_GROUPS)
+NOMINAL_PI_CODES.flags.writeable = False
 
 _V_EPS = 1e-12
 
@@ -166,11 +170,6 @@ class AdcSystem:
                 trim_paths(c, cfg.pi.trim_max_iters).chain for c in self.pi_chains
             ]
 
-    def nominal_pi_codes(self) -> np.ndarray:
-        # quadrature sits at quarter-period code spacing; basing it at code
-        # 32 (not 0) gives every group +/-32 codes of correction headroom
-        return NOMINAL_PI_CODE_BASE + np.arange(N_GROUPS) * (PI_CODES // N_GROUPS)
-
     def group_phase_offset(self, group: int, code: int) -> float:
         """Group sampling-phase offset vs the ideal grid, for a PI code.
 
@@ -190,7 +189,7 @@ def schedule_sampling(
 ) -> np.ndarray:
     """Sampling instants, shape (16, n_cycles); slice s owns grid phase s.
 
-    Group g's phase is its PI output (nominal quadrature code 64*g plus any
+    Group g's phase is its PI output (its `NOMINAL_PI_CODES` entry plus any
     correction), shifted by that group's injected skew; within a group the
     four slices rotate at the group rate.
     """
@@ -355,7 +354,7 @@ def run_capture(
     n_samples: int,
     offset_codes=None,
     luts=None,
-    pi_codes=None,
+    pi_codes=NOMINAL_PI_CODES,
     *,
     _raw_only: bool = False,
 ) -> CaptureResult:
@@ -371,8 +370,6 @@ def run_capture(
     if offset_codes is None:
         offset_codes = np.full(N_SLICES, system.config.adc.nominal_offset_code)
     offset_codes = np.asarray(offset_codes, dtype=np.int64)
-    if pi_codes is None:
-        pi_codes = system.nominal_pi_codes()
     n_cycles = n_samples // N_SLICES
     instants = schedule_sampling(system, pi_codes, n_cycles)
     sc = system.config.system
@@ -505,7 +502,7 @@ def calibrate_skew(
     tone: SineStimulus,
     n_samples: int,
     offset_codes=None,
-    pi_codes=None,
+    pi_codes=NOMINAL_PI_CODES,
 ) -> np.ndarray:
     """Per-group PI code corrections canceling inter-group sampling skew.
 
@@ -523,8 +520,6 @@ def calibrate_skew(
     coherent_bin(tone.frequency, fs, n_samples)
     if tone.amplitude < system.config.adc.full_scale / 2.0:
         raise ConfigError("skew calibration tone must be at least half scale")
-    if pi_codes is None:
-        pi_codes = system.nominal_pi_codes()
     capture = run_capture(
         system, tone, n_samples, offset_codes=offset_codes, pi_codes=pi_codes
     )
@@ -554,21 +549,3 @@ def calibrate_skew(
         )
     return corrections + min(max(0, lowest), highest)
 
-
-def corrected_pi_codes(pi_codes, corrections) -> np.ndarray:
-    """PI codes with the skew corrections added, one per group.
-
-    A corrected code outside [0, 255] raises PreconditionError: clipped, it
-    would leave part of that group's skew in place while the run still
-    reports a plausible ENOB.
-    """
-    base = np.asarray(pi_codes, dtype=np.int64)
-    codes = base + np.asarray(corrections, dtype=np.int64)
-    for g, (code, nominal) in enumerate(zip(codes.tolist(), base.tolist())):
-        if not 0 <= code < PI_CODES:
-            raise PreconditionError(
-                f"skew correction asks group {g} for PI code {code}, beyond the bound "
-                f"{0 if code < 0 else PI_CODES - 1} (base code {nominal}, "
-                f"correction {code - nominal:+d})"
-            )
-    return codes

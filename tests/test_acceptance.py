@@ -17,6 +17,7 @@ import pytest
 from stochadc.config import GOLDEN_FRACTION, AdcConfig, RunConfig, SystemConfig, load_config
 from stochadc.experiments import run_experiment
 from stochadc.interleaver import (
+    NOMINAL_PI_CODES,
     AdcSystem,
     adapt_offsets,
     aligned_capture,
@@ -237,7 +238,7 @@ def test_criterion_07_skew_calibration():
     fin = j * FS / n
     ok_resid = 0
     ok_drop = 0
-    lock_ok = True
+    lock_ok = in_range = True
     for seed, pre_lock, post_lock in SKEW_CAL_LOCK:
         rng = substream(seed, "skew.inject")
         signs = rng.choice([-1.0, 1.0], size=3)
@@ -253,7 +254,9 @@ def test_criterion_07_skew_calibration():
             aligned_capture(system, run_capture(system, tone, n, offset_codes=offsets)).codes,
             FS, fin,
         )
-        post_codes = np.clip(system.nominal_pi_codes() + corr, 0, 255)
+        # unclipped: calibrate_skew's common shift keeps every code in range
+        post_codes = NOMINAL_PI_CODES + corr
+        in_range &= bool(post_codes.min() >= 0 and post_codes.max() <= 255)
         post, _ = sndr_enob(
             aligned_capture(
                 system,
@@ -270,9 +273,10 @@ def test_criterion_07_skew_calibration():
         lock_ok &= abs(sp_pre - pre_lock) < 1e-6 and abs(sp_post - post_lock) < 1e-6
     report(
         7,
-        ok_resid == 20 and ok_drop == 20 and lock_ok,
+        ok_resid == 20 and ok_drop == 20 and lock_ok and in_range,
         f"residual <= 1 PI step on {ok_resid}/20 seeds, spur drop >= 20 dB on "
-        f"{ok_drop}/20 seeds, spectra match regression lock: {lock_ok}",
+        f"{ok_drop}/20 seeds, spectra match regression lock: {lock_ok}, "
+        f"PI codes in [0, 255]: {in_range}",
     )
 
 

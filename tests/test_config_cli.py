@@ -12,6 +12,7 @@ import pytest
 import yaml
 
 import stochadc
+import stochadc.interleaver as il
 from stochadc.cli import main
 from stochadc.config import (
     FomConfig,
@@ -25,7 +26,7 @@ from stochadc.config import (
     parse_config,
 )
 from stochadc.errors import ConfigError, PreconditionError
-from stochadc.experiments import run_experiment
+from stochadc.experiments import CalibrationState, run_experiment
 from stochadc.metrics import code_density_linearity
 from stochadc.stimulus import SineStimulus
 
@@ -129,6 +130,104 @@ def skewcal_with(skews: str) -> str:
     shipped = "skew_injection: [0.0, 5.0e-12, -5.0e-12, 5.0e-12]"
     assert shipped in text
     return text.replace(shipped, f"skew_injection: {skews}")
+
+
+def shipped(name: str) -> str:
+    return (CONFIG_DIR / name).read_text(encoding="utf-8")
+
+
+# the configs whose calibration file a malformed case corrupts
+CALIBRATED = {
+    "minimal": MINIMAL_SINE,
+    "ideal": shipped("ideal.yaml"),
+    "adapt-off": MINIMAL_SINE + "system:\n  calibration:\n    adapt_offsets: false\n",
+    "lut": LUT_CONFIG,
+    "skewcal": shipped("skewcal.yaml"),
+}
+
+
+def _with(**fields):
+    """A corruption of a calibration file that sets `fields`."""
+    return lambda text, payload: json.dumps({**payload, **fields})
+
+
+# (config, corruption of its calibration file, the message it exits 2 with);
+# each rule's case runs on a config where no earlier rule refuses it
+MALFORMED = [
+    pytest.param("minimal", lambda text, payload: text[: len(text) // 2], "not valid JSON",
+                 id="truncated"),
+    pytest.param("minimal", lambda text, payload: "[1, 2]", "JSON object", id="not-an-object"),
+    pytest.param("minimal", lambda text, payload: json.dumps({"version": 1}),
+                 "missing config_hash", id="missing-keys"),
+    pytest.param("minimal", _with(master_seed=2), "does not match this config/seed",
+                 id="other-seed"),
+    pytest.param("minimal", _with(offset_codes=[25] * 15),
+                 "offset_codes must be integers of shape (16,)", id="15-offset-codes"),
+    pytest.param("minimal", _with(offset_codes=[1.5] * 16),
+                 "offset_codes must be integers of shape (16,)", id="float-offset-codes"),
+    pytest.param("minimal", _with(offset_codes=None),
+                 "offset_codes must be integers of shape (16,)", id="null-offset-codes"),
+    # this used to exit 0 with signed codes -192..192 and ENOB 2.10
+    pytest.param("minimal", _with(offset_codes=[-40] * 16), "offset_codes must lie in [0, 255]",
+                 id="negative-offset-codes"),
+    # above any raw count: this used to exit 3 after the capture ("no noise power")
+    pytest.param("ideal", _with(offset_codes=[300] * 16), "offset_codes must lie in [0, 255]",
+                 id="offset-codes-above-n-taps"),
+    # without the warmup every slice converts at the nominal code
+    pytest.param("adapt-off", _with(offset_codes=[26] * 16), "offset_codes must lie in [25, 25]",
+                 id="offset-codes-off-nominal"),
+    pytest.param("minimal", _with(luts=[[0] * 256] * 16),
+                 "luts must be null with system.calibration.lut off", id="luts-with-lut-off"),
+    # this used to exit 0 with ENOB 6.82, where the fused run gives 8.01
+    pytest.param("ideal", _with(pi_corrections=[3, -3, 10, -3]),
+                 "pi_corrections must be null with system.calibration.skew off",
+                 id="pi-corrections-with-skew-off"),
+    pytest.param("lut", _with(luts=None), "luts must not be null with system.calibration.lut on",
+                 id="no-luts-with-lut-on"),
+    # this used to exit 0 with ENOB 2.15, where the fused run gives 6.64
+    pytest.param("skewcal", _with(pi_corrections=None),
+                 "pi_corrections must not be null with system.calibration.skew on",
+                 id="no-pi-corrections-with-skew-on"),
+    pytest.param("lut", _with(luts=[list(range(256))] * 15),
+                 "luts must be integers of shape (16, 256)", id="15-luts"),
+    pytest.param("lut", _with(luts=[list(range(255))] * 16),
+                 "luts must be integers of shape (16, 256)", id="short-lut"),
+    # in range, descending from entry 1 on
+    pytest.param("lut", _with(luts=[[0, *range(127, -128, -1)]] * 16),
+                 "luts must not fall from entry 1 on", id="non-monotone-lut"),
+    # monotone, but mapping codes to 100..355: this used to exit 0,
+    # writing corrected codes 228, 238, 248, ... and ENOB 8.005
+    pytest.param("lut", _with(luts=[list(range(100, 356))] * 16),
+                 "luts must lie in [-127, 127]", id="lut-out-of-range"),
+    pytest.param("skewcal", _with(pi_corrections=[0, 0, 0]),
+                 "pi_corrections must be integers of shape (4,)", id="3-pi-corrections"),
+    # the two ends of the PI code range: these used to exit 3 after the
+    # converter was built
+    pytest.param("skewcal", _with(pi_corrections=[0, 0, 0, 32]),
+                 "move the PI codes to [32, 96, 160, 256], outside [0, 255]",
+                 id="pi-code-above-255"),
+    pytest.param("skewcal", _with(pi_corrections=[0, -97, 0, 0]),
+                 "move the PI codes to [32, -1, 160, 224], outside [0, 255]",
+                 id="pi-code-below-0"),
+]
+
+
+@pytest.fixture(scope="module")
+def calibrated(tmp_path_factory):
+    """(config path, calibration file text) of a CALIBRATED config, from one
+    `calibrate` run each."""
+    made = {}
+
+    def get(key):
+        if key not in made:
+            out = tmp_path_factory.mktemp(key)
+            path = out / "run.yaml"
+            path.write_text(CALIBRATED[key], encoding="utf-8")
+            assert main(["calibrate", "--config", str(path), "--out", str(out)]) == 0
+            made[key] = path, (out / "calibration.json").read_text()
+        return made[key]
+
+    return get
 
 
 class TestConfigParsing:
@@ -937,8 +1036,11 @@ class TestCli:
                 "    skew_capture_samples: 4096\n"
             ),
             LUT_CONFIG,
+            shipped("ideal.yaml"),
+            shipped("regime.yaml"),
+            shipped("skewcal.yaml"),
         ],
-        ids=["offsets-skew", "lut-skew-linearity"],
+        ids=["offsets-skew", "lut-skew-linearity", "ideal", "regime", "skewcal"],
     )
     def test_calibrate_then_measure_matches_fused_run(self, tmp_path, cfg_text):
         cfg = self.write(tmp_path, cfg_text)
@@ -1021,60 +1123,21 @@ class TestCli:
         ])
         assert code == 2
 
-    @pytest.mark.parametrize(
-        "corrupt,named",
-        [
-            (lambda text, payload: text[: len(text) // 2], "not valid JSON"),
-            (lambda text, payload: "[1, 2]", "JSON object"),
-            (lambda text, payload: json.dumps({"version": 1}), "missing config_hash"),
-            (
-                lambda text, payload: json.dumps(
-                    {**payload, "offset_codes": payload["offset_codes"][:15]}
-                ),
-                "offset_codes",
-            ),
-            (
-                lambda text, payload: json.dumps({**payload, "offset_codes": [1.5] * 16}),
-                "offset_codes",
-            ),
-            (lambda text, payload: json.dumps({**payload, "luts": [list(range(256))] * 15}), "luts"),
-            (lambda text, payload: json.dumps({**payload, "luts": [list(range(255))] * 16}), "luts"),
-            # in range, descending from entry 1 on
-            (
-                lambda text, payload: json.dumps(
-                    {**payload, "luts": [[0, *range(127, -128, -1)]] * 16}
-                ),
-                "luts must not fall",
-            ),
-            (
-                lambda text, payload: json.dumps({**payload, "pi_corrections": [0, 0, 0]}),
-                "pi_corrections",
-            ),
-            # monotone, but mapping codes to 100..355: this used to exit 0,
-            # writing corrected codes 228, 238, 248, ... and ENOB 8.005
-            (
-                lambda text, payload: json.dumps({**payload, "luts": [list(range(100, 356))] * 16}),
-                "luts must lie in [-127, 127]",
-            ),
-            # this used to exit 0 with signed codes -192..192 and ENOB 2.10
-            (
-                lambda text, payload: json.dumps({**payload, "offset_codes": [-40] * 16}),
-                "offset_codes must be >= 0",
-            ),
-        ],
-        ids=[
-            "truncated", "not-an-object", "missing-keys", "15-offset-codes",
-            "float-offset-codes", "15-luts", "short-lut", "non-monotone-lut",
-            "3-pi-corrections", "lut-out-of-range", "negative-offset-codes",
-        ],
-    )
-    def test_malformed_calibration_exit_code(self, tmp_path, capsys, corrupt, named):
-        cfg = self.write(tmp_path, MINIMAL_SINE)
-        cal_dir = tmp_path / "cal"
-        assert main(["calibrate", "--config", str(cfg), "--out", str(cal_dir)]) == 0
-        cal = cal_dir / "calibration.json"
-        text = cal.read_text()
+    @pytest.mark.parametrize("config,corrupt,named", MALFORMED)
+    def test_malformed_calibration_exit_code(
+        self, tmp_path, capsys, monkeypatch, calibrated, config, corrupt, named
+    ):
+        cfg, text = calibrated(config)
+        cal = tmp_path / "calibration.json"
         cal.write_text(corrupt(text, json.loads(text)))
+        built = []
+        real = il.AdcSystem
+
+        def spy(*args, **kwargs):
+            built.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(il, "AdcSystem", spy)
         capsys.readouterr()
         code = main([
             "adc-sine", "--config", str(cfg), "--out", str(tmp_path / "x"),
@@ -1082,6 +1145,15 @@ class TestCli:
         ])
         assert code == 2
         assert named in capsys.readouterr().err
+        # refused when the file is read, before any converter is built
+        assert built == []
+
+    def test_pi_code_range_ends_are_read(self, calibrated):
+        # the corrections that move the PI codes onto 0 and 255 are in range
+        cfg, text = calibrated("skewcal")
+        payload = {**json.loads(text), "pi_corrections": [-32, 0, 0, 31]}
+        state = CalibrationState.from_json(json.dumps(payload), load_config(cfg), 3)
+        assert (il.NOMINAL_PI_CODES + state.pi_corrections).tolist() == [0, 96, 160, 255]
 
 
 class TestMonteCarlo:

@@ -16,7 +16,6 @@ from stochadc.config import (
     RunConfig,
     SystemConfig,
     _validate,
-    config_hash,
     parse_config,
 )
 from stochadc.core import derive_seed
@@ -31,6 +30,7 @@ from stochadc.errors import (
 from stochadc.interleaver import (
     N_GROUPS,
     N_SLICES,
+    NOMINAL_PI_CODES,
     AdcSystem,
     AlignedStream,
     adapt_offsets,
@@ -41,7 +41,6 @@ from stochadc.interleaver import (
     calibrate_skew,
     code_histogram,
     convert_pair_arrays,
-    corrected_pi_codes,
     pi_chain,
     retime_streams,
     run_capture,
@@ -49,10 +48,11 @@ from stochadc.interleaver import (
     slice_transfer,
 )
 from stochadc.experiments import CalibrationState
-from stochadc.metrics import code_density_linearity
+from stochadc.metrics import code_density_linearity, sndr_enob
 from stochadc.stimulus import SineStimulus
 
 from oracles import identity_lut, rowwise_adc_draws, rowwise_jitter, rowwise_pi_chain
+from test_artifacts import LUT_CONFIG
 
 PS = 1e-12
 FS_RATE = 20e9
@@ -143,7 +143,7 @@ def mismatched_systems(draw):
 class TestSchedule:
     def test_ideal_grid(self):
         system = ideal_system()
-        instants = schedule_sampling(system, system.nominal_pi_codes(), 8)
+        instants = schedule_sampling(system, NOMINAL_PI_CODES, 8)
         flat = np.sort(instants.ravel())
         expected = np.arange(flat.size) * 50 * PS
         assert np.allclose(flat, expected, atol=1e-22)
@@ -153,8 +153,8 @@ class TestSchedule:
     def test_group_skew_shifts_every_fourth_instant(self):
         base = ideal_system()
         skewed = ideal_system(skew_injection=(0.0, 5 * PS, 0.0, 0.0))
-        a = schedule_sampling(base, base.nominal_pi_codes(), 4)
-        b = schedule_sampling(skewed, skewed.nominal_pi_codes(), 4)
+        a = schedule_sampling(base, NOMINAL_PI_CODES, 4)
+        b = schedule_sampling(skewed, NOMINAL_PI_CODES, 4)
         delta = b - a
         group_of_slice = np.arange(16) % 4
         assert np.allclose(delta[group_of_slice == 1], 5 * PS, atol=1e-22)
@@ -162,7 +162,7 @@ class TestSchedule:
 
     def test_pi_code_step_shifts_group_by_one_step(self):
         system = ideal_system()
-        codes = system.nominal_pi_codes()
+        codes = NOMINAL_PI_CODES
         a = schedule_sampling(system, codes, 2)
         codes2 = codes.copy()
         codes2[2] += 1
@@ -171,6 +171,11 @@ class TestSchedule:
         group_of_slice = np.arange(16) % 4
         assert np.allclose(delta[group_of_slice == 2], 0.78125 * PS, rtol=1e-9)
         assert np.allclose(delta[group_of_slice != 2], 0.0, atol=1e-22)
+
+    def test_quadrature_pi_codes_are_read_only(self):
+        assert NOMINAL_PI_CODES.tolist() == [32, 96, 160, 224]
+        with pytest.raises(ValueError, match="read-only"):
+            NOMINAL_PI_CODES[0] = 0
 
     def test_one_pi_lookup_per_group(self, monkeypatch):
         import stochadc.interleaver as il
@@ -184,8 +189,8 @@ class TestSchedule:
 
         monkeypatch.setattr(il, "pi_output", counted)
         system = ideal_system()
-        schedule_sampling(system, system.nominal_pi_codes(), 3)
-        assert calls == system.nominal_pi_codes().tolist()
+        schedule_sampling(system, NOMINAL_PI_CODES, 3)
+        assert calls == NOMINAL_PI_CODES.tolist()
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(mismatched_systems(), st.lists(st.integers(0, 255), min_size=4, max_size=4))
@@ -207,6 +212,31 @@ class TestSchedule:
         want = schedule_sampling(ideal_system(seed=5), codes, 9)
         want += rowwise_jitter(5, 9, 2 * PS)
         assert np.array_equal(jittered.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("sigma", [0.25 * PS, 1 * PS, 4 * PS])
+    @pytest.mark.parametrize("j", [1433, 5733])
+    def test_jitter_sndr_follows_the_gaussian_jitter_law(self, j, sigma):
+        # Gaussian jitter keeps e^(-x^2) of a tone's power, x = 2 pi fin sigma,
+        # and spreads the rest as noise, SNR_j = e^(-x^2) / (1 - e^(-x^2)),
+        # which adds to the jitter-free converter's noise.  The noise estimate
+        # sums n/2 - 1 bins, so it spreads by about 1/sqrt(n/2 - 1) relative;
+        # a reading may miss the law by four such spreads
+        n = 16384
+        tone = coherent_tone(j, n)
+
+        def sndr_db(system):
+            offsets = [system.config.adc.nominal_offset_code] * N_SLICES
+            codes = aligned_capture(system, run_capture(system, tone, n, offsets)).codes
+            return sndr_enob(codes, FS_RATE, tone.frequency)[0]["sndr_db"]
+
+        clean = sndr_db(ideal_system())
+        x2 = (2 * math.pi * tone.frequency * sigma) ** 2
+        snr_jitter = math.exp(-x2) / -math.expm1(-x2)
+        law = -10 * math.log10(10 ** (-clean / 10) + 1 / snr_jitter)
+        spread = 10 * math.log10(1 + 1 / math.sqrt(n / 2 - 1))
+        for seed in range(4):
+            got = sndr_db(ideal_system(seed, sampling_jitter=sigma))
+            assert abs(got - law) < 4 * spread, (seed, got, law)
 
     def test_bad_pi_codes_rejected(self):
         system = ideal_system()
@@ -503,7 +533,7 @@ class TestSkewCalibration:
         tone = coherent_tone(1433, 4096, amplitude=0.44)
         corr = calibrate_skew(system, tone, 4096)
         second = calibrate_skew(
-            system, tone, 4096, pi_codes=system.nominal_pi_codes() + corr
+            system, tone, 4096, pi_codes=NOMINAL_PI_CODES + corr
         )
         assert np.max(np.abs(second)) <= 1
 
@@ -531,14 +561,6 @@ class TestSkewCalibration:
         tone = coherent_tone(1433, 4096, amplitude=0.44)
         with pytest.raises(PreconditionError, match=r"\[-58, 96, 160, 224\], which span 282"):
             calibrate_skew(system, tone, 4096)
-
-    def test_corrected_pi_codes_bounds(self):
-        nominal = np.array([32, 96, 160, 224])
-        assert corrected_pi_codes(nominal, [-32, 0, 0, 31]).tolist() == [0, 96, 160, 255]
-        with pytest.raises(PreconditionError, match=r"group 3 for PI code 256, beyond the bound 255"):
-            corrected_pi_codes(nominal, [0, 0, 0, 32])
-        with pytest.raises(PreconditionError, match=r"group 1 for PI code -1, beyond the bound 0"):
-            corrected_pi_codes(nominal, [0, -97, 0, 0])
 
     def test_non_coherent_tone_rejected(self):
         system = ideal_system()
@@ -600,19 +622,16 @@ class TestSliceTransfer:
 
 def test_calibration_state_roundtrip(tmp_path, monkeypatch):
     # the calibrate experiment writes the state through the artifact writer,
-    # and the reader gives back every field
-    cfg = RunConfig()
+    # and the reader gives back every field, on a config that has them all
+    cfg = parse_config(LUT_CONFIG)
     state = CalibrationState(
-        config_hash=config_hash(cfg),
-        master_seed=5,
         offset_codes=np.full(16, 25),
         luts=np.tile(identity_lut(), (16, 1)),
         pi_corrections=np.array([0, -2, 3, 1]),
     )
     monkeypatch.setattr(experiments, "compute_calibration", lambda *args: state)
     experiments.run_experiment("calibrate", cfg, out_dir=tmp_path, seed=5)
-    back = CalibrationState.from_json((tmp_path / "calibration.json").read_text())
-    assert (back.config_hash, back.master_seed) == (state.config_hash, 5)
+    back = CalibrationState.from_json((tmp_path / "calibration.json").read_text(), cfg, 5)
     assert np.array_equal(back.offset_codes, state.offset_codes)
     assert np.array_equal(back.pi_corrections, state.pi_corrections)
     assert np.array_equal(back.luts, state.luts)
