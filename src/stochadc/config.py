@@ -7,22 +7,26 @@ from them by `interleaver`, which alone decides which keyed-draw rows become
 which instance, and the derived quantities (slice period, discharge slope,
 PI step, ...) are properties of the section they read.
 
-Each field's type and range sit on its annotation: a range is an
-`Annotated[type, (test, text)]` alias such as `Positive`, `Count` or
-`Capture`.  Every section's constructor calls `_check` first, so a section
-is held to its annotations however it is built, from YAML or in Python:
-the eight fields that feed no result (`system.latencies`, `track`, `early`
-and `late`, `output.formats`, `sweep.seeds`, `montecarlo.workers` and
-`stimulus.type`) take only their default, then each field must match its
-type (see `_SCALARS`; `X | None` also takes None, a tuple a list), be
-finite and lie in its range, and the error names the field.  A
-section's rules between its own fields follow in its constructor.  Loading
-adds strictness (unknown keys anywhere in the tree are rejected; `_value`
-only nests sections, turns lists into tuples and reads YAML 1.1's
-"100e-12" as a number) and `parse_config` the checks that span sections
-(tone coherence, the stimulus swing and the slice-transfer sweep inside the
-V2T input range, the skew tone's presence and amplitude and the skew range
-the calibration can measure).  The four tones of a run are
+A section is declared once, on its class line:
+`class SystemConfig(_Section, path="system", pinned=("latencies", ...)):`.
+Its fields are annotated attributes, and a range sits on the annotation as
+an `Annotated[type, (test, text)]` alias such as `Positive`, `Count` or
+`Capture`.  `path` places the section in a config (`system.calibration`,
+`fom.entries[]`; "" at the root, whose key errors say `config`), and every
+error about the section names it, from YAML or in Python.  `pinned` lists
+the fields that feed no result (`system.latencies`, `track`, `early` and
+`late`, `output.formats`, `sweep.seeds`, `montecarlo.workers` and
+`stimulus.type`), which take only their default.  `_Section` makes each
+section a frozen dataclass whose constructor calls `_check` (the pinned
+fields, then each field's type, see `_SCALARS`, finiteness and range; `X |
+None` also takes None, a tuple a list) and then `_rules`, the rules between
+the section's own fields where it has any.  Loading adds strictness
+(unknown keys anywhere in the tree, and a key repeated in one mapping, are
+rejected; `_value` only nests sections, turns lists into tuples and reads
+YAML 1.1's "100e-12" as a number) and `parse_config` the checks that span
+sections (tone coherence, the stimulus swing and the slice-transfer sweep
+inside the V2T input range, the skew tone's presence and amplitude and the
+skew range the calibration can measure).  The four tones of a run are
 derived here, each through `sine_tone`.  Physically meaningful values have
 no hidden defaults beyond the documented design sizing.  Loading then
 re-serializing a config is idempotent.
@@ -33,7 +37,6 @@ annotations), so `_check` reads each `Field.type` as it is;
 """
 
 import contextlib
-import dataclasses
 import functools
 import hashlib
 import json
@@ -52,36 +55,39 @@ from .metrics import MIN_HITS_PER_CODE, coherent_bin
 from .stimulus import SineStimulus
 
 
-def _build(cls, data, path: str):
-    """Construct a section dataclass from a mapping, rejecting unknown keys.
+def _build(cls, data):
+    """Construct section `cls` from a mapping, rejecting unknown keys; errors
+    name the section's path, `config` at the root.
 
     Each value is read through its field's annotation (see `_value`).
     """
+    path = cls._path or "config"
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a mapping, got {type(data).__name__}")
     hints = {f.name: f.type for f in fields(cls)}
-    unknown = sorted(set(data) - set(hints))
+    # a YAML key need not be a string, so the keys sort by their text
+    unknown = sorted(data.keys() - hints.keys(), key=str)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {unknown}")
-    kwargs = {name: _value(hints[name], value, f"{path}.{name}") for name, value in data.items()}
+    kwargs = {name: _value(hints[name], value) for name, value in data.items()}
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _value(hint, value, path: str):
+def _value(hint, value):
     """One YAML value as the annotation `hint` reads it: a section type builds
     that section, a list becomes a tuple of the annotation's items, and a
     string where a number is expected becomes one if it reads as one (YAML 1.1
     parses "100e-12", an exponent without a decimal point, as a string).  The
     section's `_check` then holds the result to `hint`."""
     hint = _parts(hint)[0]
-    if dataclasses.is_dataclass(hint):
-        return _build(hint, value, path)
+    if isinstance(hint, type) and issubclass(hint, _Section):
+        return _build(hint, value)
     if isinstance(value, list):
         item = (typing.get_args(hint) or (None,))[0]
-        return tuple(_value(item, v, f"{path}[]") for v in value)
+        return tuple(_value(item, v) for v in value)
     if isinstance(value, str) and hint is float:
         with contextlib.suppress(ValueError):
             return float(value)
@@ -127,14 +133,14 @@ def _parts(hint) -> tuple:
     return hint, None, optional
 
 
-def _check(section, path: str, *pinned: str) -> None:
-    """Hold each field of `section` to its annotation, naming it
-    `path.field`: first the `pinned` fields, which feed no result and so take
-    only their dataclass default, of its type (a config that loads then
+def _check(section) -> None:
+    """Hold each field of `section` to its annotation, naming it by its
+    class's `_path`: first the `_pinned` fields, which feed no result and so
+    take only their dataclass default, of its type (a config that loads then
     hashes as if they were not set); then every field's type, finiteness and
     range."""
-    prefix = f"{path}." if path else ""
-    for name in pinned:
+    prefix = f"{section._path}." if section._path else ""
+    for name in section._pinned:
         value, default = getattr(section, name), section.__dataclass_fields__[name].default
         if type(value) is not type(default) or value != default:
             raise ConfigError(
@@ -168,17 +174,30 @@ def _check_value(hint, value, path: str) -> None:
         raise ConfigError(f"{path} must be {rule[1]}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class AdaptationConfig:
+class _Section:
+    """A config section, declared on its class line with its `path` and its
+    `pinned` fields (see the module docstring).  Each subclass becomes a
+    frozen dataclass whose constructor holds it to its annotations, then to
+    its `_rules`."""
+
+    def __init_subclass__(cls, path: str, pinned: tuple = ()):
+        cls._path, cls._pinned = path, pinned
+        dataclass(frozen=True)(cls)
+
+    def __post_init__(self):
+        _check(self)
+        self._rules()
+
+    def _rules(self):
+        """The rules between this section's own fields, after `_check`."""
+
+
+class AdaptationConfig(_Section, path="adc.adaptation"):
     window: Count = 10_000
     threshold: Annotated[float, (lambda v: 0 < v <= 1, "a number in (0, 1]")] = 0.001
 
-    def __post_init__(self):
-        _check(self, "adc.adaptation")
 
-
-@dataclass(frozen=True)
-class AdcConfig:
+class AdcConfig(_Section, path="adc"):
     vdd: float = 0.9
     v_threshold: float = 0.3
     full_scale: Positive = 0.45  # differential full scale: max |v_p - v_n|, volts
@@ -194,8 +213,7 @@ class AdcConfig:
     threshold_sigma: NonNegative = 0.0
     adaptation: AdaptationConfig = field(default_factory=AdaptationConfig)
 
-    def __post_init__(self):
-        _check(self, "adc")
+    def _rules(self):
         if not (0 < self.v_threshold < self.vdd / 2):
             raise ConfigError("adc.v_threshold must lie in (0, vdd/2)")
 
@@ -213,8 +231,7 @@ class AdcConfig:
         return int(round(self.d_offset / self.unit_delay))
 
 
-@dataclass(frozen=True)
-class PiConfig:
+class PiConfig(_Section, path="pi"):
     unit_delay: Positive = 12.5e-12
     n_taps: Annotated[int, (lambda v: v >= 2, "an integer >= 2")] = 32
     tap_sigma_rel: NonNegative = 0.0
@@ -224,8 +241,7 @@ class PiConfig:
     # (path index 1-based, skew in unit delays) pairs
     injected_skews: tuple[tuple[float, ...], ...] = ()
 
-    def __post_init__(self):
-        _check(self, "pi")
+    def _rules(self):
         for entry in self.injected_skews:
             if not (len(entry) == 2 and _is_int(entry[0]) and 1 <= entry[0] <= self.n_taps):
                 raise ConfigError(
@@ -238,8 +254,7 @@ class PiConfig:
         return self.skew_sigma_rel * self.unit_delay
 
 
-@dataclass(frozen=True)
-class CalibrationConfig:
+class CalibrationConfig(_Section, path="system.calibration"):
     adapt_offsets: bool = True
     lut: bool = False
     skew: bool = False
@@ -247,12 +262,8 @@ class CalibrationConfig:
     lut_min_hits: Count = 100
     skew_capture_samples: Capture = 4_096
 
-    def __post_init__(self):
-        _check(self, "system.calibration")
 
-
-@dataclass(frozen=True)
-class SystemConfig:
+class SystemConfig(_Section, path="system", pinned=("latencies", "track", "early", "late")):
     aggregate_rate: Positive = 20e9
     skew_injection: Annotated[
         tuple[float, ...], (lambda v: len(v) == N_GROUPS, f"a list of {N_GROUPS} numbers")
@@ -268,9 +279,6 @@ class SystemConfig:
     early: float = 5e-12
     late: float = 5e-12
     calibration: CalibrationConfig = field(default_factory=CalibrationConfig)
-
-    def __post_init__(self):
-        _check(self, "system", "latencies", "track", "early", "late")
 
     @property
     def slice_rate(self) -> float:
@@ -289,8 +297,7 @@ class SystemConfig:
         return self.pi_clock_period / PI_CODES
 
 
-@dataclass(frozen=True)
-class StimulusConfig:
+class StimulusConfig(_Section, path="stimulus", pinned=("type",)):
     type: str = "sine"  # the only stimulus any experiment applies
     frequency: float | None = None
     coherent_bin: Annotated[int, (lambda v: v % 2 == 1, "odd")] | None = None
@@ -299,20 +306,15 @@ class StimulusConfig:
     common_mode: float = 0.525
     phase: float = 0.0
 
-    def __post_init__(self):
-        _check(self, "stimulus", "type")
 
-
-@dataclass(frozen=True)
-class CaptureConfig:
+class CaptureConfig(_Section, path="capture"):
     n_samples: Capture = 8_192
     linearity: bool = False
     linearity_samples: Capture = 65_536
     # unset means the stimulus amplitude; 0 must not read as unset
     linearity_amplitude: Positive | None = None
 
-    def __post_init__(self):
-        _check(self, "capture")
+    def _rules(self):
         # the code-density histogram needs MIN_HITS_PER_CODE samples per code
         floor = MIN_HITS_PER_CODE * N_CODES
         if self.linearity and self.linearity_samples < floor:
@@ -323,60 +325,39 @@ class CaptureConfig:
             )
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(_Section, path="sweep", pinned=("seeds",)):
     points: Count = 511
     span_rel: Positive = 1.0  # fraction of full scale swept on each side
     seeds: int = 1
-
-    def __post_init__(self):
-        _check(self, "sweep", "seeds")
 
 
 Percentile = Annotated[float, (lambda v: 0 <= v <= 100, "a number in [0, 100]")]
 
 
-@dataclass(frozen=True)
-class MonteCarloConfig:
+class MonteCarloConfig(_Section, path="montecarlo", pinned=("workers",)):
     trials: Count = 20
     experiment: str = "adc-sine"
     workers: int = 1
     percentiles: tuple[Percentile, ...] = (5.0, 50.0, 95.0)
 
-    def __post_init__(self):
-        _check(self, "montecarlo", "workers")
 
-
-@dataclass(frozen=True)
-class FomEntry:
+class FomEntry(_Section, path="fom.entries[]"):
     label: str
     power: Positive  # the figure of merit divides by both
     enob: float
     rate: Positive
 
-    def __post_init__(self):
-        _check(self, "fom.entries[]")
 
-
-@dataclass(frozen=True)
-class FomConfig:
+class FomConfig(_Section, path="fom"):
     entries: tuple[FomEntry, ...] = ()
 
-    def __post_init__(self):
-        _check(self, "fom")
 
-
-@dataclass(frozen=True)
-class OutputConfig:
+class OutputConfig(_Section, path="output", pinned=("formats",)):
     dir: str = "out"
     formats: tuple[str, ...] = ("csv", "json")
 
-    def __post_init__(self):
-        _check(self, "output", "formats")
 
-
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Section, path=""):
     # derive_seed would truncate a fractional seed to another run's draws
     master_seed: int = 0
     adc: AdcConfig = field(default_factory=AdcConfig)
@@ -388,15 +369,6 @@ class RunConfig:
     montecarlo: MonteCarloConfig = field(default_factory=MonteCarloConfig)
     fom: FomConfig = field(default_factory=FomConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
-
-    def __post_init__(self):
-        _check(self, "")
-
-    @functools.cached_property
-    def digest(self) -> str:
-        """`config_hash`, serialized once per instance (the config is frozen)."""
-        canonical = json.dumps(config_to_dict(self), sort_keys=True)
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
@@ -537,23 +509,34 @@ def load_config(path) -> RunConfig:
     return parse_config(text)
 
 
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe loader, refusing a key repeated in one mapping, of which
+    the safe loader would silently keep the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            # a `<<` merge key is not a field, and the safe loader refuses a collection key
+            merge = key_node.tag == "tag:yaml.org,2002:merge"
+            if isinstance(key_node, yaml.ScalarNode) and not merge:
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise ConfigError(f"key {key!r} repeated on line {key_node.start_mark.line + 1}")
+                seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
 def parse_config(text: str) -> RunConfig:
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed YAML: {exc}") from exc
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a mapping")
-    return _validate(_build(RunConfig, data, "config"))
+    return _validate(_build(RunConfig, {} if data is None else data))
 
 
 def config_to_dict(cfg) -> dict:
-    if dataclasses.is_dataclass(cfg):
-        return {
-            f.name: config_to_dict(getattr(cfg, f.name)) for f in fields(cfg)
-        }
+    if isinstance(cfg, _Section):
+        return {f.name: config_to_dict(getattr(cfg, f.name)) for f in fields(cfg)}
     if isinstance(cfg, (tuple, list)):
         return [config_to_dict(v) for v in cfg]
     return cfg
@@ -565,4 +548,5 @@ def dump_config(cfg: RunConfig) -> str:
 
 def config_hash(cfg: RunConfig) -> str:
     """First 16 hex digits of the sha256 of the canonical JSON of the config."""
-    return cfg.digest
+    canonical = json.dumps(config_to_dict(cfg), sort_keys=True)
+    return hashlib.sha256(canonical.encode()).hexdigest()[:16]

@@ -307,7 +307,7 @@ class CalibrationState:
         What a `calibrate` run of them cannot write raises ConfigError naming
         the field (README lists the rules); an offset code in range passes."""
         try:
-            payload = json.loads(text)
+            payload = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"calibration file is not valid JSON: {exc}") from None
         if not isinstance(payload, dict):
@@ -318,6 +318,10 @@ class CalibrationState:
         missing = [k for k in keys if k not in payload]
         if missing:
             raise ConfigError(f"calibration file is missing {', '.join(missing)}")
+        # true and 1.0 equal 1, but `calibrate` writes neither
+        for key in ("version", "master_seed"):
+            if type(payload[key]) is not int:
+                raise ConfigError(f"calibration {key} must be an integer, got {payload[key]!r}")
         file, run = (payload["config_hash"], payload["master_seed"]), (config_hash(cfg), seed)
         if file != run:
             raise ConfigError(
@@ -340,6 +344,16 @@ class CalibrationState:
                     f"outside [0, {pimod.PI_CODES - 1}]"
                 )
         return cls(offsets, luts, corrections)
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object from its pairs, refusing a repeated key (json.loads
+    would keep its last value)."""
+    keys = [key for key, _ in pairs]
+    repeated = sorted({key for key in keys if keys.count(key) > 1})
+    if repeated:
+        raise ConfigError(f"calibration file repeats the keys {repeated}")
+    return dict(pairs)
 
 
 _SWITCHES = {"luts": "lut", "pi_corrections": "skew"}

@@ -6,13 +6,17 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stochadc
 import stochadc.interleaver as il
+import stochadc.pi as pimod
 from stochadc.cli import main
 from stochadc.config import (
     FomConfig,
@@ -25,7 +29,7 @@ from stochadc.config import (
     load_config,
     parse_config,
 )
-from stochadc.errors import ConfigError, PreconditionError
+from stochadc.errors import ConfigError, PreconditionError, TrimConvergenceError
 from stochadc.experiments import CalibrationState, run_experiment
 from stochadc.metrics import code_density_linearity
 from stochadc.stimulus import SineStimulus
@@ -161,6 +165,18 @@ MALFORMED = [
                  "missing config_hash", id="missing-keys"),
     pytest.param("minimal", _with(master_seed=2), "does not match this config/seed",
                  id="other-seed"),
+    # true and 1.0 equal the integers 1 that `calibrate` writes: each used to exit 0
+    pytest.param("minimal", _with(version=True), "calibration version must be an integer",
+                 id="version-true"),
+    pytest.param("minimal", _with(version=1.0), "calibration version must be an integer",
+                 id="version-float"),
+    pytest.param("minimal", _with(master_seed=True),
+                 "calibration master_seed must be an integer", id="master-seed-true"),
+    pytest.param("minimal", _with(master_seed=1.0),
+                 "calibration master_seed must be an integer", id="master-seed-float"),
+    # json.loads keeps a repeated key's last value, so the leading seed 7 was ignored
+    pytest.param("minimal", lambda text, payload: '{"master_seed": 7, ' + text.lstrip()[1:],
+                 "calibration file repeats the keys ['master_seed']", id="repeated-key"),
     pytest.param("minimal", _with(offset_codes=[25] * 15),
                  "offset_codes must be integers of shape (16,)", id="15-offset-codes"),
     pytest.param("minimal", _with(offset_codes=[1.5] * 16),
@@ -275,7 +291,7 @@ class TestConfigParsing:
             load_config(path)
 
     def test_hash_needs_no_hashable_config_and_survives_pickling(self):
-        # the hash is cached on the instance, never keyed by config equality
+        # the hash is computed from the serialized config, never keyed by config equality
         listed = RunConfig(montecarlo=MonteCarloConfig(percentiles=[5.0, 95.0]))
         tupled = RunConfig(montecarlo=MonteCarloConfig(percentiles=(5.0, 95.0)))
         assert config_hash(listed) == config_hash(tupled)
@@ -562,6 +578,41 @@ class TestCli:
         p = self.write(tmp_path, MINIMAL_SINE.replace("master_seed: 1", f"master_seed: {value}"))
         assert main(["pi-sweep", "--config", str(p), "--out", str(tmp_path)]) == 2
         assert "master_seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("widget: 3\n", "config: unknown keys ['widget']"),
+            ("adc:\n  flux: 1\n", "adc: unknown keys ['flux']"),
+            ("system:\n  calibration:\n    flux: 1\n",
+             "system.calibration: unknown keys ['flux']"),
+            ("fom:\n  entries:\n    - {label: a, power: 0.1, enob: 5.6, rate: 2.0e+10, flux: 1}\n",
+             "fom.entries[]: unknown keys ['flux']"),
+            # keys of mixed types used to end in sorted()'s TypeError traceback (exit 1)
+            ("1: 2\nfoo: 3\n", "config: unknown keys [1, 'foo']"),
+            ("adc:\n  1: 2\n  foo: 3\n", "adc: unknown keys [1, 'foo']"),
+            ("[1, 2]\n", "config: expected a mapping, got list"),
+            ("adc: 5\n", "adc: expected a mapping, got int"),
+            ("system:\n  calibration: [1]\n", "system.calibration: expected a mapping, got list"),
+            ("fom:\n  entries: [5]\n", "fom.entries[]: expected a mapping, got int"),
+            # a repeated key used to load with its last value
+            ("master_seed: 1\nmaster_seed: 2\n", "key 'master_seed' repeated on line 2"),
+            ("adc:\n  n_taps: 255\n  n_taps: 254\n", "key 'n_taps' repeated on line 3"),
+            ("adc: {n_taps: 255, n_taps: 254}\n", "key 'n_taps' repeated on line 1"),
+        ],
+        ids=[
+            "unknown-root", "unknown-adc", "unknown-calibration", "unknown-fom-entry",
+            "mixed-unknown-root", "mixed-unknown-adc", "list-root", "int-adc",
+            "list-calibration", "int-fom-entry", "repeated-root", "repeated-nested",
+            "repeated-flow",
+        ],
+    )
+    def test_load_errors_name_the_section_path(self, tmp_path, capsys, text, message):
+        # a section's errors name its declared path, as its fields' errors do;
+        # they used to name config.adc where a field's named adc.n_taps
+        p = self.write(tmp_path, text)
+        assert main(["pi-sweep", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("value", ["5", "null", "[5]", "{label: a}"])
     def test_fom_entries_must_be_a_list_of_mappings(self, tmp_path, capsys, value):
@@ -916,8 +967,10 @@ class TestCli:
         if item is not None:
             value = tuple(bad if i == item else v for i, v in enumerate(getattr(section, name)))
         field = f"{path}.{name}" if path else name
-        with pytest.raises(ConfigError, match=re.escape(field)):
+        with pytest.raises(ConfigError, match=re.escape(field)) as built:
             dataclasses.replace(section, **{name: value})
+        # the error starts with the field's path, from Python and from YAML
+        assert str(built.value).startswith(field)
         data = yaml.safe_load(MINIMAL_SINE)
         if path == "fom.entries[]":
             node = dict(FOM_ENTRY)
@@ -929,7 +982,7 @@ class TestCli:
         node[name] = list(value) if isinstance(value, tuple) else value
         p = self.write(tmp_path, yaml.safe_dump(data))
         assert main(["pi-sweep", "--config", str(p), "--out", str(tmp_path)]) == 2
-        assert field in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"config error: {field}")
 
     @pytest.mark.parametrize("value", ["[[0, 1.5]]", "[[40, 1.5]]", "[[7]]"])
     def test_bad_injected_skews_rejected_at_load(self, tmp_path, value):
@@ -1428,3 +1481,96 @@ def test_every_capture_tone_models_the_front_end(monkeypatch):
     # offset warmup, LUT, skew estimate, measurement, linearity histogram
     assert len(tones) == 5
     assert all((t.bandwidth, t.filter_stages) == (8.0e9, 2) for t in tones)
+
+
+# each shipped config with an experiment that runs a capture or a PI sweep on
+# it; each pair exits 0 in .github/shipped_exit_codes.txt
+FIRST_STAGE_RUNS = {
+    "fom.yaml": "pi-sweep",
+    "ideal.yaml": "adc-sine",
+    "pi_mc.yaml": "montecarlo",
+    "pi_trim_injected.yaml": "pi-trim",
+    "regime.yaml": "montecarlo",
+    "skewcal.yaml": "adc-sine",
+}
+MISSING = object()  # a mutation that deletes the key or list item
+
+
+class FirstStage(Exception):
+    """Raised by a run's first capture or PI sweep."""
+
+
+def config_nodes(node, path=()):
+    """(path, value) of every mapping entry and list item under `node`."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        yield path + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from config_nodes(value, path + (key,))
+
+
+def mutations(value) -> list:
+    """Field-wise mutations of one value: out of range, zero, fractional,
+    off-multiple, wrong type and missing."""
+    if isinstance(value, bool):
+        return ["false", 1, MISSING]
+    if isinstance(value, int):
+        return [-value - 1, 0, value + 0.5, value + 1, "abc", True, MISSING]
+    if isinstance(value, float):
+        return [-abs(value) - 1.0, abs(value) * 1e3 + 1.0, 0.0, "abc", True, MISSING]
+    if value is None:  # an unset number
+        return [-1.0, 0, 0.5, "abc", MISSING]
+    if isinstance(value, str):
+        return [5, True, MISSING]
+    return [5, "abc", MISSING]  # a list or a mapping
+
+
+@st.composite
+def mutated_configs(draw):
+    """(shipped config name, YAML text of one mutation of it)."""
+    name = draw(st.sampled_from(sorted(FIRST_STAGE_RUNS)))
+    tree = config_to_dict(load_config(CONFIG_DIR / name))
+    nodes = list(config_nodes(tree))
+    # value mutations are the many; the two key mutations refuse every config alike
+    kind = draw(st.sampled_from(["value"] * 4 + ["repeated key", "unknown keys"]))
+    if kind == "repeated key":
+        lines = yaml.safe_dump(tree).splitlines()
+        i = draw(st.sampled_from([i for i, line in enumerate(lines) if re.match(r" *\w+:", line)]))
+        return name, "\n".join(lines[: i + 1] + lines[i:]), kind
+    if kind == "unknown keys":
+        mapping = draw(st.sampled_from([tree] + [v for _, v in nodes if isinstance(v, dict)]))
+        mapping.update({1: 2, "foo": 3})
+    else:
+        path, value = draw(st.sampled_from(nodes))
+        parent = tree
+        for key in path[:-1]:
+            parent = parent[key]
+        new = draw(st.sampled_from(mutations(value)))
+        if new is MISSING:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = new
+    return name, yaml.safe_dump(tree), kind
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(mutated_configs())
+def test_every_refusal_comes_before_the_first_stage(case):
+    # a config is refused at load, or its run reaches its first capture or PI
+    # sweep unless a listed data-dependent check stops it first: the STDC
+    # window of the drawn converter, a precondition or an unconvergent trim
+    name, text, kind = case
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    assert kind == "value", f"a config with {kind} loaded"
+    stop = mock.Mock(side_effect=FirstStage)
+    with mock.patch.object(il, "run_capture", stop), mock.patch.object(pimod, "pi_sweep", stop):
+        try:
+            run_experiment(FIRST_STAGE_RUNS[name], cfg)
+        except (FirstStage, PreconditionError, TrimConvergenceError):
+            return
+        except ConfigError as exc:
+            assert re.search(r"^slice \d+ at seed \d+ needs", str(exc)), str(exc)
+            return
+    raise AssertionError(f"{name} ran without a capture or a PI sweep")
