@@ -51,7 +51,7 @@ import yaml
 
 from .errors import CoherenceError, ConfigError
 from .interleaver import CODE_MAX, N_CODES, N_GROUPS, N_SLICES, PI_CODES
-from .metrics import MIN_HITS_PER_CODE, coherent_bin
+from .metrics import MIN_HITS_PER_CODE, coherent_bin, walden_fom
 from .stimulus import SineStimulus
 
 
@@ -346,6 +346,20 @@ class FomEntry(_Section, path="fom.entries[]"):
     power: Positive  # the figure of merit divides by both
     enob: float
     rate: Positive
+
+    def _rules(self):
+        # fom writes the figure of merit in J and in pJ, so both must be finite and > 0
+        try:
+            fom = walden_fom(self.power, self.enob, self.rate)
+        except OverflowError:  # 2^enob overflows, so the quotient underflows
+            fom = 0.0
+        except ZeroDivisionError:  # 2^enob underflows to 0, so the quotient overflows
+            fom = math.inf
+        if not (fom > 0 and math.isfinite(fom * 1e12)):
+            raise ConfigError(
+                f"fom.entries[] {self.label!r}: the figure of merit power / (2^enob * rate) "
+                f"must be a finite number > 0 in J and in pJ, got {fom!r} J"
+            )
 
 
 class FomConfig(_Section, path="fom"):

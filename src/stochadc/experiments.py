@@ -15,6 +15,8 @@ import csv
 import json
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ from . import interleaver as il
 from . import metrics as met
 from . import pi as pimod
 from .config import RunConfig, config_hash, linearity_tone, measurement_tone, skew_tone, warmup_tone
-from .core import median, normal_rows, percentile, seed_array
+from .core import median, percentile
 from .errors import ConfigError
 
 # the calibration file format; `from_json` refuses any other
@@ -276,7 +278,8 @@ def _plain(value):
 def _write_json(path: Path, cfg_hash: str, seed: int, payload: dict) -> None:
     """Write the config hash, master seed and payload as one sorted-key JSON object."""
     body = {"config_hash": cfg_hash, "master_seed": seed, **payload}
-    text = json.dumps(body, sort_keys=True, indent=2, default=_plain)
+    # NaN and Infinity are not JSON: a run that would write one fails instead
+    text = json.dumps(body, sort_keys=True, indent=2, default=_plain, allow_nan=False)
     path.write_text(text + "\n", encoding="utf-8")
 
 
@@ -415,8 +418,7 @@ def compute_calibration(cfg: RunConfig, system: il.AdcSystem) -> CalibrationStat
     return CalibrationState(offsets, luts, corrections)
 
 
-def run_slice_transfer(cfg: RunConfig, seed: int, normals) -> Run:
-    system = il.AdcSystem(cfg, seed, normals)
+def run_slice_transfer(cfg: RunConfig, system: il.AdcSystem) -> Run:
     adc = cfg.adc
     # the sweep reads slice 0's offset code alone, so no LUT or skew capture runs
     offset = int(_offset_codes(cfg, system)[0])
@@ -453,9 +455,8 @@ def _sweep_table(phases: np.ndarray, period: float, flags: np.ndarray) -> dict:
     }
 
 
-def run_pi_sweep(cfg: RunConfig, seed: int, normals) -> Run:
+def run_pi_sweep(cfg: RunConfig, chain: pimod.DelayChain) -> Run:
     period = cfg.system.pi_clock_period
-    chain = il.pi_chain(cfg, *normals)
     if cfg.pi.trim_enabled:
         chain = pimod.trim_paths(chain, cfg.pi.trim_max_iters).chain
     phases = pimod.pi_sweep(chain)
@@ -484,8 +485,7 @@ def _rising(a: np.ndarray) -> bool:
     return bool((a[1:] > a[:-1]).all())
 
 
-def run_pi_trim(cfg: RunConfig, seed: int, normals) -> Run:
-    chain = il.pi_chain(cfg, *normals)
+def run_pi_trim(cfg: RunConfig, chain: pimod.DelayChain) -> Run:
     pre_sweep = pimod.pi_sweep(chain)
     result = pimod.trim_paths(chain, cfg.pi.trim_max_iters)
     post_sweep = pimod.pi_sweep(result.chain)
@@ -508,8 +508,8 @@ def run_pi_trim(cfg: RunConfig, seed: int, normals) -> Run:
     }
 
 
-def run_calibrate(cfg: RunConfig, seed: int, normals) -> Run:
-    state = compute_calibration(cfg, il.AdcSystem(cfg, seed, normals))
+def run_calibrate(cfg: RunConfig, system: il.AdcSystem) -> Run:
+    state = compute_calibration(cfg, system)
     metrics = {
         "offset_codes": state.offset_codes.tolist(),
         "has_luts": state.luts is not None,
@@ -528,14 +528,14 @@ def run_calibrate(cfg: RunConfig, seed: int, normals) -> Run:
 
 
 def run_adc_sine(
-    cfg: RunConfig, seed: int, normals, calibration: CalibrationState | None = None
+    cfg: RunConfig, system: il.AdcSystem, calibration: CalibrationState | None = None
 ) -> Run:
     """Measure the configured tone, calibrating first unless `calibration`
     (already checked against this config and seed) is given."""
-    system = il.AdcSystem(cfg, seed, normals)
+    # a config without a tone is refused before any capture
+    tone = measurement_tone(cfg)
     if calibration is None:
         calibration = compute_calibration(cfg, system)
-    tone = measurement_tone(cfg)
     fs = cfg.system.aggregate_rate
     n = cfg.capture.n_samples
     pi_codes = il.NOMINAL_PI_CODES
@@ -618,36 +618,13 @@ def run_fom(cfg: RunConfig, seed: int) -> Run:
     }
 
 
-# standard normals a Monte Carlo draws at a time: bounds the mismatch rows
-# held in memory (about 56 converter or 4,096 PI chain instances per draw)
-DRAW_NORMALS = 1 << 18
-
-
-def _instance_chunks(name: str, cfg: RunConfig, seeds: list[int]):
-    """Yield the seeds in order, in chunks, each with its seeds' mismatch rows
-    for experiment `name` (None each for an experiment without a mismatch
-    instance).
-
-    The one draw of single runs and Monte Carlo trials: a chunk's rows come
-    from one `core.normal_rows` draw of at most about DRAW_NORMALS normals,
-    and each seed's equal its single-seed draw bit for bit.
-    """
-    row_seeds = _EXPERIMENTS[name][1]
-    if row_seeds is None:
-        yield seeds, [None] * len(seeds)
-        return
-    per_seed = sum(s.size * length for s, length in row_seeds(cfg, seed_array(seeds[:1])))
-    step = max(1, DRAW_NORMALS // per_seed)
-    for start in range(0, len(seeds), step):
-        chunk = seeds[start : start + step]
-        yield chunk, normal_rows(row_seeds(cfg, seed_array(chunk)))
-
-
-def _run(name: str, cfg: RunConfig, seed: int, normals, **resume) -> Run:
-    """Run experiment `name`, handing it its mismatch rows if it has any."""
-    if normals is not None:
-        resume["normals"] = normals
-    return _EXPERIMENTS[name][0](cfg, seed, **resume)
+def _trials(name: str, cfg: RunConfig, seeds: list[int], **resume):
+    """Each seed's Run of experiment `name`, lazily in order, handing the run
+    that seed's instance from its source, or the seed when it has none: the
+    one loop of single runs and Monte Carlo trials.  It holds no instance
+    once its run has returned."""
+    run, instances = _EXPERIMENTS[name]
+    return map(partial(run, cfg, **resume), seeds if instances is None else instances(cfg, seeds))
 
 
 def run_montecarlo(cfg: RunConfig, seed: int) -> Run:
@@ -655,15 +632,10 @@ def run_montecarlo(cfg: RunConfig, seed: int) -> Run:
     if name not in _EXPERIMENTS or name == "montecarlo":
         raise ConfigError(f"montecarlo cannot wrap experiment {name!r}")
     seeds = [seed + i for i in range(cfg.montecarlo.trials)]
-    # trials on one sampling grid sample each tone once; a chunk's trials
-    # return before the next chunk is drawn, so a run never holds more than
-    # two chunks' rows.  No trial builds its artifact bodies
+    # trials on one sampling grid sample each tone once.  No trial builds its
+    # artifact bodies, and none is held while the next trial runs
     with il.shared_tone_swings():
-        results = [
-            _run(name, cfg, trial_seed, rows)[0]
-            for chunk, normals in _instance_chunks(name, cfg, seeds)
-            for trial_seed, rows in zip(chunk, normals)
-        ]
+        results = list(map(itemgetter(0), _trials(name, cfg, seeds)))
     numeric_keys = [
         k
         for k, v in results[0].items()
@@ -697,16 +669,15 @@ def run_montecarlo(cfg: RunConfig, seed: int) -> Run:
     return metrics, bodies
 
 
-# name -> (run function, the keyed-draw rows of its mismatch instance or
-# None), in the order the command line lists them; a run with rows takes its
-# seed's as `normals`
+# name -> (run function, its `interleaver` instance source or None), in the
+# order the command line lists them
 _EXPERIMENTS = {
-    "slice-transfer": (run_slice_transfer, il.mismatch_seeds),
-    "adc-sine": (run_adc_sine, il.mismatch_seeds),
-    "pi-sweep": (run_pi_sweep, il.pi_mismatch_seeds),
-    "pi-trim": (run_pi_trim, il.pi_mismatch_seeds),
+    "slice-transfer": (run_slice_transfer, il.converters),
+    "adc-sine": (run_adc_sine, il.converters),
+    "pi-sweep": (run_pi_sweep, il.pi_chains),
+    "pi-trim": (run_pi_trim, il.pi_chains),
     "montecarlo": (run_montecarlo, None),
-    "calibrate": (run_calibrate, il.mismatch_seeds),
+    "calibrate": (run_calibrate, il.converters),
     "fom": (run_fom, None),
 }
 EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
@@ -742,7 +713,6 @@ def run_experiment(
     if calibration_path is not None:
         text = Path(calibration_path).read_text(encoding="utf-8")
         resume["calibration"] = CalibrationState.from_json(text, cfg, run_seed)
-    [(_, (normals,))] = _instance_chunks(name, cfg, [run_seed])
-    metrics, bodies = _run(name, cfg, run_seed, normals, **resume)
+    [(metrics, bodies)] = _trials(name, cfg, [run_seed], **resume)
     files = [] if out is None else _write_artifacts(out, h, run_seed, bodies())
     return ExperimentResult(name, run_seed, h, metrics, files)

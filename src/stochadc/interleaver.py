@@ -12,10 +12,12 @@ Conversion arithmetic is cycle-local: the STDC wavefront is launched
 are absolute times.  Slice outputs pass through a fixed-depth double-flop
 retime, which the aligner compensates exactly before interleaving.
 
-This module is also the one mismatch instancer: it alone decides which
-keyed-draw rows become which instance, the converter's (`mismatch_seeds`,
-read by `AdcSystem`) and the one PI chain `pi-sweep` and `pi-trim` model
-(`pi_mismatch_seeds`, read by `pi_chain`).
+This module is also the one mismatch instancer, from draw to build: it
+alone decides which keyed-draw rows become which instance, the converter's
+(`mismatch_seeds`, read by `AdcSystem`) and the one PI chain `pi-sweep` and
+`pi-trim` model (`pi_mismatch_seeds`, read by `pi_chain`), and it draws
+them for a run's trials, `DRAW_NORMALS` at a time (`converters`,
+`pi_chains`).
 """
 
 from __future__ import annotations
@@ -108,13 +110,41 @@ def pi_chain(cfg: RunConfig, rows: np.ndarray) -> DelayChain:
     )
 
 
+# standard normals drawn at a time: bounds the mismatch rows held in memory
+# (about 56 converter or 4,096 PI chain instances per draw)
+DRAW_NORMALS = 1 << 18
+
+
+def _instances(cfg: RunConfig, seeds: list[int], row_seeds, build):
+    """Yield `build(seed, rows)` for each seed in order.  The rows come in
+    chunks, each one `core.normal_rows` call of about DRAW_NORMALS normals
+    drawn once the previous chunk's last instance is taken, and equal each
+    seed's single-seed draw bit for bit."""
+    per_seed = sum(s.size * length for s, length in row_seeds(cfg, seed_array(seeds[:1])))
+    step = max(1, DRAW_NORMALS // per_seed)
+    for start in range(0, len(seeds), step):
+        chunk = seeds[start : start + step]
+        for seed, rows in zip(chunk, normal_rows(row_seeds(cfg, seed_array(chunk)))):
+            yield build(seed, rows)
+
+
+def converters(cfg: RunConfig, seeds: list[int]):
+    """Each seed's `AdcSystem`, built lazily in order."""
+    return _instances(cfg, seeds, mismatch_seeds, lambda seed, rows: AdcSystem(cfg, seed, rows))
+
+
+def pi_chains(cfg: RunConfig, seeds: list[int]):
+    """Each seed's untrimmed group 0 PI chain, built lazily in order."""
+    return _instances(cfg, seeds, pi_mismatch_seeds, lambda seed, rows: pi_chain(cfg, *rows))
+
+
 class AdcSystem:
     """Mismatch-instantiated converter: chains, V2T parameters, group PIs.
 
     Drawn from the `adc`, `pi` and `system` sections of a run config, the one
     description of the design, and read back from ``self.config``.  The
     mismatch comes from ``normals``, this seed's rows of `mismatch_seeds`
-    drawn by `core.normal_rows`; left out, they are drawn here for this one
+    as `converters` draws them; left out, they are drawn here for this one
     seed.
     """
 
@@ -162,6 +192,17 @@ class AdcSystem:
                     f"slice {s} at seed {self.master_seed} needs {needed:.5g} s for its widest "
                     f"pulse ({widest[s]:.5g} s) plus its chain spread, but the divided clock "
                     f"period is {divided_period:.5g} s; raise adc.divided_ratio or shorten the chain"
+                )
+        # and a count reaches its end only if that pulse closes before the
+        # chain's last edge fires: past it, counts would stop at adc.n_taps
+        for s, chain in enumerate(self.chains):
+            closes = adc.launch_lead + widest[s]
+            if closes > chain.total_delay:
+                raise ConfigError(
+                    f"slice {s} at seed {self.master_seed} needs its chain to reach "
+                    f"{closes:.5g} s, where its widest pulse closes, but its last edge "
+                    f"fires at {chain.total_delay:.5g} s and counts would saturate at "
+                    "adc.n_taps; raise adc.n_taps"
                 )
 
         self.pi_chains: list[DelayChain] = [pi_chain(cfg, rows) for rows in pi_normals]

@@ -10,8 +10,9 @@ code must be estimated in the background from a histogram of raw counts.
 This module holds the chain, the vectorized window count and the offset
 adaptation; a capture applies unfold in `interleaver.convert_pair_arrays`.
 A tap edge is counted once per conversion only while the widest pulse plus
-the chain spread fits in one divided-clock period; `interleaver.AdcSystem`
-checks that window on every slice's chain.
+the chain spread fits in one divided-clock period, and a pulse is counted to
+its end only if it closes before the last tap edge; `interleaver.AdcSystem`
+checks both on every slice's chain.
 The single-shot model of one pulse (tap edges, sampler bits, adder tree,
 unfold) lives with the tests in `tests/oracles.py`.
 

@@ -738,7 +738,12 @@ class TestCli:
         assert main(["adc-sine", "--config", str(p), "--seed", "4", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "slice 3 at seed 4" in err
-        assert main(["adc-sine", "--config", str(p), "--seed", "0", "--out", str(tmp_path)]) == 0
+        # at seed 0 every slice fits the window, so the run reaches the count
+        # check, which refuses slice 3's 776.2 ps chain: its widest pulse
+        # closes at 778.3 ps
+        assert main(["adc-sine", "--config", str(p), "--seed", "0", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "slice 3 at seed 0 needs its chain to reach 7.7833e-10 s" in err
 
     def test_divided_period_below_the_window_rejected(self, tmp_path, capsys):
         # a ratio of 1 used to end in a ValueError traceback (exit 1)
@@ -759,6 +764,42 @@ class TestCli:
         ).replace("amplitude: 0.45\n", "amplitude: 0.4\n"))
         assert main(["adc-sine", "--config", str(p), "--seed", "0", "--out", str(tmp_path)]) == 2
         assert "slice 4 at seed 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "adc, closes, last_edge",
+        [
+            ("n_taps: 100", "7.7833e-10", "4e-10"),
+            ("n_taps: 150", "7.7833e-10", "6e-10"),
+            ("unit_delay: 1.0e-30", "1e-10", "2.55e-28"),
+        ],
+    )
+    def test_stdc_count_saturation_refused(self, tmp_path, capsys, adc, closes, last_edge):
+        # a chain shorter than the widest pulse stops counting at adc.n_taps:
+        # 100 taps ran to ENOB 3.47 with codes capped at +-75, 150 taps capped
+        # them at +-125 (both exit 0), and a 1e-30 s unit delay ended in an
+        # OverflowError traceback from a nominal offset code of about 1e20
+        p = self.write(tmp_path, MINIMAL_SINE + f"adc:\n  {adc}\n")
+        assert main(["adc-sine", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: slice 0 at seed 1 needs its chain to reach {closes} s, where its "
+            f"widest pulse closes, but its last edge fires at {last_edge} s and counts would "
+            "saturate at adc.n_taps; raise adc.n_taps\n"
+        )
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_stdc_count_check_edge_on_the_ideal_design(self):
+        # the widest pulse of the ideal design closes 1 ps (launch lead) +
+        # 100 ps (folder offset) + 677.3 ps (0.6 V at the discharge slope)
+        # after the launch: 195 taps of 4 ps reach it and 194 do not
+        text = (CONFIG_DIR / "ideal.yaml").read_text(encoding="utf-8")
+        assert "\nadc:\n" in text
+        for n_taps, fits in ((195, True), (194, False)):
+            cfg = parse_config(text.replace("\nadc:\n", f"\nadc:\n  n_taps: {n_taps}\n"))
+            if fits:
+                il.AdcSystem(cfg, 1)
+            else:
+                with pytest.raises(ConfigError, match=r"^slice 0 at seed 1 needs its chain"):
+                    il.AdcSystem(cfg, 1)
 
     @pytest.mark.parametrize("experiment", ["slice-transfer", "calibrate"])
     def test_underspanning_pi_fails_when_the_converter_is_built(
@@ -1033,6 +1074,35 @@ class TestCli:
         p = self.write(tmp_path, text)
         assert main([experiment, "--config", str(p), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "entry, fom",
+        [
+            ("power: 0.175, enob: 2000, rate: 2.0e+10", "0.0"),
+            ("power: 0.175, enob: -2000, rate: 2.0e+10", "inf"),
+            ("power: 1.0e+300, enob: 5.6, rate: 1.0e-300", "inf"),
+        ],
+        ids=["enob-2000", "enob-minus-2000", "fom-infinite"],
+    )
+    def test_fom_that_is_not_finite_refused_at_load(self, tmp_path, capsys, entry, fom):
+        # enob 2000 ended in an OverflowError traceback and -2000 in a
+        # ZeroDivisionError (exit 1); the infinite figure of merit ran to
+        # exit 0 and wrote `Infinity` into fom.json, which is not JSON
+        p = self.write(tmp_path, "fom:\n  entries:\n    - {label: ref, power: 0.1, enob: 5.6, "
+                       f"rate: 1.0e+9}}\n    - {{label: bad, {entry}}}\n")
+        assert main(["fom", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: fom.entries[] 'bad': the figure of merit power / (2^enob * rate) "
+            f"must be a finite number > 0 in J and in pJ, got {fom} J\n"
+        )
+        assert not list(tmp_path.glob("fom.*"))
+
+    def test_json_artifacts_refuse_nan_and_infinity(self, tmp_path):
+        from stochadc.experiments import _write_json
+
+        for value in (float("nan"), float("inf"), np.float64(-np.inf)):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                _write_json(tmp_path / "a.json", "0" * 16, 0, {"metrics": {"x": value}})
+
     def test_smallest_sizing_loads(self):
         cfg = parse_config(
             MINIMAL_SINE + "adc:\n  n_taps: 1\n  launch_lead_taps: 0\nsweep:\n  points: 1\n"
@@ -1274,9 +1344,9 @@ class TestMonteCarlo:
             "montecarlo:\n  trials: 6\n  experiment: pi-trim\n"
         )
         per_trial = sum(s.size * n for s, n in il.pi_mismatch_seeds(cfg, seed_array([0])))
-        monkeypatch.setattr(exp, "DRAW_NORMALS", 2 * per_trial)
+        monkeypatch.setattr(il, "DRAW_NORMALS", 2 * per_trial)
         events = []
-        draw, (trial, rows) = exp.normal_rows, exp._EXPERIMENTS["pi-trim"]
+        draw, (trial, source) = il.normal_rows, exp._EXPERIMENTS["pi-trim"]
 
         def drawn(blocks):
             events.append("draw")
@@ -1287,8 +1357,8 @@ class TestMonteCarlo:
             events.append("trial")
             return result
 
-        monkeypatch.setattr(exp, "normal_rows", drawn)
-        monkeypatch.setitem(exp._EXPERIMENTS, "pi-trim", (returned, rows))
+        monkeypatch.setattr(il, "normal_rows", drawn)
+        monkeypatch.setitem(exp._EXPERIMENTS, "pi-trim", (returned, source))
         assert run_experiment("montecarlo", cfg).metrics["trials"] == 6
         assert events == ["draw", "trial", "trial"] * 3
 
@@ -1574,3 +1644,25 @@ def test_every_refusal_comes_before_the_first_stage(case):
             assert re.search(r"^slice \d+ at seed \d+ needs", str(exc)), str(exc)
             return
     raise AssertionError(f"{name} ran without a capture or a PI sweep")
+
+
+SHIPPED_REFUSALS = [
+    line.split()[:2]
+    for line in (CONFIG_DIR.parent / ".github" / "shipped_exit_codes.txt").read_text().splitlines()
+    if line.split()[2] == "2"
+]
+
+
+@pytest.mark.parametrize(
+    "config, experiment", SHIPPED_REFUSALS, ids=[f"{c}-{e}" for c, e in SHIPPED_REFUSALS]
+)
+def test_every_shipped_refusal_comes_before_the_first_stage(config, experiment):
+    # each shipped run that exits 2 is refused before its first capture or PI
+    # sweep: adc-sine and montecarlo on a config without a tone (fom, pi_mc)
+    # used to convert a 160,000-sample offset warmup first
+    cfg = load_config(CONFIG_DIR / config)
+    stop = mock.Mock(side_effect=FirstStage)
+    with mock.patch.object(il, "run_capture", stop), mock.patch.object(pimod, "pi_sweep", stop):
+        with pytest.raises(ConfigError):
+            run_experiment(experiment, cfg, seed=3)
+    assert not stop.called

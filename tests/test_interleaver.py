@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stochadc import experiments
+from stochadc import interleaver as il
 from stochadc.config import (
     GOLDEN_FRACTION,
     AdcConfig,
@@ -41,7 +42,6 @@ from stochadc.interleaver import (
     calibrate_skew,
     code_histogram,
     convert_pair_arrays,
-    pi_chain,
     retime_streams,
     run_capture,
     schedule_sampling,
@@ -702,24 +702,21 @@ def assert_same_bits(got, want):
 def test_trial_instances_equal_single_seed_builds(seeds, draw_normals, sigma, pi_skew):
     # a Monte Carlo draws every trial's mismatch rows at once, DRAW_NORMALS
     # normals at a time (1 draws seed by seed, 10,000 two converters at a
-    # time); each trial's instance must equal its single-seed build, for
-    # repeated seeds, negative ones and ones that wrap modulo 2^64 too
+    # time); each trial's instance from il.converters and il.pi_chains must
+    # equal its single-seed build, for repeated seeds, negative ones and ones
+    # that wrap modulo 2^64 too
     cfg = RunConfig(
         adc=AdcConfig(tap_sigma_systematic=sigma, tap_sigma_random=sigma, slope_sigma=sigma / 5,
                       threshold_sigma=sigma / 5),
         pi=PiConfig(tap_sigma_rel=sigma, skew_sigma_rel=pi_skew),
     )
     period = cfg.system.pi_clock_period
-    def instances(name):
-        chunks = list(experiments._instance_chunks(name, cfg, seeds))
-        assert [s for chunk, _ in chunks for s in chunk] == seeds
-        return [normals for _, rows in chunks for normals in rows]
-
-    with mock.patch.object(experiments, "DRAW_NORMALS", draw_normals):
-        converters, chains = instances("adc-sine"), instances("pi-trim")
-    assert len(converters) == len(chains) == len(seeds)
-    for seed, normals, pi_normals in zip(seeds, converters, chains):
-        got, want = AdcSystem(cfg, seed, normals), AdcSystem(cfg, seed)
+    with mock.patch.object(il, "DRAW_NORMALS", draw_normals):
+        converters, chains = list(il.converters(cfg, seeds)), list(il.pi_chains(cfg, seeds))
+    assert [system.master_seed for system in converters] == seeds
+    assert len(chains) == len(seeds)
+    for seed, got, chain in zip(seeds, converters, chains):
+        want = AdcSystem(cfg, seed)
         for a, b in zip(got.chains, want.chains):
             assert_same_bits(a.tap_delays, b.tap_delays)
         for name in ("slope_p", "slope_n", "vth_p", "vth_n"):
@@ -728,7 +725,6 @@ def test_trial_instances_equal_single_seed_builds(seeds, draw_normals, sigma, pi
             assert_same_bits(a.tap_delays, b.tap_delays)
             assert_same_bits(a.path_skews, b.path_skews)
             assert_same_bits(a.positions, b.positions)
-        chain = pi_chain(cfg, *pi_normals)
         oracle = rowwise_pi_chain(
             cfg.pi.unit_delay, period, cfg.pi.n_taps, cfg.pi.tap_sigma_rel,
             cfg.pi.skew_sigma, derive_seed(seed, "pi.instance", 0),
@@ -755,8 +751,7 @@ def test_injected_skews_enter_the_one_chain_build(seed, pi_tap, pi_skew, injecte
     cfg = RunConfig(
         pi=PiConfig(tap_sigma_rel=pi_tap, skew_sigma_rel=pi_skew, injected_skews=tuple(injected))
     )
-    [(_, (normals,))] = experiments._instance_chunks("pi-sweep", cfg, [seed])
-    chain = pi_chain(cfg, *normals)
+    [chain] = il.pi_chains(cfg, [seed])
     pi = cfg.pi
     oracle = rowwise_pi_chain(
         pi.unit_delay, cfg.system.pi_clock_period, pi.n_taps, pi.tap_sigma_rel,
