@@ -249,23 +249,46 @@ def _write_csv(path: Path, cfg_hash: str, seed: int, columns: dict) -> None:
     shortest round-trip repr, bools as 1/0, strings with csv minimal quoting.
     A table of numeric arrays alone (no cell needs quoting) is encoded
     `CSV_BLOCK_ROWS` rows at a time by `_encode_block`; any other goes
-    through the csv module row by row.
+    through the csv module row by row.  A 2-D array column is written row
+    after row, each block cut from it alone, so a capture's (n, 16) views
+    need no flat copy; its width must divide `CSV_BLOCK_ROWS`.
     """
     cols = list(columns.values())
-    n_rows = len(cols[0]) if cols else 0
-    if any(len(c) != n_rows for c in cols):
+    n_rows = _rows(cols[0]) if cols else 0
+    if any(_rows(c) != n_rows for c in cols):
         raise ValueError(f"CSV columns of unequal length for {path.name}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# config_hash={cfg_hash}\n# master_seed={seed}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(columns))
         if not all(_is_numeric(c) for c in cols):
-            writer.writerows(zip(*(map(_fmt, c) for c in cols)))
+            flat = (c.reshape(-1) if isinstance(c, np.ndarray) else c for c in cols)
+            writer.writerows(zip(*(map(_fmt, c) for c in flat)))
             return
         # the blocks are bytes: past the text layer, once its buffer is out
         fh.flush()
         for start in range(0, n_rows, CSV_BLOCK_ROWS):
-            fh.buffer.write(_encode_block([c[start : start + CSV_BLOCK_ROWS] for c in cols]))
+            fh.buffer.write(_encode_block([_block(c, start) for c in cols]))
+
+
+def _rows(column) -> int:
+    """A column's CSV rows: a 2-D array gives its every entry, row after
+    row, and its width must divide CSV_BLOCK_ROWS so that `_block` cuts
+    whole rows."""
+    if isinstance(column, np.ndarray) and column.ndim == 2:
+        if CSV_BLOCK_ROWS % column.shape[1]:
+            raise ValueError(f"a 2-D CSV column's width must divide {CSV_BLOCK_ROWS}")
+        return column.size
+    return len(column)
+
+
+def _block(column: np.ndarray, start: int) -> np.ndarray:
+    """The CSV_BLOCK_ROWS rows from `start`, a multiple of it, of a numeric
+    column as a 1-D array, copying no more than the block."""
+    if column.ndim == 1:
+        return column[start : start + CSV_BLOCK_ROWS]
+    width = column.shape[1]
+    return column[start // width : (start + CSV_BLOCK_ROWS) // width].reshape(-1)
 
 
 def _plain(value):
@@ -565,8 +588,7 @@ def run_adc_sine(
         metrics["missing_codes"] = len(lin["missing_codes"])
 
     def bodies():
-        # sample 16*m + s is entry [s, m] of each per-slice array
-        k = np.arange(n)
+        # sample 16*m + s is entry [m, s] of each per-slice array's transpose
         files = {
             "adc_sine.json": {
                 "experiment": "adc-sine",
@@ -578,12 +600,12 @@ def run_adc_sine(
                 "fs_hz": fs,
             },
             "capture.csv": {
-                "sample_index": k,
-                "slice": k % il.N_SLICES,
-                "instant_seconds": capture.instants.T.reshape(-1),
-                "raw_count": capture.raw.T.reshape(-1),
-                "signed_code": capture.codes.T.reshape(-1),
-                "corrected_code": capture.corrected.T.reshape(-1),
+                "sample_index": np.arange(n),
+                "slice": np.broadcast_to(np.arange(il.N_SLICES), (n // il.N_SLICES, il.N_SLICES)),
+                "instant_seconds": capture.instants.T,
+                "raw_count": capture.raw.T,
+                "signed_code": capture.codes.T,
+                "corrected_code": capture.corrected.T,
             },
         }
         if lin is not None:

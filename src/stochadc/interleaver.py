@@ -259,12 +259,13 @@ def schedule_sampling(
 
 @dataclass
 class CaptureResult:
-    """Per-slice streams of one capture (row index = slice)."""
+    """Per-slice streams of one capture (row index = slice).  The offset
+    warmup is no capture and makes none (see `adapt_offsets`)."""
 
     instants: np.ndarray  # (16, n) sampling instants
     raw: np.ndarray  # (16, n) unsigned counts
-    codes: np.ndarray | None  # (16, n) signed codes after unfold; None in the warmup
-    corrected: np.ndarray | None  # (16, n) after the LUTs (the codes array itself without)
+    codes: np.ndarray  # (16, n) signed codes after unfold
+    corrected: np.ndarray  # (16, n) after the LUTs (the codes array itself without)
 
 
 def convert_pair_arrays(
@@ -277,15 +278,17 @@ def convert_pair_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized conversion of sampled voltage pairs on one slice."""
     raw, sign = _raw_counts(system, s, v_p, v_n, context)
-    magnitude = np.maximum(raw - int(offset_code), 0)
-    code = np.where(sign, -magnitude, magnitude)
+    magnitude = np.subtract(raw, int(offset_code))
+    np.maximum(magnitude, 0, out=magnitude)
+    code = np.negative(magnitude, out=magnitude, where=sign)
     return raw, sign, code
 
 
 def _raw_counts(
-    system: AdcSystem, s: int, v_p: np.ndarray, v_n: np.ndarray, context: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unsigned STDC counts and V2T signs of sampled voltage pairs on one slice."""
+    system: AdcSystem, s: int, v_p: np.ndarray, v_n: np.ndarray, context: str, signed: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Unsigned STDC counts of sampled voltage pairs on one slice, and their
+    V2T signs when `signed` (else None)."""
     adc = system.config.adc
     vth_p, vth_n = system.vth_p[s], system.vth_n[s]
     # min/max propagate NaN, and "not in range" fails on it; `initial` lets an
@@ -308,12 +311,20 @@ def _raw_counts(
             f"slice {s} {context}{m}: input above supply "
             f"(v_p={v_p[m]:.6f} V, v_n={v_n[m]:.6f} V)"
         )
-    # cycle-local edge times relative to the discharge phase
-    t_inp = np.maximum(v_p - vth_p, 0.0) / system.slope_p[s]
-    t_inn = np.maximum(v_n - vth_n, 0.0) / system.slope_n[s]
-    sign = t_inp < t_inn
-    width = np.abs(t_inp - t_inn) + adc.d_offset
-    start = np.minimum(t_inp, t_inn) + adc.launch_lead
+    # cycle-local edge times relative to the discharge phase, in two
+    # temporaries that then hold the pulse's width and start
+    t_inp = np.subtract(v_p, vth_p)
+    np.maximum(t_inp, 0.0, out=t_inp)
+    t_inp /= system.slope_p[s]
+    t_inn = np.subtract(v_n, vth_n)
+    np.maximum(t_inn, 0.0, out=t_inn)
+    t_inn /= system.slope_n[s]
+    sign = t_inp < t_inn if signed else None
+    width = np.subtract(t_inp, t_inn)
+    np.abs(width, out=width)
+    width += adc.d_offset
+    start = np.minimum(t_inp, t_inn, out=t_inp)
+    start += adc.launch_lead
     return count_edges_batch(system.chains[s], start, width), sign
 
 
@@ -389,6 +400,22 @@ def shared_tone_swings():
         memo.grid, memo.swings = None, {}
 
 
+def _slice_inputs(system: AdcSystem, stimulus, n_samples: int, pi_codes):
+    """The sampling instants of n_samples aggregate samples (a positive
+    multiple of 16), and each slice's (v_p, v_n) in turn, made as it is
+    taken: the one input step of a capture and of the offset warmup."""
+    if n_samples % N_SLICES != 0 or n_samples <= 0:
+        raise ConfigError(f"n_samples must be a positive multiple of {N_SLICES}")
+    instants = schedule_sampling(system, pi_codes, n_samples // N_SLICES)
+    sc = system.config.system
+    if _tone_swings is not None and isinstance(stimulus, SineStimulus) and sc.sampling_jitter == 0:
+        swings = _tone_swings.get(stimulus, instants, sc.slice_period)
+        inputs = (stimulus(instants[s], half_swing=swings[s]) for s in range(N_SLICES))
+    else:
+        inputs = (stimulus(instants[s]) for s in range(N_SLICES))
+    return instants, inputs
+
+
 def run_capture(
     system: AdcSystem,
     stimulus,
@@ -396,40 +423,24 @@ def run_capture(
     offset_codes=None,
     luts=None,
     pi_codes=NOMINAL_PI_CODES,
-    *,
-    _raw_only: bool = False,
 ) -> CaptureResult:
     """Full-system capture of n_samples aggregate samples (multiple of 16).
 
     `luts`, a (16, LUT_SIZE) table, maps each slice's codes; a code beyond
     the 8-bit range (an offset estimate that is off) saturates the SRAM
-    address to an end entry.  `_raw_only` (the offset warmup) fills `raw`
-    alone and leaves `codes` and `corrected` None.
+    address to an end entry.  The offset warmup does not come through here:
+    `adapt_offsets` estimates from each slice's raw counts alone.
     """
-    if n_samples % N_SLICES != 0 or n_samples <= 0:
-        raise ConfigError(f"n_samples must be a positive multiple of {N_SLICES}")
+    instants, inputs = _slice_inputs(system, stimulus, n_samples, pi_codes)
     if offset_codes is None:
         offset_codes = np.full(N_SLICES, system.config.adc.nominal_offset_code)
     offset_codes = np.asarray(offset_codes, dtype=np.int64)
-    n_cycles = n_samples // N_SLICES
-    instants = schedule_sampling(system, pi_codes, n_cycles)
-    sc = system.config.system
-    swings = None
-    if _tone_swings is not None and isinstance(stimulus, SineStimulus) and sc.sampling_jitter == 0:
-        swings = _tone_swings.get(stimulus, instants, sc.slice_period)
-    raw = np.empty((N_SLICES, n_cycles), dtype=np.int64)
-    codes = None if _raw_only else np.empty((N_SLICES, n_cycles), dtype=np.int64)
-    for s in range(N_SLICES):
-        if swings is None:
-            v_p, v_n = stimulus(instants[s])
-        else:
-            v_p, v_n = stimulus(instants[s], half_swing=swings[s])
-        if _raw_only:
-            raw[s], _ = _raw_counts(system, s, v_p, v_n, "cycle ")
-        else:
-            raw[s], _, codes[s] = convert_pair_arrays(
-                system, s, v_p, v_n, int(offset_codes[s]), context="cycle "
-            )
+    raw = np.empty(instants.shape, dtype=np.int64)
+    codes = np.empty(instants.shape, dtype=np.int64)
+    for s, (v_p, v_n) in enumerate(inputs):
+        raw[s], _, codes[s] = convert_pair_arrays(
+            system, s, v_p, v_n, int(offset_codes[s]), context="cycle "
+        )
     corrected = codes
     if luts is not None:
         address = np.clip(codes + LUT_SIZE // 2, 0, LUT_SIZE - 1)
@@ -440,9 +451,17 @@ def run_capture(
 def adapt_offsets(
     system: AdcSystem, stimulus, window: int, threshold: float
 ) -> tuple[np.ndarray, list[OffsetEstimate]]:
-    """Background-adaptation warmup: per-slice offset codes from raw counts."""
-    capture = run_capture(system, stimulus, window * N_SLICES, _raw_only=True)
-    estimates = [adapt_offset(capture.raw[s], window, threshold) for s in range(N_SLICES)]
+    """Background-adaptation warmup: per-slice offset codes from raw counts.
+
+    An estimator, not a capture: each slice's `window` raw counts at the
+    nominal PI codes go straight to `adapt_offset` and are dropped, so no
+    (16, window) count array is built and no code is unfolded.
+    """
+    _, inputs = _slice_inputs(system, stimulus, window * N_SLICES, NOMINAL_PI_CODES)
+    estimates = []
+    for s, (v_p, v_n) in enumerate(inputs):
+        raw, _ = _raw_counts(system, s, v_p, v_n, "cycle ", signed=False)
+        estimates.append(adapt_offset(raw, window, threshold))
     return np.array([e.offset_code for e in estimates], dtype=np.int64), estimates
 
 

@@ -152,7 +152,7 @@ def adapt_offset(raw_stream, window: int, threshold: float) -> OffsetEstimate:
     stream = np.asarray(raw_stream, dtype=np.int64)
     if stream.size == 0:
         raise ValueError("raw stream must be non-empty")
-    if np.any(stream < 0):
+    if stream.min() < 0:
         raise ValueError("raw counts must be >= 0")
     tail = stream[-window:]
     hist = np.bincount(tail)

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import stochadc
 from stochadc import experiments
+from stochadc import interleaver as il
 from stochadc.config import config_hash, load_config, parse_config
 from stochadc.experiments import CSV_BLOCK_ROWS, _write_csv, run_experiment
 from stochadc.metrics import walden_fom
@@ -408,6 +409,88 @@ def test_a_capture_leaves_no_window_instant_to_repr(tmp_path, monkeypatch):
     seen = spy_text_rows(monkeypatch)
     _write_csv(tmp_path / "capture.csv", "abc123", 7, columns)
     assert seen and not in_window(seen).any()
+
+
+def test_a_block_is_whole_capture_rows():
+    # the writer cuts a 2-D column's block as whole rows of it, so an
+    # (n, 16) capture view needs the slice count to divide the block
+    assert CSV_BLOCK_ROWS % il.N_SLICES == 0
+
+
+def test_a_2d_column_is_written_row_after_row(tmp_path):
+    # two full blocks and a part block, from views of (16, n) arrays as a
+    # capture holds them, against the same table flat
+    n = 2 * CSV_BLOCK_ROWS + 3 * 16
+    flat = capture_columns()
+    flat = {name: column[:n] for name, column in flat.items()}
+    views = {
+        name: np.ascontiguousarray(column.reshape(-1, 16).T).T for name, column in flat.items()
+    }
+    assert all(not v.flags.c_contiguous for v in views.values())
+    _write_csv(tmp_path / "table.csv", "abc123", 7, views)
+    assert (tmp_path / "table.csv").read_bytes() == reference_csv(
+        "abc123", 7, list(flat), zip(*flat.values())
+    )
+
+
+def test_a_2d_column_must_divide_the_block(tmp_path):
+    with pytest.raises(ValueError, match="must divide"):
+        _write_csv(tmp_path / "t.csv", "h", 0, {"a": np.zeros((6, 3))})
+
+
+def adc_sine_capture(tmp_path, monkeypatch, cfg):
+    """Run adc-sine on cfg, which takes one capture: (that capture, the
+    columns it writes to capture.csv)."""
+    captures, tables = [], {}
+    capture, write = il.run_capture, experiments._write_csv
+
+    def captured(*args, **kwargs):
+        captures.append(capture(*args, **kwargs))
+        return captures[-1]
+
+    def written(path, *args):
+        tables[path.name] = args[-1]
+        write(path, *args)
+
+    monkeypatch.setattr(il, "run_capture", captured)
+    monkeypatch.setattr(experiments, "_write_csv", written)
+    run_experiment("adc-sine", cfg, out_dir=tmp_path)
+    [capture] = captures
+    return capture, tables["capture.csv"]
+
+
+def test_capture_csv_writes_the_capture_arrays_in_place(tmp_path, monkeypatch):
+    cfg = load_config(CONFIG_DIR / "ideal.yaml")
+    capture, columns = adc_sine_capture(tmp_path, monkeypatch, cfg)
+    for name, array in [
+        ("instant_seconds", capture.instants), ("raw_count", capture.raw),
+        ("signed_code", capture.codes), ("corrected_code", capture.corrected),
+    ]:
+        assert np.shares_memory(columns[name], array), name
+
+
+def test_a_capture_shorter_than_a_block_writes_its_flat_table(tmp_path, monkeypatch):
+    # a capture of 4096 samples, half a block, written as the flat
+    # per-sample columns of its arrays
+    cfg = parse_config(
+        (CONFIG_DIR / "ideal.yaml").read_text(encoding="utf-8").replace(
+            "n_samples: 8192", "n_samples: 4096"
+        )
+    )
+    assert cfg.capture.n_samples % CSV_BLOCK_ROWS
+    capture, _ = adc_sine_capture(tmp_path, monkeypatch, cfg)
+    k = np.arange(cfg.capture.n_samples)
+    flat = {
+        "sample_index": k,
+        "slice": k % il.N_SLICES,
+        "instant_seconds": capture.instants.T.reshape(-1),
+        "raw_count": capture.raw.T.reshape(-1),
+        "signed_code": capture.codes.T.reshape(-1),
+        "corrected_code": capture.corrected.T.reshape(-1),
+    }
+    assert (tmp_path / "capture.csv").read_bytes() == reference_csv(
+        config_hash(cfg), cfg.master_seed, list(flat), zip(*flat.values())
+    )
 
 
 def test_unequal_columns_rejected(tmp_path):

@@ -5,13 +5,14 @@ import pickle
 import re
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stochadc
@@ -424,7 +425,9 @@ class TestCli:
         import stochadc.interleaver as il
 
         captures = []
-        monkeypatch.setattr(il, "run_capture", lambda *args, **kwargs: captures.append(args))
+        # the offset warmup converts without a capture
+        for stage in ("run_capture", "adapt_offsets"):
+            monkeypatch.setattr(il, stage, lambda *args, **kwargs: captures.append(args))
         text = (CONFIG_DIR / "ideal.yaml").read_text(encoding="utf-8")
         assert old in text
         p = self.write(tmp_path, text.replace(old, new))
@@ -1397,28 +1400,32 @@ class TestSharedToneSwings:
 
     @pytest.fixture
     def spy(self, monkeypatch):
-        """Per capture: the open memo, its grid, its entry count and whether
-        every held array is read-only; plus the count of row evaluations."""
+        """Per capture or offset warmup: the open memo, its grid, its entry
+        count and whether every held array is read-only; plus the count of
+        row evaluations."""
         import stochadc.interleaver as il
 
         seen = {"captures": [], "rows": 0}
-        real_capture, real_half_swing = il.run_capture, SineStimulus.half_swing
+        real_half_swing = SineStimulus.half_swing
 
-        def capture(*args, **kwargs):
-            result = real_capture(*args, **kwargs)
-            memo = il._tone_swings
-            seen["captures"].append(
-                (memo, None, 0, True) if memo is None else
-                (memo, memo.grid, len(memo.swings),
-                 all(not h.flags.writeable for h in memo.swings.values()))
-            )
-            return result
+        def capture(stage):
+            def spied(*args, **kwargs):
+                result = stage(*args, **kwargs)
+                memo = il._tone_swings
+                seen["captures"].append(
+                    (memo, None, 0, True) if memo is None else
+                    (memo, memo.grid, len(memo.swings),
+                     all(not h.flags.writeable for h in memo.swings.values()))
+                )
+                return result
+            return spied
 
         def half_swing(tone, t):
             seen["rows"] += 1
             return real_half_swing(tone, t)
 
-        monkeypatch.setattr(il, "run_capture", capture)
+        monkeypatch.setattr(il, "run_capture", capture(il.run_capture))
+        monkeypatch.setattr(il, "adapt_offsets", capture(il.adapt_offsets))
         monkeypatch.setattr(SineStimulus, "half_swing", half_swing)
         return seen
 
@@ -1540,13 +1547,15 @@ def test_every_capture_tone_models_the_front_end(monkeypatch):
         "    lut_min_hits: 1\n    skew: true\n"
     )
     tones = []
-    real = il.run_capture
 
-    def recording(system, stimulus, *args, **kwargs):
-        tones.append(stimulus)
-        return real(system, stimulus, *args, **kwargs)
+    def recording(stage):
+        def recorded(system, stimulus, *args, **kwargs):
+            tones.append(stimulus)
+            return stage(system, stimulus, *args, **kwargs)
+        return recorded
 
-    monkeypatch.setattr(il, "run_capture", recording)
+    monkeypatch.setattr(il, "run_capture", recording(il.run_capture))
+    monkeypatch.setattr(il, "adapt_offsets", recording(il.adapt_offsets))
     run_experiment("adc-sine", cfg, seed=1)
     # offset warmup, LUT, skew estimate, measurement, linearity histogram
     assert len(tones) == 5
@@ -1567,7 +1576,19 @@ MISSING = object()  # a mutation that deletes the key or list item
 
 
 class FirstStage(Exception):
-    """Raised by a run's first capture or PI sweep."""
+    """Raised by a run's first capture, offset warmup or PI sweep."""
+
+
+@contextmanager
+def first_stages_stopped(stop):
+    """Every first stage of a run replaced by `stop`: a capture, the offset
+    warmup (which converts without a capture) and a PI sweep."""
+    with (
+        mock.patch.object(il, "run_capture", stop),
+        mock.patch.object(il, "adapt_offsets", stop),
+        mock.patch.object(pimod, "pi_sweep", stop),
+    ):
+        yield
 
 
 def config_nodes(node, path=()):
@@ -1622,12 +1643,22 @@ def mutated_configs(draw):
     return name, yaml.safe_dump(tree), kind
 
 
+def deleted(name: str, key: str) -> tuple:
+    """The case of shipped config `name` with its top-level `key` deleted."""
+    tree = config_to_dict(load_config(CONFIG_DIR / name))
+    del tree[key]
+    return name, yaml.safe_dump(tree), "value"
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(mutated_configs())
+@example(deleted("ideal.yaml", "stimulus"))
 def test_every_refusal_comes_before_the_first_stage(case):
-    # a config is refused at load, or its run reaches its first capture or PI
-    # sweep unless a listed data-dependent check stops it first: the STDC
-    # window of the drawn converter, a precondition or an unconvergent trim
+    # a config is refused at load, or its run reaches its first capture,
+    # offset warmup or PI sweep unless a listed check stops it first: one
+    # that depends on the data (the STDC window of the drawn converter, a
+    # precondition, an unconvergent trim) or on the experiment (adc-sine on a
+    # config without a tone, which other experiments run)
     name, text, kind = case
     try:
         cfg = parse_config(text)
@@ -1635,15 +1666,16 @@ def test_every_refusal_comes_before_the_first_stage(case):
         return
     assert kind == "value", f"a config with {kind} loaded"
     stop = mock.Mock(side_effect=FirstStage)
-    with mock.patch.object(il, "run_capture", stop), mock.patch.object(pimod, "pi_sweep", stop):
+    with first_stages_stopped(stop):
         try:
             run_experiment(FIRST_STAGE_RUNS[name], cfg)
         except (FirstStage, PreconditionError, TrimConvergenceError):
             return
         except ConfigError as exc:
-            assert re.search(r"^slice \d+ at seed \d+ needs", str(exc)), str(exc)
+            refusals = r"^slice \d+ at seed \d+ needs|^this experiment needs stimulus\.frequency"
+            assert re.search(refusals, str(exc)), str(exc)
             return
-    raise AssertionError(f"{name} ran without a capture or a PI sweep")
+    raise AssertionError(f"{name} ran without a capture, a warmup or a PI sweep")
 
 
 SHIPPED_REFUSALS = [
@@ -1657,12 +1689,12 @@ SHIPPED_REFUSALS = [
     "config, experiment", SHIPPED_REFUSALS, ids=[f"{c}-{e}" for c, e in SHIPPED_REFUSALS]
 )
 def test_every_shipped_refusal_comes_before_the_first_stage(config, experiment):
-    # each shipped run that exits 2 is refused before its first capture or PI
-    # sweep: adc-sine and montecarlo on a config without a tone (fom, pi_mc)
+    # each shipped run that exits 2 is refused before its first capture,
+    # offset warmup or PI sweep: adc-sine and montecarlo on a config without a tone (fom, pi_mc)
     # used to convert a 160,000-sample offset warmup first
     cfg = load_config(CONFIG_DIR / config)
     stop = mock.Mock(side_effect=FirstStage)
-    with mock.patch.object(il, "run_capture", stop), mock.patch.object(pimod, "pi_sweep", stop):
+    with first_stages_stopped(stop):
         with pytest.raises(ConfigError):
             run_experiment(experiment, cfg, seed=3)
     assert not stop.called

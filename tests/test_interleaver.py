@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -17,7 +19,9 @@ from stochadc.config import (
     RunConfig,
     SystemConfig,
     _validate,
+    load_config,
     parse_config,
+    warmup_tone,
 )
 from stochadc.core import derive_seed
 from stochadc.errors import (
@@ -54,6 +58,7 @@ from stochadc.stimulus import SineStimulus
 from oracles import identity_lut, rowwise_adc_draws, rowwise_jitter, rowwise_pi_chain
 from test_artifacts import LUT_CONFIG
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 PS = 1e-12
 FS_RATE = 20e9
 VCM = 0.525
@@ -326,6 +331,37 @@ class TestCapture:
         b = run_capture(AdcSystem(cfg, 7), tone, 1024)
         assert np.array_equal(a.codes, b.codes)
         assert np.array_equal(a.instants, b.instants)
+
+
+class TestOffsetWarmup:
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(mismatched_systems(), st.integers(1, 300), st.sampled_from([0.001, 0.05, 1.0]))
+    def test_equals_the_estimate_from_a_capture(self, system, window, threshold):
+        # the warmup estimates each slice from its own raw counts, which a
+        # capture at the nominal PI codes holds all at once
+        tone = coherent_tone(11, 512, amplitude=0.4, cm=0.55)
+        offsets, estimates = adapt_offsets(system, tone, window, threshold)
+        raw = run_capture(system, tone, N_SLICES * window).raw
+        for s, estimate in enumerate(estimates):
+            expected = il.adapt_offset(raw[s], window, threshold)
+            assert estimate.offset_code == expected.offset_code == offsets[s]
+            assert np.array_equal(estimate.histogram, expected.histogram)
+
+    def test_holds_no_window_of_counts(self):
+        # each slice's counts are dropped once estimated: the warmup's peak
+        # stays below its instants plus one (16, window) int64 array, which
+        # the counts of every slice at once would fill
+        cfg = load_config(CONFIG_DIR / "regime.yaml")
+        system = AdcSystem(cfg, 0)
+        window = cfg.adc.adaptation.window
+        tracemalloc.start()
+        try:
+            adapt_offsets(system, warmup_tone(cfg), window, cfg.adc.adaptation.threshold)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        instants = N_SLICES * window * np.dtype(np.float64).itemsize
+        assert peak < instants + N_SLICES * window * np.dtype(np.int64).itemsize
 
 
 class TestAlign:
