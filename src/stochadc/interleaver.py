@@ -46,7 +46,7 @@ from .errors import (
 )
 from .metrics import coherent_bin
 from .pi import PI_CODES, DelayChain, chain_delays, chain_seeds, pi_output, trim_paths
-from .stdc import InverterChain, OffsetEstimate, adapt_offset, count_edges_batch
+from .stdc import InverterChain, OffsetEstimate, adapt_offset, build_chains, count_edges_batch
 from .stimulus import SineStimulus
 
 if TYPE_CHECKING:
@@ -167,7 +167,7 @@ class AdcSystem:
         rand_dev = tap_normals[1:] * adc.tap_sigma_random
         taps = adc.unit_delay * (1.0 + sys_dev + rand_dev)
         taps = np.maximum(taps, CLAMP_FLOOR * adc.unit_delay)
-        self.chains: list[InverterChain] = [InverterChain(tap_delays=row) for row in taps]
+        self.chains: list[InverterChain] = build_chains(taps)
 
         slopes = adc.discharge_slope * (1.0 + slope_normals * adc.slope_sigma)
         slopes = np.maximum(slopes, CLAMP_FLOOR * adc.discharge_slope)
@@ -278,9 +278,11 @@ def convert_pair_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized conversion of sampled voltage pairs on one slice."""
     raw, sign = _raw_counts(system, s, v_p, v_n, context)
-    magnitude = np.subtract(raw, int(offset_code))
-    np.maximum(magnitude, 0, out=magnitude)
-    code = np.negative(magnitude, out=magnitude, where=sign)
+    code = np.subtract(raw, int(offset_code))
+    np.maximum(code, 0, out=code)
+    neg = np.negative(sign, dtype=np.int64)  # unfold m to (m ^ -s) + s, sign s = 0 or 1
+    code ^= neg
+    code -= neg
     return raw, sign, code
 
 

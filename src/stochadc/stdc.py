@@ -6,15 +6,16 @@ counting how many tap edges fall inside it (adder tree over per-tap sampler
 bits), then the unfold stage subtracts the offset code and reapplies the
 folder's sign bit.  Linearity emerges statistically from the tap-delay
 population rather than from matched delays, which is also why the offset
-code must be estimated in the background from a histogram of raw counts.
-This module holds the chain, the vectorized window count and the offset
-adaptation; a capture applies unfold in `interleaver.convert_pair_arrays`.
+code must be estimated in the background: the k-th smallest raw count of a
+window, an order statistic (`adapt_offset`).  This module holds the chains,
+the vectorized window count and the offset adaptation; a capture applies
+unfold in `interleaver.convert_pair_arrays`.
 A tap edge is counted once per conversion only while the widest pulse plus
 the chain spread fits in one divided-clock period, and a pulse is counted to
 its end only if it closes before the last tap edge; `interleaver.AdcSystem`
 checks both on every slice's chain.
-The single-shot model of one pulse (tap edges, sampler bits, adder tree,
-unfold) lives with the tests in `tests/oracles.py`.
+The single-shot models (one pulse's tap edges, sampler bits, adder tree and
+unfold; the estimate's cumulative histogram) live in `tests/oracles.py`.
 
 Window convention is half-open [start, start + width): an edge exactly on
 the closing boundary is not counted.  Comparisons carry a guard of
@@ -30,19 +31,20 @@ edges, when the chain is built, and the queries.  For a query v,
     #edges < v  =  below[f(v)] + sum_j (edge_j[f(v)] < v)
 
 where below[b] counts the edges in buckets under b and edge_j[b] is the j-th
-edge of bucket b, padded with +inf (j ranges over the largest bucket
-occupancy, which stays 1 while no tap is shorter than about a quarter of
-the mean).  Because f is
-monotone, an edge o >= v has f(o) >= f(v): every edge in a lower bucket is
-below v, every edge in a higher bucket is not, and the comparisons settle
-the shared bucket.  So the count equals ``searchsorted(offsets, v, "left")``
-for every finite v, and a pulse count built from two such counts keeps the
-half-open window and the guard unchanged.  Queries below 0 or past the span
-clip to the first or last bucket, which count 0 or n_taps.
+edge of bucket b, padded with +inf (j ranges over the chain's largest bucket
+occupancy, which stays 1 while no tap is shorter than about a quarter of the
+mean).  Because f is monotone, an edge o >= v has f(o) >= f(v): every edge
+in a lower bucket is below v, every edge in a higher bucket is not, and the
+comparisons settle the shared bucket.  So the count equals
+``searchsorted(offsets, v, "left")`` for every finite v, and a pulse count
+built from two such counts keeps the half-open window and the guard
+unchanged.  Queries below 0 or past the span clip to the first or last
+bucket, which count 0 or n_taps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +52,7 @@ import numpy as np
 from .core import Duration
 
 
-def _bucket(x: np.ndarray, inv_h: float, n_buckets: int) -> np.ndarray:
+def _bucket(x: np.ndarray, inv_h, n_buckets) -> np.ndarray:
     """f(x) = floor(x * inv_h), clipped into [0, n_buckets)."""
     b = x * inv_h
     np.clip(b, 0, n_buckets - 1, out=b)
@@ -65,31 +67,6 @@ class EdgeBuckets:
     below: np.ndarray  # (n_buckets,) edges in lower buckets
     edges: np.ndarray  # (occupancy, n_buckets) edges per bucket, +inf padded
 
-    @classmethod
-    def build(cls, offsets: np.ndarray) -> EdgeBuckets:
-        inv_h = 4 * offsets.size / float(offsets[-1])
-        if not 0 < inv_h < np.inf:
-            raise ValueError("chain span is too small to index")
-        n_buckets = int(offsets[-1] * inv_h) + 1  # f of the last, largest edge
-        bucket = _bucket(offsets, inv_h, n_buckets)
-        counts = np.bincount(bucket, minlength=n_buckets)
-        below = np.cumsum(counts) - counts
-        edges = np.full((int(counts.max()), n_buckets), np.inf)
-        edges[np.arange(offsets.size) - below[bucket], bucket] = offsets
-        return cls(inv_h, below, edges)
-
-    @property
-    def n_buckets(self) -> int:
-        return int(self.below.size)
-
-    def count_below(self, v: np.ndarray) -> np.ndarray:
-        """Number of edges < v, per query; v must be free of NaN."""
-        b = _bucket(v, self.inv_h, self.n_buckets)
-        count = self.below[b]
-        for row in self.edges:
-            count += row[b] < v
-        return count
-
 
 @dataclass(frozen=True)
 class InverterChain:
@@ -100,16 +77,9 @@ class InverterChain:
     edge_buckets: EdgeBuckets = field(init=False, repr=False)
     boundary_guard: float = field(init=False, repr=False)  # 1e-6 x mean tap delay
 
-    def __post_init__(self):
+    def __post_init__(self):  # the one-row case of build_chains
         delays = np.asarray(self.tap_delays, dtype=np.float64)
-        if delays.ndim != 1 or delays.size < 1:
-            raise ValueError("tap_delays must be a non-empty 1-D array")
-        if not np.all((delays > 0) & np.isfinite(delays)):
-            raise ValueError("all tap delays must be finite and > 0")
-        object.__setattr__(self, "tap_delays", delays)
-        object.__setattr__(self, "edge_offsets", np.cumsum(delays))
-        object.__setattr__(self, "edge_buckets", EdgeBuckets.build(self.edge_offsets))
-        object.__setattr__(self, "boundary_guard", 1e-6 * float(np.mean(delays)))
+        vars(self).update(vars(build_chains(delays[None])[0]))
 
     @property
     def n_taps(self) -> int:
@@ -120,30 +90,53 @@ class InverterChain:
         return float(self.edge_offsets[-1])
 
 
+def build_chains(tap_delays) -> list[InverterChain]:
+    """One chain per row of a (chains, taps) array of tap delays, in one pass."""
+    delays = np.asarray(tap_delays, dtype=np.float64)
+    if delays.ndim != 2 or delays.size < 1 or not np.all((delays > 0) & np.isfinite(delays)):
+        raise ValueError("tap delays must be finite, > 0 and one non-empty row per chain")
+    k, n = delays.shape
+    offsets = np.cumsum(delays, axis=1)
+    inv_h = 4 * n / offsets[:, -1]
+    if not np.all((0 < inv_h) & (inv_h < np.inf)):
+        raise ValueError("chain span is too small to index")
+    n_buckets = (offsets[:, -1] * inv_h).astype(np.intp) + 1  # f of each last edge
+    bucket = _bucket(offsets, inv_h[:, None], n_buckets[:, None])
+    # one bincount for every chain: chain r's buckets start at r * width
+    width, rows = int(n_buckets.max()), np.arange(k)[:, None]
+    counts = np.bincount((bucket + rows * width).ravel(), minlength=k * width).reshape(k, width)
+    depth = counts.max(axis=1)
+    below = np.cumsum(counts, axis=1)
+    below -= counts
+    del counts  # the edge table takes its place on the heap
+    edges = np.full((k, int(depth.max()), width), np.inf)
+    edges[rows, np.arange(n) - np.take_along_axis(below, bucket, axis=1), bucket] = offsets
+    guards = 1e-6 * np.mean(delays, axis=1)
+    chains = [object.__new__(InverterChain) for _ in range(k)]
+    for r, chain in enumerate(chains):
+        size = n_buckets[r]
+        index = EdgeBuckets(float(inv_h[r]), below[r, :size], edges[r, : depth[r], :size])
+        vars(chain).update(tap_delays=delays[r], edge_offsets=offsets[r], edge_buckets=index,
+                           boundary_guard=float(guards[r]))
+    return chains
+
+
 @dataclass(frozen=True)
 class OffsetEstimate:
-    """Offset code plus the histogram evidence it was derived from."""
+    """Offset code: the `rank`-th smallest of the last `window` raw counts."""
 
     offset_code: int
-    histogram: np.ndarray
+    rank: int
     window: int
-
-    def __post_init__(self):
-        hist = np.asarray(self.histogram, dtype=np.int64)
-        object.__setattr__(self, "histogram", hist)
-        if self.offset_code < 0:
-            raise ValueError("offset_code must be >= 0")
-        if int(hist.sum()) != self.window:
-            raise ValueError("histogram total must equal the window size")
 
 
 def adapt_offset(raw_stream, window: int, threshold: float) -> OffsetEstimate:
-    """Estimate the offset code from a histogram of recent raw counts.
+    """Estimate the offset code from the last `window` raw counts.
 
-    The estimate is a robust minimum: the smallest raw code whose cumulative
-    frequency (from zero) reaches ``threshold`` of the histogram window.
-    Runs on raw counts; a zero-mean input makes the true minimum code the
-    folder's offset width expressed in taps.
+    The estimate is a robust minimum, the smallest raw code whose cumulative
+    frequency reaches ``threshold`` of the window: the k-th smallest count,
+    k = ceil(threshold x window), found by selection.  A zero-mean input
+    makes the true minimum code the folder's offset width in taps.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -155,11 +148,10 @@ def adapt_offset(raw_stream, window: int, threshold: float) -> OffsetEstimate:
     if stream.min() < 0:
         raise ValueError("raw counts must be >= 0")
     tail = stream[-window:]
-    hist = np.bincount(tail)
-    used = int(tail.size)
-    cumulative = np.cumsum(hist)
-    offset_code = int(np.argmax(cumulative >= threshold * used))
-    return OffsetEstimate(offset_code=offset_code, histogram=hist, window=used)
+    # a whole count reaches threshold x window exactly when it reaches k
+    rank = math.ceil(threshold * tail.size)
+    offset_code = int(np.partition(tail, rank - 1)[rank - 1])
+    return OffsetEstimate(offset_code=offset_code, rank=rank, window=int(tail.size))
 
 
 def count_edges_batch(
@@ -175,12 +167,18 @@ def count_edges_batch(
     """
     starts = np.asarray(starts, dtype=np.float64)
     widths = np.asarray(widths, dtype=np.float64)
-    guard = chain.boundary_guard
+    index = chain.edge_buckets
     # both window ends in one pass: [opening edges | closing edges]
     n = starts.size
     ends = np.empty(2 * n)
-    np.subtract(starts, guard, out=ends[:n])
+    np.subtract(starts, chain.boundary_guard, out=ends[:n])
     np.add(starts, widths, out=ends[n:])
-    ends[n:] -= guard
-    below = chain.edge_buckets.count_below(ends)
+    ends[n:] -= chain.boundary_guard
+    # #edges < end for each end (module docstring).  Every bucket lies inside
+    # its table, so "clip" only skips the bounds check of the default mode
+    b = _bucket(ends, index.inv_h, index.below.size)
+    below = index.below.take(b, mode="clip")
+    hit = np.empty(2 * n, dtype=bool)
+    for row in index.edges:
+        below += np.less(row.take(b, mode="clip"), ends, out=hit)
     return below[n:] - below[:n]

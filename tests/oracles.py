@@ -11,7 +11,8 @@ circuit is drawn, and the tests hold the production path to them:
   values;
 * the sampling-phase generator, the discharge-ramp V2T pair and the pulse
   folder;
-* the STDC as tap edges, per-tap sampler bits, an adder tree and unfold;
+* the STDC as tap edges, per-tap sampler bits, an adder tree and unfold,
+  and the offset estimate as the first code of a cumulative histogram;
 * the PI as its chain, period arbiters and ring, boundary mixers, leapfrog
   encoder, 16-step blender and blender-inversion detector;
 * the converter's and the PI chain's mismatch instances, one keyed draw per
@@ -313,6 +314,19 @@ def unfold(raw: int, offset, sign: bool) -> AdcCode:
     offset_code = offset.offset_code if isinstance(offset, OffsetEstimate) else int(offset)
     magnitude = max(int(raw) - offset_code, 0)
     return AdcCode(code=-magnitude if sign else magnitude, raw=int(raw))
+
+
+def histogram_offset_estimate(raw_stream, window: int, threshold: float) -> tuple[int, int]:
+    """The offset estimate as first defined: the smallest raw code whose
+    cumulative histogram over the last `window` counts reaches `threshold`
+    of them, and the count that reaching it takes (the rank of the code
+    among the sorted counts)."""
+    tail = np.asarray(raw_stream, dtype=np.int64)[-window:]
+    used = tail.size
+    cumulative = np.cumsum(np.bincount(tail))
+    code = int(np.argmax(cumulative >= threshold * used))
+    rank = int(np.argmax(np.arange(1, used + 1) >= threshold * used)) + 1
+    return code, rank
 
 
 def stdc_convert(

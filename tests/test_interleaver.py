@@ -55,7 +55,14 @@ from stochadc.experiments import CalibrationState
 from stochadc.metrics import code_density_linearity, sndr_enob
 from stochadc.stimulus import SineStimulus
 
-from oracles import identity_lut, rowwise_adc_draws, rowwise_jitter, rowwise_pi_chain
+from oracles import (
+    histogram_offset_estimate,
+    identity_lut,
+    rowwise_adc_draws,
+    rowwise_jitter,
+    rowwise_pi_chain,
+    unfold,
+)
 from test_artifacts import LUT_CONFIG
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -333,6 +340,26 @@ class TestCapture:
         assert np.array_equal(a.instants, b.instants)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32), st.integers(0, 500), st.integers(0, AdcConfig().n_taps))
+@example(seed=0, size=100, offset=0)
+def test_unfold_equals_the_single_shot_oracle(seed, size, offset):
+    # convert_pair_arrays' unfold on raw counts in [0, n_taps] of both signs,
+    # with magnitudes past 127 (where the LUT address saturates) whenever
+    # the offset is below n_taps - 127
+    system = ideal_system()
+    n_taps = system.config.adc.n_taps
+    rng = np.random.default_rng(seed)
+    raw = np.concatenate([[0, 0, n_taps, n_taps], rng.integers(0, n_taps + 1, size)])
+    sign = np.concatenate([[False, True, False, True], rng.random(size) < 0.5])
+    v = np.full(raw.size, VCM)
+    with mock.patch.object(il, "_raw_counts", return_value=(raw, sign)):
+        _, _, code = convert_pair_arrays(system, 0, v, v, offset)
+    assert code.dtype == np.int64
+    assert code.tolist() == [unfold(r, offset, s).code for r, s in zip(raw, sign)]
+    assert np.abs(code).max() == n_taps - offset
+
+
 class TestOffsetWarmup:
     @settings(max_examples=15, deadline=None, derandomize=True, database=None)
     @given(mismatched_systems(), st.integers(1, 300), st.sampled_from([0.001, 0.05, 1.0]))
@@ -343,9 +370,9 @@ class TestOffsetWarmup:
         offsets, estimates = adapt_offsets(system, tone, window, threshold)
         raw = run_capture(system, tone, N_SLICES * window).raw
         for s, estimate in enumerate(estimates):
-            expected = il.adapt_offset(raw[s], window, threshold)
-            assert estimate.offset_code == expected.offset_code == offsets[s]
-            assert np.array_equal(estimate.histogram, expected.histogram)
+            code, rank = histogram_offset_estimate(raw[s], window, threshold)
+            assert estimate.offset_code == code == offsets[s]
+            assert (estimate.rank, estimate.window) == (rank, window)
 
     def test_holds_no_window_of_counts(self):
         # each slice's counts are dropped once estimated: the warmup's peak

@@ -1,16 +1,25 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from stochadc.stdc import InverterChain, OffsetEstimate, adapt_offset, count_edges_batch
+from stochadc.stdc import (
+    InverterChain,
+    OffsetEstimate,
+    adapt_offset,
+    build_chains,
+    count_edges_batch,
+)
 
 from oracles import (
     PulseSample,
     adder_tree_depth,
     adder_tree_sum,
     count_edges_in_pulse,
+    histogram_offset_estimate,
     make_chain,
     stdc_convert,
     tap_edge_times,
@@ -139,7 +148,7 @@ def test_bucketed_count_matches_searchsorted_and_single_shot(case):
             PulseSample(sign=False, width=width), start, edges, guard=chain.boundary_guard
         )
         assert single == count
-    assert chain.edge_buckets.n_buckets <= 4 * chain.n_taps + 2
+    assert chain.edge_buckets.below.size <= 4 * chain.n_taps + 2
 
 
 def test_bucket_occupancy_above_one():
@@ -156,11 +165,83 @@ def test_bucket_occupancy_above_one():
     )
 
 
+@st.composite
+def tap_arrays(draw):
+    """A (chains, taps) array of tap delays clamped at 5% of the unit, as
+    AdcSystem draws them, with some taps under a quarter of the mean so that
+    a bucket holds two or more edges in some rows and one in others."""
+    k = draw(st.integers(1, 16))
+    n_taps = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    sigma = draw(st.sampled_from([0.0, 0.1, 0.5, 2.0]))
+    delays = np.maximum(4 * PS * (1.0 + sigma * rng.standard_normal((k, n_taps))), 0.05 * 4 * PS)
+    short = rng.random((k, n_taps)) < draw(st.sampled_from([0.0, 0.02, 0.3]))
+    delays[short] = rng.uniform(1e-3, 0.25, int(short.sum())) * 4 * PS
+    return delays
+
+
+def assert_same_chain(got, want):
+    assert np.array_equal(got.tap_delays, want.tap_delays)
+    assert np.array_equal(got.edge_offsets, want.edge_offsets)
+    assert got.boundary_guard == want.boundary_guard
+    assert got.edge_buckets.inv_h == want.edge_buckets.inv_h
+    for name in ("below", "edges"):
+        a, b = getattr(got.edge_buckets, name), getattr(want.edge_buckets, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.array_equal(a, b), name
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tap_arrays())
+def test_stacked_build_equals_each_row_built_alone(delays):
+    chains = build_chains(delays)
+    assert len(chains) == delays.shape[0]
+    for row, chain in zip(delays, chains):
+        assert_same_chain(chain, InverterChain(tap_delays=row.copy()))
+
+
+def test_each_stacked_index_is_as_deep_as_its_own_buckets():
+    delays = np.full((3, 255), 4 * PS)
+    delays[1, 100] = 4e-3 * PS  # two edges share a bucket
+    delays[2, 100:102] = 4e-3 * PS  # three
+    chains = build_chains(delays)
+    assert [c.edge_buckets.edges.shape[0] for c in chains] == [1, 2, 3]
+    for row, chain in zip(delays, chains):
+        assert_same_chain(chain, InverterChain(tap_delays=row.copy()))
+
+
+def test_stacked_build_validation():
+    for bad in (np.full(4, PS), np.full((2, 0), PS), np.full((2, 2, 2), PS)):
+        with pytest.raises(ValueError):
+            build_chains(bad)
+    with pytest.raises(ValueError):
+        build_chains(np.array([[PS, PS], [PS, -PS]]))
+
+
+def test_count_holds_no_extra_temporaries():
+    # live at once at the peak, for n samples: both window ends (2n float64),
+    # their buckets (2n intp), the running count (2n int64), one row's
+    # gathered edges (2n float64) and the comparison mask (2n bool).  The
+    # float bucket values are freed before the gathers
+    chain = make_chain(4 * PS, 255, 0.1, seed=3)
+    n = 10_000
+    rng = np.random.default_rng(5)
+    starts = rng.uniform(0.0, 0.5 * chain.total_delay, n)
+    widths = rng.uniform(0.0, 0.5 * chain.total_delay, n)
+    tracemalloc.start()
+    try:
+        count_edges_batch(chain, starts, widths)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * (8 + np.dtype(np.intp).itemsize + 8 + 8 + 1) + 4096
+
+
 def test_bucket_table_size_bounded_by_taps():
     # four buckets per mean tap, whatever the spread of the taps
     for delays in ([1.0], [1e-3, 1.0, 1e3], np.geomspace(1e-15, 1e-9, 300)):
         chain = InverterChain(tap_delays=np.asarray(delays))
-        assert chain.edge_buckets.n_buckets <= 4 * chain.n_taps + 2
+        assert chain.edge_buckets.below.size <= 4 * chain.n_taps + 2
 
 
 class TestAdderTree:
@@ -187,7 +268,7 @@ class TestAdderTree:
 
 class TestUnfold:
     def test_raw_at_offset_gives_zero_either_sign(self):
-        est = OffsetEstimate(offset_code=25, histogram=np.array([10]), window=10)
+        est = OffsetEstimate(offset_code=25, rank=1, window=10)
         assert unfold(25, est, sign=False).code == 0
         assert unfold(25, est, sign=True).code == 0
 
@@ -207,14 +288,14 @@ class TestAdaptOffset:
         est = adapt_offset([25] * 100, window=100, threshold=0.001)
         assert est.offset_code == 25
         assert est.window == 100
-        assert est.histogram.sum() == 100
+        assert (est.offset_code, est.rank) == histogram_offset_estimate([25] * 100, 100, 0.001)
 
     def test_determinism(self):
         stream = np.random.default_rng(3).integers(25, 150, size=10**4)
         a = adapt_offset(stream, 10**4, 0.001)
         b = adapt_offset(stream, 10**4, 0.001)
-        assert a.offset_code == b.offset_code
-        assert np.array_equal(a.histogram, b.histogram)
+        assert a == b
+        assert (a.offset_code, a.rank) == histogram_offset_estimate(stream, 10**4, 0.001)
 
     def test_larger_values_do_not_move_the_estimate(self):
         stream = [25] * 1000
@@ -231,6 +312,24 @@ class TestAdaptOffset:
             adapt_offset([1], 0, 0.001)
         with pytest.raises(ValueError):
             adapt_offset([1], 10, 0.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(1, 400),
+    st.integers(0, 300),
+    st.floats(0.0, 2.0),
+    st.sampled_from([0.001, 0.05, 1 / 3, 1.0]),
+)
+def test_adapt_offset_equals_the_cumulative_histogram(seed, size, top, window_ratio, threshold):
+    # streams of few and of many distinct codes, windows shorter and longer
+    # than the stream
+    stream = np.random.default_rng(seed).integers(0, top + 1, size)
+    window = max(1, int(window_ratio * size))
+    est = adapt_offset(stream, window, threshold)
+    assert (est.offset_code, est.rank) == histogram_offset_estimate(stream, window, threshold)
+    assert est.window == min(window, size)
 
 
 class TestConvert:
