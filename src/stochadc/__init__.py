@@ -20,7 +20,6 @@ from .errors import (
 from .stdc import InverterChain, OffsetEstimate, adapt_offset
 from .pi import (
     DelayChain,
-    make_pi_chain,
     pi_output,
     pi_sweep,
     trim_paths,

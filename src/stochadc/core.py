@@ -19,6 +19,7 @@ evaluated; `normal_rows` draws the rows of many instances in one call, and
 from __future__ import annotations
 
 import math
+import operator
 import zlib
 
 import numpy as np
@@ -59,10 +60,11 @@ def _finalize(x: np.ndarray) -> np.ndarray:
 
 def seed_array(seeds) -> np.ndarray:
     """Seeds as a uint64 array, each int wrapped modulo 2^64; a uint64 array
-    is returned as it is."""
+    is returned as it is.  A seed that is not an integer raises TypeError:
+    truncated, it would run another seed's draws."""
     if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
         return seeds
-    return np.array([int(s) & _MASK64 for s in seeds], dtype=np.uint64)
+    return np.array([operator.index(s) & _MASK64 for s in seeds], dtype=np.uint64)
 
 
 def derive_seed(master_seed, label: str, index: int = 0):

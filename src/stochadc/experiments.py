@@ -725,7 +725,10 @@ def run_experiment(
     if calibration_path is not None and name != "adc-sine":
         # every other experiment calibrates itself or needs no calibration
         raise ConfigError(f"--calibration applies only to adc-sine, not to {name}")
-    run_seed = cfg.master_seed if seed is None else int(seed)
+    if seed is not None and type(seed) is not int:
+        # int() would run a fractional or boolean seed as another seed's draws
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    run_seed = cfg.master_seed if seed is None else seed
     h = config_hash(cfg)
     out = None
     if out_dir is not None:

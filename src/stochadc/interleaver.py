@@ -15,14 +15,15 @@ retime, which the aligner compensates exactly before interleaving.
 This module is also the one mismatch instancer, from draw to build: it
 alone decides which keyed-draw rows become which instance, the converter's
 (`mismatch_seeds`, read by `AdcSystem`) and the one PI chain `pi-sweep` and
-`pi-trim` model (`pi_mismatch_seeds`, read by `pi_chain`), and it draws
-them for a run's trials, `DRAW_NORMALS` at a time (`converters`,
-`pi_chains`).
+`pi-trim` model (`pi_mismatch_seeds`); it draws them for a run's trials,
+`DRAW_NORMALS` at a time (`converters`, `pi_chains`); `pi_chain` builds
+every PI chain, the converter's four and that one alike.
 """
 
 from __future__ import annotations
 
 import cmath
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
@@ -34,6 +35,7 @@ from .core import (
     derive_seed,
     keyed_normal,
     median,
+    mismatch_scale,
     normal_rows,
     seed_array,
 )
@@ -45,7 +47,7 @@ from .errors import (
     UnderrangeError,
 )
 from .metrics import coherent_bin
-from .pi import PI_CODES, DelayChain, chain_delays, chain_seeds, pi_output, trim_paths
+from .pi import PI_CODES, DelayChain, pi_output, trim_paths
 from .stdc import InverterChain, OffsetEstimate, adapt_offset, build_chains, count_edges_batch
 from .stimulus import SineStimulus
 
@@ -68,9 +70,13 @@ _V_EPS = 1e-12
 
 
 def _pi_row_seeds(cfg: RunConfig, master_seeds: np.ndarray, group: int) -> np.ndarray:
-    """Keyed-draw seeds of group `group`'s PI chain for each master seed, in
-    `pi.chain_seeds` layout."""
-    return chain_seeds(derive_seed(master_seeds, "pi.instance", group), cfg.pi.skew_sigma > 0)
+    """Keyed-draw seeds of group `group`'s PI chain for each master seed, on
+    a last axis: the tap row, then the skew row when `pi.skew_sigma` is on."""
+    seeds = derive_seed(master_seeds, "pi.instance", group)
+    rows = [derive_seed(seeds, "pi.tap")]
+    if cfg.pi.skew_sigma > 0:
+        rows.append(derive_seed(seeds, "pi.skew"))
+    return np.stack(rows, axis=-1)
 
 
 def mismatch_seeds(cfg: RunConfig, master_seeds: np.ndarray) -> list[tuple[np.ndarray, int]]:
@@ -95,11 +101,12 @@ def pi_mismatch_seeds(cfg: RunConfig, master_seeds: np.ndarray) -> list[tuple[np
 
 
 def pi_chain(cfg: RunConfig, rows: np.ndarray) -> DelayChain:
-    """A group's PI chain from its standard normal rows (`pi.chain_seeds`
+    """A group's PI chain from its standard normal rows (`_pi_row_seeds`
     order), dividing the PI clock period, with `pi.injected_skews` added to
     its skew row."""
     pi = cfg.pi
-    taps, skews = chain_delays(pi.unit_delay, pi.tap_sigma_rel, pi.skew_sigma, rows)
+    taps = mismatch_scale(pi.unit_delay, pi.tap_sigma_rel, rows[0])
+    skews = rows[1] * pi.skew_sigma if pi.skew_sigma > 0 else np.zeros(rows.shape[-1])
     for path, amount in pi.injected_skews:
         skews[int(path) - 1] += float(amount) * pi.unit_delay
     return DelayChain(
@@ -157,7 +164,7 @@ class AdcSystem:
                 "remove it to build the full converter"
             )
         self.config = cfg
-        self.master_seed = int(master_seed)
+        self.master_seed = operator.index(master_seed)
 
         adc, sc = cfg.adc, cfg.system
         if normals is None:

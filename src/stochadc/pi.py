@@ -16,7 +16,8 @@ the blender input detects the resulting order contradiction and the
 offending paths are trimmed in fixed steps until no contradiction remains.
 
 A `DelayChain` is one interpolator instance, its ring worked out once; a
-trim is a change of its path skews.
+trim is a change of its path skews.  This module draws no mismatch:
+`interleaver.pi_chain` builds every chain the package uses from a run config.
 
 `pi_sweep`, `pi_output` and `inverted_segments` read the chain's ring
 through a cached, read-only code table (`code_table`): each code's start tap
@@ -32,14 +33,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import (
-    Duration,
-    Instant,
-    derive_seed,
-    keyed_normal,
-    mismatch_scale,
-    seed_array,
-)
+from .core import Duration, Instant
+# not called here: perfbench/hooks.py patches the keyed draw under this name
+from .core import keyed_normal  # noqa: F401
 from .errors import ChainUnderspanError, TrimConvergenceError
 
 PI_CODES = 256
@@ -112,49 +108,6 @@ class DelayChain:
     @property
     def n_taps(self) -> int:
         return int(self.tap_delays.size)
-
-
-def chain_seeds(seeds: np.ndarray, skewed: bool) -> np.ndarray:
-    """Keyed-draw seeds of the chains keyed by ``seeds`` (a uint64 array):
-    shape ``seeds.shape + (rows,)``, the tap row, then the skew row when the
-    chain has skews."""
-    rows = [derive_seed(seeds, "pi.tap")]
-    if skewed:
-        rows.append(derive_seed(seeds, "pi.skew"))
-    return np.stack(rows, axis=-1)
-
-
-def chain_delays(
-    unit_delay: Duration,
-    tap_sigma_rel: float,
-    skew_sigma: Duration,
-    normals: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tap delays and path skews of a chain instance from its standard normal
-    rows, in `chain_seeds` order."""
-    taps = mismatch_scale(unit_delay, tap_sigma_rel, normals[0])
-    skews = normals[1] * skew_sigma if skew_sigma > 0 else np.zeros(normals.shape[-1])
-    return taps, skews
-
-
-def make_pi_chain(
-    unit_delay: Duration,
-    period: Duration,
-    n_taps: int = 32,
-    tap_sigma_rel: float = 0.0,
-    skew_sigma: Duration = 0.0,
-    seed: int = 0,
-) -> DelayChain:
-    """Chain instance with gaussian tap mismatch and routing skews, dividing
-    `period`.
-
-    The tap row and, when skews are on, the skew row come from one keyed
-    draw; each row equals its own single-seed draw bit for bit.
-    """
-    row_seeds = chain_seeds(seed_array([seed]), skew_sigma > 0)[0]
-    normals = keyed_normal(row_seeds, np.arange(n_taps))
-    taps, skews = chain_delays(unit_delay, tap_sigma_rel, skew_sigma, normals)
-    return DelayChain(unit_delay=unit_delay, tap_delays=taps, path_skews=skews, period=period)
 
 
 @dataclass(frozen=True)

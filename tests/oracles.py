@@ -534,8 +534,10 @@ def rowwise_pi_chain(
     skew_sigma: Duration = 0.0,
     seed: int = 0,
 ) -> DelayChain:
-    """`pi.make_pi_chain` with the taps from their own `KeyedMismatch` draw
-    and the skews from theirs."""
+    """A PI chain keyed by `seed` itself, with the taps from their own
+    `KeyedMismatch` draw and the skews from theirs: `interleaver.pi_chain`'s
+    two-row draw, row by row, and a chain at any period for the tests that
+    need one a run config cannot express."""
     taps = KeyedMismatch(
         nominal=unit_delay, sigma_rel=tap_sigma_rel, seed=derive_seed(seed, "pi.tap")
     ).sample_at(np.arange(n_taps))

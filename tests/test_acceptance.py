@@ -26,11 +26,11 @@ from stochadc.interleaver import (
     slice_transfer,
 )
 from stochadc.metrics import measure_pi_transfer_uncorrelated, sndr_enob, walden_fom
-from stochadc.pi import inverted_segments, make_pi_chain, pi_sweep, trim_paths
+from stochadc.pi import inverted_segments, pi_sweep, trim_paths
 from stochadc.stdc import count_edges_batch
 from stochadc.stimulus import SineStimulus
 
-from oracles import adder_tree_sum, make_chain, substream, tap_edge_times
+from oracles import adder_tree_sum, make_chain, rowwise_pi_chain, substream, tap_edge_times
 
 PS = 1e-12
 FS = 20e9
@@ -162,7 +162,7 @@ def test_criterion_03_stdc_transfer_monotonicity():
 
 
 def test_criterion_04_pi_step_arithmetic():
-    chain = make_pi_chain(12.5 * PS, 200 * PS)
+    chain = rowwise_pi_chain(12.5 * PS, 200 * PS)
     phases = pi_sweep(chain)
     steps = np.diff(phases)
     wrap = phases[0] + chain.period - phases[255]
@@ -180,7 +180,7 @@ def test_criterion_04_pi_step_arithmetic():
 def test_criterion_05_pi_trim_recovery():
     t0 = time.time()
     # injected case: one path skewed by +1.5 unit delays
-    base = make_pi_chain(12.5 * PS, 200 * PS)
+    base = rowwise_pi_chain(12.5 * PS, 200 * PS)
     skews = base.path_skews.copy()
     skews[6] += 1.5 * 12.5 * PS
     injected = replace(base, path_skews=skews)
@@ -194,7 +194,7 @@ def test_criterion_05_pi_trim_recovery():
     monotone = 0
     mc_pre_inversions = 0
     for seed in range(100):
-        chain = make_pi_chain(
+        chain = rowwise_pi_chain(
             12.5 * PS, 200 * PS, tap_sigma_rel=0.05, skew_sigma=0.15 * 12.5 * PS, seed=seed
         )
         mc_pre_inversions += len(inverted_segments(chain)) > 0
@@ -321,7 +321,7 @@ def test_criterion_09_mismatch_regime_consistency():
 
 
 def test_criterion_10_uncorrelated_monitor():
-    phases = pi_sweep(make_pi_chain(12.5 * PS, 200 * PS))[:9]
+    phases = pi_sweep(rowwise_pi_chain(12.5 * PS, 200 * PS))[:9]
     estimates = measure_pi_transfer_uncorrelated(phases, 200 * PS, 10**6, 2.3 * PS, 12.5 * PS)
     steps = np.diff(estimates)
     worst = float(np.max(np.abs(steps - 0.78125 * PS)))

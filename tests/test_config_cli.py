@@ -329,6 +329,17 @@ class TestConfigParsing:
         assert config_hash(a) != config_hash(b)
 
 
+@pytest.mark.parametrize(
+    "seed", [1.7, 1.0, True, np.float64(1.0), "1"],
+    ids=["float", "integral-float", "bool", "numpy-float", "str"],
+)
+def test_run_experiment_refuses_a_seed_that_is_not_an_int(seed):
+    # int() ran each of these as seed 1; a config file's master_seed is
+    # refused at load for the same reason
+    with pytest.raises(ConfigError, match="seed"):
+        run_experiment("pi-trim", RunConfig(), seed=seed)
+
+
 class TestCli:
     def write(self, tmp_path, text):
         p = tmp_path / "run.yaml"

@@ -144,6 +144,19 @@ def test_derive_seed_over_a_seed_sequence_equals_each_scalar_derivation(seeds, l
     assert np.array_equal(grid, np.stack([derived, derived], axis=1))
 
 
+@pytest.mark.parametrize(
+    "seed", [1.7, 1.0, np.float64(1.0), "1"], ids=["float", "integral-float", "numpy-float", "str"]
+)
+def test_a_seed_that_is_not_an_integer_is_refused(seed):
+    # int() truncated a fractional seed to another seed's draws
+    with pytest.raises(TypeError):
+        seed_array([seed])
+    with pytest.raises(TypeError):
+        derive_seed([seed], "pi.tap")
+    with pytest.raises(TypeError):
+        derive_seed(seed, "pi.tap")
+
+
 def test_derive_seed_locked_values():
     assert derive_seed(0, "pi.instance", 0) == 11778319387992475664
     assert derive_seed(-1, "stdc.tap.random", 5) == 14313074778882951998

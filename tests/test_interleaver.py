@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import math
 import tracemalloc
@@ -827,6 +828,38 @@ def test_injected_skews_enter_the_one_chain_build(seed, pi_tap, pi_skew, injecte
     assert_same_bits(chain.tap_delays, oracle.tap_delays)
     assert_same_bits(chain.path_skews, oracle.path_skews)
     assert_same_bits(chain.positions, oracle.positions)
+
+
+def test_one_mismatch_instancer_draws_and_builds():
+    # keyed draws are made in core and in interleaver, which alone decides
+    # which rows become which instance; interleaver.pi_chain is the one
+    # PI chain build
+    calls = []
+    for path in sorted(Path(il.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.append((path.stem, name))
+    draws = {module for module, name in calls
+             if name in ("derive_seed", "keyed_normal", "normal_rows")}
+    assert draws == {"core", "interleaver"}
+    assert [module for module, name in calls if name == "DelayChain"] == ["interleaver"]
+
+
+@pytest.mark.parametrize(
+    "seed", [1.7, 1.0, np.float64(1.0), "1"], ids=["float", "integral-float", "numpy-float", "str"]
+)
+def test_instances_refuse_a_seed_that_is_not_an_integer(seed):
+    # a truncated seed would build another seed's converter or chain
+    cfg = RunConfig()
+    for build in (
+        lambda: AdcSystem(cfg, seed),
+        lambda: next(il.converters(cfg, [seed])),
+        lambda: next(il.pi_chains(cfg, [seed])),
+    ):
+        with pytest.raises(TypeError):
+            build()
 
 
 @pytest.mark.parametrize(

@@ -10,9 +10,9 @@ from stochadc.metrics import (
     sndr_enob,
     walden_fom,
 )
-from stochadc.pi import make_pi_chain, pi_sweep
+from stochadc.pi import pi_sweep
 
-from oracles import ideal_quantizer_codes
+from oracles import ideal_quantizer_codes, rowwise_pi_chain
 
 PS = 1e-12
 FS = 20e9
@@ -129,7 +129,7 @@ class TestSpectrum:
 
 class TestDelayMonitor:
     def test_known_step_estimated_within_quarter_ps(self):
-        phases = pi_sweep(make_pi_chain(12.5 * PS, 200 * PS))[:6]
+        phases = pi_sweep(rowwise_pi_chain(12.5 * PS, 200 * PS))[:6]
         est = measure_pi_transfer_uncorrelated(phases, 200 * PS, 10**6, 3.1 * PS, 12.5 * PS)
         steps = np.diff(est)
         assert np.max(np.abs(steps - 0.78125 * PS)) < 0.25 * PS
@@ -158,7 +158,7 @@ class TestDelayMonitor:
     def test_full_sweep_monotone_post_trim(self):
         from stochadc.pi import trim_paths
 
-        chain = make_pi_chain(
+        chain = rowwise_pi_chain(
             12.5 * PS, 200 * PS, tap_sigma_rel=0.05, skew_sigma=0.15 * 12.5 * PS, seed=4
         )
         phases = pi_sweep(trim_paths(chain, 64).chain)

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from stochadc.core import CLAMP_FLOOR, keyed_uniform
+from stochadc import interleaver as il
+from stochadc.config import PiConfig, RunConfig, SystemConfig
+from stochadc.core import CLAMP_FLOOR, derive_seed, keyed_uniform, seed_array
 from stochadc.errors import ChainUnderspanError, TrimConvergenceError
 from stochadc.pi import (
     BLEND_STEPS,
@@ -13,7 +15,6 @@ from stochadc.pi import (
     DelayChain,
     code_table,
     inverted_segments,
-    make_pi_chain,
     pi_output,
     pi_sweep,
     trim_paths,
@@ -39,7 +40,7 @@ PERIOD = 200 * PS
 
 
 def ideal_chain():
-    return make_pi_chain(TD, PERIOD)
+    return rowwise_pi_chain(TD, PERIOD)
 
 
 def skewed_chain(path_1based, amount_td):
@@ -62,8 +63,8 @@ class TestPropagate:
         assert mux[0] - taps[0] == pytest.approx(0.1 * TD, rel=1e-12)
 
     def test_determinism(self):
-        a = make_pi_chain(TD, PERIOD, tap_sigma_rel=0.05, skew_sigma=0.1 * TD, seed=3)
-        b = make_pi_chain(TD, PERIOD, tap_sigma_rel=0.05, skew_sigma=0.1 * TD, seed=3)
+        cfg = RunConfig(pi=PiConfig(tap_sigma_rel=0.05, skew_sigma_rel=0.1))
+        a, b = il.pi_chains(cfg, [3, 3])
         assert np.array_equal(a.tap_delays, b.tap_delays)
         assert np.array_equal(a.path_skews, b.path_skews)
 
@@ -73,15 +74,15 @@ class TestArbitrate:
         assert ideal_chain().n_delays == 16
 
     def test_short_period_rounds_up(self):
-        assert make_pi_chain(TD, 195 * PS).n_delays == 16
+        assert rowwise_pi_chain(TD, 195 * PS).n_delays == 16
 
     def test_underspan_error(self):
         with pytest.raises(ChainUnderspanError):
-            make_pi_chain(TD, 410 * PS)
+            rowwise_pi_chain(TD, 410 * PS)
 
     def test_arbiter_consistency_across_seeds(self):
         for seed in range(50):
-            chain = make_pi_chain(TD, PERIOD, tap_sigma_rel=0.05, seed=seed)
+            chain = rowwise_pi_chain(TD, PERIOD, tap_sigma_rel=0.05, seed=seed)
             n = chain.n_delays
             guard = 1e-9 * PERIOD
             accumulated = np.cumsum(chain.tap_delays)
@@ -195,7 +196,7 @@ class TestOutput:
     def test_off_nominal_period_remains_monotone(self):
         # proportional remapping of 16 logical onto N physical segments
         for period in (150 * PS, 175 * PS, 250 * PS, 325 * PS):
-            phases = pi_sweep(make_pi_chain(TD, period))
+            phases = pi_sweep(rowwise_pi_chain(TD, period))
             assert np.all(np.diff(phases) >= -1e-24), f"period {period}"
 
 
@@ -237,7 +238,7 @@ class TestTrim:
 
     def test_monte_carlo_monotone_after_trim(self):
         for seed in range(20):
-            chain = make_pi_chain(
+            chain = rowwise_pi_chain(
                 TD, PERIOD, tap_sigma_rel=0.05, skew_sigma=0.15 * TD, seed=seed
             )
             result = trim_paths(chain, 64)
@@ -278,7 +279,7 @@ STEP_DISTRIBUTION_LOCK = [
 
 def test_step_distribution_regression_locked():
     for seed, mean_ps, min_ps, max_ps in STEP_DISTRIBUTION_LOCK:
-        chain = make_pi_chain(TD, PERIOD, tap_sigma_rel=0.05, skew_sigma=0.15 * TD, seed=seed)
+        chain = rowwise_pi_chain(TD, PERIOD, tap_sigma_rel=0.05, skew_sigma=0.15 * TD, seed=seed)
         steps = np.diff(pi_sweep(trim_paths(chain, 64).chain)) / PS
         assert steps.mean() == pytest.approx(mean_ps, abs=1e-9)
         assert steps.min() == pytest.approx(min_ps, abs=1e-9)
@@ -330,6 +331,22 @@ def assert_same_chain(got: DelayChain, want: DelayChain):
 SPANNED_PERIOD = 2 * CLAMP_FLOOR * TD
 
 
+def config_chain_and_oracle(seed, **pi):
+    """Group 0's chain of a run config with the `pi` fields given, as
+    `pi-sweep` builds it, and the per-row oracle chain of the same seed."""
+    cfg = RunConfig(
+        pi=PiConfig(unit_delay=TD, **pi),
+        system=SystemConfig(aggregate_rate=il.N_GROUPS / SPANNED_PERIOD),
+    )
+    [chain] = il.pi_chains(cfg, [seed])
+    p = cfg.pi
+    oracle = rowwise_pi_chain(
+        TD, cfg.system.pi_clock_period, p.n_taps, p.tap_sigma_rel, p.skew_sigma,
+        derive_seed(seed, "pi.instance", 0),
+    )
+    return cfg, chain, oracle
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(
     st.integers(-(2**63), 2**64 + 5),
@@ -338,17 +355,21 @@ SPANNED_PERIOD = 2 * CLAMP_FLOOR * TD
     st.floats(1e-3, 0.8),
 )
 def test_chain_draws_equal_one_draw_per_row(seed, n_taps, tap_sigma_rel, skew_rel):
-    # taps and skews come from one two-row keyed draw
-    args = (TD, SPANNED_PERIOD, n_taps, tap_sigma_rel, skew_rel * TD, seed)
-    assert_same_chain(make_pi_chain(*args), rowwise_pi_chain(*args))
+    # the production builder draws taps and skews in one two-row keyed draw
+    _, chain, oracle = config_chain_and_oracle(
+        seed, n_taps=n_taps, tap_sigma_rel=tap_sigma_rel, skew_sigma_rel=skew_rel
+    )
+    assert_same_chain(chain, oracle)
+    assert chain.period == oracle.period and chain.n_taps == n_taps
 
 
 @pytest.mark.parametrize("tap_sigma_rel", [0.0, 0.2])
 def test_chain_without_skew_draws_only_its_taps(tap_sigma_rel):
-    args = (TD, PERIOD, 32, tap_sigma_rel, 0.0, 9)
-    chain = make_pi_chain(*args)
-    assert_same_chain(chain, rowwise_pi_chain(*args))
+    cfg, chain, oracle = config_chain_and_oracle(9, tap_sigma_rel=tap_sigma_rel)
+    assert_same_chain(chain, oracle)
     assert not chain.path_skews.any()
+    [(row_seeds, length)] = il.pi_mismatch_seeds(cfg, seed_array([9]))
+    assert (row_seeds.shape, length) == ((1, 1), 32)
 
 
 @st.composite
@@ -361,7 +382,7 @@ def pi_cases(draw):
     """
     seed = draw(st.integers(0, 2**32))
     # 32 taps of at least the clamp floor each always span one unit delay
-    chain = make_pi_chain(
+    chain = rowwise_pi_chain(
         TD,
         TD,
         tap_sigma_rel=draw(st.floats(0.0, 0.15)),
