@@ -17,19 +17,19 @@ error about the section names it, from YAML or in Python.  `pinned` lists
 the fields that feed no result (`system.latencies`, `track`, `early` and
 `late`, `output.formats`, `sweep.seeds`, `montecarlo.workers` and
 `stimulus.type`), which take only their default.  `_Section` makes each
-section a frozen dataclass whose constructor calls `_check` (the pinned
-fields, then each field's type, see `_SCALARS`, finiteness and range; `X |
-None` also takes None, a tuple a list) and then `_rules`, the rules between
-the section's own fields where it has any.  Loading adds strictness
-(unknown keys anywhere in the tree, and a key repeated in one mapping, are
-rejected; `_value` only nests sections, turns lists into tuples and reads
-YAML 1.1's "100e-12" as a number) and `parse_config` the checks that span
-sections (tone coherence, the stimulus swing and the slice-transfer sweep
-inside the V2T input range, the skew tone's presence and amplitude and the
-skew range the calibration can measure).  The four tones of a run are
-derived here, each through `sine_tone`.  Physically meaningful values have
-no hidden defaults beyond the documented design sizing.  Loading then
-re-serializing a config is idempotent.
+section a frozen record (`core.Record`) whose constructor calls `_check`
+(the pinned fields, then each field's type, see `_SCALARS`, finiteness and
+range; `X | None` also takes None, a tuple a list) and then `_rules`, the
+rules between the section's own fields where it has any.  Loading adds
+strictness (unknown keys anywhere in the tree, and a key repeated in one
+mapping, are rejected; `_value` only nests sections, turns lists into
+tuples and reads YAML 1.1's "100e-12" as a number) and `parse_config` the
+checks that span sections (tone coherence, the stimulus swing and the
+slice-transfer sweep inside the V2T input range, the skew tone's presence
+and amplitude and the skew range the calibration can measure).  The four
+tones of a run are derived here, each through `sine_tone`.  Physically
+meaningful values have no hidden defaults beyond the documented design
+sizing.  Loading then re-serializing a config is idempotent.
 
 Annotations are evaluated when each class is created (no postponed
 annotations), so `_check` reads each `Field.type` as it is;
@@ -43,12 +43,13 @@ import json
 import math
 import numbers
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import field, fields
 from pathlib import Path
 from typing import Annotated
 
 import yaml
 
+from .core import Record
 from .errors import CoherenceError, ConfigError
 from .interleaver import CODE_MAX, N_CODES, N_GROUPS, N_SLICES, PI_CODES
 from .metrics import MIN_HITS_PER_CODE, coherent_bin, walden_fom
@@ -174,15 +175,15 @@ def _check_value(hint, value, path: str) -> None:
         raise ConfigError(f"{path} must be {rule[1]}, got {value!r}")
 
 
-class _Section:
+class _Section(Record):
     """A config section, declared on its class line with its `path` and its
-    `pinned` fields (see the module docstring).  Each subclass becomes a
-    frozen dataclass whose constructor holds it to its annotations, then to
-    its `_rules`."""
+    `pinned` fields (see the module docstring).  Each subclass is a frozen
+    record whose constructor holds it to its annotations, then to its
+    `_rules`."""
 
     def __init_subclass__(cls, path: str, pinned: tuple = ()):
         cls._path, cls._pinned = path, pinned
-        dataclass(frozen=True)(cls)
+        super().__init_subclass__()
 
     def __post_init__(self):
         _check(self)
@@ -193,11 +194,15 @@ class _Section:
 
 
 class AdaptationConfig(_Section, path="adc.adaptation"):
+    """The offset warmup: its window of counts and the robust-minimum threshold."""
+
     window: Count = 10_000
     threshold: Annotated[float, (lambda v: 0 < v <= 1, "a number in (0, 1]")] = 0.001
 
 
 class AdcConfig(_Section, path="adc"):
+    """One slice's design: supply, V2T, STDC chain and their mismatch."""
+
     vdd: float = 0.9
     v_threshold: float = 0.3
     full_scale: Positive = 0.45  # differential full scale: max |v_p - v_n|, volts
@@ -232,6 +237,8 @@ class AdcConfig(_Section, path="adc"):
 
 
 class PiConfig(_Section, path="pi"):
+    """The phase interpolator's chain, its mismatch, injected skews and trim."""
+
     unit_delay: Positive = 12.5e-12
     n_taps: Annotated[int, (lambda v: v >= 2, "an integer >= 2")] = 32
     tap_sigma_rel: NonNegative = 0.0
@@ -255,6 +262,8 @@ class PiConfig(_Section, path="pi"):
 
 
 class CalibrationConfig(_Section, path="system.calibration"):
+    """Which calibrations run, and their capture sizes."""
+
     adapt_offsets: bool = True
     lut: bool = False
     skew: bool = False
@@ -264,6 +273,8 @@ class CalibrationConfig(_Section, path="system.calibration"):
 
 
 class SystemConfig(_Section, path="system", pinned=("latencies", "track", "early", "late")):
+    """The interleaved converter: rate, group skews, jitter, front end, calibration."""
+
     aggregate_rate: Positive = 20e9
     skew_injection: Annotated[
         tuple[float, ...], (lambda v: len(v) == N_GROUPS, f"a list of {N_GROUPS} numbers")
@@ -298,6 +309,8 @@ class SystemConfig(_Section, path="system", pinned=("latencies", "track", "early
 
 
 class StimulusConfig(_Section, path="stimulus", pinned=("type",)):
+    """The measurement tone and the common mode and phase of every tone."""
+
     type: str = "sine"  # the only stimulus any experiment applies
     frequency: float | None = None
     coherent_bin: Annotated[int, (lambda v: v % 2 == 1, "odd")] | None = None
@@ -308,6 +321,8 @@ class StimulusConfig(_Section, path="stimulus", pinned=("type",)):
 
 
 class CaptureConfig(_Section, path="capture"):
+    """The measurement capture and the code-density linearity capture."""
+
     n_samples: Capture = 8_192
     linearity: bool = False
     linearity_samples: Capture = 65_536
@@ -326,6 +341,8 @@ class CaptureConfig(_Section, path="capture"):
 
 
 class SweepConfig(_Section, path="sweep", pinned=("seeds",)):
+    """The slice-transfer sweep."""
+
     points: Count = 511
     span_rel: Positive = 1.0  # fraction of full scale swept on each side
     seeds: int = 1
@@ -335,6 +352,8 @@ Percentile = Annotated[float, (lambda v: 0 <= v <= 100, "a number in [0, 100]")]
 
 
 class MonteCarloConfig(_Section, path="montecarlo", pinned=("workers",)):
+    """The Monte Carlo: its trial count, experiment and summary percentiles."""
+
     trials: Count = 20
     experiment: str = "adc-sine"
     workers: int = 1
@@ -342,6 +361,8 @@ class MonteCarloConfig(_Section, path="montecarlo", pinned=("workers",)):
 
 
 class FomEntry(_Section, path="fom.entries[]"):
+    """One converter of the figure-of-merit table, from its published numbers."""
+
     label: str
     power: Positive  # the figure of merit divides by both
     enob: float
@@ -363,15 +384,21 @@ class FomEntry(_Section, path="fom.entries[]"):
 
 
 class FomConfig(_Section, path="fom"):
+    """The figure-of-merit table."""
+
     entries: tuple[FomEntry, ...] = ()
 
 
 class OutputConfig(_Section, path="output", pinned=("formats",)):
+    """Where the artifacts are written."""
+
     dir: str = "out"
     formats: tuple[str, ...] = ("csv", "json")
 
 
 class RunConfig(_Section, path=""):
+    """A whole run: the master seed and every section."""
+
     # derive_seed would truncate a fractional seed to another run's draws
     master_seed: int = 0
     adc: AdcConfig = field(default_factory=AdcConfig)

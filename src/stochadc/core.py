@@ -1,5 +1,5 @@
-"""Shared numeric types, seeded randomness, the mismatch scale and clamp,
-and the percentile and median of a run summary.
+"""Shared numeric types, the frozen record base, seeded randomness, the
+mismatch scale and clamp, and the percentile and median of a run summary.
 
 All analog behavior in this package is expressed as edge timestamps: plain
 floats in seconds (double precision comfortably resolves sub-ps steps against
@@ -21,11 +21,125 @@ from __future__ import annotations
 import math
 import operator
 import zlib
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 
 import numpy as np
 
 Instant = float
 Duration = float
+
+
+class Record:
+    """A frozen record: the base of every dataclass in the package.
+
+    A subclass declares annotated fields as a dataclass does, with
+    `dataclasses.field` for defaults, factories and ``init=False``, and
+    needs a docstring (without one, `dataclass` builds it from
+    `inspect.signature`).  `dataclass(frozen=True)` generates and execs the
+    source of six methods for every class, most of the package's import
+    time; here they are written once.  Each subclass still goes through
+    ``dataclass(init=False, repr=False, eq=False)``, which generates no code,
+    so `dataclasses.fields`, `replace`, `is_dataclass` and `asdict` work on
+    it, though its ``__dataclass_params__`` read not frozen.  The
+    constructor, its `TypeError` messages, ``__post_init__``, ``==``, `hash`,
+    `repr` and the `FrozenInstanceError` on assignment and deletion are those
+    a frozen dataclass generates; a record keeps its fields in its
+    ``__dict__`` in field order.  `InitVar` and keyword-only fields, and an
+    ``init=False`` field with a factory, are not supported.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        dataclass(init=False, repr=False, eq=False)(cls)
+        every = fields(cls)
+        if any(not f.init and f.default_factory is not MISSING for f in every):
+            raise TypeError(f"{cls.__qualname__}: an init=False field takes no default_factory")
+        params = tuple((f.name, f.default, f.default_factory) for f in every if f.init)
+        required = 0  # the leading init fields without a default
+        for i, (name, default, factory) in enumerate(params):
+            if default is MISSING and factory is MISSING:
+                if required < i:
+                    raise TypeError(f"non-default argument {name!r} follows default argument")
+                required += 1
+        cls._record_params, cls._record_required = params, required
+        cls._record_names = tuple(name for name, _, _ in params)
+        cls._record_index = {name: i for i, name in enumerate(cls._record_names)}
+        cls._record_post = hasattr(cls, "__post_init__")
+        cls._record_repr = tuple(f.name for f in every if f.repr)
+        cls._record_eq = tuple(f.name for f in every if f.compare)
+        cls._record_hash = tuple(
+            f.name for f in every if (f.compare if f.hash is None else f.hash)
+        )
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        names = cls._record_names
+        if not kwargs and len(args) == len(names):
+            self.__dict__.update(zip(names, args))
+        elif not args and tuple(kwargs) == names:  # every field by keyword, in order
+            self.__dict__.update(kwargs)
+        else:
+            self.__dict__.update(zip(names, _bind(cls, args, kwargs)))
+        if cls._record_post:
+            self.__post_init__()
+
+    def __repr__(self):
+        items = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._record_repr)
+        return f"{type(self).__qualname__}({items})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = self._record_eq
+        return tuple(getattr(self, n) for n in names) == tuple(getattr(other, n) for n in names)
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, n) for n in self._record_hash))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _bind(cls, args: tuple, kwargs: dict) -> list:
+    """The value of every init field of `cls` for a call with `args` and
+    `kwargs`, defaults and factories filled in; a call that does not fit
+    raises the TypeError CPython gives for the dataclass's own ``__init__``,
+    checked in its order: keywords, the positional count, missing fields."""
+    params, required = cls._record_params, cls._record_required
+    owner = f"{cls.__qualname__}.__init__()"
+    values = list(args[: len(params)])
+    values += [MISSING] * (len(params) - len(values))
+    for key, value in kwargs.items():
+        i = cls._record_index.get(key)
+        if i is None:
+            raise TypeError(f"{owner} got an unexpected keyword argument '{key}'")
+        if i < len(args):
+            raise TypeError(f"{owner} got multiple values for argument '{key}'")
+        values[i] = value
+    if len(args) > len(params):
+        total, given = len(params) + 1, len(args) + 1  # the counts include self
+        takes = str(total) if required == len(params) else f"from {required + 1} to {total}"
+        raise TypeError(
+            f"{owner} takes {takes} positional argument{'s' * (takes != '1')} but {given} "
+            f"{'was' if given == 1 else 'were'} given"
+        )
+    missing = [repr(p[0]) for p, value in zip(params, values[:required]) if value is MISSING]
+    if missing:
+        *rest, last = missing
+        listed = f"{', '.join(rest)}{',' * (len(rest) > 1)} and {last}" if rest else last
+        raise TypeError(
+            f"{owner} missing {len(missing)} required positional "
+            f"argument{'s' * bool(rest)}: {listed}"
+        )
+    for i in range(required, len(params)):
+        if values[i] is MISSING:
+            _, default, factory = params[i]
+            values[i] = default if factory is MISSING else factory()
+    return values
+
 
 # SplitMix64 constants as 0-d uint64 arrays, built once: a ufunc takes them
 # faster than np.uint64 scalars, which it converts on every call
@@ -58,13 +172,24 @@ def _finalize(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def seed_int(seed) -> int:
+    """A seed as an int.  A bool, or a seed that is not an integer, raises
+    TypeError naming it: truncated, or read as 0 or 1, it would run another
+    seed's draws."""
+    if not isinstance(seed, (bool, np.bool_)):
+        try:
+            return operator.index(seed)
+        except TypeError:
+            pass
+    raise TypeError(f"seed must be an integer, got {seed!r}")
+
+
 def seed_array(seeds) -> np.ndarray:
-    """Seeds as a uint64 array, each int wrapped modulo 2^64; a uint64 array
-    is returned as it is.  A seed that is not an integer raises TypeError:
-    truncated, it would run another seed's draws."""
+    """Seeds as a uint64 array, each int wrapped modulo 2^64 and read through
+    `seed_int`; a uint64 array is returned as it is."""
     if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
         return seeds
-    return np.array([operator.index(s) & _MASK64 for s in seeds], dtype=np.uint64)
+    return np.array([seed_int(s) & _MASK64 for s in seeds], dtype=np.uint64)
 
 
 def derive_seed(master_seed, label: str, index: int = 0):
@@ -80,7 +205,8 @@ def derive_seed(master_seed, label: str, index: int = 0):
     Both go through the same vectorized pass, so element i equals the int
     derived from master seed i.
     """
-    scalar = isinstance(master_seed, (int, np.integer))
+    # a numpy bool is one seed too, which `seed_array` refuses
+    scalar = isinstance(master_seed, (int, np.integer, np.bool_))
     label_key = np.array(zlib.crc32(label.encode()), dtype=np.uint64)
     index_key = np.array((int(index) * _GOLDEN_INT) & _MASK64, dtype=np.uint64)
     with np.errstate(over="ignore"):

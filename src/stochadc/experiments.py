@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import json
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
 from pathlib import Path
@@ -25,15 +24,16 @@ from . import interleaver as il
 from . import metrics as met
 from . import pi as pimod
 from .config import RunConfig, config_hash, linearity_tone, measurement_tone, skew_tone, warmup_tone
-from .core import median, percentile
+from .core import Record, median, percentile
 from .errors import ConfigError
 
 # the calibration file format; `from_json` refuses any other
 CALIBRATION_VERSION = 1
 
 
-@dataclass
-class ExperimentResult:
+class ExperimentResult(Record):
+    """One run of a named experiment: its metrics and the files it wrote."""
+
     name: str
     seed: int
     config_hash: str
@@ -319,8 +319,7 @@ def _write_artifacts(out: Path, cfg_hash: str, seed: int, bodies: dict) -> list[
     return paths
 
 
-@dataclass
-class CalibrationState:
+class CalibrationState(Record):
     """Persisted calibration: offsets, LUTs and PI corrections."""
 
     offset_codes: np.ndarray
@@ -510,13 +509,18 @@ def _rising(a: np.ndarray) -> bool:
 
 def run_pi_trim(cfg: RunConfig, chain: pimod.DelayChain) -> Run:
     pre_sweep = pimod.pi_sweep(chain)
+    pre_monotone = _rising(pre_sweep)
     result = pimod.trim_paths(chain, cfg.pi.trim_max_iters)
-    post_sweep = pimod.pi_sweep(result.chain)
+    if result.chain is chain:  # nothing trimmed: the same chain sweeps the same
+        post_sweep, post_monotone = pre_sweep, pre_monotone
+    else:
+        post_sweep = pimod.pi_sweep(result.chain)
+        post_monotone = _rising(post_sweep)
     metrics = {
         "iterations": result.iterations,
         "initial_inversions": result.initial_inversions,
-        "pre_trim_monotone": _rising(pre_sweep),
-        "post_trim_monotone": _rising(post_sweep),
+        "pre_trim_monotone": pre_monotone,
+        "post_trim_monotone": post_monotone,
         "max_trim_seconds": float(np.max(np.abs(result.adjustments))),
     }
     return metrics, lambda: {

@@ -23,21 +23,22 @@ every PI chain, the converter's four and that one alike.
 from __future__ import annotations
 
 import cmath
-import operator
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import (
     CLAMP_FLOOR,
+    Record,
     derive_seed,
     keyed_normal,
     median,
     mismatch_scale,
     normal_rows,
     seed_array,
+    seed_int,
 )
 from .errors import (
     ConfigError,
@@ -164,7 +165,7 @@ class AdcSystem:
                 "remove it to build the full converter"
             )
         self.config = cfg
-        self.master_seed = operator.index(master_seed)
+        self.master_seed = seed_int(master_seed)
 
         adc, sc = cfg.adc, cfg.system
         if normals is None:
@@ -264,8 +265,7 @@ def schedule_sampling(
     return instants
 
 
-@dataclass
-class CaptureResult:
+class CaptureResult(Record):
     """Per-slice streams of one capture (row index = slice).  The offset
     warmup is no capture and makes none (see `adapt_offsets`)."""
 
@@ -474,8 +474,7 @@ def adapt_offsets(
     return np.array([e.offset_code for e in estimates], dtype=np.int64), estimates
 
 
-@dataclass(frozen=True)
-class AlignedStream:
+class AlignedStream(Record):
     """Aggregate-rate stream in slice order: sample 16*m + s is from slice s."""
 
     codes: np.ndarray

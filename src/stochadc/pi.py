@@ -29,11 +29,11 @@ in `tests/oracles.py`, which hold these functions to it bit for bit.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 
 import numpy as np
 
-from .core import Duration, Instant
+from .core import Duration, Instant, Record
 # not called here: perfbench/hooks.py patches the keyed draw under this name
 from .core import keyed_normal  # noqa: F401
 from .errors import ChainUnderspanError, TrimConvergenceError
@@ -47,8 +47,7 @@ BLEND_STEPS = 16
 _ARB_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class DelayChain:
+class DelayChain(Record):
     """One interpolator instance: delay chain, per-tap routing skew toward
     the blender muxes, and the input-clock period it divides.
 
@@ -110,8 +109,7 @@ class DelayChain:
         return int(self.tap_delays.size)
 
 
-@dataclass(frozen=True)
-class CodeTable:
+class CodeTable(Record):
     """Encoder output for every code at one period quantization.
 
     Index = code.  Taps are 1-based ring positions (see `DelayChain`);
@@ -205,8 +203,7 @@ def inverted_segments(chain: DelayChain) -> list[tuple[int, int]]:
     return [(tap, tap + 1) for tap in start[firing].tolist()]
 
 
-@dataclass(frozen=True)
-class TrimResult:
+class TrimResult(Record):
     """Outcome of the post-fabrication trim procedure: the trimmed chain,
     whose path skews are the input chain's plus `adjustments`."""
 

@@ -45,11 +45,11 @@ bucket, which count 0 or n_taps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
-from .core import Duration
+from .core import Duration, Record
 
 
 def _bucket(x: np.ndarray, inv_h, n_buckets) -> np.ndarray:
@@ -59,8 +59,7 @@ def _bucket(x: np.ndarray, inv_h, n_buckets) -> np.ndarray:
     return b.astype(np.intp)
 
 
-@dataclass(frozen=True)
-class EdgeBuckets:
+class EdgeBuckets(Record):
     """Exact bucketed index of increasing edge offsets (see module docstring)."""
 
     inv_h: float
@@ -68,8 +67,7 @@ class EdgeBuckets:
     edges: np.ndarray  # (occupancy, n_buckets) edges per bucket, +inf padded
 
 
-@dataclass(frozen=True)
-class InverterChain:
+class InverterChain(Record):
     """Per-instance inverter chain; tap i fires at launch + sum(delays[:i+1])."""
 
     tap_delays: np.ndarray
@@ -121,8 +119,7 @@ def build_chains(tap_delays) -> list[InverterChain]:
     return chains
 
 
-@dataclass(frozen=True)
-class OffsetEstimate:
+class OffsetEstimate(Record):
     """Offset code: the `rank`-th smallest of the last `window` raw counts."""
 
     offset_code: int

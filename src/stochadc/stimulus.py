@@ -9,13 +9,13 @@ amplitude/phase factor, so it is applied analytically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .core import Record
 
-@dataclass(frozen=True)
-class SineStimulus:
+
+class SineStimulus(Record):
     """Differential sine: v_p - v_n = amplitude * sin(2*pi*f*t + phase)."""
 
     frequency: float

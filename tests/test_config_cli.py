@@ -31,7 +31,7 @@ from stochadc.config import (
     parse_config,
 )
 from stochadc.errors import ConfigError, PreconditionError, TrimConvergenceError
-from stochadc.experiments import CalibrationState, run_experiment
+from stochadc.experiments import CalibrationState, run_experiment, run_pi_trim
 from stochadc.metrics import code_density_linearity
 from stochadc.stimulus import SineStimulus
 
@@ -679,6 +679,20 @@ class TestCli:
         assert main(["pi-trim", "--config", str(p), "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "pi_trim.json").read_text())
         assert payload["metrics"]["initial_inversions"] >= 1
+
+    @pytest.mark.parametrize("name, sweeps", [("pi_mc.yaml", 1), ("pi_trim_injected.yaml", 2)])
+    def test_pi_trim_sweeps_an_untrimmed_chain_once(self, monkeypatch, name, sweeps):
+        # trim_paths hands back the chain itself when nothing fires, and the
+        # sweep after the trim is then the sweep before it
+        calls = []
+        sweep = pimod.pi_sweep
+        monkeypatch.setattr(pimod, "pi_sweep", lambda chain: calls.append(chain) or sweep(chain))
+        cfg = load_config(CONFIG_DIR / name)
+        metrics, _ = run_pi_trim(cfg, next(il.pi_chains(cfg, [3])))
+        assert (metrics["iterations"] > 1) == (sweeps == 2)
+        assert len(calls) == sweeps
+        assert metrics["pre_trim_monotone"] == (sweeps == 1)
+        assert metrics["post_trim_monotone"]
 
     @pytest.mark.parametrize(
         "section",

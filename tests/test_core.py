@@ -1,4 +1,5 @@
 import math
+import re
 import zlib
 
 import numpy as np
@@ -19,6 +20,7 @@ from stochadc.core import (
     normal_rows,
     percentile,
     seed_array,
+    seed_int,
 )
 
 from oracles import substream
@@ -155,6 +157,21 @@ def test_a_seed_that_is_not_an_integer_is_refused(seed):
         derive_seed([seed], "pi.tap")
     with pytest.raises(TypeError):
         derive_seed(seed, "pi.tap")
+
+
+@pytest.mark.parametrize("seed", [True, False, np.True_], ids=["true", "false", "numpy-true"])
+def test_a_bool_seed_is_refused_by_name(seed):
+    # operator.index reads True as 1, so it would run seed 1's draws
+    message = re.escape(f"seed must be an integer, got {seed!r}")
+    for call in (
+        lambda: seed_int(seed),
+        lambda: seed_array([seed]),
+        lambda: seed_array([3, seed]),
+        lambda: derive_seed([seed], "pi.tap"),
+        lambda: derive_seed(seed, "pi.tap"),
+    ):
+        with pytest.raises(TypeError, match=message):
+            call()
 
 
 def test_derive_seed_locked_values():

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import math
+import re
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -859,6 +860,20 @@ def test_instances_refuse_a_seed_that_is_not_an_integer(seed):
         lambda: next(il.pi_chains(cfg, [seed])),
     ):
         with pytest.raises(TypeError):
+            build()
+
+
+@pytest.mark.parametrize("seed", [True, False, np.True_], ids=["true", "false", "numpy-true"])
+def test_instances_refuse_a_bool_seed_by_name(seed):
+    # read as 1 or 0, a bool would build seed 1's or seed 0's instance
+    cfg = RunConfig()
+    for build in (
+        lambda: AdcSystem(cfg, seed),
+        lambda: next(il.converters(cfg, [seed])),
+        lambda: next(il.converters(cfg, [2, seed])),
+        lambda: next(il.pi_chains(cfg, [seed])),
+    ):
+        with pytest.raises(TypeError, match=re.escape(f"seed must be an integer, got {seed!r}")):
             build()
 
 
