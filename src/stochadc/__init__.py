@@ -39,7 +39,7 @@ from .metrics import (
     sndr_enob,
     walden_fom,
 )
-from .config import RunConfig, config_hash, dump_config, load_config, parse_config
+from .config import RunConfig, config_hash, load_config, parse_config
 from .experiments import CalibrationState, run_experiment
 
 __version__ = "0.1.0"

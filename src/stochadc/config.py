@@ -29,7 +29,8 @@ slice-transfer sweep inside the V2T input range, the skew tone's presence
 and amplitude and the skew range the calibration can measure).  The four
 tones of a run are derived here, each through `sine_tone`.  Physically
 meaningful values have no hidden defaults beyond the documented design
-sizing.  Loading then re-serializing a config is idempotent.
+sizing.  Loading then re-serializing a config (`yaml.safe_dump` of
+`config_to_dict`) is idempotent, a tested property.
 
 Annotations are evaluated when each class is created (no postponed
 annotations), so `_check` reads each `Field.type` as it is;
@@ -581,10 +582,6 @@ def config_to_dict(cfg) -> dict:
     if isinstance(cfg, (tuple, list)):
         return [config_to_dict(v) for v in cfg]
     return cfg
-
-
-def dump_config(cfg: RunConfig) -> str:
-    return yaml.safe_dump(config_to_dict(cfg), sort_keys=True)
 
 
 def config_hash(cfg: RunConfig) -> str:

@@ -192,6 +192,10 @@ def seed_array(seeds) -> np.ndarray:
     return np.array([seed_int(s) & _MASK64 for s in seeds], dtype=np.uint64)
 
 
+# what holds many seeds; any other seed is one, which `seed_int` reads
+_SEEDS = (list, tuple, np.ndarray)
+
+
 def derive_seed(master_seed, label: str, index: int = 0):
     """Derive a component sub-stream seed keyed by (label, index).
 
@@ -200,13 +204,12 @@ def derive_seed(master_seed, label: str, index: int = 0):
     a shared stream.  Seed and index wrap modulo 2^64 (`& _MASK64` is that
     modulus for negative ints too), exactly as uint64 arithmetic would.
 
-    An int master seed derives one int; a sequence of master seeds (or a
-    uint64 array of any shape) derives one seed each, as a uint64 array.
+    An int master seed derives one int; a list or tuple of master seeds (or
+    a uint64 array of any shape) derives one seed each, as a uint64 array.
     Both go through the same vectorized pass, so element i equals the int
     derived from master seed i.
     """
-    # a numpy bool is one seed too, which `seed_array` refuses
-    scalar = isinstance(master_seed, (int, np.integer, np.bool_))
+    scalar = not isinstance(master_seed, _SEEDS)
     label_key = np.array(zlib.crc32(label.encode()), dtype=np.uint64)
     index_key = np.array((int(index) * _GOLDEN_INT) & _MASK64, dtype=np.uint64)
     with np.errstate(over="ignore"):
@@ -218,8 +221,8 @@ def derive_seed(master_seed, label: str, index: int = 0):
 def keyed_u64(seed, indices) -> np.ndarray:
     """i-th output of a SplitMix64 sequence keyed by ``seed``.
 
-    ``seed`` is one int, or a sequence of ints (or a 1-D uint64 array) that
-    draws one row per seed: the result then has shape
+    ``seed`` is one int, or a list or tuple of ints (or a 1-D uint64 array)
+    that draws one row per seed: the result then has shape
     ``(len(seed),) + indices.shape`` and row r equals
     ``keyed_u64(seed[r], indices)`` bit for bit, because every output is a
     pure function of its (seed, index) pair.  One call for many rows (see
@@ -229,8 +232,8 @@ def keyed_u64(seed, indices) -> np.ndarray:
     any other and the mapping stays injective over any practical range.
     """
     idx = np.asarray(indices, dtype=np.int64).view(np.uint64)
-    if isinstance(seed, (int, np.integer)):
-        seeds = np.array(int(seed) & _MASK64, dtype=np.uint64)
+    if not isinstance(seed, _SEEDS):
+        seeds = np.array(seed_int(seed) & _MASK64, dtype=np.uint64)
     else:
         seeds = seed_array(seed)
         seeds = seeds.reshape(seeds.shape + (1,) * idx.ndim)

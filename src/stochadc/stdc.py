@@ -7,9 +7,10 @@ bits), then the unfold stage subtracts the offset code and reapplies the
 folder's sign bit.  Linearity emerges statistically from the tap-delay
 population rather than from matched delays, which is also why the offset
 code must be estimated in the background: the k-th smallest raw count of a
-window, an order statistic (`adapt_offset`).  This module holds the chains,
-the vectorized window count and the offset adaptation; a capture applies
-unfold in `interleaver.convert_pair_arrays`.
+window, an order statistic (`adapt_offset`).  This module holds the chains
+(`build_chains`, their one builder), the vectorized window count and the
+offset adaptation; a capture applies unfold in
+`interleaver.convert_pair_arrays`.
 A tap edge is counted once per conversion only while the widest pulse plus
 the chain spread fits in one divided-clock period, and a pulse is counted to
 its end only if it closes before the last tap edge; `interleaver.AdcSystem`
@@ -68,16 +69,15 @@ class EdgeBuckets(Record):
 
 
 class InverterChain(Record):
-    """Per-instance inverter chain; tap i fires at launch + sum(delays[:i+1])."""
+    """Per-instance inverter chain; tap i fires at launch + sum(delays[:i+1]).
+
+    A plain record of the chain and its count index, built only by
+    `build_chains`."""
 
     tap_delays: np.ndarray
-    edge_offsets: np.ndarray = field(init=False, repr=False)
-    edge_buckets: EdgeBuckets = field(init=False, repr=False)
-    boundary_guard: float = field(init=False, repr=False)  # 1e-6 x mean tap delay
-
-    def __post_init__(self):  # the one-row case of build_chains
-        delays = np.asarray(self.tap_delays, dtype=np.float64)
-        vars(self).update(vars(build_chains(delays[None])[0]))
+    edge_offsets: np.ndarray = field(repr=False)
+    edge_buckets: EdgeBuckets = field(repr=False)
+    boundary_guard: float = field(repr=False)  # 1e-6 x mean tap delay
 
     @property
     def n_taps(self) -> int:
@@ -110,12 +110,10 @@ def build_chains(tap_delays) -> list[InverterChain]:
     edges = np.full((k, int(depth.max()), width), np.inf)
     edges[rows, np.arange(n) - np.take_along_axis(below, bucket, axis=1), bucket] = offsets
     guards = 1e-6 * np.mean(delays, axis=1)
-    chains = [object.__new__(InverterChain) for _ in range(k)]
-    for r, chain in enumerate(chains):
-        size = n_buckets[r]
+    chains = []
+    for r, size in enumerate(n_buckets):
         index = EdgeBuckets(float(inv_h[r]), below[r, :size], edges[r, : depth[r], :size])
-        vars(chain).update(tap_delays=delays[r], edge_offsets=offsets[r], edge_buckets=index,
-                           boundary_guard=float(guards[r]))
+        chains.append(InverterChain(delays[r], offsets[r], index, float(guards[r])))
     return chains
 
 

@@ -11,8 +11,9 @@ circuit is drawn, and the tests hold the production path to them:
   values;
 * the sampling-phase generator, the discharge-ramp V2T pair and the pulse
   folder;
-* the STDC as tap edges, per-tap sampler bits, an adder tree and unfold,
-  and the offset estimate as the first code of a cumulative histogram;
+* the STDC chain built from its own row, the STDC as tap edges, per-tap
+  sampler bits, an adder tree and unfold, and the offset estimate as the
+  first code of a cumulative histogram;
 * the PI as its chain, period arbiters and ring, boundary mixers, leapfrog
   encoder, 16-step blender and blender-inversion detector;
 * the converter's and the PI chain's mismatch instances, one keyed draw per
@@ -31,7 +32,7 @@ from stochadc.core import Duration, Instant, derive_seed, keyed_normal
 from stochadc.errors import ChainUnderspanError, OverrangeError, UnderrangeError
 from stochadc.interleaver import CODE_MAX, CODE_MIN, LUT_SIZE, N_SLICES
 from stochadc.pi import BLEND_STEPS, PI_CODES, DelayChain
-from stochadc.stdc import InverterChain, OffsetEstimate
+from stochadc.stdc import EdgeBuckets, InverterChain, OffsetEstimate, build_chains
 
 # Stream draws.
 
@@ -240,7 +241,25 @@ def make_chain(
 ) -> InverterChain:
     """Chain with per-tap gaussian mismatch around a nominal unit delay."""
     model = KeyedMismatch(nominal=unit_delay, sigma_rel=sigma_rel, seed=seed)
-    return InverterChain(tap_delays=model.sample_at(np.arange(n_taps)))
+    return build_chains(model.sample_at(np.arange(n_taps))[None])[0]
+
+
+def rowwise_chain(tap_delays) -> InverterChain:
+    """One chain built from its own row alone, the build `stdc.build_chains`
+    stacks: edge offsets by cumsum, f(x) = floor(x * inv_h) with about four
+    buckets per mean tap, each bucket's `below` from this row's own bucket
+    counts, and an edge table as deep as its fullest bucket, +inf padded."""
+    delays = np.asarray(tap_delays, dtype=np.float64)
+    offsets = np.cumsum(delays)
+    inv_h = 4 * delays.size / float(offsets[-1])
+    bucket = np.floor(offsets * inv_h).astype(np.intp)
+    n_buckets = int(offsets[-1] * inv_h) + 1  # f of the last, largest edge
+    counts = np.bincount(bucket, minlength=n_buckets)
+    below = np.cumsum(counts) - counts
+    edges = np.full((int(counts.max()), n_buckets), np.inf)
+    edges[np.arange(delays.size) - below[bucket], bucket] = offsets
+    guard = 1e-6 * float(np.mean(delays))
+    return InverterChain(delays, offsets, EdgeBuckets(inv_h, below, edges), guard)
 
 
 def tap_edge_times(chain: InverterChain, launch_edge: Instant) -> np.ndarray:

@@ -649,6 +649,76 @@ def test_golden_digest(golden_run, experiment, config, artifact, digest):
     assert hashlib.sha256((out / artifact).read_bytes()).hexdigest() == digest
 
 
+# Every numeric artifact value names its unit: a time ends in _seconds, a
+# frequency in _hz and a voltage in _volts, or the name is listed here as
+# dimensionless.  A montecarlo or run summary value is named by its metric
+# (`sndr_db_median`, `percentiles.sndr_db.p95` are `sndr_db`).
+UNIT_SUFFIXES = ("_seconds", "_hz", "_volts")
+DIMENSIONLESS = {
+    "codes": {"code", "signed_code", "corrected_code", "offset_code", "offset_codes",
+              "code_min", "code_max", "pi_codes", "pi_corrections", "luts"},
+    "counts, indices and 0/1 flags": {
+        "sample_index", "slice", "raw_count", "fundamental_bin", "missing_codes", "trials",
+        "iterations", "inversions", "initial_inversions", "n_delays_per_cycle", "version",
+        "inversion_flag", "monotone", "pre_trim_monotone", "post_trim_monotone"},
+    "seeds": {"seed", "master_seed"},
+    "ratios in LSB": {"dnl", "inl", "dnl_lsb", "inl_lsb", "dnl_max", "inl_max"},
+    # spur_list holds (FFT bin, level in dBc) pairs; ENOB is SINAD in bits
+    "ratios in dB": {"sndr_db", "dominant_family_spur_dbc", "enob", "spur_list"},
+    # fom tabulates the paper's power, rate and energy: config data, not
+    # simulated, so nothing scales them
+    "fom config data": {"power_watts", "rate_sps", "fom_joules", "fom_pj_per_step",
+                        "fom_pj_single_slice", "fom_pj_interleaved_20gsps"},
+}
+SUMMARY_KEYS = {"mean", "p5", "p50", "p95"}
+
+
+def _numeric_names(path: Path) -> set:
+    """The name of every numeric value an artifact holds: a CSV column whose
+    cells are numbers, or the JSON key of a number or bool."""
+    if path.suffix == ".csv":
+        lines = path.read_text(encoding="utf-8").splitlines()[2:]
+        rows = list(csv.reader(lines))
+        names = set()
+        for i, name in enumerate(rows[0]):
+            try:
+                [float(row[i]) for row in rows[1:]]
+            except ValueError:
+                continue
+            names.add(name)
+        return names
+    names = set()
+
+    def walk(value, name):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                walk(item, name if key in SUMMARY_KEYS else key.removesuffix("_median"))
+        elif isinstance(value, list):
+            for item in value:
+                walk(item, name)
+        elif isinstance(value, (int, float)):
+            names.add(name)
+
+    walk(json.loads(path.read_text(encoding="utf-8")), None)
+    return names
+
+
+def test_artifact_names_carry_units(golden_run):
+    # one run of every experiment, and the regime Monte Carlo, whose
+    # montecarlo.csv has the most columns of the shipped matrix
+    runs = {(experiment, config) for experiment, config, *_ in GOLDEN + LUT_LOCK}
+    kinds, names = set(), set()
+    for run in sorted(runs | {("montecarlo", "regime.yaml")}):
+        for path in golden_run(*run).iterdir():
+            kinds.add(path.name)
+            names |= _numeric_names(path)
+    assert len(kinds) == 15
+    unitless = {name for name in names if not name.endswith(UNIT_SUFFIXES)}
+    listed = set().union(*DIMENSIONLESS.values())
+    assert unitless - listed == set()
+    assert listed - unitless == set()  # every listed name is written
+
+
 # numpy dispatches some float64 kernels (np.log10 among them) to AVX-512
 # code whose last bit differs from the baseline kernels, so the digests are
 # checked again with that dispatch switched off

@@ -155,8 +155,16 @@ def test_a_seed_that_is_not_an_integer_is_refused(seed):
         seed_array([seed])
     with pytest.raises(TypeError):
         derive_seed([seed], "pi.tap")
-    with pytest.raises(TypeError):
-        derive_seed(seed, "pi.tap")
+    # a scalar is read as one seed, not iterated as a sequence of seeds
+    message = re.escape(f"seed must be an integer, got {seed!r}")
+    for call in (
+        lambda: derive_seed(seed, "pi.tap"),
+        lambda: keyed_u64(seed, np.arange(4)),
+        lambda: keyed_uniform(seed, np.arange(4)),
+        lambda: keyed_normal(seed, np.arange(4)),
+    ):
+        with pytest.raises(TypeError, match=message):
+            call()
 
 
 @pytest.mark.parametrize("seed", [True, False, np.True_], ids=["true", "false", "numpy-true"])
@@ -169,9 +177,23 @@ def test_a_bool_seed_is_refused_by_name(seed):
         lambda: seed_array([3, seed]),
         lambda: derive_seed([seed], "pi.tap"),
         lambda: derive_seed(seed, "pi.tap"),
+        lambda: keyed_u64(seed, np.arange(4)),
+        lambda: keyed_uniform(seed, np.arange(4)),
+        lambda: keyed_normal(seed, np.arange(4)),
     ):
         with pytest.raises(TypeError, match=message):
             call()
+
+
+@pytest.mark.parametrize(
+    "seed, same", [(np.int64(5), 5), (np.uint64(2**64 - 1), -1), (2**64 + 3, 3), (np.int8(-2), -2)]
+)
+def test_a_numpy_integer_seed_draws_as_its_int(seed, same):
+    # an integer seed of any type wraps modulo 2^64 to the same draws
+    indices = np.arange(-3, 5)
+    assert np.array_equal(keyed_u64(seed, indices), keyed_u64(same, indices))
+    assert np.array_equal(keyed_normal(seed, indices), keyed_normal(same, indices))
+    assert np.array_equal(keyed_u64(seed, indices), keyed_u64([same], indices)[0])
 
 
 def test_derive_seed_locked_values():

@@ -834,18 +834,50 @@ def test_injected_skews_enter_the_one_chain_build(seed, pi_tap, pi_skew, injecte
 def test_one_mismatch_instancer_draws_and_builds():
     # keyed draws are made in core and in interleaver, which alone decides
     # which rows become which instance; interleaver.pi_chain is the one
-    # PI chain build
-    calls = []
-    for path in sorted(Path(il.__file__).parent.glob("*.py")):
+    # PI chain build and stdc.build_chains the one STDC chain build, and no
+    # record is made past its constructor
+    calls, new = [], []
+    package = Path(il.__file__).parent
+    for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = getattr(func, "id", None) or getattr(func, "attr", None)
                 calls.append((path.stem, name))
+                if name == "__new__" and getattr(func.value, "id", None) == "object":
+                    new.append(path.stem)
     draws = {module for module, name in calls
              if name in ("derive_seed", "keyed_normal", "normal_rows")}
     assert draws == {"core", "interleaver"}
     assert [module for module, name in calls if name == "DelayChain"] == ["interleaver"]
+    assert [module for module, name in calls if name == "InverterChain"] == ["stdc"]
+    assert new == []
+
+
+def test_every_package_export_has_a_caller():
+    # each name stochadc/__init__.py imports is read outside its own
+    # definition by the package, the benchmark or the README; the delay
+    # monitor is the paper's PI measurement method, which only acceptance
+    # criterion 10 runs
+    package = Path(il.__file__).parent
+    root = package.parent.parent
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    exports = [alias.asname or alias.name for node in init.body
+               if isinstance(node, ast.ImportFrom) for alias in node.names]
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name != "__init__.py":
+            for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+                names = {getattr(n, "id", None) or getattr(n, "attr", None)
+                         for n in ast.walk(stmt) if isinstance(n, (ast.Name, ast.Attribute))}
+                if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                    names.discard(stmt.name)
+                used |= names
+    texts = [(root / "README.md").read_text(encoding="utf-8")]
+    texts += [path.read_text(encoding="utf-8") for path in sorted((root / "perfbench").rglob("*.py"))]
+    unused = [name for name in exports if name not in used
+              and not any(re.search(rf"\b{name}\b", text) for text in texts)]
+    assert unused == ["measure_pi_transfer_uncorrelated"]
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from stochadc.stdc import (
-    InverterChain,
     OffsetEstimate,
     adapt_offset,
     build_chains,
@@ -21,6 +20,7 @@ from oracles import (
     count_edges_in_pulse,
     histogram_offset_estimate,
     make_chain,
+    rowwise_chain,
     stdc_convert,
     tap_edge_times,
     unfold,
@@ -111,7 +111,7 @@ def bucket_cases(draw):
     delays = np.maximum(4 * PS * (1.0 + sigma * rng.standard_normal(n_taps)), 0.05 * 4 * PS)
     if draw(st.booleans()):
         delays[rng.integers(n_taps)] = 1e-3 * delays.mean()
-    chain = InverterChain(tap_delays=delays)
+    chain = build_chains(delays[None])[0]
     offsets, guard = chain.edge_offsets, chain.boundary_guard
     span = offsets[-1]
     n = 64
@@ -154,7 +154,7 @@ def test_bucketed_count_matches_searchsorted_and_single_shot(case):
 def test_bucket_occupancy_above_one():
     delays = np.full(255, 4 * PS)
     delays[100] = 4e-3 * PS
-    chain = InverterChain(tap_delays=delays)
+    chain = build_chains(delays[None])[0]
     assert chain.edge_buckets.edges.shape[0] == 2
     offsets, guard = chain.edge_offsets, chain.boundary_guard
     starts = np.concatenate([offsets - guard, offsets, offsets + guard])
@@ -197,7 +197,7 @@ def test_stacked_build_equals_each_row_built_alone(delays):
     chains = build_chains(delays)
     assert len(chains) == delays.shape[0]
     for row, chain in zip(delays, chains):
-        assert_same_chain(chain, InverterChain(tap_delays=row.copy()))
+        assert_same_chain(chain, rowwise_chain(row.copy()))
 
 
 def test_each_stacked_index_is_as_deep_as_its_own_buckets():
@@ -207,7 +207,7 @@ def test_each_stacked_index_is_as_deep_as_its_own_buckets():
     chains = build_chains(delays)
     assert [c.edge_buckets.edges.shape[0] for c in chains] == [1, 2, 3]
     for row, chain in zip(delays, chains):
-        assert_same_chain(chain, InverterChain(tap_delays=row.copy()))
+        assert_same_chain(chain, rowwise_chain(row.copy()))
 
 
 def test_stacked_build_validation():
@@ -216,6 +216,10 @@ def test_stacked_build_validation():
             build_chains(bad)
     with pytest.raises(ValueError):
         build_chains(np.array([[PS, PS], [PS, -PS]]))
+    # a negative, NaN or infinite tap in a one-row build
+    for bad in (-1e-12, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            build_chains(np.array([[1e-12, bad]]))
 
 
 def test_count_holds_no_extra_temporaries():
@@ -240,7 +244,7 @@ def test_count_holds_no_extra_temporaries():
 def test_bucket_table_size_bounded_by_taps():
     # four buckets per mean tap, whatever the spread of the taps
     for delays in ([1.0], [1e-3, 1.0, 1e3], np.geomspace(1e-15, 1e-9, 300)):
-        chain = InverterChain(tap_delays=np.asarray(delays))
+        chain = build_chains(np.asarray(delays)[None])[0]
         assert chain.edge_buckets.below.size <= 4 * chain.n_taps + 2
 
 
@@ -370,11 +374,3 @@ def test_quasi_uniform_edge_distribution():
     folded = ((offsets[None, :] + phases[:, None]) % mean_spacing) / mean_spacing
     stat = stats.kstest(folded.ravel(), "uniform").statistic
     assert stat < 0.05
-
-
-def test_chain_validation():
-    with pytest.raises(ValueError):
-        InverterChain(tap_delays=np.array([1e-12, -1e-12]))
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError):
-            InverterChain(tap_delays=np.array([1e-12, bad]))
