@@ -1,0 +1,121 @@
+"""Benchmark another checkout against this tree in alternating pairs.
+
+    python3 bench/pairs.py ../parent --workload capture-dump --pairs 10 --seconds 3
+
+Each pair runs `perfbench/run.py --workload W --seed SEED --seconds S
+--trace 0` once in the other checkout (the parent) and once in this tree,
+each from its own directory.  Which side runs first swaps every pair, the
+parent first in the odd-numbered ones, because the first of two runs back
+to back reads differently.  Each pair's end-to-end metrics are printed as
+it ends; then, per metric of BENCHMARK.json's `end_to_end` list, the
+parent's and this tree's medians, the distance between the parent's
+quartiles, and in how many pairs this tree read better (a tie counts for
+neither side).  The exit code is 1 if any run reported `correct` other than
+true or a failed operation, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The result line (correct, attempted, failed, metrics) of one
+    `perfbench/run.py` run of the checkout."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.exit(f"{checkout}: perfbench/run.py --workload {workload} failed "
+                 f"({proc.returncode}): {proc.stderr[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def is_good(result: dict) -> bool:
+    return result["correct"] is True and result["failed"] == 0
+
+
+def _iqr(values: list) -> float:
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+def summarize(pairs: list, end_to_end: list) -> list[dict]:
+    """Per metric of `end_to_end` (BENCHMARK.json's list) that every run
+    reports: both medians, the parent's quartile distance and the pairs in
+    which the change read better.  `pairs` holds (parent, change) result
+    lines."""
+    rows = []
+    for spec in end_to_end:
+        name = spec["name"]
+        if not all(name in side["metrics"] for pair in pairs for side in pair):
+            continue
+        parent = [p["metrics"][name]["value"] for p, _ in pairs]
+        change = [c["metrics"][name]["value"] for _, c in pairs]
+        sign = -1 if spec["better"] == "lower" else 1
+        rows.append({
+            "metric": name, "unit": spec["unit"], "better": spec["better"],
+            "parent": statistics.median(parent), "change": statistics.median(change),
+            "parent_iqr": _iqr(parent),
+            "wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+            "pairs": len(pairs),
+        })
+    return rows
+
+
+def report(rows: list) -> str:
+    return "\n".join(
+        f"{r['metric']} ({r['unit']}, {r['better']} is better): {r['parent']:.6g} -> "
+        f"{r['change']:.6g} [parent IQR {r['parent_iqr']:.3g}], "
+        f"change better in {r['wins']} of {r['pairs']}"
+        for r in rows
+    )
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="the checkout to compare this tree with")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=3.0)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args()
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    sides = {"parent": args.parent.resolve(), "change": ROOT}
+    pairs, bad = [], 0
+    for i in range(args.pairs):
+        order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+        results = {side: run_side(sides[side], args.workload, args.seed, args.seconds)
+                   for side in order}
+        bad += sum(not is_good(result) for result in results.values())
+        pairs.append((results["parent"], results["change"]))
+        shown = "  ".join(
+            f"{name} {results['parent']['metrics'][name]['value']:.6g} -> "
+            f"{results['change']['metrics'][name]['value']:.6g}"
+            for name in results["parent"]["metrics"] if name in results["change"]["metrics"]
+        )
+        print(f"pair {i + 1} ({order[0]} first): {shown}", flush=True)
+    print(f"{args.workload}, {args.pairs} pairs, seed {args.seed}, --seconds {args.seconds}: "
+          "median parent -> change")
+    print(report(summarize(pairs, spec["end_to_end"])))
+    if bad:
+        print(f"{bad} runs reported correct other than true or a failed operation")
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -108,8 +108,8 @@ def build_chains(tap_delays) -> list[InverterChain]:
     below -= counts
     del counts  # the edge table takes its place on the heap
     edges = np.full((k, int(depth.max()), width), np.inf)
-    edges[rows, np.arange(n) - np.take_along_axis(below, bucket, axis=1), bucket] = offsets
-    guards = 1e-6 * np.mean(delays, axis=1)
+    edges[rows, np.arange(n) - below[rows, bucket], bucket] = offsets
+    guards = 1e-6 * (delays.sum(axis=1) / n)
     chains = []
     for r, size in enumerate(n_buckets):
         index = EdgeBuckets(float(inv_h[r]), below[r, :size], edges[r, : depth[r], :size])

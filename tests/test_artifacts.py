@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stochadc
-from stochadc import experiments
+from stochadc import digits, experiments
 from stochadc import interleaver as il
 from stochadc.config import config_hash, load_config, parse_config
 from stochadc.experiments import CSV_BLOCK_ROWS, _write_csv, run_experiment
@@ -52,9 +52,11 @@ def reference_csv(cfg_hash: str, seed: int, header, rows) -> bytes:
 
 
 def assert_matches_oracle(tmp_path, columns):
+    # the oracle reads a 2-D array column row after row, as the writer does
     path = tmp_path / "table.csv"
     _write_csv(path, "abc123", 7, columns)
-    expected = reference_csv("abc123", 7, list(columns), zip(*columns.values()))
+    flat = (c.reshape(-1) if isinstance(c, np.ndarray) else c for c in columns.values())
+    expected = reference_csv("abc123", 7, list(columns), zip(*flat))
     assert path.read_bytes() == expected
 
 
@@ -178,6 +180,86 @@ def test_table_and_direct_blocks_alternate(tmp_path):
         "int32": values.astype(np.int32),
         "uint64": (values - values.min()).astype(np.uint64) + np.uint64(2**63),
     })
+
+
+# where the block encoder changes lanes: an int block inside (-2**31, 2**31)
+# is worked in int32, a row of 10 to 18 digits as two halves split at
+# 10**9, one of 19 digits in int64, and |int| >= 2**62 goes to repr
+INT_CUTS = [
+    2**31 - 1, 2**31, -(2**31), -(2**31) - 1, 2**32 - 1, 2**32, 10**9 - 1, 10**9,
+    10**18 - 1, 10**18, 2**62 - 1, 2**62, 2**62 + 1,
+]
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint32, np.int64, np.uint64],
+                         ids=lambda d: np.dtype(d).name)
+def test_int_blocks_at_the_lane_cuts(tmp_path, dtype):
+    lo, hi = int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)
+    small = [v for v in (0, 1, 9, 10, -1, -10) if lo <= v <= hi]
+    cuts = [v for v in INT_CUTS if lo <= v <= hi]
+    # each cut alone in a one-block table with small values, and with its
+    # neighbours and negation where they fit
+    for i, cut in enumerate(cuts):
+        near = [v for v in (cut - 1, cut + 1, -cut) if lo <= v <= hi]
+        values = np.array([cut] + small + near, dtype=dtype)
+        assert_matches_oracle(tmp_path, {"value": values, "reversed": values[::-1].copy()})
+    # one block mixing every cut with narrow values
+    mixed = np.array((cuts + small) * 3, dtype=dtype)
+    assert_matches_oracle(tmp_path, {"value": mixed})
+
+
+def test_a_block_of_narrow_values_around_one_wide_value(tmp_path):
+    # an int32 block beside an int64 one of 18 digits and a value left to
+    # repr, in one table of three blocks
+    narrow = np.arange(CSV_BLOCK_ROWS) % 2000 - 1000
+    wide = narrow.copy()
+    wide[[5, 77]] = [2**62 + 1, -(10**18) + 1]
+    values = np.concatenate([narrow, wide, narrow[:300]])
+    assert_matches_oracle(tmp_path, {"int64": values, "uint64": values.astype(np.uint64)})
+
+
+def test_floats_whose_low_nine_digits_are_zero(tmp_path, monkeypatch):
+    # repr's digits, padded with zeros to 17, split at 10**9 into a high half
+    # of 8 digits and a low half of 0; then of 999999900 and 999999999
+    values = [10.0**k for k in range(-8, -4)]
+    values += [float(f"{m}e{k}") for m in (1.2345678, 9.9999999, 1.0000001, 5.0)
+               for k in range(-8, -4)]
+    nines = [float(f"{m}e{k}") for m in ("1.00000009999999", "1.0000000999999999")
+             for k in range(-8, -4)]
+    assert [repr_digits(v) for v in nines] == [15] * 4 + [17] * 4
+    values = np.array(values + nines)
+    assert in_window(values).all()
+    seen = spy_text_rows(monkeypatch)
+    assert_matches_oracle(tmp_path, {"value": values, "negated": -values})
+    assert seen == []
+
+
+def count_encodes(monkeypatch) -> list:
+    """The blocks the encoder encodes, from now on."""
+    encoded = []
+    for name in ("int_cells", "float_cells"):
+        def recording(x, cells=getattr(experiments, name)):
+            encoded.append(x)
+            return cells(x)
+        monkeypatch.setattr(experiments, name, recording)
+    return encoded
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64], ids=lambda d: np.dtype(d).name)
+def test_one_array_under_two_headers_is_encoded_once(tmp_path, monkeypatch, dtype):
+    # a square (128, 128) array is two blocks; its transpose has its data
+    # pointer, shape and dtype but not its strides, its unsigned view all
+    # but its dtype, and a copy its values alone
+    rng = np.random.default_rng(9)
+    array = (rng.integers(-(10**6), 10**6, (128, 128)) * (1e-12 if dtype == np.float64 else 1)).astype(dtype)
+    columns = {"value": array, "again": array, "view": array[:], "transposed": array.T,
+               "copy": array.copy()}
+    if dtype == np.int64:
+        columns["unsigned"] = array.view(np.uint64)
+    encoded = count_encodes(monkeypatch)
+    assert_matches_oracle(tmp_path, columns)
+    # value, again and view once per block, and each other column
+    assert len(encoded) == 2 * (len(columns) - 2)
 
 
 # values where the block encoder's float digits meet repr's: short decimals
@@ -359,7 +441,7 @@ def test_exact_split_shifts_stay_defined_across_the_window():
             sh = -(e - 53 + t)
             assert 1 <= sh and sh + 6 <= 63, (e, decade)
             m = [2**52, 2**52 + 1, 2**53 - 1] + rng.integers(2**52, 2**53, 8).tolist()
-            d, r, shift = experiments._exact_split(
+            d, r, shift = digits._exact_split(
                 np.array(m, np.uint64), np.full(len(m), e - 53), np.full(len(m), t)
             )
             assert shift.tolist() == [sh] * len(m)

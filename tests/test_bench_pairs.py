@@ -1,0 +1,97 @@
+"""bench/pairs.py: the summary of alternating parent/change benchmark runs."""
+
+import importlib.util
+import json
+import subprocess
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PAIRS = ROOT / "bench" / "pairs.py"
+END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+
+
+@pytest.fixture
+def pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", PAIRS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def result_line(wall_s, rate, correct=True, failed=0):
+    """A perfbench/run.py result line with two end-to-end metrics."""
+    return {"correct": correct, "attempted": 4, "failed": failed, "metrics": {
+        "wall_s": {"value": wall_s, "unit": "s"},
+        "trials_per_s": {"value": rate, "unit": "1/s"},
+    }}
+
+
+CANNED = [
+    (result_line(0.140, 7.0), result_line(0.120, 8.0)),
+    (result_line(0.150, 6.0), result_line(0.150, 6.0)),  # a tie counts for neither
+    (result_line(0.130, 7.5), result_line(0.135, 7.4)),
+    (result_line(0.145, 6.8), result_line(0.125, 7.9)),
+]
+
+
+def test_summary_of_canned_runs(pairs):
+    rows = {row["metric"]: row for row in pairs.summarize(CANNED, END_TO_END)}
+    # metrics no run reports (msps, peak_rss_mb, setup_s) are left out
+    assert list(rows) == ["wall_s", "trials_per_s"]
+    wall, rate = rows["wall_s"], rows["trials_per_s"]
+    assert (wall["better"], wall["unit"], wall["pairs"]) == ("lower", "s", 4)
+    assert wall["parent"] == pytest.approx(0.1425) and wall["change"] == pytest.approx(0.130)
+    assert wall["wins"] == 2
+    # quartiles of 0.130, 0.140, 0.145, 0.150: 0.1375 and 0.14625
+    assert wall["parent_iqr"] == pytest.approx(0.00875)
+    assert rate["better"] == "higher" and rate["wins"] == 2
+    assert rate["parent"] == pytest.approx(6.9) and rate["change"] == pytest.approx(7.65)
+    text = pairs.report(list(rows.values()))
+    assert "wall_s (s, lower is better): 0.1425 -> 0.13" in text
+    assert "change better in 2 of 4" in text
+
+
+def test_one_pair_has_no_spread(pairs):
+    [row, _] = pairs.summarize(CANNED[:1], END_TO_END)
+    assert row["parent_iqr"] == 0.0 and row["wins"] == 1
+
+
+@pytest.mark.parametrize("correct,failed,good", [(True, 0, True), (False, 0, False),
+                                                  (True, 1, False), (None, 0, False)])
+def test_a_wrong_or_failed_run_is_bad(pairs, correct, failed, good):
+    assert pairs.is_good(result_line(0.1, 1.0, correct, failed)) is good
+
+
+def fake_runs(results: list, calls: list):
+    """A `subprocess.run` answering like perfbench/run.py with each of
+    `results` in turn, noting each call's checkout."""
+    answers = iter(results)
+
+    def run(args, cwd, **kwargs):
+        calls.append(Path(cwd))
+        stdout = json.dumps({"spread": {}}) + "\n" + json.dumps(next(answers)) + "\n"
+        return subprocess.CompletedProcess(args, 0, stdout=stdout, stderr="")
+
+    return run
+
+
+def test_sides_alternate_and_a_wrong_run_exits_one(pairs, monkeypatch, tmp_path, capsys):
+    calls = []
+    runs = [result_line(0.1, 1.0)] * 3 + [result_line(0.1, 1.0, correct=False)]
+    monkeypatch.setattr(pairs.subprocess, "run", fake_runs(runs, calls))
+    monkeypatch.setattr("sys.argv", ["pairs.py", str(tmp_path), "--workload", "pi-mc",
+                                     "--pairs", "2", "--seconds", "1"])
+    assert pairs.main() == 1
+    assert calls == [tmp_path, pairs.ROOT, pairs.ROOT, tmp_path]
+    out = capsys.readouterr().out
+    assert "pair 1 (parent first)" in out and "pair 2 (change first)" in out
+    assert "1 runs reported correct other than true" in out
+
+
+def test_good_runs_exit_zero(pairs, monkeypatch, tmp_path):
+    monkeypatch.setattr(pairs.subprocess, "run", fake_runs([result_line(0.1, 1.0)] * 2, []))
+    monkeypatch.setattr("sys.argv", ["pairs.py", str(tmp_path), "--workload", "pi-mc",
+                                     "--pairs", "1"])
+    assert pairs.main() == 0
