@@ -10,8 +10,13 @@ to back reads differently.  Each pair's end-to-end metrics are printed as
 it ends; then, per metric of BENCHMARK.json's `end_to_end` list, the
 parent's and this tree's medians, the distance between the parent's
 quartiles, and in how many pairs this tree read better (a tie counts for
-neither side).  The exit code is 1 if any run reported `correct` other than
-true or a failed operation, else 0.
+neither side), with a `no regression` line.  That line reads "worse" when
+this tree's median is worse than the parent's by more than the metric's
+`bound`, a fraction of the parent's median; "unresolved" when the parent's
+quartile distance is wider than the bound, unless every run of this tree
+reads better than every run of the parent; else "within bound".  The exit
+code is 1 if any run reported `correct` other than true or a failed
+operation, else 0.
 """
 
 from __future__ import annotations
@@ -54,9 +59,10 @@ def _iqr(values: list) -> float:
 
 def summarize(pairs: list, end_to_end: list) -> list[dict]:
     """Per metric of `end_to_end` (BENCHMARK.json's list) that every run
-    reports: both medians, the parent's quartile distance and the pairs in
-    which the change read better.  `pairs` holds (parent, change) result
-    lines."""
+    reports: both medians, the parent's quartile distance, the pairs in
+    which the change read better, how much worse the change's median is
+    (`worse_by`, a fraction of the parent's) and the no-regression verdict.
+    `pairs` holds (parent, change) result lines."""
     rows = []
     for spec in end_to_end:
         name = spec["name"]
@@ -65,13 +71,26 @@ def summarize(pairs: list, end_to_end: list) -> list[dict]:
         parent = [p["metrics"][name]["value"] for p, _ in pairs]
         change = [c["metrics"][name]["value"] for _, c in pairs]
         sign = -1 if spec["better"] == "lower" else 1
-        rows.append({
+        row = {
             "metric": name, "unit": spec["unit"], "better": spec["better"],
+            "bound": spec["bound"],
             "parent": statistics.median(parent), "change": statistics.median(change),
             "parent_iqr": _iqr(parent),
             "wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
             "pairs": len(pairs),
-        })
+        }
+        # the change's median against the parent's, as a fraction of the
+        # parent's: above 0 is worse
+        row["worse_by"] = sign * (row["parent"] - row["change"]) / row["parent"]
+        if row["worse_by"] > spec["bound"]:
+            row["verdict"] = "worse"
+        elif row["parent_iqr"] / row["parent"] > spec["bound"] and not all(
+            sign * (c - p) > 0 for c in change for p in parent
+        ):
+            row["verdict"] = "unresolved"
+        else:
+            row["verdict"] = "within bound"
+        rows.append(row)
     return rows
 
 
@@ -79,7 +98,10 @@ def report(rows: list) -> str:
     return "\n".join(
         f"{r['metric']} ({r['unit']}, {r['better']} is better): {r['parent']:.6g} -> "
         f"{r['change']:.6g} [parent IQR {r['parent_iqr']:.3g}], "
-        f"change better in {r['wins']} of {r['pairs']}"
+        f"change better in {r['wins']} of {r['pairs']}\n"
+        f"  no regression: {r['verdict']} (median {abs(r['worse_by']):.1%} "
+        f"{'worse' if r['worse_by'] > 0 else 'better'}, bound {r['bound']:.0%}, "
+        f"parent IQR {r['parent_iqr'] / r['parent']:.1%} of its median)"
         for r in rows
     )
 

@@ -1,5 +1,6 @@
-"""Shared numeric types, the frozen record base, seeded randomness, the
-mismatch scale and clamp, and the percentile and median of a run summary.
+"""Shared numeric types, the interleaving factor, the frozen record base,
+seeded randomness, the mismatch scale and clamp, and the percentile and
+median of a run summary.
 
 All analog behavior in this package is expressed as edge timestamps: plain
 floats in seconds (double precision comfortably resolves sub-ps steps against
@@ -27,6 +28,10 @@ import numpy as np
 
 Instant = float
 Duration = float
+
+# the interleaving factor: slices of the converter, and the spur families of
+# its spectrum at multiples of fs / N_SLICES
+N_SLICES = 16
 
 
 class Record:

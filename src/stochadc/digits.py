@@ -1,24 +1,21 @@
-"""Decimal digits of numeric blocks, for the CSV block encoder.
+"""One block of numeric CSV columns as bytes: `encode_block`.
 
-`int_cells` and `float_cells` turn one block of a numeric column into a
-stack of uint8 planes, one per byte position of its cells (0 where a cell
-is shorter), and the rows they leave to Python's repr.  `experiments`
-joins the stacks of a table's columns into CSV bytes (`_encode_block`).
-The digits come from integer division in 32-bit lanes wherever the values
-allow it: an int block within (-2**31, 2**31) is worked in int32, and a
-row below 10**18 is split once into two halves below 10**9.
+Each column's cells become a stack of uint8 planes, one per byte position,
+and `encode_block` joins the stacks of a table's columns into CSV text.
+The digits come from integer division in 32-bit lanes: an int block within
+(-2**31, 2**31) is worked in int32, and a row of 10 to 18 digits is split
+once into two halves below 10**9.  Python's repr writes any other int
+block whole, and each float that `_float_cells` does not take.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# a cell the block encoder cannot write digit by digit is formatted by Python
+# a cell written by repr is padded with spaces, which no numeric repr holds,
 # into a slot this wide: a float's repr has at most 24 characters, an int's 20
-TEXT_WIDTH = 24
-# |int| below this is written digit by digit
-_INT_DIGITS_BOUND = 2**62
-# an int block inside (-_INT32_BOUND, _INT32_BOUND) is worked in int32
+_TEXT_WIDTH = 24
+# an int block inside (-_INT32_BOUND, _INT32_BOUND) is written digit by digit
 _INT32_BOUND = 2**31
 # the double nearest 10**k, k = -9..-4: a double is at least the one for k
 # exactly when its shortest decimal is at least 10**k
@@ -30,23 +27,51 @@ _POW5 = np.array([5**t for t in range(25)], np.uint64)
 _DIGIT = ord("0")
 
 
-def _digit_planes(q: np.ndarray, width: int) -> np.ndarray:
-    """The `width` decimal digits of each int 0 <= q < 10**width as ASCII,
-    most significant first: (width, len(q)) uint8.
+def encode_block(chunks: list) -> bytes:
+    """One block of an all-numeric table, a 1-D bool, int or float array
+    per column, all of one length, as CSV bytes.
 
-    Below 10**18 every division runs in uint32 lanes: on q itself when it
-    has 9 digits or fewer, otherwise on its halves q // 10**9 and q % 10**9
-    side by side, 9 digits each, of which the high half's leading zeros are
-    dropped.  A wider q, whose high half can pass 2**32, stays in int64.
+    Each column becomes a stack of planes, with 0 where a cell is shorter
+    and spaces after a cell written by repr, and a `,` or `\\n` plane
+    follows it.  The stack is transposed to rows, and dropping the 0 bytes
+    and the spaces leaves the CSV text.  A chunk that is the same object
+    as an earlier one reuses its planes.
+    """
+    encoded = {}
+    for c in chunks:
+        if id(c) not in encoded:
+            encoded[id(c)] = (_float_cells if c.dtype.kind == "f" else _int_cells)(c)
+    n_rows = len(chunks[0])
+    planes = []
+    for c in chunks:
+        planes += [encoded[id(c)], np.full((1, n_rows), ord(","), np.uint8)]
+    planes[-1] = np.full((1, n_rows), ord("\n"), np.uint8)
+    # a view of the rows: `tobytes` transposes it in its one copy
+    return np.concatenate(planes).T.tobytes().translate(None, b"\0 ")
+
+
+def _text_planes(values: list) -> np.ndarray:
+    """The repr of each Python int or float, padded with spaces:
+    (_TEXT_WIDTH, len(values)) uint8."""
+    text = (f"%-{_TEXT_WIDTH}r" * len(values)) % tuple(values)
+    return np.frombuffer(text.encode(), np.uint8).reshape(-1, _TEXT_WIDTH).T
+
+
+def _digit_planes(q: np.ndarray, width: int) -> np.ndarray:
+    """The `width` decimal digits of each int 0 <= q < 10**width, width <=
+    18, as ASCII, most significant first: (width, len(q)) uint8.
+
+    Every division runs in uint32 lanes: on q itself when it has 9 digits
+    or fewer, otherwise on its halves q // 10**9 and q % 10**9 side by
+    side, 9 digits each, of which the high half's leading zeros are
+    dropped.
     """
     if width <= 9:
         lanes, per = q.astype(np.uint32, copy=False)[None], width
-    elif width <= 18:
+    else:
         lanes, per = np.empty((2, q.size), np.uint32), 9
         lanes[0] = high = q // 10**9
         lanes[1] = q - high * 10**9
-    else:
-        lanes, per = q[None], width
     planes = np.empty((len(lanes), per, q.size), np.uint8)
     for j in range(per - 1, -1, -1):
         nxt = lanes // 10
@@ -57,38 +82,25 @@ def _digit_planes(q: np.ndarray, width: int) -> np.ndarray:
     return planes
 
 
-def int_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A bool or int block as (planes, the rows left to repr).  A block
-    inside (-2**31, 2**31) is worked in int32; any other in int64, with
-    each |int| >= 2**62 left to repr."""
+def _int_cells(x: np.ndarray) -> np.ndarray:
+    """A bool or int block's planes.  A block inside (-2**31, 2**31) is
+    worked in int32; repr writes any other whole."""
     if x.dtype.kind == "b":
-        return (x.astype(np.uint8) + _DIGIT)[None], np.empty(0, np.intp)
+        return (x.astype(np.uint8) + _DIGIT)[None]
     low, high = int(x.min()), int(x.max())
-    if -_INT32_BOUND < low and high < _INT32_BOUND:
-        v = x.astype(np.int32, copy=False)
-        # |v| < 2**31, so its uint32 view holds the same values
-        a = np.abs(v).view(np.uint32)
-        top, slow = max(high, -low), np.empty(0, np.intp)
-    else:
-        if x.dtype.kind == "u":
-            wide = x >= _INT_DIGITS_BOUND
-            v = np.where(wide, 0, x).astype(np.int64)
-        else:
-            v = x.astype(np.int64)
-            wide = (v <= -_INT_DIGITS_BOUND) | (v >= _INT_DIGITS_BOUND)
-            v[wide] = 0
-        a = np.abs(v)
-        top, slow = int(a.max()), np.flatnonzero(wide)
-        low = int(v.min())
-    width = len(str(top))
+    if low <= -_INT32_BOUND or high >= _INT32_BOUND:
+        return _text_planes(x.tolist())
+    v = x.astype(np.int32, copy=False)
+    # |v| < 2**31, so its uint32 view holds the same values
+    a = np.abs(v).view(np.uint32)
+    width = len(str(max(high, -low)))
     digits = _digit_planes(a, width)
     # no leading zeros: the digit of 10**k shows when a >= 10**k, the units always
     for j in range(width - 1):
         digits[j] *= a >= 10 ** (width - 1 - j)
-    parts = [(v < 0).astype(np.uint8)[None] * ord("-"), digits] if low < 0 else [digits]
-    if slow.size:
-        parts.append(np.zeros((TEXT_WIDTH - sum(map(len, parts)), x.size), np.uint8))
-    return np.concatenate(parts), slow
+    if low < 0:
+        return np.concatenate([(v < 0).astype(np.uint8)[None] * ord("-"), digits])
+    return digits
 
 
 def _exact_split(m: np.ndarray, q: np.ndarray, t: np.ndarray) -> tuple:
@@ -138,8 +150,8 @@ def _long_digits(a: np.ndarray, decade: np.ndarray) -> np.ndarray:
     return np.where(down_ok | up_ok, (tens + up) * 10, seventeen).astype(np.int64)
 
 
-def float_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A float block as (planes, the rows left to repr).
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """A float block's planes.
 
     A value of decade -8 to -5, which repr writes as `d[.ddd]e-0X`, is
     written from N = rint(|x| * 10**s), s = 14 - decade, when 1e14 <= N <
@@ -151,7 +163,7 @@ def float_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     check.  A value of those decades that fails it has 16 or 17 digits,
     which `_long_digits` finds by exact integer arithmetic; its decade is
     repr's own (see `_DECADE_STARTS`).  Every other value (another decade,
-    ±0, subnormal, inf, nan) is left to repr.
+    ±0, subnormal, inf, nan) is written by repr.
     """
     x = x.astype(np.float64, copy=False)
     a = np.abs(x)
@@ -175,7 +187,7 @@ def float_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for row in digits[:0:-1]:
         shown |= row != _DIGIT
         row *= shown
-    planes = np.zeros((TEXT_WIDTH, x.size), np.uint8)
+    planes = np.zeros((_TEXT_WIDTH, x.size), np.uint8)
     planes[0] = np.signbit(x) * ord("-")
     planes[1] = digits[0]
     planes[2] = shown * ord(".")
@@ -184,4 +196,7 @@ def float_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     planes[22] = _DIGIT + s - 14
     # the 16- and 17-digit rows are written too
     fast[long] = True
-    return planes, np.flatnonzero(~fast)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        planes[:, slow] = _text_planes(x[slow].tolist())
+    return planes

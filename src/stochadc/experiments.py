@@ -4,7 +4,9 @@ Every output file embeds the config hash and the master seed, and nothing
 time-dependent is ever written, so a rerun with the same config and seed is
 byte-identical.  Each experiment returns its metrics and a function that
 builds its artifact bodies; `run_experiment` is the one frame around them,
-and every file goes through `_write_artifacts` there.  The calibrate
+and every file goes through `_write_artifacts` there.  `_write_csv` hands
+each block of an all-numeric table to `digits.encode_block`, which alone
+knows how its cells are written.  The calibrate
 experiment persists its state to a versioned JSON file, whose format lives
 here alone, from which a later measurement run resumes bit-exactly.
 """
@@ -25,7 +27,7 @@ from . import metrics as met
 from . import pi as pimod
 from .config import RunConfig, config_hash, linearity_tone, measurement_tone, skew_tone, warmup_tone
 from .core import Record, median, percentile
-from .digits import TEXT_WIDTH, float_cells, int_cells
+from .digits import encode_block
 from .errors import ConfigError
 
 # the calibration file format; `from_json` refuses any other
@@ -60,47 +62,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _is_numeric(column) -> bool:
-    return isinstance(column, np.ndarray) and column.dtype.kind in "biuf"
-
-
-def _text_rows(values: list) -> np.ndarray:
-    """The repr of each Python int or float, padded with spaces (which no
-    such repr holds): (len(values), TEXT_WIDTH) uint8."""
-    text = (f"%-{TEXT_WIDTH}r" * len(values)) % tuple(values)
-    return np.frombuffer(text.encode(), np.uint8).reshape(-1, TEXT_WIDTH)
-
-
-def _encode_block(chunks: list) -> bytes:
-    """One block of an all-numeric table as CSV bytes.
-
-    Each column becomes a stack of uint8 planes, one per byte position of
-    its cells, with 0 where a cell is shorter, and a `,` or `\\n` plane
-    follows it.  The stack is transposed to rows, the cells a column leaves
-    to `_text_rows` take a whole TEXT_WIDTH slot from it, and dropping the
-    0 bytes and the text's space padding leaves the CSV text.  A chunk
-    that is the same object as an earlier one reuses its planes.
-    """
-    encoded = {}
-    for c in chunks:
-        if id(c) not in encoded:
-            encoded[id(c)] = (float_cells if c.dtype.kind == "f" else int_cells)(c)
-    cells = [encoded[id(c)] for c in chunks]
-    n_rows = len(chunks[0])
-    planes = []
-    for column, _ in cells:
-        planes += [column, np.full((1, n_rows), ord(","), np.uint8)]
-    planes[-1] = np.full((1, n_rows), ord("\n"), np.uint8)
-    # a view of the rows: `tobytes` transposes it in its one copy
-    block = np.concatenate(planes).T
-    at = 0
-    for chunk, (column, slow) in zip(chunks, cells):
-        if slow.size:
-            block[slow, at : at + TEXT_WIDTH] = _text_rows(chunk[slow].tolist())
-        at += len(column) + 1
-    return block.tobytes().translate(None, b"\0 ")
-
-
 def _write_csv(path: Path, cfg_hash: str, seed: int, columns: dict) -> None:
     """Write a table given as {header: column}.
 
@@ -108,7 +69,7 @@ def _write_csv(path: Path, cfg_hash: str, seed: int, columns: dict) -> None:
     then one row per index; `\\n` line ends, ints in decimal, floats as their
     shortest round-trip repr, bools as 1/0, strings with csv minimal quoting.
     A table of numeric arrays alone (no cell needs quoting) is encoded
-    `CSV_BLOCK_ROWS` rows at a time by `_encode_block`; any other goes
+    `CSV_BLOCK_ROWS` rows at a time by `digits.encode_block`; any other goes
     through the csv module row by row.  A 2-D array column is written row
     after row, each block cut from it alone, so a capture's (n, 16) views
     need no flat copy; its width must divide `CSV_BLOCK_ROWS`.  Columns that
@@ -124,7 +85,7 @@ def _write_csv(path: Path, cfg_hash: str, seed: int, columns: dict) -> None:
         fh.write(f"# config_hash={cfg_hash}\n# master_seed={seed}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(columns))
-        if not all(_is_numeric(c) for c in cols):
+        if not all(isinstance(c, np.ndarray) and c.dtype.kind in "biuf" for c in cols):
             flat = (c.reshape(-1) if isinstance(c, np.ndarray) else c for c in cols)
             writer.writerows(zip(*(map(_fmt, c) for c in flat)))
             return
@@ -134,7 +95,7 @@ def _write_csv(path: Path, cfg_hash: str, seed: int, columns: dict) -> None:
         arrays = dict(zip(keys, cols))
         for start in range(0, n_rows, CSV_BLOCK_ROWS):
             cut = {key: _block(c, start) for key, c in arrays.items()}
-            fh.buffer.write(_encode_block([cut[key] for key in keys]))
+            fh.buffer.write(encode_block([cut[key] for key in keys]))
 
 
 def _rows(column) -> int:

@@ -31,6 +31,7 @@ import numpy as np
 
 from .core import (
     CLAMP_FLOOR,
+    N_SLICES,
     Record,
     derive_seed,
     keyed_normal,
@@ -55,7 +56,6 @@ from .stimulus import SineStimulus
 if TYPE_CHECKING:
     from .config import RunConfig
 
-N_SLICES = 16
 N_GROUPS = 4
 CODE_MIN, CODE_MAX = -127, 127
 N_CODES = CODE_MAX - CODE_MIN + 1

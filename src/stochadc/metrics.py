@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import N_SLICES
 from .errors import CoherenceError, PreconditionError
 from .pi import PI_CODES
 
 ENOB_OFFSET_DB = 1.76
 ENOB_SLOPE_DB = 6.02
-# interleaving factor: the spur families sit at multiples of fs/16
-SPUR_FAMILY = 16
 # code-density floor: a histogram needs this many samples per code
 MIN_HITS_PER_CODE = 100
 # the monitor's sampler period is clock_period * 100003 / 99991: a ratio of
@@ -116,7 +115,7 @@ def sndr_enob(codes: np.ndarray, fs: float, fin: float) -> tuple[dict, list]:
 
     SNDR is fundamental power over everything else except DC; ENOB follows
     the (SNDR - 1.76)/6.02 relation by construction.  The spur list reports
-    the interleaving families: tones at multiples of fs/SPUR_FAMILY and
+    the interleaving families: tones at multiples of fs/N_SLICES and
     their images around the fundamental, as (bin, dBc) pairs by descending
     power.  Returns the metrics `sndr_db`, `enob`, `fundamental_bin` and
     `dominant_family_spur_dbc` (the first spur), and the spur list.
@@ -135,8 +134,8 @@ def sndr_enob(codes: np.ndarray, fs: float, fin: float) -> tuple[dict, list]:
     sndr = 10.0 * np.log10(signal / noise)
     # the offset tones k*step are even bins and j is odd: never an empty list
     spur_bins = set()
-    step = n // SPUR_FAMILY
-    for k in range(1, SPUR_FAMILY):
+    step = n // N_SLICES
+    for k in range(1, N_SLICES):
         for b in ((k * step) % n, (j + k * step) % n, (-j + k * step) % n):
             b = min(b, n - b)  # fold to the one-sided range
             if 0 < b <= n // 2 and b != j:

@@ -183,8 +183,8 @@ def test_table_and_direct_blocks_alternate(tmp_path):
 
 
 # where the block encoder changes lanes: an int block inside (-2**31, 2**31)
-# is worked in int32, a row of 10 to 18 digits as two halves split at
-# 10**9, one of 19 digits in int64, and |int| >= 2**62 goes to repr
+# is worked in int32, a row of 10 digits as two halves split at 10**9, and
+# any wider block (10**18 and 2**62 among it) goes to repr whole
 INT_CUTS = [
     2**31 - 1, 2**31, -(2**31), -(2**31) - 1, 2**32 - 1, 2**32, 10**9 - 1, 10**9,
     10**18 - 1, 10**18, 2**62 - 1, 2**62, 2**62 + 1,
@@ -209,8 +209,8 @@ def test_int_blocks_at_the_lane_cuts(tmp_path, dtype):
 
 
 def test_a_block_of_narrow_values_around_one_wide_value(tmp_path):
-    # an int32 block beside an int64 one of 18 digits and a value left to
-    # repr, in one table of three blocks
+    # an int32 block beside a wide block, which goes to repr whole, in one
+    # table of three blocks
     narrow = np.arange(CSV_BLOCK_ROWS) % 2000 - 1000
     wide = narrow.copy()
     wide[[5, 77]] = [2**62 + 1, -(10**18) + 1]
@@ -237,11 +237,11 @@ def test_floats_whose_low_nine_digits_are_zero(tmp_path, monkeypatch):
 def count_encodes(monkeypatch) -> list:
     """The blocks the encoder encodes, from now on."""
     encoded = []
-    for name in ("int_cells", "float_cells"):
-        def recording(x, cells=getattr(experiments, name)):
+    for name in ("_int_cells", "_float_cells"):
+        def recording(x, cells=getattr(digits, name)):
             encoded.append(x)
             return cells(x)
-        monkeypatch.setattr(experiments, name, recording)
+        monkeypatch.setattr(digits, name, recording)
     return encoded
 
 
@@ -341,15 +341,15 @@ def repr_digits(value: float) -> int:
 
 
 def spy_text_rows(monkeypatch) -> list:
-    """Every value the block encoder leaves to `_text_rows`, from now on."""
+    """Every value the block encoder leaves to repr, from now on."""
     seen = []
 
     def recording(values):
         seen.extend(values)
-        return text_rows(values)
+        return text_planes(values)
 
-    text_rows = experiments._text_rows
-    monkeypatch.setattr(experiments, "_text_rows", recording)
+    text_planes = digits._text_planes
+    monkeypatch.setattr(digits, "_text_planes", recording)
     return seen
 
 
@@ -491,6 +491,8 @@ def test_a_capture_leaves_no_window_instant_to_repr(tmp_path, monkeypatch):
     seen = spy_text_rows(monkeypatch)
     _write_csv(tmp_path / "capture.csv", "abc123", 7, columns)
     assert seen and not in_window(seen).any()
+    # and no int: each int column is written digit by digit
+    assert all(type(v) is float for v in seen)
 
 
 def test_a_block_is_whole_capture_rows():
@@ -719,6 +721,21 @@ def golden_run(tmp_path_factory):
         return dirs[experiment, config]
 
     return run
+
+
+# one run of each experiment that writes a CSV file, on its first GOLDEN config
+CSV_RUNS = list({e: c for e, c, artifact, _ in reversed(GOLDEN) if artifact.endswith(".csv")}.items())
+
+
+@pytest.mark.parametrize("experiment,config", CSV_RUNS)
+def test_no_written_int_goes_to_repr(tmp_path, monkeypatch, experiment, config):
+    # every int column an experiment writes is a code, a count, an index or
+    # a flag, which the block encoder writes digit by digit in int32: repr
+    # takes an int block only outside (-2**31, 2**31)
+    seen = spy_text_rows(monkeypatch)
+    result = run_experiment(experiment, _config(config), out_dir=tmp_path)
+    assert any(name.endswith(".csv") for name in result.files)
+    assert [v for v in seen if type(v) is not float] == []
 
 
 @pytest.mark.parametrize(

@@ -51,6 +51,46 @@ def test_summary_of_canned_runs(pairs):
     text = pairs.report(list(rows.values()))
     assert "wall_s (s, lower is better): 0.1425 -> 0.13" in text
     assert "change better in 2 of 4" in text
+    # 8.8% better, inside a parent IQR of 6.1% of its median
+    assert wall["verdict"] == "within bound" and wall["worse_by"] == pytest.approx(-0.0125 / 0.1425)
+    assert "  no regression: within bound (median 8.8% better, bound 25%, parent IQR 6.1% of its median)" in text
+
+
+def spread_pairs(parent: list, change: list) -> list:
+    """Pairs of result lines with these wall_s values, and a rate of 1."""
+    return [(result_line(p, 1.0), result_line(c, 1.0)) for p, c in zip(parent, change)]
+
+
+# the parent's quartiles of 0.08, 0.10, 0.14, 0.16 are 0.095 and 0.145: an
+# IQR of 42% of its 0.12 median, wider than the 25% bound
+WIDE = [0.08, 0.10, 0.14, 0.16]
+
+
+@pytest.mark.parametrize("parent,change,verdict", [
+    # 30% worse in the median
+    ([0.100, 0.101, 0.099, 0.100], [0.130, 0.131, 0.129, 0.130], "worse"),
+    # 24% worse: within the bound
+    ([0.100, 0.101, 0.099, 0.100], [0.124, 0.125, 0.123, 0.124], "within bound"),
+    # worse by more than the bound beats a wide spread
+    (WIDE, [0.16, 0.17, 0.15, 0.16], "worse"),
+    # the same median as the parent's, but the parent spread too wide to tell
+    (WIDE, [0.11, 0.12, 0.12, 0.13], "unresolved"),
+    # every change run is better than every parent run
+    (WIDE, [0.05, 0.06, 0.06, 0.07], "within bound"),
+    # one change run ties the parent's best
+    (WIDE, [0.05, 0.06, 0.06, 0.08], "unresolved"),
+], ids=["worse", "within", "worse-wide", "unresolved", "beats-every-run", "ties-one-run"])
+def test_no_regression_verdict(pairs, parent, change, verdict):
+    [wall, _] = pairs.summarize(spread_pairs(parent, change), END_TO_END)
+    assert wall["verdict"] == verdict
+    assert f"no regression: {verdict} (" in pairs.report([wall])
+
+
+def test_a_higher_is_better_metric_is_worse_when_lower(pairs):
+    runs = [(result_line(0.1, rate), result_line(0.1, 0.7 * rate)) for rate in (9.0, 10.0, 11.0)]
+    [_, rate] = pairs.summarize(runs, END_TO_END)
+    assert rate["worse_by"] == pytest.approx(0.3) and rate["verdict"] == "worse"
+    assert "no regression: worse (median 30.0% worse, bound 25%" in pairs.report([rate])
 
 
 def test_one_pair_has_no_spread(pairs):
