@@ -360,20 +360,44 @@ def ndtri(u) -> np.ndarray:
     return x.reshape(u.shape)
 
 
+# normals evaluated at a time: `ndtri` holds several float64 temporaries of
+# its input's size, so a draw's peak memory is its output plus a few blocks
+_NORMAL_BLOCK = 1 << 17
+
+
 def keyed_normal(seed, indices) -> np.ndarray:
-    """Standard normals, one per (seed, index); seeds as in `keyed_u64`."""
-    return ndtri(keyed_uniform(seed, indices))
+    """Standard normals, one per (seed, index); seeds as in `keyed_u64`.
+
+    Evaluated in blocks of at most `_NORMAL_BLOCK` normals, whole rows of
+    seeds or parts of one row, written into one output array; every step is
+    element-wise, so the values are those of one evaluation of the whole draw.
+    """
+    idx = np.asarray(indices, dtype=np.int64)
+    scalar = not isinstance(seed, _SEEDS)
+    seeds = seed_array([seed] if scalar else seed)
+    shape = idx.shape if scalar else seeds.shape + idx.shape
+    seeds, idx = seeds.reshape(-1), idx.reshape(-1)
+    if seeds.size * idx.size <= _NORMAL_BLOCK:  # one block: no output array to fill
+        return ndtri(keyed_uniform(seeds, idx)).reshape(shape)
+    out = np.empty((seeds.size, idx.size))
+    cols = min(idx.size, _NORMAL_BLOCK)
+    rows = _NORMAL_BLOCK // cols
+    for r in range(0, seeds.size, rows):
+        for c in range(0, idx.size, cols):
+            block = keyed_uniform(seeds[r : r + rows], idx[c : c + cols])
+            out[r : r + rows, c : c + cols] = ndtri(block)
+    return out.reshape(shape)
 
 
-def normal_rows(blocks) -> list[tuple[np.ndarray, ...]]:
+def normal_rows(blocks) -> list[np.ndarray]:
     """Standard normal rows of many instances, one `keyed_normal` call per
     row length.
 
     Each block is ``(seeds, length)``: a uint64 array of row seeds whose
-    first axis runs over the instances, and the length of its rows.
-    Instance i gets one array per block, its rows of shape
-    ``seeds.shape[1:] + (length,)``; each row equals
-    ``keyed_normal(seed, np.arange(length))`` bit for bit.
+    first axis runs over the instances, and the length of its rows.  Each
+    block gets one array of shape ``seeds.shape + (length,)``, instance i's
+    rows at index i; each row equals ``keyed_normal(seed, np.arange(length))``
+    bit for bit.
     """
     by_length = {}
     for seeds, length in blocks:
@@ -382,8 +406,7 @@ def normal_rows(blocks) -> list[tuple[np.ndarray, ...]]:
     for length, group in by_length.items():
         rows = keyed_normal(np.concatenate([s.reshape(-1) for s in group]), np.arange(length))
         drawn[length] = iter(np.split(rows, np.cumsum([s.size for s in group])[:-1]))
-    per_block = [next(drawn[length]).reshape(seeds.shape + (length,)) for seeds, length in blocks]
-    return list(zip(*per_block))
+    return [next(drawn[length]).reshape(seeds.shape + (length,)) for seeds, length in blocks]
 
 
 # np.percentile and np.median, bit for bit: the same partition of the values

@@ -16,8 +16,9 @@ This module is also the one mismatch instancer, from draw to build: it
 alone decides which keyed-draw rows become which instance, the converter's
 (`mismatch_seeds`, read by `AdcSystem`) and the one PI chain `pi-sweep` and
 `pi-trim` model (`pi_mismatch_seeds`); it draws them for a run's trials,
-`DRAW_NORMALS` at a time (`converters`, `pi_chains`); `pi_chain` builds
-every PI chain, the converter's four and that one alike.
+`DRAW_NORMALS` at a time (`converters`, `pi_chains`); `pi_chain` scales
+every PI chain from a stack of rows, the converter's four and a draw chunk
+of that one alike, and `pi.build_delay_chains` builds the stack in one pass.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .errors import (
     UnderrangeError,
 )
 from .metrics import coherent_bin
-from .pi import PI_CODES, DelayChain, pi_output, trim_paths
+from .pi import PI_CODES, DelayChain, build_delay_chains, pi_output, trim_paths
 from .stdc import InverterChain, OffsetEstimate, adapt_offset, build_chains, count_edges_batch
 from .stimulus import SineStimulus
 
@@ -101,21 +102,17 @@ def pi_mismatch_seeds(cfg: RunConfig, master_seeds: np.ndarray) -> list[tuple[np
     return [(_pi_row_seeds(cfg, master_seeds, 0), cfg.pi.n_taps)]
 
 
-def pi_chain(cfg: RunConfig, rows: np.ndarray) -> DelayChain:
-    """A group's PI chain from its standard normal rows (`_pi_row_seeds`
-    order), dividing the PI clock period, with `pi.injected_skews` added to
-    its skew row."""
+def pi_chain(cfg: RunConfig, rows: np.ndarray):
+    """PI chains from a stack of standard normal rows, (chains, rows, taps)
+    in `_pi_row_seeds` order, each dividing the PI clock period with
+    `pi.injected_skews` added to its skew row: one `mismatch_scale` call and
+    one `pi.build_delay_chains` pass, whose iterator it returns."""
     pi = cfg.pi
-    taps = mismatch_scale(pi.unit_delay, pi.tap_sigma_rel, rows[0])
-    skews = rows[1] * pi.skew_sigma if pi.skew_sigma > 0 else np.zeros(rows.shape[-1])
+    taps = mismatch_scale(pi.unit_delay, pi.tap_sigma_rel, rows[:, 0])
+    skews = rows[:, 1] * pi.skew_sigma if pi.skew_sigma > 0 else np.zeros(taps.shape)
     for path, amount in pi.injected_skews:
-        skews[int(path) - 1] += float(amount) * pi.unit_delay
-    return DelayChain(
-        unit_delay=pi.unit_delay,
-        tap_delays=taps,
-        path_skews=skews,
-        period=cfg.system.pi_clock_period,
-    )
+        skews[:, int(path) - 1] += float(amount) * pi.unit_delay
+    return build_delay_chains(pi.unit_delay, taps, skews, cfg.system.pi_clock_period)
 
 
 # standard normals drawn at a time: bounds the mismatch rows held in memory
@@ -124,26 +121,30 @@ DRAW_NORMALS = 1 << 18
 
 
 def _instances(cfg: RunConfig, seeds: list[int], row_seeds, build):
-    """Yield `build(seed, rows)` for each seed in order.  The rows come in
-    chunks, each one `core.normal_rows` call of about DRAW_NORMALS normals
-    drawn once the previous chunk's last instance is taken, and equal each
-    seed's single-seed draw bit for bit."""
+    """Yield, in seed order, the instances `build(chunk, blocks)` makes for
+    each chunk of seeds from the chunk's rows.  Each chunk is one
+    `core.normal_rows` call of about DRAW_NORMALS normals, drawn once the
+    previous chunk's last instance is taken; its rows equal each seed's
+    single-seed draw bit for bit."""
     per_seed = sum(s.size * length for s, length in row_seeds(cfg, seed_array(seeds[:1])))
     step = max(1, DRAW_NORMALS // per_seed)
     for start in range(0, len(seeds), step):
         chunk = seeds[start : start + step]
-        for seed, rows in zip(chunk, normal_rows(row_seeds(cfg, seed_array(chunk)))):
-            yield build(seed, rows)
+        yield from build(chunk, normal_rows(row_seeds(cfg, seed_array(chunk))))
 
 
 def converters(cfg: RunConfig, seeds: list[int]):
     """Each seed's `AdcSystem`, built lazily in order."""
-    return _instances(cfg, seeds, mismatch_seeds, lambda seed, rows: AdcSystem(cfg, seed, rows))
+    def build(chunk, blocks):
+        return (AdcSystem(cfg, seed, rows) for seed, rows in zip(chunk, zip(*blocks)))
+
+    return _instances(cfg, seeds, mismatch_seeds, build)
 
 
 def pi_chains(cfg: RunConfig, seeds: list[int]):
-    """Each seed's untrimmed group 0 PI chain, built lazily in order."""
-    return _instances(cfg, seeds, pi_mismatch_seeds, lambda seed, rows: pi_chain(cfg, *rows))
+    """Each seed's untrimmed group 0 PI chain in order: a draw chunk's
+    chains are built in one pass, each record made when it is taken."""
+    return _instances(cfg, seeds, pi_mismatch_seeds, lambda _, blocks: pi_chain(cfg, blocks[0]))
 
 
 class AdcSystem:
@@ -169,7 +170,8 @@ class AdcSystem:
 
         adc, sc = cfg.adc, cfg.system
         if normals is None:
-            (normals,) = normal_rows(mismatch_seeds(cfg, seed_array([master_seed])))
+            blocks = normal_rows(mismatch_seeds(cfg, seed_array([master_seed])))
+            normals = [block[0] for block in blocks]
         tap_normals, (slope_normals, threshold_normals), pi_normals = normals
         sys_dev = tap_normals[0] * adc.tap_sigma_systematic
         rand_dev = tap_normals[1:] * adc.tap_sigma_random
@@ -213,7 +215,7 @@ class AdcSystem:
                     "adc.n_taps; raise adc.n_taps"
                 )
 
-        self.pi_chains: list[DelayChain] = [pi_chain(cfg, rows) for rows in pi_normals]
+        self.pi_chains: list[DelayChain] = list(pi_chain(cfg, pi_normals))
         if cfg.pi.trim_enabled:
             self.pi_chains = [
                 trim_paths(c, cfg.pi.trim_max_iters).chain for c in self.pi_chains

@@ -15,9 +15,12 @@ after automated place-and-route, which breaks monotonicity; an arbiter at
 the blender input detects the resulting order contradiction and the
 offending paths are trimmed in fixed steps until no contradiction remains.
 
-A `DelayChain` is one interpolator instance, its ring worked out once; a
-trim is a change of its path skews.  This module draws no mismatch:
-`interleaver.pi_chain` builds every chain the package uses from a run config.
+A `DelayChain` is one interpolator instance, a plain record of its chain
+and ring; `build_delay_chains`, its one builder, works out the rings of a
+whole stack of chains in one numpy pass.  A trim is a change of path skews,
+rebuilt through the builder's one-row case.  This module draws no mismatch:
+`interleaver.pi_chain` scales every chain the package uses from a run
+config's rows and hands the stack to the builder.
 
 `pi_sweep`, `pi_output` and `inverted_segments` read the chain's ring
 through a cached, read-only code table (`code_table`): each code's start tap
@@ -29,7 +32,8 @@ in `tests/oracles.py`, which hold these functions to it bit for bit.
 from __future__ import annotations
 
 import functools
-from dataclasses import field, replace
+import math
+from dataclasses import field
 
 import numpy as np
 
@@ -49,64 +53,81 @@ _ARB_TOL = 1e-9
 
 class DelayChain(Record):
     """One interpolator instance: delay chain, per-tap routing skew toward
-    the blender muxes, and the input-clock period it divides.
+    the blender muxes, the input-clock period it divides, and its ring.
 
-    Building it works out `n_delays`, the N unit delays the arbiters find in
-    the period (the smallest tap whose pre-skew accumulated delay spans it;
-    `ChainUnderspanError` when none does), and `positions`, the N+1 blender
-    endpoint times covering the period after clock edge 0, in ring order.
-    Position j (1-based tap j) for j < N is that tap's mux-input time,
-    position N the boundary-mixer midpoint plus its skew, and position N+1
-    the wrap endpoint one period up (tap N+1, or the next cycle's first tap
-    when the boundary sits on the last tap).
+    `n_delays` is the N unit delays the arbiters find in the period (the
+    smallest tap whose pre-skew accumulated delay spans it), and `positions`
+    the N+1 blender endpoint times covering the period after clock edge 0,
+    in ring order.  Position j (1-based tap j) for j < N is that tap's
+    mux-input time, position N the boundary-mixer midpoint plus its skew,
+    and position N+1 the wrap endpoint one period up (tap N+1, or the next
+    cycle's first tap when the boundary sits on the last tap).  A plain
+    record of read-only arrays, built only by `build_delay_chains`.
     """
 
     unit_delay: Duration
     tap_delays: np.ndarray
     path_skews: np.ndarray
     period: Duration
-    n_delays: int = field(init=False)
-    positions: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        # own read-only copies: the ring below is worked out from them once
-        delays = np.array(self.tap_delays, dtype=np.float64)
-        skews = np.array(self.path_skews, dtype=np.float64)
-        if delays.ndim != 1 or delays.size < 2:
-            raise ValueError("tap_delays must hold at least two taps")
-        if skews.shape != delays.shape:
-            raise ValueError("path_skews must match tap_delays in length")
-        if (delays <= 0).any():
-            raise ValueError("all tap delays must be > 0")
-        if self.unit_delay <= 0:
-            raise ValueError("unit_delay must be > 0")
-        if self.period <= 0:
-            raise ValueError(f"clock period must be > 0, got {self.period}")
-        taps = np.cumsum(delays)
-        limit = self.period * (1.0 - _ARB_TOL)
-        if taps[-1] < limit:
-            raise ChainUnderspanError(
-                f"chain spans {taps[-1]:.4e} s, "
-                f"shorter than the clock period {self.period:.4e} s"
-            )
-        n = int(np.searchsorted(taps, limit, side="left")) + 1
-        positions = np.empty(n + 1, dtype=np.float64)
-        positions[: n - 1] = taps[: n - 1] + skews[: n - 1]
-        positions[n - 1] = 0.5 * (taps[n - 1] + self.period) + skews[n - 1]
-        if n < delays.size:
-            positions[n] = taps[n] + skews[n]
-        else:
-            positions[n] = self.period + delays[0] + skews[0]
-        for array in (delays, skews, positions):
-            array.flags.writeable = False
-        object.__setattr__(self, "tap_delays", delays)
-        object.__setattr__(self, "path_skews", skews)
-        object.__setattr__(self, "n_delays", n)
-        object.__setattr__(self, "positions", positions)
+    n_delays: int
+    positions: np.ndarray = field(repr=False)
 
     @property
     def n_taps(self) -> int:
         return int(self.tap_delays.size)
+
+
+def build_delay_chains(unit_delay: Duration, tap_delays, path_skews, period: Duration):
+    """One chain per row of (chains, taps) arrays of tap delays and path
+    skews, all of one unit delay and clock period, worked out in one pass.
+
+    Returns an iterator that makes each chain when it is taken; the chains'
+    arrays are read-only rows of copies the build owns.  Each row's N is 1
+    plus the count of its taps below the period (within `_ARB_TOL`), since
+    accumulated positive delays never decrease.  A row that does not span
+    the period raises `ChainUnderspanError`, the first such row named.
+    """
+    delays = np.array(tap_delays, dtype=np.float64)
+    skews = np.array(path_skews, dtype=np.float64)
+    if delays.ndim != 2 or delays.shape[1] < 2:
+        raise ValueError("tap_delays must hold at least two taps")
+    if skews.shape != delays.shape:
+        raise ValueError("path_skews must match tap_delays in length")
+    if (delays <= 0).any():
+        raise ValueError("all tap delays must be > 0")
+    for name, values in (("tap_delays", delays), ("path_skews", skews)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite")
+    for name, value in (("unit_delay", unit_delay), ("period", period)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if unit_delay <= 0:
+        raise ValueError("unit_delay must be > 0")
+    if period <= 0:
+        raise ValueError(f"clock period must be > 0, got {period}")
+    taps = np.cumsum(delays, axis=1)
+    limit = period * (1.0 - _ARB_TOL)
+    short = np.flatnonzero(taps[:, -1] < limit)
+    if short.size:
+        raise ChainUnderspanError(
+            f"chain spans {taps[short[0], -1]:.4e} s, "
+            f"shorter than the clock period {period:.4e} s"
+        )
+    k, n_taps = delays.shape
+    n = (taps < limit).sum(axis=1) + 1
+    rows, last = np.arange(k), n - 1
+    ring = np.empty((k, n_taps + 1))
+    # every tap's mux-input time; each row's boundary and wrap entries follow
+    np.add(taps, skews, out=ring[:, :n_taps])
+    ring[rows, last] = 0.5 * (taps[rows, last] + period) + skews[rows, last]
+    wraps = n == n_taps
+    ring[wraps, n_taps] = period + delays[wraps, 0] + skews[wraps, 0]
+    for array in (delays, skews, ring):
+        array.flags.writeable = False
+    return (
+        DelayChain(unit_delay, delays[r], skews[r], period, size, ring[r, : size + 1])
+        for r, size in enumerate(n.tolist())
+    )
 
 
 class CodeTable(Record):
@@ -243,7 +264,10 @@ def trim_paths(chain: DelayChain, max_iters: int) -> TrimResult:
             adjustments[(start_tap - 1) % chain.n_taps] -= step / 2.0
             adjustments[(end_tap - 1) % chain.n_taps] += step / 2.0
         np.clip(adjustments, -limit, limit, out=adjustments)
-        trimmed = replace(chain, path_skews=chain.path_skews + adjustments)
+        [trimmed] = build_delay_chains(
+            chain.unit_delay, chain.tap_delays[None], (chain.path_skews + adjustments)[None],
+            chain.period,
+        )
     raise TrimConvergenceError(
         f"inversions persist after {max_iters} trim iterations"
     )

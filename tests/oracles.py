@@ -14,8 +14,9 @@ circuit is drawn, and the tests hold the production path to them:
 * the STDC chain built from its own row, the STDC as tap edges, per-tap
   sampler bits, an adder tree and unfold, and the offset estimate as the
   first code of a cumulative histogram;
-* the PI as its chain, period arbiters and ring, boundary mixers, leapfrog
-  encoder, 16-step blender and blender-inversion detector;
+* the PI as its chain built from its own row, period arbiters and ring,
+  boundary mixers, leapfrog encoder, 16-step blender and blender-inversion
+  detector;
 * the converter's and the PI chain's mismatch instances, one keyed draw per
   row;
 * the mid-tread ideal quantizer and the identity LUT.
@@ -394,39 +395,65 @@ def propagate_chain(
     return taps, taps + adjust
 
 
-def ring_positions(
-    chain: DelayChain,
-    period: Duration,
-    adjustments: np.ndarray | None = None,
-) -> tuple[np.ndarray, int]:
-    """The N+1 blender endpoint times covering the period after clock edge 0,
-    in ring order, and N, for the chain's taps and skews at `period`, with
-    optional per-path trim `adjustments` added to the skews.
+def rowwise_delay_chain(
+    unit_delay: Duration, tap_delays, path_skews, period: Duration
+) -> DelayChain:
+    """One PI chain worked out from its own row alone, the build
+    `pi.build_delay_chains` stacks: the chain's own read-only copies of its
+    taps and skews, N and its ring.
 
     N is the number of unit delays the arbiters find in the period: the
     smallest tap whose accumulated (pre-skew) delay spans it, within a
-    relative guard of 1e-9 against cumsum rounding.  Position j (1-based tap j) for j < N is that tap's mux-input time,
-    position N is the boundary-mixer midpoint plus the path adjustment, and
-    position N+1 is the wrap endpoint: the next phase position one period up
-    (tap N+1 of the same wavefront, or the next cycle's first tap when the
-    boundary sits on the last tap).
+    relative guard of 1e-9 against cumsum rounding.  Position j (1-based
+    tap j) for j < N is that tap's mux-input time, position N is the
+    boundary-mixer midpoint plus its skew, and position N+1 is the wrap
+    endpoint: the next phase position one period up (tap N+1 of the same
+    wavefront, or the next cycle's first tap when the boundary sits on the
+    last tap).
     """
-    taps = np.cumsum(chain.tap_delays)
+    delays = np.array(tap_delays, dtype=np.float64)
+    skews = np.array(path_skews, dtype=np.float64)
+    if delays.ndim != 1 or delays.size < 2:
+        raise ValueError("tap_delays must hold at least two taps")
+    if skews.shape != delays.shape:
+        raise ValueError("path_skews must match tap_delays in length")
+    if (delays <= 0).any():
+        raise ValueError("all tap delays must be > 0")
+    if unit_delay <= 0:
+        raise ValueError("unit_delay must be > 0")
+    if period <= 0:
+        raise ValueError(f"clock period must be > 0, got {period}")
+    taps = np.cumsum(delays)
     limit = period * (1.0 - 1e-9)
     if taps[-1] < limit:
         raise ChainUnderspanError(
             f"chain spans {taps[-1]:.4e} s, shorter than the clock period {period:.4e} s"
         )
     n = int(np.searchsorted(taps, limit, side="left")) + 1
-    adjust = chain.path_skews if adjustments is None else chain.path_skews + adjustments
     positions = np.empty(n + 1, dtype=np.float64)
-    positions[: n - 1] = taps[: n - 1] + adjust[: n - 1]
-    positions[n - 1] = 0.5 * (taps[n - 1] + period) + adjust[n - 1]
-    if n < chain.n_taps:
-        positions[n] = taps[n] + adjust[n]
+    positions[: n - 1] = taps[: n - 1] + skews[: n - 1]
+    positions[n - 1] = 0.5 * (taps[n - 1] + period) + skews[n - 1]
+    if n < delays.size:
+        positions[n] = taps[n] + skews[n]
     else:
-        positions[n] = period + chain.tap_delays[0] + adjust[0]
-    return positions, n
+        positions[n] = period + delays[0] + skews[0]
+    for array in (delays, skews, positions):
+        array.flags.writeable = False
+    return DelayChain(unit_delay, delays, skews, period, n, positions)
+
+
+def ring_positions(
+    chain: DelayChain,
+    period: Duration,
+    adjustments: np.ndarray | None = None,
+) -> tuple[np.ndarray, int]:
+    """The N+1 blender endpoint times covering the period after clock edge 0,
+    in ring order, and N (`rowwise_delay_chain`), for the chain's taps and
+    skews at `period`, with optional per-path trim `adjustments` added to
+    the skews."""
+    skews = chain.path_skews if adjustments is None else chain.path_skews + adjustments
+    ring = rowwise_delay_chain(chain.unit_delay, chain.tap_delays, skews, period)
+    return ring.positions, ring.n_delays
 
 
 def apply_boundary_mixers(
@@ -564,7 +591,7 @@ def rowwise_pi_chain(
         skews = keyed_normal(derive_seed(seed, "pi.skew"), np.arange(n_taps)) * skew_sigma
     else:
         skews = np.zeros(n_taps)
-    return DelayChain(unit_delay=unit_delay, tap_delays=taps, path_skews=skews, period=period)
+    return rowwise_delay_chain(unit_delay, taps, skews, period)
 
 
 def rowwise_jitter(master_seed: int, n_cycles: int, sampling_jitter: float) -> np.ndarray:

@@ -27,7 +27,7 @@ from stochadc.interleaver import (
     slice_transfer,
 )
 from stochadc.metrics import measure_pi_transfer_uncorrelated, sndr_enob, walden_fom
-from stochadc.pi import inverted_segments, pi_sweep, trim_paths
+from stochadc.pi import build_delay_chains, inverted_segments, pi_sweep, trim_paths
 from stochadc.stdc import build_chains, count_edges_batch
 from stochadc.stimulus import SineStimulus
 
@@ -203,7 +203,9 @@ def test_criterion_05_pi_trim_recovery():
     base = rowwise_pi_chain(12.5 * PS, 200 * PS)
     skews = base.path_skews.copy()
     skews[6] += 1.5 * 12.5 * PS
-    injected = replace(base, path_skews=skews)
+    [injected] = build_delay_chains(
+        base.unit_delay, base.tap_delays[None], skews[None], base.period
+    )
     pre_inversions = len(inverted_segments(injected))
     result = trim_paths(injected, 64)
     injected_ok = (

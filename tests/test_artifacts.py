@@ -702,6 +702,31 @@ LUT_LOCK = [
      "ac77e4b71618e2089b205edb6ec8fd98de7391371bab5ee745ddcb34fb45bff5"),
 ]
 
+# configs/pi_mc.yaml at a path-skew sigma of 0.35 unit delays and 400 trials:
+# 146 of its trials at seed 0 trim (the shipped config trims none), so these
+# digests reach chains a trim rebuilds inside a Monte Carlo.  Recorded with
+# each chain built row by row.
+PI_TRIM_MC_CONFIG = """
+master_seed: 0
+pi:
+  tap_sigma_rel: 0.05
+  skew_sigma_rel: 0.35
+  trim_enabled: true
+  trim_max_iters: 64
+montecarlo:
+  trials: 400
+  experiment: pi-trim
+  workers: 1
+"""
+
+PI_TRIM_MC_LOCK = [
+    ("montecarlo", PI_TRIM_MC_CONFIG, "montecarlo.csv",
+     "5e9bbf738f88ee0f37d84c4578755cd84dda6ed12af1b6fa31f4e3409bb4bcdd"),
+    ("montecarlo", PI_TRIM_MC_CONFIG, "montecarlo.json",
+     "77e32de06c15f994d56eec3b95a0bb048571d237e91ccbb56ede1a81822748fb"),
+]
+LOCKS = GOLDEN + LUT_LOCK + PI_TRIM_MC_LOCK
+
 
 def _config(config: str):
     """A shipped config by file name, or an inline YAML config."""
@@ -740,12 +765,20 @@ def test_no_written_int_goes_to_repr(tmp_path, monkeypatch, experiment, config):
 
 @pytest.mark.parametrize(
     "experiment,config,artifact,digest",
-    GOLDEN + LUT_LOCK,
-    ids=[g[2] for g in GOLDEN] + [f"lut-{g[2]}" for g in LUT_LOCK],
+    LOCKS,
+    ids=[g[2] for g in GOLDEN] + [f"lut-{g[2]}" for g in LUT_LOCK]
+    + [f"pi-trim-mc-{g[2]}" for g in PI_TRIM_MC_LOCK],
 )
 def test_golden_digest(golden_run, experiment, config, artifact, digest):
     out = golden_run(experiment, config)
     assert hashlib.sha256((out / artifact).read_bytes()).hexdigest() == digest
+
+
+def test_the_trimming_pi_monte_carlo_trims(golden_run):
+    path = golden_run("montecarlo", PI_TRIM_MC_CONFIG) / "montecarlo.csv"
+    rows = list(csv.DictReader(path.read_text(encoding="utf-8").splitlines()[2:]))
+    assert len(rows) == 400
+    assert sum(int(row["iterations"]) > 1 for row in rows) == 146
 
 
 # Every numeric artifact value names its unit: a time ends in _seconds, a
@@ -852,8 +885,8 @@ def test_golden_digests_without_avx512_dispatch():
         PYTHONPATH=str(Path(stochadc.__file__).resolve().parents[1]),
     )
     proc = subprocess.run(
-        [sys.executable, "-c", GOLDEN_CHILD, json.dumps(GOLDEN + LUT_LOCK), str(CONFIG_DIR)],
+        [sys.executable, "-c", GOLDEN_CHILD, json.dumps(LOCKS), str(CONFIG_DIR)],
         env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [digest for *_, digest in GOLDEN + LUT_LOCK]
+    assert json.loads(proc.stdout) == [digest for *_, digest in LOCKS]

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri as scipy_ndtri
 
+from stochadc import core
 from stochadc.core import (
     CLAMP_FLOOR,
     derive_seed,
@@ -253,19 +255,47 @@ def test_seed_sequence_rows_equal_single_seed_draws_on_random_keys(draw, seeds, 
 )
 def test_normal_rows_equal_single_seed_draws(blocks, instances):
     # blocks of several row shapes and lengths, some sharing a length and so
-    # one keyed draw; instance i reads back its own rows of every block
+    # one keyed draw; each block reads back, at instance i, instance i's rows
     blocks = [
         (seed_array(seeds[: instances * math.prod(shape)]).reshape((instances, *shape)), length)
         for seeds, shape, length in blocks
     ]
-    rows = normal_rows(blocks)
-    assert len(rows) == instances
-    for i, instance in enumerate(rows):
-        for (seeds, length), got in zip(blocks, instance):
-            assert got.shape == seeds.shape[1:] + (length,)
-            for seed, row in zip(seeds[i].reshape(-1), got.reshape(-1, length)):
+    drawn = normal_rows(blocks)
+    assert len(drawn) == len(blocks)
+    for (seeds, length), block in zip(blocks, drawn):
+        assert block.shape == seeds.shape + (length,)
+        for i in range(instances):
+            for seed, row in zip(seeds[i].reshape(-1), block[i].reshape(-1, length)):
                 want = keyed_normal(int(seed), np.arange(length))
                 assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("block", [1, 7, 255, 256, 1000])
+def test_keyed_normal_blocks_equal_one_whole_evaluation(monkeypatch, block):
+    # blocks of part of a row, of whole rows, and of rows with a remainder:
+    # every step is element-wise, so each value is the whole evaluation's
+    seeds = EDGE_SEEDS + list(range(30))
+    indices = np.arange(-40, 216).reshape(2, 128)
+    want = ndtri(keyed_uniform(seeds, indices)), ndtri(keyed_uniform(5, indices))
+    monkeypatch.setattr(core, "_NORMAL_BLOCK", block)
+    got = keyed_normal(seeds, indices), keyed_normal(5, indices)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_keyed_normal_peak_memory_is_its_output_plus_a_few_blocks():
+    # acceptance criterion 1's draw, 10,000 seeds x 255 indices: evaluated
+    # whole, its temporaries would peak at about six times its 19.5 MiB output
+    seeds = derive_seed(list(range(10_000)), "stdc.tap.random")
+    tracemalloc.start()
+    try:
+        out = keyed_normal(seeds, np.arange(255))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (10_000, 255)
+    assert peak <= out.nbytes + 10 * core._NORMAL_BLOCK * out.itemsize
 
 
 def test_scalar_seed_keeps_the_index_shape():

@@ -61,6 +61,7 @@ from oracles import (
     histogram_offset_estimate,
     identity_lut,
     rowwise_adc_draws,
+    rowwise_delay_chain,
     rowwise_jitter,
     rowwise_pi_chain,
     unfold,
@@ -825,7 +826,7 @@ def test_injected_skews_enter_the_one_chain_build(seed, pi_tap, pi_skew, injecte
     skews = oracle.path_skews.copy()
     for path, amount in injected:
         skews[path - 1] += amount * pi.unit_delay
-    oracle = dataclasses.replace(oracle, path_skews=skews)
+    oracle = rowwise_delay_chain(oracle.unit_delay, oracle.tap_delays, skews, oracle.period)
     assert_same_bits(chain.tap_delays, oracle.tap_delays)
     assert_same_bits(chain.path_skews, oracle.path_skews)
     assert_same_bits(chain.positions, oracle.positions)
@@ -833,13 +834,16 @@ def test_injected_skews_enter_the_one_chain_build(seed, pi_tap, pi_skew, injecte
 
 def test_one_mismatch_instancer_draws_and_builds():
     # keyed draws are made in core and in interleaver, which alone decides
-    # which rows become which instance; interleaver.pi_chain is the one
-    # PI chain build and stdc.build_chains the one STDC chain build, and no
-    # record is made past its constructor
-    calls, new = [], []
+    # which rows become which instance; pi.build_delay_chains is the one
+    # PI chain build and stdc.build_chains the one STDC chain build, no
+    # record is made past its constructor, and none is copied with a field
+    # changed: `dataclasses.replace` would keep a plain record's old ring
+    calls, new, imports = [], [], []
     package = Path(il.__file__).parent
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                imports += [(path.stem, alias.name) for alias in node.names]
             if isinstance(node, ast.Call):
                 func = node.func
                 name = getattr(func, "id", None) or getattr(func, "attr", None)
@@ -849,9 +853,12 @@ def test_one_mismatch_instancer_draws_and_builds():
     draws = {module for module, name in calls
              if name in ("derive_seed", "keyed_normal", "normal_rows")}
     assert draws == {"core", "interleaver"}
-    assert [module for module, name in calls if name == "DelayChain"] == ["interleaver"]
+    assert [module for module, name in calls if name == "DelayChain"] == ["pi"]
     assert [module for module, name in calls if name == "InverterChain"] == ["stdc"]
     assert new == []
+    assert [module for module, name in imports if name == "replace"] == []
+    assert [module for module, name in calls
+            if name == "replace" and module in ("pi", "interleaver")] == []
 
 
 def test_every_package_export_has_a_caller():

@@ -1,4 +1,4 @@
-from dataclasses import replace
+import re
 
 import numpy as np
 import pytest
@@ -7,12 +7,20 @@ from hypothesis import strategies as st
 
 from stochadc import interleaver as il
 from stochadc.config import PiConfig, RunConfig, SystemConfig
-from stochadc.core import CLAMP_FLOOR, derive_seed, keyed_uniform, seed_array
+from stochadc.core import (
+    CLAMP_FLOOR,
+    derive_seed,
+    keyed_normal,
+    keyed_uniform,
+    mismatch_scale,
+    seed_array,
+)
 from stochadc.errors import ChainUnderspanError, TrimConvergenceError
 from stochadc.pi import (
     BLEND_STEPS,
     PI_CODES,
     DelayChain,
+    build_delay_chains,
     code_table,
     inverted_segments,
     pi_output,
@@ -29,6 +37,7 @@ from oracles import (
     encode,
     propagate_chain,
     ring_positions,
+    rowwise_delay_chain,
     rowwise_pi_chain,
     segment_endpoints,
     single_code_output,
@@ -43,11 +52,19 @@ def ideal_chain():
     return rowwise_pi_chain(TD, PERIOD)
 
 
+def one_chain(chain, path_skews) -> DelayChain:
+    """`chain` with other path skews, built by the production builder's
+    one-row case."""
+    [built] = build_delay_chains(chain.unit_delay, chain.tap_delays[None], path_skews[None],
+                                 chain.period)
+    return built
+
+
 def skewed_chain(path_1based, amount_td):
     chain = ideal_chain()
     skews = chain.path_skews.copy()
     skews[path_1based - 1] += amount_td * TD
-    return replace(chain, path_skews=skews)
+    return one_chain(chain, skews)
 
 
 class TestPropagate:
@@ -389,7 +406,8 @@ def pi_cases(draw):
         skew_sigma=draw(st.floats(0.0, 0.8)) * TD,
         seed=seed,
     )
-    chain = replace(chain, period=np.cumsum(chain.tap_delays)[-1] * draw(st.floats(0.37, 1.0)))
+    period = np.cumsum(chain.tap_delays)[-1] * draw(st.floats(0.37, 1.0))
+    chain = rowwise_delay_chain(chain.unit_delay, chain.tap_delays, chain.path_skews, period)
     adjustments = None
     trim_rel = draw(st.floats(0.0, 0.99))
     if trim_rel > 0.05:
@@ -400,10 +418,11 @@ def pi_cases(draw):
 
 
 def trimmed(chain, adjustments):
-    """The chain with `adjustments` added to its path skews, as a trim does."""
+    """The chain with `adjustments` added to its path skews, rebuilt as a
+    trim does."""
     if adjustments is None:
         return chain
-    return replace(chain, path_skews=chain.path_skews + adjustments)
+    return one_chain(chain, chain.path_skews + adjustments)
 
 
 def bits(a):
@@ -457,12 +476,13 @@ def test_chain_keeps_its_own_read_only_arrays():
     # caller can still change
     taps = np.full(32, TD)
     skews = np.zeros(32)
-    chain = DelayChain(unit_delay=TD, tap_delays=taps, path_skews=skews, period=PERIOD)
+    [chain] = build_delay_chains(TD, taps[None], skews[None], PERIOD)
     before = chain.positions.copy()
     taps[:] = 2 * TD
     skews[6] = 1.5 * TD
     assert np.array_equal(chain.positions, before)
     assert chain.n_delays == 16
+    assert not chain.path_skews.any() and (chain.tap_delays == TD).all()
     for array in (chain.tap_delays, chain.path_skews, chain.positions):
         with pytest.raises(ValueError):
             array[0] = 0.0
@@ -475,8 +495,132 @@ def test_exact_tie_fires():
     skews = chain.path_skews.copy()
     accumulated = np.cumsum(chain.tap_delays)
     skews[6] = accumulated[7] - accumulated[6]
-    chain = replace(chain, path_skews=skews)
+    chain = one_chain(chain, skews)
     positions = chain.positions
     assert positions[6] == positions[7]
     assert inverted_segments(chain) == [(7, 8)]
     assert per_code_inverted_segments(chain) == [(7, 8)]
+
+
+@st.composite
+def chain_stacks(draw):
+    """A stack of 1-64 mismatched rows of 2-64 taps, with or without skews,
+    some rows with trim adjustments below the unit delay added, and a period
+    every row spans: a fraction of the shortest row's span, or one of its
+    accumulated tap delays within the arbiters' guard either side (on its
+    last tap, that row's ring wraps)."""
+    k, n_taps = draw(st.integers(1, 64)), draw(st.integers(2, 64))
+    seeds = seed_array(draw(st.lists(st.integers(0, 2**64 - 1), min_size=k, max_size=k)))
+    normals = keyed_normal(derive_seed(seeds, "pi.tap"), np.arange(n_taps))
+    delays = mismatch_scale(TD, draw(st.sampled_from([0.0]) | st.floats(0.0, 0.3)), normals)
+    skews = np.zeros((k, n_taps))
+    skew_rel = draw(st.sampled_from([0.0]) | st.floats(0.0, 1.0))
+    if skew_rel > 0:
+        skews += keyed_normal(derive_seed(seeds, "pi.skew"), np.arange(n_taps)) * skew_rel * TD
+    trims = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)))
+    adjust = keyed_uniform(derive_seed(seeds, "trim"), np.arange(n_taps)) * 2.0 - 1.0
+    skews[trims] += adjust[trims] * draw(st.floats(0.0, 0.99)) * TD
+    taps = np.cumsum(delays, axis=1)
+    shortest = taps[np.argmin(taps[:, -1])]
+    if draw(st.booleans()):
+        tap = draw(st.sampled_from([n_taps - 1]) | st.integers(0, n_taps - 1))
+        period = shortest[tap] * draw(st.sampled_from([1.0, 1.0 + 1e-12, 1.0 - 1e-12]))
+    else:
+        period = shortest[-1] * draw(st.floats(0.37, 1.0))
+    return delays, skews, period
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(chain_stacks())
+def test_stacked_build_equals_the_row_by_row_build(stack):
+    # the one-pass build of a stack, N and the ring included, bit for bit
+    # against each row built alone, in rows whose ring wraps onto the next
+    # cycle's first tap and in rows whose ring does not
+    delays, skews, period = stack
+    chains = list(build_delay_chains(TD, delays, skews, period))
+    assert len(chains) == delays.shape[0]
+    for chain, row_delays, row_skews in zip(chains, delays, skews):
+        want = rowwise_delay_chain(TD, row_delays, row_skews, period)
+        assert type(chain.n_delays) is int and chain.n_delays == want.n_delays
+        assert (chain.unit_delay, chain.period, chain.n_taps) == (TD, period, delays.shape[1])
+        for name in ("tap_delays", "path_skews", "positions"):
+            got, expected = getattr(chain, name), getattr(want, name)
+            assert got.shape == expected.shape
+            assert np.array_equal(bits(got), bits(expected)), name
+            assert not got.flags.writeable, name
+
+
+def test_a_stack_holds_wrapping_and_plain_rings():
+    # equal taps spanning the period exactly quantize to N = n_taps (the ring
+    # wraps from the first tap) within the arbiter guard; longer rows do not
+    delays = np.full((3, 16), TD)
+    delays[1] *= 1.25
+    delays[2, 0] = 3 * TD
+    chains = list(build_delay_chains(TD, delays, np.zeros_like(delays), 16 * TD))
+    assert [c.n_delays for c in chains] == [16, 13, 14]
+    assert [c.positions.size for c in chains] == [17, 14, 15]
+    assert chains[0].positions[16] == 16 * TD + TD
+
+
+NON_FINITE_ARGS = dict(unit_delay=TD, tap_delays=np.full((3, 32), TD), path_skews=np.zeros((3, 32)),
+                       period=PERIOD)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_non_finite_tap_delay_is_refused_by_name(value):
+    # unrefused, a NaN tap sweeps NaN phases and an inf one inf phases
+    delays = NON_FINITE_ARGS["tap_delays"].copy()
+    delays[2, 5] = value
+    with pytest.raises(ValueError, match="tap_delays must be finite"):
+        build_delay_chains(**{**NON_FINITE_ARGS, "tap_delays": delays})
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_path_skew_is_refused_by_name(value):
+    # unrefused, a NaN skew trims on to the iteration limit
+    skews = NON_FINITE_ARGS["path_skews"].copy()
+    skews[1, 0] = value
+    with pytest.raises(ValueError, match="path_skews must be finite"):
+        build_delay_chains(**{**NON_FINITE_ARGS, "path_skews": skews})
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_non_finite_unit_delay_is_refused_by_name(value):
+    with pytest.raises(ValueError, match=f"unit_delay must be finite, got {value}"):
+        build_delay_chains(**{**NON_FINITE_ARGS, "unit_delay": value})
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_non_finite_period_is_refused_by_name(value):
+    # unrefused, a NaN period ends in an untyped IndexError
+    with pytest.raises(ValueError, match=f"period must be finite, got {value}"):
+        build_delay_chains(**{**NON_FINITE_ARGS, "period": value})
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"tap_delays": np.full((2, 1), TD), "path_skews": np.zeros((2, 1))},
+         "tap_delays must hold at least two taps"),
+        ({"tap_delays": np.full(32, TD), "path_skews": np.zeros(32)},
+         "tap_delays must hold at least two taps"),
+        ({"path_skews": np.zeros((3, 31))}, "path_skews must match tap_delays in length"),
+        ({"tap_delays": np.where(np.arange(32) == 4, 0.0, np.full((3, 32), TD))},
+         "all tap delays must be > 0"),
+        ({"unit_delay": 0.0}, "unit_delay must be > 0"),
+        ({"period": -PERIOD}, f"clock period must be > 0, got {-PERIOD}"),
+    ],
+)
+def test_an_invalid_stack_keeps_its_message(change, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_delay_chains(**{**NON_FINITE_ARGS, **change})
+
+
+def test_the_first_row_that_does_not_span_the_period_is_named():
+    delays = np.full((4, 32), TD)
+    delays[1] *= 0.5
+    delays[2] *= 0.25
+    with pytest.raises(ChainUnderspanError, match=re.escape(
+        f"chain spans {16 * TD:.4e} s, shorter than the clock period {300 * PS:.4e} s"
+    )):
+        build_delay_chains(TD, delays, np.zeros_like(delays), 300 * PS)
