@@ -17,11 +17,23 @@ quartile distance is wider than the bound, unless every run of this tree
 reads better than every run of the parent; else "within bound".  The exit
 code is 1 if any run reported `correct` other than true or a failed
 operation, else 0.
+
+    python3 bench/pairs.py ../parent --workload pi-mc --record BENCH_36.json
+
+With --record FILE (at the root of this tree) the run is kept under
+`workloads.<workload>` of FILE, next to the workloads already there: the
+seed and run length, each side's git revision, whether its tree differs
+from that revision and the sha256 of its `src/` files (which tells two
+uncommitted trees apart), every pair's two result lines in the order they
+ran, and the summary rows above.  A workload FILE already holds is refused
+before anything runs, and a run that is not `correct` or has a failed
+operation stops the record before anything is written.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -44,6 +56,22 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         sys.exit(f"{checkout}: perfbench/run.py --workload {workload} failed "
                  f"({proc.returncode}): {proc.stderr[-2000:]}")
     return json.loads(lines[-1])
+
+
+def git(checkout: Path, *args: str) -> str | None:
+    """The output of a git command in the checkout, None outside a work tree."""
+    proc = subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def side_record(checkout: Path) -> dict:
+    digest = hashlib.sha256()
+    for path in sorted((checkout / "src").rglob("*.py")):
+        digest.update(str(path.relative_to(checkout)).encode() + b"\0" + path.read_bytes())
+    status = git(checkout, "status", "--porcelain", "--untracked-files=no")
+    return {"revision": git(checkout, "rev-parse", "HEAD"),
+            "dirty": None if status is None else bool(status),
+            "source_sha256": digest.hexdigest()}
 
 
 def is_good(result: dict) -> bool:
@@ -113,17 +141,26 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=3.0)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--record", type=Path, help="a BENCH_<pr>.json to keep the run in")
     args = parser.parse_args()
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     sides = {"parent": args.parent.resolve(), "change": ROOT}
-    pairs, bad = [], 0
+    record = ROOT / args.record if args.record else None
+    kept = json.loads(record.read_text(encoding="utf-8")) if record and record.exists() else {}
+    if args.workload in kept.get("workloads", {}):
+        sys.exit(f"{args.record} already holds {args.workload}; nothing recorded")
+    pairs, runs, bad = [], [], 0
     for i in range(args.pairs):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         results = {side: run_side(sides[side], args.workload, args.seed, args.seconds)
                    for side in order}
         bad += sum(not is_good(result) for result in results.values())
+        if bad and record:
+            sys.exit(f"pair {i + 1}: a run reported correct other than true or a failed "
+                     "operation; nothing recorded")
         pairs.append((results["parent"], results["change"]))
+        runs.append([{"side": side, "result": results[side]} for side in order])
         shown = "  ".join(
             f"{name} {results['parent']['metrics'][name]['value']:.6g} -> "
             f"{results['change']['metrics'][name]['value']:.6g}"
@@ -132,7 +169,16 @@ def main() -> int:
         print(f"pair {i + 1} ({order[0]} first): {shown}", flush=True)
     print(f"{args.workload}, {args.pairs} pairs, seed {args.seed}, --seconds {args.seconds}: "
           "median parent -> change")
-    print(report(summarize(pairs, spec["end_to_end"])))
+    rows = summarize(pairs, spec["end_to_end"])
+    print(report(rows))
+    if record:
+        kept.setdefault("workloads", {})[args.workload] = {
+            "seed": args.seed, "seconds": args.seconds,
+            "sides": {side: side_record(checkout) for side, checkout in sides.items()},
+            "pairs": runs, "summary": rows,
+        }
+        record.write_text(json.dumps(kept, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        print(f"wrote {args.workload} to {args.record}")
     if bad:
         print(f"{bad} runs reported correct other than true or a failed operation")
         return 1

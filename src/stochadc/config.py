@@ -32,6 +32,18 @@ meaningful values have no hidden defaults beyond the documented design
 sizing.  Loading then re-serializing a config (`yaml.safe_dump` of
 `config_to_dict`) is idempotent, a tested property.
 
+The package reads a config's YAML itself (`_Reader`), with no YAML library:
+block mappings and sequences (a key's sequence may sit at the key's indent,
+as PyYAML writes it), flow sequences and mappings, comments, and plain,
+quoted and null scalars.  A plain scalar takes the type PyYAML 6's safe
+loader gives it under YAML 1.1, so `5.0e-12` and `.inf` are floats while
+`100e-12` and `1.0e5` stay strings (`_value` reads those as numbers where a
+number is expected).  Every other construct is refused with a
+`ConfigError` naming its line: YAML 1.1's other booleans, integers in other
+bases or with `_` or `:`, timestamps, anchors, aliases, merge keys, tags,
+document markers, block scalars, multi-line scalars, `?` keys and tabs in
+indentation.  The tests hold the reader to PyYAML.
+
 Annotations are evaluated when each class is created (no postponed
 annotations), so `_check` reads each `Field.type` as it is;
 `typing.get_type_hints` on every section would slow the first load.
@@ -43,12 +55,11 @@ import hashlib
 import json
 import math
 import numbers
+import re
 import typing
 from dataclasses import field, fields
 from pathlib import Path
 from typing import Annotated
-
-import yaml
 
 from .core import Record
 from .errors import CoherenceError, ConfigError
@@ -551,28 +562,186 @@ def load_config(path) -> RunConfig:
     return parse_config(text)
 
 
-class _Loader(yaml.SafeLoader):
-    """PyYAML's safe loader, refusing a key repeated in one mapping, of which
-    the safe loader would silently keep the last value."""
+# The config reader: the YAML subset the configs use, read as PyYAML 6's safe
+# loader reads it, and any other construct refused with its line.  A token is
+# taken from one line; `plain` is what PyYAML scans as a one-line plain
+# scalar, less a '?', ',', '[', ']', '{' or '}' in it and a ':' before one
+# (refused, as is a plain scalar that starts with '?' or ':').
+_TOKEN = re.compile(r"""(?x)
+    (?P<space>[ ]+) | (?P<comment>\#.*)
+  | '(?P<single>(?:[^']|'')*)' | "(?P<double>(?:[^"\\]|\\.)*)"
+  | (?P<indicator>[-:](?=[ ]|$) | [\[\]{},])
+  | (?P<plain>(?:[^-?:,\[\]{}\#&*!|>'"%@`\s] | -(?=[^\s,\[\]{}]))
+      (?:[^\s,\[\]{}:?] | :(?=[^\s,\[\]{}]) | [ ]+(?=[^\s\#,\[\]{}:?]))*)""")
+_REFUSED = {"&": "an anchor", "*": "an alias", "!": "a tag", "|": "a block scalar",
+            ">": "a block scalar", "%": "a directive", "?": "a '?' key", "\t": "a tab",
+            "'": "a multi-line quoted scalar", '"': "a multi-line quoted scalar"}
+_ESCAPE = r"\\(x[0-9A-Fa-f]{2}|u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|.)"  # compiled on first use
+_ESCAPES = dict(zip('0abt\tnvfre "/\\N_LP', '\0\a\b\t\t\n\v\f\r\x1b "/\\\x85\xa0\u2028\u2029'))
+_WORDS = {"~": None, "null": None, "Null": None, "NULL": None, "true": True, "True": True,
+          "TRUE": True, "false": False, "False": False, "FALSE": False,
+          **{s + w: float(s + "inf") for s in ("", "+", "-") for w in (".inf", ".Inf", ".INF")},
+          **dict.fromkeys((".nan", ".NaN", ".NAN"), math.nan)}
+_NUMBER = re.compile(r"[-+]?(?:0|[1-9][0-9]*)|(?P<float>[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?"
+                     r"|\.[0-9]+(?:[eE][-+][0-9]+)?)")
+# PyYAML's other implicit types (yaml/resolver.py), refused: its words, and
+# its numbers and timestamps (these widened to any scalar that starts with a
+# date), which start with a sign, a point or a digit; `re` compiles their
+# pattern on first use, which no string of a shipped config makes
+_YAML11_WORDS = {**dict.fromkeys("yes Yes YES no No NO on On ON off Off OFF".split(), "boolean"),
+                 "<<": "merge key", "=": "value key"}
+_YAML11_NUMBERS = (
+    r"(?P<integer>[-+]?(?:0b[0-1_]+|0[0-7_]+|0|[1-9][0-9_]*|0x[0-9a-fA-F_]+"
+    r"|[1-9][0-9_]*(?::[0-5]?[0-9])+))"
+    r"|(?P<float>[-+]?[0-9][0-9_]*\.[0-9_]*(?:[eE][-+][0-9]+)?|\.[0-9][0-9_]*(?:[eE][-+][0-9]+)?"
+    r"|[-+]?[0-9][0-9_]*(?::[0-5]?[0-9])+\.[0-9_]*)"
+    r"|(?P<timestamp>[0-9]{4}-[0-9]{1,2}-[0-9]{1,2}(?:[Tt ].*)?)"
+)
 
-    def construct_mapping(self, node, deep=False):
-        seen = set()
-        for key_node, _ in node.value:
-            # a `<<` merge key is not a field, and the safe loader refuses a collection key
-            merge = key_node.tag == "tag:yaml.org,2002:merge"
-            if isinstance(key_node, yaml.ScalarNode) and not merge:
-                key = self.construct_object(key_node)
-                if key in seen:
-                    raise ConfigError(f"key {key!r} repeated on line {key_node.start_mark.line + 1}")
-                seen.add(key)
-        return super().construct_mapping(node, deep)
+
+def _fail(line: int, what: str):
+    raise ConfigError(f"YAML line {line}: {what}")
+
+
+def _plain(text: str, line: int):
+    """A plain scalar as PyYAML's safe loader types it, or refused."""
+    if text in _WORDS:
+        return _WORDS[text]
+    if number := _NUMBER.fullmatch(text):
+        return float(text) if number["float"] else int(text)
+    kind = _YAML11_WORDS.get(text)
+    if kind is None and text[0] in "-+.0123456789":
+        kind = (other := re.fullmatch(_YAML11_NUMBERS, text)) and other.lastgroup
+    if kind:
+        _fail(line, f"{text!r}, a YAML 1.1 {kind}, is not supported")
+    return text
+
+
+def _unescape(text: str, line: int) -> str:
+    def one(match):
+        code = match[1]
+        return _ESCAPES[code] if len(code) == 1 else chr(int(code[1:], 16))
+
+    try:
+        return re.sub(_ESCAPE, one, text)
+    except (KeyError, ValueError):
+        _fail(line, "an unknown escape in a double-quoted scalar is not supported")
+
+
+_READ = {"single": lambda text, line: text.replace("''", "'"), "double": _unescape,
+         "plain": _plain, "indicator": lambda text, line: text}
+
+
+def _tokens(text: str):
+    """(kind, value, line, column, first on its line) of each token; a
+    scalar's kind is "scalar", and an indicator is its own kind and value."""
+    text = text.replace("\r\n", "\n")
+    # refuses what PyYAML's reader refuses, the \x85, \u2028 and \u2029 its
+    # scanner takes as line breaks, the BOM it skips, and a few it reads
+    if not text.replace("\t", " ").replace("\n", " ").isprintable():
+        at = next(i for i, c in enumerate(text) if c not in "\t\n" and not c.isprintable())
+        _fail(text.count("\n", 0, at) + 1, f"the character {text[at]!r} is not supported")
+    for line, row in enumerate(text.split("\n"), 1):
+        col, first = len(row) - len(row.lstrip(" ")), True
+        if row[col:col + 1] == "\t":
+            _fail(line, "a tab in indentation is not supported")
+        if row[:3] in ("---", "...") and row[3:4] in ("", " ", "\t"):
+            _fail(line, "a document marker ('---' or '...') is not supported")
+        while col < len(row):
+            if (match := _TOKEN.match(row, col)) is None:
+                _fail(line, f"{_REFUSED.get(row[col], repr(row[col]))} is not supported")
+            kind, value, start, col = match.lastgroup, match[match.lastgroup], col, match.end()
+            if kind in _READ:
+                value = _READ[kind](value, line)
+                yield (value if kind == "indicator" else "scalar"), value, line, start, first
+                first = False
+
+
+class _Reader:
+    """Reads one config document from its tokens: block mappings and
+    sequences (a key's sequence may sit at the key's indent), flow
+    collections on one or more lines, and scalars.  A key repeated in one
+    mapping is refused, where PyYAML would keep its last value."""
+
+    def __init__(self, text: str):
+        self.tokens = [*_tokens(text), ("end", None, text.count("\n") + 1, -1, True)]
+        self.i = 0
+
+    def peek(self, ahead: int = 0):  # nothing takes the end token
+        return self.tokens[self.i + ahead]
+
+    def expect(self, kinds: tuple, want: str):
+        kind, value, line, *_ = token = self.peek()
+        if kind not in kinds:
+            _fail(line, f"expected {want}, found {'the end' if kind == 'end' else repr(value)}")
+        self.i += 1
+        return token
+
+    def stray(self, col: int):  # refuses the token after a value of the block at `col`
+        _, _, line, at, first = self.peek()
+        if first and at > col:
+            _fail(line, "a line indented under a value (a multi-line scalar) is not supported")
+        self.expect((), "the end of the value")
+
+    def document(self):
+        value = None if self.peek()[0] == "end" else self.node(block=True)
+        if self.peek()[0] != "end":
+            self.stray(self.tokens[0][3])
+        return value
+
+    def node(self, block: bool):
+        kind, _, _, col, _ = self.peek()
+        if block and (kind == "-" or (kind == "scalar" and self.peek(1)[0] == ":")):
+            return self.block(col, seq=kind == "-")
+        kind, value, *_ = self.expect(("scalar", "[", "{"), "a value")
+        if kind == "scalar":
+            return value
+        close, out = ("]", []) if kind == "[" else ("}", {})
+        while self.peek()[0] != close:
+            if kind == "[":
+                out.append(self.node(block=False))
+            else:
+                key = self.key(out)
+                out[key] = None if self.peek()[0] in (",", "}") else self.node(block=False)
+            if self.peek()[0] != close:
+                self.expect((",",), f"',' or '{close}'")
+        self.i += 1
+        return out
+
+    def key(self, mapping: dict):
+        _, key, line, col, _ = self.expect(("scalar",), "a key")
+        _, _, colon_line, colon, _ = self.expect((":",), f"':' after key {key!r}")
+        if colon_line != line or colon - col > 1024:  # PyYAML's simple-key limits
+            _fail(line, "a key split from its ':' or over 1024 characters is not supported")
+        if key in mapping:
+            raise ConfigError(f"key {key!r} repeated on line {line}")
+        return key
+
+    def block(self, col: int, seq: bool):
+        """The block sequence (`seq`) or mapping at `col`: a value is on its
+        entry's line, on deeper lines, or a sequence at `col` after a key."""
+        out = {}  # a sequence's items by their index
+        while True:
+            if seq:
+                self.i += 1  # its '-'
+            key = len(out) if seq else self.key(out)
+            kind, _, _, at, first = self.peek()
+            if not first or at > col or (at == col and kind == "-" and not seq):
+                out[key] = self.node(block=seq or first)
+            else:
+                out[key] = None
+            kind, _, _, at, first = self.peek()
+            if first and (at < col or (at == col and seq and kind != "-")):  # the end is at -1
+                return [*out.values()] if seq else out
+            if not (first and at == col and kind == ("-" if seq else "scalar")):
+                self.stray(col)
 
 
 def parse_config(text: str) -> RunConfig:
     try:
-        data = yaml.load(text, Loader=_Loader)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"malformed YAML: {exc}") from exc
+        data = _Reader(text).document()
+    except RecursionError:  # a flow collection nested about a thousand deep
+        raise ConfigError("YAML nested too deeply") from None
     return _validate(_build(RunConfig, {} if data is None else data))
 
 

@@ -1,4 +1,5 @@
-"""bench/pairs.py: the summary of alternating parent/change benchmark runs."""
+"""bench/pairs.py: the summary of alternating parent/change benchmark runs,
+and the record it keeps of them."""
 
 import importlib.util
 import json
@@ -104,15 +105,22 @@ def test_a_wrong_or_failed_run_is_bad(pairs, correct, failed, good):
     assert pairs.is_good(result_line(0.1, 1.0, correct, failed)) is good
 
 
-def fake_runs(results: list, calls: list):
+# what git answers in a checkout with no uncommitted change
+GIT = {"rev-parse": "f00d\n", "status": ""}
+
+
+def fake_runs(results: list, calls: list, returncode: int = 0):
     """A `subprocess.run` answering like perfbench/run.py with each of
-    `results` in turn, noting each call's checkout."""
+    `results` in turn, noting each call's checkout, and like git in a clean
+    checkout."""
     answers = iter(results)
 
     def run(args, cwd, **kwargs):
+        if args[0] == "git":
+            return subprocess.CompletedProcess(args, 0, stdout=GIT[args[1]], stderr="")
         calls.append(Path(cwd))
         stdout = json.dumps({"spread": {}}) + "\n" + json.dumps(next(answers)) + "\n"
-        return subprocess.CompletedProcess(args, 0, stdout=stdout, stderr="")
+        return subprocess.CompletedProcess(args, returncode, stdout=stdout, stderr="")
 
     return run
 
@@ -135,3 +143,60 @@ def test_good_runs_exit_zero(pairs, monkeypatch, tmp_path):
     monkeypatch.setattr("sys.argv", ["pairs.py", str(tmp_path), "--workload", "pi-mc",
                                      "--pairs", "1"])
     assert pairs.main() == 0
+
+
+def record(pairs, monkeypatch, tmp_path, runs, workload="pi-mc", calls=None, returncode=0):
+    """`pairs.main()` over two pairs recorded into tmp_path/BENCH.json."""
+    monkeypatch.setattr(pairs.subprocess, "run", fake_runs(runs, [] if calls is None else calls,
+                                                           returncode))
+    monkeypatch.setattr("sys.argv", ["pairs.py", str(tmp_path), "--workload", workload,
+                                     "--pairs", "2", "--seconds", "1", "--record",
+                                     str(tmp_path / "BENCH.json")])
+    return pairs.main()
+
+
+def test_a_record_keeps_every_pair_in_run_order(pairs, monkeypatch, tmp_path):
+    runs = [result_line(0.1 + i / 100, 1.0) for i in range(4)]
+    assert record(pairs, monkeypatch, tmp_path, runs) == 0
+    entry = json.loads((tmp_path / "BENCH.json").read_text())["workloads"]["pi-mc"]
+    assert (entry["seed"], entry["seconds"]) == (0, 1.0)
+    # the parent ran first in pair 1, the change in pair 2
+    assert entry["pairs"] == [
+        [{"side": "parent", "result": runs[0]}, {"side": "change", "result": runs[1]}],
+        [{"side": "change", "result": runs[2]}, {"side": "parent", "result": runs[3]}],
+    ]
+    assert entry["summary"] == pairs.summarize([(runs[0], runs[1]), (runs[3], runs[2])], END_TO_END)
+    assert [row["verdict"] for row in entry["summary"]] == ["within bound"] * 2
+    for side in entry["sides"].values():
+        assert (side["revision"], side["dirty"]) == ("f00d", False)
+        assert len(side["source_sha256"]) == 64
+    # the sha256 tells this tree's src/ from an empty one
+    assert entry["sides"]["change"]["source_sha256"] != entry["sides"]["parent"]["source_sha256"]
+
+
+def test_a_second_workload_joins_the_record_and_a_kept_one_is_refused(pairs, monkeypatch, tmp_path):
+    runs = [result_line(0.1, 1.0)] * 4
+    assert record(pairs, monkeypatch, tmp_path, runs, "pi-mc") == 0
+    assert record(pairs, monkeypatch, tmp_path, runs, "regime-mc") == 0
+    kept = (tmp_path / "BENCH.json").read_text()
+    assert sorted(json.loads(kept)["workloads"]) == ["pi-mc", "regime-mc"]
+    calls = []
+    with pytest.raises(SystemExit, match="already holds pi-mc; nothing recorded"):
+        record(pairs, monkeypatch, tmp_path, runs, "pi-mc", calls)
+    assert calls == [] and (tmp_path / "BENCH.json").read_text() == kept
+
+
+@pytest.mark.parametrize("correct,failed", [(False, 1), (False, 0), (True, 2)])
+def test_wrong_bytes_or_failed_runs_stop_the_record(pairs, monkeypatch, tmp_path, correct, failed):
+    # run.py exits 0 when it reports "correct": false, so its exit code alone
+    # would let a wrong-bytes run into BENCH_<pr>.json
+    runs = [result_line(0.1, 1.0)] * 3 + [result_line(0.1, 1.0, correct, failed)]
+    with pytest.raises(SystemExit, match="nothing recorded"):
+        record(pairs, monkeypatch, tmp_path, runs)
+    assert not (tmp_path / "BENCH.json").exists()
+
+
+def test_nonzero_exit_stops_the_record(pairs, monkeypatch, tmp_path):
+    with pytest.raises(SystemExit, match="failed"):
+        record(pairs, monkeypatch, tmp_path, [result_line(0.1, 1.0)] * 4, returncode=1)
+    assert not (tmp_path / "BENCH.json").exists()
