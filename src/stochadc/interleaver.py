@@ -14,7 +14,7 @@ retime, which the aligner compensates exactly before interleaving.
 
 This module is also the one mismatch instancer, from draw to build: it
 alone decides which keyed-draw rows become which instance, the converter's
-(`mismatch_seeds`, read by `AdcSystem`) and the one PI chain `pi-sweep` and
+(`mismatch_seeds`, built by `converters`) and the one PI chain `pi-sweep` and
 `pi-trim` model (`pi_mismatch_seeds`); it draws them for a run's trials,
 `DRAW_NORMALS` at a time (`converters`, `pi_chains`); `pi_chain` scales
 every PI chain from a stack of rows, the converter's four and a draw chunk
@@ -26,6 +26,7 @@ from __future__ import annotations
 import cmath
 from contextlib import contextmanager
 from dataclasses import fields
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -134,11 +135,16 @@ def _instances(cfg: RunConfig, seeds: list[int], row_seeds, build):
 
 
 def converters(cfg: RunConfig, seeds: list[int]):
-    """Each seed's `AdcSystem`, built lazily in order."""
-    def build(chunk, blocks):
-        return (AdcSystem(cfg, seed, rows) for seed, rows in zip(chunk, zip(*blocks)))
-
-    return _instances(cfg, seeds, mismatch_seeds, build)
+    """Each seed's `AdcSystem`, built lazily in order: the one builder."""
+    if cfg.pi.injected_skews:
+        # a per-path skew is defined on the one chain pi-sweep/pi-trim model,
+        # not across the system's four group chains
+        raise ConfigError(
+            "pi.injected_skews applies only to pi-sweep and pi-trim; "
+            "remove it to build the full converter"
+        )
+    make = partial(_converter, cfg)
+    return _instances(cfg, seeds, mismatch_seeds, lambda chunk, rows: map(make, chunk, zip(*rows)))
 
 
 def pi_chains(cfg: RunConfig, seeds: list[int]):
@@ -147,79 +153,72 @@ def pi_chains(cfg: RunConfig, seeds: list[int]):
     return _instances(cfg, seeds, pi_mismatch_seeds, lambda _, blocks: pi_chain(cfg, blocks[0]))
 
 
-class AdcSystem:
+def _converter(cfg: RunConfig, seed, rows) -> AdcSystem:
+    """One seed's `AdcSystem` from its rows of `mismatch_seeds`, refused
+    outside the design envelope, its PI chains trimmed when `pi.trim_enabled`."""
+    adc = cfg.adc
+    master_seed = seed_int(seed)
+    tap_normals, (slope_normals, threshold_normals), pi_normals = rows
+    sys_dev = tap_normals[0] * adc.tap_sigma_systematic
+    rand_dev = tap_normals[1:] * adc.tap_sigma_random
+    taps = adc.unit_delay * (1.0 + sys_dev + rand_dev)
+    taps = np.maximum(taps, CLAMP_FLOOR * adc.unit_delay)
+    chains = tuple(build_chains(taps))
+    slopes = adc.discharge_slope * (1.0 + slope_normals * adc.slope_sigma)
+    slopes = np.maximum(slopes, CLAMP_FLOOR * adc.discharge_slope)
+    thresholds = adc.v_threshold * (1.0 + threshold_normals * adc.threshold_sigma)
+    thresholds = np.maximum(thresholds, CLAMP_FLOOR * adc.v_threshold)
+    slopes.flags.writeable = thresholds.flags.writeable = False
+    slope_p, slope_n = slopes[0::2], slopes[1::2]
+    vth_p, vth_n = thresholds[0::2], thresholds[1::2]
+    # a tap edge is counted once only if each slice's own widest pulse (one side
+    # at the supply, the other at its threshold) plus its chain spread fits in
+    # one divided-clock period
+    divided_period = adc.divided_ratio * cfg.system.slice_period
+    widest = adc.d_offset + np.maximum((adc.vdd - vth_p) / slope_p, (adc.vdd - vth_n) / slope_n)
+    last_edges = np.array([chain.total_delay for chain in chains])
+    needed = widest + last_edges
+    failing = np.flatnonzero(divided_period <= needed)
+    if failing.size:
+        s = failing[0]
+        raise ConfigError(
+            f"slice {s} at seed {master_seed} needs {needed[s]:.5g} s for its widest "
+            f"pulse ({widest[s]:.5g} s) plus its chain spread, but the divided clock "
+            f"period is {divided_period:.5g} s; raise adc.divided_ratio or shorten the chain"
+        )
+    # and a count reaches its end only if that pulse closes before the
+    # chain's last edge fires: past it, counts would stop at adc.n_taps
+    closes = adc.launch_lead + widest
+    failing = np.flatnonzero(closes > last_edges)
+    if failing.size:
+        s = failing[0]
+        raise ConfigError(
+            f"slice {s} at seed {master_seed} needs its chain to reach "
+            f"{closes[s]:.5g} s, where its widest pulse closes, but its last edge "
+            f"fires at {last_edges[s]:.5g} s and counts would saturate at "
+            "adc.n_taps; raise adc.n_taps"
+        )
+    pi_chains = tuple(pi_chain(cfg, pi_normals))
+    if cfg.pi.trim_enabled:
+        pi_chains = tuple(trim_paths(c, cfg.pi.trim_max_iters).chain for c in pi_chains)
+    return AdcSystem(cfg, master_seed, chains, slope_p, slope_n, vth_p, vth_n, pi_chains)
+
+
+class AdcSystem(Record):
     """Mismatch-instantiated converter: chains, V2T parameters, group PIs.
 
-    Drawn from the `adc`, `pi` and `system` sections of a run config, the one
-    description of the design, and read back from ``self.config``.  The
-    mismatch comes from ``normals``, this seed's rows of `mismatch_seeds`
-    as `converters` draws them; left out, they are drawn here for this one
-    seed.
-    """
+    A plain record of a run config, whose `adc`, `pi` and `system` sections
+    are the one description of the design, a seed and the instances drawn
+    from them, built only by `converters`; the V2T arrays are read-only."""
 
-    def __init__(self, cfg: RunConfig, master_seed: int, normals=None):
-        if cfg.pi.injected_skews:
-            # a per-path skew is defined on the one chain pi-sweep/pi-trim model,
-            # not across the system's four group chains
-            raise ConfigError(
-                "pi.injected_skews applies only to pi-sweep and pi-trim; "
-                "remove it to build the full converter"
-            )
-        self.config = cfg
-        self.master_seed = seed_int(master_seed)
-
-        adc, sc = cfg.adc, cfg.system
-        if normals is None:
-            blocks = normal_rows(mismatch_seeds(cfg, seed_array([master_seed])))
-            normals = [block[0] for block in blocks]
-        tap_normals, (slope_normals, threshold_normals), pi_normals = normals
-        sys_dev = tap_normals[0] * adc.tap_sigma_systematic
-        rand_dev = tap_normals[1:] * adc.tap_sigma_random
-        taps = adc.unit_delay * (1.0 + sys_dev + rand_dev)
-        taps = np.maximum(taps, CLAMP_FLOOR * adc.unit_delay)
-        self.chains: list[InverterChain] = build_chains(taps)
-
-        slopes = adc.discharge_slope * (1.0 + slope_normals * adc.slope_sigma)
-        slopes = np.maximum(slopes, CLAMP_FLOOR * adc.discharge_slope)
-        thresholds = adc.v_threshold * (1.0 + threshold_normals * adc.threshold_sigma)
-        thresholds = np.maximum(thresholds, CLAMP_FLOOR * adc.v_threshold)
-        self.slope_p = slopes[0::2]
-        self.slope_n = slopes[1::2]
-        self.vth_p = thresholds[0::2]
-        self.vth_n = thresholds[1::2]
-
-        # each tap edge is counted once only if this slice's own widest pulse
-        # (one side at the supply, the other at its threshold) plus its own
-        # chain spread fits in one divided-clock period
-        divided_period = adc.divided_ratio * sc.slice_period
-        widest = adc.d_offset + np.maximum(
-            (adc.vdd - self.vth_p) / self.slope_p, (adc.vdd - self.vth_n) / self.slope_n
-        )
-        for s, chain in enumerate(self.chains):
-            needed = widest[s] + chain.total_delay
-            if divided_period <= needed:
-                raise ConfigError(
-                    f"slice {s} at seed {self.master_seed} needs {needed:.5g} s for its widest "
-                    f"pulse ({widest[s]:.5g} s) plus its chain spread, but the divided clock "
-                    f"period is {divided_period:.5g} s; raise adc.divided_ratio or shorten the chain"
-                )
-        # and a count reaches its end only if that pulse closes before the
-        # chain's last edge fires: past it, counts would stop at adc.n_taps
-        for s, chain in enumerate(self.chains):
-            closes = adc.launch_lead + widest[s]
-            if closes > chain.total_delay:
-                raise ConfigError(
-                    f"slice {s} at seed {self.master_seed} needs its chain to reach "
-                    f"{closes:.5g} s, where its widest pulse closes, but its last edge "
-                    f"fires at {chain.total_delay:.5g} s and counts would saturate at "
-                    "adc.n_taps; raise adc.n_taps"
-                )
-
-        self.pi_chains: list[DelayChain] = list(pi_chain(cfg, pi_normals))
-        if cfg.pi.trim_enabled:
-            self.pi_chains = [
-                trim_paths(c, cfg.pi.trim_max_iters).chain for c in self.pi_chains
-            ]
+    config: RunConfig
+    master_seed: int
+    chains: tuple[InverterChain, ...]  # one STDC chain per slice
+    slope_p: np.ndarray
+    slope_n: np.ndarray
+    vth_p: np.ndarray
+    vth_n: np.ndarray
+    pi_chains: tuple[DelayChain, ...]  # one PI chain per group
 
     def group_phase_offset(self, group: int, code: int) -> float:
         """Group sampling-phase offset vs the ideal grid, for a PI code.

@@ -13,8 +13,8 @@ offset adaptation; a capture applies unfold in
 `interleaver.convert_pair_arrays`.
 A tap edge is counted once per conversion only while the widest pulse plus
 the chain spread fits in one divided-clock period, and a pulse is counted to
-its end only if it closes before the last tap edge; `interleaver.AdcSystem`
-checks both on every slice's chain.
+its end only if it closes before the last tap edge; `interleaver.converters`
+checks both on every slice's chain as it builds a converter.
 The single-shot models (one pulse's tap edges, sampler bits, adder tree and
 unfold; the estimate's cumulative histogram) live in `tests/oracles.py`.
 

@@ -18,7 +18,8 @@ circuit is drawn, and the tests hold the production path to them:
   boundary mixers, leapfrog encoder, 16-step blender and blender-inversion
   detector;
 * the converter's and the PI chain's mismatch instances, one keyed draw per
-  row;
+  row, a one-seed converter build and the design-envelope refusal as two
+  per-slice loops;
 * the mid-tread ideal quantizer and the identity LUT.
 """
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from stochadc.core import Duration, Instant, derive_seed, keyed_normal
 from stochadc.errors import ChainUnderspanError, OverrangeError, UnderrangeError
-from stochadc.interleaver import CODE_MAX, CODE_MIN, LUT_SIZE, N_SLICES
+from stochadc.interleaver import CODE_MAX, CODE_MIN, LUT_SIZE, N_SLICES, converters
 from stochadc.pi import BLEND_STEPS, PI_CODES, DelayChain
 from stochadc.stdc import EdgeBuckets, InverterChain, OffsetEstimate, build_chains
 
@@ -545,9 +546,15 @@ def detect_blender_inversion(t_a: Instant, t_b: Instant, expected: str) -> bool:
 # Mismatch instances, one keyed draw per row.
 
 
+def converter(cfg, seed: int):
+    """One seed's `AdcSystem`, from `interleaver.converters`, its one builder."""
+    return next(converters(cfg, [seed]))
+
+
 def rowwise_adc_draws(adc, master_seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`AdcSystem`'s STDC tap delays (16, n_taps), V2T slopes and thresholds
-    (32,: slice s owns entries 2s and 2s + 1), one keyed draw per row."""
+    """The STDC tap delays (16, n_taps), V2T slopes and thresholds (32,: slice
+    s owns entries 2s and 2s + 1) that `interleaver.converters` builds an
+    `AdcSystem` from, one keyed draw per row."""
     sys_dev = (
         keyed_normal(derive_seed(master_seed, "stdc.tap.systematic"), np.arange(adc.n_taps))
         * adc.tap_sigma_systematic
@@ -570,6 +577,36 @@ def rowwise_adc_draws(adc, master_seed: int) -> tuple[np.ndarray, np.ndarray, np
     )
     thresholds = np.maximum(thresholds, 0.05 * adc.v_threshold)
     return np.array(taps), slopes, thresholds
+
+
+def envelope_refusal(system) -> str | None:
+    """The `ConfigError` message the converter build gives for `system`'s
+    design envelope, or None when every slice fits: two loops over the
+    slices, the divided-period check on every slice first, then the
+    chain-reach check, each naming its first failing slice."""
+    adc, sc = system.config.adc, system.config.system
+    divided_period = adc.divided_ratio * sc.slice_period
+    widest = adc.d_offset + np.maximum(
+        (adc.vdd - system.vth_p) / system.slope_p, (adc.vdd - system.vth_n) / system.slope_n
+    )
+    for s, chain in enumerate(system.chains):
+        needed = widest[s] + chain.total_delay
+        if divided_period <= needed:
+            return (
+                f"slice {s} at seed {system.master_seed} needs {needed:.5g} s for its widest "
+                f"pulse ({widest[s]:.5g} s) plus its chain spread, but the divided clock "
+                f"period is {divided_period:.5g} s; raise adc.divided_ratio or shorten the chain"
+            )
+    for s, chain in enumerate(system.chains):
+        closes = adc.launch_lead + widest[s]
+        if closes > chain.total_delay:
+            return (
+                f"slice {s} at seed {system.master_seed} needs its chain to reach "
+                f"{closes:.5g} s, where its widest pulse closes, but its last edge "
+                f"fires at {chain.total_delay:.5g} s and counts would saturate at "
+                "adc.n_taps; raise adc.n_taps"
+            )
+    return None
 
 
 def rowwise_pi_chain(

@@ -19,7 +19,6 @@ from stochadc.core import keyed_normal
 from stochadc.experiments import run_experiment
 from stochadc.interleaver import (
     NOMINAL_PI_CODES,
-    AdcSystem,
     adapt_offsets,
     aligned_capture,
     calibrate_skew,
@@ -31,7 +30,14 @@ from stochadc.pi import build_delay_chains, inverted_segments, pi_sweep, trim_pa
 from stochadc.stdc import build_chains, count_edges_batch
 from stochadc.stimulus import SineStimulus
 
-from oracles import adder_tree_sum, make_chain, rowwise_pi_chain, substream, tap_edge_times
+from oracles import (
+    adder_tree_sum,
+    converter,
+    make_chain,
+    rowwise_pi_chain,
+    substream,
+    tap_edge_times,
+)
 
 PS = 1e-12
 FS = 20e9
@@ -171,7 +177,7 @@ def test_criterion_03_stdc_transfer_monotonicity():
     violations = 0
     dv = np.linspace(-0.45, 0.45, 1024)
     for seed in range(100):
-        system = AdcSystem(RunConfig(adc=AdcConfig(tap_sigma_random=0.1)), master_seed=seed)
+        system = converter(RunConfig(adc=AdcConfig(tap_sigma_random=0.1)), seed)
         _, _, code = slice_transfer(system, 0, dv, 0.525, 25)
         violations += int(np.any(np.diff(code) < 0))
     report(
@@ -238,7 +244,7 @@ def test_criterion_06_offset_adaptation_recovery():
     for seed in range(100):
         cfg = RunConfig(adc=AdcConfig(tap_sigma_random=0.1))
         adc = cfg.adc
-        system = AdcSystem(cfg, master_seed=seed)
+        system = converter(cfg, seed)
         tone = SineStimulus(
             frequency=GOLDEN_FRACTION * cfg.system.slice_rate, amplitude=0.45, common_mode=0.525,
             phase=float(substream(seed, "adapt.phase").uniform(0, 2 * np.pi)),
@@ -266,7 +272,7 @@ def test_criterion_07_skew_calibration():
         signs = rng.choice([-1.0, 1.0], size=3)
         skews = (0.0, signs[0] * 5 * PS, signs[1] * 5 * PS, signs[2] * 5 * PS)
         design = SystemConfig(skew_injection=skews)
-        system = AdcSystem(RunConfig(system=design), master_seed=seed)
+        system = converter(RunConfig(system=design), seed)
         phase = float(rng.uniform(0, 2 * np.pi))
         tone = SineStimulus(frequency=fin, amplitude=0.44, common_mode=0.525, phase=phase)
         warm = replace(tone, frequency=GOLDEN_FRACTION * design.slice_rate)

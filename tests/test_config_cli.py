@@ -34,6 +34,7 @@ from stochadc.experiments import CalibrationState, run_experiment, run_pi_trim
 from stochadc.metrics import code_density_linearity
 from stochadc.stimulus import SineStimulus
 
+from oracles import converter
 from test_artifacts import LUT_CONFIG
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -79,6 +80,16 @@ RANGE_FIELDS = POSITIVE_FIELDS + [
 
 NAN, INF = float("nan"), float("inf")
 FOM_ENTRY = {"label": "a", "power": 0.1, "enob": 5.6, "rate": 2.0e10}
+
+
+def forbid_converter_builds(monkeypatch):
+    """Fail the test on any mismatch draw or converter build."""
+
+    def unbuilt(*args):
+        raise AssertionError("a converter was drawn or built")
+
+    monkeypatch.setattr(il, "normal_rows", unbuilt)
+    monkeypatch.setattr(il, "_converter", unbuilt)
 
 
 def config_sections() -> dict:
@@ -455,12 +466,7 @@ class TestCli:
         self, tmp_path, monkeypatch, capsys, experiment
     ):
         # calibrate_skew refused it only after the 160k-sample offset warmup
-        import stochadc.interleaver as il
-
-        def unbuilt(*args):
-            raise AssertionError("the converter was built")
-
-        monkeypatch.setattr(il.AdcSystem, "__init__", unbuilt)
+        forbid_converter_builds(monkeypatch)
         text = (CONFIG_DIR / "skewcal.yaml").read_text(encoding="utf-8")
         assert "amplitude: 0.44\n" in text
         p = self.write(tmp_path, text.replace("amplitude: 0.44\n", "amplitude: 0.2\n"))
@@ -477,12 +483,7 @@ class TestCli:
     ):
         # the skew tone is derived from the measurement tone: calibrate ran
         # the whole offset warmup before it asked for one
-        import stochadc.interleaver as il
-
-        def unbuilt(*args):
-            raise AssertionError("the converter was built")
-
-        monkeypatch.setattr(il.AdcSystem, "__init__", unbuilt)
+        forbid_converter_builds(monkeypatch)
         text = "system:\n  calibration:\n    skew: true\n"
         with pytest.raises(ConfigError, match="system.calibration.skew needs a tone"):
             parse_config(text)
@@ -510,17 +511,25 @@ class TestCli:
         # each slice takes every 16th sample: a LUT or linearity capture of
         # 1000 failed after the warmup and the measurement capture, naming
         # no field
-        import stochadc.interleaver as il
-
-        def unbuilt(*args):
-            raise AssertionError("the converter was built")
-
-        monkeypatch.setattr(il.AdcSystem, "__init__", unbuilt)
+        forbid_converter_builds(monkeypatch)
         with pytest.raises(ConfigError, match=f"{field} must be a multiple of 16"):
             parse_config(text)
         p = self.write(tmp_path, text)
         assert main(["adc-sine", "--config", str(p), "--out", str(tmp_path)]) == 2
         assert f"config error: {field} must be a multiple of 16" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment", ["slice-transfer", "adc-sine", "calibrate"])
+    def test_injected_skews_refuse_the_converter_before_any_draw(
+        self, tmp_path, monkeypatch, capsys, experiment
+    ):
+        # a per-path skew belongs to the one chain pi-sweep and pi-trim model
+        forbid_converter_builds(monkeypatch)
+        p = CONFIG_DIR / "pi_trim_injected.yaml"
+        assert main([experiment, "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: pi.injected_skews applies only to pi-sweep and pi-trim; "
+            "remove it to build the full converter\n"
+        )
 
     def test_linearity_capture_below_the_histogram_floor_rejected_at_load(
         self, tmp_path, monkeypatch, capsys
@@ -528,12 +537,7 @@ class TestCli:
         # the code-density histogram needs 100 samples for each of the 255
         # codes: 4096 used to exit 3 after the offset warmup and the
         # measurement capture
-        import stochadc.interleaver as il
-
-        def unbuilt(*args):
-            raise AssertionError("the converter was built")
-
-        monkeypatch.setattr(il.AdcSystem, "__init__", unbuilt)
+        forbid_converter_builds(monkeypatch)
         text = MINIMAL_SINE + "  linearity: true\n  linearity_samples: 4096\n"
         p = self.write(tmp_path, text)
         assert main(["adc-sine", "--config", str(p), "--out", str(tmp_path)]) == 2
@@ -826,10 +830,10 @@ class TestCli:
         for n_taps, fits in ((195, True), (194, False)):
             cfg = parse_config(text.replace("\nadc:\n", f"\nadc:\n  n_taps: {n_taps}\n"))
             if fits:
-                il.AdcSystem(cfg, 1)
+                converter(cfg, 1)
             else:
                 with pytest.raises(ConfigError, match=r"^slice 0 at seed 1 needs its chain"):
-                    il.AdcSystem(cfg, 1)
+                    converter(cfg, 1)
 
     @pytest.mark.parametrize("experiment", ["slice-transfer", "calibrate"])
     def test_underspanning_pi_fails_when_the_converter_is_built(
@@ -1284,13 +1288,13 @@ class TestCli:
         cal = tmp_path / "calibration.json"
         cal.write_text(corrupt(text, json.loads(text)))
         built = []
-        real = il.AdcSystem
+        real = il._converter
 
-        def spy(*args, **kwargs):
-            built.append(args[1])
-            return real(*args, **kwargs)
+        def spy(cfg, seed, rows):
+            built.append(seed)
+            return real(cfg, seed, rows)
 
-        monkeypatch.setattr(il, "AdcSystem", spy)
+        monkeypatch.setattr(il, "_converter", spy)
         capsys.readouterr()
         code = main([
             "adc-sine", "--config", str(cfg), "--out", str(tmp_path / "x"),
@@ -1510,7 +1514,7 @@ class TestSharedToneSwings:
             half = np.full(np.shape(t), 0.1)
             return 0.55 + half, 0.55 - half
 
-        system = il.AdcSystem(small_regime(), 0)
+        system = converter(small_regime(), 0)
         with il.shared_tone_swings() as memo:
             capture = il.run_capture(system, level, 256)
             assert memo.swings == {}

@@ -63,3 +63,7 @@ def test_every_expected_hook_fires_and_counts(tmp_path, experiment, config, expe
     assert {name for name, entry in layers.items() if entry["calls"]} == expected
     for name in expected & set(result["counted"]):
         assert layers[name]["count"] > 0, name
+    if experiment == "adc-sine":
+        # the hook patches AdcSystem's record constructor, which the one
+        # builder calls once per converter
+        assert layers["interleaver.AdcSystem"]["calls"] == 1

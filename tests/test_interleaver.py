@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import importlib
 import math
 import re
 import tracemalloc
@@ -25,7 +26,7 @@ from stochadc.config import (
     parse_config,
     warmup_tone,
 )
-from stochadc.core import derive_seed
+from stochadc.core import Record, derive_seed
 from stochadc.errors import (
     CoherenceError,
     ConfigError,
@@ -58,9 +59,12 @@ from stochadc.metrics import code_density_linearity, sndr_enob
 from stochadc.stimulus import SineStimulus
 
 from oracles import (
+    converter,
+    envelope_refusal,
     histogram_offset_estimate,
     identity_lut,
     rowwise_adc_draws,
+    rowwise_chain,
     rowwise_delay_chain,
     rowwise_jitter,
     rowwise_pi_chain,
@@ -75,11 +79,11 @@ VCM = 0.525
 
 
 def ideal_system(seed=1, **system):
-    return AdcSystem(RunConfig(system=SystemConfig(**system)), master_seed=seed)
+    return converter(RunConfig(system=SystemConfig(**system)), seed)
 
 
 def mismatched_system(seed, **adc):
-    return AdcSystem(RunConfig(adc=AdcConfig(**adc)), master_seed=seed)
+    return converter(RunConfig(adc=AdcConfig(**adc)), seed)
 
 
 def coherent_tone(j, n, amplitude=0.45, cm=VCM, phase=0.35):
@@ -152,7 +156,7 @@ def mismatched_systems(draw):
             sampling_jitter=draw(st.sampled_from([0.0, 2 * PS, 60 * PS])),
         ),
     )
-    return AdcSystem(cfg, master_seed=draw(st.integers(0, 2**32)))
+    return converter(cfg, draw(st.integers(0, 2**32)))
 
 
 class TestSchedule:
@@ -211,7 +215,7 @@ class TestSchedule:
     @given(mismatched_systems(), st.lists(st.integers(0, 255), min_size=4, max_size=4))
     def test_matches_per_slice_loop_bit_for_bit(self, system, codes):
         cfg = system.config
-        system = AdcSystem(
+        system = converter(
             dataclasses.replace(
                 cfg, system=dataclasses.replace(cfg.system, sampling_jitter=0.0)
             ),
@@ -337,8 +341,8 @@ class TestCapture:
     def test_capture_is_deterministic(self):
         cfg = RunConfig(adc=AdcConfig(tap_sigma_random=0.1, slope_sigma=0.01))
         tone = coherent_tone(11, 1024, amplitude=0.4, cm=0.55)
-        a = run_capture(AdcSystem(cfg, 7), tone, 1024)
-        b = run_capture(AdcSystem(cfg, 7), tone, 1024)
+        a = run_capture(converter(cfg, 7), tone, 1024)
+        b = run_capture(converter(cfg, 7), tone, 1024)
         assert np.array_equal(a.codes, b.codes)
         assert np.array_equal(a.instants, b.instants)
 
@@ -382,7 +386,7 @@ class TestOffsetWarmup:
         # stays below its instants plus one (16, window) int64 array, which
         # the counts of every slice at once would fill
         cfg = load_config(CONFIG_DIR / "regime.yaml")
-        system = AdcSystem(cfg, 0)
+        system = converter(cfg, 0)
         window = cfg.adc.adaptation.window
         tracemalloc.start()
         try:
@@ -666,7 +670,7 @@ class TestSliceTransfer:
         # the pulse is the same and only the sign flips, whatever the taps;
         # where v_p == v_n both fold to the positive side
         adc = dataclasses.replace(system.config.adc, slope_sigma=0.0, threshold_sigma=0.0)
-        system = AdcSystem(dataclasses.replace(system.config, adc=adc), system.master_seed)
+        system = converter(dataclasses.replace(system.config, adc=adc), system.master_seed)
         dv = np.array([0.0, *levels])
         raw, _, code = slice_transfer(system, s, dv, VCM, offset)
         raw_neg, _, code_neg = slice_transfer(system, s, -dv, VCM, offset)
@@ -729,7 +733,11 @@ def test_mismatch_draws_equal_one_draw_per_row(
         ),
         pi=PiConfig(tap_sigma_rel=pi_tap, skew_sigma_rel=pi_skew),
     )
-    system = AdcSystem(cfg, seed)
+    system = converter(cfg, seed)
+    # a plain record: tuples of chains and read-only V2T arrays
+    assert isinstance(system.chains, tuple) and isinstance(system.pi_chains, tuple)
+    v2t = (system.slope_p, system.slope_n, system.vth_p, system.vth_n)
+    assert not any(array.flags.writeable for array in v2t)
     taps, slopes, thresholds = rowwise_adc_draws(cfg.adc, seed)
     got_taps = np.array([chain.tap_delays for chain in system.chains])
     assert np.array_equal(got_taps.view(np.uint64), taps.view(np.uint64))
@@ -748,6 +756,75 @@ def test_mismatch_draws_equal_one_draw_per_row(
         )
         assert np.array_equal(chain.tap_delays.view(np.uint64), want.tap_delays.view(np.uint64))
         assert np.array_equal(chain.path_skews.view(np.uint64), want.path_skews.view(np.uint64))
+
+
+def drawn_converter(cfg, seed):
+    """`seed`'s converter record, its chains and V2T arrays built by the
+    one-draw-per-row oracles and no envelope checked (nor PI chain built)."""
+    taps, slopes, thresholds = rowwise_adc_draws(cfg.adc, seed)
+    chains = tuple(rowwise_chain(row) for row in taps)
+    v2t = (slopes[0::2], slopes[1::2], thresholds[0::2], thresholds[1::2])
+    return AdcSystem(cfg, seed, chains, *v2t, ())
+
+
+def near_envelope(seed, n_taps, systematic, random, slope, threshold):
+    """A mismatched design at a divided ratio of 2, where the widest pulse
+    plus a chain of about 200 taps of 4 ps nearly fills the divided period
+    and that pulse closes near the chain's last edge."""
+    return RunConfig(adc=AdcConfig(
+        divided_ratio=2, n_taps=n_taps, tap_sigma_systematic=systematic,
+        tap_sigma_random=random, slope_sigma=slope, threshold_sigma=threshold,
+    ))
+
+
+# slice 6 alone fails the divided period, slices 11 and 12 alone the chain's reach
+BOTH_CHECKS = dict(seed=9, n_taps=198, systematic=0.05, random=0.1, slope=0.02, threshold=0.02)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32),
+    n_taps=st.integers(190, 205),
+    systematic=st.floats(0.0, 0.1),
+    random=st.floats(0.0, 0.2),
+    slope=st.floats(0.0, 0.03),
+    threshold=st.floats(0.0, 0.03),
+)
+@example(**BOTH_CHECKS)
+# slice 3 alone fails, the chain's reach
+@example(seed=7, n_taps=198, systematic=0.05, random=0.1, slope=0.02, threshold=0.02)
+# the ideal design fits with 195 taps and not with 194 (at slice 0)
+@example(seed=1, n_taps=195, systematic=0.0, random=0.0, slope=0.0, threshold=0.0)
+@example(seed=1, n_taps=194, systematic=0.0, random=0.0, slope=0.0, threshold=0.0)
+def test_the_builder_refuses_the_envelope_as_the_slice_loops_do(
+    seed, n_taps, systematic, random, slope, threshold
+):
+    # the builder's two array checks refuse a design exactly when the two
+    # per-slice loops do, with the message of the first failing slice of
+    # the first failing check
+    cfg = near_envelope(seed, n_taps, systematic, random, slope, threshold)
+    want = envelope_refusal(drawn_converter(cfg, seed))
+    if want is None:
+        assert converter(cfg, seed).master_seed == seed
+    else:
+        with pytest.raises(ConfigError) as refused:
+            converter(cfg, seed)
+        assert str(refused.value) == want
+
+
+def test_the_envelope_examples_fail_past_slice_0_and_on_both_checks():
+    # the first example fails the divided period at slice 6 and, once that
+    # check is relaxed, the chain's reach at slice 11; the draws do not
+    # depend on adc.divided_ratio, so both failures are on the same chains
+    cfg = near_envelope(**BOTH_CHECKS)
+    seed = BOTH_CHECKS["seed"]
+    period = envelope_refusal(drawn_converter(cfg, seed))
+    assert period.startswith("slice 6 at seed 9 needs ") and "divided clock period" in period
+    relaxed = dataclasses.replace(cfg, adc=dataclasses.replace(cfg.adc, divided_ratio=3))
+    reach = envelope_refusal(drawn_converter(relaxed, seed))
+    assert reach.startswith("slice 11 at seed 9 needs its chain to reach ")
+    with pytest.raises(ConfigError, match="^slice 11 at seed 9 needs its chain"):
+        converter(relaxed, seed)
 
 
 def assert_same_bits(got, want):
@@ -769,8 +846,8 @@ def test_trial_instances_equal_single_seed_builds(seeds, draw_normals, sigma, pi
     # a Monte Carlo draws every trial's mismatch rows at once, DRAW_NORMALS
     # normals at a time (1 draws seed by seed, 10,000 two converters at a
     # time); each trial's instance from il.converters and il.pi_chains must
-    # equal its single-seed build, for repeated seeds, negative ones and ones
-    # that wrap modulo 2^64 too
+    # equal the one-draw-per-row oracles bit for bit, for repeated seeds,
+    # negative ones and ones that wrap modulo 2^64 too
     cfg = RunConfig(
         adc=AdcConfig(tap_sigma_systematic=sigma, tap_sigma_random=sigma, slope_sigma=sigma / 5,
                       threshold_sigma=sigma / 5),
@@ -782,22 +859,22 @@ def test_trial_instances_equal_single_seed_builds(seeds, draw_normals, sigma, pi
     assert [system.master_seed for system in converters] == seeds
     assert len(chains) == len(seeds)
     for seed, got, chain in zip(seeds, converters, chains):
-        want = AdcSystem(cfg, seed)
-        for a, b in zip(got.chains, want.chains):
-            assert_same_bits(a.tap_delays, b.tap_delays)
-        for name in ("slope_p", "slope_n", "vth_p", "vth_n"):
-            assert_same_bits(getattr(got, name), getattr(want, name))
-        for a, b in zip(got.pi_chains, want.pi_chains):
-            assert_same_bits(a.tap_delays, b.tap_delays)
-            assert_same_bits(a.path_skews, b.path_skews)
-            assert_same_bits(a.positions, b.positions)
-        oracle = rowwise_pi_chain(
-            cfg.pi.unit_delay, period, cfg.pi.n_taps, cfg.pi.tap_sigma_rel,
-            cfg.pi.skew_sigma, derive_seed(seed, "pi.instance", 0),
-        )
-        assert_same_bits(chain.tap_delays, oracle.tap_delays)
-        assert_same_bits(chain.path_skews, oracle.path_skews)
-        assert_same_bits(chain.positions, oracle.positions)
+        taps, slopes, thresholds = rowwise_adc_draws(cfg.adc, seed)
+        assert_same_bits([a.tap_delays for a in got.chains], taps)
+        for name, want in zip(
+            ("slope_p", "slope_n", "vth_p", "vth_n"),
+            (slopes[0::2], slopes[1::2], thresholds[0::2], thresholds[1::2]),
+        ):
+            assert_same_bits(getattr(got, name), want)
+        # the pi-sweep chain is group 0's, then the converter's four groups
+        for g, a in [(0, chain), *enumerate(got.pi_chains)]:
+            oracle = rowwise_pi_chain(
+                cfg.pi.unit_delay, period, cfg.pi.n_taps, cfg.pi.tap_sigma_rel,
+                cfg.pi.skew_sigma, derive_seed(seed, "pi.instance", g),
+            )
+            assert_same_bits(a.tap_delays, oracle.tap_delays)
+            assert_same_bits(a.path_skews, oracle.path_skews)
+            assert_same_bits(a.positions, oracle.positions)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -835,30 +912,57 @@ def test_injected_skews_enter_the_one_chain_build(seed, pi_tap, pi_skew, injecte
 def test_one_mismatch_instancer_draws_and_builds():
     # keyed draws are made in core and in interleaver, which alone decides
     # which rows become which instance; pi.build_delay_chains is the one
-    # PI chain build and stdc.build_chains the one STDC chain build, no
-    # record is made past its constructor, and none is copied with a field
-    # changed: `dataclasses.replace` would keep a plain record's old ring
+    # PI chain build, stdc.build_chains the one STDC chain build and
+    # interleaver._converter, under `converters`, the one converter build;
+    # no record is made past its constructor, and none is copied with a
+    # field changed: `dataclasses.replace` would keep a plain record's old ring
     calls, new, imports = [], [], []
     package = Path(il.__file__).parent
     for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
-                imports += [(path.stem, alias.name) for alias in node.names]
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = getattr(func, "id", None) or getattr(func, "attr", None)
-                calls.append((path.stem, name))
-                if name == "__new__" and getattr(func.value, "id", None) == "object":
-                    new.append(path.stem)
-    draws = {module for module, name in calls
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(stmt, "name", None)  # the top-level function or class
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                    imports += [(path.stem, alias.name) for alias in node.names]
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "id", None) or getattr(func, "attr", None)
+                    calls.append((path.stem, owner, name))
+                    if name == "__new__" and getattr(func.value, "id", None) == "object":
+                        new.append(path.stem)
+    draws = {module for module, _, name in calls
              if name in ("derive_seed", "keyed_normal", "normal_rows")}
     assert draws == {"core", "interleaver"}
-    assert [module for module, name in calls if name == "DelayChain"] == ["pi"]
-    assert [module for module, name in calls if name == "InverterChain"] == ["stdc"]
+    assert [module for module, _, name in calls if name == "DelayChain"] == ["pi"]
+    assert [module for module, _, name in calls if name == "InverterChain"] == ["stdc"]
+    assert [(module, owner) for module, owner, name in calls if name == "AdcSystem"] == [
+        ("interleaver", "_converter")
+    ]
     assert new == []
     assert [module for module, name in imports if name == "replace"] == []
-    assert [module for module, name in calls
+    assert [module for module, _, name in calls
             if name == "replace" and module in ("pi", "interleaver")] == []
+
+
+def test_every_class_is_a_record_or_an_exception():
+    # an instance is a plain record of its values, built by one function;
+    # the two classes that hold state a caller changes are named here
+    exempt = {
+        ("config", "_Reader"): "a cursor over one config text's tokens, moved as it reads",
+        ("interleaver", "_ToneSwings"): "the Monte Carlo's tone memo, filled and dropped per grid",
+    }
+    package = Path(il.__file__).parent
+    others = []
+    for path in sorted(package.glob("*.py")):
+        module = importlib.import_module(
+            "stochadc" if path.stem == "__init__" else f"stochadc.{path.stem}"
+        )
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                cls = getattr(module, node.name, None)
+                if not (isinstance(cls, type) and issubclass(cls, (Record, BaseException))):
+                    others.append((path.stem, node.name))
+    assert others == sorted(exempt)
 
 
 def test_every_package_export_has_a_caller():
@@ -894,8 +998,7 @@ def test_instances_refuse_a_seed_that_is_not_an_integer(seed):
     # a truncated seed would build another seed's converter or chain
     cfg = RunConfig()
     for build in (
-        lambda: AdcSystem(cfg, seed),
-        lambda: next(il.converters(cfg, [seed])),
+        lambda: converter(cfg, seed),
         lambda: next(il.pi_chains(cfg, [seed])),
     ):
         with pytest.raises(TypeError):
@@ -907,8 +1010,7 @@ def test_instances_refuse_a_bool_seed_by_name(seed):
     # read as 1 or 0, a bool would build seed 1's or seed 0's instance
     cfg = RunConfig()
     for build in (
-        lambda: AdcSystem(cfg, seed),
-        lambda: next(il.converters(cfg, [seed])),
+        lambda: converter(cfg, seed),
         lambda: next(il.converters(cfg, [2, seed])),
         lambda: next(il.pi_chains(cfg, [seed])),
     ):

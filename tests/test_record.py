@@ -189,7 +189,7 @@ def test_every_record_is_a_documented_record():
     records = [c for c in classes if dataclasses.is_dataclass(c) and c is not config._Section]
     # a dataclass outside the base would generate its methods at import again
     assert all(issubclass(c, Record) for c in records)
-    assert len(records) == 24
+    assert len(records) == 25
     # without its own docstring, dataclass builds one from inspect.signature
     assert [c.__name__ for c in records if not c.__dict__.get("__doc__")] == []
 
