@@ -9,11 +9,14 @@ circuit is drawn, and the tests hold the production path to them:
 
 * order-dependent sub-stream generators and keyed per-instance mismatch
   values;
-* the sampling-phase generator, the discharge-ramp V2T pair and the pulse
-  folder;
+* the discharge-ramp V2T pair and the pulse folder;
 * the STDC chain built from its own row, the STDC as tap edges, per-tap
   sampler bits, an adder tree and unfold, and the offset estimate as the
   first code of a cumulative histogram;
+* one sample of a slice end to end (`convert_one`: the V2T pair with the
+  slice's drawn slopes and thresholds, the folder, the STDC with its unfold
+  and the LUT), the one V2T model `convert_pair_arrays`, `run_capture` and
+  `slice_transfer` are held to sample by sample;
 * the PI as its chain built from its own row, period arbiters and ring,
   boundary mixers, leapfrog encoder, 16-step blender and blender-inversion
   detector;
@@ -63,76 +66,18 @@ class KeyedMismatch:
         return values
 
 
-# Sampling phases.
-
-
-@dataclass(frozen=True)
-class PhaseTiming:
-    """Offsets defining one cycle's sampling phases.
-
-    track:  cycle start to end of tracking (= sampling instant phi1)
-    early:  how much earlier the bottom-plate phase phi1e opens
-    gap:    phi1 to discharge start phi2 (0 = discharge starts immediately)
-    late:   phi2 to the late settling phase phi2l
-    """
-
-    track: Duration
-    early: Duration
-    late: Duration
-    gap: Duration = 0.0
-
-    def __post_init__(self):
-        if self.early <= 0:
-            raise ValueError("early offset must be > 0 (phi1e strictly before phi1)")
-        if self.late <= 0:
-            raise ValueError("late offset must be > 0 (phi2l strictly after phi2)")
-        if self.gap < 0:
-            raise ValueError("gap must be >= 0")
-        if self.track <= self.early:
-            raise ValueError("track must exceed the early offset")
-
-
-@dataclass(frozen=True)
-class PhaseSet:
-    """The four instants of one conversion cycle."""
-
-    phi1e: Instant
-    phi1: Instant
-    phi2: Instant
-    phi2l: Instant
-
-    def __post_init__(self):
-        if not (self.phi1e < self.phi1 <= self.phi2 < self.phi2l):
-            raise ValueError(
-                f"phase ordering violated: {self.phi1e} < {self.phi1} "
-                f"<= {self.phi2} < {self.phi2l} required"
-            )
-
-
-def gen_sampling_phases(cycle_start: Instant, timing: PhaseTiming) -> PhaseSet:
-    """Four phase instants for the conversion cycle starting at cycle_start."""
-    phi1 = cycle_start + timing.track
-    phi2 = phi1 + timing.gap
-    return PhaseSet(
-        phi1e=phi1 - timing.early,
-        phi1=phi1,
-        phi2=phi2,
-        phi2l=phi2 + timing.late,
-    )
-
-
 # Voltage-to-time pair and folder.
 #
-# One conversion cycle: the input is sampled at phi1 (bottom plate opens
-# slightly earlier at phi1e), the held voltage is discharged at a constant
-# rate from phi2, and a buffer fires when the ramp crosses its threshold.
-# The edge time is therefore affine in the sampled voltage.  Two converters
-# encode a differential input as the time difference of their output edges;
-# the folder turns that signed difference into (sign bit, unsigned pulse
-# width) with a configured minimum width.
+# One conversion cycle: the held voltage is discharged at a constant rate
+# from the discharge phase, and a buffer fires when the ramp crosses its
+# threshold.  The edge time is therefore affine in the sampled voltage.  Two
+# converters encode a differential input as the time difference of their
+# output edges; the folder turns that signed difference into (sign bit,
+# unsigned pulse width) with a configured minimum width.
 
 # Tolerance for range checks at the exact threshold/supply boundary, volts.
-# Keeps full-scale stimuli from tripping on float dust.
+# Keeps full-scale stimuli from tripping on float dust.  Restated here, not
+# imported, so that a test of the band's edges sees either side drift.
 _V_EPS = 1e-12
 
 
@@ -148,76 +93,31 @@ class PulseSample:
             raise ValueError("pulse width must be >= 0")
 
 
-@dataclass(frozen=True)
-class V2TConfig:
-    """Discharge-ramp converter parameters.
-
-    ``c_sample`` is informational; the discharge slope is the operative
-    parameter.  ``t_phi2`` is the discharge start used by the single-shot
-    edge-time operation (capture paths supply per-cycle values).
-    """
-
-    vdd: float
-    v_threshold: float
-    discharge_slope: float  # volts/second
-    slope_mismatch: KeyedMismatch
-    threshold_mismatch: KeyedMismatch
-    c_sample: float = 50e-15
-    t_phi2: Instant = 0.0
-
-    def __post_init__(self):
-        if not (0 < self.v_threshold < self.vdd / 2):
-            raise ValueError(
-                f"v_threshold must lie in (0, vdd/2), got {self.v_threshold}"
-            )
-        if self.discharge_slope <= 0:
-            raise ValueError("discharge_slope must be > 0")
-
-    def instance_params(self, instance: int) -> tuple[float, float]:
-        """(slope, threshold) for one converter instance, mismatch applied."""
-        slope = float(self.slope_mismatch.sample_at(instance))
-        v_th = float(self.threshold_mismatch.sample_at(instance))
-        return slope, v_th
-
-
-def ideal_mismatch(nominal: float) -> KeyedMismatch:
-    return KeyedMismatch(nominal=nominal, sigma_rel=0.0)
-
-
 def v2t_edge_time(
-    v_sampled: float,
-    cfg: V2TConfig,
-    instance: int = 0,
-    t_phi2: Instant | None = None,
+    v_sampled: float, slope: float, threshold: float, vdd: float, t_phi2: Instant = 0.0
 ) -> Instant:
-    """Time at which this instance's buffer fires for a sampled voltage.
+    """Time at which a converter with this discharge slope and threshold
+    fires for a sampled voltage, the discharge starting at t_phi2.
 
     Affine and strictly increasing in v_sampled.  A voltage below the
-    instance's threshold would make the real circuit fire immediately; that
-    is surfaced as an error instead of being clipped, so bad stimulus
+    threshold would make the real circuit fire immediately; that is
+    surfaced as an error instead of being clipped, so bad stimulus
     configurations fail loudly rather than corrupting linearity tests.
     """
-    slope, v_th = cfg.instance_params(instance)
-    if v_sampled < v_th - _V_EPS:
-        raise UnderrangeError(
-            f"input underrange: {v_sampled} V below threshold {v_th} V"
-        )
-    if v_sampled > cfg.vdd + _V_EPS:
-        raise OverrangeError(f"input overrange: {v_sampled} V above {cfg.vdd} V")
-    start = cfg.t_phi2 if t_phi2 is None else t_phi2
-    return start + max(v_sampled - v_th, 0.0) / slope
+    if v_sampled < threshold - _V_EPS:
+        raise UnderrangeError(f"input underrange: {v_sampled} V below threshold {threshold} V")
+    if v_sampled > vdd + _V_EPS:
+        raise OverrangeError(f"input overrange: {v_sampled} V above {vdd} V")
+    return t_phi2 + max(v_sampled - threshold, 0.0) / slope
 
 
 def v2t_pair(
-    v_p: float,
-    v_n: float,
-    cfg: V2TConfig,
-    instances: tuple[int, int] = (0, 1),
-    t_phi2: Instant | None = None,
+    v_p: float, v_n: float, slopes, thresholds, vdd: float, t_phi2: Instant = 0.0
 ) -> tuple[Instant, Instant]:
-    """Edge times (t_inp, t_inn) of the converter pair."""
-    t_inp = v2t_edge_time(v_p, cfg, instances[0], t_phi2)
-    t_inn = v2t_edge_time(v_n, cfg, instances[1], t_phi2)
+    """Edge times (t_inp, t_inn) of the converter pair; `slopes` and
+    `thresholds` are each (p side, n side)."""
+    t_inp = v2t_edge_time(v_p, slopes[0], thresholds[0], vdd, t_phi2)
+    t_inn = v2t_edge_time(v_n, slopes[1], thresholds[1], vdd, t_phi2)
     return t_inp, t_inn
 
 
@@ -366,6 +266,34 @@ def stdc_convert(
     _, bits = count_edges_in_pulse(pulse, pulse_start, edges, guard=chain.boundary_guard)
     raw = adder_tree_sum(bits, chain.n_taps)
     return unfold(raw, offset, pulse.sign)
+
+
+def convert_one(system, s: int, v_p: float, v_n: float, offset_code: int, lut=None):
+    """One sample on slice s of a converter (an `AdcSystem`), in plain
+    floats: the V2T pair with the slice's drawn slopes and thresholds, the
+    folder, the STDC launched `adc.launch_lead` before the discharge starts
+    (its unfold included) and the LUT at its saturating address.  Returns
+    (raw, sign, code, corrected), corrected being the code without a LUT.
+
+    An input below either side's threshold, or not a number, is refused
+    before one above the supply on either side.
+    """
+    adc = system.config.adc
+    slopes = float(system.slope_p[s]), float(system.slope_n[s])
+    thresholds = float(system.vth_p[s]), float(system.vth_n[s])
+    v_p, v_n = float(v_p), float(v_n)
+    if not (v_p >= thresholds[0] - _V_EPS and v_n >= thresholds[1] - _V_EPS):
+        raise UnderrangeError(f"slice {s}: input below V2T threshold or not a number")
+    if not (v_p <= adc.vdd + _V_EPS and v_n <= adc.vdd + _V_EPS):
+        raise OverrangeError(f"slice {s}: input above supply")
+    t_inp, t_inn = v2t_pair(v_p, v_n, slopes, thresholds, adc.vdd)
+    pulse = fold(t_inp, t_inn, adc.d_offset)
+    start = min(t_inp, t_inn) + adc.launch_lead
+    out = stdc_convert(pulse, start, system.chains[s], int(offset_code))
+    corrected = out.code
+    if lut is not None:
+        corrected = int(lut[min(max(out.code + LUT_SIZE // 2, 0), LUT_SIZE - 1)])
+    return out.raw, pulse.sign, out.code, corrected
 
 
 # Phase interpolator, one code at a time.

@@ -4,6 +4,7 @@ import importlib
 import math
 import re
 import tracemalloc
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -59,7 +60,9 @@ from stochadc.metrics import code_density_linearity, sndr_enob
 from stochadc.stimulus import SineStimulus
 
 from oracles import (
+    _V_EPS,
     converter,
+    convert_one,
     envelope_refusal,
     histogram_offset_estimate,
     identity_lut,
@@ -365,6 +368,186 @@ def test_unfold_equals_the_single_shot_oracle(seed, size, offset):
     assert code.dtype == np.int64
     assert code.tolist() == [unfold(r, offset, s).code for r, s in zip(raw, sign)]
     assert np.abs(code).max() == n_taps - offset
+
+
+# a sample side at a band edge: its threshold or the supply plus k * _V_EPS;
+# the range checks refuse k = -2 at the threshold and k = 2 at the supply
+BAND_EDGES = [(limit, k) for limit in ("threshold", "supply") for k in (-2, -1, 0, 1, 2)]
+IN_BAND_EDGES = range(1, len(BAND_EDGES) - 1)
+
+
+def side_voltage(side, threshold, vdd):
+    """A float side is that fraction of the way from the threshold to the
+    supply, an int side indexes BAND_EDGES and None is NaN."""
+    if side is None:
+        return math.nan
+    if isinstance(side, int):
+        limit, k = BAND_EDGES[side]
+        return (threshold if limit == "threshold" else vdd) + k * _V_EPS
+    return threshold + side * (vdd - threshold)
+
+
+def slice_voltages(system, sides):
+    """Each slice's (v_p, v_n) for the (p side, n side) pairs `sides`, at its
+    own thresholds; an n side of "=" repeats v_p."""
+    vdd = system.config.adc.vdd
+    v_p = np.array([[side_voltage(p, vth, vdd) for p, _ in sides] for vth in system.vth_p])
+    v_n = np.array([
+        [p if n == "=" else side_voltage(n, vth, vdd) for p, (_, n) in zip(row, sides)]
+        for row, vth in zip(v_p, system.vth_n)
+    ])
+    return v_p, v_n
+
+
+in_band_side = st.floats(0.0, 1.0) | st.sampled_from(IN_BAND_EDGES)
+any_side = st.floats(-0.05, 1.05) | st.integers(0, len(BAND_EDGES) - 1) | st.none()
+# half the draws keep every sample inside both bands, so captures convert
+sample_sides = st.lists(
+    st.tuples(in_band_side, in_band_side | st.just("=")), min_size=1, max_size=12
+) | st.lists(st.tuples(any_side, any_side | st.just("=")), min_size=1, max_size=12)
+
+
+def oracle_outcome(*args):
+    """`convert_one`'s (raw, sign, code, corrected), or its refusal's class."""
+    try:
+        return convert_one(*args)
+    except (UnderrangeError, OverrangeError) as refused:
+        return type(refused)
+
+
+def first_refusal(outcomes):
+    """(class, index) of the refusal a conversion of these samples raises,
+    every sample's threshold check before any sample's supply check, or None."""
+    for error in (UnderrangeError, OverrangeError):
+        if error in outcomes:
+            return error, outcomes.index(error)
+    return None
+
+
+def assert_converts_as_the_oracle(convert, inputs, want, where):
+    """`convert(*inputs)`, a (raw, sign, code) conversion of parallel input
+    arrays, equals the oracle's outcomes `want`: refused with the first
+    refusal's class at its index (`where` prefixes it), else sample by
+    sample; then the accepted samples together and each refused one alone."""
+    refusal = first_refusal(want)
+    if refusal is None:
+        raw, sign, code = convert(*inputs)
+        assert list(zip(raw.tolist(), sign.tolist(), code.tolist())) == [w[:3] for w in want]
+        return
+    error, m = refusal
+    with pytest.raises(error, match=f"^{where}{m}: "):
+        convert(*inputs)
+    if len(want) == 1:
+        return
+    ok = np.array([isinstance(w, tuple) for w in want])
+    accepted = [w for w in want if isinstance(w, tuple)]
+    assert_converts_as_the_oracle(convert, [a[ok] for a in inputs], accepted, where)
+    for m in np.flatnonzero(~ok):
+        assert_converts_as_the_oracle(convert, [a[m : m + 1] for a in inputs], [want[m]], where)
+
+
+def test_the_oracle_refuses_under_range_before_over_range():
+    # either side under its threshold, or NaN, is under-range even with the
+    # other side over the supply; over-range needs both sides above threshold
+    system = ideal_system()
+    vth, vdd = float(system.vth_p[0]), system.config.adc.vdd
+    for v_p, v_n in [(vdd + 0.1, vth - 0.1), (vth - 0.1, vdd + 0.1), (vdd + 0.1, math.nan)]:
+        with pytest.raises(UnderrangeError, match="^slice 0: "):
+            convert_one(system, 0, v_p, v_n, 25)
+    for v_p, v_n in [(vdd + 0.1, 0.6), (0.6, vdd + 0.1)]:
+        with pytest.raises(OverrangeError, match="^slice 0: "):
+            convert_one(system, 0, v_p, v_n, 25)
+
+
+REGIME_DESIGN = converter(RunConfig(adc=AdcConfig(
+    tap_sigma_systematic=0.15, tap_sigma_random=0.05, slope_sigma=0.01, threshold_sigma=0.01
+)), 0)
+OFFSETS = [0, 25, 24, 26, 255, 128, 1, 30, 20, 25, 25, 100, 3, 27, 23, 25]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    mismatched_systems(),
+    sample_sides,
+    st.lists(st.integers(0, AdcConfig().n_taps), min_size=16, max_size=16),
+    st.none() | st.integers(0, 2**32),
+)
+# every pair of in-band edges (ties where both sides sit at or below their
+# thresholds), and v_p == v_n inside the band
+@example(
+    REGIME_DESIGN,
+    [(p, n) for p in IN_BAND_EDGES for n in IN_BAND_EDGES] + [(0.5, "="), (1, "=")],
+    OFFSETS,
+    7,
+)
+# each refusing edge, NaN, and v_p over the supply with v_n under its
+# threshold: under-range, since every threshold check comes first
+@example(REGIME_DESIGN, [(0.5, 0.5), (9, 0), (0.5, 0.5)], OFFSETS, None)
+@example(REGIME_DESIGN, [(0.5, 9), (0, 0.5), (None, 0.2), (0.3, None)], OFFSETS, None)
+@example(REGIME_DESIGN, [(0.5, 0.5), (9, 0.5), (1.05, "=")], OFFSETS, None)
+def test_conversions_equal_the_single_sample_oracle(system, sides, offsets, lut_seed):
+    # convert_pair_arrays on every slice and a run_capture fed the same
+    # voltages (the stimulus hands each slice its row in turn) equal
+    # convert_one per sample, refusals included
+    luts = None
+    if lut_seed is not None:
+        luts = np.sort(np.random.default_rng(lut_seed).integers(-127, 128, (N_SLICES, 256)), axis=1)
+    v_p, v_n = slice_voltages(system, sides)
+    want = [
+        [oracle_outcome(system, s, p, n, offsets[s], None if luts is None else luts[s])
+         for p, n in zip(v_p[s], v_n[s])]
+        for s in range(N_SLICES)
+    ]
+    for s in range(N_SLICES):
+        convert = partial(convert_pair_arrays, system, s, offset_code=offsets[s], context="point ")
+        assert_converts_as_the_oracle(convert, [v_p[s], v_n[s]], want[s], f"slice {s} point ")
+    rows = iter(zip(v_p, v_n))
+    capture = partial(run_capture, system, lambda t: next(rows), v_p.size, offsets, luts)
+    refused = [(s, refusal) for s, row in enumerate(want) if (refusal := first_refusal(row))]
+    if refused:
+        s, (error, m) = refused[0]
+        with pytest.raises(error, match=f"^slice {s} cycle {m}: "):
+            capture()
+    else:
+        got = capture()
+        for name, column in (("raw", 0), ("codes", 2), ("corrected", 3)):
+            assert getattr(got, name).tolist() == [[w[column] for w in row] for row in want]
+
+
+def transfer_dv(item, system, s, common_mode):
+    """A float item is dv itself; an int k puts v_p (k < 10) or v_n (else)
+    on BAND_EDGES[k % 10] of slice s."""
+    if isinstance(item, float):
+        return item
+    adc = system.config.adc
+    if item < len(BAND_EDGES):
+        return 2.0 * (side_voltage(item, system.vth_p[s], adc.vdd) - common_mode)
+    return 2.0 * (common_mode - side_voltage(item - len(BAND_EDGES), system.vth_n[s], adc.vdd))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    mismatched_systems(),
+    st.integers(0, N_SLICES - 1),
+    st.floats(0.55, 0.65),
+    st.lists(st.floats(-0.7, 0.7) | st.integers(0, 2 * len(BAND_EDGES) - 1), max_size=16),
+    st.integers(0, 2**32),
+    st.integers(0, AdcConfig().n_taps),
+)
+# the ideal slice at common mode 0.6 (halfway from threshold to supply):
+# dv = 0, +/-0.6 and each side on each band edge
+@example(ideal_system(), 0, 0.6, [0.0, 0.6, -0.6, *range(2 * len(BAND_EDGES))], 0, 25)
+def test_slice_transfer_equals_the_single_sample_oracle(
+    system, s, common_mode, items, sweep_seed, offset
+):
+    # the drawn items, then a uniform sweep of 32 points past both ends
+    dv = np.array([transfer_dv(item, system, s, common_mode) for item in items])
+    dv = np.concatenate([dv, np.random.default_rng(sweep_seed).uniform(-0.7, 0.7, 32)])
+    # the voltages slice_transfer forms
+    v_p, v_n = common_mode + dv / 2.0, common_mode - dv / 2.0
+    want = [oracle_outcome(system, s, p, n, offset) for p, n in zip(v_p, v_n)]
+    convert = partial(slice_transfer, system, s, common_mode=common_mode, offset_code=offset)
+    assert_converts_as_the_oracle(convert, [dv], want, f"slice {s} point ")
 
 
 class TestOffsetWarmup:
@@ -825,6 +1008,50 @@ def test_the_envelope_examples_fail_past_slice_0_and_on_both_checks():
     assert reach.startswith("slice 11 at seed 9 needs its chain to reach ")
     with pytest.raises(ConfigError, match="^slice 11 at seed 9 needs its chain"):
         converter(relaxed, seed)
+
+
+# an ideal design whose time fields are multiples of 2^-38 s reaches each
+# envelope check's equality in floating point
+TIE_UNIT = 2.0**-38
+
+
+def test_an_exact_period_tie_is_refused():
+    # the widest pulse plus the chain spread must fit inside the divided
+    # period, so equality is refused
+    unit = TIE_UNIT
+    adc = AdcConfig(unit_delay=unit, d_offset=32 * unit)
+    last_edge = adc.n_taps * unit
+    widest = adc.d_offset + (adc.vdd - adc.v_threshold) / adc.discharge_slope
+    rate = N_SLICES * adc.divided_ratio / (widest + last_edge)
+    tie = RunConfig(adc=adc, system=SystemConfig(aggregate_rate=rate))
+    assert adc.divided_ratio * tie.system.slice_period == widest + last_edge
+    with pytest.raises(ConfigError, match="^slice 0 at seed 0 needs .* divided clock period"):
+        converter(tie, 0)
+    slower = SystemConfig(aggregate_rate=math.nextafter(rate, 0))
+    assert converter(dataclasses.replace(tie, system=slower), 0).master_seed == 0
+
+
+def test_an_exact_reach_tie_is_built():
+    # the widest pulse may close on the chain's last edge, so equality is
+    # built
+    unit = TIE_UNIT
+    last_edge = AdcConfig().n_taps * unit
+
+    def reach(d_offset):
+        adc = AdcConfig(unit_delay=unit, d_offset=d_offset, divided_ratio=64)
+        ramp = (adc.vdd - adc.v_threshold) / adc.discharge_slope
+        return RunConfig(adc=adc), adc.launch_lead + (adc.d_offset + ramp)
+
+    cfg, closes = reach(3.1074402310575034e-10)
+    assert closes == last_edge
+    assert converter(cfg, 0).master_seed == 0
+    # the next d_offset up whose pulse closes later is refused
+    d_offset = cfg.adc.d_offset
+    while closes == last_edge:
+        d_offset = math.nextafter(d_offset, 1.0)
+        cfg, closes = reach(d_offset)
+    with pytest.raises(ConfigError, match="^slice 0 at seed 0 needs its chain to reach"):
+        converter(cfg, 0)
 
 
 def assert_same_bits(got, want):

@@ -3,68 +3,35 @@ import pytest
 
 from stochadc.errors import OverrangeError, UnderrangeError
 
-from oracles import (
-    KeyedMismatch,
-    PhaseTiming,
-    V2TConfig,
-    fold,
-    gen_sampling_phases,
-    ideal_mismatch,
-    v2t_edge_time,
-    v2t_pair,
-)
+from oracles import KeyedMismatch, fold, v2t_edge_time, v2t_pair
 
 PS = 1e-12
+VTH, VDD = 0.3, 0.9
 
 
-def make_cfg(slope=1e9, vth=0.3, vdd=0.9, slope_sigma=0.0, vth_sigma=0.0, t_phi2=0.0):
-    return V2TConfig(
-        vdd=vdd,
-        v_threshold=vth,
-        discharge_slope=slope,
-        slope_mismatch=KeyedMismatch(nominal=slope, sigma_rel=slope_sigma, seed=2),
-        threshold_mismatch=KeyedMismatch(nominal=vth, sigma_rel=vth_sigma, seed=3),
-        t_phi2=t_phi2,
-    )
+def mismatched(slope_sigma, vth_sigma, instance):
+    """(slope, threshold) of one converter instance around 1e9 V/s and VTH."""
+    slope = KeyedMismatch(nominal=1e9, sigma_rel=slope_sigma, seed=2).sample_at(instance)
+    vth = KeyedMismatch(nominal=VTH, sigma_rel=vth_sigma, seed=3).sample_at(instance)
+    return float(slope), float(vth)
 
 
-class TestSamplingPhases:
-    def test_worked_example(self):
-        timing = PhaseTiming(track=50 * PS, early=5 * PS, late=5 * PS)
-        ps = gen_sampling_phases(0.0, timing)
-        assert ps.phi1e == pytest.approx(45 * PS, abs=1e-24)
-        assert ps.phi1 == pytest.approx(50 * PS, abs=1e-24)
-        assert ps.phi2 == pytest.approx(50 * PS, abs=1e-24)
-        assert ps.phi2l == pytest.approx(55 * PS, abs=1e-24)
-
-    def test_zero_early_offset_rejected(self):
-        with pytest.raises(ValueError):
-            PhaseTiming(track=50 * PS, early=0.0, late=5 * PS)
-
-    def test_zero_late_offset_rejected(self):
-        with pytest.raises(ValueError):
-            PhaseTiming(track=50 * PS, early=5 * PS, late=0.0)
-
-    def test_translation_by_slice_period(self):
-        timing = PhaseTiming(track=50 * PS, early=5 * PS, late=5 * PS)
-        a = gen_sampling_phases(0.0, timing)
-        b = gen_sampling_phases(800 * PS, timing)
-        for name in ("phi1e", "phi1", "phi2", "phi2l"):
-            assert getattr(b, name) - getattr(a, name) == pytest.approx(800 * PS, abs=1e-22)
+def pair(v_p, v_n, slope=1e9):
+    """Edge times of a matched pair."""
+    return v2t_pair(v_p, v_n, (slope, slope), (VTH, VTH), VDD)
 
 
 class TestEdgeTime:
     def test_threshold_input_fires_at_discharge_start(self):
-        cfg = make_cfg(t_phi2=123 * PS)
-        assert v2t_edge_time(0.3, cfg) == pytest.approx(123 * PS, abs=1e-24)
+        assert v2t_edge_time(0.3, 1e9, VTH, VDD, t_phi2=123 * PS) == pytest.approx(
+            123 * PS, abs=1e-24
+        )
 
     def test_closed_form_example(self):
-        cfg = make_cfg(slope=1e9, vth=0.3, t_phi2=0.0)
-        assert v2t_edge_time(0.75, cfg) == pytest.approx(450 * PS, rel=1e-12)
+        assert v2t_edge_time(0.75, 1e9, 0.3, VDD) == pytest.approx(450 * PS, rel=1e-12)
 
     def test_monotone_in_sampled_voltage(self):
-        cfg = make_cfg(slope_sigma=0.05, vth_sigma=0.02)
-        slope, v_th = cfg.instance_params(0)
+        slope, v_th = mismatched(0.05, 0.02, 0)
         rng = np.random.default_rng(4)
         pairs = rng.uniform(max(v_th, 0.35), 0.9, size=(10**4, 2))
         lo = pairs.min(axis=1)
@@ -72,26 +39,24 @@ class TestEdgeTime:
         # spot-check the op directly, then the affine definition in bulk
         for v1, v2 in zip(lo[:100], hi[:100]):
             if v1 < v2:
-                assert v2t_edge_time(v1, cfg, 0) < v2t_edge_time(v2, cfg, 0)
+                assert v2t_edge_time(v1, slope, v_th, VDD) < v2t_edge_time(v2, slope, v_th, VDD)
         t_lo = (lo - v_th) / slope
         t_hi = (hi - v_th) / slope
         distinct = lo < hi
         assert np.all(t_lo[distinct] < t_hi[distinct])
 
     def test_underrange_is_an_error(self):
-        cfg = make_cfg()
         with pytest.raises(UnderrangeError):
-            v2t_edge_time(0.25, cfg)
+            v2t_edge_time(0.25, 1e9, VTH, VDD)
 
     def test_overrange_is_an_error(self):
-        cfg = make_cfg()
         with pytest.raises(OverrangeError):
-            v2t_edge_time(0.95, cfg)
+            v2t_edge_time(0.95, 1e9, VTH, VDD)
 
     def test_affine_fit_residual_is_zero(self):
-        cfg = make_cfg(slope_sigma=0.1, vth_sigma=0.05)
+        slope, v_th = mismatched(0.1, 0.05, 1)
         v = np.linspace(0.4, 0.9, 101)
-        t = np.array([v2t_edge_time(x, cfg, 1) for x in v])
+        t = np.array([v2t_edge_time(x, slope, v_th, VDD) for x in v])
         coeffs = np.polyfit(v, t, 1)
         residual = t - np.polyval(coeffs, v)
         assert np.max(np.abs(residual)) < 1e-12 * np.max(np.abs(t))
@@ -99,20 +64,27 @@ class TestEdgeTime:
 
 class TestPair:
     def test_equal_inputs_fire_together(self):
-        cfg = make_cfg()
-        t_inp, t_inn = v2t_pair(0.5, 0.5, cfg)
+        t_inp, t_inn = pair(0.5, 0.5)
         assert t_inp == t_inn
 
     def test_half_range_example(self):
-        cfg = make_cfg(slope=1e9)
-        t_inp, t_inn = v2t_pair(0.6375, 0.4125, cfg)  # dv = 0.225 V
+        t_inp, t_inn = pair(0.6375, 0.4125)  # dv = 0.225 V
         assert t_inp - t_inn == pytest.approx(225 * PS, rel=1e-12)
 
     def test_swapping_inputs_negates_delta(self):
-        cfg = make_cfg()
-        t1 = v2t_pair(0.7, 0.45, cfg)
-        t2 = v2t_pair(0.45, 0.7, cfg)
+        t1 = pair(0.7, 0.45)
+        t2 = pair(0.45, 0.7)
         assert (t1[0] - t1[1]) == pytest.approx(-(t2[0] - t2[1]), rel=1e-12)
+
+    def test_each_side_has_its_own_slope_and_threshold(self):
+        slopes, thresholds = (1e9, 2e9), (0.3, 0.35)
+        t_inp, t_inn = v2t_pair(0.75, 0.75, slopes, thresholds, VDD)
+        assert t_inp == pytest.approx(450 * PS, rel=1e-12)
+        assert t_inn == pytest.approx(200 * PS, rel=1e-12)
+        # 0.32 V clears the p side's threshold but not the n side's
+        v2t_pair(0.32, 0.5, slopes, thresholds, VDD)
+        with pytest.raises(UnderrangeError):
+            v2t_pair(0.5, 0.32, slopes, thresholds, VDD)
 
 
 class TestFold:
@@ -139,21 +111,9 @@ class TestFold:
 
 
 def test_end_to_end_time_encoding_identity():
-    cfg = make_cfg(slope=1e9)
     rng = np.random.default_rng(8)
     for _ in range(200):
         v_p, v_n = rng.uniform(0.35, 0.85, size=2)
-        pulse = fold(*v2t_pair(v_p, v_n, cfg), 100 * PS)
+        pulse = fold(*pair(v_p, v_n), 100 * PS)
         expected = abs(v_p - v_n) / 1e9
         assert pulse.width - 100 * PS == pytest.approx(expected, rel=1e-12, abs=1e-22)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        V2TConfig(
-            vdd=0.9,
-            v_threshold=0.5,  # not below vdd/2
-            discharge_slope=1e9,
-            slope_mismatch=ideal_mismatch(1e9),
-            threshold_mismatch=ideal_mismatch(0.5),
-        )
