@@ -65,6 +65,7 @@ from .core import Record
 from .errors import CoherenceError, ConfigError
 from .interleaver import CODE_MAX, N_CODES, N_GROUPS, N_SLICES, PI_CODES
 from .metrics import MIN_HITS_PER_CODE, coherent_bin, walden_fom
+from .stdc import MAX_TAPS
 from .stimulus import SineStimulus
 
 
@@ -220,7 +221,8 @@ class AdcConfig(_Section, path="adc"):
     full_scale: Positive = 0.45  # differential full scale: max |v_p - v_n|, volts
     d_offset: Positive = 100e-12
     unit_delay: Positive = 4e-12
-    n_taps: Count = 255
+    # counts and codes are int16: a LUT address, a code plus 128, must fit
+    n_taps: Annotated[int, (lambda v: 1 <= v <= MAX_TAPS, f"an integer in [1, {MAX_TAPS}]")] = 255
     # a negative lead opens the pulse window before the STDC launch edge
     launch_lead_taps: NonNegative = 0.25
     divided_ratio: Count = 8

@@ -150,7 +150,7 @@ class CalibrationState(Record):
     """Persisted calibration: offsets, LUTs and PI corrections."""
 
     offset_codes: np.ndarray
-    luts: np.ndarray | None  # (16, LUT_SIZE), read-only
+    luts: np.ndarray | None  # (16, LUT_SIZE) COUNT_DTYPE, read-only
     pi_corrections: np.ndarray | None
 
     @classmethod
@@ -184,7 +184,9 @@ class CalibrationState(Record):
         bounds = (0, adc.n_taps) if cal.adapt_offsets else (adc.nominal_offset_code,) * 2
         offsets = _int_table(payload, "offset_codes", (il.N_SLICES,), *bounds)
         shape = (il.N_SLICES, il.LUT_SIZE)
-        luts = _int_table(payload, "luts", shape, il.CODE_MIN, il.CODE_MAX, cal.lut)
+        luts = _int_table(
+            payload, "luts", shape, il.CODE_MIN, il.CODE_MAX, cal.lut, il.COUNT_DTYPE
+        )
         if luts is not None and np.any(np.diff(luts[:, 1:]) < 0):  # as build_lut makes them
             raise ConfigError("calibration luts must not fall from entry 1 on")
         corrections = _int_table(payload, "pi_corrections", (il.N_GROUPS,), switch=cal.skew)
@@ -211,9 +213,13 @@ def _unique_keys(pairs: list) -> dict:
 _SWITCHES = {"luts": "lut", "pi_corrections": "skew"}
 
 
-def _int_table(payload: dict, name: str, shape: tuple, low=None, high=None, switch=None):
-    """Calibration field `name` as a read-only int64 array of `shape` inside
-    [low, high], or ConfigError; given its switch, null exactly when it is off."""
+def _int_table(
+    payload: dict, name: str, shape: tuple, low=None, high=None, switch=None, dtype=np.int64
+):
+    """Calibration field `name` as a read-only array of `shape` inside
+    [low, high], or ConfigError; given its switch, null exactly when it is
+    off.  It is cast to `dtype` (int64 unless given: the LUTs are
+    `COUNT_DTYPE`, like the codes they map) only once its range is checked."""
     value = payload[name]
     if switch is not None:
         if (value is None) == switch:
@@ -231,7 +237,7 @@ def _int_table(payload: dict, name: str, shape: tuple, low=None, high=None, swit
         raise ConfigError(f"calibration {name} must be integers of shape {shape}")
     if low is not None and (table.min() < low or table.max() > high):
         raise ConfigError(f"calibration {name} must lie in [{low}, {high}]")
-    table = table.astype(np.int64, copy=False)
+    table = table.astype(dtype, copy=False)
     table.flags.writeable = False
     return table
 
@@ -275,7 +281,8 @@ def run_slice_transfer(cfg: RunConfig, system: il.AdcSystem) -> Run:
     dv = np.linspace(-span, span, cfg.sweep.points)
     cm = cfg.stimulus.common_mode
     raw, sign, code = il.slice_transfer(system, 0, dv, cm, offset)
-    monotone = bool(np.all(np.diff(code) >= 0))
+    # compared, not differenced: a difference of two int16 codes may not fit int16
+    monotone = bool(np.all(code[1:] >= code[:-1]))
     metrics = {
         "offset_code": offset,
         "monotone": monotone,

@@ -52,7 +52,14 @@ from .errors import (
 )
 from .metrics import coherent_bin
 from .pi import PI_CODES, DelayChain, build_delay_chains, pi_output, trim_paths
-from .stdc import InverterChain, OffsetEstimate, adapt_offset, build_chains, count_edges_batch
+from .stdc import (
+    COUNT_DTYPE,
+    InverterChain,
+    OffsetEstimate,
+    adapt_offset,
+    build_chains,
+    count_edges_batch,
+)
 from .stimulus import SineStimulus
 
 if TYPE_CHECKING:
@@ -61,7 +68,8 @@ if TYPE_CHECKING:
 N_GROUPS = 4
 CODE_MIN, CODE_MAX = -127, 127
 N_CODES = CODE_MAX - CODE_MIN + 1
-# a slice's calibration LUT is indexed by code + LUT_SIZE // 2
+# a slice's calibration LUT is indexed by code + LUT_SIZE // 2, the widest
+# COUNT_DTYPE value a capture forms (stdc.MAX_TAPS)
 LUT_SIZE = 256
 NOMINAL_PI_CODE_BASE = 32
 # quadrature sits at quarter-period code spacing; basing it at code 32 (not
@@ -270,10 +278,11 @@ class CaptureResult(Record):
     """Per-slice streams of one capture (row index = slice).  The offset
     warmup is no capture and makes none (see `adapt_offsets`)."""
 
-    instants: np.ndarray  # (16, n) sampling instants
-    raw: np.ndarray  # (16, n) unsigned counts
-    codes: np.ndarray  # (16, n) signed codes after unfold
-    corrected: np.ndarray  # (16, n) after the LUTs (the codes array itself without)
+    instants: np.ndarray  # (16, n) float64 sampling instants
+    raw: np.ndarray  # (16, n) COUNT_DTYPE unsigned counts
+    codes: np.ndarray  # (16, n) COUNT_DTYPE signed codes after unfold
+    # (16, n) the LUT entries, COUNT_DTYPE from `build_luts` (the codes array itself without)
+    corrected: np.ndarray
 
 
 def convert_pair_arrays(
@@ -284,11 +293,19 @@ def convert_pair_arrays(
     offset_code: int,
     context: str = "",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized conversion of sampled voltage pairs on one slice."""
+    """Vectorized conversion of sampled voltage pairs on one slice: raw
+    counts, signs and codes, the counts and codes as COUNT_DTYPE.
+
+    The offset code is a count, >= 0.  One above the chain's tap count
+    removes every count, as the tap count itself does, so it is taken as
+    the tap count: every code then lies within +/-n_taps."""
+    offset_code = int(offset_code)
+    if offset_code < 0:
+        raise ValueError(f"offset code must be >= 0, got {offset_code}")
     raw, sign = _raw_counts(system, s, v_p, v_n, context)
-    code = np.subtract(raw, int(offset_code))
+    code = np.subtract(raw, min(offset_code, system.chains[s].n_taps))
     np.maximum(code, 0, out=code)
-    neg = np.negative(sign, dtype=np.int64)  # unfold m to (m ^ -s) + s, sign s = 0 or 1
+    neg = np.negative(sign, dtype=COUNT_DTYPE)  # unfold m to (m ^ -s) + s, sign s = 0 or 1
     code ^= neg
     code -= neg
     return raw, sign, code
@@ -445,8 +462,8 @@ def run_capture(
     if offset_codes is None:
         offset_codes = np.full(N_SLICES, system.config.adc.nominal_offset_code)
     offset_codes = np.asarray(offset_codes, dtype=np.int64)
-    raw = np.empty(instants.shape, dtype=np.int64)
-    codes = np.empty(instants.shape, dtype=np.int64)
+    raw = np.empty(instants.shape, dtype=COUNT_DTYPE)
+    codes = np.empty(instants.shape, dtype=COUNT_DTYPE)
     for s, (v_p, v_n) in enumerate(inputs):
         raw[s], _, codes[s] = convert_pair_arrays(
             system, s, v_p, v_n, int(offset_codes[s]), context="cycle "
@@ -526,7 +543,7 @@ def code_histogram(codes: np.ndarray) -> np.ndarray:
 
 def build_lut(histogram: np.ndarray, amplitude_code: float, min_hits: int) -> np.ndarray:
     """Code-density linearization of one slice from a sine capture: its
-    (LUT_SIZE,) mapping, monotone and inside [CODE_MIN, CODE_MAX].
+    (LUT_SIZE,) COUNT_DTYPE mapping, monotone and inside [CODE_MIN, CODE_MAX].
 
     The corrected value for raw code c is the ideal code whose cumulative
     density matches c's observed cumulative density, with the sine's
@@ -548,16 +565,17 @@ def build_lut(histogram: np.ndarray, amplitude_code: float, min_hits: int) -> np
         raise CoverageError((short + CODE_MIN).tolist(), min_hits)
     cum_mid = (np.cumsum(hist) - hist / 2.0) / total
     level = -amplitude_code * np.cos(np.pi * cum_mid)
-    corrected = np.clip(np.rint(level), CODE_MIN, CODE_MAX).astype(np.int64)
+    corrected = np.clip(np.rint(level), CODE_MIN, CODE_MAX).astype(COUNT_DTYPE)
     corrected = np.maximum.accumulate(corrected)
-    mapping = np.empty(LUT_SIZE, dtype=np.int64)
+    mapping = np.empty(LUT_SIZE, dtype=COUNT_DTYPE)
     mapping[1:] = corrected
     mapping[0] = corrected[0]
     return mapping
 
 
 def build_luts(capture: CaptureResult, amplitude_code: float, min_hits: int) -> np.ndarray:
-    """Every slice's `build_lut` mapping as one read-only (16, LUT_SIZE) table."""
+    """Every slice's `build_lut` mapping as one read-only (16, LUT_SIZE)
+    COUNT_DTYPE table."""
     luts = np.stack([
         build_lut(code_histogram(capture.codes[s]), amplitude_code, min_hits)
         for s in range(N_SLICES)

@@ -41,6 +41,14 @@ comparisons settle the shared bucket.  So the count equals
 built from two such counts keeps the half-open window and the guard
 unchanged.  Queries below 0 or past the span clip to the first or last
 bucket, which count 0 or n_taps.
+
+A count is at most n_taps, so `below` and every count are held in
+`COUNT_DTYPE` (int16), as are the codes a capture unfolds from them and the
+LUT tables that map those codes (`interleaver`).  The widest value formed in
+it is the LUT address, a code of at most n_taps in magnitude plus 128
+(`interleaver.LUT_SIZE // 2`), so a chain holds at most `MAX_TAPS` =
+2**15 - 1 - 128 = 32,639 taps: `build_chains` refuses a longer row, and
+`adc.n_taps` a larger value at load.
 """
 
 from __future__ import annotations
@@ -51,6 +59,12 @@ from dataclasses import field
 import numpy as np
 
 from .core import Duration, Record
+
+# the dtype of every count and code, from the count index to the artifacts
+COUNT_DTYPE = np.int16
+# the most taps a chain may hold: a LUT address, a code within +/-n_taps plus
+# interleaver.LUT_SIZE // 2 = 128, must fit COUNT_DTYPE
+MAX_TAPS = int(np.iinfo(COUNT_DTYPE).max) - 128
 
 
 def _bucket(x: np.ndarray, inv_h, n_buckets) -> np.ndarray:
@@ -64,7 +78,7 @@ class EdgeBuckets(Record):
     """Exact bucketed index of increasing edge offsets (see module docstring)."""
 
     inv_h: float
-    below: np.ndarray  # (n_buckets,) edges in lower buckets
+    below: np.ndarray  # (n_buckets,) COUNT_DTYPE, edges in lower buckets
     edges: np.ndarray  # (occupancy, n_buckets) edges per bucket, +inf padded
 
 
@@ -94,6 +108,8 @@ def build_chains(tap_delays) -> list[InverterChain]:
     if delays.ndim != 2 or delays.size < 1 or not np.all((delays > 0) & np.isfinite(delays)):
         raise ValueError("tap delays must be finite, > 0 and one non-empty row per chain")
     k, n = delays.shape
+    if n > MAX_TAPS:
+        raise ValueError(f"a chain holds at most {MAX_TAPS} taps (its counts are int16), got {n}")
     offsets = np.cumsum(delays, axis=1)
     inv_h = 4 * n / offsets[:, -1]
     if not np.all((0 < inv_h) & (inv_h < np.inf)):
@@ -104,7 +120,7 @@ def build_chains(tap_delays) -> list[InverterChain]:
     width, rows = int(n_buckets.max()), np.arange(k)[:, None]
     counts = np.bincount((bucket + rows * width).ravel(), minlength=k * width).reshape(k, width)
     depth = counts.max(axis=1)
-    below = np.cumsum(counts, axis=1)
+    below = np.cumsum(counts, axis=1, dtype=COUNT_DTYPE)
     below -= counts
     del counts  # the edge table takes its place on the heap
     edges = np.full((k, int(depth.max()), width), np.inf)
@@ -137,9 +153,11 @@ def adapt_offset(raw_stream, window: int, threshold: float) -> OffsetEstimate:
         raise ValueError("window must be >= 1")
     if not (0 < threshold <= 1):
         raise ValueError("threshold must lie in (0, 1]")
-    stream = np.asarray(raw_stream, dtype=np.int64)
+    stream = np.asarray(raw_stream)
     if stream.size == 0:
         raise ValueError("raw stream must be non-empty")
+    if stream.dtype.kind not in "iu":
+        raise ValueError(f"raw counts must be integers, got {stream.dtype}")
     if stream.min() < 0:
         raise ValueError("raw counts must be >= 0")
     tail = stream[-window:]
@@ -154,7 +172,7 @@ def count_edges_batch(
     starts: np.ndarray,
     widths: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized raw counts for many launch-relative windows.
+    """Vectorized raw counts for many launch-relative windows, as COUNT_DTYPE.
 
     Equal per sample to the single-shot count of one pulse's sampler bits,
     with the same boundary guard (`count_edges_in_pulse` in

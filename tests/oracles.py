@@ -150,14 +150,15 @@ def rowwise_chain(tap_delays) -> InverterChain:
     """One chain built from its own row alone, the build `stdc.build_chains`
     stacks: edge offsets by cumsum, f(x) = floor(x * inv_h) with about four
     buckets per mean tap, each bucket's `below` from this row's own bucket
-    counts, and an edge table as deep as its fullest bucket, +inf padded."""
+    counts in int16, and an edge table as deep as its fullest bucket, +inf
+    padded."""
     delays = np.asarray(tap_delays, dtype=np.float64)
     offsets = np.cumsum(delays)
     inv_h = 4 * delays.size / float(offsets[-1])
     bucket = np.floor(offsets * inv_h).astype(np.intp)
     n_buckets = int(offsets[-1] * inv_h) + 1  # f of the last, largest edge
     counts = np.bincount(bucket, minlength=n_buckets)
-    below = np.cumsum(counts) - counts
+    below = (np.cumsum(counts) - counts).astype(np.int16)
     edges = np.full((int(counts.max()), n_buckets), np.inf)
     edges[np.arange(delays.size) - below[bucket], bucket] = offsets
     guard = 1e-6 * float(np.mean(delays))

@@ -32,6 +32,7 @@ from stochadc.config import (
 from stochadc.errors import ConfigError, PreconditionError, TrimConvergenceError
 from stochadc.experiments import CalibrationState, run_experiment, run_pi_trim
 from stochadc.metrics import code_density_linearity
+from stochadc.stdc import MAX_TAPS
 from stochadc.stimulus import SineStimulus
 
 from oracles import converter
@@ -372,6 +373,16 @@ class TestCli:
     def test_config_error_exit_code(self, tmp_path):
         p = self.write(tmp_path, "master_seed: 1\nbogus: true\n")
         assert main(["pi-sweep", "--config", str(p), "--out", str(tmp_path)]) == 2
+
+    def test_n_taps_past_the_int16_bound_rejected_at_load(self, tmp_path, capsys):
+        # counts and codes are int16: a chain longer than stdc.MAX_TAPS would
+        # wrap its LUT address, so it is refused before any converter is built
+        text = MINIMAL_SINE + f"adc:\n  n_taps: {MAX_TAPS + 1}\n"
+        p = self.write(tmp_path, text)
+        assert main(["slice-transfer", "--config", str(p), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"adc.n_taps must be an integer in [1, {MAX_TAPS}], got {MAX_TAPS + 1}" in err
+        assert parse_config(MINIMAL_SINE + f"adc:\n  n_taps: {MAX_TAPS}\n").adc.n_taps == MAX_TAPS
 
     def test_precondition_exit_code(self, tmp_path):
         # the config passes load-time validation, but the LUT calibration

@@ -57,6 +57,7 @@ from stochadc.interleaver import (
 )
 from stochadc.experiments import CalibrationState
 from stochadc.metrics import code_density_linearity, sndr_enob
+from stochadc.stdc import COUNT_DTYPE, MAX_TAPS, count_edges_batch
 from stochadc.stimulus import SineStimulus
 
 from oracles import (
@@ -309,7 +310,20 @@ class TestCapture:
         empty = np.empty(0)
         raw, sign, code = convert_pair_arrays(ideal_system(), 0, empty, empty, 25)
         assert (raw.size, sign.size, code.size) == (0, 0, 0)
-        assert (raw.dtype, sign.dtype, code.dtype) == (np.int64, np.bool_, np.int64)
+        assert (raw.dtype, sign.dtype, code.dtype) == (np.int16, np.bool_, np.int16)
+
+    def test_offset_code_is_a_count(self):
+        # a negative offset code is refused; one above the chain's taps
+        # removes every count, as the tap count itself does
+        system = ideal_system()
+        dv = np.array([0.4, -0.4, 0.0])
+        v_p, v_n = VCM + dv / 2, VCM - dv / 2
+        with pytest.raises(ValueError, match="offset code must be >= 0"):
+            convert_pair_arrays(system, 0, v_p, v_n, -1)
+        n_taps = system.config.adc.n_taps
+        for offset in (n_taps, n_taps + 1, 2**15, 2**40):
+            raw, _, code = convert_pair_arrays(system, 0, v_p, v_n, offset)
+            assert raw.min() > 0 and code.tolist() == [0, 0, 0]
 
     def test_without_luts_corrected_is_the_codes_array(self):
         capture = run_capture(ideal_system(), coherent_tone(11, 256, amplitude=0.4), 256)
@@ -360,12 +374,14 @@ def test_unfold_equals_the_single_shot_oracle(seed, size, offset):
     system = ideal_system()
     n_taps = system.config.adc.n_taps
     rng = np.random.default_rng(seed)
+    # int16 counts, as `_raw_counts` returns them
     raw = np.concatenate([[0, 0, n_taps, n_taps], rng.integers(0, n_taps + 1, size)])
+    raw = raw.astype(np.int16)
     sign = np.concatenate([[False, True, False, True], rng.random(size) < 0.5])
     v = np.full(raw.size, VCM)
     with mock.patch.object(il, "_raw_counts", return_value=(raw, sign)):
         _, _, code = convert_pair_arrays(system, 0, v, v, offset)
-    assert code.dtype == np.int64
+    assert code.dtype == np.int16
     assert code.tolist() == [unfold(r, offset, s).code for r, s in zip(raw, sign)]
     assert np.abs(code).max() == n_taps - offset
 
@@ -565,9 +581,14 @@ class TestOffsetWarmup:
             assert (estimate.rank, estimate.window) == (rank, window)
 
     def test_holds_no_window_of_counts(self):
-        # each slice's counts are dropped once estimated: the warmup's peak
-        # stays below its instants plus one (16, window) int64 array, which
-        # the counts of every slice at once would fill
+        # each slice's counts are dropped once estimated.  At the peak, inside
+        # one slice's count, the warmup holds its instants and, per sample,
+        # the slice's two input sides and three V2T temporaries (5 float64),
+        # the count's window ends, their buckets and one gathered row (2
+        # float64, 2 intp, 2 float64), its comparison mask (2 bool), its
+        # running count (2 counts) and the previous slice's counts (1 count).
+        # The counts of every slice at once, (16, window), or counts wider
+        # than COUNT_DTYPE (int64 ones add 18 bytes a sample) go over it
         cfg = load_config(CONFIG_DIR / "regime.yaml")
         system = converter(cfg, 0)
         window = cfg.adc.adaptation.window
@@ -577,8 +598,10 @@ class TestOffsetWarmup:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        instants = N_SLICES * window * np.dtype(np.float64).itemsize
-        assert peak < instants + N_SLICES * window * np.dtype(np.int64).itemsize
+        f8, intp, count = (np.dtype(t).itemsize for t in (np.float64, np.intp, COUNT_DTYPE))
+        instants = N_SLICES * window * f8
+        per_sample = 9 * f8 + 2 * intp + 2 + 3 * count
+        assert peak < instants + window * per_sample + 32768
 
 
 class TestAlign:
@@ -750,7 +773,7 @@ class TestLut:
         capture = run_capture(system, tone, 16 * 2**12)
         amplitude_code = 0.459 / (0.45 / 127)
         luts = build_luts(capture, amplitude_code, min_hits=1)
-        assert (luts.shape, luts.dtype, luts.flags.writeable) == ((16, 256), np.int64, False)
+        assert (luts.shape, luts.dtype, luts.flags.writeable) == ((16, 256), np.int16, False)
         for s in range(16):
             want = build_lut(code_histogram(capture.codes[s]), amplitude_code, min_hits=1)
             assert np.array_equal(luts[s], want)
@@ -873,6 +896,64 @@ class TestSliceTransfer:
             assert np.all(np.diff(code) >= 0)
 
 
+def test_counts_and_codes_are_int16_from_the_count_to_the_histogram(tmp_path, monkeypatch):
+    # every count, code and LUT, from the STDC count to the histogram input,
+    # is int16 with the LUTs on or off: a change that widens one fails here
+    cfg = parse_config(LUT_CONFIG)
+    system = converter(cfg, 1)
+    built = experiments.compute_calibration(cfg, system)
+    monkeypatch.setattr(experiments, "compute_calibration", lambda *args: built)
+    experiments.run_experiment("calibrate", cfg, out_dir=tmp_path, seed=1)
+    loaded = CalibrationState.from_json((tmp_path / "calibration.json").read_text(), cfg, 1)
+    chain = system.chains[0]
+    v = np.full(4, VCM)
+    raw, _, code = convert_pair_arrays(system, 0, v + 0.1, v - 0.1, 25)
+    tone = coherent_tone(11, 256, amplitude=0.4, cm=0.55)
+    plain = run_capture(system, tone, 256, loaded.offset_codes)
+    mapped = run_capture(system, tone, 256, loaded.offset_codes, loaded.luts)
+    arrays = {
+        "count_edges_batch": count_edges_batch(chain, np.zeros(2), np.full(2, 1e-9)),
+        "convert_pair_arrays raw": raw,
+        "convert_pair_arrays code": code,
+        "slice_transfer": slice_transfer(system, 0, np.linspace(-0.4, 0.4, 9), VCM, 25)[2],
+        "run_capture raw": plain.raw,
+        "run_capture codes": plain.codes,
+        "run_capture corrected": plain.corrected,
+        "run_capture corrected, LUTs on": mapped.corrected,
+        "aligned_capture": aligned_capture(system, plain).codes,
+        "aligned_capture, LUTs on": aligned_capture(system, mapped).codes,
+        "build_luts": built.luts,
+        "loaded luts": loaded.luts,
+    }
+    want = dict.fromkeys(arrays, np.dtype(np.int16))
+    assert {name: a.dtype for name, a in arrays.items()} == want
+
+
+def test_the_largest_n_taps_converts_end_to_end():
+    # adc.n_taps at its bound builds a converter (with a divided clock slow
+    # enough for the chain's spread) whose capture equals the single-sample
+    # oracle; and counts of n_taps unfold to codes of +/-n_taps, whose LUT
+    # address, code + 128, the widest int16 value formed, saturates to
+    # entries 0 and 255
+    assert MAX_TAPS + il.LUT_SIZE // 2 == np.iinfo(COUNT_DTYPE).max
+    system = mismatched_system(0, n_taps=MAX_TAPS, divided_ratio=256, tap_sigma_random=0.05)
+    luts = np.random.default_rng(7).integers(-127, 128, (N_SLICES, 256))
+    luts = np.sort(luts, axis=1).astype(np.int16)
+    tone = coherent_tone(11, 256, amplitude=0.4, cm=0.55)
+    capture = run_capture(system, tone, 64, [25] * N_SLICES, luts)
+    for s in range(N_SLICES):
+        v_p, v_n = tone(capture.instants[s])
+        want = [convert_one(system, s, p, n, 25, luts[s]) for p, n in zip(v_p, v_n)]
+        for name, column in (("raw", 0), ("codes", 2), ("corrected", 3)):
+            assert getattr(capture, name)[s].tolist() == [w[column] for w in want], (s, name)
+    raw = np.array([0, 0, MAX_TAPS, MAX_TAPS], dtype=np.int16)
+    sign = np.array([False, True, False, True])
+    with mock.patch.object(il, "_raw_counts", return_value=(raw, sign)):
+        saturated = run_capture(system, tone, 64, [0] * N_SLICES, luts)
+    assert saturated.codes.tolist() == [[0, 0, MAX_TAPS, -MAX_TAPS]] * N_SLICES
+    assert saturated.corrected.tolist() == [[t[128], t[128], t[255], t[0]] for t in luts.tolist()]
+
+
 def test_calibration_state_roundtrip(tmp_path, monkeypatch):
     # the calibrate experiment writes the state through the artifact writer,
     # and the reader gives back every field, on a config that has them all
@@ -888,7 +969,7 @@ def test_calibration_state_roundtrip(tmp_path, monkeypatch):
     assert np.array_equal(back.offset_codes, state.offset_codes)
     assert np.array_equal(back.pi_corrections, state.pi_corrections)
     assert np.array_equal(back.luts, state.luts)
-    assert (back.luts.dtype, back.luts.flags.writeable) == (np.int64, False)
+    assert (back.luts.dtype, back.luts.flags.writeable) == (np.int16, False)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from stochadc.stdc import (
+    COUNT_DTYPE,
+    MAX_TAPS,
     OffsetEstimate,
     adapt_offset,
     build_chains,
@@ -140,7 +142,7 @@ def bucket_cases(draw):
 def test_bucketed_count_matches_searchsorted_and_single_shot(case):
     chain, starts, widths = case
     got = count_edges_batch(chain, starts, widths)
-    assert got.dtype == np.int64
+    assert got.dtype == np.int16
     assert np.array_equal(got, searchsorted_count_edges_batch(chain, starts, widths))
     edges = tap_edge_times(chain, 0.0)
     for start, width, count in zip(starts, widths, got):
@@ -224,7 +226,7 @@ def test_stacked_build_validation():
 
 def test_count_holds_no_extra_temporaries():
     # live at once at the peak, for n samples: both window ends (2n float64),
-    # their buckets (2n intp), the running count (2n int64), one row's
+    # their buckets (2n intp), the running count (2n COUNT_DTYPE), one row's
     # gathered edges (2n float64) and the comparison mask (2n bool).  The
     # float bucket values are freed before the gathers
     chain = make_chain(4 * PS, 255, 0.1, seed=3)
@@ -238,7 +240,25 @@ def test_count_holds_no_extra_temporaries():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * n * (8 + np.dtype(np.intp).itemsize + 8 + 8 + 1) + 4096
+    count = np.dtype(COUNT_DTYPE).itemsize
+    assert peak < 2 * n * (8 + np.dtype(np.intp).itemsize + count + 8 + 1) + 4096
+
+
+def test_a_chain_at_the_tap_bound_counts_every_tap():
+    # the longest chain build_chains takes: a pulse that spans it counts all
+    # MAX_TAPS taps in int16, as the searchsorted count does, with mismatch
+    # or without; one tap more is refused
+    for sigma in (0.0, 0.1):
+        chain = make_chain(4 * PS, MAX_TAPS, sigma, seed=3)
+        span = chain.total_delay
+        starts = np.array([-span, 0.0, 0.0, 0.5 * span, span])
+        widths = np.array([3 * span, 2 * span, span, span, span])
+        got = count_edges_batch(chain, starts, widths)
+        assert got.dtype == np.int16
+        assert np.array_equal(got, searchsorted_count_edges_batch(chain, starts, widths))
+        assert got[0] == got[1] == MAX_TAPS
+    with pytest.raises(ValueError, match=f"at most {MAX_TAPS} taps"):
+        build_chains(np.full((2, MAX_TAPS + 1), 4 * PS))
 
 
 def test_bucket_table_size_bounded_by_taps():
@@ -310,6 +330,13 @@ class TestAdaptOffset:
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError):
             adapt_offset([], 100, 0.001)
+
+    @pytest.mark.parametrize("stream", [[25.0, 26.0], [25.5, 26.0], [True, False]])
+    def test_stream_that_is_not_integer_rejected(self, stream):
+        # the estimate selects on the counts as they come, with no cast that
+        # could truncate a fractional one
+        with pytest.raises(ValueError, match="must be integers"):
+            adapt_offset(np.array(stream), 2, 0.5)
 
     def test_bad_params_rejected(self):
         with pytest.raises(ValueError):
