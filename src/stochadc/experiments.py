@@ -337,8 +337,11 @@ def run_pi_sweep(cfg: RunConfig, chain: pimod.DelayChain) -> Run:
 
 def _rising(a: np.ndarray) -> bool:
     """Whether `a` strictly rises; the same verdict as `np.diff(a) > 0` for
-    every double, NaN and inf included, without the difference array."""
-    return bool((a[1:] > a[:-1]).all())
+    every double, NaN and inf included, without the difference array.  The
+    rises are counted: on a few hundred flags that costs a fraction of
+    `.all()`."""
+    rises = a[1:] > a[:-1]
+    return bool(np.count_nonzero(rises) == rises.size)
 
 
 def run_pi_trim(cfg: RunConfig, chain: pimod.DelayChain) -> Run:
@@ -355,7 +358,7 @@ def run_pi_trim(cfg: RunConfig, chain: pimod.DelayChain) -> Run:
         "initial_inversions": result.initial_inversions,
         "pre_trim_monotone": pre_monotone,
         "post_trim_monotone": post_monotone,
-        "max_trim_seconds": float(np.max(np.abs(result.adjustments))),
+        "max_trim_seconds": float(np.abs(result.adjustments).max()),
     }
     return metrics, lambda: {
         "pi_trim.json": {

@@ -485,10 +485,12 @@ def adapt_offsets(
     (16, window) count array is built and no code is unfolded.
     """
     _, inputs = _slice_inputs(system, stimulus, window * N_SLICES, NOMINAL_PI_CODES)
-    estimates = []
-    for s, (v_p, v_n) in enumerate(inputs):
-        raw, _ = _raw_counts(system, s, v_p, v_n, "cycle ", signed=False)
-        estimates.append(adapt_offset(raw, window, threshold))
+    estimates = [
+        adapt_offset(
+            _raw_counts(system, s, v_p, v_n, "cycle ", signed=False)[0], window, threshold
+        )
+        for s, (v_p, v_n) in enumerate(inputs)
+    ]
     return np.array([e.offset_code for e in estimates], dtype=np.int64), estimates
 
 

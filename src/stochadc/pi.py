@@ -22,11 +22,14 @@ rebuilt through the builder's one-row case.  This module draws no mismatch:
 `interleaver.pi_chain` scales every chain the package uses from a run
 config's rows and hands the stack to the builder.
 
-`pi_sweep`, `pi_output` and `inverted_segments` read the chain's ring
-through a cached, read-only code table (`code_table`): each code's start tap
-and blend step, from the encoder's integer arithmetic.  The single-code
-model (encoder selects, blender, inversion detector) lives with the tests
-in `tests/oracles.py`, which hold these functions to it bit for bit.
+`pi_sweep` and `pi_output` read the chain's ring through a cached,
+read-only code table (`code_table`): each code's segment and blend weight,
+from the encoder's integer arithmetic.  `inverted_segments` reads the ring
+alone: while N <= 256 the codes select every segment, taps (1, 2) to
+(N, N + 1), so the arbiters' check compares adjacent ring positions.  The
+single-code model (encoder selects, blender, inversion detector) lives with
+the tests in `tests/oracles.py`, which hold these functions to it bit for
+bit.
 """
 
 from __future__ import annotations
@@ -133,19 +136,17 @@ def build_delay_chains(unit_delay: Duration, tap_delays, path_skews, period: Dur
 class CodeTable(Record):
     """Encoder output for every code at one period quantization.
 
-    Index = code.  Taps are 1-based ring positions (see `DelayChain`);
-    each segment ends on tap `start_tap + 1`.  `segment_codes` lists the first
-    code of each distinct segment, in code order.  `weight` and `at_start` are
-    the blender's `blend_k / BLEND_STEPS` and `blend_k == 0`, computed once.
-    All arrays are read-only, because one table is shared by every caller
-    with the same N.
+    Index = code.  Taps are 1-based ring positions (see `DelayChain`):
+    code c blends from tap `start_tap[c]`, ring index `segment[c]`, toward
+    tap `start_tap[c] + 1`, ring index `start_tap[c]`.  `weight` is the
+    blender's `blend_k / BLEND_STEPS`, computed once.  All arrays are
+    read-only, because one table is shared by every caller with the same N.
     """
 
+    segment: np.ndarray
     start_tap: np.ndarray
     blend_k: np.ndarray
-    segment_codes: np.ndarray
     weight: np.ndarray
-    at_start: np.ndarray
 
 
 @functools.lru_cache(maxsize=64)
@@ -161,31 +162,17 @@ def code_table(n_delays_per_cycle: int) -> CodeTable:
     (leapfrog); off-nominal N keeps monotonicity but not step uniformity.
     """
     scaled = np.arange(PI_CODES, dtype=np.int64) * n_delays_per_cycle
-    start_tap = scaled // PI_CODES + 1
-    _, segment_codes = np.unique(start_tap, return_index=True)
+    segment = scaled // PI_CODES
     blend_k = (scaled % PI_CODES) // BLEND_STEPS
     table = CodeTable(
-        start_tap=start_tap,
+        segment=segment,
+        start_tap=segment + 1,
         blend_k=blend_k,
-        segment_codes=segment_codes,
         weight=blend_k / BLEND_STEPS,
-        at_start=blend_k == 0,
     )
-    for array in (table.start_tap, table.blend_k, table.segment_codes, table.weight,
-                  table.at_start):
+    for array in (table.segment, table.start_tap, table.blend_k, table.weight):
         array.flags.writeable = False
     return table
-
-
-def _blend(positions: np.ndarray, start_tap, weight, at_start) -> np.ndarray:
-    """16-step weighted average of segment endpoints read from ring positions.
-
-    Element-wise over code-table entries; k = 0 (`at_start`) returns the
-    start endpoint exactly.
-    """
-    t_a = positions[start_tap - 1]
-    t_b = positions[start_tap]
-    return np.where(at_start, t_a, t_a + weight * (t_b - t_a))
 
 
 def pi_output(code: int, chain: DelayChain) -> Instant:
@@ -197,31 +184,50 @@ def pi_output(code: int, chain: DelayChain) -> Instant:
     if not 0 <= code < PI_CODES:
         raise ValueError(f"code must lie in [0, {PI_CODES}), got {code}")
     table = code_table(chain.n_delays)
-    return float(
-        _blend(chain.positions, table.start_tap[code], table.weight[code], table.at_start[code])
-    )
+    start = int(table.segment[code])
+    t_a, t_b = chain.positions[start : start + 2].tolist()
+    return t_a + float(table.weight[code]) * (t_b - t_a)
 
 
 def pi_sweep(chain: DelayChain) -> np.ndarray:
-    """Output phase for every code, one cycle (index = code)."""
+    """Output phase for every code, one cycle (index = code).
+
+    Code c's phase is t_a + weight * (t_b - t_a) between its segment's
+    endpoints t_a and t_b.  At weight 0 that is t_a bit for bit, as the
+    blender's k = 0 passes its first input: the difference is finite (the
+    build refuses non-finite delays and skews; only times near the float64
+    limit, about 1e308 s, could overflow it) and t_a is never -0.0 (a
+    positive cumulative delay, or the period, plus a skew is +0.0 at worst).
+    """
     table = code_table(chain.n_delays)
-    return _blend(chain.positions, table.start_tap, table.weight, table.at_start)
+    t_a = chain.positions[table.segment]
+    t_b = chain.positions[table.start_tap]
+    t_b -= t_a
+    t_b *= table.weight
+    t_b += t_a
+    return t_b
 
 
 def inverted_segments(chain: DelayChain) -> list[tuple[int, int]]:
     """Segments whose blender inputs contradict the encoder, over all codes.
 
-    Each distinct segment is checked once, in code order.  Whichever of the
-    odd and even selects leads, the arbiter's check reduces to "the start
-    endpoint is not strictly earlier than the end endpoint", so a tie fires:
-    a real arbiter cannot certify margin, and treating ties as clean would
-    let trimming stall on an exactly zero-width segment.
+    Each segment the codes select is checked once, in code order.
+    Whichever of the odd and even selects leads, the arbiter's check
+    reduces to "the start endpoint is not strictly earlier than the end
+    endpoint", so a tie fires: a real arbiter cannot certify margin, and
+    treating ties as clean would let trimming stall on an exactly zero-width
+    segment.
     """
     positions = chain.positions
-    table = code_table(chain.n_delays)
-    start = table.start_tap[table.segment_codes]
-    firing = ~(positions[start - 1] < positions[start])
-    return [(tap, tap + 1) for tap in start[firing].tolist()]
+    rising = positions[:-1] < positions[1:]
+    # a fraction of the cost of `rising.all()` on a few dozen flags
+    if np.count_nonzero(rising) == rising.size:
+        return []
+    taps = np.flatnonzero(~rising) + 1
+    if chain.n_delays > PI_CODES:
+        # more segments than codes: the encoder skips some, and no code reads those
+        taps = taps[np.isin(taps, code_table(chain.n_delays).start_tap)]
+    return [(tap, tap + 1) for tap in taps.tolist()]
 
 
 class TrimResult(Record):

@@ -781,6 +781,19 @@ def test_the_trimming_pi_monte_carlo_trims(golden_run):
     assert sum(int(row["iterations"]) > 1 for row in rows) == 146
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, np.nan, np.inf, -np.inf]) | st.floats(),
+                max_size=8))
+def test_the_monotone_flags_give_the_difference_verdict(values):
+    # `pre_trim_monotone` and `post_trim_monotone` count the rises; that
+    # must be the verdict of every step of `np.diff` being > 0, NaN and inf
+    # included, and a plain bool
+    a = np.array(values, dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        want = bool((np.diff(a) > 0).all())
+    assert experiments._rising(a) is want
+
+
 # Every numeric artifact value names its unit: a time ends in _seconds, a
 # frequency in _hz and a voltage in _volts, or the name is listed here as
 # dimensionless.  A montecarlo or run summary value is named by its metric

@@ -585,8 +585,8 @@ class TestOffsetWarmup:
         # one slice's count, the warmup holds its instants and, per sample,
         # the slice's two input sides and three V2T temporaries (5 float64),
         # the count's window ends, their buckets and one gathered row (2
-        # float64, 2 intp, 2 float64), its comparison mask (2 bool), its
-        # running count (2 counts) and the previous slice's counts (1 count).
+        # float64, 2 intp, 2 float64), its comparison mask (2 bool) and its
+        # running count (2 counts); no earlier slice's counts are still held.
         # The counts of every slice at once, (16, window), or counts wider
         # than COUNT_DTYPE (int64 ones add 18 bytes a sample) go over it
         cfg = load_config(CONFIG_DIR / "regime.yaml")
@@ -600,7 +600,7 @@ class TestOffsetWarmup:
             tracemalloc.stop()
         f8, intp, count = (np.dtype(t).itemsize for t in (np.float64, np.intp, COUNT_DTYPE))
         instants = N_SLICES * window * f8
-        per_sample = 9 * f8 + 2 * intp + 2 + 3 * count
+        per_sample = 9 * f8 + 2 * intp + 2 + 2 * count
         assert peak < instants + window * per_sample + 32768
 
 

@@ -324,17 +324,18 @@ def per_code_inverted_segments(chain, adjustments=None):
     return firing
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 15, 16, 17, 31, 32])
+@pytest.mark.parametrize("n", [1, 2, 7, 15, 16, 17, 31, 32, 256])
 def test_code_table_matches_encoder(n):
     table = code_table(n)
     for code in range(PI_CODES):
         sel = encode(code, n)
         assert (table.start_tap[code], table.start_tap[code] + 1) == segment_endpoints(sel)
         assert table.blend_k[code] == sel.blend_k
+        assert table.segment[code] == table.start_tap[code] - 1
         assert table.weight[code] == sel.blend_k / BLEND_STEPS
-        assert table.at_start[code] == (sel.blend_k == 0)
-    assert table.start_tap[table.segment_codes].tolist() == list(range(1, n + 1))
-    for array in (table.start_tap, table.weight, table.at_start):
+    # every segment is selected, so `inverted_segments` reads the ring alone
+    assert np.unique(table.start_tap).tolist() == list(range(1, n + 1))
+    for array in (table.segment, table.start_tap, table.weight):
         with pytest.raises(ValueError):
             array[0] = 1  # shared between callers, so read-only
 
@@ -394,8 +395,9 @@ def pi_cases(draw):
     """A mismatched chain at a period it spans, and trim adjustments below
     the unit delay (None for an untrimmed chain).
 
-    The period is a fraction of the chain span, so N runs from about 12 up
-    to every tap, where the ring wraps onto the next cycle's first tap.
+    The period is a fraction of the chain span, so N runs from 1 (the
+    period inside the first tap) up to every tap, where the ring wraps onto
+    the next cycle's first tap.
     """
     seed = draw(st.integers(0, 2**32))
     # 32 taps of at least the clamp floor each always span one unit delay
@@ -406,7 +408,7 @@ def pi_cases(draw):
         skew_sigma=draw(st.floats(0.0, 0.8)) * TD,
         seed=seed,
     )
-    period = np.cumsum(chain.tap_delays)[-1] * draw(st.floats(0.37, 1.0))
+    period = np.cumsum(chain.tap_delays)[-1] * draw(st.floats(0.01, 1.0))
     chain = rowwise_delay_chain(chain.unit_delay, chain.tap_delays, chain.path_skews, period)
     adjustments = None
     trim_rel = draw(st.floats(0.0, 0.99))
@@ -500,6 +502,38 @@ def test_exact_tie_fires():
     assert positions[6] == positions[7]
     assert inverted_segments(chain) == [(7, 8)]
     assert per_code_inverted_segments(chain) == [(7, 8)]
+
+
+def test_an_exactly_cancelled_ring_position_is_plus_zero_and_blends_exactly():
+    # skew path 7 by minus tap 7's accumulated delay: its ring position is
+    # exactly +0.0, never -0.0, so the blend formula's weight-0 codes still
+    # return their start endpoint bit for bit, here and on either side
+    chain = ideal_chain()
+    skews = chain.path_skews.copy()
+    skews[6] = -np.cumsum(chain.tap_delays)[6]
+    chain = one_chain(chain, skews)
+    assert chain.positions[6] == 0.0 and not np.signbit(chain.positions[6])
+    expected = np.array([single_code_output(code, chain) for code in range(PI_CODES)])
+    assert (expected == 0.0).sum() == 1 and not np.signbit(expected).any()
+    assert np.array_equal(bits(pi_sweep(chain)), bits(expected))
+    one = [pi_output(code, chain) for code in range(PI_CODES)]
+    assert np.array_equal(bits(one), bits(expected))
+    assert inverted_segments(chain) == per_code_inverted_segments(chain) == [(6, 7)]
+
+
+def test_segments_no_code_selects_never_fire():
+    # with more segments than codes (N = 400 > 256) the encoder skips some:
+    # segment (3, 4) is one, so its inversion is not the blender's to see
+    delays = np.full(512, TD)
+    skews = np.zeros(512)
+    skews[2] = skews[4] = 1.5 * TD  # inverts segments (3, 4) and (5, 6)
+    [chain] = build_delay_chains(TD, delays[None], skews[None], 400 * TD)
+    assert chain.n_delays == 400
+    table = code_table(chain.n_delays)
+    assert 3 not in table.start_tap and 5 in table.start_tap
+    assert inverted_segments(chain) == per_code_inverted_segments(chain) == [(5, 6)]
+    expected = np.array([single_code_output(code, chain) for code in range(PI_CODES)])
+    assert np.array_equal(bits(pi_sweep(chain)), bits(expected))
 
 
 @st.composite
