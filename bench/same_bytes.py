@@ -3,12 +3,13 @@
     python3 bench/same_bytes.py ../parent
 
 Runs each checkout's shipped matrix, every `configs/*.yaml` through every
-experiment of its `EXPERIMENT_NAMES`, through its own command line at
-`--seed 3` with `PYTHONWARNINGS=error`, each run in a directory of its own
-under a temporary root.  Then it compares the two trees file by file: every
-artifact, each run's stdout and stderr (with the temporary root masked, so
-the output paths the runs print do not count) and its exit code.  Every
-difference is printed, and the exit code is 1 if there is any, else 0.
+experiment of its `EXPERIMENT_NAMES`, and the `VARIANTS` Monte Carlo runs,
+through its own command line at `--seed 3` with `PYTHONWARNINGS=error`, each
+run in a directory of its own under a temporary root.  Then it compares the
+two trees file by file: every artifact, each run's stdout and stderr (with
+the temporary root masked, so the output paths the runs print do not count)
+and its exit code.  Every difference is printed, and the exit code is 1 if
+there is any, else 0.
 """
 
 from __future__ import annotations
@@ -22,6 +23,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 3
+# Monte Carlo runs of configs/regime.yaml with one section appended (the file
+# has neither): PI mismatch gives each trial its own sampling grid, and
+# sampling jitter bypasses the trials' shared-grid memo, so the memo's miss
+# and bypass paths are compared as well as the shared grid the matrix runs
+VARIANTS = {
+    "regime-pi-mismatch": "pi:\n  tap_sigma_rel: 0.05\n",
+    "regime-jitter": "system:\n  sampling_jitter: 2.0e-13\n",
+}
 
 
 def experiment_names(checkout: Path, env: dict) -> list[str]:
@@ -33,27 +42,33 @@ def experiment_names(checkout: Path, env: dict) -> list[str]:
 
 
 def run_matrix(checkout: Path, root: Path) -> int:
-    """Run the checkout's shipped matrix into `root`, as
-    `<config>/<experiment>/{out/, stdout, stderr, exit_code}`; return the
-    number of runs."""
+    """Run the checkout's shipped matrix and `VARIANTS` into `root`, as
+    `<config>/<experiment>/{out/, stdout, stderr, exit_code}`, a variant's
+    config written next to them as `config.yaml`; return the number of runs."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONWARNINGS="error",
                PYTHONDONTWRITEBYTECODE="1")
-    names = experiment_names(checkout, env)
-    runs = 0
-    for config in sorted((checkout / "configs").glob("*.yaml")):
-        for name in names:
-            run = root / config.stem / name
-            run.mkdir(parents=True)
-            proc = subprocess.run(
-                [sys.executable, "-m", "stochadc.cli", name, "--config", str(config),
-                 "--seed", str(SEED), "--out", str(run / "out")],
-                cwd=checkout, env=env, capture_output=True,
-            )
-            (run / "stdout").write_bytes(proc.stdout)
-            (run / "stderr").write_bytes(proc.stderr)
-            (run / "exit_code").write_text(f"{proc.returncode}\n")
-            runs += 1
-    return runs
+    runs = [
+        (config, name, root / config.stem / name)
+        for config in sorted((checkout / "configs").glob("*.yaml"))
+        for name in experiment_names(checkout, env)
+    ]
+    regime = (checkout / "configs" / "regime.yaml").read_text(encoding="utf-8")
+    for variant, section in VARIANTS.items():
+        run = root / variant / "montecarlo"
+        run.mkdir(parents=True)
+        (run / "config.yaml").write_text(regime + section, encoding="utf-8")
+        runs.append((run / "config.yaml", "montecarlo", run))
+    for config, name, run in runs:
+        run.mkdir(parents=True, exist_ok=True)
+        proc = subprocess.run(
+            [sys.executable, "-m", "stochadc.cli", name, "--config", str(config),
+             "--seed", str(SEED), "--out", str(run / "out")],
+            cwd=checkout, env=env, capture_output=True,
+        )
+        (run / "stdout").write_bytes(proc.stdout)
+        (run / "stderr").write_bytes(proc.stderr)
+        (run / "exit_code").write_text(f"{proc.returncode}\n")
+    return len(runs)
 
 
 def _files(root: Path) -> dict[str, bytes]:

@@ -240,17 +240,10 @@ class AdcSystem(Record):
         return raw - base - group * (self.config.system.pi_clock_period / 4.0)
 
 
-def schedule_sampling(
-    system: AdcSystem,
-    pi_codes,
-    n_cycles: int,
-) -> np.ndarray:
-    """Sampling instants, shape (16, n_cycles); slice s owns grid phase s.
-
-    Group g's phase is its PI output (its `NOMINAL_PI_CODES` entry plus any
-    correction), shifted by that group's injected skew; within a group the
-    four slices rotate at the group rate.
-    """
+def _base_phases(system: AdcSystem, pi_codes) -> np.ndarray:
+    """Each slice's first sampling instant before jitter, (16,): its group's
+    PI output (at its `NOMINAL_PI_CODES` entry plus any correction) shifted
+    by the group's injected skew, the group's four slices rotating at its rate."""
     sc = system.config.system
     pi_codes = np.asarray(pi_codes, dtype=np.int64)
     if pi_codes.shape != (N_GROUPS,):
@@ -261,13 +254,15 @@ def schedule_sampling(
     offsets = np.array([system.group_phase_offset(g, int(c)) for g, c in enumerate(pi_codes)])
     slices = np.arange(N_SLICES)
     group, rotation = slices % N_GROUPS, slices // N_GROUPS
-    base = (
-        group * sc.pi_clock_period / 4.0
-        + offsets[group]
-        + rotation * sc.pi_clock_period
-        + np.asarray(sc.skew_injection, dtype=np.float64)[group]
-    )
-    instants = base[:, None] + np.arange(n_cycles) * sc.slice_period
+    skews = np.asarray(sc.skew_injection, dtype=np.float64)[group]
+    return group * sc.pi_clock_period / 4.0 + offsets[group] + rotation * sc.pi_clock_period + skews
+
+
+def schedule_sampling(system: AdcSystem, pi_codes, n_cycles: int) -> np.ndarray:
+    """Sampling instants (16, n_cycles): slice s's `_base_phases` entry plus
+    m slice periods, plus any jitter."""
+    sc = system.config.system
+    instants = _base_phases(system, pi_codes)[:, None] + np.arange(n_cycles) * sc.slice_period
     if sc.sampling_jitter > 0:
         seeds = [derive_seed(system.master_seed, "sampling.jitter", s) for s in range(N_SLICES)]
         instants += keyed_normal(seeds, np.arange(n_cycles)) * sc.sampling_jitter
@@ -292,9 +287,10 @@ def convert_pair_arrays(
     v_n: np.ndarray,
     offset_code: int,
     context: str = "",
+    extremes=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized conversion of sampled voltage pairs on one slice: raw
-    counts, signs and codes, the counts and codes as COUNT_DTYPE.
+    """Vectorized conversion of sampled voltage pairs on one slice (`extremes` as
+    in `_raw_counts`): raw counts, signs and codes, the counts and codes as COUNT_DTYPE.
 
     The offset code is a count, >= 0.  One above the chain's tap count
     removes every count, as the tap count itself does, so it is taken as
@@ -302,7 +298,7 @@ def convert_pair_arrays(
     offset_code = int(offset_code)
     if offset_code < 0:
         raise ValueError(f"offset code must be >= 0, got {offset_code}")
-    raw, sign = _raw_counts(system, s, v_p, v_n, context)
+    raw, sign = _raw_counts(system, s, v_p, v_n, context, extremes)
     code = np.subtract(raw, min(offset_code, system.chains[s].n_taps))
     np.maximum(code, 0, out=code)
     neg = np.negative(sign, dtype=COUNT_DTYPE)  # unfold m to (m ^ -s) + s, sign s = 0 or 1
@@ -312,27 +308,27 @@ def convert_pair_arrays(
 
 
 def _raw_counts(
-    system: AdcSystem, s: int, v_p: np.ndarray, v_n: np.ndarray, context: str, signed: bool = True
+    system: AdcSystem, s: int, v_p: np.ndarray, v_n: np.ndarray, context: str,
+    extremes=None, signed: bool = True,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Unsigned STDC counts of sampled voltage pairs on one slice, and their
-    V2T signs when `signed` (else None)."""
+    V2T signs when `signed` (else None); `extremes`, (min v_p, min v_n,
+    max v_p, max v_n) bit for bit when the caller holds them."""
     adc = system.config.adc
     vth_p, vth_n = system.vth_p[s], system.vth_n[s]
     # min/max propagate NaN, and "not in range" fails on it; `initial` lets an
     # empty input pass.  The failing index is searched for only on a failure.
-    above_floor = v_p.min(initial=np.inf) >= vth_p - _V_EPS and (
-        v_n.min(initial=np.inf) >= vth_n - _V_EPS
-    )
-    if not above_floor:
+    if extremes is None:
+        extremes = (v_p.min(initial=np.inf), v_n.min(initial=np.inf),
+                    v_p.max(initial=-np.inf), v_n.max(initial=-np.inf))
+    p_min, n_min, p_max, n_max = extremes
+    if not (p_min >= vth_p - _V_EPS and n_min >= vth_n - _V_EPS):
         m = int(np.flatnonzero(~((v_p >= vth_p - _V_EPS) & (v_n >= vth_n - _V_EPS)))[0])
         raise UnderrangeError(
             f"slice {s} {context}{m}: input below V2T threshold or not a number "
             f"(v_p={v_p[m]:.6f} V, v_n={v_n[m]:.6f} V)"
         )
-    below_supply = v_p.max(initial=-np.inf) <= adc.vdd + _V_EPS and (
-        v_n.max(initial=-np.inf) <= adc.vdd + _V_EPS
-    )
-    if not below_supply:
+    if not (p_max <= adc.vdd + _V_EPS and n_max <= adc.vdd + _V_EPS):
         m = int(np.flatnonzero(~((v_p <= adc.vdd + _V_EPS) & (v_n <= adc.vdd + _V_EPS)))[0])
         raise OverrangeError(
             f"slice {s} {context}{m}: input above supply "
@@ -370,35 +366,35 @@ def slice_transfer(
 
 
 class _ToneSwings:
-    """Half swings of the tones sampled on one grid, shared across captures.
-
-    The grid is the per-slice base phase (column 0 of the instants) and the
-    slice period; with the capture length they fix every instant bit for
-    bit, since the instants are base + m * period.  A tone is keyed by the
-    exact bits of every field and the length.  A capture on another grid
-    drops every entry, so only one grid's tones are held.  The arrays are
-    read-only because captures share them.
-    """
+    """One sampling grid's instants per capture length and, per tone (keyed
+    by the exact bits of every field) and length, its half swing with each
+    slice's min and max: read-only, as captures share them.  The grid, the
+    `_base_phases` and the slice period, fixes the instants bit for bit with
+    the length (base + m * period); a capture on another grid drops it all."""
 
     def __init__(self):
-        self.grid = None
-        self.swings: dict = {}
+        self.grid, self.instants, self.swings = None, {}, {}
 
-    def get(self, tone: SineStimulus, instants: np.ndarray, slice_period: float) -> np.ndarray:
-        grid = (instants[:, 0].tobytes(), _bits(slice_period))
+    def sample(self, system: AdcSystem, tone: SineStimulus, n_cycles: int, pi_codes):
+        """The instants, and the tone's half swing, min and max per slice."""
+        grid = (_base_phases(system, pi_codes).tobytes(), _bits(system.config.system.slice_period))
         if grid != self.grid:
-            self.grid, self.swings = grid, {}
-        key = (*(_bits(getattr(tone, f.name)) for f in fields(tone)), instants.shape[1])
-        swing = self.swings.get(key)
-        if swing is None:
+            self.grid, self.instants, self.swings = grid, {}, {}
+        instants = self.instants.get(n_cycles)
+        if instants is None:
+            instants = self.instants[n_cycles] = schedule_sampling(system, pi_codes, n_cycles)
+            instants.flags.writeable = False
+        key = (*(_bits(getattr(tone, f.name)) for f in fields(tone)), n_cycles)
+        if key not in self.swings:
             # row by row like an unshared capture: one (16, n) evaluation
             # may round its SIMD tails differently on another CPU
             swing = np.empty(instants.shape)
             for s in range(N_SLICES):
                 swing[s] = tone.half_swing(instants[s])
-            swing.flags.writeable = False
-            self.swings[key] = swing
-        return swing
+            self.swings[key] = (swing, swing.min(axis=1), swing.max(axis=1))
+            for array in self.swings[key]:
+                array.flags.writeable = False
+        return instants, self.swings[key]
 
 
 def _bits(value):
@@ -410,7 +406,7 @@ _tone_swings: _ToneSwings | None = None
 
 @contextmanager
 def shared_tone_swings():
-    """Captures inside the block sample each tone once per grid and length.
+    """Captures inside the block share each grid's instants and tones per length.
 
     The Monte Carlo opens it: trials draw new STDC and V2T mismatch, but
     without PI mismatch or sampling jitter they sample the same tones at the
@@ -424,23 +420,27 @@ def shared_tone_swings():
         yield memo
     finally:
         _tone_swings = None
-        memo.grid, memo.swings = None, {}
+        memo.grid, memo.instants, memo.swings = None, {}, {}
 
 
 def _slice_inputs(system: AdcSystem, stimulus, n_samples: int, pi_codes):
     """The sampling instants of n_samples aggregate samples (a positive
-    multiple of 16), and each slice's (v_p, v_n) in turn, made as it is
-    taken: the one input step of a capture and of the offset warmup."""
+    multiple of 16), and each slice's (v_p, v_n, `_raw_counts` extremes or
+    None) in turn, made as it is taken: the one input step of a capture and
+    of the offset warmup.  A shared tone's extremes come from its swing's,
+    as cm + h rounds monotonically in h: min(cm - h) is cm - max(h) bit for
+    bit, and NaN propagates."""
     if n_samples % N_SLICES != 0 or n_samples <= 0:
         raise ConfigError(f"n_samples must be a positive multiple of {N_SLICES}")
-    instants = schedule_sampling(system, pi_codes, n_samples // N_SLICES)
+    n_cycles = n_samples // N_SLICES
     sc = system.config.system
-    if _tone_swings is not None and isinstance(stimulus, SineStimulus) and sc.sampling_jitter == 0:
-        swings = _tone_swings.get(stimulus, instants, sc.slice_period)
-        inputs = (stimulus(instants[s], half_swing=swings[s]) for s in range(N_SLICES))
-    else:
-        inputs = (stimulus(instants[s]) for s in range(N_SLICES))
-    return instants, inputs
+    if _tone_swings is None or not isinstance(stimulus, SineStimulus) or sc.sampling_jitter != 0:
+        instants = schedule_sampling(system, pi_codes, n_cycles)
+        return instants, ((*stimulus(t), None) for t in instants)
+    instants, (swings, lo, hi) = _tone_swings.sample(system, stimulus, n_cycles, pi_codes)
+    cm = stimulus.common_mode
+    bounds = zip(cm + lo, cm - hi, cm + hi, cm - lo)
+    return instants, ((*stimulus(t, half_swing=h), b) for t, h, b in zip(instants, swings, bounds))
 
 
 def run_capture(
@@ -464,9 +464,9 @@ def run_capture(
     offset_codes = np.asarray(offset_codes, dtype=np.int64)
     raw = np.empty(instants.shape, dtype=COUNT_DTYPE)
     codes = np.empty(instants.shape, dtype=COUNT_DTYPE)
-    for s, (v_p, v_n) in enumerate(inputs):
+    for s, (v_p, v_n, extremes) in enumerate(inputs):
         raw[s], _, codes[s] = convert_pair_arrays(
-            system, s, v_p, v_n, int(offset_codes[s]), context="cycle "
+            system, s, v_p, v_n, int(offset_codes[s]), "cycle ", extremes
         )
     corrected = codes
     if luts is not None:
@@ -487,9 +487,9 @@ def adapt_offsets(
     _, inputs = _slice_inputs(system, stimulus, window * N_SLICES, NOMINAL_PI_CODES)
     estimates = [
         adapt_offset(
-            _raw_counts(system, s, v_p, v_n, "cycle ", signed=False)[0], window, threshold
+            _raw_counts(system, s, v_p, v_n, "cycle ", extremes, signed=False)[0], window, threshold
         )
-        for s, (v_p, v_n) in enumerate(inputs)
+        for s, (v_p, v_n, extremes) in enumerate(inputs)
     ]
     return np.array([e.offset_code for e in estimates], dtype=np.int64), estimates
 

@@ -43,7 +43,7 @@ import numpy as np
 from .core import Duration, Instant, Record
 # not called here: perfbench/hooks.py patches the keyed draw under this name
 from .core import keyed_normal  # noqa: F401
-from .errors import ChainUnderspanError, TrimConvergenceError
+from .errors import ChainUnderspanError, PreconditionError, TrimConvergenceError
 
 PI_CODES = 256
 BLEND_STEPS = 16
@@ -88,7 +88,9 @@ def build_delay_chains(unit_delay: Duration, tap_delays, path_skews, period: Dur
     arrays are read-only rows of copies the build owns.  Each row's N is 1
     plus the count of its taps below the period (within `_ARB_TOL`), since
     accumulated positive delays never decrease.  A row that does not span
-    the period raises `ChainUnderspanError`, the first such row named.
+    the period raises `ChainUnderspanError`, and one whose accumulated delay
+    or ring position overflows float64 `PreconditionError`, the first such
+    row named.
     """
     delays = np.array(tap_delays, dtype=np.float64)
     skews = np.array(path_skews, dtype=np.float64)
@@ -108,7 +110,8 @@ def build_delay_chains(unit_delay: Duration, tap_delays, path_skews, period: Dur
         raise ValueError("unit_delay must be > 0")
     if period <= 0:
         raise ValueError(f"clock period must be > 0, got {period}")
-    taps = np.cumsum(delays, axis=1)
+    with np.errstate(over="ignore"):  # refused below, after the ring is built
+        taps = np.cumsum(delays, axis=1)
     limit = period * (1.0 - _ARB_TOL)
     short = np.flatnonzero(taps[:, -1] < limit)
     if short.size:
@@ -119,12 +122,22 @@ def build_delay_chains(unit_delay: Duration, tap_delays, path_skews, period: Dur
     k, n_taps = delays.shape
     n = (taps < limit).sum(axis=1) + 1
     rows, last = np.arange(k), n - 1
-    ring = np.empty((k, n_taps + 1))
-    # every tap's mux-input time; each row's boundary and wrap entries follow
-    np.add(taps, skews, out=ring[:, :n_taps])
-    ring[rows, last] = 0.5 * (taps[rows, last] + period) + skews[rows, last]
-    wraps = n == n_taps
-    ring[wraps, n_taps] = period + delays[wraps, 0] + skews[wraps, 0]
+    # zeros: the last entry of a row that does not wrap stays unused, and finite
+    ring = np.zeros((k, n_taps + 1))
+    # every tap's mux-input time; each row's boundary and wrap entries follow.
+    # A tap whose delay overflowed stays inf, since its skew is finite
+    with np.errstate(over="ignore"):
+        np.add(taps, skews, out=ring[:, :n_taps])
+        ring[rows, last] = 0.5 * (taps[rows, last] + period) + skews[rows, last]
+        wraps = n == n_taps
+        ring[wraps, n_taps] = period + delays[wraps, 0] + skews[wraps, 0]
+    overflow = np.argwhere(~np.isfinite(ring))
+    if overflow.size:
+        r, j = overflow[0]
+        raise PreconditionError(
+            f"chain {r}'s delay to tap {j + 1} overflows float64 ({ring[r, j]} s): its "
+            "tap delays, path skews and clock period sum past the largest double"
+        )
     for array in (delays, skews, ring):
         array.flags.writeable = False
     return (

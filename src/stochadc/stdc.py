@@ -59,6 +59,7 @@ from dataclasses import field
 import numpy as np
 
 from .core import Duration, Record
+from .errors import PreconditionError
 
 # the dtype of every count and code, from the count index to the artifacts
 COUNT_DTYPE = np.int16
@@ -110,7 +111,16 @@ def build_chains(tap_delays) -> list[InverterChain]:
     k, n = delays.shape
     if n > MAX_TAPS:
         raise ValueError(f"a chain holds at most {MAX_TAPS} taps (its counts are int16), got {n}")
-    offsets = np.cumsum(delays, axis=1)
+    with np.errstate(over="ignore"):
+        offsets = np.cumsum(delays, axis=1)
+    # positive delays accumulate to their largest at the last tap
+    overflow = np.flatnonzero(~np.isfinite(offsets[:, -1]))
+    if overflow.size:
+        r = overflow[0]
+        raise PreconditionError(
+            f"chain {r}'s delay to tap {int(np.argmax(~np.isfinite(offsets[r]))) + 1} "
+            "overflows float64: its tap delays sum past the largest double"
+        )
     inv_h = 4 * n / offsets[:, -1]
     if not np.all((0 < inv_h) & (inv_h < np.inf)):
         raise ValueError("chain span is too small to index")

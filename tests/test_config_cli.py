@@ -29,7 +29,12 @@ from stochadc.config import (
     load_config,
     parse_config,
 )
-from stochadc.errors import ConfigError, PreconditionError, TrimConvergenceError
+from stochadc.errors import (
+    ConfigError,
+    OverrangeError,
+    PreconditionError,
+    TrimConvergenceError,
+)
 from stochadc.experiments import CalibrationState, run_experiment, run_pi_trim
 from stochadc.metrics import code_density_linearity
 from stochadc.stdc import MAX_TAPS
@@ -865,6 +870,29 @@ class TestCli:
         assert not list(tmp_path.glob("*.json"))
 
     @pytest.mark.parametrize(
+        "experiment, text, message",
+        [
+            # 16 taps of 1e307 s reach the 1.6e308 s PI clock period, and the
+            # boundary mixer's midpoint sums past the largest double
+            (
+                "pi-sweep", "pi:\n  unit_delay: 1.0e+307\nsystem:\n  aggregate_rate: 2.5e-308\n",
+                "chain 0's delay to tap 16 overflows float64 (inf s)",
+            ),
+            ("slice-transfer", "adc:\n  unit_delay: 1.0e+306\n", "chain 0's delay to tap 180 overflows"),
+        ],
+        ids=["pi-ring", "stdc-chain"],
+    )
+    def test_a_chain_that_overflows_float64_is_refused_before_any_artifact(
+        self, tmp_path, capsys, experiment, text, message
+    ):
+        # the config loads, but the accumulated delays overflow: the PI sweep
+        # wrote a CSV of inf and NaN and then exited 1, the STDC build exited 1
+        out = tmp_path / "out"
+        assert main([experiment, "--config", str(self.write(tmp_path, text)), "--out", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "text, record",
         [
             (
@@ -1413,7 +1441,7 @@ class TestMonteCarlo:
             run_experiment("montecarlo", cfg)
 
 
-def small_regime(trials=3, **sections) -> RunConfig:
+def small_regime_text(trials=3, **sections) -> str:
     """configs/regime.yaml with short windows; `sections` update its sections."""
     data = yaml.safe_load((CONFIG_DIR / "regime.yaml").read_text(encoding="utf-8"))
     data["adc"]["adaptation"]["window"] = 2000
@@ -1421,7 +1449,11 @@ def small_regime(trials=3, **sections) -> RunConfig:
     data["montecarlo"]["trials"] = trials
     for section, values in sections.items():
         data.setdefault(section, {}).update(values)
-    return parse_config(yaml.safe_dump(data))
+    return yaml.safe_dump(data)
+
+
+def small_regime(trials=3, **sections) -> RunConfig:
+    return parse_config(small_regime_text(trials, **sections))
 
 
 def trial_metrics(cfg: RunConfig, out: Path) -> dict:
@@ -1438,17 +1470,20 @@ def stand_alone_metrics(cfg: RunConfig, seed: int, keys) -> dict:
 
 
 class TestSharedToneSwings:
-    """Monte Carlo trials that sample a tone on one grid share its half swing."""
+    """Monte Carlo trials on one grid share its instants and each tone's half
+    swing and extremes."""
 
     @pytest.fixture
     def spy(self, monkeypatch):
-        """Per capture or offset warmup: the open memo, its grid, its entry
-        count and whether every held array is read-only; plus the count of
-        row evaluations."""
+        """Per capture or offset warmup: the open memo, its grid, its tone
+        entry count and whether every held array (instants, swings and their
+        extremes) is read-only; plus the count of row evaluations, and each
+        `schedule_sampling` call's system, codes, length and instants."""
         import stochadc.interleaver as il
 
-        seen = {"captures": [], "rows": 0}
+        seen = {"captures": [], "rows": 0, "schedules": []}
         real_half_swing = SineStimulus.half_swing
+        real_schedule = il.schedule_sampling
 
         def capture(stage):
             def spied(*args, **kwargs):
@@ -1457,7 +1492,9 @@ class TestSharedToneSwings:
                 seen["captures"].append(
                     (memo, None, 0, True) if memo is None else
                     (memo, memo.grid, len(memo.swings),
-                     all(not h.flags.writeable for h in memo.swings.values()))
+                     all(not a.flags.writeable for a in memo.instants.values())
+                     and all(not a.flags.writeable for entry in memo.swings.values()
+                             for a in entry))
                 )
                 return result
             return spied
@@ -1466,10 +1503,27 @@ class TestSharedToneSwings:
             seen["rows"] += 1
             return real_half_swing(tone, t)
 
+        def schedule(system, pi_codes, n_cycles):
+            instants = real_schedule(system, pi_codes, n_cycles)
+            seen["schedules"].append((system, pi_codes, n_cycles, instants))
+            return instants
+
         monkeypatch.setattr(il, "run_capture", capture(il.run_capture))
         monkeypatch.setattr(il, "adapt_offsets", capture(il.adapt_offsets))
+        monkeypatch.setattr(il, "schedule_sampling", schedule)
         monkeypatch.setattr(SineStimulus, "half_swing", half_swing)
+        seen["fresh"] = real_schedule
         return seen
+
+    @staticmethod
+    def assert_fresh_instants(spy, cfg, seeds):
+        """Every instants array `schedule_sampling` made inside the run is
+        read-only and equals, bit for bit, a fresh one of each trial's
+        converter when the grid is shared (`seeds`), else of its own."""
+        for system, pi_codes, n_cycles, instants in spy["schedules"]:
+            assert not instants.flags.writeable
+            for other in [converter(cfg, seed) for seed in seeds] or [system]:
+                assert instants.tobytes() == spy["fresh"](other, pi_codes, n_cycles).tobytes()
 
     def test_shared_grid_matches_stand_alone_runs(self, tmp_path, spy):
         cfg = small_regime()
@@ -1480,6 +1534,9 @@ class TestSharedToneSwings:
         assert [n for _, _, n, _ in captures] == [1, 2, 3] + [3] * 6
         assert len({grid for _, grid, _, _ in captures}) == 1
         assert all(read_only for *_, read_only in captures)
+        # and their instants scheduled once per length, not once per trial
+        assert [n for _, _, n, _ in spy["schedules"]] == [2000, 256, 2048]
+        self.assert_fresh_instants(spy, cfg, trials)
         for seed, metrics in trials.items():
             assert stand_alone_metrics(cfg, seed, metrics) == metrics
 
@@ -1494,6 +1551,9 @@ class TestSharedToneSwings:
         grids = [grid for _, grid, _, _ in captures]
         assert len(set(grids)) == 3
         assert all(grids[i] == grids[i - i % 3] for i in range(len(grids)))
+        assert all(read_only for *_, read_only in captures)
+        assert [n for _, _, n, _ in spy["schedules"]] == [2000, 256, 2048] * 3
+        self.assert_fresh_instants(spy, cfg, [])
         for seed, metrics in trials.items():
             assert stand_alone_metrics(cfg, seed, metrics) == metrics
 
@@ -1502,6 +1562,8 @@ class TestSharedToneSwings:
         trials = trial_metrics(cfg, tmp_path)
         assert spy["rows"] == 3 * 3 * 16
         assert all(memo is not None and n == 0 for memo, _, n, _ in spy["captures"])
+        assert all(memo.instants == {} for memo, *_ in spy["captures"])
+        assert [n for _, _, n, _ in spy["schedules"]] == [2000, 256, 2048] * 3
         for seed, metrics in trials.items():
             assert stand_alone_metrics(cfg, seed, metrics) == metrics
 
@@ -1512,11 +1574,42 @@ class TestSharedToneSwings:
         run_experiment("montecarlo", cfg, seed=0)
         memo = spy["captures"][0][0]
         assert il._tone_swings is None
-        assert memo.grid is None and memo.swings == {}
+        assert memo.grid is None and memo.instants == {} and memo.swings == {}
         # a single run samples every tone itself
         spy["captures"].clear()
         run_experiment("adc-sine", cfg, seed=0)
         assert all(memo is None for memo, *_ in spy["captures"])
+
+    def test_a_dip_under_one_slices_threshold_is_refused_as_in_a_stand_alone_run(
+        self, tmp_path, capsys
+    ):
+        # at seed 0 slice 5's v_p side holds the highest V2T threshold, about
+        # 0.30399 V, and the next is 0.30382 V: a tone whose floor is 0.3039 V
+        # dips under slice 5 alone.  The Monte Carlo reads the dip from the
+        # memo's extremes, the stand-alone run from the arrays
+        p = tmp_path / "dip.yaml"
+        p.write_text(small_regime_text(
+            stimulus={"common_mode": 0.5289}, capture={"linearity_amplitude": 0.45}
+        ), encoding="utf-8")
+        errors = []
+        for name in ("montecarlo", "adc-sine"):
+            assert main([name, "--config", str(p), "--seed", "0", "--out", str(tmp_path / name)]) == 3
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("precondition violated: slice 5 cycle ")
+
+    def test_a_tone_over_the_supply_is_refused_as_in_a_stand_alone_run(self):
+        # a loaded config keeps every tone under adc.vdd, so the supply is
+        # lowered past the tone's peak after load
+        cfg = small_regime()
+        cfg = dataclasses.replace(cfg, adc=dataclasses.replace(cfg.adc, vdd=0.7749))
+        messages = []
+        for name in ("montecarlo", "adc-sine"):
+            with pytest.raises(OverrangeError) as refused:
+                run_experiment(name, cfg, seed=0)
+            messages.append(str(refused.value))
+        assert messages[0] == messages[1]
+        assert re.match(r"slice \d+ cycle \d+: input above supply", messages[0])
 
     def test_other_stimuli_bypass_the_memo(self):
         import stochadc.interleaver as il
@@ -1528,7 +1621,7 @@ class TestSharedToneSwings:
         system = converter(small_regime(), 0)
         with il.shared_tone_swings() as memo:
             capture = il.run_capture(system, level, 256)
-            assert memo.swings == {}
+            assert memo.instants == {} and memo.swings == {}
         assert np.array_equal(capture.raw, il.run_capture(system, level, 256).raw)
 
 

@@ -530,6 +530,37 @@ def test_conversions_equal_the_single_sample_oracle(system, sides, offsets, lut_
             assert getattr(got, name).tolist() == [[w[column] for w in row] for row in want]
 
 
+def same_double(a, b) -> bool:
+    return bool(np.isnan(a) and np.isnan(b)) or np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+# a finite common mode and a swing finite or NaN, as a tone's are: with an
+# infinite swing, inf - inf could meet one side of the identity and not the other
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.lists(st.floats(allow_infinity=False), min_size=1, max_size=40),
+)
+@example(0.0, [-0.0, 0.0, -0.0])
+@example(-0.0, [0.0, -0.0, 0.0])
+@example(-0.0, [5e-324, -5e-324, -0.0])
+@example(2.2250738585072014e-308, [-2.2250738585072014e-308, -5e-324, 1e-310])
+@example(1e308, [1e308, 8e307, -1e308, 1.7976931348623157e308])
+@example(-1.7976931348623157e308, [1e308, -1e308, 0.0])
+@example(0.55, [0.225, math.nan, -0.225])
+def test_the_shared_extremes_equal_the_reduced_ones(cm, h):
+    # the shared-grid memo hands a capture min(v_p) as cm + min(h), and so
+    # on: cm + h is monotone in h under round-to-nearest, overflow included
+    h = np.array(h)
+    with np.errstate(over="ignore"):
+        pairs = [
+            (cm + h.min(), (cm + h).min()), (cm + h.max(), (cm + h).max()),
+            (cm - h.max(), (cm - h).min()), (cm - h.min(), (cm - h).max()),
+        ]
+    for shared, reduced in pairs:
+        assert same_double(shared, reduced), (shared, reduced)
+
+
 def transfer_dv(item, system, s, common_mode):
     """A float item is dv itself; an int k puts v_p (k < 10) or v_n (else)
     on BAND_EDGES[k % 10] of slice s."""

@@ -62,3 +62,26 @@ def test_a_path_is_masked_only_in_stdout_and_stderr(same_bytes, tmp_path):
     assert same_bytes.differences(tmp_path / "a", tmp_path / "b") == [
         "differs: ideal/adc-sine/out/capture.csv",
     ]
+
+
+def test_the_variants_run_the_memos_miss_and_bypass_paths(same_bytes, tmp_path, monkeypatch):
+    # a checkout holding only configs/regime.yaml, run through montecarlo
+    # alone: the matrix's shared-grid run and the two variants
+    checkout = tmp_path / "checkout"
+    (checkout / "configs").mkdir(parents=True)
+    (checkout / "src").symlink_to(SAME_BYTES.parent.parent / "src")
+    regime = (SAME_BYTES.parent.parent / "configs" / "regime.yaml").read_text(encoding="utf-8")
+    (checkout / "configs" / "regime.yaml").write_text(regime, encoding="utf-8")
+    monkeypatch.setattr(same_bytes, "experiment_names", lambda checkout, env: ["montecarlo"])
+    assert same_bytes.run_matrix(checkout, tmp_path / "runs") == 3
+    rows = {}
+    for name in ("regime", "regime-pi-mismatch", "regime-jitter"):
+        run = tmp_path / "runs" / name / "montecarlo"
+        assert (run / "exit_code").read_text() == "0\n", (run / "stderr").read_text()
+        rows[name] = (run / "out" / "montecarlo.csv").read_bytes()
+    # each appended section is a new section of the file, and moves the trials
+    for variant, section in same_bytes.VARIANTS.items():
+        assert section.split(":")[0] + ":" not in regime.splitlines()
+        config = (tmp_path / "runs" / variant / "montecarlo" / "config.yaml").read_text()
+        assert config == regime + section
+    assert len(set(rows.values())) == 3
