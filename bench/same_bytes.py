@@ -3,9 +3,10 @@
     python3 bench/same_bytes.py ../parent
 
 Runs each checkout's shipped matrix, every `configs/*.yaml` through every
-experiment of its `EXPERIMENT_NAMES`, and the `VARIANTS` Monte Carlo runs,
-through its own command line at `--seed 3` with `PYTHONWARNINGS=error`, each
-run in a directory of its own under a temporary root.  Then it compares the
+experiment of its `EXPERIMENT_NAMES`, and the `VARIANTS` Monte Carlo runs (a
+shipped config with one field set), through its own command line at
+`--seed 3` with `PYTHONWARNINGS=error`, each run in a directory of its own
+under a temporary root.  Then it compares the
 two trees file by file: every artifact, each run's stdout and stderr (with
 the temporary root masked, so the output paths the runs print do not count)
 and its exit code.  Every difference is printed, and the exit code is 1 if
@@ -23,14 +24,35 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 3
-# Monte Carlo runs of configs/regime.yaml with one section appended (the file
-# has neither): PI mismatch gives each trial its own sampling grid, and
-# sampling jitter bypasses the trials' shared-grid memo, so the memo's miss
-# and bypass paths are compared as well as the shared grid the matrix runs
+# Monte Carlo runs of a shipped config with one field set, as (config, dotted
+# field, YAML value).  On configs/regime.yaml, whose file has neither section,
+# PI mismatch gives each trial its own sampling grid, and sampling jitter
+# bypasses the trials' shared-grid memo, so the memo's miss and bypass paths
+# are compared as well as the shared grid the matrix runs.  On
+# configs/pi_mc.yaml a wider path skew makes 35 of the 100 trials trim at
+# this seed, so chains a trim rebuilds inside a Monte Carlo are compared too
 VARIANTS = {
-    "regime-pi-mismatch": "pi:\n  tap_sigma_rel: 0.05\n",
-    "regime-jitter": "system:\n  sampling_jitter: 2.0e-13\n",
+    "regime-pi-mismatch": ("regime.yaml", "pi.tap_sigma_rel", "0.05"),
+    "regime-jitter": ("regime.yaml", "system.sampling_jitter", "2.0e-13"),
+    "pi-mc-trims": ("pi_mc.yaml", "pi.skew_sigma_rel", "0.35"),
 }
+
+
+def with_field(text: str, dotted: str, value: str) -> str:
+    """`text`, a config's YAML, with `section.key` set to `value`: the key's
+    line in the section rewritten, or the section appended where the config
+    has none.  A section without the key is refused."""
+    section, key = dotted.split(".")
+    lines = text.splitlines()
+    if f"{section}:" not in lines:
+        return f"{text}{section}:\n  {key}: {value}\n"
+    for i in range(lines.index(f"{section}:") + 1, len(lines)):
+        if not lines[i].startswith("  "):  # past the section's last line
+            break
+        if lines[i].startswith(f"  {key}:"):
+            lines[i] = f"  {key}: {value}"
+            return "\n".join(lines) + "\n"
+    raise ValueError(f"{dotted}: the config's {section} section has no {key}")
 
 
 def experiment_names(checkout: Path, env: dict) -> list[str]:
@@ -44,7 +66,8 @@ def experiment_names(checkout: Path, env: dict) -> list[str]:
 def run_matrix(checkout: Path, root: Path) -> int:
     """Run the checkout's shipped matrix and `VARIANTS` into `root`, as
     `<config>/<experiment>/{out/, stdout, stderr, exit_code}`, a variant's
-    config written next to them as `config.yaml`; return the number of runs."""
+    config (its base config from the checkout, with its field set) written
+    next to them as `config.yaml`; return the number of runs."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONWARNINGS="error",
                PYTHONDONTWRITEBYTECODE="1")
     runs = [
@@ -52,11 +75,11 @@ def run_matrix(checkout: Path, root: Path) -> int:
         for config in sorted((checkout / "configs").glob("*.yaml"))
         for name in experiment_names(checkout, env)
     ]
-    regime = (checkout / "configs" / "regime.yaml").read_text(encoding="utf-8")
-    for variant, section in VARIANTS.items():
+    for variant, (base, dotted, value) in VARIANTS.items():
         run = root / variant / "montecarlo"
         run.mkdir(parents=True)
-        (run / "config.yaml").write_text(regime + section, encoding="utf-8")
+        text = (checkout / "configs" / base).read_text(encoding="utf-8")
+        (run / "config.yaml").write_text(with_field(text, dotted, value), encoding="utf-8")
         runs.append((run / "config.yaml", "montecarlo", run))
     for config, name, run in runs:
         run.mkdir(parents=True, exist_ok=True)

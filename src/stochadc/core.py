@@ -411,7 +411,8 @@ def normal_rows(blocks) -> list[np.ndarray]:
 
 # np.percentile and np.median, bit for bit: the same partition of the values
 # and the same arithmetic.  On their first call in a process the numpy
-# functions import numpy.ma (about 10 ms), which no run needs otherwise.
+# functions import numpy.ma (about 10 ms), which no run needs otherwise; so
+# does np.unique, which no run calls.
 
 
 def percentile(values: np.ndarray, pct: float) -> float:

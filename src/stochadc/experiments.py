@@ -335,30 +335,17 @@ def run_pi_sweep(cfg: RunConfig, chain: pimod.DelayChain) -> Run:
     }
 
 
-def _rising(a: np.ndarray) -> bool:
-    """Whether `a` strictly rises; the same verdict as `np.diff(a) > 0` for
-    every double, NaN and inf included, without the difference array.  The
-    rises are counted: on a few hundred flags that costs a fraction of
-    `.all()`."""
-    rises = a[1:] > a[:-1]
-    return bool(np.count_nonzero(rises) == rises.size)
-
-
 def run_pi_trim(cfg: RunConfig, chain: pimod.DelayChain) -> Run:
-    pre_sweep = pimod.pi_sweep(chain)
-    pre_monotone = _rising(pre_sweep)
     result = pimod.trim_paths(chain, cfg.pi.trim_max_iters)
-    if result.chain is chain:  # nothing trimmed: the same chain sweeps the same
-        post_sweep, post_monotone = pre_sweep, pre_monotone
-    else:
-        post_sweep = pimod.pi_sweep(result.chain)
-        post_monotone = _rising(post_sweep)
+    trimmed = result.chain
+    post_sweep = pimod.pi_sweep(trimmed)
     metrics = {
         "iterations": result.iterations,
         "initial_inversions": result.initial_inversions,
-        "pre_trim_monotone": pre_monotone,
-        "post_trim_monotone": post_monotone,
-        "max_trim_seconds": float(np.abs(result.adjustments).max()),
+        "pre_trim_monotone": chain.sweep_rises,
+        "post_trim_monotone": trimmed.sweep_rises,
+        # nothing trimmed: trim_paths hands back the chain and all-zero adjustments
+        "max_trim_seconds": 0.0 if trimmed is chain else float(np.abs(result.adjustments).max()),
     }
     return metrics, lambda: {
         "pi_trim.json": {

@@ -125,7 +125,10 @@ def pi_chain(cfg: RunConfig, rows: np.ndarray):
 
 
 # standard normals drawn at a time: bounds the mismatch rows held in memory
-# (about 56 converter or 4,096 PI chain instances per draw)
+# (about 56 converter or 4,096 PI chain instances per draw).  A PI chunk's
+# 256-phase sweeps are worked out `pi.SWEEP_ROWS` chains at a time as they are
+# taken, so it holds at most one block's, 128 KiB, not 256 doubles per chain
+# (0.8 MiB on `pi-mc`, 8 MiB at 4,096 chains)
 DRAW_NORMALS = 1 << 18
 
 

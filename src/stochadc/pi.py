@@ -15,21 +15,26 @@ after automated place-and-route, which breaks monotonicity; an arbiter at
 the blender input detects the resulting order contradiction and the
 offending paths are trimmed in fixed steps until no contradiction remains.
 
-A `DelayChain` is one interpolator instance, a plain record of its chain
-and ring; `build_delay_chains`, its one builder, works out the rings of a
-whole stack of chains in one numpy pass.  A trim is a change of path skews,
-rebuilt through the builder's one-row case.  This module draws no mismatch:
-`interleaver.pi_chain` scales every chain the package uses from a run
-config's rows and hands the stack to the builder.
+A `DelayChain` is one interpolator instance, a plain record of its chain,
+its ring, its 256-code sweep and two verdicts on them; `build_delay_chains`,
+its one builder, works out the rings and ring verdicts of a whole stack of
+chains in one numpy pass, and the sweeps and sweep verdicts of each block of
+`SWEEP_ROWS` chains in one more when the block's first chain is taken.  A
+trim is a change of path skews, rebuilt through the builder's one-row case.
+This module draws no mismatch: `interleaver.pi_chain` scales every chain the
+package uses from a run config's rows and hands the stack to the builder.
 
-`pi_sweep` and `pi_output` read the chain's ring through a cached,
-read-only code table (`code_table`): each code's segment and blend weight,
-from the encoder's integer arithmetic.  `inverted_segments` reads the ring
-alone: while N <= 256 the codes select every segment, taps (1, 2) to
-(N, N + 1), so the arbiters' check compares adjacent ring positions.  The
-single-code model (encoder selects, blender, inversion detector) lives with
-the tests in `tests/oracles.py`, which hold these functions to it bit for
-bit.
+The builder reads each ring through a cached, read-only code table
+(`code_table`): each code's segment and blend weight, from the encoder's
+integer arithmetic.  `pi_sweep` returns the chain's sweep, and `pi_output`
+is one entry of it.  `sweep_rises` is the verdict that every code step
+rises strictly, and `ring_rises` that no adjacent ring positions fail the
+arbiters' check: while N <= 256 the codes select every segment, taps
+(1, 2) to (N, N + 1), so that check compares adjacent ring positions.
+`inverted_segments` returns at once when the ring rises and otherwise reads
+the ring alone.  The single-code model (encoder selects, blender, inversion
+detector) lives with the tests in `tests/oracles.py`, which hold the sweep,
+both verdicts and these functions to it bit for bit.
 """
 
 from __future__ import annotations
@@ -53,6 +58,11 @@ BLEND_STEPS = 16
 # quantizes deterministically despite cumsum rounding.
 _ARB_TOL = 1e-9
 
+# chains whose sweeps are worked out in one pass: bounds the pass's
+# (rows, 256) temporaries at 128 KiB, and the sweeps a built stack holds
+# beyond the chains its caller keeps to one block's
+SWEEP_ROWS = 64
+
 
 class DelayChain(Record):
     """One interpolator instance: delay chain, per-tap routing skew toward
@@ -64,8 +74,12 @@ class DelayChain(Record):
     in ring order.  Position j (1-based tap j) for j < N is that tap's
     mux-input time, position N the boundary-mixer midpoint plus its skew,
     and position N+1 the wrap endpoint one period up (tap N+1, or the next
-    cycle's first tap when the boundary sits on the last tap).  A plain
-    record of read-only arrays, built only by `build_delay_chains`.
+    cycle's first tap when the boundary sits on the last tap).  `sweep` is
+    the output phase of every code (index = code), `sweep_rises` whether
+    each code step of it rises strictly, and `ring_rises` whether each ring
+    position is strictly earlier than the next, the arbiters' check with a
+    tie firing.  A plain record of read-only arrays and plain bools, built
+    only by `build_delay_chains`.
     """
 
     unit_delay: Duration
@@ -74,6 +88,9 @@ class DelayChain(Record):
     period: Duration
     n_delays: int
     positions: np.ndarray = field(repr=False)
+    sweep: np.ndarray = field(repr=False)
+    sweep_rises: bool
+    ring_rises: bool
 
     @property
     def n_taps(self) -> int:
@@ -87,7 +104,9 @@ def build_delay_chains(unit_delay: Duration, tap_delays, path_skews, period: Dur
     Returns an iterator that makes each chain when it is taken; the chains'
     arrays are read-only rows of copies the build owns.  Each row's N is 1
     plus the count of its taps below the period (within `_ARB_TOL`), since
-    accumulated positive delays never decrease.  A row that does not span
+    accumulated positive delays never decrease.  The ring verdicts are
+    worked out here, the sweeps of each block of `SWEEP_ROWS` rows when the
+    block's first chain is taken (`_chains`).  A row that does not span
     the period raises `ChainUnderspanError`, and one whose accumulated delay
     or ring position overflows float64 `PreconditionError`, the first such
     row named.
@@ -138,12 +157,57 @@ def build_delay_chains(unit_delay: Duration, tap_delays, path_skews, period: Dur
             f"chain {r}'s delay to tap {j + 1} overflows float64 ({ring[r, j]} s): its "
             "tap delays, path skews and clock period sum past the largest double"
         )
+    # the arbiters' check on each row's N segments: its first falling pair
+    # of positions, or the sentinel past its last tap, lies past its N
+    falls = np.ones((k, n_taps + 1), dtype=bool)
+    np.greater_equal(ring[:, :-1], ring[:, 1:], out=falls[:, :-1])
+    ring_rises = (falls.argmax(axis=1) >= n).tolist()
     for array in (delays, skews, ring):
         array.flags.writeable = False
-    return (
-        DelayChain(unit_delay, delays[r], skews[r], period, size, ring[r, : size + 1])
-        for r, size in enumerate(n.tolist())
-    )
+    return _chains(unit_delay, delays, skews, period, n.tolist(), ring, ring_rises)
+
+
+def _chains(unit_delay, delays, skews, period, n, ring, ring_rises):
+    """The chains of a built stack in row order, each block of `SWEEP_ROWS`
+    rows' sweeps and sweep verdicts worked out in one pass."""
+    for start in range(0, len(n), SWEEP_ROWS):
+        stop = start + SWEEP_ROWS
+        block, sizes = ring[start:stop], n[start:stop]
+        groups = set(sizes)
+        if len(groups) == 1:
+            sweeps = _blend(block, sizes[0])
+        else:  # rows are grouped by N, each group reading one code table
+            sweeps = np.empty((len(sizes), PI_CODES))
+            for size in groups:
+                rows = [i for i, s in enumerate(sizes) if s == size]
+                sweeps[rows] = _blend(block[rows], size)
+        sweeps.flags.writeable = False
+        sweep_rises = (sweeps[:, :-1] < sweeps[:, 1:]).all(axis=1).tolist()
+        for r, size, sweep, rises in zip(range(start, stop), sizes, sweeps, sweep_rises):
+            yield DelayChain(
+                unit_delay, delays[r], skews[r], period, size, ring[r, : size + 1], sweep,
+                rises, ring_rises[r],
+            )
+
+
+def _blend(ring, size: int) -> np.ndarray:
+    """Every code's phase, (rows, 256), of rings whose N is `size`.
+
+    Code c's phase is t_a + weight * (t_b - t_a) between its segment's
+    endpoints t_a and t_b.  At weight 0 that is t_a bit for bit, as the
+    blender's k = 0 passes its first input: the difference is finite (the
+    build refuses non-finite delays, skews and rings; only times near the
+    float64 limit, about 1e308 s, could overflow it) and t_a is never -0.0
+    (a positive cumulative delay, or the period, plus a skew is +0.0 at
+    worst).
+    """
+    table = code_table(size)
+    t_a = ring.take(table.segment, axis=1)
+    t_b = ring.take(table.start_tap, axis=1)
+    t_b -= t_a
+    t_b *= table.weight
+    t_b += t_a
+    return t_b
 
 
 class CodeTable(Record):
@@ -189,36 +253,18 @@ def code_table(n_delays_per_cycle: int) -> CodeTable:
 
 
 def pi_output(code: int, chain: DelayChain) -> Instant:
-    """Output edge time for one control code, in the period after edge 0.
-
-    Entry `code` of `pi_sweep`, bit for bit, without computing the others.
-    """
-    # checked here: a negative code would index the table from its end
+    """Output edge time for one control code, in the period after edge 0:
+    entry `code` of the chain's sweep."""
+    # checked here: a negative code would index the sweep from its end
     if not 0 <= code < PI_CODES:
         raise ValueError(f"code must lie in [0, {PI_CODES}), got {code}")
-    table = code_table(chain.n_delays)
-    start = int(table.segment[code])
-    t_a, t_b = chain.positions[start : start + 2].tolist()
-    return t_a + float(table.weight[code]) * (t_b - t_a)
+    return float(chain.sweep[code])
 
 
 def pi_sweep(chain: DelayChain) -> np.ndarray:
-    """Output phase for every code, one cycle (index = code).
-
-    Code c's phase is t_a + weight * (t_b - t_a) between its segment's
-    endpoints t_a and t_b.  At weight 0 that is t_a bit for bit, as the
-    blender's k = 0 passes its first input: the difference is finite (the
-    build refuses non-finite delays and skews; only times near the float64
-    limit, about 1e308 s, could overflow it) and t_a is never -0.0 (a
-    positive cumulative delay, or the period, plus a skew is +0.0 at worst).
-    """
-    table = code_table(chain.n_delays)
-    t_a = chain.positions[table.segment]
-    t_b = chain.positions[table.start_tap]
-    t_b -= t_a
-    t_b *= table.weight
-    t_b += t_a
-    return t_b
+    """Output phase for every code, one cycle (index = code): the chain's
+    read-only sweep, worked out when it was built (see `_blend`)."""
+    return chain.sweep
 
 
 def inverted_segments(chain: DelayChain) -> list[tuple[int, int]]:
@@ -229,13 +275,12 @@ def inverted_segments(chain: DelayChain) -> list[tuple[int, int]]:
     reduces to "the start endpoint is not strictly earlier than the end
     endpoint", so a tie fires: a real arbiter cannot certify margin, and
     treating ties as clean would let trimming stall on an exactly zero-width
-    segment.
+    segment.  A chain whose ring rises fires none.
     """
+    if chain.ring_rises:
+        return []
     positions = chain.positions
     rising = positions[:-1] < positions[1:]
-    # a fraction of the cost of `rising.all()` on a few dozen flags
-    if np.count_nonzero(rising) == rising.size:
-        return []
     taps = np.flatnonzero(~rising) + 1
     if chain.n_delays > PI_CODES:
         # more segments than codes: the encoder skips some, and no code reads those

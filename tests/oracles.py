@@ -2,8 +2,9 @@
 
 The package holds one production path per block: a capture converts whole
 arrays (`interleaver.convert_pair_arrays`, `stdc.count_edges_batch`) and the
-phase interpolator reads every code from its code table (`pi.pi_sweep`,
-`pi.pi_output`, `pi.inverted_segments`).  The single-shot models below
+phase interpolator's builder reads every code from its code table
+(`pi.build_delay_chains`: the sweep `pi.pi_sweep` and `pi.pi_output` read,
+and the verdicts `pi.inverted_segments` reads).  The single-shot models below
 describe the same blocks one conversion or one code at a time, the way the
 circuit is drawn, and the tests hold the production path to them:
 
@@ -19,7 +20,7 @@ circuit is drawn, and the tests hold the production path to them:
   `slice_transfer` are held to sample by sample;
 * the PI as its chain built from its own row, period arbiters and ring,
   boundary mixers, leapfrog encoder, 16-step blender and blender-inversion
-  detector;
+  detector, and its sweep and verdicts through them code by code;
 * the converter's and the PI chain's mismatch instances, one keyed draw per
   row, a one-seed converter build and the design-envelope refusal as two
   per-slice loops;
@@ -28,6 +29,7 @@ circuit is drawn, and the tests hold the production path to them:
 
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass
 
@@ -330,7 +332,48 @@ def rowwise_delay_chain(
 ) -> DelayChain:
     """One PI chain worked out from its own row alone, the build
     `pi.build_delay_chains` stacks: the chain's own read-only copies of its
-    taps and skews, N and its ring.
+    taps and skews, N, its ring (`rowwise_ring`), and its sweep and two
+    verdicts from the single-code models: each code through the encoder,
+    its select pair's endpoints and the blender; the sweep rising when each
+    code's phase is below the next one's; and the ring rising when the
+    inversion detector fires on none of its N segments, taps (1, 2) to
+    (N, N + 1), each with the direction its start tap's parity gives.
+    """
+    delays, skews, positions, n = rowwise_ring(unit_delay, tap_delays, path_skews, period)
+    phases = [
+        blend(positions[start_tap - 1], positions[end_tap - 1], blend_k)
+        for start_tap, end_tap, blend_k in _code_selects(n)
+    ]
+    sweep = np.array(phases)
+    sweep_rises = all(a < b for a, b in zip(phases, phases[1:]))
+    fires = []
+    for start_tap in range(1, n + 1):
+        t_start, t_end = positions[start_tap - 1], positions[start_tap]
+        if start_tap % 2 == 1:
+            fires.append(detect_blender_inversion(t_start, t_end, ODD_TO_EVEN))
+        else:
+            fires.append(detect_blender_inversion(t_end, t_start, EVEN_TO_ODD))
+    for array in (delays, skews, positions, sweep):
+        array.flags.writeable = False
+    return DelayChain(unit_delay, delays, skews, period, n, positions, sweep, sweep_rises,
+                      not any(fires))
+
+
+@functools.lru_cache(maxsize=None)
+def _code_selects(n_delays_per_cycle: int) -> tuple[tuple[int, int, int], ...]:
+    """Each code's segment endpoints and blend step from `encode`, in code
+    order, worked out once per N."""
+    return tuple(
+        (*segment_endpoints(sel), sel.blend_k)
+        for sel in (encode(code, n_delays_per_cycle) for code in range(PI_CODES))
+    )
+
+
+def rowwise_ring(
+    unit_delay: Duration, tap_delays, path_skews, period: Duration
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """A PI chain's tap delays, path skews, ring and N worked out from its
+    own row alone.
 
     N is the number of unit delays the arbiters find in the period: the
     smallest tap whose accumulated (pre-skew) delay spans it, within a
@@ -367,9 +410,7 @@ def rowwise_delay_chain(
         positions[n] = taps[n] + skews[n]
     else:
         positions[n] = period + delays[0] + skews[0]
-    for array in (delays, skews, positions):
-        array.flags.writeable = False
-    return DelayChain(unit_delay, delays, skews, period, n, positions)
+    return delays, skews, positions, n
 
 
 def ring_positions(
@@ -378,12 +419,11 @@ def ring_positions(
     adjustments: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """The N+1 blender endpoint times covering the period after clock edge 0,
-    in ring order, and N (`rowwise_delay_chain`), for the chain's taps and
-    skews at `period`, with optional per-path trim `adjustments` added to
-    the skews."""
+    in ring order, and N (`rowwise_ring`), for the chain's taps and skews at
+    `period`, with optional per-path trim `adjustments` added to the skews."""
     skews = chain.path_skews if adjustments is None else chain.path_skews + adjustments
-    ring = rowwise_delay_chain(chain.unit_delay, chain.tap_delays, skews, period)
-    return ring.positions, ring.n_delays
+    _, _, positions, n = rowwise_ring(chain.unit_delay, chain.tap_delays, skews, period)
+    return positions, n
 
 
 def apply_boundary_mixers(

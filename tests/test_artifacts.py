@@ -23,7 +23,10 @@ from hypothesis import strategies as st
 import stochadc
 from stochadc import digits, experiments
 from stochadc import interleaver as il
+from stochadc import pi as pimod
 from stochadc.config import config_hash, load_config, parse_config
+from stochadc.core import derive_seed, keyed_normal, mismatch_scale, seed_array
+from stochadc.errors import TrimConvergenceError
 from stochadc.experiments import CSV_BLOCK_ROWS, _write_csv, run_experiment
 from stochadc.metrics import walden_fom
 
@@ -781,17 +784,48 @@ def test_the_trimming_pi_monte_carlo_trims(golden_run):
     assert sum(int(row["iterations"]) > 1 for row in rows) == 146
 
 
+TD = 12.5e-12
+
+
+@st.composite
+def finite_stacks(draw):
+    """1-8 rows of 32 finite tap delays and path skews that span 16 unit
+    delays: nominal taps or keyed mismatched ones, keyed skews or none, and
+    up to four paths set to 0.0, -0.0, +-TD (on nominal taps that ties two
+    ring positions exactly) or anything within two unit delays."""
+    k = draw(st.integers(1, 8))
+    seeds = seed_array(draw(st.lists(st.integers(0, 2**64 - 1), min_size=k, max_size=k)))
+    normals = keyed_normal(derive_seed(seeds, "pi.tap"), np.arange(32))
+    delays = mismatch_scale(TD, draw(st.sampled_from([0.0]) | st.floats(0.0, 0.3)), normals)
+    skews = keyed_normal(derive_seed(seeds, "pi.skew"), np.arange(32)) * TD
+    skews *= draw(st.sampled_from([0.0]) | st.floats(0.0, 1.0))
+    value = st.sampled_from([0.0, -0.0, TD, -TD]) | st.floats(-2 * TD, 2 * TD)
+    for row, path, skew in draw(st.lists(
+        st.tuples(st.integers(0, k - 1), st.integers(0, 31), value), max_size=4
+    )):
+        skews[row, path] = skew
+    return delays, skews
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, np.nan, np.inf, -np.inf]) | st.floats(),
-                max_size=8))
-def test_the_monotone_flags_give_the_difference_verdict(values):
-    # `pre_trim_monotone` and `post_trim_monotone` count the rises; that
-    # must be the verdict of every step of `np.diff` being > 0, NaN and inf
-    # included, and a plain bool
-    a = np.array(values, dtype=np.float64)
-    with np.errstate(invalid="ignore"):
-        want = bool((np.diff(a) > 0).all())
-    assert experiments._rising(a) is want
+@given(finite_stacks())
+def test_the_monotone_flags_give_the_difference_verdict(stack):
+    # `pre_trim_monotone` and `post_trim_monotone` are the builder's
+    # `sweep_rises`: that must be the verdict of every step of `np.diff` of
+    # the sweep being > 0, and `ring_rises` the same verdict on the ring,
+    # each a plain bool.  The builder refuses non-finite input, so the
+    # stacks are finite
+    delays, skews = stack
+    cfg = parse_config("pi:\n  trim_max_iters: 64\n")
+    for chain in pimod.build_delay_chains(TD, delays, skews, 16 * TD):
+        want = bool((np.diff(chain.sweep) > 0).all())
+        assert chain.sweep_rises is want
+        assert chain.ring_rises is bool((np.diff(chain.positions) > 0).all())
+        try:
+            metrics, _ = experiments.run_pi_trim(cfg, chain)
+        except TrimConvergenceError:
+            continue
+        assert metrics["pre_trim_monotone"] is want
 
 
 # Every numeric artifact value names its unit: a time ends in _seconds, a

@@ -702,19 +702,24 @@ class TestCli:
         payload = json.loads((tmp_path / "pi_trim.json").read_text())
         assert payload["metrics"]["initial_inversions"] >= 1
 
-    @pytest.mark.parametrize("name, sweeps", [("pi_mc.yaml", 1), ("pi_trim_injected.yaml", 2)])
-    def test_pi_trim_sweeps_an_untrimmed_chain_once(self, monkeypatch, name, sweeps):
-        # trim_paths hands back the chain itself when nothing fires, and the
-        # sweep after the trim is then the sweep before it
+    @pytest.mark.parametrize(
+        "name, trims", [("pi_mc.yaml", False), ("pi_trim_injected.yaml", True)]
+    )
+    def test_pi_trim_sweeps_once_and_reads_the_chains_verdicts(self, monkeypatch, name, trims):
+        # a chain carries its sweep and verdicts: a trial reads the sweep
+        # once, of the chain trim_paths hands back (the chain itself when
+        # nothing fires), and its monotone flags are the two chains' verdicts
         calls = []
         sweep = pimod.pi_sweep
         monkeypatch.setattr(pimod, "pi_sweep", lambda chain: calls.append(chain) or sweep(chain))
         cfg = load_config(CONFIG_DIR / name)
-        metrics, _ = run_pi_trim(cfg, next(il.pi_chains(cfg, [3])))
-        assert (metrics["iterations"] > 1) == (sweeps == 2)
-        assert len(calls) == sweeps
-        assert metrics["pre_trim_monotone"] == (sweeps == 1)
-        assert metrics["post_trim_monotone"]
+        chain = next(il.pi_chains(cfg, [3]))
+        metrics, _ = run_pi_trim(cfg, chain)
+        assert (metrics["iterations"] > 1) == trims
+        assert len(calls) == 1 and (calls[0] is chain) == (not trims)
+        assert metrics["pre_trim_monotone"] is chain.sweep_rises is (not trims)
+        assert metrics["post_trim_monotone"] is calls[0].sweep_rises is True
+        assert (metrics["max_trim_seconds"] > 0) == trims
 
     @pytest.mark.parametrize(
         "section",

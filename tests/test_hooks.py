@@ -9,6 +9,7 @@ or counts nothing.  Each run is a fresh interpreter, since installing the
 tracer patches the package for good.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -43,27 +44,59 @@ ADC_SINE = FRAME | {
 }
 
 
+def traced_layers(tmp_path, argv) -> tuple[dict, list]:
+    """The per-layer stats of one traced `cli.main` call in a fresh
+    interpreter, and the hooks that count work."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, *argv, "--out", str(tmp_path / "out")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["rc"] == 0
+    return result["layers"], result["counted"]
+
+
 @pytest.mark.parametrize(
     "experiment, config, expected",
     [("pi-trim", "pi_trim_injected.yaml", PI_TRIM), ("adc-sine", "skewcal.yaml", ADC_SINE)],
     ids=["pi-trim", "adc-sine"],
 )
 def test_every_expected_hook_fires_and_counts(tmp_path, experiment, config, expected):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
-    argv = [experiment, "--config", str(ROOT / "configs" / config), "--out", str(tmp_path)]
-    proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, *argv],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    layers, counted = traced_layers(
+        tmp_path, [experiment, "--config", str(ROOT / "configs" / config)]
     )
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["rc"] == 0
-    layers = result["layers"]
     assert {name for name, entry in layers.items() if entry["calls"]} == expected
-    for name in expected & set(result["counted"]):
+    for name in expected & set(counted):
         assert layers[name]["count"] > 0, name
     if experiment == "adc-sine":
         # the hook patches AdcSystem's record constructor, which the one
         # builder calls once per converter
         assert layers["interleaver.AdcSystem"]["calls"] == 1
+
+
+def test_the_pi_monte_carlo_holds_the_benchmarks_traced_gate(tmp_path):
+    # the `pi-mc` workload as perfbench/run.py writes its config: the hooks
+    # that fire are the workload's `fires`, and `pi.trim_paths` is called
+    # once per trial, as its exact gate requires
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = run  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(run)
+    finally:
+        del sys.modules[spec.name]
+    workload = run.WORKLOADS["pi-mc"]
+    cfg = run.write_config(workload, tmp_path / "config.yaml")
+    assert cfg["montecarlo"]["trials"] == 400
+    [argv] = workload.ops
+    layers, counted = traced_layers(tmp_path, [*argv, "--config", str(tmp_path / "config.yaml")])
+    assert {name for name, entry in layers.items() if entry["calls"]} == workload.fires
+    for name in workload.fires & set(counted):
+        assert layers[name]["count"] > 0, name
+    for metric, expected in workload.exact.items():
+        name, stat = metric.rsplit(".", 1)
+        assert layers[name][stat] == expected(cfg), metric
+    assert layers["pi.trim_paths"]["calls"] == cfg["montecarlo"]["trials"]

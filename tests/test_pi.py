@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from stochadc import interleaver as il
@@ -19,6 +19,7 @@ from stochadc.errors import ChainUnderspanError, TrimConvergenceError
 from stochadc.pi import (
     BLEND_STEPS,
     PI_CODES,
+    SWEEP_ROWS,
     DelayChain,
     build_delay_chains,
     code_table,
@@ -564,12 +565,36 @@ def chain_stacks(draw):
     return delays, skews, period
 
 
+def mixed_stack():
+    """150 rows of 32 taps at a period of 16 unit delays, more than two
+    sweep blocks: nominal rows (N = 16) and rows of slightly longer and
+    shorter taps (N = 15 and 17) mixed in the first two blocks, the last
+    block all nominal; among them a zero-width segment (path 7 skewed onto
+    tap 8), tap 4's position tied with tap 6's, a position cancelled to
+    exactly +0.0, and a segment one ulp wide, whose blends round onto its
+    start so the ring rises while the sweep does not."""
+    k = 150
+    scale = np.ones(k)
+    scale[:128:3] = 16 / 15
+    scale[1:128:3] = 16 / 17
+    delays = TD * scale[:, None] * np.ones(32)
+    skews = np.zeros((k, 32))
+    taps = np.cumsum(delays, axis=1)
+    skews[5, 6] = taps[5, 7] - taps[5, 6]
+    skews[8, 3] = taps[8, 5] - taps[8, 3]
+    skews[11, 6] = -taps[11, 6]
+    skews[14, 7] = np.nextafter(taps[14, 6], np.inf) - taps[14, 7]
+    return delays, skews, 16 * TD
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(chain_stacks())
+@example(mixed_stack())
 def test_stacked_build_equals_the_row_by_row_build(stack):
-    # the one-pass build of a stack, N and the ring included, bit for bit
-    # against each row built alone, in rows whose ring wraps onto the next
-    # cycle's first tap and in rows whose ring does not
+    # the one-pass build of a stack, N, the ring, the sweep and both
+    # verdicts included, bit for bit against each row built alone and its
+    # sweep and verdicts from the single-code models, in rows whose ring
+    # wraps onto the next cycle's first tap and in rows whose ring does not
     delays, skews, period = stack
     chains = list(build_delay_chains(TD, delays, skews, period))
     assert len(chains) == delays.shape[0]
@@ -577,11 +602,34 @@ def test_stacked_build_equals_the_row_by_row_build(stack):
         want = rowwise_delay_chain(TD, row_delays, row_skews, period)
         assert type(chain.n_delays) is int and chain.n_delays == want.n_delays
         assert (chain.unit_delay, chain.period, chain.n_taps) == (TD, period, delays.shape[1])
-        for name in ("tap_delays", "path_skews", "positions"):
+        for name in ("tap_delays", "path_skews", "positions", "sweep"):
             got, expected = getattr(chain, name), getattr(want, name)
             assert got.shape == expected.shape
             assert np.array_equal(bits(got), bits(expected)), name
             assert not got.flags.writeable, name
+        assert chain.sweep_rises is want.sweep_rises
+        assert chain.ring_rises is want.ring_rises
+
+
+def test_the_mixed_stack_holds_each_n_and_verdict():
+    # what `mixed_stack` is there to reach: three N in each of the first two
+    # sweep blocks, one in the last, and every pair of verdicts a chain can give
+    delays, skews, period = mixed_stack()
+    chains = list(build_delay_chains(TD, delays, skews, period))
+    n = [chain.n_delays for chain in chains]
+    for block in range(0, 128, SWEEP_ROWS):
+        assert set(n[block : block + SWEEP_ROWS]) == {15, 16, 17}
+    assert set(n[128:]) == {16} and len(chains) > 2 * SWEEP_ROWS
+    verdicts = {(c.sweep_rises, c.ring_rises) for c in chains}
+    assert verdicts == {(True, True), (False, False), (False, True)}
+    assert [i for i, c in enumerate(chains) if not c.ring_rises] == [5, 8, 11]
+    # at N = 15 a segment holds more codes than blend steps, so two codes
+    # share a step and tie: that sweep is monotone, not strictly
+    assert [i for i, c in enumerate(chains) if not c.sweep_rises] == [
+        i for i, size in enumerate(n) if size == 15 or i in (5, 8, 11, 14)
+    ]
+    assert chains[5].positions[6] == chains[5].positions[7]
+    assert chains[11].positions[6] == 0.0 and not np.signbit(chains[11].positions[6])
 
 
 def test_a_stack_holds_wrapping_and_plain_rings():
